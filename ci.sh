@@ -21,37 +21,20 @@ if [[ "${1:-}" != "quick" ]]; then
   cargo build --release --offline
 fi
 
-step "cargo test -q"
-cargo test -q --offline
+# Every test target of every workspace member, once: the root package's
+# integration suites (determinism, goldens, fault injection, sweeps) and
+# the crate-level unit and property tests.
+step "cargo test --workspace"
+cargo test -q --offline --workspace
 
-step "fault-injection property tests"
-cargo test -q --offline --test fault_injection --test sim_properties
+# The benchmark package is its own workspace; its tests include the
+# registry-vs-BENCHMARK.json check.
+step "floatbench tests"
+cargo test -q --offline --manifest-path floatbench/Cargo.toml
 
-# Event-driven availability: the calendar index vs brute force over
-# arbitrary round orders and battery states, plus the pooled-planner
-# contract (candidate_pool = 0 reproduces pinned pre-pool reports
-# byte-for-byte; pooled runs are thread-count invariant).
-step "availability index + candidate pool tests"
-cargo test -q --offline --test availability_index --test candidate_pool
-
-# Pipelined rounds: plan/execute/commit overlap must change wall-clock
-# only — reports (including the pinned pre-pipeline goldens) byte-for-
-# byte, telemetry identical modulo phase-span stream position.
-step "pipelined-rounds determinism tests"
-cargo test -q --offline --test pipelined_determinism
-
-# Online profiling: profiling off reproduces the pinned goldens
-# byte-for-byte; profiling on is bit-identical across thread counts
-# and across the pipelined/sequential engines; the bounded store's
-# accounting identities hold under eviction and arbitrary sequences.
-step "online-profiling determinism tests"
-cargo test -q --offline --test profiling
-
-# Sweep orchestrator: per-trial reports invariant to worker count, trial
-# interleaving, and pruning (for survivors), plus the pinned small-grid
-# golden guarding the whole stack against drift.
-step "sweep-orchestrator determinism tests"
-cargo test -q --offline --test sweep_determinism
+step "BENCHMARK.json matches floatbench --manifest"
+cargo run -q --offline --manifest-path floatbench/Cargo.toml -- --manifest \
+  | diff - BENCHMARK.json
 
 if [[ "${1:-}" != "quick" ]]; then
   # Short chaos run with a fixed seed, every fault kind active, and
@@ -72,24 +55,11 @@ if [[ "${1:-}" != "quick" ]]; then
     --clients 1 > target/obs/obsdump_ci.txt
   grep -q "event stream and report reconcile exactly" target/obs/obsdump_ci.txt
 
-  # The same chaos run with pipelined rounds: identical invariants, plus
-  # an in-process byte-identity check against the sequential report, and
-  # a reconcile of the pipelined event stream (exercising the
-  # overlapped_us span accounting end to end).
-  step "chaos smoke (pipelined rounds)"
-  cargo run --release --offline --example chaos_smoke -- --pipelined
-  cargo run --release --offline -p float-bench --bin obsdump -- \
-    target/obs/chaos_sync_pipelined.jsonl \
-    --report target/obs/chaos_sync_pipelined.report.json \
-    --clients 1 > target/obs/obsdump_pipelined_ci.txt
-  grep -q "event stream and report reconcile exactly" \
-    target/obs/obsdump_pipelined_ci.txt
-
   # Profiling smoke: sync Oort + async FedBuff with the online client
   # profiler enabled, fault-free and chaos, each asserted bit-identical
   # across 1 vs 4 worker threads (the profiler folds observations only
-  # in the sequential commit phase), plus the pipelined==sequential and
-  # label-suffix contracts. Writes the sync chaos run's event stream +
+  # in the sequential commit phase), plus the label-suffix contract.
+  # Writes the sync chaos run's event stream +
   # report to target/obs/ for the profile replay gate below.
   step "profiling smoke (online profiler, 1 vs 4 threads)"
   cargo run --release --offline --example profiling_smoke

@@ -255,23 +255,12 @@ fn profile_table(events: &[Event], report: Option<&ExperimentReport>, async_engi
 fn overview(path: &str, events: &[Event]) {
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut max_round = 0u64;
-    // Per-phase wall totals, split into (wall_us, overlapped_us). Under
-    // pipelined rounds the overlapped share ran concurrently with another
-    // phase, so the critical path is Σ wall − Σ overlapped.
-    let mut phase_us: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+    let mut phase_us: BTreeMap<&'static str, u64> = BTreeMap::new();
     for e in events {
         *kinds.entry(e.kind()).or_default() += 1;
         max_round = max_round.max(e.round());
-        if let Event::PhaseSpan {
-            phase,
-            wall_us,
-            overlapped_us,
-            ..
-        } = e
-        {
-            let slot = phase_us.entry(phase.name()).or_default();
-            slot.0 += wall_us;
-            slot.1 += overlapped_us.unwrap_or(0);
+        if let Event::PhaseSpan { phase, wall_us, .. } = e {
+            *phase_us.entry(phase.name()).or_default() += wall_us;
         }
     }
     println!(
@@ -282,23 +271,10 @@ fn overview(path: &str, events: &[Event]) {
     for (kind, n) in &kinds {
         println!("  {kind:<20} {n:>8}");
     }
-    let total_wall: u64 = phase_us.values().map(|&(w, _)| w).sum();
-    let total_ov: u64 = phase_us.values().map(|&(_, o)| o).sum();
-    if total_wall > 0 {
+    if phase_us.values().any(|&wall| wall > 0) {
         println!("phase wall totals:");
-        for (phase, &(wall, ov)) in &phase_us {
-            if ov > 0 {
-                println!("  {phase:<20} {wall:>10}µs ({ov}µs overlapped)");
-            } else {
-                println!("  {phase:<20} {wall:>10}µs");
-            }
-        }
-        if total_ov > 0 {
-            println!(
-                "  critical path: {}µs of {total_wall}µs \
-                 ({total_ov}µs reclaimed by pipelining)",
-                total_wall - total_ov
-            );
+        for (phase, wall) in &phase_us {
+            println!("  {phase:<20} {wall:>10}µs");
         }
     }
 }
@@ -441,18 +417,8 @@ fn reconcile(events: &[Event], report: &ExperimentReport, async_engine: bool) ->
     let mut retries = 0u64;
     let mut agg_suppressed = 0u64;
     let mut round_ends: Vec<(u64, u64, u64)> = Vec::new();
-    let mut span_total = 0u64;
-    let mut span_ok = 0u64;
     for e in events {
         match e {
-            Event::PhaseSpan {
-                wall_us,
-                overlapped_us,
-                ..
-            } => {
-                span_total += 1;
-                span_ok += u64::from(overlapped_us.unwrap_or(0) <= *wall_us);
-            }
             Event::ClientOutcome {
                 outcome, attempt, ..
             } => {
@@ -473,11 +439,6 @@ fn reconcile(events: &[Event], report: &ExperimentReport, async_engine: bool) ->
 
     println!("\nreconciling against report `{}`:", report.label);
     let mut c = Checker { failures: 0 };
-    c.eq_u64(
-        "phase spans with overlapped_us <= wall_us",
-        span_ok,
-        span_total,
-    );
     c.eq_u64(
         "ledger completions == completed + duplicate outcomes",
         n(OutcomeKind::Completed) + n(OutcomeKind::Duplicate),

@@ -226,16 +226,7 @@ pub struct ExperimentConfig {
     /// with [`ExperimentConfig::prox_mu`].
     #[serde(default)]
     pub scaffold: bool,
-    /// Pipelined round execution: stream each attempt to the worker pool
-    /// the moment it is planned and commit completed attempts in slot
-    /// order while later attempts still execute, overlapping the round's
-    /// plan/execute/commit phases instead of running them as strict
-    /// barriers; round-`r` accuracy evaluation additionally overlaps the
-    /// start of round `r+1`. Off by default (the historical three-phase
-    /// schedule). Results are byte-identical either way — commits retire
-    /// in the same deterministic slot order and evaluation reads a
-    /// snapshot of the committed model — see `DESIGN.md` §16 for the
-    /// contract and the pinned pipelined-vs-sequential golden tests.
+    /// Read by nothing; kept only because frozen `floatbench/` assigns it (ROADMAP.md).
     #[serde(default)]
     pub pipeline_rounds: bool,
     /// Online client profiling: estimate per-client latency, bandwidth,
@@ -455,8 +446,17 @@ impl ExperimentConfig {
                 self.batch_size, self.local_epochs
             ));
         }
-        if self.deadline_s <= 0.0 || self.deadline_s.is_nan() {
-            return Err(format!("deadline_s {} must be positive", self.deadline_s));
+        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+            return Err(format!(
+                "learning_rate {} must be positive and finite",
+                self.learning_rate
+            ));
+        }
+        if !(self.deadline_s > 0.0 && self.deadline_s.is_finite()) {
+            return Err(format!(
+                "deadline_s {} must be positive and finite",
+                self.deadline_s
+            ));
         }
         if let Some(a) = self.alpha {
             if a <= 0.0 || a.is_nan() {
@@ -571,6 +571,14 @@ mod tests {
         c.deadline_s = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = base;
+        c.deadline_s = f64::INFINITY;
+        assert!(c.validate().is_err());
+        for lr in [0.0, -0.05, f32::NAN, f32::INFINITY] {
+            let mut c = base;
+            c.learning_rate = lr;
+            assert!(c.validate().is_err(), "learning_rate {lr} validated");
+        }
+        let mut c = base;
         c.fault_plan.crash_rate = 1.5;
         assert!(c.validate().is_err());
         let mut c = base;
@@ -629,6 +637,10 @@ mod tests {
         let err = c.validate().expect_err("bad deadline");
         assert!(err.contains("-3.5"), "message: {err}");
         let mut c = base;
+        c.learning_rate = -0.05;
+        let err = c.validate().expect_err("bad learning_rate");
+        assert!(err.contains("-0.05"), "message: {err}");
+        let mut c = base;
         c.fault_plan.stall_backoff_s = -1.0;
         let err = c.validate().expect_err("bad backoff");
         assert!(err.contains("-1"), "message: {err}");
@@ -685,6 +697,20 @@ mod tests {
         let old = format!("{}{}", &json[..start], &json[end + 1..]);
         let back: ExperimentConfig = serde_json::from_str(&old).expect("old config deserializes");
         assert_eq!(back.profiling, ProfilingConfig::off());
+    }
+
+    /// Configs written while the flag selected a second attempt engine
+    /// still load, validate, and run to the same report.
+    #[test]
+    fn old_pipeline_rounds_configs_still_load_and_run_identically() {
+        let c = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 4);
+        let json = serde_json::to_string(&c).expect("serializes");
+        assert!(json.contains("\"pipeline_rounds\":false"));
+        let old = json.replace("\"pipeline_rounds\":false", "\"pipeline_rounds\":true");
+        let back: ExperimentConfig = serde_json::from_str(&old).expect("old config deserializes");
+        assert!(back.pipeline_rounds);
+        let run = |cfg| crate::Experiment::new(cfg).expect("validates").run();
+        assert_eq!(run(back), run(c));
     }
 
     #[test]

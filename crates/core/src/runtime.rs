@@ -4,9 +4,7 @@
 //! loop).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
-use std::time::Instant;
+use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 
@@ -125,11 +123,6 @@ pub struct Experiment {
     eval_models: Vec<Mlp>,
     /// Reusable flat-parameter buffer for re-parameterizing `eval_models`.
     eval_parameters: Vec<f32>,
-    /// In-flight background evaluation under pipelined rounds: the report
-    /// record awaiting its `mean_accuracy` plus the thread computing it.
-    /// Resolved at the next round's bookkeeping (or at finalization), so
-    /// at most one evaluation is ever outstanding.
-    pending_eval: Option<PendingEval>,
     /// Online client profiler ([`ExperimentConfig::profiling`], DESIGN.md
     /// §17): the commit-phase fold of observed outcomes into per-client
     /// estimates that replace the trace oracle in selection and in the
@@ -139,16 +132,6 @@ pub struct Experiment {
     /// plan/select phases, so profiler state — and everything selection
     /// derives from it — is bit-identical for any worker-thread count.
     profiler: Option<ClientProfiler>,
-}
-
-/// A background evaluation pass launched by a pipelined round. The thread
-/// owns clones of everything it reads (model, shard spec, client list), so
-/// it cannot observe — or perturb — the next round's mutations; its result
-/// is a pure function of the post-aggregation parameters it was given.
-struct PendingEval {
-    /// Index into `report.rounds` whose `mean_accuracy` the result fills.
-    record: usize,
-    handle: thread::JoinHandle<Vec<f64>>,
 }
 
 /// The frozen inputs of one client attempt, produced by the sequential
@@ -183,10 +166,8 @@ struct AttemptTask {
     local: LocalState,
     hf: DeadlineLevel,
     /// Snapshot of the client's error-feedback residual, taken when the
-    /// attempt is planned (or re-planned for a retry). Captured by value so
-    /// a pipelined execute phase — which runs concurrently with earlier
-    /// slots' commits — reads exactly the state a sequential execute phase
-    /// would have. `Some` only for the top-k compression action.
+    /// attempt is planned (or re-planned for a retry). `Some` only for the
+    /// top-k compression action.
     error_feedback: Option<ErrorFeedback>,
     /// Snapshot of the client's SCAFFOLD control variate `c_i`, captured
     /// like `error_feedback` (SCAFFOLD runs only; an empty vec means the
@@ -238,49 +219,43 @@ struct WorkerScratch {
     recorder: Recorder,
 }
 
-/// Owned snapshot of every piece of experiment state the execute phase
-/// reads. Both engines' attempt batches execute through one of these: the
-/// sequential engine builds it right before the fan-out, and the pipelined
-/// engine builds it before planning starts so worker threads never borrow
-/// the `Experiment` at all — the main thread is then free to keep planning
-/// and committing (both `&mut self`) while workers run. The snapshots are
-/// what make streamed commits safe: a commit may mutate `scaffold_c` or a
-/// residual while later slots are still executing, but those slots read
-/// the values frozen here (and in their [`AttemptTask`]), which are
-/// exactly the values a fully sequential round would have read.
-struct ExecuteCtx {
-    config: ExperimentConfig,
-    protected: Vec<bool>,
-    global_params: Vec<f32>,
+/// Read-only view of every piece of experiment state the execute phase
+/// reads, borrowed for one fan-out. Nothing commits while workers run (the
+/// barrier between execute and commit), so borrowing is enough: every
+/// attempt in a batch sees the same values, and a stall retry — which by
+/// contract observes the batch's earlier commits — borrows afresh.
+struct ExecuteCtx<'a> {
+    config: &'a ExperimentConfig,
+    protected: &'a [bool],
+    global_params: &'a [f32],
     /// Architecture template for workers that have not yet materialized
     /// their scratch model (parameters are overwritten per attempt).
-    model: Mlp,
-    /// SCAFFOLD server control variate at plan time (empty when off).
-    scaffold_c: Vec<f32>,
+    model: &'a Mlp,
+    /// SCAFFOLD server control variate (empty when off).
+    scaffold_c: &'a [f32],
     obs_enabled: bool,
 }
 
-impl ExecuteCtx {
+impl ExecuteCtx<'_> {
     /// Phase 2 — *execute*: simulate the round and, on completion, run the
     /// client's real local training and wire transform. A pure function of
     /// `(ctx, task)` — all randomness comes from seeds derived per
     /// `(round, client, attempt)` and the worker scratch is fully
     /// overwritten before use, so the result is independent of which
-    /// worker runs it, in what order, and of any commit that has already
-    /// landed for an earlier slot.
+    /// worker runs it and in what order.
     fn execute(
         &self,
         round: usize,
         task: &AttemptTask,
         scratch: &mut WorkerScratch,
     ) -> AttemptExec {
-        let global_params = &self.global_params[..];
+        let global_params = self.global_params;
         let plan = apply_action_protected(
             task.action,
             task.base_cost,
             global_params,
             split_seed(self.config.seed, (round as u64) << 20 | task.client as u64),
-            Some(&self.protected),
+            Some(self.protected),
         );
         let round_params = RoundParams {
             deadline_s: self.config.deadline_s,
@@ -349,19 +324,14 @@ impl ExecuteCtx {
         let mut opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
         // Drift corrections (FedProx / SCAFFOLD) read the control variates
-        // snapshotted at plan time (ctx + task), so every attempt in a
-        // batch sees one consistent view per round regardless of engine or
-        // commit streaming. With both corrections off this is the
-        // historical training path bit for bit (the default
-        // `DriftOptions` skips the correction branches).
+        // through ctx + task, so every attempt in a batch sees one
+        // consistent view. With both corrections off the default
+        // `DriftOptions` skips the correction branches.
         let client_ci: &[f32] = task.scaffold_ci.as_deref().unwrap_or(&[]);
         let drift = DriftOptions {
             prox: (self.config.prox_mu > 0.0)
                 .then_some((self.config.prox_mu as f32, global_params)),
-            scaffold: self
-                .config
-                .scaffold
-                .then_some((self.scaffold_c.as_slice(), client_ci)),
+            scaffold: self.config.scaffold.then_some((self.scaffold_c, client_ci)),
         };
         for e in 0..self.config.local_epochs {
             last_loss = local.train_epoch_corrected(
@@ -584,7 +554,7 @@ fn outcome_counter(kind: OutcomeKind) -> &'static str {
     }
 }
 
-/// Outcome of executing one client attempt (used by both engines).
+/// Outcome of executing one client attempt (used by both round loops).
 struct Attempt {
     client: usize,
     completed: bool,
@@ -601,6 +571,17 @@ struct Attempt {
     duplicate: bool,
     /// The upload stalled past the server timeout (retry candidate).
     stalled: bool,
+}
+
+/// Hand a completed update to the aggregation input. An injected
+/// duplicate-delivery fault (an at-least-once transport) hands it over
+/// twice; the pre-aggregation dedup pass suppresses the extra copy so a
+/// faulty transport cannot double-weight a client.
+fn deliver_update(updates: &mut Vec<PendingUpdate>, update: PendingUpdate, duplicate: bool) {
+    if duplicate {
+        updates.push(update.clone());
+    }
+    updates.push(update);
 }
 
 /// Where a run's client shards come from: a private bounded LRU cache
@@ -825,7 +806,6 @@ impl Experiment {
             scaffold_ci: HashMap::new(),
             eval_models: Vec::new(),
             eval_parameters: Vec::new(),
-            pending_eval: None,
             profiler: config
                 .profiling
                 .enabled
@@ -1055,17 +1035,25 @@ impl Experiment {
         }
     }
 
-    /// The attempt duration a selector may learn from. With profiling on,
-    /// a non-completer's wall time is censored at the deadline: a real
+    /// What a selector may learn from one attempt. With profiling on, a
+    /// non-completer's wall time is censored at the deadline: a real
     /// server never observes a no-show's counterfactual full duration
     /// (the oracle leak audited by ISSUE 9's feedback sweep). With
     /// profiling off the historical uncensored value flows through,
     /// byte for byte.
-    fn feedback_duration_s(&self, a: &Attempt) -> f64 {
-        if self.profiler.is_some() && !a.completed {
+    fn selection_feedback(&self, a: &Attempt) -> SelectionFeedback {
+        let duration_s = if self.profiler.is_some() && !a.completed {
             a.duration_s.min(self.config.deadline_s)
         } else {
             a.duration_s
+        };
+        SelectionFeedback {
+            client: a.client,
+            completed: a.completed,
+            duration_s,
+            utility: a.utility,
+            was_available: a.was_available,
+            quarantined: a.quarantined,
         }
     }
 
@@ -1201,18 +1189,17 @@ impl Experiment {
         }
     }
 
-    /// Freeze the execute phase's view of the experiment: configuration,
+    /// The execute phase's view of the experiment: configuration,
     /// protection mask, global parameters, architecture template, and the
-    /// SCAFFOLD server variate. Built once per attempt batch — and rebuilt
-    /// per retry, which by the historical contract sees the batch's
-    /// earlier commits.
-    fn execute_ctx(&self, global_params: &[f32]) -> ExecuteCtx {
+    /// SCAFFOLD server variate. Borrowed once per attempt batch — and again
+    /// per retry, which by contract sees the batch's earlier commits.
+    fn execute_ctx<'a>(&'a self, global_params: &'a [f32]) -> ExecuteCtx<'a> {
         ExecuteCtx {
-            config: self.config,
-            protected: self.protected.clone(),
-            global_params: global_params.to_vec(),
-            model: self.global_model.clone(),
-            scaffold_c: self.scaffold_c.clone(),
+            config: &self.config,
+            protected: &self.protected,
+            global_params,
+            model: &self.global_model,
+            scaffold_c: &self.scaffold_c,
             obs_enabled: self.obs.enabled(),
         }
     }
@@ -1220,8 +1207,7 @@ impl Experiment {
     /// Snapshot the per-client state the execute phase reads through the
     /// task: the error-feedback residual (top-k compression only) and the
     /// SCAFFOLD control variate. Taken at plan time — and re-taken per
-    /// retry, matching the historical retry path, which read them live
-    /// after the batch's first-round commits.
+    /// retry, which reads them after the batch's first-try commits.
     fn snapshot_drift_state(
         &self,
         client: usize,
@@ -1427,39 +1413,16 @@ impl Experiment {
     }
 
     /// Plan, execute (fanned out over `scratches`), and commit a batch of
-    /// client attempts. Results come back in cohort order.
+    /// client attempts, with a full barrier between the three phases.
+    /// Results come back in cohort order.
     ///
-    /// Dispatches on [`ExperimentConfig::pipeline_rounds`]: the sequential
-    /// engine runs the three phases back to back with a full barrier
-    /// between each; the pipelined engine streams tasks to workers as they
-    /// are planned and streams commits back in slot order as results
-    /// arrive. Both produce bit-identical committed state — every commit
-    /// happens on the main thread in slot order, and the execute phase
-    /// reads only plan-time snapshots (see [`ExecuteCtx`]).
-    ///
-    /// With `retry_stalled` set (the synchronous engine), clients whose
+    /// With `retry_stalled` set (the synchronous loop), clients whose
     /// upload hit an injected network stall are re-requested up to the
     /// fault plan's retry bound, each retry charging its backoff to the
     /// round's wall clock. Retries run sequentially in cohort order with a
     /// bumped attempt number, so the fault schedule redraws and the result
     /// stays independent of worker-thread count.
     fn run_attempts(
-        &mut self,
-        round: usize,
-        cohort: &[usize],
-        global_params: &[f32],
-        scratches: &mut [WorkerScratch],
-        retry_stalled: bool,
-    ) -> Vec<Attempt> {
-        if self.config.pipeline_rounds {
-            self.run_attempts_pipelined(round, cohort, global_params, scratches, retry_stalled)
-        } else {
-            self.run_attempts_sequential(round, cohort, global_params, scratches, retry_stalled)
-        }
-    }
-
-    /// The historical barrier engine: plan all, execute all, commit all.
-    fn run_attempts_sequential(
         &mut self,
         round: usize,
         cohort: &[usize],
@@ -1500,153 +1463,11 @@ impl Experiment {
         attempts
     }
 
-    /// The pipelined engine (`pipeline_rounds = true`): the main thread
-    /// streams each task to the worker pool the moment it is planned, then
-    /// commits results in slot order as they arrive — so planning of slot
-    /// `i+1` overlaps execution of slot `i`, and the commit of slot `i`
-    /// overlaps execution of slots `> i`. Commits stay on the main thread
-    /// in slot order, and workers read only the [`ExecuteCtx`] /
-    /// [`AttemptTask`] snapshots, so the committed state — and therefore
-    /// the report — is byte-identical to the sequential engine's (pinned
-    /// by `tests/pipelined_determinism.rs`).
-    ///
-    /// Phase spans under pipelining: the plan span is the planning prefix;
-    /// the execute span runs from first dispatch to last arrival, with
-    /// `overlapped_us` crediting the plan and commit work that ran under
-    /// it; the commit span is the accumulated commit work (streamed +
-    /// tail), so `Σ wall − Σ overlapped` across the three spans is the
-    /// batch's critical path.
-    fn run_attempts_pipelined(
-        &mut self,
-        round: usize,
-        cohort: &[usize],
-        global_params: &[f32],
-        scratches: &mut [WorkerScratch],
-        retry_stalled: bool,
-    ) -> Vec<Attempt> {
-        let round_u = round as u64;
-        if cohort.is_empty() {
-            // Preserve the three-span-per-batch shape so per-kind event
-            // counts (and obsdump reconciliation) are engine-independent.
-            let t = self.obs.phase_start();
-            self.obs.phase_end(round_u, Phase::Plan, t);
-            self.obs.phase_span(round_u, Phase::Execute, 0, None);
-            self.obs.phase_span(round_u, Phase::Commit, 0, None);
-            return Vec::new();
-        }
-        let timers = self.obs.wall_timers();
-        let ctx = self.execute_ctx(global_params);
-        let n = cohort.len();
-        let workers = scratches.len().min(n);
-        let batch_t = self.obs.phase_start();
-        let (task_tx, task_rx) = mpsc::channel::<(usize, AttemptTask)>();
-        let task_rx = Mutex::new(task_rx);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, AttemptTask, AttemptExec)>();
-        let mut tasks: Vec<Option<AttemptTask>> = (0..n).map(|_| None).collect();
-        let mut attempts: Vec<Option<Attempt>> = (0..n).map(|_| None).collect();
-        let mut plan_us = 0u64;
-        let mut commit_us = 0u64;
-        let mut commit_overlap_us = 0u64;
-        let mut exec_wall_us = 0u64;
-        thread::scope(|scope| {
-            for scratch in scratches[..workers].iter_mut() {
-                let ctx = &ctx;
-                let task_rx = &task_rx;
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the work.
-                    let msg = task_rx.lock().expect("task queue lock").recv();
-                    let Ok((slot, task)) = msg else { break };
-                    let exec = ctx.execute(round, &task, scratch);
-                    if res_tx.send((slot, task, exec)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-            // Plan: hand each task to the pool the moment it exists, so
-            // slot 0 is already executing while slot 1 is being planned.
-            for (slot, &client) in cohort.iter().enumerate() {
-                self.report.selected_count[client] += 1;
-                let mut task = self.plan_attempt(client, round, 0);
-                task.slot = slot as u64;
-                task_tx
-                    .send((slot, task))
-                    .expect("workers outlive dispatch");
-            }
-            drop(task_tx); // workers exit once the queue drains
-            plan_us = batch_t.map_or(0, |t| t.elapsed().as_micros() as u64);
-            self.obs.phase_span(round_u, Phase::Plan, plan_us, None);
-            // Streamed commit: results re-ordered into slot order via a
-            // pending buffer; only the contiguous prefix commits, so the
-            // commit sequence is identical to the sequential engine's.
-            let mut pending: Vec<Option<(AttemptTask, AttemptExec)>> =
-                (0..n).map(|_| None).collect();
-            let mut next = 0usize;
-            for received in 0..n {
-                let (slot, task, exec) = res_rx.recv().expect("worker delivers every task");
-                pending[slot] = Some((task, exec));
-                if received + 1 == n {
-                    // Last result is in: the execute wall stops here, but
-                    // the span event is emitted after the loop — at the
-                    // last arrival an arbitrary (thread-timing dependent)
-                    // number of slots is still pending in the reorder
-                    // buffer, and the event stream must not depend on
-                    // worker count.
-                    exec_wall_us = batch_t.map_or(0, |t| t.elapsed().as_micros() as u64);
-                }
-                let c0 = timers.then(Instant::now);
-                while next < n {
-                    let Some((task, exec)) = pending[next].take() else {
-                        break;
-                    };
-                    attempts[next] = Some(self.commit_attempt(round, &task, exec));
-                    tasks[next] = Some(task);
-                    next += 1;
-                }
-                if let Some(c0) = c0 {
-                    let us = c0.elapsed().as_micros() as u64;
-                    commit_us += us;
-                    if received + 1 < n {
-                        commit_overlap_us += us;
-                    }
-                }
-            }
-        });
-        // Close the execute span (first dispatch → last arrival), crediting
-        // the plan and commit work that ran under it.
-        self.obs.phase_span(
-            round_u,
-            Phase::Execute,
-            exec_wall_us,
-            timers.then_some(plan_us + commit_overlap_us),
-        );
-        let tasks: Vec<AttemptTask> = tasks
-            .into_iter()
-            .map(|t| t.expect("every slot was committed"))
-            .collect();
-        let mut attempts: Vec<Attempt> = attempts
-            .into_iter()
-            .map(|a| a.expect("every slot was committed"))
-            .collect();
-        let tail_t = timers.then(Instant::now);
-        if retry_stalled {
-            self.retry_stalled_attempts(round, global_params, &tasks, &mut attempts, scratches);
-        }
-        self.obs
-            .absorb_recorders(scratches.iter_mut().map(|s| &mut s.recorder));
-        if let Some(t) = tail_t {
-            commit_us += t.elapsed().as_micros() as u64;
-        }
-        self.obs.phase_span(round_u, Phase::Commit, commit_us, None);
-        attempts
-    }
-
-    /// Sequential stall-retry pass shared by both attempt engines: clients
-    /// whose committed outcome was a network stall are re-requested in
-    /// cohort order with a bumped attempt number. Each retry re-snapshots
-    /// the drift state and rebuilds the execute context, because — per the
-    /// historical contract — retries observe the batch's earlier commits.
+    /// Sequential stall-retry pass: clients whose committed outcome was a
+    /// network stall are re-requested in cohort order with a bumped attempt
+    /// number. Each retry re-snapshots the drift state and re-borrows the
+    /// execute context, because retries observe the batch's earlier
+    /// commits.
     fn retry_stalled_attempts(
         &mut self,
         round: usize,
@@ -1727,41 +1548,6 @@ impl Experiment {
         accs
     }
 
-    /// Launch the round's evaluation on a background thread (pipelined
-    /// rounds only). The thread owns clones of the post-aggregation model,
-    /// the shard spec, and the client list, so the next round's work —
-    /// which the evaluation overlaps — cannot influence the result. The
-    /// matching [`RoundRecord`] is pushed with `mean_accuracy: None` and
-    /// patched when [`Experiment::resolve_pending_eval`] joins the thread.
-    fn spawn_eval(&mut self, record: usize) {
-        let spec = self.data.spec().clone();
-        let mut model = self.global_model.clone();
-        let clients: Vec<usize> = if self.eval_set.is_empty() {
-            (0..self.config.num_clients).collect()
-        } else {
-            self.eval_set.clone()
-        };
-        let handle = thread::spawn(move || {
-            clients
-                .iter()
-                .map(|&c| model.evaluate_mut(&spec.test_shard(c)).accuracy as f64)
-                .collect()
-        });
-        self.pending_eval = Some(PendingEval { record, handle });
-    }
-
-    /// Join the outstanding background evaluation (if any) and patch its
-    /// mean accuracy into the report record it belongs to. Called at the
-    /// next round's bookkeeping and at finalization, so every record is
-    /// resolved before anyone reads the report.
-    fn resolve_pending_eval(&mut self) {
-        if let Some(p) = self.pending_eval.take() {
-            let accs = p.handle.join().expect("background eval completes");
-            let mean = accs.iter().sum::<f64>() / accs.len().max(1) as f64;
-            self.report.rounds[p.record].mean_accuracy = Some(mean);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Synchronous engine (FedAvg / Oort / REFL)
     // ------------------------------------------------------------------
@@ -1772,43 +1558,18 @@ impl Experiment {
             self.refresh_eligible(round);
             let mut cohort = std::mem::take(&mut self.cohort_buf);
             self.select_cohort(round, self.config.cohort_size, &mut cohort);
-            self.obs.record(Event::RoundStart {
-                round: round as u64,
-                sim_s: self.clock.now_s(),
-                eligible: self.record_eligible.unwrap_or(self.eligible_buf.len()) as u64,
-                selected: cohort.len() as u64,
-            });
-            let mut global = self.global_model.params();
+            self.record_round_start(round, cohort.len());
+            let global = self.global_model.params();
             let mut attempts = self.run_attempts(round, &cohort, &global, &mut scratches, true);
             self.cohort_buf = cohort;
-            // Aggregate completed updates, taken by move. An injected
-            // duplicate-delivery fault hands the aggregator the same
-            // update twice; the dedup pass suppresses the extra copy so a
-            // faulty transport cannot double-weight a client.
+            // Aggregate completed updates, taken by move.
             let mut updates: Vec<PendingUpdate> = Vec::with_capacity(attempts.len());
             for a in attempts.iter_mut() {
                 if let Some(u) = a.update.take() {
-                    if a.duplicate {
-                        updates.push(u.clone());
-                    }
-                    updates.push(u);
+                    deliver_update(&mut updates, u, a.duplicate);
                 }
             }
-            let suppressed = dedup_updates(&mut updates);
-            self.report.duplicates_suppressed += suppressed;
-            // The optimizer's applied count is authoritative: a batch with
-            // no aggregate weight applies nothing, and the event must say
-            // so rather than echo the batch size.
-            let applied = self.server_optim.aggregate(&mut global, &updates);
-            self.global_model
-                .set_params(&global)
-                .expect("aggregation preserves parameter count");
-            self.obs.record(Event::AggregationApplied {
-                round: round as u64,
-                sim_s: self.clock.now_s(),
-                updates: applied as u64,
-                suppressed,
-            });
+            self.aggregate(round, global, &mut updates);
 
             // Wall clock: the server waits for the slowest completer, or
             // the full deadline if anyone missed it — plus any backoff the
@@ -1828,7 +1589,12 @@ impl Experiment {
             self.clock.advance(round_wall);
             self.sampler.charge_all();
 
-            self.bookkeep_round(round, &attempts);
+            let feedback: Vec<SelectionFeedback> = attempts
+                .iter()
+                .map(|a| self.selection_feedback(a))
+                .collect();
+            self.selector.feedback(round, &feedback);
+            self.bookkeep_round(round, attempts.iter());
         }
     }
 
@@ -1843,7 +1609,6 @@ impl Experiment {
         struct Finish {
             at_s: f64,
             client: usize,
-            completed: bool,
             attempt_idx: usize,
         }
         impl Eq for Finish {}
@@ -1888,12 +1653,7 @@ impl Experiment {
                 self.select_cohort(agg_round, self.config.cohort_size, &mut launched);
                 if !round_started {
                     round_started = true;
-                    self.obs.record(Event::RoundStart {
-                        round: agg_round as u64,
-                        sim_s: self.clock.now_s(),
-                        eligible: self.record_eligible.unwrap_or(self.eligible_buf.len()) as u64,
-                        selected: launched.len() as u64,
-                    });
+                    self.record_round_start(agg_round, launched.len());
                 }
                 let batch =
                     self.run_attempts(agg_round, &launched, &global_params, &mut scratches, false);
@@ -1912,7 +1672,6 @@ impl Experiment {
                     let finish = Finish {
                         at_s: self.clock.now_s() + slot_free_s,
                         client: a.client,
-                        completed: a.completed,
                         attempt_idx: attempts_store.len(),
                     };
                     launch_agg.push(agg_count);
@@ -1925,57 +1684,27 @@ impl Experiment {
                 let Some(ev) = heap.pop() else { break };
                 let dt = (ev.at_s - self.clock.now_s()).max(0.0);
                 self.clock.advance(dt);
-                let attempt = &attempts_store[ev.attempt_idx];
-                let duration_s = self.feedback_duration_s(attempt);
+                let attempt = &mut attempts_store[ev.attempt_idx];
                 // Free the slot in the FedBuff selector.
-                self.selector.feedback(
-                    agg_round,
-                    &[SelectionFeedback {
-                        client: ev.client,
-                        completed: ev.completed,
-                        duration_s,
-                        utility: attempt.utility,
-                        was_available: attempt.was_available,
-                        quarantined: attempt.quarantined,
-                    }],
-                );
+                let feedback = self.selection_feedback(attempt);
+                self.selector.feedback(agg_round, &[feedback]);
                 round_attempts.push(ev.attempt_idx);
-                if ev.completed {
-                    let duplicate = attempts_store[ev.attempt_idx].duplicate;
-                    if let Some(mut u) = attempts_store[ev.attempt_idx].update.take() {
-                        u.staleness = agg_count - launch_agg[ev.attempt_idx];
-                        // An at-least-once transport delivers the update
-                        // twice; both copies land in the buffer and the
-                        // pre-aggregation dedup suppresses the extra one.
-                        if duplicate {
-                            buffer.push(u.clone());
-                        }
-                        buffer.push(u);
-                    }
+                if let Some(mut u) = attempt.update.take() {
+                    u.staleness = agg_count - launch_agg[ev.attempt_idx];
+                    deliver_update(&mut buffer, u, attempt.duplicate);
                 }
             }
             if !buffer.is_empty() {
-                let suppressed = dedup_updates(&mut buffer);
-                self.report.duplicates_suppressed += suppressed;
-                let mut global = self.global_model.params();
-                let applied = self.server_optim.aggregate(&mut global, &buffer);
-                self.global_model
-                    .set_params(&global)
-                    .expect("aggregation preserves parameter count");
-                self.obs.record(Event::AggregationApplied {
-                    round: agg_round as u64,
-                    sim_s: self.clock.now_s(),
-                    updates: applied as u64,
-                    suppressed,
-                });
+                self.aggregate(agg_round, global_params, &mut buffer);
                 buffer.clear();
                 agg_count += 1;
             }
             self.sampler.charge_all();
 
-            let round_atts: Vec<&Attempt> =
-                round_attempts.iter().map(|&i| &attempts_store[i]).collect();
-            self.bookkeep_round_refs(agg_round, &round_atts);
+            self.bookkeep_round(
+                agg_round,
+                round_attempts.iter().map(|&i| &attempts_store[i]),
+            );
             round_attempts.clear();
         }
     }
@@ -1984,32 +1713,54 @@ impl Experiment {
     // Bookkeeping + finalization
     // ------------------------------------------------------------------
 
-    fn bookkeep_round(&mut self, round: usize, attempts: &[Attempt]) {
-        // Feed the synchronous selector.
-        let fb: Vec<SelectionFeedback> = attempts
-            .iter()
-            .map(|a| SelectionFeedback {
-                client: a.client,
-                completed: a.completed,
-                duration_s: self.feedback_duration_s(a),
-                utility: a.utility,
-                was_available: a.was_available,
-                quarantined: a.quarantined,
-            })
-            .collect();
-        self.selector.feedback(round, &fb);
-        let refs: Vec<&Attempt> = attempts.iter().collect();
-        self.bookkeep_round_refs(round, &refs);
+    fn record_round_start(&mut self, round: usize, selected: usize) {
+        self.obs.record(Event::RoundStart {
+            round: round as u64,
+            sim_s: self.clock.now_s(),
+            eligible: self.record_eligible.unwrap_or(self.eligible_buf.len()) as u64,
+            selected: selected as u64,
+        });
     }
 
-    fn bookkeep_round_refs(&mut self, round: usize, attempts: &[&Attempt]) {
-        // Join the previous round's background evaluation (pipelined runs)
-        // before this round's record is pushed — at most one evaluation is
-        // ever in flight.
-        self.resolve_pending_eval();
-        let completed = attempts.iter().filter(|a| a.completed).count();
-        let dropped = attempts.len() - completed;
-        let quarantined = attempts.iter().filter(|a| a.quarantined).count();
+    /// Fold the delivered `updates` into the global model (whose current
+    /// parameters the caller hands over as `global`): suppress duplicate
+    /// deliveries, step the server optimizer, install the result.
+    fn aggregate(&mut self, round: usize, mut global: Vec<f32>, updates: &mut Vec<PendingUpdate>) {
+        let suppressed = dedup_updates(updates);
+        self.report.duplicates_suppressed += suppressed;
+        // The optimizer's applied count is authoritative: a batch with no
+        // aggregate weight applies nothing, and the event must say so
+        // rather than echo the batch size.
+        let applied = self.server_optim.aggregate(&mut global, updates);
+        self.global_model
+            .set_params(&global)
+            .expect("aggregation preserves parameter count");
+        self.obs.record(Event::AggregationApplied {
+            round: round as u64,
+            sim_s: self.clock.now_s(),
+            updates: applied as u64,
+            suppressed,
+        });
+    }
+
+    /// Close a round over its final attempts: `RoundEnd` event, report
+    /// counters, periodic evaluation, and the round record.
+    fn bookkeep_round<'a>(&mut self, round: usize, attempts: impl Iterator<Item = &'a Attempt>) {
+        let (mut selected, mut completed, mut quarantined) = (0usize, 0usize, 0usize);
+        let mut rewards: Vec<f64> = Vec::new();
+        for a in attempts {
+            selected += 1;
+            quarantined += usize::from(a.quarantined);
+            if a.completed {
+                completed += 1;
+                self.report.completed_count[a.client] += 1;
+                self.report.total_completions += 1;
+            } else {
+                self.report.total_dropouts += 1;
+            }
+            rewards.extend(a.reward);
+        }
+        let dropped = selected - completed;
         self.obs.record(Event::RoundEnd {
             round: round as u64,
             sim_s: self.clock.now_s(),
@@ -2018,47 +1769,26 @@ impl Experiment {
             quarantined: quarantined as u64,
         });
         if self.obs.enabled() {
-            let utilization = if attempts.is_empty() {
+            let utilization = if selected == 0 {
                 0.0
             } else {
-                completed as f64 / attempts.len() as f64
+                completed as f64 / selected as f64
             };
             let reg = self.obs.registry_mut();
             reg.observe("round_utilization", UTILIZATION_BUCKETS, utilization);
             reg.set_gauge("sim_clock_h", self.clock.now_s() / 3600.0);
         }
-        for a in attempts {
-            if a.completed {
-                self.report.completed_count[a.client] += 1;
-                self.report.total_completions += 1;
-            } else {
-                self.report.total_dropouts += 1;
-            }
-        }
-        let rewards: Vec<f64> = attempts.iter().filter_map(|a| a.reward).collect();
-        let mean_reward = if rewards.is_empty() {
-            None
-        } else {
-            Some(rewards.iter().sum::<f64>() / rewards.len() as f64)
-        };
+        let mean_reward =
+            (!rewards.is_empty()).then(|| rewards.iter().sum::<f64>() / rewards.len() as f64);
         let is_eval =
             round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
-        let mean_accuracy = if is_eval {
-            if self.config.pipeline_rounds {
-                // Overlap the evaluation with the next round's work; the
-                // placeholder is patched when the thread joins.
-                self.spawn_eval(self.report.rounds.len());
-                None
-            } else {
-                let accs = self.eval_all_clients();
-                Some(accs.iter().sum::<f64>() / accs.len().max(1) as f64)
-            }
-        } else {
-            None
-        };
+        let mean_accuracy = is_eval.then(|| {
+            let accs = self.eval_all_clients();
+            accs.iter().sum::<f64>() / accs.len().max(1) as f64
+        });
         self.report.rounds.push(RoundRecord {
             round,
-            selected: attempts.len(),
+            selected,
             completed,
             dropped,
             quarantined,
@@ -2070,7 +1800,6 @@ impl Experiment {
     }
 
     fn finalize(mut self) -> ExperimentReport {
-        self.resolve_pending_eval();
         let accs = self.eval_all_clients();
         self.report.accuracy = AccuracySummary::from_accuracies(&accs);
         self.report.client_accuracies = accs;
@@ -2300,6 +2029,37 @@ mod tests {
             .count() as u64
     }
 
+    /// Split the stream into attempt batches, asserting every batch emits
+    /// exactly `Plan, Execute, Commit` in that order; returns the number of
+    /// attempts each batch planned (one `AccelDecision` apiece).
+    fn planned_per_batch(events: &[Event]) -> Vec<usize> {
+        let mut batches = Vec::new();
+        let mut planned = 0usize;
+        let mut next = Phase::Plan;
+        for e in events {
+            match e {
+                Event::AccelDecision { .. } => {
+                    assert_eq!(next, Phase::Plan, "decision outside a plan phase");
+                    planned += 1;
+                }
+                Event::PhaseSpan { phase, .. } => {
+                    assert_eq!(*phase, next, "phase span out of order");
+                    next = match phase {
+                        Phase::Plan => Phase::Execute,
+                        Phase::Execute => Phase::Commit,
+                        Phase::Commit => {
+                            batches.push(std::mem::take(&mut planned));
+                            Phase::Plan
+                        }
+                    };
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(next, Phase::Plan, "stream ends inside a batch");
+        batches
+    }
+
     #[test]
     fn telemetry_is_pure_observation_under_chaos() {
         // Turning telemetry on must not change a single bit of the report
@@ -2381,6 +2141,10 @@ mod tests {
         let decisions = telemetry.summary.event_count("accel_decision");
         let planned = count_outcomes(events, |_, attempt| attempt == 0);
         assert_eq!(decisions, planned);
+        // One attempt batch per round, each spanning plan/execute/commit.
+        let batches = planned_per_batch(events);
+        assert_eq!(batches.len(), report.rounds.len());
+        assert_eq!(batches.iter().sum::<usize>() as u64, planned);
     }
 
     #[test]
@@ -2397,6 +2161,16 @@ mod tests {
         assert_eq!(completions, report.resources.completions);
         assert_eq!(dropouts, report.resources.dropouts);
         assert!(completions >= report.total_completions);
+        // FedBuff launches a batch on every event-loop turn; a turn with no
+        // free slot launches nobody and still emits the three spans.
+        let batches = planned_per_batch(&telemetry.events);
+        assert!(batches.len() > report.rounds.len());
+        assert!(batches.contains(&0), "no empty launch batch exercised");
+        assert_eq!(
+            batches.iter().sum::<usize>() as u64,
+            completions + dropouts,
+            "every launched attempt is committed exactly once"
+        );
     }
 
     #[test]

@@ -89,46 +89,11 @@ impl Collector {
     /// `wall_us: 0` otherwise (the span still marks phase ordering in the
     /// stream).
     pub fn phase_end(&mut self, round: u64, phase: Phase, start: Option<Instant>) {
-        self.phase_end_overlapped(round, phase, start, None);
-    }
-
-    /// Close a phase that (partially) ran concurrently with another phase
-    /// under pipelined rounds. `overlapped_us` is the portion of the
-    /// span's wall time that overlapped; it is clamped to the measured
-    /// wall time so `overlapped_us <= wall_us` always holds, and it is
-    /// dropped entirely when wall timers are off (a zero-length span has
-    /// nothing to overlap).
-    pub fn phase_end_overlapped(
-        &mut self,
-        round: u64,
-        phase: Phase,
-        start: Option<Instant>,
-        overlapped_us: Option<u64>,
-    ) {
         let wall_us = start.map_or(0, |s| s.elapsed().as_micros() as u64);
-        let overlapped_us = if start.is_some() { overlapped_us } else { None };
-        self.phase_span(round, phase, wall_us, overlapped_us);
-    }
-
-    /// Record a phase span from externally measured timings. Pipelined
-    /// rounds accumulate non-contiguous commit work, so the runtime sums
-    /// the pieces itself and reports the total here. `overlapped_us` is
-    /// clamped to `wall_us` so the invariant obsdump checks always holds.
-    pub fn phase_span(
-        &mut self,
-        round: u64,
-        phase: Phase,
-        wall_us: u64,
-        overlapped_us: Option<u64>,
-    ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.record(Event::PhaseSpan {
             round,
             phase,
             wall_us,
-            overlapped_us: overlapped_us.map(|o| o.min(wall_us)),
         });
     }
 
@@ -325,38 +290,11 @@ mod tests {
             Event::PhaseSpan {
                 wall_us: 0,
                 phase: Phase::Commit,
-                overlapped_us: None,
                 ..
             }
         ));
         // Taking events does not reset the summary tallies.
         assert_eq!(c.summary().events_recorded, 3);
-    }
-
-    #[test]
-    fn overlapped_spans_clamp_and_require_timers() {
-        let mut c = Collector::new(ObsConfig::on());
-        // Explicit span: the overlap claim is clamped to the wall time.
-        c.phase_span(0, Phase::Execute, 100, Some(250));
-        // No armed timer: the overlap is dropped with the wall time.
-        c.phase_end_overlapped(0, Phase::Commit, None, Some(42));
-        let events = c.take_events();
-        assert!(matches!(
-            events[0],
-            Event::PhaseSpan {
-                wall_us: 100,
-                overlapped_us: Some(100),
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[1],
-            Event::PhaseSpan {
-                wall_us: 0,
-                overlapped_us: None,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -288,7 +288,6 @@ mod tests {
                 round: 0,
                 phase: Phase::Execute,
                 wall_us: 1234,
-                overlapped_us: None,
             },
             Event::RoundEnd {
                 round: 0,

@@ -85,9 +85,6 @@ pub enum Event {
     /// One engine phase of a cohort batch finished. `wall_us` is the
     /// measured wall-clock duration in microseconds when wall timers are
     /// enabled, and `0` otherwise (the event still marks phase ordering).
-    /// Under pipelined rounds a span may run concurrently with another
-    /// phase; `overlapped_us` records that overlapped portion so obsdump
-    /// can reconcile per-round wall totals without double counting.
     PhaseSpan {
         /// Round index.
         round: u64,
@@ -95,11 +92,6 @@ pub enum Event {
         phase: Phase,
         /// Wall-clock duration in µs (0 unless wall timers are on).
         wall_us: u64,
-        /// Of `wall_us`, the microseconds spent overlapped with another
-        /// phase (pipelined rounds only; absent for sequential spans).
-        /// Always `<= wall_us` when present.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
-        overlapped_us: Option<u64>,
     },
     /// The acceleration decision for one planned client attempt.
     AccelDecision {
@@ -213,7 +205,6 @@ mod tests {
                 round: 3,
                 phase: Phase::Plan,
                 wall_us: 0,
-                overlapped_us: None,
             },
             Event::AccelDecision {
                 round: 3,

@@ -116,7 +116,6 @@ mod tests {
                 round: 0,
                 phase: Phase::Execute,
                 wall_us: 0,
-                overlapped_us: None,
             },
             Event::ClientOutcome {
                 round: 0,
@@ -155,6 +154,26 @@ mod tests {
 
         let err = from_jsonl("{\"NotAnEvent\":{}}").expect_err("must fail");
         assert!(err.contains("line 1"), "error was: {err}");
+    }
+
+    /// Streams written while spans could carry an overlap payload (a
+    /// number, or `null` on spans without one) still replay; the extra key
+    /// is ignored.
+    #[test]
+    fn old_phase_span_lines_with_overlap_still_parse() {
+        let old = r#"{"PhaseSpan":{"round":0,"phase":"Execute","wall_us":9,"overlapped_us":7}}"#;
+        let want = Event::PhaseSpan {
+            round: 0,
+            phase: Phase::Execute,
+            wall_us: 9,
+        };
+        assert_eq!(from_jsonl(old).expect("parses"), vec![want.clone()]);
+        let old_null = old.replace(":7}", ":null}");
+        assert_eq!(from_jsonl(&old_null).expect("parses"), vec![want.clone()]);
+        assert_eq!(
+            to_jsonl(&[want]),
+            "{\"PhaseSpan\":{\"round\":0,\"phase\":\"Execute\",\"wall_us\":9}}\n"
+        );
     }
 
     #[test]

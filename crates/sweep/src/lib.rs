@@ -574,6 +574,14 @@ mod tests {
     }
 
     #[test]
+    fn invalid_learning_rate_axis_fails_the_sweep() {
+        let axes = vec![vec![Knob::LearningRate(0.05), Knob::LearningRate(0.0)]];
+        let plan = SweepPlan::grid(tiny_base(2), 31, &axes);
+        let err = run_sweep(&plan, &SweepOptions::default()).expect_err("lr 0 must not run");
+        assert!(err.contains("learning_rate 0"), "message: {err}");
+    }
+
+    #[test]
     fn halving_survivors_match_grid_records() {
         let base = tiny_base(4);
         let axes = vec![

@@ -8,13 +8,8 @@
 //! digests, and writes the sync run's event stream + report to
 //! `target/obs/` for downstream tooling (`obsdump`, see ci.sh).
 //!
-//! With `--pipelined`, every run overlaps plan/execute/commit
-//! (`pipeline_rounds = true`); the same invariants must hold, the sync
-//! run is additionally checked byte-identical against a sequential run,
-//! and the artefacts land in `chaos_sync_pipelined.*` instead.
-//!
 //! ```text
-//! cargo run --release --example chaos_smoke [-- --pipelined]
+//! cargo run --release --example chaos_smoke
 //! ```
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
@@ -25,19 +20,18 @@ const ROUNDS: usize = 100;
 const SEED: u64 = 20240422;
 const DIGEST_ROUNDS: u64 = 3;
 
-fn run(selector: SelectorChoice, threads: usize, pipelined: bool) -> (ExperimentReport, Telemetry) {
+fn run(selector: SelectorChoice, threads: usize) -> (ExperimentReport, Telemetry) {
     let mut cfg = ExperimentConfig::small(selector, AccelMode::Rlhf, ROUNDS);
     cfg.seed = SEED;
     cfg.fault_plan = FaultPlan::chaos();
     cfg.num_threads = threads;
     cfg.obs = ObsConfig::on();
-    cfg.pipeline_rounds = pipelined;
     Experiment::new(cfg).expect("config validates").run_traced()
 }
 
-fn check(selector: SelectorChoice, pipelined: bool) -> (ExperimentReport, Telemetry) {
-    let (one, tel_one) = run(selector, 1, pipelined);
-    let (four, tel_four) = run(selector, 4, pipelined);
+fn check(selector: SelectorChoice) -> (ExperimentReport, Telemetry) {
+    let (one, tel_one) = run(selector, 1);
+    let (four, tel_four) = run(selector, 4);
     assert_eq!(
         one, four,
         "{}: faulted reports must be bit-identical across thread counts",
@@ -101,51 +95,25 @@ fn main() {
         plan.stall_backoff_s,
     );
 
-    let pipelined = std::env::args().any(|a| a == "--pipelined");
-    if pipelined {
-        println!("pipelined rounds: plan/execute/commit overlapped, same bits required");
-    }
-
-    let (sync, sync_tel) = check(SelectorChoice::FedAvg, pipelined);
+    let (sync, sync_tel) = check(SelectorChoice::FedAvg);
     summarize(&sync, &sync_tel);
     assert!(sync.stall_retries > 0, "sync engine retried no stalls");
 
-    let (async_r, async_tel) = check(SelectorChoice::FedBuff, pipelined);
+    let (async_r, async_tel) = check(SelectorChoice::FedBuff);
     summarize(&async_r, &async_tel);
-
-    if pipelined {
-        // The pipelining contract: a sequential run of the same config
-        // produces the same report bit-for-bit (spans may move in the
-        // stream; everything else is identical — see DESIGN.md §16).
-        let (seq, _) = run(SelectorChoice::FedAvg, 4, false);
-        assert_eq!(
-            sync, seq,
-            "pipelined sync report diverged from the sequential run"
-        );
-        println!(
-            "
-pipelined report matches sequential byte-for-byte"
-        );
-    }
 
     // Persist the sync run's artefacts so obsdump can replay and
     // reconcile them (ci.sh asserts the event↔ledger identities).
     let dir = std::path::Path::new("target/obs");
-    let stem = if pipelined {
-        "chaos_sync_pipelined"
-    } else {
-        "chaos_sync"
-    };
-    sink::write_jsonl(dir.join(format!("{stem}.jsonl")), &sync_tel.events)
-        .expect("write event stream");
+    sink::write_jsonl(dir.join("chaos_sync.jsonl"), &sync_tel.events).expect("write event stream");
     let report_json = serde_json::to_string_pretty(&sync).expect("report serializes");
     std::fs::write(
-        dir.join(format!("{stem}.report.json")),
+        dir.join("chaos_sync.report.json"),
         format!("{report_json}\n"),
     )
     .expect("write report json");
     println!(
-        "\nwrote target/obs/{stem}.jsonl ({} events) and {stem}.report.json",
+        "\nwrote target/obs/chaos_sync.jsonl ({} events) and chaos_sync.report.json",
         sync_tel.events.len()
     );
 

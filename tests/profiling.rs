@@ -1,8 +1,8 @@
 //! Online-profiling contract: profiling off reproduces the pinned
 //! oracle-path goldens byte-for-byte; profiling on is bit-identical
-//! across worker-thread counts and across the pipelined/sequential
-//! engines; the bounded store's accounting identities always hold; and
-//! the estimators are pure functions of the observation sequence.
+//! across worker-thread counts; the bounded store's accounting
+//! identities always hold; and the estimators are pure functions of the
+//! observation sequence.
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
 use float::profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
@@ -72,22 +72,6 @@ fn profiled_runs_are_thread_count_invariant() {
             "fedbuff profiled ({plan:?}): 1 vs 4 threads diverged"
         );
     }
-}
-
-/// Pipelining overlaps plan/execute/commit across rounds but commits in
-/// the same order — a profiled pipelined run must match the sequential
-/// run byte-for-byte, including every estimate-driven selection.
-#[test]
-fn profiled_pipelined_matches_sequential() {
-    let mut cfg = profiled(SelectorChoice::Oort, 8, FaultPlan::chaos());
-    cfg.num_threads = 4;
-    let sequential = run(cfg);
-    cfg.pipeline_rounds = true;
-    assert_eq!(
-        run(cfg),
-        sequential,
-        "pipelined profiled run diverged from sequential"
-    );
 }
 
 /// Cold-only mode folds nothing and consults nothing, but must still be

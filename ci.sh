@@ -37,6 +37,16 @@ cargo run -q --offline --manifest-path floatbench/Cargo.toml -- --manifest \
   | diff - BENCHMARK.json
 
 if [[ "${1:-}" != "quick" ]]; then
+  # Run every benchmark workload once, untraced, for one second (each
+  # still takes its 41-sample minimum, ~15 s): floatbench exits non-zero
+  # when a sample check fails, which the tests and the manifest diff
+  # above cannot see and the benchmark driver would otherwise find first.
+  for w in train_heavy pop1m_oort async_chaos sweep_halving; do
+    step "floatbench workload $w (1 s, untraced)"
+    cargo run --release --offline --quiet --manifest-path floatbench/Cargo.toml -- \
+      --workload "$w" --seed 7 --seconds 1 --trace 0
+  done
+
   # Short chaos run with a fixed seed, every fault kind active, and
   # telemetry on: asserts reports *and event streams* stay finite and
   # bit-identical across thread counts, and writes the sync run's JSONL

@@ -975,10 +975,12 @@ impl Experiment {
     }
 
     /// Refresh `eligible_buf` with the selection candidates for `round`,
-    /// ascending. Mirrors the FedScale/production model: devices that are
-    /// off, interrupted, or below the battery threshold never become
-    /// selection candidates, so dropouts are resource-driven (deadline,
-    /// memory, mid-round failures) rather than trivial no-shows.
+    /// strictly ascending — the `ClientSelector::select_into` contract,
+    /// which Oort's binary searches rely on. Mirrors the FedScale/production
+    /// model: devices that are off, interrupted, or below the battery
+    /// threshold never become selection candidates, so dropouts are
+    /// resource-driven (deadline, memory, mid-round failures) rather than
+    /// trivial no-shows.
     ///
     /// With `candidate_pool == 0` this is the full availability sweep
     /// (bit-identical to the historical behaviour). Otherwise the sampler

@@ -59,12 +59,14 @@ pub struct OortSelector {
     exploration_fraction: f64,
     /// Aggregate utility observed per round (pacer input).
     round_utilities: Vec<f64>,
-    /// Scratch: (priority, position-in-eligible) pairs, reused across
+    /// Scratch: (priority, position-in-eligible) pairs of the exploit
+    /// candidates — O(touched + cohort), never O(eligible) — reused across
     /// rounds so selection allocates nothing at steady state.
     scored: Vec<(f64, usize)>,
     /// Scratch: shuffled exploration candidates.
     rest: Vec<usize>,
-    /// Scratch: (times-selected, position-in-`rest`) exploration keys.
+    /// Scratch: (times-selected, position-in-`rest`) exploration keys of
+    /// the scanned prefix of `rest`.
     explore_keys: Vec<(u64, usize)>,
     /// Scratch membership set over client ids; empty between calls
     /// (cleared by walking the cohort, not the population).
@@ -115,16 +117,17 @@ impl OortSelector {
     /// Priority score of client `c` at `round` from internal records only.
     #[cfg(test)]
     fn priority(&self, c: usize, round: usize) -> f64 {
-        self.priority_with(c, round, None)
+        let r = self.records.get(&c).copied().unwrap_or_default();
+        self.priority_with(&r, round, None)
     }
 
-    /// Priority score of client `c` at `round`. When a profiled estimate
-    /// is supplied, the *system* terms — measured duration and completion
-    /// reliability — come from it instead of the selector's own feedback
-    /// records; statistical utility, exploration, and staleness remain
-    /// internal (they are defined by selection history, not resources).
-    fn priority_with(&self, c: usize, round: usize, est: Option<&ClientEstimate>) -> f64 {
-        let r = self.records.get(&c).copied().unwrap_or_default();
+    /// Priority score at `round` of a client whose record is `r`. When a
+    /// profiled estimate is supplied, the *system* terms — measured
+    /// duration and completion reliability — come from it instead of the
+    /// selector's own feedback records; statistical utility, exploration,
+    /// and staleness remain internal (they are defined by selection
+    /// history, not resources).
+    fn priority_with(&self, r: &ClientRecord, round: usize, est: Option<&ClientEstimate>) -> f64 {
         if r.selected == 0 {
             return 0.0; // untried clients go through the exploration pool
         }
@@ -141,8 +144,10 @@ impl OortSelector {
         );
         util *= reliability;
         // Staleness bonus keeps long-unselected clients from starving
-        // entirely (Oort's temporal uncertainty term).
-        let staleness = ((round - r.last_selected_round) as f64).sqrt() * 0.01;
+        // entirely (Oort's temporal uncertainty term). Saturating: a query
+        // for a round before the client's last selection is zero rounds
+        // stale, not `usize::MAX` of them.
+        let staleness = (round.saturating_sub(r.last_selected_round) as f64).sqrt() * 0.01;
         util + staleness
     }
 
@@ -228,64 +233,83 @@ impl OortSelector {
         profiles: Option<&ProfileView<'_>>,
         cohort: &mut Vec<usize>,
     ) {
+        debug_assert!(
+            eligible.windows(2).all(|w| w[0] < w[1]),
+            "eligible must be strictly ascending"
+        );
         cohort.clear();
         let target = target.min(eligible.len());
         let mut rng = seed_rng(split_seed(self.seed, round as u64));
         let explore_n = ((target as f64) * self.exploration_fraction).round() as usize;
         let exploit_n = target - explore_n;
 
-        // Exploitation: top-k eligible clients by priority. Priorities are
-        // computed once per call into a reusable scratch vector (the
-        // comparator used to call `priority()` twice per comparison), and
-        // the descending full sort is a top-k select. The comparator is a
-        // strict total order — `total_cmp` on the priority, position in
-        // `eligible` as tiebreak — so duplicated priorities resolve to the
-        // earliest eligible position, exactly what the stable sort this
-        // replaces produced, and a NaN priority (unreachable from
-        // `priority()`) would order deterministically instead of
-        // scrambling the comparison.
+        // Exploitation: top-k eligible clients under the strict total
+        // order (priority descending by `total_cmp`, position in
+        // `eligible` ascending) — duplicated priorities resolve to the
+        // earliest eligible position and a NaN priority (unreachable from
+        // `priority_with`) would order deterministically. Every untried
+        // client scores exactly 0.0, so the top `exploit_n` of the whole
+        // pool is the top `exploit_n` of (tried ∩ eligible) plus the
+        // `exploit_n` earliest untried positions: only clients that have a
+        // record are scored, each located in the ascending `eligible` by
+        // binary search, and the walk from position 0 stops at the
+        // `exploit_n`-th untried client. The records map is walked in hash
+        // order, which cannot reach the output: the candidates are a set,
+        // and a strict total order has exactly one top-k.
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
-        scored.extend(eligible.iter().enumerate().map(|(pos, &c)| {
-            let est = profiles.and_then(|v| v.estimate(c));
-            (self.priority_with(c, round, est.as_ref()), pos)
-        }));
+        for (c, r) in self.records.iter().filter(|(_, r)| r.selected > 0) {
+            if let Ok(pos) = eligible.binary_search(c) {
+                let est = profiles.and_then(|v| v.estimate(*c));
+                scored.push((self.priority_with(r, round, est.as_ref()), pos));
+            }
+        }
+        let selected = |c: &usize| self.records.get(c).map_or(0, |r| r.selected);
+        let earliest = (0..eligible.len()).filter(|&pos| selected(&eligible[pos]) == 0);
+        scored.extend(earliest.take(exploit_n).map(|pos| (0.0, pos)));
         top_k_by(&mut scored, exploit_n, |a, b| {
             b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
         });
-        for &(_, pos) in scored.iter() {
-            let c = eligible[pos];
-            self.mask.insert(c);
-            cohort.push(c);
-        }
-        self.scored = scored;
+        cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos]));
 
         // Exploration: random among the rest, preferring untried clients —
         // take untried first but keep some randomness among equals. The
         // (times-selected, position-in-shuffle) key is again a strict
-        // total order reproducing the stable `sort_by_key` it replaces.
-        let mut rest = std::mem::take(&mut self.rest);
-        rest.clear();
-        rest.extend(eligible.iter().copied().filter(|c| !self.mask.contains(c)));
-        rest.shuffle(&mut rng);
-        let mut keys = std::mem::take(&mut self.explore_keys);
-        keys.clear();
-        keys.extend(
-            rest.iter()
-                .enumerate()
-                .map(|(pos, &c)| (self.records.get(&c).map_or(0, |r| r.selected), pos)),
-        );
-        top_k_by(&mut keys, explore_n, |a, b| {
-            a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-        });
-        for &(_, pos) in keys.iter() {
-            cohort.push(rest[pos]);
+        // total order. `rest` is `eligible` minus the exploit picks, copied
+        // as the slices between their positions, and is shuffled in full
+        // (a truncated reverse Fisher–Yates would change the stream). The
+        // key scan then stops at the `explore_n`-th untried client: no
+        // later position can beat `explore_n` keys of (0, earlier).
+        if explore_n > 0 {
+            scored.sort_unstable_by_key(|&(_, pos)| pos);
+            let mut rest = std::mem::take(&mut self.rest);
+            rest.clear();
+            let mut from = 0;
+            for &(_, pos) in scored.iter() {
+                rest.extend_from_slice(&eligible[from..pos]);
+                from = pos + 1;
+            }
+            rest.extend_from_slice(&eligible[from..]);
+            rest.shuffle(&mut rng);
+            let mut keys = std::mem::take(&mut self.explore_keys);
+            keys.clear();
+            let mut untried = 0;
+            for (pos, c) in rest.iter().enumerate() {
+                let times = selected(c);
+                keys.push((times, pos));
+                untried += usize::from(times == 0);
+                if untried == explore_n {
+                    break;
+                }
+            }
+            top_k_by(&mut keys, explore_n, |a, b| {
+                a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
+            });
+            cohort.extend(keys.iter().map(|&(_, pos)| rest[pos]));
+            self.explore_keys = keys;
+            self.rest = rest;
         }
-        for c in cohort.iter() {
-            self.mask.remove(c);
-        }
-        self.explore_keys = keys;
-        self.rest = rest;
+        self.scored = scored;
 
         self.commit_selection_into(cohort, round);
         let _ = rng.gen::<u64>();
@@ -295,6 +319,80 @@ impl OortSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use float_profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
+    use proptest::prelude::*;
+
+    impl OortSelector {
+        /// Brute-force twin of `select_impl`: the dense implementation it
+        /// replaced, scoring every eligible client (three hash probes
+        /// each) and keying every exploration candidate.
+        fn select_dense_reference(
+            &mut self,
+            round: usize,
+            eligible: &[usize],
+            target: usize,
+            profiles: Option<&ProfileView<'_>>,
+            cohort: &mut Vec<usize>,
+        ) {
+            cohort.clear();
+            let target = target.min(eligible.len());
+            let mut rng = seed_rng(split_seed(self.seed, round as u64));
+            let explore_n = ((target as f64) * self.exploration_fraction).round() as usize;
+            let exploit_n = target - explore_n;
+
+            let mut scored: Vec<(f64, usize)> = eligible
+                .iter()
+                .enumerate()
+                .map(|(pos, &c)| {
+                    let r = self.records.get(&c).copied().unwrap_or_default();
+                    let est = profiles.and_then(|v| v.estimate(c));
+                    (self.priority_with(&r, round, est.as_ref()), pos)
+                })
+                .collect();
+            top_k_by(&mut scored, exploit_n, |a, b| {
+                b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
+            });
+            cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos]));
+
+            let mut rest: Vec<usize> = eligible
+                .iter()
+                .copied()
+                .filter(|c| !cohort.contains(c))
+                .collect();
+            rest.shuffle(&mut rng);
+            let mut keys: Vec<(u64, usize)> = rest
+                .iter()
+                .enumerate()
+                .map(|(pos, c)| (self.records.get(c).map_or(0, |r| r.selected), pos))
+                .collect();
+            top_k_by(&mut keys, explore_n, |a, b| {
+                a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
+            });
+            cohort.extend(keys.iter().map(|&(_, pos)| rest[pos]));
+
+            self.commit_selection_into(cohort, round);
+        }
+
+        /// Every record, bit for bit, in client order.
+        fn snapshot(&self) -> Vec<(usize, u64, u64, u64, u64, usize)> {
+            let mut rows: Vec<_> = self
+                .records
+                .iter()
+                .map(|(&c, r)| {
+                    (
+                        c,
+                        r.stat_utility.to_bits(),
+                        r.last_duration_s.to_bits(),
+                        r.selected,
+                        r.completed,
+                        r.last_selected_round,
+                    )
+                })
+                .collect();
+            rows.sort_unstable();
+            rows
+        }
+    }
 
     /// Test helper: an eligible pool of the first `n` client ids.
     fn pool(n: usize) -> Vec<usize> {
@@ -516,7 +614,6 @@ mod tests {
 
     #[test]
     fn profiled_estimates_drive_the_system_terms() {
-        use float_profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
         let mut s = OortSelector::new(8, 60.0);
         // Internal records say both clients are identical...
         let _ = s.select(0, &pool(2), 2);
@@ -534,7 +631,10 @@ mod tests {
         );
         let view = p.view();
         let (est0, est1) = (view.estimate(0), view.estimate(1));
-        assert!(s.priority_with(0, 1, est0.as_ref()) > s.priority_with(1, 1, est1.as_ref()));
+        assert!(
+            s.priority_with(&s.records[&0], 1, est0.as_ref())
+                > s.priority_with(&s.records[&1], 1, est1.as_ref())
+        );
         // select_profiled ranks accordingly: the single exploit slot goes
         // to the observed-fast client.
         let mut cohort = Vec::new();
@@ -551,6 +651,121 @@ mod tests {
             uniq.sort_unstable();
             uniq.dedup();
             assert_eq!(uniq.len(), picks.len());
+        }
+    }
+
+    #[test]
+    fn querying_an_earlier_round_saturates_staleness() {
+        // Regression: `round - last_selected_round` on usize panicked in
+        // debug and wrapped to a huge bonus in release.
+        let mut s = OortSelector::new(11, 60.0);
+        let picks = s.select(9, &pool(10), 10);
+        let fb: Vec<_> = picks
+            .iter()
+            .map(|&c| feedback(c, true, 30.0, 1.0))
+            .collect();
+        s.feedback(9, &fb);
+        let earlier = s.select(3, &pool(10), 4);
+        assert_eq!(earlier.len(), 4);
+        for c in 0..10 {
+            let p = s.priority(c, 3);
+            assert!(p.is_finite() && p < 10.0, "client {c}: priority {p}");
+        }
+    }
+
+    #[test]
+    fn selection_scratch_stays_small_at_population_scale() {
+        // Work-counter pin on the sparse path: scoring and exploration
+        // keys are O(touched + cohort), never O(eligible).
+        let eligible: Vec<usize> = (0..1_000_000).step_by(2).collect();
+        let mut s = OortSelector::new(13, 60.0);
+        let mut cohort = Vec::new();
+        for round in 0..6 {
+            s.select_into(round, &eligible, 16, &mut cohort);
+            assert_eq!(cohort.len(), 16);
+            let fb: Vec<_> = cohort
+                .iter()
+                .map(|&c| feedback(c, c % 4 != 0, 30.0 + (c % 97) as f64, 1.0))
+                .collect();
+            s.feedback(round, &fb);
+        }
+        assert!(s.scored.capacity() <= 4096, "{}", s.scored.capacity());
+        assert!(
+            s.explore_keys.capacity() <= 4096,
+            "{}",
+            s.explore_keys.capacity()
+        );
+    }
+
+    proptest! {
+        /// The sparse `select_impl` returns the dense reference's cohort
+        /// and leaves the same records, round after round, over sparse id
+        /// pools with churning eligibility, targets past the pool size,
+        /// tied and zero utilities, every feedback kind, feedback for
+        /// never-selected ids, out-of-order rounds, and (half the cases)
+        /// profiled estimates covering a subset of the clients.
+        #[test]
+        fn sparse_select_matches_dense_reference(
+            seed in any::<u64>(),
+            ids in prop::collection::vec(0usize..1_000_000, 1..=400),
+            script in prop::collection::vec(any::<u64>(), 1..14),
+            profiled in any::<bool>(),
+        ) {
+            let mut pool = ids;
+            pool.sort_unstable();
+            pool.dedup();
+            let mut sparse = OortSelector::new(seed, 60.0);
+            let mut dense = sparse.clone();
+            let mut profiler = ClientProfiler::new(ProfilingConfig::on(), 1024);
+            for (i, &word) in script.iter().enumerate() {
+                let mut rng = seed_rng(word);
+                let round = if rng.gen_bool(0.15) { i / 2 } else { i };
+                let keep_all = rng.gen_bool(0.5);
+                let eligible: Vec<usize> = pool
+                    .iter()
+                    .copied()
+                    .filter(|_| keep_all || rng.gen_bool(0.75))
+                    .collect();
+                let target = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..=eligible.len() + 3)
+                } else {
+                    rng.gen_range(0..=12usize)
+                };
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let view = profiler.view();
+                let profiles = profiled.then_some(&view);
+                sparse.select_impl(round, &eligible, target, profiles, &mut got);
+                dense.select_dense_reference(round, &eligible, target, profiles, &mut want);
+                prop_assert_eq!(&got, &want, "round {} cohort", round);
+                prop_assert_eq!(sparse.snapshot(), dense.snapshot(), "round {} records", round);
+
+                let stranger = pool[rng.gen_range(0..pool.len())];
+                let mut fb = Vec::new();
+                for &client in got.iter().chain(rng.gen_bool(0.5).then_some(&stranger)) {
+                    let kind = rng.gen_range(0..4u32);
+                    let mut f = feedback(
+                        client,
+                        kind < 2,
+                        [30.0, 30.0, 600.0][rng.gen_range(0..3usize)],
+                        if kind < 2 { [0.0, 1.0, 1.0, 2.5][rng.gen_range(0..4usize)] } else { 0.0 },
+                    );
+                    f.quarantined = kind == 3;
+                    if client % 3 != 0 {
+                        let outcome = match kind {
+                            0 | 1 => ObservedOutcome::Completed,
+                            2 => ObservedOutcome::Dropped,
+                            _ => ObservedOutcome::Quarantined,
+                        };
+                        profiler.observe(
+                            client,
+                            &Observation::replay(round as u64, outcome, f.duration_s),
+                        );
+                    }
+                    fb.push(f);
+                }
+                sparse.feedback(round, &fb);
+                dense.feedback(round, &fb);
+            }
         }
     }
 }

@@ -96,7 +96,9 @@ pub trait ClientSelector {
     /// Choose the clients to task in `round` from the `eligible` pool —
     /// the clients currently checked in as available, mirroring the
     /// FedScale/production model where unavailable devices are never
-    /// candidates. `target` is the configured per-round cohort size
+    /// candidates. `eligible` is strictly ascending (so duplicate-free):
+    /// both of the runtime's producers emit it that way, and selectors may
+    /// binary-search it. `target` is the configured per-round cohort size
     /// (synchronous) or the top-up size (asynchronous). Must write
     /// distinct ids drawn from `eligible` into `cohort`, which is cleared
     /// first — the caller owns the buffer so population-scale loops can
@@ -109,8 +111,9 @@ pub trait ClientSelector {
         cohort: &mut Vec<usize>,
     );
 
-    /// Like [`ClientSelector::select_into`], but with access to online
-    /// profiled estimates (FLOAT's observability-as-control-input path,
+    /// Like [`ClientSelector::select_into`] (same contract: `eligible`
+    /// strictly ascending), but with access to online profiled estimates
+    /// (FLOAT's observability-as-control-input path,
     /// `ExperimentConfig::profiling`). Selectors that score clients on
     /// oracle-fed internal state (Oort's measured durations, REFL's
     /// reliability, TiFL's latency tiers) override this to read the

@@ -737,6 +737,25 @@ mod tests {
     }
 
     #[test]
+    fn both_eligible_producers_emit_strictly_ascending_ids() {
+        // The `ClientSelector::select_into` contract (Oort binary-searches
+        // `eligible`): holds for the sweep and for both pool branches
+        // (sampled ranks, and everyone when k covers the available set),
+        // in any round order.
+        let mut s = ResourceSampler::new(250, InterferenceModel::paper_dynamic(), 21);
+        let mut out = Vec::new();
+        for &r in &[5usize, 200, 3, 150, 150, 0, 95, 96] {
+            s.available_clients_into(r, &mut out);
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "sweep, round {r}");
+            for k in [40, 1000] {
+                s.candidate_pool_into(r, k, split_seed(99, r as u64), &mut out);
+                assert!(!out.is_empty(), "pool k={k}, round {r}: empty");
+                assert!(out.windows(2).all(|w| w[0] < w[1]), "pool k={k}, round {r}");
+            }
+        }
+    }
+
+    #[test]
     fn pool_covers_everyone_when_small_population() {
         let mut s = ResourceSampler::new(30, InterferenceModel::None, 5);
         let mut pool = Vec::new();

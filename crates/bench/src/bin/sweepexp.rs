@@ -10,8 +10,10 @@
 //! - **Shared-resource amortization**: shard derivations and
 //!   availability-calendar builds paid once for the whole sweep.
 //! - **Successive-halving pruning**: rounds executed vs the full grid
-//!   (the full run must come in at ≤ 50%), with the surviving best trial
-//!   matching the full grid's best bit-for-bit.
+//!   (the full run must come in at ≤ 50%; rungs resume paused trials, so
+//!   no round runs twice), with the surviving best trial matching the full
+//!   grid's best bit-for-bit, and each pruned trial's score against its
+//!   rung's cut line.
 //!
 //! Every trial's event stream lands under `target/obs/sweep*/` as
 //! `trial_NNN_<label>.jsonl` (`obsdump`-compatible); the run ends with a
@@ -30,7 +32,7 @@ use std::time::Instant;
 
 use float_bench::{f, selfcheck, table};
 use float_core::{AccelMode, ExperimentConfig, SelectorChoice};
-use float_sweep::{frontier, run_sweep, Halving, Knob, SweepOptions, SweepPlan};
+use float_sweep::{frontier, run_sweep, Halving, Knob, PrunedTrial, SweepOptions, SweepPlan};
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize)]
@@ -64,6 +66,9 @@ struct PruningSummary {
     rounds_executed_pct: f64,
     survivors: usize,
     pruned: usize,
+    /// Why each pruned trial stopped: rung, rounds run, its score there,
+    /// and the cut line (the last promoted trial's score).
+    pruned_trials: Vec<PrunedTrial>,
     best_idx: usize,
     best_accuracy: f64,
     grid_best_idx: usize,
@@ -261,6 +266,27 @@ fn main() {
         grid_best.idx,
         grid_best.report.accuracy.mean,
     );
+    let prune_rows: Vec<Vec<String>> = halved
+        .pruned
+        .iter()
+        .map(|p| {
+            vec![
+                p.idx.to_string(),
+                p.label.clone(),
+                p.rung.to_string(),
+                p.budget.to_string(),
+                f(p.accuracy),
+                f(p.cut),
+            ]
+        })
+        .collect();
+    eprint!(
+        "{}",
+        table(
+            &["idx", "pruned trial", "rung", "rounds", "acc", "cut"],
+            &prune_rows
+        )
+    );
     let pruning = PruningSummary {
         eta: halving.eta,
         r0: halving.r0,
@@ -269,6 +295,7 @@ fn main() {
         rounds_executed_pct: executed_pct,
         survivors: halved.results.len(),
         pruned: halved.pruned.len(),
+        pruned_trials: halved.pruned.clone(),
         best_idx: halved_best.idx,
         best_accuracy: halved_best.report.accuracy.mean,
         grid_best_idx: grid_best.idx,

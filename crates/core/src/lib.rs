@@ -30,4 +30,4 @@ pub use float_data::ShardCacheStats;
 pub use metrics::{AccuracySummary, ExperimentReport, RoundRecord, TechniqueStats};
 pub use optim::{ServerOptimConfig, ServerOptimizer, ServerOptimizerChoice};
 pub use runtime::Experiment;
-pub use trial::{run_trial, run_trial_traced, SharedPopulation};
+pub use trial::{run_trial, SharedPopulation};

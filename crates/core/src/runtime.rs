@@ -132,6 +132,70 @@ pub struct Experiment {
     /// plan/select phases, so profiler state — and everything selection
     /// derives from it — is bit-identical for any worker-thread count.
     profiler: Option<ClientProfiler>,
+    /// The next round [`Experiment::run_to`] executes; rounds before it are
+    /// committed. Everything a later round reads lives on the experiment,
+    /// so stopping at this boundary and continuing later replays the
+    /// uninterrupted run bit for bit.
+    next_round: usize,
+    /// The FedBuff event loop's state that outlives an aggregation round
+    /// (unused by the synchronous engine).
+    fedbuff: FedBuffState,
+}
+
+// A sweep parks experiments between rungs and resumes them on whichever
+// worker picks them up.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Experiment>();
+};
+
+/// One in-flight FedBuff attempt's slot-release event.
+#[derive(PartialEq)]
+struct Finish {
+    at_s: f64,
+    client: usize,
+    attempt_idx: usize,
+}
+
+impl Eq for Finish {}
+
+impl Ord for Finish {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Min-heap on time. Finish times are sums of finite simulated
+        // durations, so `total_cmp` orders exactly like the old partial
+        // comparator while staying total.
+        other
+            .at_s
+            .total_cmp(&self.at_s)
+            .then(other.client.cmp(&self.client))
+    }
+}
+
+impl PartialOrd for Finish {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// What the FedBuff loop carries from one aggregation round into the
+/// next: clients stay in flight across aggregations, and staleness is
+/// counted in aggregations since launch.
+#[derive(Default)]
+struct FedBuffState {
+    /// Slot-release events of the in-flight attempts, earliest first.
+    heap: BinaryHeap<Finish>,
+    /// Every attempt launched so far; `Finish::attempt_idx` indexes it.
+    attempts_store: Vec<Attempt>,
+    /// Updates delivered since the last aggregation.
+    buffer: Vec<PendingUpdate>,
+    /// Aggregations applied so far.
+    agg_count: u64,
+    /// `agg_count` at each attempt's launch (parallel to `attempts_store`), to
+    /// compute staleness on arrival.
+    launch_agg: Vec<u64>,
+    /// Indices into `attempts_store` of the current round's arrivals; empty at
+    /// a round boundary (kept for its allocation).
+    round_attempts: Vec<usize>,
 }
 
 /// The frozen inputs of one client attempt, produced by the sequential
@@ -810,6 +874,8 @@ impl Experiment {
                 .profiling
                 .enabled
                 .then(|| ClientProfiler::for_population(config.profiling, config.num_clients)),
+            next_round: 0,
+            fedbuff: FedBuffState::default(),
         })
     }
 
@@ -874,17 +940,41 @@ impl Experiment {
         &self.config
     }
 
-    fn run_engine(&mut self) {
-        if self.config.selector == SelectorChoice::FedBuff {
-            self.run_async();
-        } else {
-            self.run_sync();
+    /// Advance to the boundary before round `round` (clamped to
+    /// `config.rounds`); a no-op when the run is already there. May be
+    /// called again to continue: any split of a run into `run_to` calls
+    /// commits the same state, events included, as one uninterrupted run.
+    /// Every `run*` method is `run_to(config.rounds)` plus finalisation,
+    /// so each also finishes a partly advanced experiment.
+    pub fn run_to(&mut self, round: usize) {
+        let end = round.min(self.config.rounds);
+        if self.next_round >= end {
+            return;
         }
+        if self.config.selector == SelectorChoice::FedBuff {
+            self.run_async(end);
+        } else {
+            self.run_sync(end);
+        }
+        self.next_round = end;
+    }
+
+    /// Mean accuracy of the current global model over the evaluation set —
+    /// what [`ExperimentReport::accuracy`]`.mean` would read if the run
+    /// ended here. Reads the model only: no simulated state, event or
+    /// report field changes, so it may be called at any boundary, any
+    /// number of times. The evaluation scratch is released afterwards: a
+    /// caller scoring a run between `run_to` calls is about to park it.
+    pub fn accuracy(&mut self) -> f64 {
+        let accs = self.eval_all_clients();
+        self.eval_models = Vec::new();
+        self.eval_parameters = Vec::new();
+        AccuracySummary::from_accuracies(&accs).mean
     }
 
     /// Run to completion and produce the report.
     pub fn run(mut self) -> ExperimentReport {
-        self.run_engine();
+        self.run_to(self.config.rounds);
         self.finalize()
     }
 
@@ -892,7 +982,7 @@ impl Experiment {
     /// population-scale harnesses can assert that training-data memory
     /// stayed bounded by the configured cache capacity.
     pub fn run_with_cache_stats(mut self) -> (ExperimentReport, ShardCacheStats) {
-        self.run_engine();
+        self.run_to(self.config.rounds);
         let stats = self.data.stats();
         (self.finalize(), stats)
     }
@@ -902,7 +992,7 @@ impl Experiment {
     /// bounded store's identities (`inserted == evictions + resident`,
     /// `resident ≤ capacity`) at population scale.
     pub fn run_with_profiler_stats(mut self) -> (ExperimentReport, Option<ProfilerStats>) {
-        self.run_engine();
+        self.run_to(self.config.rounds);
         let stats = self.profiler.as_ref().map(ClientProfiler::stats);
         (self.finalize(), stats)
     }
@@ -914,7 +1004,7 @@ impl Experiment {
     pub fn run_with_population_stats(
         mut self,
     ) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
-        self.run_engine();
+        self.run_to(self.config.rounds);
         let cache = self.data.stats();
         let avail = self.sampler.availability_stats();
         (self.finalize(), cache, avail)
@@ -934,7 +1024,7 @@ impl Experiment {
             self.obs.enabled(),
             "run_traced on a run with telemetry disabled (enable config.obs)"
         );
-        self.run_engine();
+        self.run_to(self.config.rounds);
         let events = self.obs.take_events();
         let report = self.finalize();
         let summary = report.telemetry.clone().unwrap_or_default();
@@ -957,7 +1047,7 @@ impl Experiment {
             "accel mode {:?} trains no agent",
             self.config.accel
         );
-        self.run_engine();
+        self.run_to(self.config.rounds);
         let agent = self.agent.take().expect("RL modes imply an agent");
         (self.finalize(), agent)
     }
@@ -1554,9 +1644,11 @@ impl Experiment {
     // Synchronous engine (FedAvg / Oort / REFL)
     // ------------------------------------------------------------------
 
-    fn run_sync(&mut self) {
+    fn run_sync(&mut self, end: usize) {
+        // Scratch contents are fully overwritten per attempt, so building
+        // them per call changes no bit and a parked experiment holds none.
         let mut scratches = self.worker_scratches();
-        for round in 0..self.config.rounds {
+        for round in self.next_round..end {
             self.refresh_eligible(round);
             let mut cohort = std::mem::take(&mut self.cohort_buf);
             self.select_cohort(round, self.config.cohort_size, &mut cohort);
@@ -1604,44 +1696,21 @@ impl Experiment {
     // Asynchronous engine (FedBuff)
     // ------------------------------------------------------------------
 
-    fn run_async(&mut self) {
+    fn run_async(&mut self, end: usize) {
         // Event-driven: each in-flight client has an absolute finish time;
         // aggregation fires whenever `async_buffer` updates are buffered.
-        #[derive(PartialEq)]
-        struct Finish {
-            at_s: f64,
-            client: usize,
-            attempt_idx: usize,
-        }
-        impl Eq for Finish {}
-        impl Ord for Finish {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Min-heap on time. Finish times are sums of finite
-                // simulated durations, so `total_cmp` orders exactly like
-                // the old partial comparator while staying total.
-                other
-                    .at_s
-                    .total_cmp(&self.at_s)
-                    .then(other.client.cmp(&self.client))
-            }
-        }
-        impl PartialOrd for Finish {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut heap: BinaryHeap<Finish> = BinaryHeap::new();
-        let mut attempts_store: Vec<Attempt> = Vec::new();
-        let mut buffer: Vec<PendingUpdate> = Vec::new();
-        let mut agg_count: u64 = 0;
-        let mut round_attempts: Vec<usize> = Vec::new(); // indices into attempts_store
-                                                         // Launch-time aggregation count per in-flight attempt, to compute
-                                                         // staleness on arrival.
-        let mut launch_agg: Vec<u64> = Vec::new();
+        // The loop works on locals and parks them again at `end`.
+        let FedBuffState {
+            mut heap,
+            mut attempts_store,
+            mut buffer,
+            mut agg_count,
+            mut launch_agg,
+            mut round_attempts,
+        } = std::mem::take(&mut self.fedbuff);
 
         let mut scratches = self.worker_scratches();
-        for agg_round in 0..self.config.rounds {
+        for agg_round in self.next_round..end {
             // Event loop: keep the in-flight set topped up continuously
             // (FedBuff never waits to relaunch) and drain completion
             // events until the aggregation buffer fills.
@@ -1709,6 +1778,14 @@ impl Experiment {
             );
             round_attempts.clear();
         }
+        self.fedbuff = FedBuffState {
+            heap,
+            attempts_store,
+            buffer,
+            agg_count,
+            launch_agg,
+            round_attempts,
+        };
     }
 
     // ------------------------------------------------------------------

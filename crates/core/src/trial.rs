@@ -33,7 +33,6 @@ use std::sync::{Arc, OnceLock};
 
 use float_data::federated::FederatedConfig;
 use float_data::{ShardCacheStats, ShardSpec, SharedShardCache};
-use float_obs::Telemetry;
 use float_tensor::rng::split_seed;
 use float_traces::{AvailabilityIndex, AvailabilityModel, ResourceSampler};
 
@@ -172,22 +171,6 @@ pub fn run_trial(
     Ok(match shared {
         Some(sp) => Experiment::new_shared(config, sp)?.run(),
         None => Experiment::new(config)?.run(),
-    })
-}
-
-/// [`run_trial`] with the telemetry stream attached (requires
-/// `config.obs` enabled — the sweep's per-trial JSONL sink path).
-///
-/// # Errors
-///
-/// Propagates [`Experiment::new`] / [`Experiment::new_shared`] errors.
-pub fn run_trial_traced(
-    config: ExperimentConfig,
-    shared: Option<&SharedPopulation>,
-) -> Result<(ExperimentReport, Telemetry), String> {
-    Ok(match shared {
-        Some(sp) => Experiment::new_shared(config, sp)?.run_traced(),
-        None => Experiment::new(config)?.run_traced(),
     })
 }
 

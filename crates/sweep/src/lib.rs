@@ -16,26 +16,34 @@
 //!    (`data_seed = root`): one [`SharedPopulation`] derives the shard
 //!    spec, the sweep-wide shard store, and the availability calendar
 //!    exactly once; every trial attaches via cheap handles.
-//! 3. **Successive-halving pruning.** With a [`Halving`] schedule, rungs
-//!    run every surviving trial at a growing round budget and promote
-//!    only the top `1/eta` fraction by accuracy-at-budget; doomed trials
-//!    never reach the full budget. Survivors' final records come from
-//!    full-budget runs, so pruning changes *which* trials finish, never
-//!    the bits of those that do.
+//! 3. **Successive-halving pruning.** With a [`Halving`] schedule, each
+//!    trial is *one* experiment built at the full-budget config; a rung
+//!    advances every surviving trial to its round budget
+//!    ([`Experiment::run_to`]), scores it there ([`Experiment::accuracy`])
+//!    and promotes only the top `1/eta` fraction; the next rung resumes
+//!    the survivors where they stopped, so no round runs twice and doomed
+//!    trials never reach the full budget. A survivor's final record is
+//!    that same run finished, so pruning changes *which* trials finish,
+//!    never the bits of those that do. Only trials that can still be
+//!    promoted stay parked in memory (`keep + workers` at most).
 //!
 //! [`parallel_map_with`]: float_core::engine::parallel_map_with
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cmp::Ordering;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use float_core::engine::parallel_map_with;
 use float_core::optim::{ServerOptimConfig, ServerOptimizerChoice};
-use float_core::trial::{run_trial_traced, SharedPopulation};
-use float_core::{AccelMode, ExperimentConfig, ExperimentReport, SelectorChoice, ShardCacheStats};
+use float_core::trial::SharedPopulation;
+use float_core::{
+    AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice, ShardCacheStats,
+};
 use float_obs::{sink, ObsConfig};
 use float_tensor::rng::split_seed;
 
@@ -148,11 +156,13 @@ impl SweepPlan {
         self.root_seed
     }
 
-    /// The exact config trial `idx` runs at `rounds` budget: base +
+    /// The config of trial `idx` as a run of `rounds` rounds: base +
     /// knobs, seed `split_seed(root, idx)`, the shared population pinned
     /// via `data_seed = root`, telemetry on, single-threaded. A pure
     /// function of `(plan, idx, rounds)` — the determinism contract's
-    /// foundation.
+    /// foundation. [`run_sweep`] only ever uses `rounds ==
+    /// full_budget()`: a halving rung pauses that run at its budget
+    /// rather than configuring a shorter one.
     pub fn trial_config(&self, idx: usize, rounds: usize) -> ExperimentConfig {
         let mut cfg = self.base;
         for knob in &self.trials[idx] {
@@ -179,7 +189,8 @@ impl SweepPlan {
 
 /// Successive-halving schedule: rung budgets grow by `eta` from `r0` up
 /// to the plan's full budget; each rung promotes the top `ceil(n/eta)`
-/// survivors by accuracy-at-budget.
+/// survivors by the accuracy of their full-budget run paused at the
+/// rung's budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Halving {
     /// Promotion factor (keep the top `1/eta`); must be ≥ 2.
@@ -189,8 +200,27 @@ pub struct Halving {
 }
 
 impl Halving {
+    /// Check the schedule's own constraints.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.eta < 2 {
+            return Err(format!("halving eta {} must be at least 2", self.eta));
+        }
+        if self.r0 == 0 {
+            return Err("halving r0 0 must be at least 1".to_string());
+        }
+        Ok(())
+    }
+
     /// Rung budgets for a sweep with `full` rounds per trial: `r0, r0·η,
     /// r0·η², …` capped by a final rung at exactly `full`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a schedule [`Halving::validate`] rejects.
     pub fn budgets(&self, full: usize) -> Vec<usize> {
         assert!(self.eta >= 2, "halving eta must be at least 2");
         assert!(self.r0 >= 1, "halving r0 must be at least 1");
@@ -247,6 +277,10 @@ pub struct PrunedTrial {
     pub budget: usize,
     /// Its mean accuracy at that budget (the ranking key).
     pub accuracy: f64,
+    /// The cut line: the accuracy of the last trial the rung promoted.
+    /// `accuracy <= cut`, with equality only where the index tiebreak
+    /// decided.
+    pub cut: f64,
 }
 
 /// Cross-trial amortization counters, proving the shared-resource layer
@@ -262,11 +296,11 @@ pub struct AmortizationStats {
     pub shard_resident: usize,
     /// Availability-calendar builds paid (always 1).
     pub index_builds: u64,
-    /// Calendar builds the sharing avoided: one per attached run beyond
+    /// Calendar builds the sharing avoided: one per attached trial beyond
     /// the first.
     pub index_builds_saved: u64,
-    /// Experiment runs that attached to the shared population (rung
-    /// re-runs included).
+    /// Experiments that attached to the shared population: one per
+    /// trial, however many rungs it went through.
     pub runs_attached: u64,
 }
 
@@ -278,7 +312,8 @@ pub struct SweepOutcome {
     pub results: Vec<TrialRecord>,
     /// Trials stopped early (empty in grid mode), ascending by index.
     pub pruned: Vec<PrunedTrial>,
-    /// Total rounds actually executed, rung re-runs included.
+    /// Total rounds actually executed: the sum over trials of the last
+    /// budget each one reached.
     pub rounds_executed: usize,
     /// Rounds the full grid would execute (`trials × full budget`).
     pub full_grid_rounds: usize,
@@ -299,98 +334,178 @@ impl SweepOutcome {
     }
 }
 
-/// Execute a sweep: grid mode runs every trial at the full budget once;
-/// halving mode walks the rung schedule, re-running survivors at growing
-/// budgets and pruning the rest.
+/// The order rungs rank trials in: accuracy descending, then index
+/// ascending. Strict and total (`total_cmp`, unique indices), so a rung's
+/// promoted set does not depend on the order trials finish in.
+fn rank(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// One rung's bounded retention. Trials are offered as they finish the
+/// rung; only the top `keep` offered so far — the ones that can still be
+/// promoted — keep their payload (the paused experiment), and a trial
+/// that falls out of that set gives its payload back at once.
+struct Rung<T> {
+    keep: usize,
+    /// `(accuracy, idx, payload)` of the current top `keep`, unordered.
+    kept: Vec<(f64, usize, T)>,
+    /// `(accuracy, idx)` of every trial that fell out.
+    cut_off: Vec<(f64, usize)>,
+}
+
+impl<T> Rung<T> {
+    fn new(keep: usize) -> Self {
+        Rung {
+            keep,
+            kept: Vec::with_capacity(keep + 1),
+            cut_off: Vec::new(),
+        }
+    }
+
+    /// Offer a finished trial; returns the payload of the trial this one
+    /// pushed out of the top `keep` (possibly its own).
+    fn offer(&mut self, accuracy: f64, idx: usize, payload: T) -> Option<T> {
+        self.kept.push((accuracy, idx, payload));
+        if self.kept.len() <= self.keep {
+            return None;
+        }
+        let worst = (0..self.kept.len())
+            .max_by(|&i, &j| {
+                let (a, b) = (&self.kept[i], &self.kept[j]);
+                rank((a.0, a.1), (b.0, b.1))
+            })
+            .expect("kept is non-empty");
+        let (accuracy, idx, payload) = self.kept.swap_remove(worst);
+        self.cut_off.push((accuracy, idx));
+        Some(payload)
+    }
+}
+
+/// Execute a sweep: grid mode runs every trial to the full budget;
+/// halving mode walks the rung schedule, advancing the surviving trials
+/// to each rung's budget and pruning the rest.
+///
+/// Each trial is one [`Experiment`] at the full-budget config. A rung
+/// pauses it at the rung's budget and ranks it by its accuracy there; the
+/// next rung resumes it, so a survivor's record is literally its
+/// full-budget run and no round is executed twice.
 ///
 /// Within every rung, trials run concurrently on `opts.workers`
-/// work-stealing workers. Reports are bit-identical for any worker count
-/// and any trial interleaving: each trial is a pure function of `(plan,
-/// idx, budget)` plus value-transparent shared handles.
+/// work-stealing workers. The outcome is bit-identical for any worker
+/// count and any trial interleaving: each trial is a pure function of
+/// `(plan, idx)` plus value-transparent shared handles, and promotion
+/// ranks under a strict total order.
 ///
 /// # Errors
 ///
-/// Returns the first trial-construction error (invalid knob combination)
-/// or shared-population build error.
+/// Returns an invalid halving schedule's description, the first
+/// trial-construction error (invalid knob combination), the shared
+/// population's build error, or an event-stream write error.
 pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, String> {
-    let shared = SharedPopulation::build(&plan.population_config())?;
     let full = plan.full_budget();
     let budgets = match &opts.halving {
-        Some(h) => h.budgets(full),
+        Some(h) => {
+            h.validate()?;
+            h.budgets(full)
+        }
         None => vec![full],
     };
+    let (_, rungs) = budgets
+        .split_last()
+        .expect("the schedule ends with the full-budget rung");
+    let shared = SharedPopulation::build(&plan.population_config())?;
+    let mut workers = vec![(); opts.workers.max(1)];
 
-    let mut survivors: Vec<usize> = (0..plan.len()).collect();
+    // A trial's slot is empty until the first rung builds it, and between
+    // rungs parks the paused experiment for whichever worker resumes it.
+    let mut trials: Vec<(usize, Mutex<Option<Experiment>>)> =
+        (0..plan.len()).map(|idx| (idx, Mutex::new(None))).collect();
+    let resume = |idx: usize, slot: &Mutex<Option<Experiment>>| {
+        let parked = slot
+            .lock()
+            .expect("no worker panics holding a trial slot")
+            .take();
+        match parked {
+            Some(exp) => Ok(exp),
+            None => Experiment::new_shared(plan.trial_config(idx, full), &shared),
+        }
+    };
+
     let mut rounds_executed = 0usize;
+    let mut reached = 0usize;
     let mut pruned: Vec<PrunedTrial> = Vec::new();
-    let mut results: Vec<TrialRecord> = Vec::new();
-
-    for (rung, &budget) in budgets.iter().enumerate() {
-        let is_final = rung == budgets.len() - 1;
-        let obs_dir = if is_final {
-            opts.obs_dir.as_deref()
-        } else {
-            None
-        };
-        let mut scratches = vec![(); opts.workers.max(1)];
-        let shared_ref = &shared;
-        let ran: Vec<Result<TrialRecord, String>> =
-            parallel_map_with(&mut scratches, &survivors, |_, &idx| {
-                let cfg = plan.trial_config(idx, budget);
-                let label = cfg.knob_label();
-                let (report, telemetry) = run_trial_traced(cfg, Some(shared_ref))?;
-                let jsonl = match obs_dir {
-                    Some(dir) => Some(
-                        sink::write_trial_jsonl(dir, idx, &label, &telemetry.events)
-                            .map_err(|e| format!("trial {idx}: cannot write event stream: {e}"))?
-                            .to_string_lossy()
-                            .into_owned(),
-                    ),
-                    None => None,
-                };
-                Ok(TrialRecord {
-                    idx,
-                    label,
-                    seed: split_seed(plan.root_seed, idx as u64),
-                    rounds_budget: budget,
-                    report,
-                    jsonl,
-                })
-            });
-        let mut records = Vec::with_capacity(ran.len());
-        for r in ran {
-            records.push(r?);
-        }
-        rounds_executed += budget * records.len();
-
-        if is_final {
-            results = records;
-            break;
-        }
-        // Promote the top `ceil(n/eta)` by accuracy-at-budget; ranking
-        // uses a total order (total_cmp, index tiebreak) so promotion is
-        // deterministic even under ties.
+    for (rung, &budget) in rungs.iter().enumerate() {
         let eta = opts.halving.as_ref().expect("halving set on rung").eta;
-        let keep = records.len().div_ceil(eta).max(1);
-        records.sort_by(|a, b| {
-            b.report
-                .accuracy
-                .mean
-                .total_cmp(&a.report.accuracy.mean)
-                .then(a.idx.cmp(&b.idx))
-        });
-        for rec in records.iter().skip(keep) {
-            pruned.push(PrunedTrial {
-                idx: rec.idx,
-                label: rec.label.clone(),
-                rung,
-                budget,
-                accuracy: rec.report.accuracy.mean,
-            });
-        }
-        survivors = records.iter().take(keep).map(|r| r.idx).collect();
-        survivors.sort_unstable();
+        let retained = Mutex::new(Rung::new(trials.len().div_ceil(eta).max(1)));
+        parallel_map_with(&mut workers, &trials, |_, &(idx, ref slot)| {
+            let mut exp = resume(idx, slot)?;
+            exp.run_to(budget);
+            let accuracy = exp.accuracy();
+            // The guard is a temporary of this statement; the experiment
+            // pushed out is dropped after it, outside the lock.
+            let _out_of_the_running = retained
+                .lock()
+                .expect("no worker panics holding the rung")
+                .offer(accuracy, idx, exp);
+            Ok(())
+        })
+        .into_iter()
+        .collect::<Result<(), String>>()?;
+        rounds_executed += (budget - reached) * trials.len();
+        reached = budget;
+
+        let Rung {
+            mut kept, cut_off, ..
+        } = retained
+            .into_inner()
+            .expect("no worker panics holding the rung");
+        let cut = kept
+            .iter()
+            .map(|k| k.0)
+            .min_by(f64::total_cmp)
+            .expect("a rung promotes at least one trial");
+        pruned.extend(cut_off.into_iter().map(|(accuracy, idx)| PrunedTrial {
+            idx,
+            label: plan.trial_label(idx),
+            rung,
+            budget,
+            accuracy,
+            cut,
+        }));
+        kept.sort_by_key(|k| k.1);
+        trials = kept
+            .into_iter()
+            .map(|(_, idx, exp)| (idx, Mutex::new(Some(exp))))
+            .collect();
     }
+
+    // The final rung finishes every remaining trial at the full budget.
+    let obs_dir = opts.obs_dir.as_deref();
+    let results = parallel_map_with(&mut workers, &trials, |_, &(idx, ref slot)| {
+        let exp = resume(idx, slot)?;
+        let label = exp.config().knob_label();
+        let (report, telemetry) = exp.run_traced();
+        let jsonl = match obs_dir {
+            Some(dir) => Some(
+                sink::write_trial_jsonl(dir, idx, &label, &telemetry.events)
+                    .map_err(|e| format!("trial {idx}: cannot write event stream: {e}"))?
+                    .to_string_lossy()
+                    .into_owned(),
+            ),
+            None => None,
+        };
+        Ok(TrialRecord {
+            idx,
+            label,
+            seed: split_seed(plan.root_seed, idx as u64),
+            rounds_budget: full,
+            report,
+            jsonl,
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<TrialRecord>, String>>()?;
+    rounds_executed += (full - reached) * trials.len();
 
     pruned.sort_by_key(|p| p.idx);
     let shard = shared.shard_stats();
@@ -619,5 +734,118 @@ mod tests {
             halved.rounds_executed < grid.rounds_executed,
             "halving must execute fewer rounds than the grid"
         );
+    }
+
+    #[test]
+    fn halving_runs_each_round_once_and_records_cut_lines() {
+        let axes = vec![
+            vec![
+                Knob::CohortSize(2),
+                Knob::CohortSize(3),
+                Knob::CohortSize(4),
+            ],
+            vec![
+                Knob::LocalEpochs(1),
+                Knob::LocalEpochs(2),
+                Knob::LocalEpochs(3),
+            ],
+        ];
+        let plan = SweepPlan::grid(tiny_base(6), 41, &axes);
+        let opts = SweepOptions {
+            halving: Some(Halving { eta: 3, r0: 1 }),
+            ..Default::default()
+        };
+        let out = run_sweep(&plan, &opts).expect("halving sweep");
+        // Budgets 1, 3, 6 over 9 -> 3 -> 1 trials. Each trial executes
+        // exactly the last budget it reached: 6 stop at 1, 2 at 3, 1 at 6.
+        assert_eq!(out.rounds_executed, 6 + 2 * 3 + 6);
+        // One experiment per trial, however many rungs it went through.
+        assert_eq!(out.amortization.runs_attached, 9);
+        assert_eq!(out.amortization.index_builds_saved, 8);
+        // Every prune names its cut line, and lies on the losing side.
+        assert_eq!(out.pruned.len(), 8);
+        for p in &out.pruned {
+            assert!(p.accuracy <= p.cut, "trial {} pruned above the cut", p.idx);
+        }
+    }
+
+    #[test]
+    fn invalid_halving_schedule_is_an_error_not_a_panic() {
+        let plan = SweepPlan::grid(tiny_base(2), 31, &[]);
+        for (halving, needle) in [
+            (Halving { eta: 1, r0: 1 }, "eta 1"),
+            (Halving { eta: 0, r0: 1 }, "eta 0"),
+            (Halving { eta: 2, r0: 0 }, "r0 0"),
+        ] {
+            let opts = SweepOptions {
+                halving: Some(halving),
+                ..Default::default()
+            };
+            let err = run_sweep(&plan, &opts).expect_err("schedule must be rejected");
+            assert!(err.contains(needle), "message: {err}");
+        }
+        assert!(Halving { eta: 2, r0: 1 }.validate().is_ok());
+    }
+
+    /// A payload that counts how many of its kind are alive.
+    struct Live(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Live {
+        fn new(alive: &std::sync::Arc<std::sync::atomic::AtomicUsize>) -> Self {
+            alive.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Live(std::sync::Arc::clone(alive))
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever order trials finish in, the rung ends up holding
+        /// exactly the top `keep` under `rank`, and never more than
+        /// `keep + workers` payloads are alive on the way.
+        #[test]
+        fn rung_keeps_the_top_trials_whatever_the_arrival_order(
+            // Quarter steps force ties, so the index tiebreak matters.
+            quarters in proptest::collection::vec(0u8..5, 1..12),
+            arrival in proptest::collection::vec(proptest::prelude::any::<u64>(), 12),
+            keep in 1usize..6,
+            workers in 1usize..4,
+        ) {
+            use std::sync::atomic::Ordering::SeqCst;
+            let scores: Vec<f64> = quarters.iter().map(|&q| f64::from(q) / 4.0).collect();
+            let keep = keep.min(scores.len());
+            let mut ranked: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+            ranked.sort_by(|&a, &b| rank(a, b));
+            let mut want: Vec<usize> = ranked[..keep].iter().map(|r| r.1).collect();
+            want.sort_unstable();
+            let mut order: Vec<usize> = (0..scores.len()).collect();
+            order.sort_by_key(|&i| (arrival[i], i));
+
+            let alive = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let mut rung = Rung::new(keep);
+            // `workers` trials are running (their payloads alive outside
+            // the rung) while the oldest one is offered.
+            let mut running = std::collections::VecDeque::new();
+            for &idx in &order {
+                running.push_back((idx, Live::new(&alive)));
+                if running.len() == workers {
+                    let (idx, payload) = running.pop_front().expect("non-empty");
+                    drop(rung.offer(scores[idx], idx, payload));
+                }
+                proptest::prop_assert!(alive.load(SeqCst) <= keep + workers);
+            }
+            for (idx, payload) in running {
+                drop(rung.offer(scores[idx], idx, payload));
+            }
+            proptest::prop_assert_eq!(alive.load(SeqCst), keep, "only the promoted stay alive");
+            let mut kept: Vec<usize> = rung.kept.iter().map(|k| k.1).collect();
+            kept.sort_unstable();
+            proptest::prop_assert_eq!(kept, want, "arrival order {:?}", order);
+            proptest::prop_assert_eq!(rung.cut_off.len(), scores.len() - keep);
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! from `split_seed(root, trial_idx)` are invariant to the worker count,
 //! to which other trials run alongside them (interleaving), and to
 //! whether successive-halving pruning is on — for the trials that
-//! survive it. A small pinned grid guards the whole stack against silent
-//! drift.
+//! survive it; under pruning the whole outcome is invariant to the worker
+//! count. A small pinned grid guards the whole stack against silent drift.
 
 use proptest::prelude::*;
 
@@ -40,6 +40,37 @@ proptest! {
         )
         .expect("parallel");
         prop_assert_eq!(seq.results, par.results, "workers={} diverged", workers);
+    }
+
+    /// Under halving the *whole* outcome — survivors, prune records with
+    /// their scores and cut lines, rounds executed — is invariant to the
+    /// worker count, and so to the order trials finish a rung in. Only
+    /// the shard store's hit / miss split may depend on who asked first.
+    #[test]
+    fn halving_outcome_invariant_to_worker_count(
+        root_seed in 1u64..1_000_000,
+        eta in 2usize..4,
+    ) {
+        let plan = tiny_plan(4, root_seed, &[2, 3, 4, 5]);
+        let halved = |workers| {
+            let opts = SweepOptions {
+                workers,
+                halving: Some(Halving { eta, r0: 1 }),
+                ..Default::default()
+            };
+            let mut outcome = run_sweep(&plan, &opts).expect("halving");
+            outcome.amortization.shard_hits = 0;
+            outcome.amortization.shard_derivations = 0;
+            outcome
+        };
+        let seq = halved(1);
+        prop_assert_eq!(&seq, &halved(4), "worker count changed the outcome");
+        // No round runs twice: each trial executed exactly the last
+        // budget it reached.
+        let reached: usize = seq.pruned.iter().map(|p| p.budget).sum::<usize>()
+            + seq.results.iter().map(|r| r.rounds_budget).sum::<usize>();
+        prop_assert_eq!(seq.rounds_executed, reached);
+        prop_assert_eq!(seq.amortization.runs_attached, plan.len() as u64);
     }
 
     /// A trial's report does not depend on which other trials share the

@@ -42,6 +42,10 @@ pub fn apply_action(
 }
 
 /// [`apply_action`] with an optional mask of prune-protected parameters.
+///
+/// The plan's two halves are independent pure functions — [`action_cost`]
+/// and [`action_train_options`] — so a caller that needs the cost before
+/// it knows whether the client will train at all can build them apart.
 pub fn apply_action_protected(
     action: AccelAction,
     base_cost: RoundCost,
@@ -49,13 +53,30 @@ pub fn apply_action_protected(
     seed: u64,
     protected: Option<&[bool]>,
 ) -> AccelPlan {
+    AccelPlan {
+        action,
+        cost: action_cost(action, base_cost, global_params),
+        train_options: action_train_options(action, global_params, seed, protected),
+    }
+}
+
+/// The pruned / frozen fraction an action's name carries (`0.0` for
+/// actions that neither prune nor freeze).
+fn fraction(action: AccelAction) -> f64 {
+    match action {
+        AccelAction::Prune25 | AccelAction::Partial25 => 0.25,
+        AccelAction::Prune50 | AccelAction::Partial50 => 0.50,
+        AccelAction::Prune75 | AccelAction::Partial75 => 0.75,
+        _ => 0.0,
+    }
+}
+
+/// Resource cost of a round accelerated by `action` — what the resource
+/// simulator needs to decide whether the client finishes.
+pub fn action_cost(action: AccelAction, base_cost: RoundCost, global_params: &[f32]) -> RoundCost {
     let n = global_params.len();
     match action {
-        AccelAction::NoOp => AccelPlan {
-            action,
-            cost: base_cost,
-            train_options: TrainOptions::default(),
-        },
+        AccelAction::NoOp => base_cost,
         AccelAction::Quantize16 | AccelAction::Quantize8 => {
             let precision = if action == AccelAction::Quantize16 {
                 Precision::Int16
@@ -64,68 +85,32 @@ pub fn apply_action_protected(
             };
             // Quantization shaves the upload but costs a little extra
             // compute for the quantize/dequantize passes (~2 flops/param).
-            let cost = base_cost
+            base_cost
                 .with_upload_precision(precision)
-                .add_flops(2.0 * n as f64);
-            AccelPlan {
-                action,
-                cost,
-                train_options: TrainOptions::default(),
-            }
+                .add_flops(2.0 * n as f64)
         }
         AccelAction::Prune25 | AccelAction::Prune50 | AccelAction::Prune75 => {
-            let fraction = match action {
-                AccelAction::Prune25 => 0.25,
-                AccelAction::Prune50 => 0.50,
-                _ => 0.75,
-            };
-            let mask = match protected {
-                Some(p) if p.len() == global_params.len() => {
-                    magnitude_mask_protected(global_params, fraction, p)
-                }
-                _ => magnitude_mask(global_params, fraction),
-            };
             // A pruned model trains on, stores, and ships only the
             // surviving parameters — in both directions: the server sends
             // the pruned model down, and the client returns the pruned
             // update.
-            let keep = 1.0 - fraction;
+            let keep = 1.0 - fraction(action);
             let mut cost = base_cost
                 .scale_compute(keep)
                 .scale_upload(keep)
                 .scale_memory(keep.max(0.25));
             cost.download_bytes *= keep;
-            AccelPlan {
-                action,
-                cost,
-                train_options: TrainOptions {
-                    prune_mask: Some(mask),
-                    frozen: None,
-                },
-            }
+            cost
         }
         AccelAction::Partial25 | AccelAction::Partial50 | AccelAction::Partial75 => {
-            let fraction = match action {
-                AccelAction::Partial25 => 0.25,
-                AccelAction::Partial50 => 0.50,
-                _ => 0.75,
-            };
-            let frozen = frozen_mask(n, fraction, seed);
             // Partial training cuts backward-pass compute and gradient
             // memory, but the full model still ships both ways — that is
             // precisely why it underperforms when the *network* is the
             // bottleneck (paper Fig. 10c).
-            let cost = base_cost
+            let fraction = fraction(action);
+            base_cost
                 .scale_compute(compute_multiplier(fraction))
-                .scale_memory(1.0 - fraction / 3.0);
-            AccelPlan {
-                action,
-                cost,
-                train_options: TrainOptions {
-                    prune_mask: None,
-                    frozen: Some(frozen),
-                },
-            }
+                .scale_memory(1.0 - fraction / 3.0)
         }
         AccelAction::CompressLossless => {
             // Honest ratio: compress the actual global parameters as a
@@ -138,26 +123,47 @@ pub fn apply_action_protected(
                 let compressed = compress_f32_update(global_params).len() as f64;
                 (compressed / (4.0 * n as f64)).min(1.0)
             };
-            let cost = base_cost.scale_upload(ratio).add_flops(30.0 * n as f64);
-            AccelPlan {
-                action,
-                cost,
-                train_options: TrainOptions::default(),
-            }
+            base_cost.scale_upload(ratio).add_flops(30.0 * n as f64)
         }
         AccelAction::TopK10 => {
             let keep = 0.10;
             // indices (4B) + values (4B) per kept coordinate vs 4B dense.
             let wire_ratio = keep * 2.0;
-            let cost = base_cost
+            base_cost
                 .scale_upload(wire_ratio)
-                .add_flops((n as f64) * (n as f64).log2().max(1.0) * 0.1);
-            AccelPlan {
-                action,
-                cost,
-                train_options: TrainOptions::default(),
+                .add_flops((n as f64) * (n as f64).log2().max(1.0) * 0.1)
+        }
+    }
+}
+
+/// The local-training hooks `action` dictates: the magnitude-prune mask
+/// over `global_params` (sparing `protected` entries when the mask fits
+/// the model), or the seeded frozen subset for partial training. Only a
+/// client that actually trains needs them.
+pub fn action_train_options(
+    action: AccelAction,
+    global_params: &[f32],
+    seed: u64,
+    protected: Option<&[bool]>,
+) -> TrainOptions {
+    match action {
+        AccelAction::Prune25 | AccelAction::Prune50 | AccelAction::Prune75 => {
+            let mask = match protected {
+                Some(p) if p.len() == global_params.len() => {
+                    magnitude_mask_protected(global_params, fraction(action), p)
+                }
+                _ => magnitude_mask(global_params, fraction(action)),
+            };
+            TrainOptions {
+                prune_mask: Some(mask),
+                frozen: None,
             }
         }
+        AccelAction::Partial25 | AccelAction::Partial50 | AccelAction::Partial75 => TrainOptions {
+            prune_mask: None,
+            frozen: Some(frozen_mask(global_params.len(), fraction(action), seed)),
+        },
+        _ => TrainOptions::default(),
     }
 }
 

@@ -33,5 +33,7 @@ pub mod prune;
 pub mod quantize;
 
 pub use action::{AccelAction, ActionCatalogue};
-pub use apply::{apply_action, apply_action_protected, AccelPlan};
+pub use apply::{
+    action_cost, action_train_options, apply_action, apply_action_protected, AccelPlan,
+};
 pub use feedback::ErrorFeedback;

@@ -2,10 +2,12 @@
 //! training hot-path shapes, against a naive triple-loop baseline.
 //!
 //! Shapes mirror what one local-training step actually runs: the MLP
-//! proxy's forward/backward GEMMs at the default batch size, every GEMM
-//! the Conv2d layers issue per sample (forward `weight·cols`, backward
-//! `grad·colsᵀ` and `weightᵀ·grad`), and two square sizes that exercise
-//! the cache blocking. Before timing, each GEMM shape is checked
+//! proxy's forward/backward GEMMs at the default batch size, the five
+//! GEMMs of a `train_heavy` step (the paper's §6.1 32-128-62 MLP at batch
+//! 20) in the operand layout the step issues them in (`nn`, `tn`, `nt`),
+//! every GEMM the Conv2d layers issue per sample (forward `weight·cols`,
+//! backward `grad·colsᵀ` and `weightᵀ·grad`), and two square sizes that
+//! exercise the cache blocking. Before timing, each GEMM shape is checked
 //! bit-identical to the ascending-order reference — the determinism
 //! contract the round engine relies on. Each shape is also timed through
 //! the packed-panel cache (steady-state hit path) to show what operand
@@ -33,15 +35,41 @@ use float_tensor::{kernels, seed_rng, Tensor};
 use rand::Rng;
 use serde::Serialize;
 
+/// Storage layout of a benched GEMM's operands; the logical product is
+/// always `C[m×n] = A'[m×k] · B'[k×n]`.
+#[derive(Clone, Copy, PartialEq)]
+enum Variant {
+    /// Both operands row-major.
+    Nn,
+    /// `A` stored `[k×m]` (the weight-gradient product `xᵀ·g`).
+    Tn,
+    /// `B` stored `[n×k]` (the input-gradient product `g·Wᵀ`).
+    Nt,
+}
+
+impl Variant {
+    fn name(self) -> &'static str {
+        match self {
+            Variant::Nn => "nn",
+            Variant::Tn => "tn",
+            Variant::Nt => "nt",
+        }
+    }
+}
+
 #[derive(Serialize)]
 struct ShapeResult {
     name: String,
+    /// Operand layout: `nn`, `tn` (`A` stored transposed) or `nt`.
+    variant: &'static str,
     m: usize,
     k: usize,
     n: usize,
     iters: usize,
     gflops: f64,
-    /// Steady-state rate through the packed-panel cache (B operand hit).
+    /// Steady-state rate through the packed-panel cache (a hit on the `B`
+    /// operand; on `A` for `tn`, whose only cached entry point memoizes
+    /// the transposed left operand).
     cached_gflops: f64,
     naive_gflops: f64,
     speedup_vs_naive: f64,
@@ -82,24 +110,38 @@ const PR3_GFLOPS: &[(&str, f64)] = &[
     ("square_256", 17.178793928930403),
 ];
 
-/// Committed per-shape `speedup_vs_naive` floors for the CI gate. Set
-/// from measured quick-mode runs with ~50% headroom for timer noise on a
-/// loaded CI host; a drop below a floor means the kernels (or the tile
-/// dispatcher) genuinely regressed, not that the machine was busy —
-/// speedup is a ratio of two rates measured back-to-back, so load mostly
-/// cancels.
+/// Committed per-shape `speedup_vs_naive` floors for the CI gate: a bit
+/// over half the median this host measures (40 quick and 12 full runs of
+/// the `4×16`-first dispatcher and the unit-stride packing walks), and
+/// under every run's reading bar the rare preempted one, which the gate
+/// times again. Speedup is a ratio of two rates measured back-to-back, so
+/// steady load mostly cancels; a drop below a floor means the kernels (or
+/// the tile dispatcher) genuinely regressed.
 const SPEEDUP_FLOORS: &[(&str, f64)] = &[
-    ("mlp_fwd_l0", 3.0),
-    ("mlp_fwd_l1", 2.0),
-    ("mlp_bwd_gw_l0", 3.0),
-    ("mlp_bwd_gw_l1", 1.8),
-    ("mlp_bwd_gin_l1", 2.8),
-    ("conv_im2col_8x8", 2.0),
-    ("conv_bwd_gw_8x8", 2.0),
-    ("conv_bwd_gcols_8x8", 2.0),
-    ("square_128", 8.0),
-    ("square_256", 8.0),
+    ("mlp_fwd_l0", 8.0),
+    ("mlp_fwd_l1", 4.5),
+    ("mlp_bwd_gw_l0", 8.0),
+    ("mlp_bwd_gw_l1", 3.2),
+    ("mlp_bwd_gin_l1", 6.0),
+    ("step_fwd_l0", 8.0),
+    ("step_fwd_l1", 7.5),
+    ("step_bwd_gw_l1", 7.0),
+    ("step_bwd_gin_l1", 7.5),
+    ("step_bwd_gw_l0", 8.0),
+    ("conv_im2col_8x8", 6.0),
+    ("conv_bwd_gw_8x8", 4.0),
+    ("conv_bwd_gcols_8x8", 4.5),
+    ("square_128", 12.0),
+    ("square_256", 13.0),
 ];
+
+fn speedup_floor(name: &str) -> f64 {
+    SPEEDUP_FLOORS
+        .iter()
+        .find(|(s, _)| *s == name)
+        .map(|&(_, f)| f)
+        .unwrap_or_else(|| panic!("no committed floor for shape {name}"))
+}
 
 /// Ascending-`p` triple loop — the pre-kernel implementation, kept here as
 /// the honest baseline and bitwise reference.
@@ -113,6 +155,21 @@ fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
             out[i * n + j] = acc;
         }
     }
+}
+
+/// GFLOP/s over `iters` back-to-back calls of `run` on `out`.
+fn gflops_of(
+    iters: usize,
+    flops_per_iter: f64,
+    out: &mut [f32],
+    mut run: impl FnMut(&mut [f32]),
+) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        run(out);
+        black_box(&*out);
+    }
+    flops_per_iter * iters as f64 / start.elapsed().as_secs_f64().max(1e-12) / 1e9
 }
 
 fn random_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -154,33 +211,65 @@ fn main() {
     }
 
     // The MLP proxy (24 → 128 → 10 at batch 16) forward/backward GEMMs,
-    // the three Conv2d per-sample GEMMs for the 2×8×8 → 8-channel layer
-    // (forward weight·cols, backward grad·colsᵀ and weightᵀ·grad), and
-    // two square blocking stress shapes.
-    let shapes: &[(&str, usize, usize, usize)] = &[
-        ("mlp_fwd_l0", 16, 24, 128),
-        ("mlp_fwd_l1", 16, 128, 10),
-        ("mlp_bwd_gw_l0", 24, 16, 128),
-        ("mlp_bwd_gw_l1", 128, 16, 10),
-        ("mlp_bwd_gin_l1", 16, 10, 128),
-        ("conv_im2col_8x8", 8, 18, 64),
-        ("conv_bwd_gw_8x8", 8, 64, 18),
-        ("conv_bwd_gcols_8x8", 18, 8, 64),
-        ("square_128", 128, 128, 128),
-        ("square_256", 256, 256, 256),
+    // the five GEMMs of one `train_heavy` step (32 → 128 → 62 at batch 20)
+    // in the layouts the step issues them in, the three Conv2d per-sample
+    // GEMMs for the 2×8×8 → 8-channel layer (forward weight·cols, backward
+    // grad·colsᵀ and weightᵀ·grad), and two square blocking stress shapes.
+    use Variant::{Nn, Nt, Tn};
+    let shapes: &[(&str, Variant, usize, usize, usize)] = &[
+        ("mlp_fwd_l0", Nn, 16, 24, 128),
+        ("mlp_fwd_l1", Nn, 16, 128, 10),
+        ("mlp_bwd_gw_l0", Nn, 24, 16, 128),
+        ("mlp_bwd_gw_l1", Nn, 128, 16, 10),
+        ("mlp_bwd_gin_l1", Nn, 16, 10, 128),
+        ("step_fwd_l0", Nn, 20, 32, 128),
+        ("step_fwd_l1", Nn, 20, 128, 62),
+        ("step_bwd_gw_l1", Tn, 128, 20, 62),
+        ("step_bwd_gin_l1", Nt, 20, 62, 128),
+        ("step_bwd_gw_l0", Tn, 32, 20, 128),
+        ("conv_im2col_8x8", Nn, 8, 18, 64),
+        ("conv_bwd_gw_8x8", Nn, 8, 64, 18),
+        ("conv_bwd_gcols_8x8", Nn, 18, 8, 64),
+        ("square_128", Nn, 128, 128, 128),
+        ("square_256", Nn, 256, 256, 256),
     ];
 
     let mut results = Vec::new();
-    for &(name, m, k, n) in shapes {
-        let a = random_vec(m * k, 0xA5);
-        let b = random_vec(k * n, 0x5A);
+    for &(name, variant, m, k, n) in shapes {
+        // `la` / `lb` are the logical row-major operands the naive
+        // baseline reads; `a` / `b` are what the kernel is handed, stored
+        // the way the variant says.
+        let la = Tensor::from_vec(m, k, random_vec(m * k, 0xA5)).expect("sized by construction");
+        let lb = Tensor::from_vec(k, n, random_vec(k * n, 0x5A)).expect("sized by construction");
+        let a = if variant == Tn {
+            la.transpose()
+        } else {
+            la.clone()
+        };
+        let b = if variant == Nt {
+            lb.transpose()
+        } else {
+            lb.clone()
+        };
+        let (la, lb, a, b) = (la.data(), lb.data(), a.data(), b.data());
+        type Gemm = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+        let gemm: Gemm = match variant {
+            Nn => kernels::gemm_nn,
+            Tn => kernels::gemm_tn,
+            Nt => kernels::gemm_nt,
+        };
+        let gemm_cached = |out: &mut [f32], cache: &mut PanelCache| match variant {
+            Nn => kernels::gemm_nn_b_cached(m, k, n, black_box(a), black_box(b), 1, out, cache),
+            Tn => kernels::gemm_tn_a_cached(m, k, n, black_box(a), 1, black_box(b), out, cache),
+            Nt => kernels::gemm_nt_b_cached(m, k, n, black_box(a), black_box(b), 1, out, cache),
+        };
         let mut out = vec![0.0f32; m * n];
         let mut reference = vec![0.0f32; m * n];
 
         // Determinism contract: bit-identical to the ascending-order
         // reference (all hot-path shapes fit in one k-panel).
-        naive_gemm(m, k, n, &a, &b, &mut reference);
-        kernels::gemm_nn(m, k, n, &a, &b, &mut out);
+        naive_gemm(m, k, n, la, lb, &mut reference);
+        gemm(m, k, n, a, b, &mut out);
         assert!(
             out.iter()
                 .zip(&reference)
@@ -191,7 +280,7 @@ fn main() {
         // miss (pack) and hit (replay) calls.
         let mut cache = PanelCache::new();
         for pass in 0..2 {
-            kernels::gemm_nn_b_cached(m, k, n, &a, &b, 1, &mut out, &mut cache);
+            gemm_cached(&mut out, &mut cache);
             assert!(
                 out.iter()
                     .zip(&reference)
@@ -207,46 +296,44 @@ fn main() {
             ((2e8 / flops_per_iter).ceil() as usize).clamp(20, 200_000)
         };
 
-        let start = Instant::now();
-        for _ in 0..iters {
-            kernels::gemm_nn(m, k, n, black_box(&a), black_box(&b), &mut out);
-            black_box(&out);
+        // One timing of the three paths, as GFLOP/s. The cached path is
+        // steady state: the memoized panels were packed above, so every
+        // timed iteration is a pure hit — what an evaluation sweep sees
+        // on every batch after the first.
+        let mut time_rates = || {
+            (
+                gflops_of(iters, flops_per_iter, &mut out, |out| {
+                    gemm(m, k, n, black_box(a), black_box(b), out)
+                }),
+                gflops_of(iters, flops_per_iter, &mut out, |out| {
+                    gemm_cached(out, &mut cache)
+                }),
+                gflops_of(iters, flops_per_iter, &mut out, |out| {
+                    naive_gemm(m, k, n, black_box(la), black_box(lb), out)
+                }),
+            )
+        };
+        let (mut gflops, mut cached_gflops, mut naive_gflops) = time_rates();
+        // A timing window here is microseconds to milliseconds, so one
+        // preemption inside it can cost a shape most of its measured
+        // speedup. Under the gate a shape that lands below its floor is
+        // therefore timed again, twice at most: a scheduling hiccup does
+        // not repeat, a slower kernel does.
+        if gate {
+            let floor = speedup_floor(name);
+            for _ in 0..2 {
+                if gflops / naive_gflops.max(1e-12) >= floor {
+                    break;
+                }
+                eprintln!("  {name}: below its floor x{floor:.2}, timing again");
+                (gflops, cached_gflops, naive_gflops) = time_rates();
+            }
         }
-        let blocked_s = start.elapsed().as_secs_f64();
-
-        // Steady-state cached path: the B panels were packed above, so
-        // every timed iteration is a pure hit — the per-step reuse the
-        // model scratch sees within one forward/backward.
-        let start = Instant::now();
-        for _ in 0..iters {
-            kernels::gemm_nn_b_cached(
-                m,
-                k,
-                n,
-                black_box(&a),
-                black_box(&b),
-                1,
-                &mut out,
-                &mut cache,
-            );
-            black_box(&out);
-        }
-        let cached_s = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        for _ in 0..iters {
-            naive_gemm(m, k, n, black_box(&a), black_box(&b), &mut out);
-            black_box(&out);
-        }
-        let naive_s = start.elapsed().as_secs_f64();
-
-        let gflops = flops_per_iter * iters as f64 / blocked_s.max(1e-12) / 1e9;
-        let cached_gflops = flops_per_iter * iters as f64 / cached_s.max(1e-12) / 1e9;
-        let naive_gflops = flops_per_iter * iters as f64 / naive_s.max(1e-12) / 1e9;
         let pr3_gflops = PR3_GFLOPS.iter().find(|(s, _)| *s == name).map(|&(_, g)| g);
         eprintln!(
-            "  {name:>18} ({m:>3}x{k:>3}x{n:>3}): {gflops:7.2} GFLOP/s  \
+            "  {name:>18} ({m:>3}x{k:>3}x{n:>3} {}): {gflops:7.2} GFLOP/s  \
              (cached {cached_gflops:7.2}, naive {naive_gflops:6.2}, x{:.2}{})",
+            variant.name(),
             gflops / naive_gflops.max(1e-12),
             pr3_gflops
                 .map(|p| format!(", vs PR3 x{:.2}", gflops / p))
@@ -254,6 +341,7 @@ fn main() {
         );
         results.push(ShapeResult {
             name: name.to_string(),
+            variant: variant.name(),
             m,
             k,
             n,
@@ -352,11 +440,7 @@ fn main() {
                 .get("speedup_vs_naive")
                 .and_then(|g| g.as_f64())
                 .expect("speedup present");
-            let floor = SPEEDUP_FLOORS
-                .iter()
-                .find(|(s, _)| *s == name)
-                .map(|&(_, f)| f)
-                .unwrap_or_else(|| panic!("no committed floor for shape {name}"));
+            let floor = speedup_floor(name);
             if speedup < floor {
                 eprintln!("GATE FAIL: {name} speedup_vs_naive {speedup:.2} < floor {floor:.2}");
                 failed = true;

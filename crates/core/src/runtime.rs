@@ -9,7 +9,9 @@ use std::sync::Arc;
 use rand::seq::SliceRandom;
 
 use float_accel::apply::transform_update;
-use float_accel::{apply_action_protected, AccelAction, ActionCatalogue, ErrorFeedback};
+use float_accel::{
+    action_cost, action_train_options, AccelAction, AccelPlan, ActionCatalogue, ErrorFeedback,
+};
 use float_data::{ShardCache, ShardCacheStats, ShardSpec, SharedShardCache};
 use float_models::RoundCost;
 use float_obs::metrics::{
@@ -123,6 +125,10 @@ pub struct Experiment {
     eval_models: Vec<Mlp>,
     /// Reusable flat-parameter buffer for re-parameterizing `eval_models`.
     eval_parameters: Vec<f32>,
+    /// Per-client accuracies of the current `global_model`, once a reader
+    /// has asked for them (see [`Experiment::client_accuracies`]);
+    /// `aggregate()` — the only place the model changes — drops them.
+    client_accuracies: Option<Vec<f64>>,
     /// Online client profiler ([`ExperimentConfig::profiling`], DESIGN.md
     /// §17): the commit-phase fold of observed outcomes into per-client
     /// estimates that replace the trace oracle in selection and in the
@@ -314,13 +320,10 @@ impl ExecuteCtx<'_> {
         scratch: &mut WorkerScratch,
     ) -> AttemptExec {
         let global_params = self.global_params;
-        let plan = apply_action_protected(
-            task.action,
-            task.base_cost,
-            global_params,
-            split_seed(self.config.seed, (round as u64) << 20 | task.client as u64),
-            Some(self.protected),
-        );
+        // The simulator needs only the accelerated round's cost; the
+        // masks the action trains under are built further down, for the
+        // attempts that get as far as training.
+        let cost = action_cost(task.action, task.base_cost, global_params);
         let round_params = RoundParams {
             deadline_s: self.config.deadline_s,
             failure_hazard_per_s: self.config.failure_hazard_per_s,
@@ -328,7 +331,7 @@ impl ExecuteCtx<'_> {
         let mut outcome = execute_client_round(
             &task.snap,
             &task.profile,
-            &plan.cost,
+            &cost,
             &round_params,
             split_seed(
                 self.config.seed,
@@ -370,9 +373,19 @@ impl ExecuteCtx<'_> {
                 duplicate: false,
                 fault,
                 scaffold_ci: None,
-                cost: plan.cost,
+                cost,
             };
         }
+        let plan = AccelPlan {
+            action: task.action,
+            cost,
+            train_options: action_train_options(
+                task.action,
+                global_params,
+                split_seed(self.config.seed, (round as u64) << 20 | task.client as u64),
+                Some(self.protected),
+            ),
+        };
 
         // Real local training with the plan's transform hooks. The worker
         // scratch supplies the local model and parameter buffers, reused
@@ -384,7 +397,7 @@ impl ExecuteCtx<'_> {
         local
             .set_params(global_params)
             .expect("scratch model shares the global architecture");
-        let before = local.evaluate_mut(test).accuracy as f64;
+        let before = local.accuracy_mut(test) as f64;
         let mut opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
         // Drift corrections (FedProx / SCAFFOLD) read the control variates
@@ -410,7 +423,7 @@ impl ExecuteCtx<'_> {
                 &drift,
             );
         }
-        let after = local.evaluate_mut(test).accuracy as f64;
+        let after = local.accuracy_mut(test) as f64;
         // Update delta, computed in place into the scratch buffer.
         local.params_into(&mut scratch.params);
         scratch.delta.clear();
@@ -503,7 +516,7 @@ impl ExecuteCtx<'_> {
             duplicate: fault == Some(FaultKind::DuplicateDelivery),
             fault,
             scaffold_ci,
-            cost: plan.cost,
+            cost,
         }
     }
 }
@@ -870,6 +883,7 @@ impl Experiment {
             scaffold_ci: HashMap::new(),
             eval_models: Vec::new(),
             eval_parameters: Vec::new(),
+            client_accuracies: None,
             profiler: config
                 .profiling
                 .enabled
@@ -966,10 +980,10 @@ impl Experiment {
     /// number of times. The evaluation scratch is released afterwards: a
     /// caller scoring a run between `run_to` calls is about to park it.
     pub fn accuracy(&mut self) -> f64 {
-        let accs = self.eval_all_clients();
+        let mean = AccuracySummary::from_accuracies(self.client_accuracies()).mean;
         self.eval_models = Vec::new();
         self.eval_parameters = Vec::new();
-        AccuracySummary::from_accuracies(&accs).mean
+        mean
     }
 
     /// Run to completion and produce the report.
@@ -1599,14 +1613,28 @@ impl Experiment {
             .collect()
     }
 
-    /// Per-client accuracy of the global model over the evaluation set:
-    /// the full population by default, or the fixed `eval_sample` subset
-    /// when configured. Test shards are derived on the fly from the pure
-    /// shard spec (never through the training cache), so evaluation cannot
-    /// perturb the cache's deterministic LRU state.
+    /// Per-client accuracy of the current global model over the evaluation
+    /// set, from one sweep per model: the sweep's result is kept until
+    /// `aggregate()` installs new parameters, so the readers that look at
+    /// an unchanged model (a run's last round and its finalisation, a rung
+    /// score on an eval round) share it.
+    fn client_accuracies(&mut self) -> &[f64] {
+        if self.client_accuracies.is_none() {
+            self.client_accuracies = Some(self.eval_all_clients());
+        }
+        self.client_accuracies
+            .as_deref()
+            .expect("filled just above")
+    }
+
+    /// One evaluation sweep: the full population by default, or the fixed
+    /// `eval_sample` subset when configured. Test shards are derived on
+    /// the fly from the pure shard spec (never through the training
+    /// cache), so evaluation cannot perturb the cache's deterministic LRU
+    /// state.
     ///
     /// Each worker evaluates through a persistent model clone
-    /// (`eval_models`) via [`Mlp::evaluate_mut`], so one forward scratch
+    /// (`eval_models`) via [`Mlp::accuracy_mut`], so one forward scratch
     /// and one packed-panel cache are reused across every client in the
     /// sweep: `set_params` bumps the weight stamps once per pass, the
     /// first client repacks, and every later client replays the cached
@@ -1633,7 +1661,7 @@ impl Experiment {
             &self.eval_set
         };
         let accs = parallel_map_with(&mut models, clients, |m, &c| {
-            m.evaluate_mut(&spec.test_shard(c)).accuracy as f64
+            m.accuracy_mut(&spec.test_shard(c)) as f64
         });
         self.eval_parameters = params;
         self.eval_models = models;
@@ -1814,6 +1842,7 @@ impl Experiment {
         self.global_model
             .set_params(&global)
             .expect("aggregation preserves parameter count");
+        self.client_accuracies = None;
         self.obs.record(Event::AggregationApplied {
             round: round as u64,
             sim_s: self.clock.now_s(),
@@ -1862,7 +1891,7 @@ impl Experiment {
         let is_eval =
             round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
         let mean_accuracy = is_eval.then(|| {
-            let accs = self.eval_all_clients();
+            let accs = self.client_accuracies();
             accs.iter().sum::<f64>() / accs.len().max(1) as f64
         });
         self.report.rounds.push(RoundRecord {
@@ -1879,7 +1908,7 @@ impl Experiment {
     }
 
     fn finalize(mut self) -> ExperimentReport {
-        let accs = self.eval_all_clients();
+        let accs = self.client_accuracies().to_vec();
         self.report.accuracy = AccuracySummary::from_accuracies(&accs);
         self.report.client_accuracies = accs;
         self.report.resources = self.ledger.totals();
@@ -2020,6 +2049,42 @@ mod tests {
         let a = Experiment::new(base).expect("valid").run();
         let b = Experiment::new(sampled).expect("valid").run();
         assert_eq!(a, b, "eval_sample == num_clients changed the report");
+    }
+
+    /// One evaluation sweep per global model. Planting a marker where the
+    /// last sweep's accuracies are kept shows who reads them: `accuracy()`
+    /// and finalisation report the marker (no second sweep of a model the
+    /// last round already evaluated), and the next aggregation discards it.
+    #[test]
+    fn readers_of_an_unchanged_model_share_one_evaluation_sweep() {
+        let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Off, 4);
+        cfg.eval_every = 3;
+        let mut exp = Experiment::new(cfg).expect("valid");
+        let marker = vec![0.25; cfg.num_clients];
+
+        // Round 0 is an eval round: its sweep is what `accuracy()` reads.
+        exp.run_to(1);
+        let swept = exp.client_accuracies.clone().expect("round 0 evaluated");
+        assert_eq!(swept.len(), cfg.num_clients);
+        exp.client_accuracies = Some(marker.clone());
+        assert_eq!(exp.accuracy(), 0.25);
+
+        // Round 1 aggregates and does not evaluate: the marker is gone,
+        // and a score taken here is a fresh sweep of the new model.
+        exp.run_to(2);
+        assert_eq!(exp.client_accuracies, None);
+        let fresh = exp.accuracy();
+        assert!(fresh != 0.25 && (0.0..=1.0).contains(&fresh), "{fresh}");
+
+        // The last round (3, also `3 % eval_every == 0`) evaluates the
+        // final model; finalisation reports that sweep rather than
+        // running it again.
+        exp.run_to(4);
+        assert_ne!(exp.client_accuracies.as_ref(), Some(&marker));
+        exp.client_accuracies = Some(marker.clone());
+        let report = exp.finalize();
+        assert_eq!(report.client_accuracies, marker);
+        assert_eq!(report.accuracy.mean, 0.25);
     }
 
     /// A strict eval subset evaluates exactly `eval_sample` clients,

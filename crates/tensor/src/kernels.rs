@@ -15,12 +15,15 @@
 //!   the classic three-loop structure: `NC`-wide column panels of `B`,
 //!   `KC`-deep depth panels, `MC`-tall row panels of `A`. Each panel is
 //!   packed into a contiguous, tile-major scratch buffer so the micro-kernel
-//!   streams with unit stride regardless of the logical layout — the same
-//!   packing routine serves the `N·N`, `T·N`, and `N·T` variants by
-//!   walking the source with configurable row/column strides.
+//!   streams with unit stride regardless of the logical layout — one
+//!   packing routine (`pack_panel`) serves both operands of the `N·N`,
+//!   `T·N`, and `N·T` variants from their row/column strides, copying
+//!   whole register-tile groups where the operand is unit-stride along
+//!   the tile and walking contiguous runs where it is unit-stride along
+//!   the depth (every view of a row-major matrix is one or the other).
 //! - **Micro-kernels.** `MR×NR` accumulator blocks updated over the packed
-//!   depth dimension, monomorphized over the tile shape (`4×8`, `8×8`,
-//!   `4×16`) and selected once per GEMM call as a pure function of
+//!   depth dimension, monomorphized over the tile shape (`4×16`, `8×8`,
+//!   `4×8`) and selected once per GEMM call as a pure function of
 //!   `(m, n)` — see [`select_tile`]. All loop bounds are compile-time
 //!   constants over fixed-size arrays and `chunks_exact` slices, so LLVM
 //!   fully unrolls and autovectorizes the inner loop; there is no
@@ -41,17 +44,22 @@
 //!   committed). For `k ≤ KC` (every shape on the MLP hot path) the
 //!   reduction degenerates to a single ascending pass, which is
 //!   bit-identical to the pre-kernel naive loops on finite inputs.
-//! - **Packed-panel reuse.** Within one training step the same weight
-//!   matrix is packed for the forward pass and again for the backward pass,
-//!   and the conv layers re-pack their weight for every sample of a batch.
-//!   [`PanelCache`] memoizes fully packed operands keyed by *(generation
-//!   stamp, shape, strides, tile width)* — the stamp (see
-//!   [`crate::Tensor`]) changes on every mutation, so a hit is guaranteed
-//!   to replay byte-identical packed panels and results cannot depend on
-//!   cache state.
-//! - **Allocation.** Packing buffers are thread-local and grown once;
-//!   steady-state calls perform zero heap allocation. The `*_into` entry
-//!   points on [`crate::Tensor`] write into caller-owned scratch.
+//! - **Packed-panel reuse.** An evaluation sweep multiplies every
+//!   client's batch by the same weights, and the conv layers multiply
+//!   every sample of a batch by theirs. [`PanelCache`] memoizes fully
+//!   packed operands keyed by *(generation stamp, shape, strides, tile
+//!   width)* — the stamp (see [`crate::Tensor`]) changes on every
+//!   mutation, so a hit is guaranteed to replay byte-identical packed
+//!   panels and results cannot depend on cache state. A training step
+//!   gets a warm buffer to pack into rather than hits: each weight is
+//!   read through two different views (forward `N·N`, backward `N·T`) and
+//!   rewritten before the next step, so only a step that follows an
+//!   evaluation of the same weights finds its forward panels packed.
+//! - **Allocation.** Packing buffers are thread-local and grown once, and
+//!   a packer overwrites every slot it is handed (pad lanes included), so
+//!   nothing is cleared between calls; steady-state calls perform zero
+//!   heap allocation. The `*_into` entry points on [`crate::Tensor`] write
+//!   into caller-owned scratch.
 //!
 //! Inputs containing NaN/Inf propagate through (IEEE semantics); nothing
 //! here filters non-finite values, so poisoned updates stay poisoned until
@@ -94,16 +102,18 @@ enum Tile {
 /// state — so the packing layout (and therefore the panel-cache key) is
 /// reproducible from the call shape alone.
 ///
-/// Tall-enough outputs take the `8×8` tile (each packed-`B` load is
-/// reused across 8 rows of `C` — the fastest measured variant on every
-/// benched hot-path shape); short-and-wide outputs take `4×16` (one
-/// packed-`B` load feeds 16 lanes when there aren't enough rows to go
-/// tall). Small leftovers fall back to the `4×8` reference tile.
+/// Any output at least 16 columns wide takes the `4×16` tile: one
+/// packed-`B` group feeds 16 lanes, four rows of accumulators stay in
+/// registers, and a row count that is not a multiple of 8 (the batch-20
+/// training step) pads at most three rows instead of seven — the fastest
+/// measured variant on every benched shape with `n ≥ 16`. Narrower
+/// outputs go tall with `8×8` when they have the rows for it, and small
+/// leftovers fall back to the `4×8` reference tile.
 fn select_tile(m: usize, n: usize) -> Tile {
-    if m >= 8 && n >= 8 {
-        Tile::T8x8
-    } else if n >= 16 {
+    if n >= 16 {
         Tile::T4x16
+    } else if m >= 8 && n >= 8 {
+        Tile::T8x8
     } else {
         Tile::T4x8
     }
@@ -474,9 +484,9 @@ fn gemm_blocked<const R: usize, const C: usize>(
                             &p.buf[off..off + nc.div_ceil(C) * kc * C]
                         }
                         None => {
-                            pb.clear();
-                            pack_b_panel::<C>(pb, b, b_rs, b_cs, pc, kc, jc, nc);
-                            &pb[..]
+                            let dst = grown(pb, nc.div_ceil(C) * kc * C);
+                            pack_b_panel::<C>(dst, b, b_rs, b_cs, pc, kc, jc, nc);
+                            dst
                         }
                     };
                     for (ii, ic) in (0..m).step_by(MC).enumerate() {
@@ -487,9 +497,9 @@ fn gemm_blocked<const R: usize, const C: usize>(
                                 &p.buf[off..off + mc.div_ceil(R) * kc * R]
                             }
                             None => {
-                                pa.clear();
-                                pack_a_panel::<R>(pa, a, a_rs, a_cs, ic, mc, pc, kc);
-                                &pa[..]
+                                let dst = grown(pa, mc.div_ceil(R) * kc * R);
+                                pack_a_panel::<R>(dst, a, a_rs, a_cs, ic, mc, pc, kc);
+                                dst
                             }
                         };
                         macro_kernel::<R, C>(ap, bp, mc, kc, nc, out, ic, jc, n);
@@ -500,13 +510,88 @@ fn gemm_blocked<const R: usize, const C: usize>(
     });
 }
 
-/// Append an `mc×kc` panel of `A'` (rows `ic..`, depth `pc..`) to `dst`,
-/// tile-major: tile `t` holds rows `[t*R, t*R+R)` as `kc` groups of `R`
-/// adjacent values. Rows past `mc` pad with zeros so the micro-kernel
-/// never branches on the edge.
+/// The first `len` slots of a thread-local packing buffer, growing it if
+/// needed. The panel packers overwrite every slot they are handed, so the
+/// stale contents never reach a micro-kernel.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Pack one tile-major panel: `dst` holds `lanes.div_ceil(W)` tiles, tile
+/// `t` being `depth` groups of `W` adjacent values, group `p` slot `w`
+/// receiving `src[origin + (t*W + w)*lane_stride + p*depth_stride]`. Slots
+/// past `lanes` in the last tile are zeroed so the micro-kernel never
+/// branches on the edge. Every slot of `dst` is written.
+///
+/// Both operands pack through here — `A'` with its rows as lanes, `B'`
+/// with its columns — and the packed bytes are the same whichever of the
+/// three walks below produces them. Full tiles of a unit-stride operand
+/// take a fast walk:
+///
+/// - `lane_stride == 1`: a group is `W` adjacent source values, copied as
+///   one `[f32; W]` (const-sized, so it compiles to vector moves rather
+///   than a `memcpy` call per group);
+/// - `depth_stride == 1`: each lane is one contiguous source run; the `W`
+///   runs are sliced (and bounds-checked) once per tile and then walked
+///   front to back together, so the transposing inner loop is `W` fixed
+///   streams with no index arithmetic or checks left in it.
+///
+/// Everything else — doubly strided operands and the ragged last tile —
+/// takes the plain strided gather.
+fn pack_panel<const W: usize>(
+    dst: &mut [f32],
+    src: &[f32],
+    origin: usize,
+    lane_stride: usize,
+    depth_stride: usize,
+    lanes: usize,
+    depth: usize,
+) {
+    debug_assert_eq!(dst.len(), lanes.div_ceil(W) * depth * W);
+    if depth == 0 {
+        return;
+    }
+    for (t, tile) in dst.chunks_exact_mut(depth * W).enumerate() {
+        let base = origin + t * W * lane_stride;
+        let live = W.min(lanes - t * W);
+        if live == W && lane_stride == 1 {
+            for (p, group) in tile.chunks_exact_mut(W).enumerate() {
+                let at = base + p * depth_stride;
+                group.copy_from_slice(&src[at..at + W]);
+            }
+        } else if live == W && depth_stride == 1 {
+            let runs: [&[f32]; W] = std::array::from_fn(|w| {
+                let at = base + w * lane_stride;
+                &src[at..at + depth]
+            });
+            for (p, group) in tile.chunks_exact_mut(W).enumerate() {
+                for (slot, run) in group.iter_mut().zip(&runs) {
+                    *slot = run[p];
+                }
+            }
+        } else {
+            for (p, group) in tile.chunks_exact_mut(W).enumerate() {
+                for (w, slot) in group.iter_mut().enumerate() {
+                    *slot = if w < live {
+                        src[base + w * lane_stride + p * depth_stride]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// Pack the `mc×kc` panel of `A'` at rows `ic..`, depth `pc..` into `dst`
+/// (`mc.div_ceil(R) * kc * R` slots): tile `t` holds rows `[t*R, t*R+R)`
+/// as `kc` groups of `R` adjacent values, zero-padded past `mc`.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_panel<const R: usize>(
-    dst: &mut Vec<f32>,
+    dst: &mut [f32],
     a: &[f32],
     rs: usize,
     cs: usize,
@@ -515,28 +600,16 @@ fn pack_a_panel<const R: usize>(
     pc: usize,
     kc: usize,
 ) {
-    let tiles = mc.div_ceil(R);
-    let base = dst.len();
-    dst.resize(base + tiles * kc * R, 0.0);
-    let dst = &mut dst[base..];
-    for t in 0..tiles {
-        let tile = &mut dst[t * kc * R..(t + 1) * kc * R];
-        let rows = R.min(mc - t * R);
-        for (p, group) in tile.chunks_exact_mut(R).enumerate() {
-            for (r, slot) in group.iter_mut().take(rows).enumerate() {
-                *slot = a[(ic + t * R + r) * rs + (pc + p) * cs];
-            }
-            // Slots past `rows` stay at the zero fill from `resize`.
-        }
-    }
+    pack_panel::<R>(dst, a, ic * rs + pc * cs, rs, cs, mc, kc);
 }
 
-/// Append a `kc×nc` panel of `B'` (depth `pc..`, columns `jc..`) to `dst`,
-/// tile-major: tile `u` holds columns `[u*C, u*C+C)` as `kc` groups of `C`
-/// adjacent values, zero-padded past `nc`.
+/// Pack the `kc×nc` panel of `B'` at depth `pc..`, columns `jc..` into
+/// `dst` (`nc.div_ceil(C) * kc * C` slots): tile `u` holds columns
+/// `[u*C, u*C+C)` as `kc` groups of `C` adjacent values, zero-padded past
+/// `nc`.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_panel<const C: usize>(
-    dst: &mut Vec<f32>,
+    dst: &mut [f32],
     b: &[f32],
     rs: usize,
     cs: usize,
@@ -545,19 +618,7 @@ fn pack_b_panel<const C: usize>(
     jc: usize,
     nc: usize,
 ) {
-    let tiles = nc.div_ceil(C);
-    let base = dst.len();
-    dst.resize(base + tiles * kc * C, 0.0);
-    let dst = &mut dst[base..];
-    for u in 0..tiles {
-        let tile = &mut dst[u * kc * C..(u + 1) * kc * C];
-        let cols = C.min(nc - u * C);
-        for (p, group) in tile.chunks_exact_mut(C).enumerate() {
-            for (c, slot) in group.iter_mut().take(cols).enumerate() {
-                *slot = b[(pc + p) * rs + (jc + u * C + c) * cs];
-            }
-        }
-    }
+    pack_panel::<C>(dst, b, pc * rs + jc * cs, cs, rs, nc, kc);
 }
 
 /// Pack every `A'` panel of an `m×k` operand into `dst`, in the exact
@@ -572,14 +633,21 @@ fn pack_a_all<const R: usize>(
     m: usize,
     k: usize,
 ) {
-    dst.clear();
     offsets.clear();
+    // Row panels are whole tiles but for the last, so together they pad
+    // `m` up to one tile boundary. A reused entry of the same shape keeps
+    // its length: no fill, the packers overwrite every slot.
+    const { assert!(MC.is_multiple_of(R)) };
+    dst.resize(m.div_ceil(R) * R * k, 0.0);
+    let mut at = 0;
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
-            offsets.push(dst.len());
-            pack_a_panel::<R>(dst, a, rs, cs, ic, mc, pc, kc);
+            let len = mc.div_ceil(R) * kc * R;
+            offsets.push(at);
+            pack_a_panel::<R>(&mut dst[at..at + len], a, rs, cs, ic, mc, pc, kc);
+            at += len;
         }
     }
 }
@@ -596,21 +664,29 @@ fn pack_b_all<const C: usize>(
     k: usize,
     n: usize,
 ) {
-    dst.clear();
     offsets.clear();
+    const { assert!(NC.is_multiple_of(C)) };
+    dst.resize(n.div_ceil(C) * C * k, 0.0);
+    let mut at = 0;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            offsets.push(dst.len());
-            pack_b_panel::<C>(dst, b, rs, cs, pc, kc, jc, nc);
+            let len = nc.div_ceil(C) * kc * C;
+            offsets.push(at);
+            pack_b_panel::<C>(&mut dst[at..at + len], b, rs, cs, pc, kc, jc, nc);
+            at += len;
         }
     }
 }
 
 /// Multiply one packed `A` panel by one packed `B` panel, committing each
 /// micro-tile's partial sum into `out` (`+=`, `out` pre-zeroed by the
-/// driver on the first depth panel).
+/// driver on the first depth panel). Column tiles are the outer loop: a
+/// `B` tile (`kc × C`) then stays in L1 while the `A` panel — at most
+/// `MC` rows, a quarter of a full `B` panel — streams past it, instead of
+/// the whole `B` panel streaming past every `R` rows of `A`. The
+/// micro-tiles are independent, so the visiting order changes no bit.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<const R: usize, const C: usize>(
     pa: &[f32],
@@ -625,13 +701,13 @@ fn macro_kernel<const R: usize, const C: usize>(
 ) {
     let row_tiles = mc.div_ceil(R);
     let col_tiles = nc.div_ceil(C);
-    for t in 0..row_tiles {
-        let ap = &pa[t * kc * R..(t + 1) * kc * R];
-        let rows = R.min(mc - t * R);
-        for u in 0..col_tiles {
-            let bp = &pb[u * kc * C..(u + 1) * kc * C];
+    for u in 0..col_tiles {
+        let bp = &pb[u * kc * C..(u + 1) * kc * C];
+        let cols = C.min(nc - u * C);
+        for t in 0..row_tiles {
+            let ap = &pa[t * kc * R..(t + 1) * kc * R];
+            let rows = R.min(mc - t * R);
             let acc = micro_kernel::<R, C>(ap, bp);
-            let cols = C.min(nc - u * C);
             for (r, acc_row) in acc.iter().enumerate().take(rows) {
                 let row0 = (ic + t * R + r) * ldc + jc + u * C;
                 let crow = &mut out[row0..row0 + cols];
@@ -966,6 +1042,118 @@ mod tests {
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "nt ({m},{k},{n})"
+            );
+        }
+    }
+
+    /// The strided gather every packing walk must reproduce: slot
+    /// `(t, p, w)` of a `W`-wide panel is element `(first + t*W + w, p0 + p)`
+    /// of the operand view with the lane index on `lane_stride`, or zero
+    /// past `lanes`.
+    fn gathered_panel(
+        src: &[f32],
+        width: usize,
+        (origin, lane_stride, depth_stride): (usize, usize, usize),
+        lanes: usize,
+        depth: usize,
+    ) -> Vec<u32> {
+        let mut want = Vec::new();
+        for t in 0..lanes.div_ceil(width) {
+            for p in 0..depth {
+                for w in 0..width {
+                    let lane = t * width + w;
+                    want.push(if lane < lanes {
+                        src[origin + lane * lane_stride + p * depth_stride].to_bits()
+                    } else {
+                        0
+                    });
+                }
+            }
+        }
+        want
+    }
+
+    /// Pack the `lanes × depth` panel that starts `first` lanes and `p0`
+    /// deep into `src`, as an `A'` panel (lanes are rows) and as a `B'`
+    /// panel (lanes are columns), and hold both to the strided gather.
+    /// `dst` starts as NaN: a slot a walk skipped (the buffers are reused,
+    /// never cleared) cannot pass for a zero pad.
+    fn check_walks<const W: usize>(
+        src: &[f32],
+        (first, p0): (usize, usize),
+        (lane_stride, depth_stride): (usize, usize),
+        lanes: usize,
+        depth: usize,
+    ) {
+        let origin = first * lane_stride + p0 * depth_stride;
+        let want = gathered_panel(src, W, (origin, lane_stride, depth_stride), lanes, depth);
+        let what =
+            format!("W={W} lanes={lanes} depth={depth} strides=({lane_stride},{depth_stride})");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut got = vec![f32::NAN; want.len()];
+        let (rs, cs) = (lane_stride, depth_stride);
+        pack_a_panel::<W>(&mut got, src, rs, cs, first, lanes, p0, depth);
+        assert_eq!(bits(&got), want, "A panel, {what}");
+        got.fill(f32::NAN);
+        let (rs, cs) = (depth_stride, lane_stride);
+        pack_b_panel::<W>(&mut got, src, rs, cs, p0, depth, first, lanes);
+        assert_eq!(bits(&got), want, "B panel, {what}");
+    }
+
+    #[test]
+    fn packing_walks_match_the_strided_gather_bytewise() {
+        // A panel cut out of the middle of a larger operand, so a walk
+        // that ignored the origin or ran one stride off would read a
+        // neighbour's values; lane counts below / at / above every tile
+        // width, so each walk meets full tiles and a ragged last one.
+        let origin = (3, 2);
+        for &lanes in &[1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33] {
+            for &depth in &[1, 2, 7, 20] {
+                let (rows, cols) = (origin.0 + lanes + 1, origin.1 + depth + 1);
+                let src = pseudo(2 * rows * cols, (lanes * 64 + depth) as u64);
+                // Lane-major storage (`A` row-major, `B` stored `[n×k]`):
+                // unit stride along the depth. Depth-major storage (`A`
+                // stored `[k×m]`, `B` row-major): unit stride along the
+                // tile. And a view with neither (every other row and
+                // column of a twice-as-large operand).
+                for strides in [(cols, 1), (1, rows), (2 * cols, 2)] {
+                    check_walks::<4>(&src, origin, strides, lanes, depth);
+                    check_walks::<8>(&src, origin, strides, lanes, depth);
+                    check_walks::<16>(&src, origin, strides, lanes, depth);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_operands_spanning_several_panels_match_uncached() {
+        // Shapes crossing MC / KC / NC, so a memoized operand is several
+        // panels laid end to end and the driver finds panel `i` through
+        // `offsets[i]`. Alternating with a small shape past the cache's
+        // capacity makes every entry get reused by an operand of the
+        // other size: nothing of the previous occupant may survive.
+        let shapes = [(70, 300, 270), (5, 7, 9)];
+        let mut cache = PanelCache::new();
+        for stamp in 0..(PANEL_CACHE_CAP as u64 + 3) {
+            let (m, k, n) = shapes[stamp as usize % 2];
+            let a = pseudo(m * k, 200 + stamp);
+            let b = pseudo(k * n, 300 + stamp);
+            let mut want = vec![0.0f32; m * n];
+            gemm_nn(m, k, n, &a, &b, &mut want);
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let mut got = vec![f32::NAN; m * n];
+            gemm_nn_a_cached(m, k, n, &a, 2 * stamp, &b, &mut got, &mut cache);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want,
+                "A cached, ({m},{k},{n})"
+            );
+            got.fill(f32::NAN);
+            gemm_nn_b_cached(m, k, n, &a, &b, 2 * stamp + 1, &mut got, &mut cache);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want,
+                "B cached, ({m},{k},{n})"
             );
         }
     }

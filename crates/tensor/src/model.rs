@@ -1,6 +1,12 @@
 //! A multi-layer perceptron with flat-parameter access and training hooks
 //! for FLOAT's acceleration techniques (pruning masks, frozen-parameter
 //! partial training).
+//!
+//! Masks, drift-correction vectors and the optimizer's momentum state all
+//! use the *flat layout* of [`Mlp::params`] (weights then bias, layer by
+//! layer). Training never materializes that layout: each minibatch step
+//! updates every layer's tensors in place, addressing the flat-layout
+//! vectors by the tensor's offset.
 
 use rand::seq::SliceRandom;
 
@@ -90,9 +96,6 @@ struct Scratch {
     batch_labels: Vec<usize>,
     /// Shuffled sample order for one epoch.
     order: Vec<usize>,
-    /// Flat parameter / gradient mirrors for the optimizer step.
-    params: Vec<f32>,
-    grads: Vec<f32>,
     /// Packed-panel memo for the GEMM weight operands: the forward and
     /// backward passes of one step (and every batch of an evaluation
     /// sweep) reuse the same packed weights instead of re-packing per
@@ -192,7 +195,10 @@ impl Mlp {
         out
     }
 
-    /// Flatten the current gradients in the same layout as [`Mlp::params`].
+    /// Flatten the current gradients in the same layout as [`Mlp::params`]:
+    /// the raw minibatch gradient after [`Mlp::forward_backward`]; after a
+    /// training epoch, the last step's gradient as the optimizer consumed
+    /// it (drift corrections added, frozen entries zeroed).
     pub fn grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
         self.grads_into(&mut out);
@@ -353,16 +359,11 @@ impl Mlp {
         let mut order = std::mem::take(&mut self.scratch.order);
         let mut batch = std::mem::take(&mut self.scratch.batch);
         let mut batch_labels = std::mem::take(&mut self.scratch.batch_labels);
-        let mut params = std::mem::take(&mut self.scratch.params);
-        let mut grads = std::mem::take(&mut self.scratch.grads);
         order.clear();
         order.extend(0..data.len());
         order.shuffle(&mut seed_rng(seed));
         let mut total = 0.0;
         let mut batches = 0;
-        // `params` mirrors the layer parameters exactly (every write path
-        // goes through `set_params` below), so one read up front suffices.
-        self.params_into(&mut params);
         for chunk in order.chunks(batch_size) {
             data.gather_into(chunk, &mut batch, &mut batch_labels);
             match self.forward_backward(&batch, &batch_labels) {
@@ -372,50 +373,74 @@ impl Mlp {
                 }
                 Err(_) => continue,
             }
-            self.grads_into(&mut grads);
-            if let Some((mu, anchor)) = drift.prox {
-                for ((g, &p), &a) in grads.iter_mut().zip(&params).zip(anchor) {
-                    *g += mu * (p - a);
-                }
-            }
-            if let Some((c, ci)) = drift.scaffold {
-                if ci.is_empty() {
-                    for (g, &cj) in grads.iter_mut().zip(c) {
-                        *g += cj;
-                    }
-                } else {
-                    for ((g, &cj), &cij) in grads.iter_mut().zip(c).zip(ci) {
-                        *g += cj - cij;
-                    }
-                }
-            }
-            if let Some(frozen) = &opts.frozen {
-                for (g, &f) in grads.iter_mut().zip(frozen) {
-                    if f {
-                        *g = 0.0;
-                    }
-                }
-            }
-            opt.step(&mut params, &grads);
-            if let Some(mask) = &opts.prune_mask {
-                for (p, &keep) in params.iter_mut().zip(mask) {
-                    if !keep {
-                        *p = 0.0;
-                    }
-                }
-            }
-            self.set_params(&params)
-                .expect("params buffer produced by self.params_into() always fits");
+            self.apply_step(opt, opts, drift);
         }
         self.scratch.order = order;
         self.scratch.batch = batch;
         self.scratch.batch_labels = batch_labels;
-        self.scratch.params = params;
-        self.scratch.grads = grads;
         if batches == 0 {
             0.0
         } else {
             total / batches as f32
+        }
+    }
+
+    /// One optimizer step over the gradients [`Mlp::forward_backward`]
+    /// left in the layers, applied tensor by tensor in place: drift
+    /// corrections and the frozen mask edit the gradient, the optimizer
+    /// updates the parameter, the prune mask re-zeroes it. Every
+    /// flat-layout vector (masks, anchor, control variates, momentum) is
+    /// read at the tensor's offset into that layout, so each parameter
+    /// sees exactly the operations, in the order, that a step over the
+    /// flattened model would apply to it. A vector shorter than the model
+    /// covers a prefix of it: each zip below stops where its vector ends.
+    fn apply_step(&mut self, opt: &mut Sgd, opts: &TrainOptions, drift: &DriftOptions<'_>) {
+        fn from<T>(flat: &[T], off: usize) -> &[T] {
+            flat.get(off..).unwrap_or(&[])
+        }
+        opt.size_velocity(self.num_params());
+        let mut off = 0;
+        for l in &mut self.layers {
+            for (param, grad) in [
+                (&mut l.weight, &mut l.grad_weight),
+                (&mut l.bias, &mut l.grad_bias),
+            ] {
+                let (params, grads) = (param.data_mut(), grad.data_mut());
+                if let Some((mu, anchor)) = drift.prox {
+                    for ((g, &p), &a) in grads.iter_mut().zip(&*params).zip(from(anchor, off)) {
+                        *g += mu * (p - a);
+                    }
+                }
+                if let Some((c, ci)) = drift.scaffold {
+                    if ci.is_empty() {
+                        for (g, &cj) in grads.iter_mut().zip(from(c, off)) {
+                            *g += cj;
+                        }
+                    } else {
+                        for ((g, &cj), &cij) in
+                            grads.iter_mut().zip(from(c, off)).zip(from(ci, off))
+                        {
+                            *g += cj - cij;
+                        }
+                    }
+                }
+                if let Some(frozen) = &opts.frozen {
+                    for (g, &f) in grads.iter_mut().zip(from(frozen, off)) {
+                        if f {
+                            *g = 0.0;
+                        }
+                    }
+                }
+                opt.step_at(off, params, grads);
+                if let Some(mask) = &opts.prune_mask {
+                    for (p, &keep) in params.iter_mut().zip(from(mask, off)) {
+                        if !keep {
+                            *p = 0.0;
+                        }
+                    }
+                }
+                off += params.len();
+            }
         }
     }
 
@@ -445,9 +470,9 @@ impl Mlp {
     }
 
     /// [`Mlp::evaluate`] through the reusable scratch activations —
-    /// allocation-free once the buffers are warm. The round runtime calls
-    /// this on every cohort attempt, so the per-call logits allocation of
-    /// the `&self` path matters there.
+    /// allocation-free once the buffers are warm, for callers that
+    /// evaluate in a loop. Callers that want only the accuracy use
+    /// [`Mlp::accuracy_mut`].
     pub fn evaluate_mut(&mut self, data: &Dataset) -> Evaluation {
         if data.is_empty() {
             return Evaluation {
@@ -472,11 +497,185 @@ impl Mlp {
             },
         }
     }
+
+    /// Top-1 accuracy alone, through the scratch activations: what
+    /// [`Mlp::evaluate_mut`]`.accuracy` reads, without the softmax (one
+    /// `exp` per class and an `ln` per sample) that only the loss needs.
+    /// The round runtime calls this twice per training attempt and once
+    /// per client of every evaluation sweep, and never looks at the loss.
+    pub fn accuracy_mut(&mut self, data: &Dataset) -> f32 {
+        if data.is_empty() || self.forward_scratch(data.features(), false).is_err() {
+            return 0.0;
+        }
+        accuracy(&self.scratch.acts[self.layers.len() - 1], data.labels())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Mlp {
+        /// [`Mlp::train_epoch_corrected`] with the step written over the
+        /// flattened model — the oracle for the in-place step: flatten the
+        /// gradients, correct and mask them in a flat buffer, one flat
+        /// [`Sgd::step`], prune, and load the flat parameters back into
+        /// the layers.
+        fn train_epoch_reference(
+            &mut self,
+            data: &Dataset,
+            batch_size: usize,
+            opt: &mut Sgd,
+            seed: u64,
+            opts: &TrainOptions,
+            drift: &DriftOptions<'_>,
+        ) -> f32 {
+            if data.is_empty() || batch_size == 0 {
+                return 0.0;
+            }
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            order.shuffle(&mut seed_rng(seed));
+            let (mut batch, mut batch_labels) = (Tensor::default(), Vec::new());
+            let mut params = self.params();
+            let mut grads = Vec::new();
+            let (mut total, mut batches) = (0.0, 0);
+            for chunk in order.chunks(batch_size) {
+                data.gather_into(chunk, &mut batch, &mut batch_labels);
+                match self.forward_backward(&batch, &batch_labels) {
+                    Ok(loss) => {
+                        total += loss;
+                        batches += 1;
+                    }
+                    Err(_) => continue,
+                }
+                self.grads_into(&mut grads);
+                if let Some((mu, anchor)) = drift.prox {
+                    for ((g, &p), &a) in grads.iter_mut().zip(&params).zip(anchor) {
+                        *g += mu * (p - a);
+                    }
+                }
+                if let Some((c, ci)) = drift.scaffold {
+                    if ci.is_empty() {
+                        for (g, &cj) in grads.iter_mut().zip(c) {
+                            *g += cj;
+                        }
+                    } else {
+                        for ((g, &cj), &cij) in grads.iter_mut().zip(c).zip(ci) {
+                            *g += cj - cij;
+                        }
+                    }
+                }
+                if let Some(frozen) = &opts.frozen {
+                    for (g, &f) in grads.iter_mut().zip(frozen) {
+                        if f {
+                            *g = 0.0;
+                        }
+                    }
+                }
+                opt.step(&mut params, &grads);
+                if let Some(mask) = &opts.prune_mask {
+                    for (p, &keep) in params.iter_mut().zip(mask) {
+                        if !keep {
+                            *p = 0.0;
+                        }
+                    }
+                }
+                self.set_params(&params).expect("flat buffer fits");
+            }
+            if batches == 0 {
+                0.0
+            } else {
+                total / batches as f32
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `len` pseudo-random values in `[-scale, scale)` from `seed`.
+    fn noise(len: usize, seed: u64, scale: f32) -> Vec<f32> {
+        use rand::Rng;
+        let mut rng = seed_rng(seed);
+        (0..len).map(|_| rng.gen_range(-scale..scale)).collect()
+    }
+
+    /// A flat-layout mask from `seed`: `kind` 0 is no mask, 1 a full-length
+    /// one, 2 one that stops partway through the last weight matrix (the
+    /// prefix-coverage case).
+    fn mask(kind: u8, len: usize, seed: u64) -> Option<Vec<bool>> {
+        let len = match kind {
+            0 => return None,
+            1 => len,
+            _ => len - 9,
+        };
+        Some(noise(len, seed, 1.0).iter().map(|&v| v > 0.0).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place step against the flat-buffer oracle, bit for bit:
+        /// every parameter, and the loss each epoch reports, over random
+        /// frozen / prune masks × momentum / weight decay × FedProx ×
+        /// SCAFFOLD (first-time client with an empty `c_i`, and a full
+        /// one). Two epochs on one optimizer, so momentum state laid down
+        /// by the first is read by the second; 37 samples at batch 8 end
+        /// each epoch on a ragged batch.
+        #[test]
+        fn in_place_step_matches_flat_reference_bitwise(
+            seed in any::<u64>(),
+            frozen_kind in 0u8..3,
+            prune_kind in 0u8..3,
+            momentum in any::<bool>(),
+            decay in any::<bool>(),
+            prox in any::<bool>(),
+            scaffold_kind in 0u8..3,
+        ) {
+            let cfg = MlpConfig::new(5, &[7, 6], 4);
+            let n = cfg.num_params();
+            let data = Dataset::new(
+                Tensor::from_vec(37, 5, noise(37 * 5, split_seed(seed, 1), 1.0)).unwrap(),
+                (0..37).map(|i| (i * 3 + seed as usize % 4) % 4).collect(),
+                4,
+            )
+            .unwrap();
+            let opts = TrainOptions {
+                frozen: mask(frozen_kind, n, split_seed(seed, 2)),
+                prune_mask: mask(prune_kind, n, split_seed(seed, 3)),
+            };
+            let anchor = noise(n, split_seed(seed, 4), 0.5);
+            let c = noise(n, split_seed(seed, 5), 0.1);
+            let ci = noise(n, split_seed(seed, 6), 0.1);
+            let drift = DriftOptions {
+                prox: prox.then_some((0.3, &anchor[..])),
+                scaffold: match scaffold_kind {
+                    0 => None,
+                    1 => Some((&c[..], &[][..])),
+                    _ => Some((&c[..], &ci[..])),
+                },
+            };
+            let new_opt = || {
+                Sgd::with_momentum(
+                    0.1,
+                    if momentum { 0.9 } else { 0.0 },
+                    if decay { 0.01 } else { 0.0 },
+                )
+            };
+            let (mut opt, mut ref_opt) = (new_opt(), new_opt());
+            let mut model = Mlp::new(&cfg, split_seed(seed, 7));
+            let mut oracle = model.clone();
+            for epoch in 0..2 {
+                let loss = model.train_epoch_corrected(&data, 8, &mut opt, epoch, &opts, &drift);
+                let want =
+                    oracle.train_epoch_reference(&data, 8, &mut ref_opt, epoch, &opts, &drift);
+                prop_assert_eq!(loss.to_bits(), want.to_bits());
+                prop_assert_eq!(bits(&model.params()), bits(&oracle.params()));
+            }
+        }
+    }
 
     fn xor_like() -> Dataset {
         // Linearly separable 2-class blobs.
@@ -591,6 +790,40 @@ mod tests {
     }
 
     #[test]
+    fn accuracy_mut_is_the_accuracy_evaluate_mut_reports() {
+        let data = xor_like();
+        let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
+        let mut opt = Sgd::new(0.2);
+        for e in 0..4 {
+            // Untrained, partly trained and converged models alike.
+            assert_eq!(m.accuracy_mut(&data), m.evaluate_mut(&data).accuracy);
+            m.train_epoch(&data, 16, &mut opt, e);
+        }
+        let acc = m.accuracy_mut(&data);
+        assert_eq!(acc, m.evaluate_mut(&data).accuracy);
+        assert!(acc > 0.9, "accuracy {acc}");
+        // Scratch reuse across calls and dataset sizes leaves it unchanged.
+        let head = data.subset(&[0, 1, 2, 3, 4]);
+        assert_eq!(m.accuracy_mut(&head), m.evaluate_mut(&head).accuracy);
+        assert_eq!(m.accuracy_mut(&data), acc);
+
+        let empty = data.subset(&[]);
+        assert_eq!(m.accuracy_mut(&empty), 0.0);
+        assert_eq!(m.evaluate_mut(&empty).accuracy, 0.0);
+
+        // A label no logit column can match (the dataset claims a class
+        // the model does not have): the loss is undefined, the sample
+        // counts as wrong, and both entry points agree on that.
+        let wide = Dataset::new(data.features().clone(), vec![2; data.len()], 3).unwrap();
+        assert_eq!(m.accuracy_mut(&wide), 0.0);
+        let eval = m.evaluate_mut(&wide);
+        assert_eq!((eval.accuracy, eval.loss), (0.0, f32::INFINITY));
+        // ...and a feature width the model cannot take.
+        let narrow = Dataset::from_rows(&[vec![0.5]], &[0], 2).unwrap();
+        assert_eq!(m.accuracy_mut(&narrow), m.evaluate_mut(&narrow).accuracy);
+    }
+
+    #[test]
     fn panel_cache_hits_across_eval_and_training_without_changing_results() {
         let data = xor_like();
         let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
@@ -606,11 +839,19 @@ mod tests {
             "unchanged weights must not repack"
         );
         assert!(m.scratch.panels.hits() > 0);
-        // Training mutates the weights each step, so later evals repack —
-        // and still agree with the allocation-free reference path.
+        // Training rewrites every weight each step and reads each through
+        // a view the step has not packed yet: one lookup per layer forward
+        // (`N·N`) and one per layer but the first backward (`N·T`) — three
+        // for this two-layer model, over the eight batches of 16. Only
+        // the first step's forward finds anything, the two panels the
+        // evaluation above packed from the still-unchanged weights; every
+        // other lookup is a miss.
+        let hits_before = m.scratch.panels.hits();
         let mut opt = Sgd::new(0.2);
         m.train_epoch(&data, 16, &mut opt, 0);
-        assert!(m.scratch.panels.misses() > misses_after_first);
+        assert_eq!(m.scratch.panels.hits(), hits_before + 2);
+        assert_eq!(m.scratch.panels.misses(), misses_after_first + 8 * 3 - 2);
+        // Later evals repack — and still agree with the allocating path.
         assert_eq!(m.evaluate_mut(&data), m.evaluate(&data));
     }
 

@@ -1,7 +1,9 @@
 //! Optimizers for the MLP substrate.
 
 /// Plain stochastic gradient descent with optional momentum and weight
-/// decay, operating on flat parameter/gradient buffers.
+/// decay, operating on flat parameter/gradient buffers — a whole model at
+/// once ([`Sgd::step`]) or, for [`crate::Mlp`]'s training loop, one layer
+/// tensor at a time at its offset into the flat layout.
 ///
 /// FLOAT's local client update is SGD (`θ ← θ − η ∇L`, paper §2); momentum
 /// and decay are provided for completeness and are off by default.
@@ -46,24 +48,47 @@ impl Sgd {
     ///
     /// Panics if `params.len() != grads.len()`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+        self.size_velocity(params.len());
+        self.step_at(0, params, grads);
+    }
+
+    /// Size the momentum buffer for a model of `total` parameters (a
+    /// different size resets it). Call once before the [`Sgd::step_at`]
+    /// calls that cover the model.
+    pub(crate) fn size_velocity(&mut self, total: usize) {
+        if self.momentum != 0.0 && self.velocity.len() != total {
+            self.velocity = vec![0.0; total];
+        }
+    }
+
+    /// [`Sgd::step`] on the slice of a model's flat parameter layout that
+    /// starts at `offset`: the momentum state of `params[i]` is
+    /// `velocity[offset + i]`. Stepping a model slice by slice performs,
+    /// per parameter, exactly the float operations of one flat step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != grads.len()`, or if momentum is on and
+    /// [`Sgd::size_velocity`] has not sized the buffer to cover the slice.
+    pub(crate) fn step_at(&mut self, offset: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),
             "parameter/gradient length mismatch"
         );
-        if self.momentum != 0.0 && self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            let mut g = grads[i];
-            if self.weight_decay != 0.0 {
-                g += self.weight_decay * params[i];
+        let (lr, decay, momentum) = (self.lr, self.weight_decay, self.momentum);
+        if momentum != 0.0 {
+            let velocity = &mut self.velocity[offset..offset + params.len()];
+            for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity) {
+                let g = if decay != 0.0 { g + decay * *p } else { g };
+                *v = momentum * *v + g;
+                *p -= lr * *v;
             }
-            if self.momentum != 0.0 {
-                self.velocity[i] = self.momentum * self.velocity[i] + g;
-                g = self.velocity[i];
+        } else {
+            for (p, &g) in params.iter_mut().zip(grads) {
+                let g = if decay != 0.0 { g + decay * *p } else { g };
+                *p -= lr * g;
             }
-            params[i] -= self.lr * g;
         }
     }
 

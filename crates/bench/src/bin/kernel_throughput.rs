@@ -9,12 +9,10 @@
 //! backward `grad·colsᵀ` and `weightᵀ·grad`), and two square sizes that
 //! exercise the cache blocking. Before timing, each GEMM shape is checked
 //! bit-identical to the ascending-order reference — the determinism
-//! contract the round engine relies on. Each shape is also timed through
-//! the packed-panel cache (steady-state hit path) to show what operand
-//! reuse buys. Results land in `BENCH_kernels.json` with per-shape deltas
-//! against the committed PR 3 numbers and geomean summaries; the tool
-//! re-reads and validates its own output (`--quick` keeps iteration
-//! counts CI-sized).
+//! contract the round engine relies on. Results land in
+//! `BENCH_kernels.json` with per-shape deltas against the committed PR 3
+//! numbers and geomean summaries; the tool re-reads and validates its own
+//! output (`--quick` keeps iteration counts CI-sized).
 //!
 //! With `--gate`, after writing the report the tool enforces the
 //! committed per-shape `speedup_vs_naive` floors and exits nonzero if any
@@ -30,7 +28,6 @@ use std::time::Instant;
 use float_bench::selfcheck;
 
 use float_tensor::conv::{Conv2d, FeatureShape};
-use float_tensor::kernels::PanelCache;
 use float_tensor::{kernels, seed_rng, Tensor};
 use rand::Rng;
 use serde::Serialize;
@@ -67,10 +64,6 @@ struct ShapeResult {
     n: usize,
     iters: usize,
     gflops: f64,
-    /// Steady-state rate through the packed-panel cache (a hit on the `B`
-    /// operand; on `A` for `tn`, whose only cached entry point memoizes
-    /// the transposed left operand).
-    cached_gflops: f64,
     naive_gflops: f64,
     speedup_vs_naive: f64,
     /// `gflops` of the same shape in the committed PR 3 report, where the
@@ -258,11 +251,6 @@ fn main() {
             Tn => kernels::gemm_tn,
             Nt => kernels::gemm_nt,
         };
-        let gemm_cached = |out: &mut [f32], cache: &mut PanelCache| match variant {
-            Nn => kernels::gemm_nn_b_cached(m, k, n, black_box(a), black_box(b), 1, out, cache),
-            Tn => kernels::gemm_tn_a_cached(m, k, n, black_box(a), 1, black_box(b), out, cache),
-            Nt => kernels::gemm_nt_b_cached(m, k, n, black_box(a), black_box(b), 1, out, cache),
-        };
         let mut out = vec![0.0f32; m * n];
         let mut reference = vec![0.0f32; m * n];
 
@@ -276,18 +264,6 @@ fn main() {
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
             "{name}: blocked GEMM diverged from the ascending-order reference"
         );
-        // And the cached path must agree with the uncached one on both the
-        // miss (pack) and hit (replay) calls.
-        let mut cache = PanelCache::new();
-        for pass in 0..2 {
-            gemm_cached(&mut out, &mut cache);
-            assert!(
-                out.iter()
-                    .zip(&reference)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{name}: cached GEMM diverged on pass {pass}"
-            );
-        }
 
         let flops_per_iter = 2.0 * m as f64 * k as f64 * n as f64;
         let iters = if quick {
@@ -296,24 +272,18 @@ fn main() {
             ((2e8 / flops_per_iter).ceil() as usize).clamp(20, 200_000)
         };
 
-        // One timing of the three paths, as GFLOP/s. The cached path is
-        // steady state: the memoized panels were packed above, so every
-        // timed iteration is a pure hit — what an evaluation sweep sees
-        // on every batch after the first.
+        // One timing of the kernel and the baseline, as GFLOP/s.
         let mut time_rates = || {
             (
                 gflops_of(iters, flops_per_iter, &mut out, |out| {
                     gemm(m, k, n, black_box(a), black_box(b), out)
                 }),
                 gflops_of(iters, flops_per_iter, &mut out, |out| {
-                    gemm_cached(out, &mut cache)
-                }),
-                gflops_of(iters, flops_per_iter, &mut out, |out| {
                     naive_gemm(m, k, n, black_box(la), black_box(lb), out)
                 }),
             )
         };
-        let (mut gflops, mut cached_gflops, mut naive_gflops) = time_rates();
+        let (mut gflops, mut naive_gflops) = time_rates();
         // A timing window here is microseconds to milliseconds, so one
         // preemption inside it can cost a shape most of its measured
         // speedup. Under the gate a shape that lands below its floor is
@@ -326,13 +296,13 @@ fn main() {
                     break;
                 }
                 eprintln!("  {name}: below its floor x{floor:.2}, timing again");
-                (gflops, cached_gflops, naive_gflops) = time_rates();
+                (gflops, naive_gflops) = time_rates();
             }
         }
         let pr3_gflops = PR3_GFLOPS.iter().find(|(s, _)| *s == name).map(|&(_, g)| g);
         eprintln!(
             "  {name:>18} ({m:>3}x{k:>3}x{n:>3} {}): {gflops:7.2} GFLOP/s  \
-             (cached {cached_gflops:7.2}, naive {naive_gflops:6.2}, x{:.2}{})",
+             (naive {naive_gflops:6.2}, x{:.2}{})",
             variant.name(),
             gflops / naive_gflops.max(1e-12),
             pr3_gflops
@@ -347,7 +317,6 @@ fn main() {
             n,
             iters,
             gflops,
-            cached_gflops,
             naive_gflops,
             speedup_vs_naive: gflops / naive_gflops.max(1e-12),
             pr3_gflops,
@@ -411,7 +380,7 @@ fn main() {
         .expect("results array present");
     assert_eq!(parsed.len(), shapes.len(), "one result per shape");
     for entry in parsed {
-        for field in ["gflops", "cached_gflops", "naive_gflops"] {
+        for field in ["gflops", "naive_gflops"] {
             let g = entry
                 .get(field)
                 .and_then(|g| g.as_f64())

@@ -353,7 +353,8 @@ fn client_timeline(events: &[Event], id: u64) {
 }
 
 /// Rebuild the latency and utilization histograms purely from the event
-/// stream (the same values the runtime's recorders observed).
+/// stream (the same values, in the same order, the runtime's commit phase
+/// recorded).
 fn replay_histograms(events: &[Event]) -> (Histogram, Histogram) {
     let mut latency = Histogram::new(LATENCY_BUCKETS_S);
     let mut utilization = Histogram::new(UTILIZATION_BUCKETS);

@@ -17,7 +17,7 @@ use float_models::RoundCost;
 use float_obs::metrics::{
     ESTIMATE_ERROR_BUCKETS, LATENCY_BUCKETS_S, PAYLOAD_BUCKETS_BYTES, UTILIZATION_BUCKETS,
 };
-use float_obs::{Collector, Event, OutcomeKind, Phase, Recorder, Telemetry};
+use float_obs::{Collector, Event, OutcomeKind, Phase, Telemetry};
 use float_profile::{
     ClientEstimate, ClientProfiler, ColdStartPolicy, Observation, ObservedOutcome, ProfilerStats,
 };
@@ -116,15 +116,6 @@ pub struct Experiment {
     /// `hf_overrun_ema` (absent ⇒ all-zero variate), so memory is
     /// O(participants), not O(population).
     scaffold_ci: HashMap<usize, Vec<f32>>,
-    /// Persistent per-worker evaluation models: clones of the global
-    /// architecture re-parameterized once per evaluation pass via
-    /// [`Mlp::set_params`]. Reusing them keeps each worker's forward
-    /// scratch *and* packed-panel cache warm across the whole eval sweep —
-    /// `set_params` bumps the weight stamps, so the first client repacks
-    /// and every later client replays the cached panels.
-    eval_models: Vec<Mlp>,
-    /// Reusable flat-parameter buffer for re-parameterizing `eval_models`.
-    eval_parameters: Vec<f32>,
     /// Per-client accuracies of the current `global_model`, once a reader
     /// has asked for them (see [`Experiment::client_accuracies`]);
     /// `aggregate()` — the only place the model changes — drops them.
@@ -213,9 +204,6 @@ struct FedBuffState {
 struct AttemptTask {
     client: usize,
     staleness: u64,
-    /// Position in the launching cohort. Only telemetry consumes it (the
-    /// per-worker recorder merge orders samples by `(slot, attempt)`).
-    slot: u64,
     /// Which delivery attempt this is (0 for the first; stall retries
     /// bump it so the fault schedule redraws).
     attempt: u32,
@@ -283,10 +271,6 @@ struct WorkerScratch {
     params: Vec<f32>,
     /// Update-delta buffer.
     delta: Vec<f32>,
-    /// Telemetry sample buffer; drained into the central registry by the
-    /// commit phase in `(slot, attempt)` order, so which worker recorded a
-    /// sample never matters.
-    recorder: Recorder,
 }
 
 /// Read-only view of every piece of experiment state the execute phase
@@ -303,7 +287,6 @@ struct ExecuteCtx<'a> {
     model: &'a Mlp,
     /// SCAFFOLD server control variate (empty when off).
     scaffold_c: &'a [f32],
-    obs_enabled: bool,
 }
 
 impl ExecuteCtx<'_> {
@@ -359,11 +342,6 @@ impl ExecuteCtx<'_> {
             }
         }
         if !outcome.completed() {
-            if self.obs_enabled {
-                scratch
-                    .recorder
-                    .inc(task.slot, task.attempt, "attempts_executed", 1);
-            }
             return AttemptExec {
                 outcome,
                 utility: 0.0,
@@ -482,26 +460,6 @@ impl ExecuteCtx<'_> {
         // saturates it) so the multi-objective trade-off stays live rather
         // than participation-dominated.
         let improvement = ((after - before) * 10.0).clamp(0.0, 1.0);
-        if self.obs_enabled {
-            // Samples are simulated quantities keyed by cohort slot, so the
-            // merged registry is identical for any worker-thread count.
-            let r = &mut scratch.recorder;
-            r.inc(task.slot, task.attempt, "attempts_executed", 1);
-            r.observe(
-                task.slot,
-                task.attempt,
-                "client_latency_s",
-                LATENCY_BUCKETS_S,
-                outcome.total_s(),
-            );
-            r.observe(
-                task.slot,
-                task.attempt,
-                "upload_bytes",
-                PAYLOAD_BUCKETS_BYTES,
-                (delta.len() * std::mem::size_of::<f32>()) as f64,
-            );
-        }
         AttemptExec {
             outcome,
             utility,
@@ -881,8 +839,6 @@ impl Experiment {
                 Vec::new()
             },
             scaffold_ci: HashMap::new(),
-            eval_models: Vec::new(),
-            eval_parameters: Vec::new(),
             client_accuracies: None,
             profiler: config
                 .profiling
@@ -977,13 +933,9 @@ impl Experiment {
     /// what [`ExperimentReport::accuracy`]`.mean` would read if the run
     /// ended here. Reads the model only: no simulated state, event or
     /// report field changes, so it may be called at any boundary, any
-    /// number of times. The evaluation scratch is released afterwards: a
-    /// caller scoring a run between `run_to` calls is about to park it.
+    /// number of times.
     pub fn accuracy(&mut self) -> f64 {
-        let mean = AccuracySummary::from_accuracies(self.client_accuracies()).mean;
-        self.eval_models = Vec::new();
-        self.eval_parameters = Vec::new();
-        mean
+        AccuracySummary::from_accuracies(self.client_accuracies()).mean
     }
 
     /// Run to completion and produce the report.
@@ -1276,7 +1228,6 @@ impl Experiment {
         AttemptTask {
             client,
             staleness,
-            slot: 0, // assigned by run_attempts once the cohort is fixed
             attempt: 0,
             snap,
             profile: device,
@@ -1306,7 +1257,6 @@ impl Experiment {
             global_params,
             model: &self.global_model,
             scaffold_c: &self.scaffold_c,
-            obs_enabled: self.obs.enabled(),
         }
     }
 
@@ -1342,6 +1292,26 @@ impl Experiment {
         task: &AttemptTask,
         mut exec: AttemptExec,
     ) -> Attempt {
+        // The execute phase's measurements, recorded in commit order so the
+        // registry is identical for any worker-thread count. Only an attempt
+        // that trained carries an update; its size is read here, before the
+        // quarantine branch below can discard it.
+        if self.obs.enabled() {
+            let reg = self.obs.registry_mut();
+            reg.inc("attempts_executed", 1);
+            if let Some(update) = &exec.update {
+                reg.observe(
+                    "client_latency_s",
+                    LATENCY_BUCKETS_S,
+                    exec.outcome.total_s(),
+                );
+                reg.observe(
+                    "upload_bytes",
+                    PAYLOAD_BUCKETS_BYTES,
+                    (update.delta.len() * std::mem::size_of::<f32>()) as f64,
+                );
+            }
+        }
         // Server-side payload validation: an update carrying NaN/Inf would
         // poison the global model through aggregation, so it is quarantined
         // — dropped before aggregation, its resources counted as wasted,
@@ -1538,11 +1508,9 @@ impl Experiment {
     ) -> Vec<Attempt> {
         let plan_t = self.obs.phase_start();
         let mut tasks = Vec::with_capacity(cohort.len());
-        for (slot, &client) in cohort.iter().enumerate() {
+        for &client in cohort {
             self.report.selected_count[client] += 1;
-            let mut task = self.plan_attempt(client, round, 0);
-            task.slot = slot as u64;
-            tasks.push(task);
+            tasks.push(self.plan_attempt(client, round, 0));
         }
         self.obs.phase_end(round as u64, Phase::Plan, plan_t);
         let exec_t = self.obs.phase_start();
@@ -1560,11 +1528,6 @@ impl Experiment {
         if retry_stalled {
             self.retry_stalled_attempts(round, global_params, &tasks, &mut attempts, scratches);
         }
-        // Fold the workers' telemetry buffers into the central registry,
-        // ordered by (cohort slot, attempt) — part of the sequential
-        // commit phase, like every other cross-thread reduction.
-        self.obs
-            .absorb_recorders(scratches.iter_mut().map(|s| &mut s.recorder));
         self.obs.phase_end(round as u64, Phase::Commit, commit_t);
         attempts
     }
@@ -1633,25 +1596,12 @@ impl Experiment {
     /// cache), so evaluation cannot perturb the cache's deterministic LRU
     /// state.
     ///
-    /// Each worker evaluates through a persistent model clone
-    /// (`eval_models`) via [`Mlp::accuracy_mut`], so one forward scratch
-    /// and one packed-panel cache are reused across every client in the
-    /// sweep: `set_params` bumps the weight stamps once per pass, the
-    /// first client repacks, and every later client replays the cached
-    /// weight panels. Per-client accuracy is a pure function of the
-    /// parameters, so the result is identical for any worker count.
-    fn eval_all_clients(&mut self) -> Vec<f64> {
-        let mut models = std::mem::take(&mut self.eval_models);
-        let threads = self.config.effective_threads();
-        if models.len() != threads {
-            models.resize_with(threads, || self.global_model.clone());
-        }
-        let mut params = std::mem::take(&mut self.eval_parameters);
-        self.global_model.params_into(&mut params);
-        for m in &mut models {
-            m.set_params(&params)
-                .expect("eval models share the global architecture");
-        }
+    /// Each worker evaluates through its own clone of the global model via
+    /// [`Mlp::accuracy_mut`], so one forward scratch is reused across
+    /// every client of the sweep. Per-client accuracy is a pure function
+    /// of the parameters, so the result is identical for any worker count.
+    fn eval_all_clients(&self) -> Vec<f64> {
+        let mut models = vec![self.global_model.clone(); self.config.effective_threads()];
         let spec = self.data.spec();
         let full: Vec<usize>;
         let clients: &[usize] = if self.eval_set.is_empty() {
@@ -1660,12 +1610,9 @@ impl Experiment {
         } else {
             &self.eval_set
         };
-        let accs = parallel_map_with(&mut models, clients, |m, &c| {
+        parallel_map_with(&mut models, clients, |m, &c| {
             m.accuracy_mut(&spec.test_shard(c)) as f64
-        });
-        self.eval_parameters = params;
-        self.eval_models = models;
-        accs
+        })
     }
 
     // ------------------------------------------------------------------

@@ -6,12 +6,11 @@
 //! immediately, which is what keeps the off-mode overhead near zero. When
 //! enabled, the collector buffers events up to the configured cap, tallies
 //! per-kind counts, and owns the central [`MetricsRegistry`] that the
-//! commit phase merges per-worker [`Recorder`] buffers into.
+//! runtime's sequential phases record into.
 
 use crate::config::ObsConfig;
 use crate::event::{Event, Phase};
 use crate::metrics::{HistogramSummary, MetricsRegistry};
-use crate::recorder::{merge_in_cohort_order, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -105,24 +104,6 @@ impl Collector {
     /// Read access to the registry (tests, summaries).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Merge per-worker recorder buffers into the central registry in
-    /// cohort order (see [`merge_in_cohort_order`]). With telemetry off
-    /// the buffers are discarded unapplied — workers should not have
-    /// recorded anything, but a stale buffer must not leak into a later
-    /// enabled run.
-    pub fn absorb_recorders<'a, I>(&mut self, recorders: I)
-    where
-        I: IntoIterator<Item = &'a mut Recorder>,
-    {
-        if self.cfg.enabled {
-            merge_in_cohort_order(recorders, &mut self.registry);
-        } else {
-            for r in recorders {
-                r.clear();
-            }
-        }
     }
 
     /// Number of events currently buffered.
@@ -260,10 +241,6 @@ mod tests {
         assert!(!c.enabled());
         c.record(outcome(0, 1));
         c.phase_end(0, Phase::Plan, c.phase_start());
-        let mut r = Recorder::new();
-        r.inc(0, 0, "x", 1);
-        c.absorb_recorders([&mut r]);
-        assert!(r.is_empty(), "stale buffer must be drained");
         assert!(c.is_empty());
         let s = c.summary();
         assert_eq!(s, TelemetrySummary::default());
@@ -319,15 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn recorders_merge_into_summary() {
+    fn registry_samples_reach_the_summary() {
         let mut c = Collector::new(ObsConfig::on());
-        let mut r0 = Recorder::new();
-        let mut r1 = Recorder::new();
-        r0.inc(0, 0, "attempts_executed", 1);
-        r1.inc(1, 0, "attempts_executed", 1);
-        r1.observe(1, 0, "latency", LATENCY_BUCKETS_S, 90.0);
-        c.absorb_recorders([&mut r0, &mut r1]);
-        c.registry_mut().set_gauge("sim_hours", 1.5);
+        let reg = c.registry_mut();
+        reg.inc("attempts_executed", 1);
+        reg.inc("attempts_executed", 1);
+        reg.observe("latency", LATENCY_BUCKETS_S, 90.0);
+        reg.set_gauge("sim_hours", 1.5);
         let s = c.summary();
         assert_eq!(s.counter("attempts_executed"), 2);
         assert_eq!(s.histogram("latency").expect("exists").count, 1);

@@ -8,11 +8,11 @@
 //!
 //! 1. **Determinism.** Every recorded [`Event`] is stamped with the
 //!    *simulated* clock and emitted from the runtime's sequential plan /
-//!    commit phases (or merged from per-worker [`Recorder`] buffers in
-//!    cohort order), so the event stream is bit-identical no matter how
-//!    many worker threads execute the round. Wall-clock phase timers are
-//!    opt-in ([`ObsConfig::wall_timers`]) precisely because they are the
-//!    one thing that cannot be deterministic.
+//!    commit phases, which also record every metric sample, so the event
+//!    stream and the registry are bit-identical no matter how many worker
+//!    threads execute the round. Wall-clock phase timers are opt-in
+//!    ([`ObsConfig::wall_timers`]) precisely because they are the one
+//!    thing that cannot be deterministic.
 //! 2. **Near-zero cost when off.** With telemetry disabled every record
 //!    call is a single branch on [`Collector::enabled`]; no strings are
 //!    formatted, nothing allocates (measured by `floatbench` as
@@ -25,7 +25,6 @@
 //! | [`config`] | [`ObsConfig`]: the on/off switch and its knobs |
 //! | [`event`] | [`Event`]: the structured round/client event stream |
 //! | [`metrics`] | [`MetricsRegistry`]: counters, gauges, fixed-bucket histograms |
-//! | [`recorder`] | [`Recorder`]: per-worker sample buffers, merged in cohort order |
 //! | [`collect`] | [`Collector`]: the runtime-facing front-end; [`TelemetrySummary`] |
 //! | [`sink`] | JSONL event writer/reader |
 //! | [`digest`] | human-readable per-round digests |
@@ -38,11 +37,9 @@ pub mod config;
 pub mod digest;
 pub mod event;
 pub mod metrics;
-pub mod recorder;
 pub mod sink;
 
 pub use collect::{Collector, Telemetry, TelemetrySummary};
 pub use config::ObsConfig;
 pub use event::{Event, OutcomeKind, Phase};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry};
-pub use recorder::Recorder;

@@ -2,10 +2,10 @@
 //!
 //! Registries are plain single-threaded value types — the "lock-free"
 //! property comes from the architecture, not from atomics: parallel
-//! workers record into their own [`crate::Recorder`] buffers and the
-//! sequential commit phase merges those buffers in cohort order, so no
-//! two threads ever touch a registry concurrently and enabling metrics
-//! cannot perturb the runtime's determinism contract.
+//! workers hand their measurements back in the attempt result and the
+//! sequential commit phase records them in commit order, so no two
+//! threads ever touch a registry concurrently and enabling metrics cannot
+//! perturb the runtime's determinism contract.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

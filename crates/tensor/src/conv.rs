@@ -150,10 +150,6 @@ pub struct Conv2d {
     cols: Tensor,
     /// Reusable column-gradient buffer for the backward pass.
     grad_cols: Tensor,
-    /// Packed-panel memo for the weight operand: the per-sample GEMM loops
-    /// replay one packed weight across the whole batch (forward) and one
-    /// packed transposed view (backward) instead of re-packing per sample.
-    panels: kernels::PanelCache,
 }
 
 impl Conv2d {
@@ -187,7 +183,6 @@ impl Conv2d {
             cached_input: None,
             cols: Tensor::default(),
             grad_cols: Tensor::default(),
-            panels: kernels::PanelCache::new(),
         }
     }
 
@@ -213,14 +208,8 @@ impl Conv2d {
     }
 
     /// im2col + GEMM forward for every sample, writing into a fresh output
-    /// tensor. `cols` is the reusable column buffer (resized as needed);
-    /// `panels` memoizes the packed weight across the batch loop.
-    fn forward_impl(
-        &self,
-        x: &Tensor,
-        cols: &mut Tensor,
-        panels: &mut kernels::PanelCache,
-    ) -> Tensor {
+    /// tensor. `cols` is the reusable column buffer (resized as needed).
+    fn forward_impl(&self, x: &Tensor, cols: &mut Tensor) -> Tensor {
         let n = x.rows();
         let out_shape = self.output_shape();
         let hw = self.input.height * self.input.width;
@@ -230,15 +219,13 @@ impl Conv2d {
         for b in 0..n {
             im2col(self.input, self.kernel, x.row(b), cols.data_mut());
             let orow = &mut out.data_mut()[b * out_shape.len()..(b + 1) * out_shape.len()];
-            kernels::gemm_nn_a_cached(
+            kernels::gemm_nn(
                 self.out_channels,
                 fan_in,
                 hw,
                 self.weight.data(),
-                self.weight.stamp(),
                 cols.data(),
                 orow,
-                panels,
             );
             for (oc, seg) in orow.chunks_exact_mut(hw).enumerate() {
                 let bv = self.bias.at(0, oc);
@@ -258,10 +245,8 @@ impl Conv2d {
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
         self.check_input(x)?;
         let mut cols = std::mem::take(&mut self.cols);
-        let mut panels = std::mem::take(&mut self.panels);
-        let out = self.forward_impl(x, &mut cols, &mut panels);
+        let out = self.forward_impl(x, &mut cols);
         self.cols = cols;
-        self.panels = panels;
         self.cached_input = Some(x.clone());
         Ok(out)
     }
@@ -275,10 +260,7 @@ impl Conv2d {
     pub fn forward_inference(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         self.check_input(x)?;
         let mut cols = Tensor::default();
-        // A call-local cache still amortizes the weight packing across the
-        // samples of the batch (pack once, replay `n - 1` times).
-        let mut panels = kernels::PanelCache::new();
-        Ok(self.forward_impl(x, &mut cols, &mut panels))
+        Ok(self.forward_impl(x, &mut cols))
     }
 
     /// Backward pass: fills `grad_weight` / `grad_bias` and returns the
@@ -308,7 +290,6 @@ impl Conv2d {
         let mut grad_in = Tensor::zeros(n, self.input.len());
         let mut cols = std::mem::take(&mut self.cols);
         let mut gcols = std::mem::take(&mut self.grad_cols);
-        let mut panels = std::mem::take(&mut self.panels);
         cols.resize(fan_in, hw);
         gcols.resize(fan_in, hw);
         for b in 0..n {
@@ -329,15 +310,13 @@ impl Conv2d {
                 self.grad_bias.set(0, oc, cur + s);
             }
             // grad_cols = weightᵀ · grad_out, scattered back through col2im.
-            kernels::gemm_tn_a_cached(
+            kernels::gemm_tn(
                 fan_in,
                 self.out_channels,
                 hw,
                 self.weight.data(),
-                self.weight.stamp(),
                 g,
                 gcols.data_mut(),
-                &mut panels,
             );
             col2im_acc(
                 self.input,
@@ -348,7 +327,6 @@ impl Conv2d {
         }
         self.cols = cols;
         self.grad_cols = gcols;
-        self.panels = panels;
         Ok(grad_in)
     }
 }

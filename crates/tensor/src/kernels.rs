@@ -3,11 +3,9 @@
 //! The FL experiments spend nearly all wall-clock inside the three GEMM
 //! variants (`matmul`, `t_matmul`, `matmul_t`) and the convolution loops.
 //! This module is the single place that work happens: a packed-panel GEMM
-//! with register micro-kernels widened per call shape, a packed-panel
-//! reuse cache for operands that recur across calls (weights packed for
-//! forward and again for backward, conv weights re-packed per sample),
-//! plus the fused elementwise passes (bias+ReLU forward, ReLU-mask
-//! backward) the layers use.
+//! with register micro-kernels widened per call shape, plus the fused
+//! elementwise passes (bias+ReLU forward, ReLU-mask backward) the layers
+//! use.
 //!
 //! # Design
 //!
@@ -35,31 +33,21 @@
 //!   depth dimension runs in ascending index order: ascending `p` inside a
 //!   depth panel, panels visited in ascending order, partial sums committed
 //!   to `C` per panel. The order is a pure function of the operand *shape* —
-//!   never of thread count, data values, tile width, or cache state — so
-//!   results are bit-identical run-to-run, across the round engine's
-//!   worker-pool sizes, and across every micro-kernel variant: widening
+//!   never of thread count, data values, or tile width — so results are
+//!   bit-identical run-to-run, across the round engine's worker-pool
+//!   sizes, and across every micro-kernel variant: widening
 //!   `MR×NR` only changes *which* output elements a register block covers,
 //!   not the order any single element's dot product accumulates in
 //!   (zero-padded edge lanes feed accumulator slots that are never
 //!   committed). For `k ≤ KC` (every shape on the MLP hot path) the
 //!   reduction degenerates to a single ascending pass, which is
 //!   bit-identical to the pre-kernel naive loops on finite inputs.
-//! - **Packed-panel reuse.** An evaluation sweep multiplies every
-//!   client's batch by the same weights, and the conv layers multiply
-//!   every sample of a batch by theirs. [`PanelCache`] memoizes fully
-//!   packed operands keyed by *(generation stamp, shape, strides, tile
-//!   width)* — the stamp (see [`crate::Tensor`]) changes on every
-//!   mutation, so a hit is guaranteed to replay byte-identical packed
-//!   panels and results cannot depend on cache state. A training step
-//!   gets a warm buffer to pack into rather than hits: each weight is
-//!   read through two different views (forward `N·N`, backward `N·T`) and
-//!   rewritten before the next step, so only a step that follows an
-//!   evaluation of the same weights finds its forward panels packed.
-//! - **Allocation.** Packing buffers are thread-local and grown once, and
-//!   a packer overwrites every slot it is handed (pad lanes included), so
-//!   nothing is cleared between calls; steady-state calls perform zero
-//!   heap allocation. The `*_into` entry points on [`crate::Tensor`] write
-//!   into caller-owned scratch.
+//! - **Allocation.** Every call packs its operands into two thread-local
+//!   buffers (`gemm_blocked` is the only place a packed operand comes
+//!   from). They are grown once, and a packer overwrites every slot it is
+//!   handed (pad lanes included), so nothing is cleared between calls;
+//!   steady-state calls perform zero heap allocation. The `*_into` entry
+//!   points on [`crate::Tensor`] write into caller-owned scratch.
 //!
 //! Inputs containing NaN/Inf propagate through (IEEE semantics); nothing
 //! here filters non-finite values, so poisoned updates stay poisoned until
@@ -98,9 +86,8 @@ enum Tile {
 }
 
 /// Choose the micro-kernel once per GEMM call. A pure function of the
-/// *output* shape `(m, n)` only — never of `k`, data values, or cache
-/// state — so the packing layout (and therefore the panel-cache key) is
-/// reproducible from the call shape alone.
+/// *output* shape `(m, n)` only — never of `k` or data values — so the
+/// packing layout is reproducible from the call shape alone.
 ///
 /// Any output at least 16 columns wide takes the `4×16` tile: one
 /// packed-`B` group feeds 16 lanes, four rows of accumulators stay in
@@ -117,18 +104,6 @@ fn select_tile(m: usize, n: usize) -> Tile {
     } else {
         Tile::T4x8
     }
-}
-
-/// Dispatch a generic GEMM entry point over the tile selected for
-/// `(m, n)`. The callee is monomorphized per tile shape.
-macro_rules! with_tile {
-    ($m:expr, $n:expr, $f:ident ( $($args:expr),* $(,)? )) => {
-        match select_tile($m, $n) {
-            Tile::T4x8 => $f::<4, 8>($($args),*),
-            Tile::T8x8 => $f::<8, 8>($($args),*),
-            Tile::T4x16 => $f::<4, 16>($($args),*),
-        }
-    };
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]`, all row-major. Overwrites `out`.
@@ -163,152 +138,6 @@ pub fn gemm_nt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     gemm_strided(m, k, n, a, k, 1, b, 1, k, out, true);
 }
 
-/// [`gemm_nn`] with the `B` operand's packed panels memoized in `cache`,
-/// keyed by `b_stamp` (the owning tensor's generation stamp). Used by the
-/// layer forward pass, where the same weight matrix serves every batch of
-/// an evaluation sweep and both passes of a training step.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_nn_b_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    b_stamp: u64,
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::B,
-            b_stamp
-        )
-    );
-}
-
-/// `C[m×n] = A · Bᵀ` (`B` stored `[n×k]`) with `B`'s packed panels
-/// memoized — the backward input-gradient product, which reuses the same
-/// weight matrix the forward pass just packed (under its transposed
-/// strides, so it occupies a distinct cache entry).
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_nt_b_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    b_stamp: u64,
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            1,
-            k,
-            out,
-            false,
-            cache,
-            Side::B,
-            b_stamp
-        )
-    );
-}
-
-/// [`gemm_nn`] with the `A` operand's packed panels memoized — the conv
-/// forward product, where one weight matrix is the left operand for every
-/// sample of the batch.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_nn_a_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_stamp: u64,
-    b: &[f32],
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::A,
-            a_stamp
-        )
-    );
-}
-
-/// [`gemm_tn`] (`A` stored `[k×m]`) with `A`'s packed panels memoized —
-/// the conv backward column-gradient product, which replays the same
-/// transposed weight for every sample of the batch.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_tn_a_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_stamp: u64,
-    b: &[f32],
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            1,
-            m,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::A,
-            a_stamp
-        )
-    );
-}
-
 /// Strided GEMM driver: `C[i][j] (+)= Σ_p A'[i][p] · B'[p][j]` where
 /// `A'[i][p] = a[i*a_rs + p*a_cs]` and `B'[p][j] = b[p*b_rs + j*b_cs]`.
 /// `out` is row-major `[m×n]` and is zeroed first unless `accumulate`.
@@ -326,125 +155,19 @@ fn gemm_strided(
     out: &mut [f32],
     accumulate: bool,
 ) {
-    with_tile!(
-        m,
-        n,
-        gemm_blocked(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, accumulate)
-    );
-}
-
-/// Which operand of a cached GEMM the panel cache memoizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    A,
-    B,
-}
-
-/// Cached-GEMM driver body: resolve (or build) the memoized packed
-/// operand, then run the blocked kernel against it. Monomorphized per
-/// tile shape by [`with_tile!`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_cached<const R: usize, const C: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    cache: &mut PanelCache,
-    side: Side,
-    stamp: u64,
-) {
-    if m == 0 || n == 0 || k == 0 {
-        // Degenerate shapes never touch the cache; the blocked driver
-        // handles the zero-fill contract.
-        gemm_blocked::<R, C>(
-            m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, accumulate,
-        );
-        return;
-    }
-    let idx = match side {
-        Side::A => cache.ensure(
-            PanelKey {
-                stamp,
-                side: Side::A,
-                rows: m,
-                cols: k,
-                rs: a_rs,
-                cs: a_cs,
-                tile: R,
-            },
-            |buf, offsets| pack_a_all::<R>(buf, offsets, a, a_rs, a_cs, m, k),
-        ),
-        Side::B => cache.ensure(
-            PanelKey {
-                stamp,
-                side: Side::B,
-                rows: k,
-                cols: n,
-                rs: b_rs,
-                cs: b_cs,
-                tile: C,
-            },
-            |buf, offsets| pack_b_all::<C>(buf, offsets, b, b_rs, b_cs, k, n),
-        ),
-    };
-    let entry = &cache.entries[idx];
-    let panels = PanelRef {
-        buf: &entry.buf,
-        offsets: &entry.offsets,
-    };
-    match side {
-        Side::A => gemm_blocked::<R, C>(
-            m,
-            k,
-            n,
-            a,
-            a_rs,
-            a_cs,
-            b,
-            b_rs,
-            b_cs,
-            Some(panels),
-            None,
-            out,
-            accumulate,
-        ),
-        Side::B => gemm_blocked::<R, C>(
-            m,
-            k,
-            n,
-            a,
-            a_rs,
-            a_cs,
-            b,
-            b_rs,
-            b_cs,
-            None,
-            Some(panels),
-            out,
-            accumulate,
-        ),
+    // The driver is monomorphized per tile shape.
+    match select_tile(m, n) {
+        Tile::T4x8 => gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate),
+        Tile::T8x8 => gemm_blocked::<8, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate),
+        Tile::T4x16 => {
+            gemm_blocked::<4, 16>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate)
+        }
     }
 }
 
-/// A borrowed, fully packed operand: panel `i` (in driver iteration
-/// order) lives at `buf[offsets[i]..]`.
-#[derive(Clone, Copy)]
-struct PanelRef<'a> {
-    buf: &'a [f32],
-    offsets: &'a [usize],
-}
-
-/// Blocked GEMM over one monomorphized `R×C` tile shape. When a cached
-/// packed operand is supplied its panels are consumed in place of the
-/// thread-local packing buffers; the packed bytes are identical either
-/// way, so results cannot depend on cache state.
+/// Blocked GEMM over one monomorphized `R×C` tile shape: each `B'` panel
+/// is packed once per `(jc, pc)` and each `A'` panel once per
+/// `(jc, pc, ic)`, into the thread-local packing buffers.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<const R: usize, const C: usize>(
     m: usize,
@@ -456,8 +179,6 @@ fn gemm_blocked<const R: usize, const C: usize>(
     b: &[f32],
     b_rs: usize,
     b_cs: usize,
-    cached_a: Option<PanelRef<'_>>,
-    cached_b: Option<PanelRef<'_>>,
     out: &mut [f32],
     accumulate: bool,
 ) {
@@ -468,40 +189,20 @@ fn gemm_blocked<const R: usize, const C: usize>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let num_pc = k.div_ceil(KC);
-    let num_ic = m.div_ceil(MC);
     PACK_A.with(|pa| {
         PACK_B.with(|pb| {
             let pa = &mut *pa.borrow_mut();
             let pb = &mut *pb.borrow_mut();
-            for (ji, jc) in (0..n).step_by(NC).enumerate() {
+            for jc in (0..n).step_by(NC) {
                 let nc = NC.min(n - jc);
-                for (pi, pc) in (0..k).step_by(KC).enumerate() {
+                for pc in (0..k).step_by(KC) {
                     let kc = KC.min(k - pc);
-                    let bp: &[f32] = match cached_b {
-                        Some(p) => {
-                            let off = p.offsets[ji * num_pc + pi];
-                            &p.buf[off..off + nc.div_ceil(C) * kc * C]
-                        }
-                        None => {
-                            let dst = grown(pb, nc.div_ceil(C) * kc * C);
-                            pack_b_panel::<C>(dst, b, b_rs, b_cs, pc, kc, jc, nc);
-                            dst
-                        }
-                    };
-                    for (ii, ic) in (0..m).step_by(MC).enumerate() {
+                    let bp = grown(pb, nc.div_ceil(C) * kc * C);
+                    pack_b_panel::<C>(bp, b, b_rs, b_cs, pc, kc, jc, nc);
+                    for ic in (0..m).step_by(MC) {
                         let mc = MC.min(m - ic);
-                        let ap: &[f32] = match cached_a {
-                            Some(p) => {
-                                let off = p.offsets[pi * num_ic + ii];
-                                &p.buf[off..off + mc.div_ceil(R) * kc * R]
-                            }
-                            None => {
-                                let dst = grown(pa, mc.div_ceil(R) * kc * R);
-                                pack_a_panel::<R>(dst, a, a_rs, a_cs, ic, mc, pc, kc);
-                                dst
-                            }
-                        };
+                        let ap = grown(pa, mc.div_ceil(R) * kc * R);
+                        pack_a_panel::<R>(ap, a, a_rs, a_cs, ic, mc, pc, kc);
                         macro_kernel::<R, C>(ap, bp, mc, kc, nc, out, ic, jc, n);
                     }
                 }
@@ -621,65 +322,6 @@ fn pack_b_panel<const C: usize>(
     pack_panel::<C>(dst, b, pc * rs + jc * cs, cs, rs, nc, kc);
 }
 
-/// Pack every `A'` panel of an `m×k` operand into `dst`, in the exact
-/// order the blocked driver consumes them (`pc` outer, `ic` inner — the
-/// driver indexes panel `(pi, ii)` at `offsets[pi*num_ic + ii]`).
-fn pack_a_all<const R: usize>(
-    dst: &mut Vec<f32>,
-    offsets: &mut Vec<usize>,
-    a: &[f32],
-    rs: usize,
-    cs: usize,
-    m: usize,
-    k: usize,
-) {
-    offsets.clear();
-    // Row panels are whole tiles but for the last, so together they pad
-    // `m` up to one tile boundary. A reused entry of the same shape keeps
-    // its length: no fill, the packers overwrite every slot.
-    const { assert!(MC.is_multiple_of(R)) };
-    dst.resize(m.div_ceil(R) * R * k, 0.0);
-    let mut at = 0;
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
-            let len = mc.div_ceil(R) * kc * R;
-            offsets.push(at);
-            pack_a_panel::<R>(&mut dst[at..at + len], a, rs, cs, ic, mc, pc, kc);
-            at += len;
-        }
-    }
-}
-
-/// Pack every `B'` panel of a `k×n` operand into `dst`, in the exact
-/// order the blocked driver consumes them (`jc` outer, `pc` inner — the
-/// driver indexes panel `(ji, pi)` at `offsets[ji*num_pc + pi]`).
-fn pack_b_all<const C: usize>(
-    dst: &mut Vec<f32>,
-    offsets: &mut Vec<usize>,
-    b: &[f32],
-    rs: usize,
-    cs: usize,
-    k: usize,
-    n: usize,
-) {
-    offsets.clear();
-    const { assert!(NC.is_multiple_of(C)) };
-    dst.resize(n.div_ceil(C) * C * k, 0.0);
-    let mut at = 0;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let len = nc.div_ceil(C) * kc * C;
-            offsets.push(at);
-            pack_b_panel::<C>(&mut dst[at..at + len], b, rs, cs, pc, kc, jc, nc);
-            at += len;
-        }
-    }
-}
-
 /// Multiply one packed `A` panel by one packed `B` panel, committing each
 /// micro-tile's partial sum into `out` (`+=`, `out` pre-zeroed by the
 /// driver on the first depth panel). Column tiles are the outer loop: a
@@ -737,112 +379,6 @@ fn micro_kernel<const R: usize, const C: usize>(ap: &[f32], bp: &[f32]) -> [[f32
         }
     }
     acc
-}
-
-/// Number of memoized packed operands a [`PanelCache`] retains. Sized for
-/// one model's working set: per linear layer the forward (`N·N`) and
-/// backward (`N·T`) packings of the weight, plus the conv layers' forward
-/// and transposed weight packings, with slack for mixed workloads.
-const PANEL_CACHE_CAP: usize = 12;
-
-/// Identity of one memoized packed operand. Two lookups may share an
-/// entry only if every field matches: the generation stamp pins the byte
-/// content of the source tensor, the shape/stride fields pin which logical
-/// operand view was packed, and the tile width pins the packed layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PanelKey {
-    stamp: u64,
-    side: Side,
-    /// Logical rows of the packed operand view (`m` for `A`, `k` for `B`).
-    rows: usize,
-    /// Logical columns of the packed view (`k` for `A`, `n` for `B`).
-    cols: usize,
-    rs: usize,
-    cs: usize,
-    /// Register-tile extent along the packed dimension (`R` for `A`
-    /// panels, `C` for `B` panels) — wider tiles interleave differently.
-    tile: usize,
-}
-
-/// One memoized packed operand (all panels concatenated in driver order).
-#[derive(Debug, Clone, Default)]
-struct PanelEntry {
-    key: Option<PanelKey>,
-    buf: Vec<f32>,
-    offsets: Vec<usize>,
-    last_used: u64,
-}
-
-/// A small memo of fully packed GEMM operands, keyed by the owning
-/// tensor's generation stamp plus the packed view's shape, strides, and
-/// tile width. Lives in model/conv scratch state so one training step (or
-/// one evaluation sweep over many clients) packs each weight matrix once
-/// per view instead of once per GEMM call.
-///
-/// Purely a performance structure: a hit replays byte-identical packed
-/// panels (the stamp changes whenever the source tensor is mutated), so
-/// results never depend on hits, misses, capacity, or eviction order.
-#[derive(Debug, Clone, Default)]
-pub struct PanelCache {
-    entries: Vec<PanelEntry>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl PanelCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PanelCache::default()
-    }
-
-    /// Lookups that replayed an existing packed operand.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to pack (first sight of a stamp/view, or after
-    /// eviction).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drop every memoized operand (counters survive).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Find or build the entry for `key`; returns its index. Eviction is
-    /// least-recently-used over a deterministic insertion order.
-    fn ensure(
-        &mut self,
-        key: PanelKey,
-        pack: impl FnOnce(&mut Vec<f32>, &mut Vec<usize>),
-    ) -> usize {
-        self.clock += 1;
-        if let Some(i) = self.entries.iter().position(|e| e.key == Some(key)) {
-            self.entries[i].last_used = self.clock;
-            self.hits += 1;
-            return i;
-        }
-        self.misses += 1;
-        let i = if self.entries.len() < PANEL_CACHE_CAP {
-            self.entries.push(PanelEntry::default());
-            self.entries.len() - 1
-        } else {
-            self.entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("cache at capacity is non-empty")
-        };
-        let e = &mut self.entries[i];
-        e.key = Some(key);
-        e.last_used = self.clock;
-        pack(&mut e.buf, &mut e.offsets);
-        i
-    }
 }
 
 /// Fused bias-add + ReLU forward over a row-major `[rows×cols]` activation
@@ -907,16 +443,35 @@ pub fn relu_mask_backward(g: &mut [f32], mask: &[bool]) {
 mod tests {
     use super::*;
 
-    /// Naive reference: plain triple loop, ascending-p accumulation.
+    /// Naive reference in the pinned summation order: a plain triple loop,
+    /// ascending `p` inside each `KC`-deep panel, one commit per panel —
+    /// for `k ≤ KC` a single ascending pass.
     fn reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
+        for pc in (0..k).step_by(KC) {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in pc..k.min(pc + KC) {
+                        acc += a[i * k + p] * b[p * n + j];
+                    }
+                    out[i * n + j] += acc;
                 }
-                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `[cols×rows]` row-major transpose of a `[rows×cols]` buffer.
+    fn transposed(rows: usize, cols: usize, src: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                out[c * rows + r] = src[r * cols + c];
             }
         }
         out
@@ -937,9 +492,7 @@ mod tests {
         b_cs: usize,
         out: &mut [f32],
     ) {
-        gemm_blocked::<4, 8>(
-            m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, false,
-        );
+        gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, false);
     }
 
     fn pseudo(n: usize, salt: u64) -> Vec<f32> {
@@ -1089,7 +642,6 @@ mod tests {
         let want = gathered_panel(src, W, (origin, lane_stride, depth_stride), lanes, depth);
         let what =
             format!("W={W} lanes={lanes} depth={depth} strides=({lane_stride},{depth_stride})");
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut got = vec![f32::NAN; want.len()];
         let (rs, cs) = (lane_stride, depth_stride);
         pack_a_panel::<W>(&mut got, src, rs, cs, first, lanes, p0, depth);
@@ -1126,35 +678,27 @@ mod tests {
     }
 
     #[test]
-    fn cached_operands_spanning_several_panels_match_uncached() {
-        // Shapes crossing MC / KC / NC, so a memoized operand is several
-        // panels laid end to end and the driver finds panel `i` through
-        // `offsets[i]`. Alternating with a small shape past the cache's
-        // capacity makes every entry get reused by an operand of the
-        // other size: nothing of the previous occupant may survive.
-        let shapes = [(70, 300, 270), (5, 7, 9)];
-        let mut cache = PanelCache::new();
-        for stamp in 0..(PANEL_CACHE_CAP as u64 + 3) {
-            let (m, k, n) = shapes[stamp as usize % 2];
-            let a = pseudo(m * k, 200 + stamp);
-            let b = pseudo(k * n, 300 + stamp);
-            let mut want = vec![0.0f32; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut want);
-            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+    fn operands_crossing_mc_kc_nc_match_reference_bitwise() {
+        // A shape crossing MC / KC / NC, so each operand is several panels
+        // packed in turn into the same buffer. A small shape in between
+        // packs into buffers the large one filled (they are never
+        // cleared): nothing of the previous occupant may survive.
+        for (i, &(m, k, n)) in [(70, 300, 270), (5, 7, 9), (70, 300, 270)]
+            .iter()
+            .enumerate()
+        {
+            let a = pseudo(m * k, 200 + i as u64);
+            let b = pseudo(k * n, 300 + i as u64);
+            let want = bits(&reference(m, k, n, &a, &b));
             let mut got = vec![f32::NAN; m * n];
-            gemm_nn_a_cached(m, k, n, &a, 2 * stamp, &b, &mut got, &mut cache);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "A cached, ({m},{k},{n})"
-            );
+            gemm_nn(m, k, n, &a, &b, &mut got);
+            assert_eq!(bits(&got), want, "nn ({m},{k},{n})");
             got.fill(f32::NAN);
-            gemm_nn_b_cached(m, k, n, &a, &b, 2 * stamp + 1, &mut got, &mut cache);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "B cached, ({m},{k},{n})"
-            );
+            gemm_tn(m, k, n, &transposed(m, k, &a), &b, &mut got);
+            assert_eq!(bits(&got), want, "tn ({m},{k},{n})");
+            got.fill(f32::NAN);
+            gemm_nt(m, k, n, &a, &transposed(k, n, &b), &mut got);
+            assert_eq!(bits(&got), want, "nt ({m},{k},{n})");
         }
     }
 
@@ -1163,12 +707,7 @@ mod tests {
         let (m, k, n) = (13, 6, 21); // A stored [k×m]
         let a = pseudo(k * m, 5);
         let b = pseudo(k * n, 6);
-        let mut at = vec![0.0f32; m * k];
-        for p in 0..k {
-            for i in 0..m {
-                at[i * k + p] = a[p * m + i];
-            }
-        }
+        let at = transposed(k, m, &a);
         let mut out = vec![0.0f32; m * n];
         gemm_tn(m, k, n, &a, &b, &mut out);
         assert_eq!(out, reference(m, k, n, &at, &b));
@@ -1179,12 +718,7 @@ mod tests {
         let (m, k, n) = (9, 14, 11); // B stored [n×k]
         let a = pseudo(m * k, 7);
         let b = pseudo(n * k, 8);
-        let mut bt = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                bt[p * n + j] = b[j * k + p];
-            }
-        }
+        let bt = transposed(n, k, &b);
         let mut out = vec![0.0f32; m * n];
         gemm_nt(m, k, n, &a, &b, &mut out);
         assert_eq!(out, reference(m, k, n, &a, &bt));
@@ -1222,97 +756,6 @@ mod tests {
         let mut out = [0.0f32; 2];
         gemm_nn(1, 2, 2, &a, &b, &mut out);
         assert!(out[0].is_nan(), "0·NaN must stay NaN");
-    }
-
-    #[test]
-    fn panel_cache_hits_replay_bitwise_identical_results() {
-        let (m, k, n) = (16, 24, 128);
-        let a = pseudo(m * k, 11);
-        let b = pseudo(k * n, 12);
-        let mut cache = PanelCache::new();
-        let mut uncached = vec![0.0f32; m * n];
-        gemm_nn(m, k, n, &a, &b, &mut uncached);
-        let mut first = vec![0.0f32; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 77, &mut first, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let mut second = vec![f32::NAN; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 77, &mut second, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        for ((u, f), s) in uncached.iter().zip(&first).zip(&second) {
-            assert_eq!(u.to_bits(), f.to_bits());
-            assert_eq!(u.to_bits(), s.to_bits());
-        }
-    }
-
-    #[test]
-    fn panel_cache_misses_on_stamp_shape_and_view_changes() {
-        let (m, k, n) = (8, 10, 16);
-        let a = pseudo(m * k, 13);
-        let b = pseudo(k * n, 14);
-        let mut cache = PanelCache::new();
-        let mut out = vec![0.0f32; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 1, &mut out, &mut cache);
-        // A new stamp (mutated tensor) must repack.
-        gemm_nn_b_cached(m, k, n, &a, &b, 2, &mut out, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // The transposed view of the same stamp is a distinct entry...
-        let bt = pseudo(n * k, 15);
-        let mut out_t = vec![0.0f32; m * n];
-        gemm_nt_b_cached(m, k, n, &a, &bt, 2, &mut out_t, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (0, 3));
-        // ...and each repeat lookup hits its own entry.
-        gemm_nn_b_cached(m, k, n, &a, &b, 2, &mut out, &mut cache);
-        gemm_nt_b_cached(m, k, n, &a, &bt, 2, &mut out_t, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (2, 3));
-    }
-
-    #[test]
-    fn panel_cache_eviction_keeps_results_correct() {
-        // Thrash far past capacity with distinct stamps; every call must
-        // still match the uncached kernel bit for bit.
-        let (m, k, n) = (5, 7, 9);
-        let a = pseudo(m * k, 16);
-        let mut cache = PanelCache::new();
-        for stamp in 0..(PANEL_CACHE_CAP as u64 * 3) {
-            let b = pseudo(k * n, 100 + stamp);
-            let mut got = vec![0.0f32; m * n];
-            gemm_nn_b_cached(m, k, n, &a, &b, stamp, &mut got, &mut cache);
-            let mut want = vec![0.0f32; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut want);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "stamp {stamp}"
-            );
-        }
-        assert_eq!(cache.misses(), PANEL_CACHE_CAP as u64 * 3);
-    }
-
-    #[test]
-    fn a_side_cache_matches_uncached_for_conv_views() {
-        // The conv forward (N·N, A cached) and backward (T·N, A cached)
-        // views over one weight stamp.
-        let (oc, fan_in, hw) = (8, 18, 64);
-        let w = pseudo(oc * fan_in, 17);
-        let cols = pseudo(fan_in * hw, 18);
-        let mut cache = PanelCache::new();
-        let mut got = vec![0.0f32; oc * hw];
-        gemm_nn_a_cached(oc, fan_in, hw, &w, 9, &cols, &mut got, &mut cache);
-        let mut want = vec![0.0f32; oc * hw];
-        gemm_nn(oc, fan_in, hw, &w, &cols, &mut want);
-        assert_eq!(got, want);
-        // Backward: fan_in×hw = weightᵀ · g, weight stored [oc × fan_in].
-        let g = pseudo(oc * hw, 19);
-        let mut got_t = vec![0.0f32; fan_in * hw];
-        gemm_tn_a_cached(fan_in, oc, hw, &w, 9, &g, &mut got_t, &mut cache);
-        let mut want_t = vec![0.0f32; fan_in * hw];
-        gemm_tn(fan_in, oc, hw, &w, &g, &mut want_t);
-        assert_eq!(got_t, want_t);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // Replaying both views hits both entries.
-        gemm_nn_a_cached(oc, fan_in, hw, &w, 9, &cols, &mut got, &mut cache);
-        gemm_tn_a_cached(fan_in, oc, hw, &w, 9, &g, &mut got_t, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]

@@ -83,22 +83,6 @@ impl Linear {
         x.matmul_into(&self.weight, out)
     }
 
-    /// [`Linear::forward_matmul_into`] with the weight's packed panels
-    /// memoized in `cache` (bitwise-identical results; skips re-packing
-    /// when the weight is unchanged since the last call).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x` is not `[*, in_dim]`.
-    pub fn forward_matmul_into_cached(
-        &self,
-        x: &Tensor,
-        out: &mut Tensor,
-        cache: &mut crate::kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        x.matmul_into_cached(&self.weight, out, cache)
-    }
-
     /// Fill `grad_weight` / `grad_bias` from an explicit forward input
     /// (instead of the cached clone), writing the input gradient into
     /// `grad_in`. Allocation-free once the gradient tensors have capacity.
@@ -115,27 +99,6 @@ impl Linear {
         x.t_matmul_into(grad_out, &mut self.grad_weight)?;
         grad_out.sum_rows_into(&mut self.grad_bias);
         grad_out.matmul_t_into(&self.weight, grad_in)
-    }
-
-    /// [`Linear::backward_into`] with the weight's transposed-view packed
-    /// panels memoized in `cache`. Only the input-gradient product
-    /// (`grad_out · Wᵀ`) reuses a stable operand; the weight- and
-    /// bias-gradient products take fresh activations every call, so they
-    /// stay uncached.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` / `grad_out` disagree with the layer.
-    pub fn backward_into_cached(
-        &mut self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        grad_in: &mut Tensor,
-        cache: &mut crate::kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        x.t_matmul_into(grad_out, &mut self.grad_weight)?;
-        grad_out.sum_rows_into(&mut self.grad_bias);
-        grad_out.matmul_t_into_cached(&self.weight, grad_in, cache)
     }
 
     /// [`Linear::backward_into`] without the input gradient — the first

@@ -96,12 +96,6 @@ struct Scratch {
     batch_labels: Vec<usize>,
     /// Shuffled sample order for one epoch.
     order: Vec<usize>,
-    /// Packed-panel memo for the GEMM weight operands: the forward and
-    /// backward passes of one step (and every batch of an evaluation
-    /// sweep) reuse the same packed weights instead of re-packing per
-    /// call. Keyed by generation stamp, so `set_params` invalidates it
-    /// implicitly.
-    panels: crate::kernels::PanelCache,
 }
 
 /// A feed-forward classifier: `Linear → ReLU → … → Linear`.
@@ -251,7 +245,7 @@ impl Mlp {
             let (prev, rest) = self.scratch.acts.split_at_mut(i);
             let out = &mut rest[0];
             let input = if i == 0 { x } else { &prev[i - 1] };
-            self.layers[i].forward_matmul_into_cached(input, out, &mut self.scratch.panels)?;
+            self.layers[i].forward_matmul_into(input, out)?;
             if i < n_layers - 1 {
                 if record_masks {
                     self.activations[i].forward_fused_bias(out, &self.layers[i].bias)?;
@@ -289,12 +283,7 @@ impl Mlp {
         } = self;
         let loss = softmax_cross_entropy_into(&scratch.acts[n_layers - 1], y, &mut scratch.grad)?;
         for i in (1..n_layers).rev() {
-            layers[i].backward_into_cached(
-                &scratch.acts[i - 1],
-                &scratch.grad,
-                &mut scratch.grad2,
-                &mut scratch.panels,
-            )?;
+            layers[i].backward_into(&scratch.acts[i - 1], &scratch.grad, &mut scratch.grad2)?;
             activations[i - 1].backward_in_place(&mut scratch.grad2)?;
             std::mem::swap(&mut scratch.grad, &mut scratch.grad2);
         }
@@ -824,35 +813,32 @@ mod tests {
     }
 
     #[test]
-    fn panel_cache_hits_across_eval_and_training_without_changing_results() {
+    fn eval_train_eval_on_one_model_matches_fresh_models() {
+        // The scratch buffers are reused and never cleared: a model that
+        // evaluates, trains and evaluates again must produce, step for
+        // step, what models starting from cold scratch produce, and the
+        // scratch evaluation must agree with the allocating one.
         let data = xor_like();
-        let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
-        let uncached_eval = m.evaluate(&data);
-        m.evaluate_mut(&data);
-        let misses_after_first = m.scratch.panels.misses();
-        assert!(misses_after_first > 0, "first eval must pack");
+        let cfg = MlpConfig::new(2, &[8], 2);
+        let fresh = |params: &[f32]| {
+            let mut f = Mlp::new(&cfg, 99);
+            f.set_params(params).unwrap();
+            f
+        };
+        let mut m = Mlp::new(&cfg, 3);
+        let first = m.evaluate_mut(&data);
+        assert_eq!(first, m.evaluate(&data));
+        assert_eq!(first, fresh(&m.params()).evaluate_mut(&data));
+        let mut cold = fresh(&m.params());
+        let (mut opt, mut cold_opt) = (Sgd::new(0.2), Sgd::new(0.2));
+        let loss = m.train_epoch(&data, 16, &mut opt, 0);
+        let cold_loss = cold.train_epoch(&data, 16, &mut cold_opt, 0);
+        assert_eq!(loss.to_bits(), cold_loss.to_bits());
+        assert_eq!(bits(&m.params()), bits(&cold.params()));
         let second = m.evaluate_mut(&data);
-        assert_eq!(second, uncached_eval);
-        assert_eq!(
-            m.scratch.panels.misses(),
-            misses_after_first,
-            "unchanged weights must not repack"
-        );
-        assert!(m.scratch.panels.hits() > 0);
-        // Training rewrites every weight each step and reads each through
-        // a view the step has not packed yet: one lookup per layer forward
-        // (`N·N`) and one per layer but the first backward (`N·T`) — three
-        // for this two-layer model, over the eight batches of 16. Only
-        // the first step's forward finds anything, the two panels the
-        // evaluation above packed from the still-unchanged weights; every
-        // other lookup is a miss.
-        let hits_before = m.scratch.panels.hits();
-        let mut opt = Sgd::new(0.2);
-        m.train_epoch(&data, 16, &mut opt, 0);
-        assert_eq!(m.scratch.panels.hits(), hits_before + 2);
-        assert_eq!(m.scratch.panels.misses(), misses_after_first + 8 * 3 - 2);
-        // Later evals repack — and still agree with the allocating path.
-        assert_eq!(m.evaluate_mut(&data), m.evaluate(&data));
+        assert_ne!(second, first, "training must have moved the model");
+        assert_eq!(second, m.evaluate(&data));
+        assert_eq!(second, fresh(&m.params()).evaluate_mut(&data));
     }
 
     #[test]

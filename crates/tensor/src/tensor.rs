@@ -7,39 +7,16 @@
 //! scratch so steady-state training performs no heap allocation.
 
 use crate::{kernels, TensorError};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of generation stamps. Stamp 0 is reserved for default-constructed
-/// (empty) tensors, which never reach a GEMM with nonzero dimensions.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_stamp() -> u64 {
-    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A row-major, 2-D dense `f32` tensor.
 ///
 /// All model math in the reproduction is rank-2 (`[batch, features]` or
 /// `[in, out]` weight matrices); bias vectors are represented as `[1, n]`.
-///
-/// Every tensor carries a *generation stamp* (see [`Tensor::stamp`]): a
-/// process-unique `u64` reassigned on every mutation. Two tensors observed
-/// with the same stamp are guaranteed to hold identical bytes, which is what
-/// lets [`kernels::PanelCache`] memoize packed GEMM operands safely.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-    stamp: u64,
-}
-
-/// Equality is content equality: the generation stamp is a cache-identity
-/// token, not part of a tensor's value.
-impl PartialEq for Tensor {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.cols == other.cols && self.data == other.data
-    }
 }
 
 impl Tensor {
@@ -49,7 +26,6 @@ impl Tensor {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-            stamp: fresh_stamp(),
         }
     }
 
@@ -67,27 +43,7 @@ impl Tensor {
                 cols
             )));
         }
-        Ok(Tensor {
-            rows,
-            cols,
-            data,
-            stamp: fresh_stamp(),
-        })
-    }
-
-    /// Generation stamp: a process-unique id reassigned whenever the
-    /// tensor's contents may have changed. Clones share their source's
-    /// stamp (their bytes are identical); any mutable access takes a new
-    /// one. Cache keys derived from a stamp are therefore never stale.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// Mark the contents as (potentially) changed. Called from every
-    /// mutating method; deliberately cheap enough to over-approximate
-    /// (a `data_mut` that writes nothing still re-stamps).
-    fn touch(&mut self) {
-        self.stamp = fresh_stamp();
+        Ok(Tensor { rows, cols, data })
     }
 
     /// Number of rows.
@@ -117,7 +73,6 @@ impl Tensor {
 
     /// Mutable view of the underlying row-major buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.touch();
         &mut self.data
     }
 
@@ -138,7 +93,6 @@ impl Tensor {
     /// Panics if the indices are out of bounds.
     pub fn set(&mut self, row: usize, col: usize, v: f32) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
-        self.touch();
         self.data[row * self.cols + col] = v;
     }
 
@@ -155,7 +109,6 @@ impl Tensor {
     /// Reshape in place to `rows × cols`, reusing the existing buffer.
     /// Contents after the call are unspecified; callers overwrite.
     pub fn resize(&mut self, rows: usize, cols: usize) {
-        self.touch();
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;
@@ -191,43 +144,6 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize(m, n);
         kernels::gemm_nn(m, k, n, &self.data, &rhs.data, &mut out.data);
-        Ok(())
-    }
-
-    /// [`Tensor::matmul_into`] with `rhs`'s packed panels memoized in
-    /// `cache`, keyed by `rhs.stamp()`. Bitwise-identical to the uncached
-    /// call; use when the same right operand (a weight matrix) recurs
-    /// across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the inner dimensions
-    /// disagree.
-    pub fn matmul_into_cached(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        cache: &mut kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.resize(m, n);
-        kernels::gemm_nn_b_cached(
-            m,
-            k,
-            n,
-            &self.data,
-            &rhs.data,
-            rhs.stamp,
-            &mut out.data,
-            cache,
-        );
         Ok(())
     }
 
@@ -291,41 +207,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// [`Tensor::matmul_t_into`] with `rhs`'s packed (transposed-view)
-    /// panels memoized in `cache`, keyed by `rhs.stamp()`. Bitwise-identical
-    /// to the uncached call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when column counts disagree.
-    pub fn matmul_t_into_cached(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        cache: &mut kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_t",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize(m, n);
-        kernels::gemm_nt_b_cached(
-            m,
-            k,
-            n,
-            &self.data,
-            &rhs.data,
-            rhs.stamp,
-            &mut out.data,
-            cache,
-        );
-        Ok(())
-    }
-
     /// Materialized transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
@@ -350,7 +231,6 @@ impl Tensor {
                 rhs: vec![rhs.rows, rhs.cols],
             });
         }
-        self.touch();
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += b;
         }
@@ -370,7 +250,6 @@ impl Tensor {
                 rhs: vec![bias.rows, bias.cols],
             });
         }
-        self.touch();
         for r in 0..self.rows {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (a, b) in row.iter_mut().zip(&bias.data) {
@@ -403,7 +282,6 @@ impl Tensor {
 
     /// Scale every element in place.
     pub fn scale(&mut self, s: f32) {
-        self.touch();
         for v in &mut self.data {
             *v *= s;
         }
@@ -543,46 +421,6 @@ mod tests {
         let mut s = Tensor::default();
         a.sum_rows_into(&mut s);
         assert_eq!(s, a.sum_rows());
-    }
-
-    #[test]
-    fn stamps_track_mutation_and_equality_ignores_them() {
-        let mut a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let cloned = a.clone();
-        // A clone's bytes are identical, so it legitimately shares identity.
-        assert_eq!(cloned.stamp(), a.stamp());
-        let before = a.stamp();
-        a.set(0, 0, 9.0);
-        assert_ne!(a.stamp(), before, "set must re-stamp");
-        let before = a.stamp();
-        a.data_mut()[0] = 1.0;
-        assert_ne!(a.stamp(), before, "data_mut must re-stamp");
-        let before = a.stamp();
-        a.scale(2.0);
-        assert_ne!(a.stamp(), before, "scale must re-stamp");
-        let b = t(2, 2, &[2.0, 4.0, 6.0, 8.0]);
-        // Content-equal tensors with different stamps still compare equal.
-        assert_ne!(a.stamp(), b.stamp());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cached_matmuls_match_uncached() {
-        let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = t(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let mut cache = kernels::PanelCache::new();
-        let mut out = Tensor::default();
-        a.matmul_into_cached(&b, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        a.matmul_into_cached(&b, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        assert_eq!(cache.hits(), 1);
-        let bt = b.transpose();
-        a.matmul_t_into_cached(&bt, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        assert!(a
-            .matmul_into_cached(&Tensor::zeros(2, 2), &mut out, &mut cache)
-            .is_err());
     }
 
     #[test]

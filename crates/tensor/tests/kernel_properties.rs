@@ -1,19 +1,13 @@
-//! Property tests for the widened GEMM micro-kernels and the packed-panel
-//! reuse cache.
+//! Property tests for the widened GEMM micro-kernels.
 //!
-//! The contract under test: every dispatched tile shape (4×8, 8×8, 4×16,
-//! 8×16) and every cached entry point produces results **bit-identical**
-//! to the uncached narrow-tile kernel, for shapes straddling each MR/NR
-//! tile boundary and the KC depth-panel boundary. Widening a register
-//! tile only changes which output elements share a register block — never
-//! the ascending reduction order of any single element — and a panel-cache
-//! hit replays byte-identical packed operands, so any diff is a bug.
+//! The contract under test: every dispatched tile shape (4×8, 8×8, 4×16)
+//! produces results **bit-identical** to the pinned ascending summation
+//! order, for shapes straddling each MR/NR tile boundary and the KC
+//! depth-panel boundary. Widening a register tile only changes which
+//! output elements share a register block — never the ascending reduction
+//! order of any single element — so any diff is a bug.
 
-use float_tensor::kernels::{
-    gemm_nn, gemm_nn_a_cached, gemm_nn_b_cached, gemm_nt, gemm_nt_b_cached, gemm_tn,
-    gemm_tn_a_cached, PanelCache,
-};
-use float_tensor::Tensor;
+use float_tensor::kernels::gemm_nn;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random buffer (golden-ratio hash, same family the
@@ -48,8 +42,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 proptest! {
-    /// N·N through the shape dispatcher == the tensor-level matmul (which
-    /// exercises the same kernel through the public API), bit for bit.
+    /// N·N through the shape dispatcher == the pinned summation order, bit
+    /// for bit.
     #[test]
     fn widened_nn_is_bitwise_stable_across_boundaries(
         m in boundary_dim(),
@@ -77,91 +71,5 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(&got), bits(&want));
-    }
-
-    /// Every cached entry point == its uncached twin bit for bit, on both
-    /// the first call (miss → pack) and a replay (hit → cached panels).
-    #[test]
-    fn cached_entry_points_match_uncached_bitwise(
-        m in boundary_dim(),
-        n in boundary_dim(),
-        k in depth_dim(),
-        salt in 0u64..1024,
-    ) {
-        let a = pseudo(m * k, salt);
-        let b = pseudo(k * n, salt + 1);
-        let a_t = pseudo(k * m, salt + 2); // A stored [k×m] for T·N
-        let b_t = pseudo(n * k, salt + 3); // B stored [n×k] for N·T
-        let mut cache = PanelCache::new();
-        let mut want = vec![0.0f32; m * n];
-        let mut got = vec![0.0f32; m * n];
-        for pass in 0..2 {
-            gemm_nn(m, k, n, &a, &b, &mut want);
-            gemm_nn_b_cached(m, k, n, &a, &b, 1, &mut got, &mut cache);
-            prop_assert_eq!(bits(&got), bits(&want), "nn_b pass {}", pass);
-            gemm_nn_a_cached(m, k, n, &a, 2, &b, &mut got, &mut cache);
-            prop_assert_eq!(bits(&got), bits(&want), "nn_a pass {}", pass);
-            gemm_nt(m, k, n, &a, &b_t, &mut want);
-            gemm_nt_b_cached(m, k, n, &a, &b_t, 3, &mut got, &mut cache);
-            prop_assert_eq!(bits(&got), bits(&want), "nt_b pass {}", pass);
-            gemm_tn(m, k, n, &a_t, &b, &mut want);
-            gemm_tn_a_cached(m, k, n, &a_t, 4, &b, &mut got, &mut cache);
-            prop_assert_eq!(bits(&got), bits(&want), "tn_a pass {}", pass);
-        }
-        // Second sweep hit all four entries (no dimension is zero here).
-        prop_assert_eq!(cache.hits(), 4);
-        prop_assert_eq!(cache.misses(), 4);
-    }
-
-    /// Stamp discipline: replays hit, mutations (new stamps) miss and
-    /// recompute correctly, and eviction pressure never corrupts results.
-    #[test]
-    fn cache_hits_misses_and_eviction_track_stamps(
-        m in boundary_dim(),
-        n in boundary_dim(),
-        k in 1usize..32,
-        generations in 1usize..20,
-    ) {
-        let a = pseudo(m * k, 7);
-        let mut cache = PanelCache::new();
-        for g in 0..generations as u64 {
-            let b = pseudo(k * n, 100 + g);
-            let mut want = vec![0.0f32; m * n];
-            gemm_nn(m, k, n, &a, &b, &mut want);
-            // First sight of stamp g: miss. Replay: hit.
-            let mut got = vec![0.0f32; m * n];
-            gemm_nn_b_cached(m, k, n, &a, &b, g, &mut got, &mut cache);
-            prop_assert_eq!(bits(&got), bits(&want));
-            let mut replay = vec![f32::NAN; m * n];
-            gemm_nn_b_cached(m, k, n, &a, &b, g, &mut replay, &mut cache);
-            prop_assert_eq!(bits(&replay), bits(&want));
-        }
-        prop_assert_eq!(cache.misses(), generations as u64);
-        prop_assert_eq!(cache.hits(), generations as u64);
-    }
-
-    /// The tensor-level cached matmuls agree with their uncached twins for
-    /// arbitrary (mutating) weight histories.
-    #[test]
-    fn tensor_cached_matmuls_survive_weight_mutation(
-        rows in boundary_dim(),
-        inner in boundary_dim(),
-        cols in boundary_dim(),
-        steps in 1usize..6,
-    ) {
-        let x = Tensor::from_vec(rows, inner, pseudo(rows * inner, 11)).unwrap();
-        let mut w = Tensor::from_vec(inner, cols, pseudo(inner * cols, 12)).unwrap();
-        let mut cache = PanelCache::new();
-        let mut cached = Tensor::default();
-        let mut plain = Tensor::default();
-        for s in 0..steps {
-            x.matmul_into_cached(&w, &mut cached, &mut cache).unwrap();
-            x.matmul_into(&w, &mut plain).unwrap();
-            prop_assert_eq!(bits(cached.data()), bits(plain.data()), "step {}", s);
-            // Mutate the weight: the stamp must invalidate the entry.
-            w.data_mut()[0] += 0.25;
-        }
-        // One miss per mutation — never a stale hit.
-        prop_assert_eq!(cache.misses(), steps as u64);
     }
 }

@@ -144,8 +144,8 @@ fn event_json(event: &Event) -> String {
 
 #[test]
 fn sync_telemetry_stream_is_thread_count_independent() {
-    // Telemetry on, fault-free: recorder merge order and event emission
-    // sites must be worker-count independent.
+    // Telemetry on, fault-free: metric recording and event emission sites
+    // must be worker-count independent.
     assert_telemetry_bit_identical(ExperimentConfig::small(
         SelectorChoice::FedAvg,
         AccelMode::Rlhf,

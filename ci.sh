@@ -98,12 +98,14 @@ if [[ "${1:-}" != "quick" ]]; then
 
   # Kernel micro-bench in quick mode: asserts the blocked GEMM stays
   # bit-identical to the ascending-order reference and that the emitted
-  # report parses with positive throughput on every shape. --gate holds
-  # every shape to its per-shape speedup floor over the pinned PR 3
-  # (4x8-kernel) baseline, so a kernel regression fails CI. Writes to a
-  # scratch path so the checked-in BENCH_kernels.json (full run) is not
-  # clobbered by CI's reduced iteration counts.
-  step "kernel throughput (quick self-check, gated vs PR 3 baseline)"
+  # report parses with positive throughput on every one of the twelve
+  # shapes (MLP proxy, train_heavy step, two squares). --gate holds each
+  # shape to its committed speedup floor over the naive triple loop timed
+  # back to back (a shape below its floor is re-timed, twice at most), so
+  # a kernel regression fails CI. Writes to a scratch path so the
+  # checked-in BENCH_kernels.json (full run) is not clobbered by CI's
+  # reduced iteration counts.
+  step "kernel throughput (quick self-check, gated vs the naive loop)"
   cargo run --release --offline -p float-bench --bin kernel_throughput -- \
     --quick --gate --out target/BENCH_kernels_ci.json
 

@@ -5,14 +5,12 @@
 //! proxy's forward/backward GEMMs at the default batch size, the five
 //! GEMMs of a `train_heavy` step (the paper's §6.1 32-128-62 MLP at batch
 //! 20) in the operand layout the step issues them in (`nn`, `tn`, `nt`),
-//! every GEMM the Conv2d layers issue per sample (forward `weight·cols`,
-//! backward `grad·colsᵀ` and `weightᵀ·grad`), and two square sizes that
-//! exercise the cache blocking. Before timing, each GEMM shape is checked
-//! bit-identical to the ascending-order reference — the determinism
-//! contract the round engine relies on. Results land in
-//! `BENCH_kernels.json` with per-shape deltas against the committed PR 3
-//! numbers and geomean summaries; the tool re-reads and validates its own
-//! output (`--quick` keeps iteration counts CI-sized).
+//! and two square sizes that exercise the cache blocking. Before timing,
+//! each GEMM shape is checked bit-identical to the ascending-order
+//! reference — the determinism contract the round engine relies on.
+//! Results land in `BENCH_kernels.json` with per-shape deltas against the
+//! committed PR 3 numbers and geomean summaries; the tool re-reads and
+//! validates its own output (`--quick` keeps iteration counts CI-sized).
 //!
 //! With `--gate`, after writing the report the tool enforces the
 //! committed per-shape `speedup_vs_naive` floors and exits nonzero if any
@@ -27,7 +25,6 @@ use std::time::Instant;
 
 use float_bench::selfcheck;
 
-use float_tensor::conv::{Conv2d, FeatureShape};
 use float_tensor::{kernels, seed_rng, Tensor};
 use rand::Rng;
 use serde::Serialize;
@@ -87,7 +84,6 @@ struct BenchReport {
     /// Geometric mean of `speedup_vs_pr3` over the shapes PR 3 benched —
     /// the headline before/after number (target ≥ 1.2).
     geomean_speedup_vs_pr3: f64,
-    conv_fwd_bwd_gflops: f64,
 }
 
 /// The committed PR 3 `gflops` per shape (from `BENCH_kernels.json` as of
@@ -98,7 +94,6 @@ const PR3_GFLOPS: &[(&str, f64)] = &[
     ("mlp_bwd_gw_l0", 9.882120151788026),
     ("mlp_bwd_gw_l1", 8.42426507953991),
     ("mlp_bwd_gin_l1", 8.270690633215322),
-    ("conv_im2col_8x8", 7.014427464357629),
     ("square_128", 15.291581512618444),
     ("square_256", 17.178793928930403),
 ];
@@ -121,9 +116,6 @@ const SPEEDUP_FLOORS: &[(&str, f64)] = &[
     ("step_bwd_gw_l1", 7.0),
     ("step_bwd_gin_l1", 7.5),
     ("step_bwd_gw_l0", 8.0),
-    ("conv_im2col_8x8", 6.0),
-    ("conv_bwd_gw_8x8", 4.0),
-    ("conv_bwd_gcols_8x8", 4.5),
     ("square_128", 12.0),
     ("square_256", 13.0),
 ];
@@ -205,9 +197,8 @@ fn main() {
 
     // The MLP proxy (24 → 128 → 10 at batch 16) forward/backward GEMMs,
     // the five GEMMs of one `train_heavy` step (32 → 128 → 62 at batch 20)
-    // in the layouts the step issues them in, the three Conv2d per-sample
-    // GEMMs for the 2×8×8 → 8-channel layer (forward weight·cols, backward
-    // grad·colsᵀ and weightᵀ·grad), and two square blocking stress shapes.
+    // in the layouts the step issues them in, and two square blocking
+    // stress shapes.
     use Variant::{Nn, Nt, Tn};
     let shapes: &[(&str, Variant, usize, usize, usize)] = &[
         ("mlp_fwd_l0", Nn, 16, 24, 128),
@@ -220,9 +211,6 @@ fn main() {
         ("step_bwd_gw_l1", Tn, 128, 20, 62),
         ("step_bwd_gin_l1", Nt, 20, 62, 128),
         ("step_bwd_gw_l0", Tn, 32, 20, 128),
-        ("conv_im2col_8x8", Nn, 8, 18, 64),
-        ("conv_bwd_gw_8x8", Nn, 8, 64, 18),
-        ("conv_bwd_gcols_8x8", Nn, 18, 8, 64),
         ("square_128", Nn, 128, 128, 128),
         ("square_256", Nn, 256, 256, 256),
     ];
@@ -324,34 +312,6 @@ fn main() {
         });
     }
 
-    // End-to-end im2col convolution: forward + backward over a batch.
-    let shape = FeatureShape::new(2, 8, 8);
-    let (oc, kernel, batch) = (8usize, 3usize, 16usize);
-    let mut conv = Conv2d::new(shape, oc, kernel, 7);
-    let x = Tensor::from_vec(batch, shape.len(), random_vec(batch * shape.len(), 0xC0))
-        .expect("sized by construction");
-    let grad = Tensor::from_vec(
-        batch,
-        conv.output_shape().len(),
-        random_vec(batch * conv.output_shape().len(), 0xC1),
-    )
-    .expect("sized by construction");
-    let conv_iters = if quick { 5 } else { 2000 };
-    let fan_in = shape.channels * kernel * kernel;
-    let hw = shape.height * shape.width;
-    // Forward GEMM + two backward GEMMs per sample.
-    let conv_flops = 6.0 * (oc * fan_in * hw * batch) as f64;
-    let start = Instant::now();
-    for _ in 0..conv_iters {
-        let y = conv.forward(black_box(&x)).expect("conv input fits");
-        black_box(&y);
-        let gin = conv.backward(black_box(&grad)).expect("after forward");
-        black_box(&gin);
-    }
-    let conv_s = start.elapsed().as_secs_f64();
-    let conv_gflops = conv_flops * conv_iters as f64 / conv_s.max(1e-12) / 1e9;
-    eprintln!("  conv2d fwd+bwd (2x8x8 -> 8ch, batch 16): {conv_gflops:.2} GFLOP/s");
-
     let geomean_gflops = geomean(results.iter().map(|r| r.gflops));
     let geomean_speedup_vs_naive = geomean(results.iter().map(|r| r.speedup_vs_naive));
     let geomean_speedup_vs_pr3 = geomean(results.iter().filter_map(|r| r.speedup_vs_pr3));
@@ -367,7 +327,6 @@ fn main() {
         geomean_gflops,
         geomean_speedup_vs_naive,
         geomean_speedup_vs_pr3,
-        conv_fwd_bwd_gflops: conv_gflops,
     };
     selfcheck::write_report(&out_path, &report);
 
@@ -388,11 +347,6 @@ fn main() {
             selfcheck::assert_positive(g, field);
         }
     }
-    let cg = v
-        .get("conv_fwd_bwd_gflops")
-        .and_then(|g| g.as_f64())
-        .expect("conv rate present");
-    selfcheck::assert_positive(cg, "conv fwd+bwd GFLOP/s");
     eprintln!("self-check OK: report parses, all rates positive");
 
     if gate {

@@ -134,13 +134,6 @@ pub fn run(scale: Scale) -> Fig10 {
 }
 
 impl Fig10 {
-    /// Visit-weighted mean participation success of a technique family in
-    /// a scenario, over all states.
-    pub fn family_participation(&self, scenario: &str, family: &str) -> Option<f64> {
-        let sc = self.scenarios.iter().find(|s| s.scenario == scenario)?;
-        Self::family_mean(&sc.actions, family)
-    }
-
     /// Visit-weighted mean participation success of a technique family
     /// restricted to network-constrained states — the matched comparison
     /// for the Fig. 10c claim.

@@ -97,14 +97,6 @@ pub fn run(scale: Scale) -> Fig5 {
 }
 
 impl Fig5 {
-    /// The pruning level with the most successful clients for a scenario.
-    pub fn best_pruning_for(&self, scenario: &str) -> Option<&Fig5Row> {
-        self.pruning_sweep
-            .iter()
-            .filter(|r| r.scenario == scenario)
-            .max_by_key(|r| r.successful)
-    }
-
     /// Paper-style text rendering.
     pub fn render(&self) -> String {
         let render_rows = |rows: &[Fig5Row]| -> Vec<Vec<String>> {

@@ -93,6 +93,16 @@ impl AccelMode {
             AccelMode::RlhfExtended => "float-rlhf-ext",
         }
     }
+
+    /// Whether this mode learns its policy with a Q-learning agent (the
+    /// modes an [`float_rl::RlhfAgent`] can be installed into or captured
+    /// from).
+    pub fn trains_agent(self) -> bool {
+        matches!(
+            self,
+            AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended
+        )
+    }
 }
 
 /// Full description of one experiment run.

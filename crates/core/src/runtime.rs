@@ -195,6 +195,9 @@ struct FedBuffState {
     round_attempts: Vec<usize>,
 }
 
+/// The agent-state inputs one accel decision was taken on.
+type AgentState = (GlobalState, LocalState, DeadlineLevel);
+
 /// The frozen inputs of one client attempt, produced by the sequential
 /// *plan* phase. Everything the parallel *execute* phase needs is captured
 /// here by value, so execution is a pure function of `(global params,
@@ -218,11 +221,9 @@ struct AttemptTask {
     train: Arc<Dataset>,
     /// The client's held-out test shard, pinned like `train`.
     test: Arc<Dataset>,
-    /// Agent-state inputs captured at decision time, replayed verbatim to
-    /// the agent's feedback call in the commit phase.
-    global: GlobalState,
-    local: LocalState,
-    hf: DeadlineLevel,
+    /// What the agent decided on, replayed verbatim to its feedback call
+    /// in the commit phase (`None` in the modes that train no agent).
+    agent_state: Option<AgentState>,
     /// Snapshot of the client's error-feedback residual, taken when the
     /// attempt is planned (or re-planned for a retry). `Some` only for the
     /// top-k compression action.
@@ -727,21 +728,16 @@ impl Experiment {
             AccelMode::RlhfExtended => ActionCatalogue::extended(),
             _ => ActionCatalogue::paper(),
         };
-        let agent = match config.accel {
-            AccelMode::Rl => {
-                let mut c = AgentConfig::rl_only(catalogue.len());
-                c.w_participation = config.reward_w_participation;
-                c.w_accuracy = config.reward_w_accuracy;
-                Some(RlhfAgent::new(c, split_seed(seed, 4)))
-            }
-            AccelMode::Rlhf | AccelMode::RlhfExtended => {
-                let mut c = AgentConfig::rlhf(catalogue.len());
-                c.w_participation = config.reward_w_participation;
-                c.w_accuracy = config.reward_w_accuracy;
-                Some(RlhfAgent::new(c, split_seed(seed, 4)))
-            }
-            _ => None,
-        };
+        let agent = config.accel.trains_agent().then(|| {
+            let mut c = if config.accel == AccelMode::Rl {
+                AgentConfig::rl_only(catalogue.len())
+            } else {
+                AgentConfig::rlhf(catalogue.len())
+            };
+            c.w_participation = config.reward_w_participation;
+            c.w_accuracy = config.reward_w_accuracy;
+            RlhfAgent::new(c, split_seed(seed, 4))
+        });
         let heuristic = match config.accel {
             AccelMode::Heuristic => Some(HeuristicPolicy::new(split_seed(seed, 5))),
             _ => None,
@@ -858,10 +854,7 @@ impl Experiment {
     /// Panics if the experiment's accel mode is not RL/RLHF.
     pub fn install_pretrained_agent(&mut self, mut agent: RlhfAgent) {
         assert!(
-            matches!(
-                self.config.accel,
-                AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended
-            ),
+            self.config.accel.trains_agent(),
             "cannot install an agent into accel mode {:?}",
             self.config.accel
         );
@@ -885,10 +878,7 @@ impl Experiment {
     /// disagree with the experiment's catalogue.
     pub fn replace_agent(&mut self, agent: RlhfAgent) {
         assert!(
-            matches!(
-                self.config.accel,
-                AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended
-            ),
+            self.config.accel.trains_agent(),
             "cannot install an agent into accel mode {:?}",
             self.config.accel
         );
@@ -898,11 +888,6 @@ impl Experiment {
             "agent action count must match the experiment catalogue"
         );
         self.agent = Some(agent);
-    }
-
-    /// Take the agent out of a finished experiment (for transfer).
-    pub fn take_agent(&mut self) -> Option<RlhfAgent> {
-        self.agent.take()
     }
 
     /// The experiment's configuration.
@@ -944,15 +929,6 @@ impl Experiment {
         self.finalize()
     }
 
-    /// Run to completion and also return the shard-cache counters, so
-    /// population-scale harnesses can assert that training-data memory
-    /// stayed bounded by the configured cache capacity.
-    pub fn run_with_cache_stats(mut self) -> (ExperimentReport, ShardCacheStats) {
-        self.run_to(self.config.rounds);
-        let stats = self.data.stats();
-        (self.finalize(), stats)
-    }
-
     /// Run to completion and also return the online profiler's store
     /// accounting (`None` with profiling off), so harnesses can assert the
     /// bounded store's identities (`inserted == evictions + resident`,
@@ -963,10 +939,12 @@ impl Experiment {
         (self.finalize(), stats)
     }
 
-    /// Run to completion and also return the shard-cache counters plus the
+    /// Run to completion and also return the shard-cache counters (so
+    /// population-scale harnesses can assert that training-data memory
+    /// stayed bounded by the configured cache capacity) plus the
     /// availability-index residency stats (heap bytes, transitions applied,
-    /// tracked batteries, pool draws), so population-scale harnesses can
-    /// attribute both memory and per-round work.
+    /// tracked batteries, pool draws), so they can attribute both memory
+    /// and per-round work.
     pub fn run_with_population_stats(
         mut self,
     ) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
@@ -1006,10 +984,7 @@ impl Experiment {
     /// use [`Experiment::run`] for those.
     pub fn run_capturing_agent(mut self) -> (ExperimentReport, RlhfAgent) {
         assert!(
-            matches!(
-                self.config.accel,
-                AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended
-            ),
+            self.config.accel.trains_agent(),
             "accel mode {:?} trains no agent",
             self.config.accel
         );
@@ -1021,14 +996,6 @@ impl Experiment {
     // ------------------------------------------------------------------
     // Shared per-client machinery
     // ------------------------------------------------------------------
-
-    fn global_state(&self) -> GlobalState {
-        GlobalState::from_raw(
-            self.config.batch_size,
-            self.config.local_epochs,
-            self.config.cohort_size,
-        )
-    }
 
     /// Refresh `eligible_buf` with the selection candidates for `round`,
     /// strictly ascending — the `ClientSelector::select_into` contract,
@@ -1120,13 +1087,14 @@ impl Experiment {
     /// off, the profiler's witnessed estimates with it on. When telemetry
     /// is on, emits the [`Event::AccelDecision`] for this attempt — still
     /// inside the sequential plan phase, so decision events appear in
-    /// cohort order.
+    /// cohort order. Returns the action and, in the agent modes, the
+    /// state the agent decided on.
     fn choose_action(
         &mut self,
         client: usize,
         fractions: (f64, f64, f64),
         round: usize,
-    ) -> AccelAction {
+    ) -> (AccelAction, Option<AgentState>) {
         let (cpu_f, mem_f, net_f) = fractions;
         let (action, agent_state, q, explore) = match self.config.accel {
             AccelMode::Off => (AccelAction::NoOp, None, 0.0, false),
@@ -1144,7 +1112,11 @@ impl Experiment {
                 (h.choose(cpu_f, net_f), None, 0.0, false)
             }
             AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended => {
-                let global = self.global_state();
+                let global = GlobalState::from_raw(
+                    self.config.batch_size,
+                    self.config.local_epochs,
+                    self.config.cohort_size,
+                );
                 let local = LocalState::from_fractions(cpu_f, mem_f, net_f);
                 let hf = DeadlineLevel::from_overrun(
                     self.hf_overrun_ema.get(&client).copied().unwrap_or(0.0),
@@ -1157,7 +1129,7 @@ impl Experiment {
                     agent.choose_action_traced(global, local, hf, round, self.config.rounds);
                 (
                     self.catalogue.action(trace.action),
-                    Some((local, hf)),
+                    Some((global, local, hf)),
                     trace.q_value,
                     trace.explored,
                 )
@@ -1166,7 +1138,7 @@ impl Experiment {
         if self.obs.enabled() {
             let state = agent_state.map_or_else(
                 || "-".to_string(),
-                |(local, hf)| format!("s{}h{}", local.index(), hf.index()),
+                |(_, local, hf)| format!("s{}h{}", local.index(), hf.index()),
             );
             self.obs.record(Event::AccelDecision {
                 round: round as u64,
@@ -1177,7 +1149,7 @@ impl Experiment {
                 explore,
             });
         }
-        action
+        (action, agent_state)
     }
 
     // ------------------------------------------------------------------
@@ -1222,9 +1194,8 @@ impl Experiment {
             None => (snap.cpu_fraction, snap.mem_fraction, snap.net_fraction),
             Some(p) => profiled_fractions(p, client, device.gflops),
         };
-        let action = self.choose_action(client, fractions, round);
+        let (action, agent_state) = self.choose_action(client, fractions, round);
         let (error_feedback, scaffold_ci) = self.snapshot_drift_state(client, action);
-        let (cpu_f, mem_f, net_f) = fractions;
         AttemptTask {
             client,
             staleness,
@@ -1236,11 +1207,7 @@ impl Experiment {
             shard_len,
             train,
             test,
-            global: self.global_state(),
-            local: LocalState::from_fractions(cpu_f, mem_f, net_f),
-            hf: DeadlineLevel::from_overrun(
-                self.hf_overrun_ema.get(&client).copied().unwrap_or(0.0),
-            ),
+            agent_state,
             error_feedback,
             scaffold_ci,
         }
@@ -1357,6 +1324,7 @@ impl Experiment {
         }
         let completed = exec.outcome.completed();
         let reward = self.agent.as_mut().map(|agent| {
+            let (global, local, hf) = task.agent_state.expect("the agent decided this attempt");
             let idx = self
                 .catalogue
                 .index_of(task.action)
@@ -1364,9 +1332,9 @@ impl Experiment {
             if completed {
                 agent.feedback(
                     task.client,
-                    task.global,
-                    task.local,
-                    task.hf,
+                    global,
+                    local,
+                    hf,
                     idx,
                     1.0,
                     exec.improvement,
@@ -1378,9 +1346,9 @@ impl Experiment {
             } else {
                 agent.feedback_dropout(
                     task.client,
-                    task.global,
-                    task.local,
-                    task.hf,
+                    global,
+                    local,
+                    hf,
                     idx,
                     round,
                     self.config.rounds,
@@ -1674,15 +1642,9 @@ impl Experiment {
     fn run_async(&mut self, end: usize) {
         // Event-driven: each in-flight client has an absolute finish time;
         // aggregation fires whenever `async_buffer` updates are buffered.
-        // The loop works on locals and parks them again at `end`.
-        let FedBuffState {
-            mut heap,
-            mut attempts_store,
-            mut buffer,
-            mut agg_count,
-            mut launch_agg,
-            mut round_attempts,
-        } = std::mem::take(&mut self.fedbuff);
+        // The loop works on the state moved out of `self` and parks it
+        // again at `end`.
+        let mut fb = std::mem::take(&mut self.fedbuff);
 
         let mut scratches = self.worker_scratches();
         for agg_round in self.next_round..end {
@@ -1718,49 +1680,42 @@ impl Experiment {
                     let finish = Finish {
                         at_s: self.clock.now_s() + slot_free_s,
                         client: a.client,
-                        attempt_idx: attempts_store.len(),
+                        attempt_idx: fb.attempts_store.len(),
                     };
-                    launch_agg.push(agg_count);
-                    attempts_store.push(a);
-                    heap.push(finish);
+                    fb.launch_agg.push(fb.agg_count);
+                    fb.attempts_store.push(a);
+                    fb.heap.push(finish);
                 }
-                if buffer.len() >= self.config.async_buffer {
+                if fb.buffer.len() >= self.config.async_buffer {
                     break;
                 }
-                let Some(ev) = heap.pop() else { break };
+                let Some(ev) = fb.heap.pop() else { break };
                 let dt = (ev.at_s - self.clock.now_s()).max(0.0);
                 self.clock.advance(dt);
-                let attempt = &mut attempts_store[ev.attempt_idx];
+                let attempt = &mut fb.attempts_store[ev.attempt_idx];
                 // Free the slot in the FedBuff selector.
                 let feedback = self.selection_feedback(attempt);
                 self.selector.feedback(agg_round, &[feedback]);
-                round_attempts.push(ev.attempt_idx);
+                fb.round_attempts.push(ev.attempt_idx);
                 if let Some(mut u) = attempt.update.take() {
-                    u.staleness = agg_count - launch_agg[ev.attempt_idx];
-                    deliver_update(&mut buffer, u, attempt.duplicate);
+                    u.staleness = fb.agg_count - fb.launch_agg[ev.attempt_idx];
+                    deliver_update(&mut fb.buffer, u, attempt.duplicate);
                 }
             }
-            if !buffer.is_empty() {
-                self.aggregate(agg_round, global_params, &mut buffer);
-                buffer.clear();
-                agg_count += 1;
+            if !fb.buffer.is_empty() {
+                self.aggregate(agg_round, global_params, &mut fb.buffer);
+                fb.buffer.clear();
+                fb.agg_count += 1;
             }
             self.sampler.charge_all();
 
             self.bookkeep_round(
                 agg_round,
-                round_attempts.iter().map(|&i| &attempts_store[i]),
+                fb.round_attempts.iter().map(|&i| &fb.attempts_store[i]),
             );
-            round_attempts.clear();
+            fb.round_attempts.clear();
         }
-        self.fedbuff = FedBuffState {
-            heap,
-            attempts_store,
-            buffer,
-            agg_count,
-            launch_agg,
-            round_attempts,
-        };
+        self.fedbuff = fb;
     }
 
     // ------------------------------------------------------------------
@@ -1965,8 +1920,7 @@ mod tests {
     #[test]
     fn agent_transfer_roundtrip() {
         let cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 6);
-        let mut exp = Experiment::new(cfg).expect("valid");
-        let agent = exp.take_agent().expect("agent exists");
+        let (_, agent) = Experiment::new(cfg).expect("valid").run_capturing_agent();
         let mut exp2 = Experiment::new(ExperimentConfig::small(
             SelectorChoice::Oort,
             AccelMode::Rlhf,
@@ -2060,8 +2014,12 @@ mod tests {
         let auto = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);
         let mut tiny = auto;
         tiny.shard_cache = auto.cohort_size; // smallest legal capacity
-        let (a, a_stats) = Experiment::new(auto).expect("valid").run_with_cache_stats();
-        let (b, b_stats) = Experiment::new(tiny).expect("valid").run_with_cache_stats();
+        let (a, a_stats, _) = Experiment::new(auto)
+            .expect("valid")
+            .run_with_population_stats();
+        let (b, b_stats, _) = Experiment::new(tiny)
+            .expect("valid")
+            .run_with_population_stats();
         assert_eq!(a, b, "cache capacity changed the report");
         assert!(b_stats.evictions > 0, "tiny cache never evicted");
         assert!(b_stats.peak_resident <= b_stats.capacity);

@@ -103,11 +103,6 @@ impl FederatedDataset {
     pub fn test_shard(&self, i: usize) -> &Dataset {
         &self.test[i]
     }
-
-    /// Total training samples across all clients.
-    pub fn total_train_samples(&self) -> usize {
-        self.train.iter().map(Dataset::len).sum()
-    }
 }
 
 #[cfg(test)]

@@ -333,11 +333,6 @@ impl SharedShardCache {
         &self.spec
     }
 
-    /// The `Arc` spec handle (for eval paths that derive shards directly).
-    pub fn spec_arc(&self) -> Arc<ShardSpec> {
-        Arc::clone(&self.spec)
-    }
-
     /// Number of clients.
     pub fn num_clients(&self) -> usize {
         self.spec.num_clients()

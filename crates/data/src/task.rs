@@ -85,17 +85,6 @@ impl Task {
             },
         }
     }
-
-    /// Relative per-sample compute weight of this task (Speech is cheap,
-    /// OpenImage is expensive), used when sizing local datasets.
-    pub fn sample_weight(self) -> f64 {
-        match self {
-            Task::Emnist | Task::Femnist => 1.0,
-            Task::Cifar10 => 1.2,
-            Task::OpenImage => 2.0,
-            Task::Speech => 0.5,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use rand::seq::SliceRandom;
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{ClientSelector, SelectionFeedback, SelectorKind};
+use crate::selector::{ClientSelector, SelectionFeedback};
 
 /// Uniform random selection without replacement — the FedAvg baseline.
 ///
@@ -25,10 +25,6 @@ impl FedAvgSelector {
 }
 
 impl ClientSelector for FedAvgSelector {
-    fn kind(&self) -> SelectorKind {
-        SelectorKind::FedAvg
-    }
-
     fn select_into(
         &mut self,
         round: usize,

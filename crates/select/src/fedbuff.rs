@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{ClientSelector, SelectionFeedback, SelectorKind};
+use crate::selector::{ClientSelector, SelectionFeedback};
 
 /// Asynchronous over-selecting selector.
 #[derive(Debug, Clone)]
@@ -63,10 +63,6 @@ impl FedBuffSelector {
 }
 
 impl ClientSelector for FedBuffSelector {
-    fn kind(&self) -> SelectorKind {
-        SelectorKind::FedBuff
-    }
-
     /// Top up the in-flight set to `concurrency` from the eligible pool
     /// (ignoring `target`, which synchronous baselines use) and write the
     /// *newly launched* clients into `cohort`.

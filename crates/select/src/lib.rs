@@ -38,5 +38,5 @@ pub use fedbuff::FedBuffSelector;
 pub use heuristic::HeuristicPolicy;
 pub use oort::OortSelector;
 pub use refl::ReflSelector;
-pub use selector::{top_k_by, ClientSelector, SelectionFeedback, SelectorKind};
+pub use selector::{top_k_by, ClientSelector, SelectionFeedback};
 pub use tifl::TiflSelector;

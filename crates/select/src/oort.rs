@@ -17,7 +17,7 @@ use rand::Rng;
 use float_profile::{ClientEstimate, ProfileView};
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{top_k_by, ClientSelector, SelectionFeedback, SelectorKind};
+use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
 
 /// Per-client rolling statistics maintained by Oort.
 #[derive(Debug, Clone, Copy, Default)]
@@ -171,10 +171,6 @@ impl OortSelector {
 }
 
 impl ClientSelector for OortSelector {
-    fn kind(&self) -> SelectorKind {
-        SelectorKind::Oort
-    }
-
     fn select_into(
         &mut self,
         round: usize,

@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 use float_profile::{ClientEstimate, ProfileView};
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{top_k_by, ClientSelector, SelectionFeedback, SelectorKind};
+use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
 
 /// How many past rounds of availability history to keep per client.
 const HISTORY: usize = 64;
@@ -166,10 +166,6 @@ impl ReflSelector {
 }
 
 impl ClientSelector for ReflSelector {
-    fn kind(&self) -> SelectorKind {
-        SelectorKind::Refl
-    }
-
     fn select_into(
         &mut self,
         round: usize,

@@ -28,39 +28,6 @@ pub fn top_k_by<T>(v: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Orde
     v.sort_unstable_by(&mut cmp);
 }
 
-/// Which baseline a selector implements (for experiment labeling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SelectorKind {
-    /// Uniform random synchronous selection.
-    FedAvg,
-    /// Utility-guided synchronous selection.
-    Oort,
-    /// Availability-window-predicting synchronous selection.
-    Refl,
-    /// Asynchronous buffered selection with over-selection.
-    FedBuff,
-    /// Tier-based selection (TiFL), an extension baseline.
-    Tifl,
-}
-
-impl SelectorKind {
-    /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            SelectorKind::FedAvg => "fedavg",
-            SelectorKind::Oort => "oort",
-            SelectorKind::Refl => "refl",
-            SelectorKind::FedBuff => "fedbuff",
-            SelectorKind::Tifl => "tifl",
-        }
-    }
-
-    /// Whether this selector drives asynchronous aggregation.
-    pub fn is_async(self) -> bool {
-        matches!(self, SelectorKind::FedBuff)
-    }
-}
-
 /// Per-client feedback handed to a selector after each round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SelectionFeedback {
@@ -90,9 +57,6 @@ pub struct SelectionFeedback {
 /// `ClientSelector` and adds acceleration on top, demonstrating the
 /// paper's non-intrusive integration claim.
 pub trait ClientSelector {
-    /// Which baseline this is.
-    fn kind(&self) -> SelectorKind;
-
     /// Choose the clients to task in `round` from the `eligible` pool —
     /// the clients currently checked in as available, mirroring the
     /// FedScale/production model where unavailable devices are never
@@ -151,21 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_have_unique_names() {
-        let kinds = [
-            SelectorKind::FedAvg,
-            SelectorKind::Oort,
-            SelectorKind::Refl,
-            SelectorKind::FedBuff,
-            SelectorKind::Tifl,
-        ];
-        let mut names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), kinds.len());
-    }
-
-    #[test]
     fn top_k_matches_stable_sort_prefix() {
         // Pseudo-random but deterministic scores with many duplicates.
         let scores: Vec<(f64, usize)> = (0..97usize)
@@ -187,14 +136,5 @@ mod tests {
         let mut v = vec![3, 1, 2];
         top_k_by(&mut v, 0, |a: &i32, b: &i32| a.cmp(b));
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn only_fedbuff_is_async() {
-        assert!(SelectorKind::FedBuff.is_async());
-        assert!(!SelectorKind::FedAvg.is_async());
-        assert!(!SelectorKind::Oort.is_async());
-        assert!(!SelectorKind::Refl.is_async());
-        assert!(!SelectorKind::Tifl.is_async());
     }
 }

@@ -16,7 +16,7 @@ use float_tensor::rng::{seed_rng, split_seed};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::selector::{top_k_by, ClientSelector, SelectionFeedback, SelectorKind};
+use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
 
 /// Number of latency tiers TiFL maintains.
 const NUM_TIERS: usize = 5;
@@ -207,10 +207,6 @@ impl TiflSelector {
 const INITIAL_CREDITS: u64 = 20;
 
 impl ClientSelector for TiflSelector {
-    fn kind(&self) -> SelectorKind {
-        SelectorKind::Tifl
-    }
-
     fn select_into(
         &mut self,
         round: usize,

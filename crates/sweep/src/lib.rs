@@ -41,9 +41,7 @@ use serde::{Deserialize, Serialize};
 use float_core::engine::parallel_map_with;
 use float_core::optim::{ServerOptimConfig, ServerOptimizerChoice};
 use float_core::trial::SharedPopulation;
-use float_core::{
-    AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice, ShardCacheStats,
-};
+use float_core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
 use float_obs::{sink, ObsConfig};
 use float_tensor::rng::split_seed;
 
@@ -525,9 +523,6 @@ pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepOutcome, 
         },
     })
 }
-
-/// Shard-store counters type re-exported for report plumbing.
-pub type SweepShardStats = ShardCacheStats;
 
 /// One point of the multi-objective frontier report: accuracy
 /// (maximize) vs simulated round time (minimize) vs upload volume

@@ -1,11 +1,10 @@
 //! Cache-blocked, register-tiled compute kernels for the training hot path.
 //!
 //! The FL experiments spend nearly all wall-clock inside the three GEMM
-//! variants (`matmul`, `t_matmul`, `matmul_t`) and the convolution loops.
-//! This module is the single place that work happens: a packed-panel GEMM
-//! with register micro-kernels widened per call shape, plus the fused
-//! elementwise passes (bias+ReLU forward, ReLU-mask backward) the layers
-//! use.
+//! variants (`matmul`, `t_matmul`, `matmul_t`). This module is the single
+//! place that work happens: a packed-panel GEMM with register
+//! micro-kernels widened per call shape, plus the fused elementwise passes
+//! (bias+ReLU forward, ReLU-mask backward) the layers use.
 //!
 //! # Design
 //!
@@ -55,11 +54,6 @@
 
 use std::cell::RefCell;
 
-/// Rows of the *reference* micro-kernel (the narrowest tile, used for
-/// small shapes; wider variants are selected by [`select_tile`]).
-pub const MR: usize = 4;
-/// Columns of the reference micro-kernel.
-pub const NR: usize = 8;
 /// Row-panel height of packed `A` blocks.
 const MC: usize = 64;
 /// Depth of packed panels; reductions with `k ≤ KC` are single-pass.
@@ -112,35 +106,24 @@ fn select_tile(m: usize, n: usize) -> Tile {
 ///
 /// Panics (debug and release) if a slice is shorter than its shape implies.
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, n, 1, out, false);
-}
-
-/// `C[m×n] += A[m×k] · B[k×n]`, all row-major.
-pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, n, 1, out, true);
+    gemm_strided(m, k, n, a, k, 1, b, n, 1, out);
 }
 
 /// `C[m×n] = Aᵀ · B` where `A` is stored row-major `[k×m]` (so the logical
 /// left operand is its transpose) and `B` is `[k×n]`. Overwrites `out`.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, 1, m, b, n, 1, out, false);
+    gemm_strided(m, k, n, a, 1, m, b, n, 1, out);
 }
 
 /// `C[m×n] = A · Bᵀ` where `A` is `[m×k]` and `B` is stored row-major
 /// `[n×k]`. Overwrites `out`.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, 1, k, out, false);
+    gemm_strided(m, k, n, a, k, 1, b, 1, k, out);
 }
 
-/// `C[m×n] += A · Bᵀ` where `A` is `[m×k]` and `B` is stored row-major
-/// `[n×k]` (used to accumulate conv weight gradients across a batch).
-pub fn gemm_nt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, 1, k, out, true);
-}
-
-/// Strided GEMM driver: `C[i][j] (+)= Σ_p A'[i][p] · B'[p][j]` where
+/// Strided GEMM driver: `C[i][j] = Σ_p A'[i][p] · B'[p][j]` where
 /// `A'[i][p] = a[i*a_rs + p*a_cs]` and `B'[p][j] = b[p*b_rs + j*b_cs]`.
-/// `out` is row-major `[m×n]` and is zeroed first unless `accumulate`.
+/// `out` is row-major `[m×n]` and is overwritten.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     m: usize,
@@ -153,15 +136,12 @@ fn gemm_strided(
     b_rs: usize,
     b_cs: usize,
     out: &mut [f32],
-    accumulate: bool,
 ) {
     // The driver is monomorphized per tile shape.
     match select_tile(m, n) {
-        Tile::T4x8 => gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate),
-        Tile::T8x8 => gemm_blocked::<8, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate),
-        Tile::T4x16 => {
-            gemm_blocked::<4, 16>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, accumulate)
-        }
+        Tile::T4x8 => gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out),
+        Tile::T8x8 => gemm_blocked::<8, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out),
+        Tile::T4x16 => gemm_blocked::<4, 16>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out),
     }
 }
 
@@ -180,12 +160,9 @@ fn gemm_blocked<const R: usize, const C: usize>(
     b_rs: usize,
     b_cs: usize,
     out: &mut [f32],
-    accumulate: bool,
 ) {
     assert!(out.len() >= m * n, "output buffer too small for {m}x{n}");
-    if !accumulate {
-        out[..m * n].fill(0.0);
-    }
+    out[..m * n].fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -492,7 +469,7 @@ mod tests {
         b_cs: usize,
         out: &mut [f32],
     ) {
-        gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out, false);
+        gemm_blocked::<4, 8>(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, out);
     }
 
     fn pseudo(n: usize, salt: u64) -> Vec<f32> {
@@ -725,26 +702,10 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_variants_add_to_existing() {
-        let (m, k, n) = (5, 4, 6);
-        let a = pseudo(m * k, 9);
-        let b = pseudo(k * n, 10);
-        let mut out = vec![1.0f32; m * n];
-        gemm_nn_acc(m, k, n, &a, &b, &mut out);
-        let want = reference(m, k, n, &a, &b);
-        for (got, w) in out.iter().zip(&want) {
-            assert!((got - (w + 1.0)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn zero_k_zeroes_output_unless_accumulating() {
+    fn zero_k_zeroes_output() {
         let mut out = vec![3.0f32; 4];
         gemm_nn(2, 0, 2, &[], &[], &mut out);
         assert_eq!(out, vec![0.0; 4]);
-        let mut out = vec![3.0f32; 4];
-        gemm_nn_acc(2, 0, 2, &[], &[], &mut out);
-        assert_eq!(out, vec![3.0; 4]);
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl Linear {
         }
     }
 
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.weight.rows()
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.weight.cols()
-    }
-
     /// Forward pass; caches the input for the subsequent backward pass.
     ///
     /// # Errors

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conv;
 pub mod dataset;
 pub mod kernels;
 pub mod layers;
@@ -46,7 +45,6 @@ pub mod optim;
 pub mod rng;
 pub mod tensor;
 
-pub use conv::{Conv2d, FeatureShape, MaxPool2};
 pub use dataset::Dataset;
 pub use layers::{Linear, Relu};
 pub use loss::{softmax_cross_entropy, Evaluation};

@@ -63,9 +63,9 @@ pub struct TrainOptions {
 
 /// Client-drift corrections applied to every minibatch gradient — the
 /// composable FedProx / SCAFFOLD layer. The default applies nothing and
-/// leaves [`Mlp::train_epoch_with`] bit-identical to its historical
-/// behaviour (the correction branches are skipped entirely, so the
-/// floating-point op sequence is unchanged).
+/// leaves [`Mlp::train_epoch_corrected`] bit-identical to plain training
+/// (the correction branches are skipped entirely, so the floating-point
+/// op sequence is unchanged).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DriftOptions<'a> {
     /// FedProx proximal term: `(μ, anchor)` adds `μ·(w − anchor)` to the
@@ -303,32 +303,27 @@ impl Mlp {
         opt: &mut Sgd,
         seed: u64,
     ) -> f32 {
-        self.train_epoch_with(data, batch_size, opt, seed, &TrainOptions::default())
+        self.train_epoch_corrected(
+            data,
+            batch_size,
+            opt,
+            seed,
+            &TrainOptions::default(),
+            &DriftOptions::default(),
+        )
     }
 
-    /// [`Mlp::train_epoch`] with acceleration hooks.
+    /// [`Mlp::train_epoch`] with acceleration hooks and client-drift
+    /// corrections.
     ///
     /// - `opts.frozen[i] == true` keeps parameter `i` fixed (partial
     ///   training).
     /// - `opts.prune_mask[i] == false` forces parameter `i` to zero after
     ///   every step (magnitude pruning keeps the model sparse during local
     ///   training).
-    pub fn train_epoch_with(
-        &mut self,
-        data: &Dataset,
-        batch_size: usize,
-        opt: &mut Sgd,
-        seed: u64,
-        opts: &TrainOptions,
-    ) -> f32 {
-        self.train_epoch_corrected(data, batch_size, opt, seed, opts, &DriftOptions::default())
-    }
-
-    /// [`Mlp::train_epoch_with`] plus client-drift corrections applied to
-    /// each minibatch gradient *before* the acceleration hooks: FedProx's
-    /// proximal pull and/or SCAFFOLD's control-variate correction (see
-    /// [`DriftOptions`]). With the default (empty) drift options this is
-    /// exactly `train_epoch_with`, bit for bit.
+    /// - `drift` is applied to each minibatch gradient *before* those
+    ///   hooks: FedProx's proximal pull and/or SCAFFOLD's control-variate
+    ///   correction (see [`DriftOptions`]).
     pub fn train_epoch_corrected(
         &mut self,
         data: &Dataset,
@@ -723,7 +718,7 @@ mod tests {
         let frozen = vec![true; cfg.num_params()];
         let before = m.params();
         let mut opt = Sgd::new(0.5);
-        m.train_epoch_with(
+        m.train_epoch_corrected(
             &data,
             16,
             &mut opt,
@@ -732,6 +727,7 @@ mod tests {
                 frozen: Some(frozen),
                 prune_mask: None,
             },
+            &DriftOptions::default(),
         );
         assert_eq!(m.params(), before);
     }
@@ -745,7 +741,7 @@ mod tests {
         // Zero out the first half of parameters.
         let mask: Vec<bool> = (0..n).map(|i| i >= n / 2).collect();
         let mut opt = Sgd::new(0.2);
-        m.train_epoch_with(
+        m.train_epoch_corrected(
             &data,
             16,
             &mut opt,
@@ -754,6 +750,7 @@ mod tests {
                 prune_mask: Some(mask.clone()),
                 frozen: None,
             },
+            &DriftOptions::default(),
         );
         let params = m.params();
         for (i, (&p, &keep)) in params.iter().zip(&mask).enumerate() {
@@ -850,7 +847,7 @@ mod tests {
         let mut opt_a = Sgd::new(0.2);
         let mut opt_b = Sgd::new(0.2);
         for e in 0..3 {
-            plain.train_epoch_with(&data, 16, &mut opt_a, e, &TrainOptions::default());
+            plain.train_epoch(&data, 16, &mut opt_a, e);
             corrected.train_epoch_corrected(
                 &data,
                 16,

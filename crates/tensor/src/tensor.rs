@@ -218,25 +218,6 @@ impl Tensor {
         out
     }
 
-    /// In-place elementwise addition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes disagree.
-    pub fn add_assign(&mut self, rhs: &Tensor) -> Result<(), TensorError> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
     /// Add a `[1, cols]` bias row to every row of the tensor.
     ///
     /// # Errors
@@ -259,14 +240,8 @@ impl Tensor {
         Ok(())
     }
 
-    /// Sum over rows, producing a `[1, cols]` tensor (used for bias grads).
-    pub fn sum_rows(&self) -> Tensor {
-        let mut out = Tensor::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::sum_rows`] writing into caller scratch.
+    /// Sum over rows into caller scratch, resized to `[1, cols]` (the bias
+    /// gradient of a linear layer).
     pub fn sum_rows_into(&self, out: &mut Tensor) {
         out.resize(1, self.cols);
         out.data.fill(0.0);
@@ -278,18 +253,6 @@ impl Tensor {
                 *o += v;
             }
         }
-    }
-
-    /// Scale every element in place.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
-    /// Squared L2 norm of all elements.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
     }
 
     /// Index of the maximum element in each row.
@@ -367,8 +330,9 @@ mod tests {
     #[test]
     fn sum_rows_collapses() {
         let a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let s = a.sum_rows();
-        assert_eq!(s.data(), &[4.0, 6.0]);
+        let mut s = Tensor::zeros(9, 9); // wrong shape: must be resized
+        a.sum_rows_into(&mut s);
+        assert_eq!(s, t(1, 2, &[4.0, 6.0]));
     }
 
     #[test]
@@ -418,9 +382,6 @@ mod tests {
         assert_eq!(out, a.transpose().matmul(&a).unwrap());
         a.matmul_t_into(&a, &mut out).unwrap();
         assert_eq!(out, a.matmul(&a.transpose()).unwrap());
-        let mut s = Tensor::default();
-        a.sum_rows_into(&mut s);
-        assert_eq!(s, a.sum_rows());
     }
 
     #[test]

@@ -1,165 +1,155 @@
-//! Finite-difference gradient checks for the im2col convolution path.
+//! Central-difference gradient check of the path that trains.
 //!
-//! The inline unit tests cover single layers; these checks drive the full
-//! conv → max-pool → linear → softmax chain and compare every analytic
-//! gradient surface (conv weights, conv bias, input pixels, pooled
-//! routing) against central differences. Tolerances are relative: max
-//! pooling is only piecewise linear, so a perturbation that flips an
-//! argmax produces a legitimate (small) mismatch.
+//! Every experiment's local step is `Mlp::forward_backward`: the scratch
+//! forward (`forward_matmul_into` + fused bias/ReLU), the in-place backward
+//! sweep (`backward_into`, `backward_in_place`) and `backward_params_only`
+//! for layer 0, whose input gradient is skipped. These checks hold every
+//! weight and bias gradient it leaves in [`Mlp::grads`] to central
+//! differences of an independent loss: the allocating inference path
+//! (`forward_inference` → `cross_entropy_loss`), which shares no buffer
+//! and no fused kernel with the path under test. Tolerances are relative
+//! with an absolute floor: the reference loss is an `f32`, so a central
+//! difference at `EPS` carries ~2e-4 of rounding noise (measured on these
+//! seeds), and ReLU is only piecewise linear, so a perturbation that
+//! crosses a kink produces a legitimate mismatch — none does on the seeds
+//! pinned here.
 
-use float_tensor::loss::{cross_entropy_loss, softmax_cross_entropy};
-use float_tensor::{seed_rng, Conv2d, FeatureShape, Linear, MaxPool2, Tensor};
+use float_tensor::loss::cross_entropy_loss;
+use float_tensor::{seed_rng, Mlp, MlpConfig, Tensor};
 use rand::Rng;
 
-const EPS: f32 = 1e-2;
+const EPS: f32 = 1e-3;
 const REL_TOL: f32 = 0.05;
+/// Gradients smaller than this are held to `REL_TOL * ABS_FLOOR`.
+const ABS_FLOOR: f32 = 0.1;
 
-fn sample_input(shape: FeatureShape, n: usize, seed: u64) -> Tensor {
+const INPUT_DIM: usize = 5;
+const HIDDEN: [usize; 2] = [7, 6];
+const CLASSES: usize = 4;
+/// The layer-0 unit [`model`] forces dead on every sample.
+const DEAD_UNIT: usize = 2;
+
+fn batch(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
     let mut rng = seed_rng(seed);
-    let data = (0..n * shape.len())
+    let data = (0..n * INPUT_DIM)
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
-    Tensor::from_vec(n, shape.len(), data).expect("sized by construction")
+    let x = Tensor::from_vec(n, INPUT_DIM, data).expect("sized by construction");
+    let y = (0..n).map(|_| rng.gen_range(0..CLASSES)).collect();
+    (x, y)
 }
 
-fn close(numeric: f32, analytic: f32, what: &str) {
+/// A 5-7-6-4 model with every bias drawn from `±0.5` — `Mlp::new` starts
+/// them at exactly zero, which parks a unit *on* the ReLU kink whenever the
+/// layer below it is silent — and layer-0 unit [`DEAD_UNIT`] forced dead:
+/// inputs lie in `[-1, 1)` and He-uniform weights in `±√(6/5)`, so a bias
+/// of −10 keeps its pre-activation negative on any sample.
+fn model(seed: u64) -> Mlp {
+    let cfg = MlpConfig::new(INPUT_DIM, &HIDDEN, CLASSES);
+    let mut m = Mlp::new(&cfg, seed);
+    let mut rng = seed_rng(seed ^ 0xB1A5);
+    let mut p = m.params();
+    let mut off = 0;
+    for w in [INPUT_DIM, HIDDEN[0], HIDDEN[1], CLASSES].windows(2) {
+        off += w[0] * w[1];
+        for b in &mut p[off..off + w[1]] {
+            *b = rng.gen_range(-0.5f32..0.5);
+        }
+        off += w[1];
+    }
+    assert_eq!(off, cfg.num_params());
+    p[INPUT_DIM * HIDDEN[0] + DEAD_UNIT] = -10.0;
+    m.set_params(&p).expect("same architecture");
+    m
+}
+
+/// How many of the batch's samples leave each layer-0 unit at zero, read
+/// off the flat parameter layout (weights `[in, out]` row-major, then bias).
+fn dead_counts(m: &Mlp, x: &Tensor) -> Vec<usize> {
+    let p = m.params();
+    let (w, b) = p.split_at(INPUT_DIM * HIDDEN[0]);
+    (0..HIDDEN[0])
+        .map(|j| {
+            (0..x.rows())
+                .filter(|&r| {
+                    let z: f32 = (0..INPUT_DIM)
+                        .map(|i| x.at(r, i) * w[i * HIDDEN[0] + j])
+                        .sum();
+                    z + b[j] <= 0.0
+                })
+                .count()
+        })
+        .collect()
+}
+
+fn reference_loss(m: &Mlp, x: &Tensor, y: &[usize]) -> f32 {
+    let logits = m.forward_inference(x).expect("input fits");
+    cross_entropy_loss(&logits, y).expect("labels in range")
+}
+
+/// `forward_backward` on `(x, y)`, then every entry of `grads()` against
+/// the central difference of [`reference_loss`] in that parameter.
+fn check_every_parameter(m: &mut Mlp, x: &Tensor, y: &[usize], what: &str) {
+    let loss = m.forward_backward(x, y).expect("batch fits");
+    let reference = reference_loss(m, x, y);
     assert!(
-        (numeric - analytic).abs() <= REL_TOL * numeric.abs().max(1.0),
-        "{what}: numeric {numeric} vs analytic {analytic}"
+        (loss - reference).abs() <= 1e-5 * reference.abs().max(1.0),
+        "{what}: scratch loss {loss} vs inference loss {reference}"
     );
-}
-
-/// Mean cross-entropy of the conv → pool → linear chain, inference path.
-fn chain_loss(conv: &Conv2d, pool: &mut MaxPool2, head: &Linear, x: &Tensor, ys: &[usize]) -> f32 {
-    let h1 = conv.forward_inference(x).expect("conv input fits");
-    let h2 = pool.forward(&h1).expect("pool input fits");
-    let logits = head.forward_inference(&h2).expect("head input fits");
-    cross_entropy_loss(&logits, ys).expect("labels in range")
-}
-
-#[test]
-fn conv_chain_gradients_match_finite_differences() {
-    let shape = FeatureShape::new(2, 4, 4);
-    let mut conv = Conv2d::new(shape, 3, 3, 17);
-    let mut pool = MaxPool2::new(conv.output_shape());
-    let mut head = Linear::new(pool.output_shape().len(), 4, 19);
-    let mut x = sample_input(shape, 3, 23);
-    let ys = [0usize, 2, 3];
-
-    // Analytic pass through the training path (im2col forward + GEMM
-    // backward).
-    let h1 = conv.forward(&x).expect("conv input fits");
-    let h2 = pool.forward(&h1).expect("pool input fits");
-    let logits = head.forward(&h2).expect("head input fits");
-    let (_, grad) = softmax_cross_entropy(&logits, &ys).expect("labels in range");
-    let g2 = head.backward(&grad).expect("after forward");
-    let g1 = pool.backward(&g2).expect("after forward");
-    let grad_in = conv.backward(&g1).expect("after forward");
-
-    // Conv weight gradients, sampled across channels and taps.
-    for &(r, c) in &[(0usize, 0usize), (1, 5), (2, 17), (0, 9), (2, 0)] {
-        let base = conv.weight.at(r, c);
-        conv.weight.set(r, c, base + EPS);
-        let up = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        conv.weight.set(r, c, base - EPS);
-        let down = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        conv.weight.set(r, c, base);
-        close(
-            (up - down) / (2.0 * EPS),
-            conv.grad_weight.at(r, c),
-            &format!("conv weight [{r},{c}]"),
-        );
-    }
-
-    // Conv bias gradients — the im2col path adds bias after the GEMM.
-    for oc in 0..3 {
-        let base = conv.bias.at(0, oc);
-        conv.bias.set(0, oc, base + EPS);
-        let up = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        conv.bias.set(0, oc, base - EPS);
-        let down = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        conv.bias.set(0, oc, base);
-        close(
-            (up - down) / (2.0 * EPS),
-            conv.grad_bias.at(0, oc),
-            &format!("conv bias [{oc}]"),
-        );
-    }
-
-    // Input gradients through conv, pooling's argmax routing, and the
-    // head — exercises col2im end to end.
-    for i in [0usize, 7, 13, 21, 30, shape.len() * 3 - 1] {
-        let base = x.data()[i];
-        x.data_mut()[i] = base + EPS;
-        let up = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        x.data_mut()[i] = base - EPS;
-        let down = chain_loss(&conv, &mut pool, &head, &x, &ys);
-        x.data_mut()[i] = base;
-        close(
-            (up - down) / (2.0 * EPS),
-            grad_in.data()[i],
-            &format!("input [{i}]"),
+    let analytic = m.grads();
+    let base = m.params();
+    assert_eq!(analytic.len(), base.len());
+    let mut probe = m.clone();
+    let mut p = base.clone();
+    for i in 0..base.len() {
+        p[i] = base[i] + EPS;
+        probe.set_params(&p).expect("same architecture");
+        let up = reference_loss(&probe, x, y);
+        p[i] = base[i] - EPS;
+        probe.set_params(&p).expect("same architecture");
+        let down = reference_loss(&probe, x, y);
+        p[i] = base[i];
+        let numeric = (up - down) / (2.0 * EPS);
+        assert!(
+            (numeric - analytic[i]).abs() <= REL_TOL * numeric.abs().max(ABS_FLOOR),
+            "{what}, parameter {i}: numeric {numeric} vs analytic {}",
+            analytic[i]
         );
     }
 }
 
 #[test]
-fn maxpool_backward_matches_finite_differences() {
-    let shape = FeatureShape::new(2, 4, 4);
-    let mut pool = MaxPool2::new(shape);
-    let mut x = sample_input(shape, 2, 31);
-    // Loss = Σ w_o · pool(x)_o with fixed random weights, so the analytic
-    // input gradient is pool.backward(w).
-    let w = sample_input(pool.output_shape(), 2, 37);
-    let loss = |pool: &mut MaxPool2, x: &Tensor| -> f32 {
-        let y = pool.forward(x).expect("pool input fits");
-        y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
-    };
-    let _ = pool.forward(&x).expect("pool input fits");
-    let grad_in = pool.backward(&w).expect("after forward");
-    for i in [0usize, 3, 11, 19, 27, shape.len() * 2 - 1] {
-        let base = x.data()[i];
-        x.data_mut()[i] = base + EPS;
-        let up = loss(&mut pool, &x);
-        x.data_mut()[i] = base - EPS;
-        let down = loss(&mut pool, &x);
-        x.data_mut()[i] = base;
-        close(
-            (up - down) / (2.0 * EPS),
-            grad_in.data()[i],
-            &format!("pool input [{i}]"),
-        );
-    }
+fn every_mlp_gradient_matches_central_differences() {
+    // Seven samples: an odd batch, so the 4-row register tiles end on a
+    // ragged one in every GEMM of the step.
+    let (x, y) = batch(7, 23);
+    let mut m = model(17);
+    let dead = dead_counts(&m, &x);
+    assert_eq!(dead[DEAD_UNIT], 7, "the forced unit fires");
+    assert!(
+        dead.iter().any(|&d| d > 0 && d < 7),
+        "no unit is dead on only part of the batch: {dead:?}"
+    );
+    check_every_parameter(&mut m, &x, &y, "batch 7");
+    // The dead unit's mask zeroes its whole column of the backward sweep:
+    // its bias and incoming weights see exactly no gradient, and neither
+    // do the next layer's weights that read its (zero) activation.
+    let g = m.grads();
+    let (w0, b0) = (INPUT_DIM * HIDDEN[0], HIDDEN[0]);
+    assert_eq!(g[w0 + DEAD_UNIT], 0.0);
+    assert!((0..INPUT_DIM).all(|i| g[i * HIDDEN[0] + DEAD_UNIT] == 0.0));
+    let w1_row = w0 + b0 + DEAD_UNIT * HIDDEN[1];
+    assert!(g[w1_row..w1_row + HIDDEN[1]].iter().all(|&v| v == 0.0));
 }
 
 #[test]
-fn one_by_one_kernel_gradients_match() {
-    // kernel = 1 degenerates im2col to a copy; the GEMM backward must
-    // still agree with finite differences.
-    let shape = FeatureShape::new(3, 2, 2);
-    let mut conv = Conv2d::new(shape, 2, 1, 41);
-    let x = sample_input(shape, 2, 43);
-    let y = conv.forward(&x).expect("conv input fits");
-    let ones = Tensor::from_vec(y.rows(), y.cols(), vec![1.0; y.len()]).expect("sized");
-    let _ = conv.backward(&ones).expect("after forward");
-    let loss = |c: &Conv2d| -> f32 {
-        c.forward_inference(&x)
-            .expect("conv input fits")
-            .data()
-            .iter()
-            .sum()
-    };
-    for &(r, c) in &[(0usize, 0usize), (1, 2), (0, 1)] {
-        let base = conv.weight.at(r, c);
-        conv.weight.set(r, c, base + EPS);
-        let up = loss(&conv);
-        conv.weight.set(r, c, base - EPS);
-        let down = loss(&conv);
-        conv.weight.set(r, c, base);
-        close(
-            (up - down) / (2.0 * EPS),
-            conv.grad_weight.at(r, c),
-            &format!("1x1 weight [{r},{c}]"),
-        );
+fn gradients_survive_scratch_reuse_across_batch_shapes() {
+    // One model, three batches of different heights: the activation and
+    // gradient ping-pong buffers are resized in place and never cleared,
+    // so a step must not read what a taller batch left behind.
+    let mut m = model(29);
+    for (n, seed) in [(9usize, 31u64), (3, 37), (5, 41)] {
+        let (x, y) = batch(n, seed);
+        check_every_parameter(&mut m, &x, &y, &format!("batch {n} on reused scratch"));
     }
 }

@@ -87,6 +87,14 @@ impl AvailabilityModel {
         }
     }
 
+    /// Client `client`'s model in a population sampled under `seed`: stream
+    /// 2 of the client's trace seed. The availability index, the
+    /// full-sweep models and the trace cache each derive it on their own
+    /// and must agree bit for bit, so this is its only spelling.
+    pub(crate) fn for_client(seed: u64, client: usize) -> Self {
+        Self::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2))
+    }
+
     /// Whether the diurnal cycle marks this client available in `round`
     /// (before battery and interruption effects).
     pub fn diurnal_available(&self, round: usize) -> bool {

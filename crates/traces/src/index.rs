@@ -163,11 +163,6 @@ impl AvailabilityIndex {
         self.count
     }
 
-    /// Day position the row currently reflects.
-    pub fn row_pos(&self) -> usize {
-        self.row_pos
-    }
-
     /// Whether client `c`'s diurnal bit is set at the current row position.
     pub fn contains(&self, c: usize) -> bool {
         self.row[c / 64] & (1u64 << (c % 64)) != 0
@@ -248,14 +243,9 @@ fn nth_set_bit(mut word: u64, j: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use float_tensor::rng::split_seed;
-
-    fn model(seed: u64, i: usize) -> AvailabilityModel {
-        AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + i as u64), 2))
-    }
 
     fn build(seed: u64, n: usize) -> AvailabilityIndex {
-        AvailabilityIndex::build(n, |i| model(seed, i))
+        AvailabilityIndex::build(n, |i| AvailabilityModel::for_client(seed, i))
     }
 
     #[test]
@@ -282,7 +272,7 @@ mod tests {
             idx.advance_to(r);
             let mut expect = 0usize;
             for i in 0..n {
-                let want = model(7, i).diurnal_available(r);
+                let want = AvailabilityModel::for_client(7, i).diurnal_available(r);
                 assert_eq!(idx.contains(i), want, "round {r} client {i}");
                 expect += want as usize;
             }

@@ -180,9 +180,7 @@ impl ResourceSampler {
     /// build it once and hand clones to every trial over the same
     /// population via [`ResourceSampler::with_shared`].
     pub fn build_index(n: usize, seed: u64) -> AvailabilityIndex {
-        AvailabilityIndex::build(n, |i| {
-            AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + i as u64), 2))
-        })
+        AvailabilityIndex::build(n, |i| AvailabilityModel::for_client(seed, i))
     }
 
     /// The full-sweep availability models `prewarm_full_sweep` builds — a
@@ -190,7 +188,7 @@ impl ResourceSampler {
     /// amortization as [`ResourceSampler::build_index`].
     pub fn build_sweep_models(n: usize, seed: u64) -> Vec<AvailabilityModel> {
         (0..n)
-            .map(|i| AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + i as u64), 2)))
+            .map(|i| AvailabilityModel::for_client(seed, i))
             .collect()
     }
 
@@ -265,12 +263,6 @@ impl ResourceSampler {
         }
     }
 
-    /// The availability model of `client` — a pure function of the
-    /// sampler seed and the client id.
-    fn avail_model(&self, client: usize) -> AvailabilityModel {
-        AvailabilityModel::new(split_seed(split_seed(self.seed, 0x1000 + client as u64), 2))
-    }
-
     /// Rederive client `client`'s full trace bundle (identical to what the
     /// eager constructor used to build).
     fn derive_trace(&self, client: usize) -> CachedTrace {
@@ -289,7 +281,7 @@ impl ResourceSampler {
         CachedTrace {
             profile,
             network: NetworkGen::new(net_profile, mobility, split_seed(s, 1)),
-            availability: AvailabilityModel::new(split_seed(s, 2)),
+            availability: AvailabilityModel::for_client(self.seed, client),
         }
     }
 
@@ -415,7 +407,8 @@ impl ResourceSampler {
     /// Panics if `client` is out of range.
     pub fn is_available(&self, client: usize, round: usize) -> bool {
         assert!(client < self.num_clients, "client {client} out of range");
-        self.avail_model(client).available(round) && self.battery_allows(client)
+        AvailabilityModel::for_client(self.seed, client).available(round)
+            && self.battery_allows(client)
     }
 
     /// Collect all available clients at `round` into `out` (cleared first),
@@ -528,7 +521,7 @@ impl ResourceSampler {
             self.pool_draws += 1;
             let clear = match &self.sweep_models {
                 Some(models) => models[c].clear_of_interruption(round),
-                None => self.avail_model(c).clear_of_interruption(round),
+                None => AvailabilityModel::for_client(self.seed, c).clear_of_interruption(round),
             };
             if clear
                 && self

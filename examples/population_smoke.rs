@@ -36,9 +36,10 @@ fn config(chaos: bool, threads: usize) -> ExperimentConfig {
 }
 
 fn run(chaos: bool, threads: usize) -> (ExperimentReport, ShardCacheStats) {
-    Experiment::new(config(chaos, threads))
+    let (report, cache, _) = Experiment::new(config(chaos, threads))
         .expect("config validates")
-        .run_with_cache_stats()
+        .run_with_population_stats();
+    (report, cache)
 }
 
 fn check(chaos: bool) -> (ExperimentReport, ShardCacheStats) {

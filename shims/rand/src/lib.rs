@@ -219,6 +219,12 @@ pub mod distributions {
 
     // Widening-multiply bounded integer draw (Lemire). The tiny modulo
     // bias (span / 2^64) is far below anything a simulation can observe.
+    //
+    // The integer draws are `#[inline]`: a Fisher–Yates shuffle makes one
+    // per element (Oort shuffles ~500k ids a round at 1M clients), and
+    // whether the inliner's per-codegen-unit heuristics leave it a call
+    // is worth 2× on that selector.
+    #[inline]
     fn bounded_u64<R: Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
         debug_assert!(span > 0);
         ((u128::from(rng.next_u64()) * u128::from(span)) >> 64) as u64
@@ -227,6 +233,7 @@ pub mod distributions {
     macro_rules! int_range {
         ($($t:ty),*) => {$(
             impl SampleRange<$t> for core::ops::Range<$t> {
+                #[inline]
                 fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                     assert!(self.start < self.end, "gen_range: empty range");
                     let span = (self.end as i128 - self.start as i128) as u64;
@@ -234,6 +241,7 @@ pub mod distributions {
                 }
             }
             impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
+                #[inline]
                 fn sample_single<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                     let (lo, hi) = (*self.start(), *self.end());
                     assert!(lo <= hi, "gen_range: empty range");

@@ -47,6 +47,13 @@ if [[ "${1:-}" != "quick" ]]; then
       --workload "$w" --seed 7 --seconds 1 --trace 0
   done
 
+  # One traced pass: only it checks that the halving winner's outcomes
+  # equal its full-grid outcomes bit for bit, and a sweep's trials share
+  # their evaluation shards.
+  step "floatbench workload sweep_halving (1 s, traced)"
+  cargo run --release --offline --quiet --manifest-path floatbench/Cargo.toml -- \
+    --workload sweep_halving --seed 7 --seconds 1 --trace 1
+
   # Short chaos run with a fixed seed, every fault kind active, and
   # telemetry on: asserts reports *and event streams* stay finite and
   # bit-identical across thread counts, and writes the sync run's JSONL

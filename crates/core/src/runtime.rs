@@ -39,7 +39,7 @@ use crate::config::{AccelMode, ExperimentConfig, SelectorChoice};
 use crate::engine::parallel_map_with;
 use crate::metrics::{AccuracySummary, ExperimentReport, RoundRecord};
 use crate::optim::{ServerOptimizer, ServerOptimizerChoice};
-use crate::trial::SharedPopulation;
+use crate::trial::{EvalShardStats, EvalShards, SharedPopulation};
 
 /// Hidden width of the proxy model used for the accuracy side of the
 /// simulation. Kept modest so full 300-round runs stay fast.
@@ -99,6 +99,9 @@ pub struct Experiment {
     /// Drawn once from its own seed stream and kept in ascending order, so
     /// `eval_sample == num_clients` is bit-identical to full eval.
     eval_set: Vec<usize>,
+    /// The evaluation set's test shards: the sweep's one copy when this is
+    /// a shared trial that evaluates the whole population, else private.
+    eval_shards: Arc<EvalShards>,
     /// Exact eligible count of the current round under candidate pooling
     /// (`None` on full-sweep runs, where `eligible_buf.len()` already *is*
     /// the exact count). Feeds `Event::RoundStart` and
@@ -804,9 +807,16 @@ impl Experiment {
                 let mut ids: Vec<usize> = (0..config.num_clients).collect();
                 ids.shuffle(&mut seed_rng(split_seed(seed, 7)));
                 ids.truncate(config.eval_sample);
+                ids.shrink_to_fit();
                 ids.sort_unstable();
                 ids
             };
+        let eval_shards = match shared {
+            Some(sp) if eval_set.is_empty() => sp.eval_shards(),
+            _ if eval_set.is_empty() => Arc::new(EvalShards::new(config.num_clients)),
+            // A sampled set is drawn from the trial seed: a private copy.
+            _ => Arc::new(EvalShards::new(eval_set.len())),
+        };
         Ok(Experiment {
             config,
             data,
@@ -827,6 +837,7 @@ impl Experiment {
             eligible_buf: Vec::new(),
             cohort_buf: Vec::new(),
             eval_set,
+            eval_shards,
             record_eligible: None,
             server_optim: ServerOptimizer::new(config.server_optim),
             scaffold_c: if config.scaffold {
@@ -893,6 +904,17 @@ impl Experiment {
     /// The experiment's configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
+    }
+
+    /// The current global model.
+    pub fn global_model(&self) -> &Mlp {
+        &self.global_model
+    }
+
+    /// Counters of the test shards this experiment evaluates on (shared
+    /// with the sweep's other trials when [`SharedPopulation`] holds them).
+    pub fn eval_shard_stats(&self) -> EvalShardStats {
+        self.eval_shards.stats()
     }
 
     /// Advance to the boundary before round `round` (clamped to
@@ -1559,10 +1581,10 @@ impl Experiment {
     }
 
     /// One evaluation sweep: the full population by default, or the fixed
-    /// `eval_sample` subset when configured. Test shards are derived on
-    /// the fly from the pure shard spec (never through the training
-    /// cache), so evaluation cannot perturb the cache's deterministic LRU
-    /// state.
+    /// `eval_sample` subset when configured. Test shards come from
+    /// [`EvalShards`] (derived from the pure shard spec, never through the
+    /// training cache), so evaluation cannot perturb the cache's
+    /// deterministic LRU state.
     ///
     /// Each worker evaluates through its own clone of the global model via
     /// [`Mlp::accuracy_mut`], so one forward scratch is reused across
@@ -1570,16 +1592,11 @@ impl Experiment {
     /// of the parameters, so the result is identical for any worker count.
     fn eval_all_clients(&self) -> Vec<f64> {
         let mut models = vec![self.global_model.clone(); self.config.effective_threads()];
-        let spec = self.data.spec();
-        let full: Vec<usize>;
-        let clients: &[usize] = if self.eval_set.is_empty() {
-            full = (0..self.config.num_clients).collect();
-            &full
-        } else {
-            &self.eval_set
-        };
-        parallel_map_with(&mut models, clients, |m, &c| {
-            m.accuracy_mut(&spec.test_shard(c)) as f64
+        let (spec, set, shards) = (self.data.spec(), &self.eval_set, &*self.eval_shards);
+        let positions: Vec<usize> = (0..shards.eval_clients()).collect();
+        parallel_map_with(&mut models, &positions, |m, &pos| {
+            let client = set.get(pos).copied().unwrap_or(pos);
+            shards.with(spec, pos, client, |test| m.accuracy_mut(test) as f64)
         })
     }
 

@@ -5,23 +5,27 @@
 //! population: same task, client count, data skew, and trace calendar,
 //! differing only in runtime knobs (cohort size, deadline, local epochs,
 //! selector, optimizer, accel policy). Building each trial independently
-//! would re-derive the population's two expensive artifacts once per
+//! would re-derive the population's expensive artifacts once per
 //! trial:
 //!
 //! - the client shards (one synthetic-sampler pass per touched client),
 //! - the availability calendar ([`ResourceSampler::build_index`], the
 //!   sampler's only O(population) pass) plus the full-sweep availability
-//!   models.
+//!   models,
+//! - the test shards every evaluation sweep scores the model on
+//!   (`EvalShards`).
 //!
 //! [`SharedPopulation`] builds each exactly once and hands every trial a
 //! cheap handle: shards through one sweep-wide
 //! [`SharedShardCache`](float_data::SharedShardCache) (derive-once,
 //! `Arc`-served), the calendar as a clone of the pre-built index (a
-//! memcpy, not a re-derivation). Sharing is value-transparent because
-//! every artifact is a pure function of `(population config, population
-//! seed)` — a trial built through [`Experiment::new_shared`] produces a
-//! report bit-identical to the same config built standalone, a contract
-//! pinned by tests and the `sweepexp` self-check.
+//! memcpy, not a re-derivation), the whole population's test shards as one
+//! copy filled by whichever trial evaluates first. Sharing is
+//! value-transparent because every artifact is a pure function of
+//! `(population config, population seed)` — a trial built through
+//! [`Experiment::new_shared`] produces a report bit-identical to the same
+//! config built standalone, a contract pinned by tests and the `sweepexp`
+//! self-check.
 //!
 //! The seed split that makes this work: trials set `seed =
 //! split_seed(root, trial_idx)` for independent runtime randomness and
@@ -34,11 +38,83 @@ use std::sync::{Arc, OnceLock};
 use float_data::federated::FederatedConfig;
 use float_data::{ShardCacheStats, ShardSpec, SharedShardCache};
 use float_tensor::rng::split_seed;
+use float_tensor::Dataset;
 use float_traces::{AvailabilityIndex, AvailabilityModel, ResourceSampler};
 
 use crate::config::ExperimentConfig;
 use crate::metrics::ExperimentReport;
 use crate::runtime::Experiment;
+
+/// Bound on evaluation clients whose test shards stay resident.
+pub const EVAL_RESIDENT_CAP: usize = 4096;
+
+/// Test shards of an evaluation set, kept once derived: slot `i` is the
+/// shard of the set's `i`-th client, filled by the first evaluation sweep
+/// to reach it. A test shard is a pure function of `(spec, client)` and the
+/// set never changes during a run, so every later sweep reads what the
+/// first derived. Clients past [`EVAL_RESIDENT_CAP`] have no slot and are
+/// derived per sweep, which keeps a population-sized evaluation O(cohort).
+pub(crate) struct EvalShards {
+    /// Allocated by the first sweep: building a trial or a population
+    /// costs nothing for an evaluation that may never run.
+    slots: OnceLock<Vec<OnceLock<Dataset>>>,
+    eval_clients: usize,
+    derivations: AtomicU64,
+}
+
+/// Counters of an evaluation set's test shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvalShardStats {
+    /// Test shards resident, at most [`EVAL_RESIDENT_CAP`].
+    pub resident: usize,
+    /// Test-shard derivations all sweeps so far paid for, resident or not.
+    pub derivations: u64,
+}
+
+impl EvalShards {
+    pub(crate) fn new(eval_clients: usize) -> Self {
+        EvalShards {
+            slots: OnceLock::new(),
+            eval_clients,
+            derivations: AtomicU64::new(0),
+        }
+    }
+
+    /// Size of the evaluation set.
+    pub(crate) fn eval_clients(&self) -> usize {
+        self.eval_clients
+    }
+
+    /// `f` on the test shard of `client`, the evaluation set's `pos`-th.
+    pub(crate) fn with<R>(
+        &self,
+        spec: &ShardSpec,
+        pos: usize,
+        client: usize,
+        f: impl FnOnce(&Dataset) -> R,
+    ) -> R {
+        let slots = self.slots.get_or_init(|| {
+            let resident = self.eval_clients.min(EVAL_RESIDENT_CAP);
+            (0..resident).map(|_| OnceLock::new()).collect()
+        });
+        let derive = || {
+            self.derivations.fetch_add(1, Ordering::Relaxed);
+            spec.test_shard(client)
+        };
+        match slots.get(pos) {
+            Some(slot) => f(slot.get_or_init(derive)),
+            None => f(&derive()),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> EvalShardStats {
+        let slots = self.slots.get().into_iter().flatten();
+        EvalShardStats {
+            resident: slots.filter(|s| s.get().is_some()).count(),
+            derivations: self.derivations.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// One population's shared read-only artifacts, built once per sweep and
 /// handed to every trial over that population.
@@ -56,6 +132,9 @@ pub struct SharedPopulation {
     /// Full-sweep availability models, built on the first trial that
     /// needs them (candidate_pool == 0) and shared from then on.
     sweep_models: OnceLock<Arc<Vec<AvailabilityModel>>>,
+    /// Test shards of the whole population as an evaluation set: the one
+    /// copy every trial with `eval_sample == 0` evaluates on.
+    eval_shards: Arc<EvalShards>,
     /// Trials attached so far (for amortization reporting).
     attached: AtomicU64,
 }
@@ -82,6 +161,7 @@ impl SharedPopulation {
             shards: Arc::new(SharedShardCache::new(spec)),
             index,
             sweep_models: OnceLock::new(),
+            eval_shards: Arc::new(EvalShards::new(config.num_clients)),
             attached: AtomicU64::new(0),
         })
     }
@@ -148,6 +228,17 @@ impl SharedPopulation {
     /// client), `hits` the derivations avoided by sharing.
     pub fn shard_stats(&self) -> ShardCacheStats {
         self.shards.stats()
+    }
+
+    /// Handle to the sweep-wide full-population evaluation shards.
+    pub(crate) fn eval_shards(&self) -> Arc<EvalShards> {
+        Arc::clone(&self.eval_shards)
+    }
+
+    /// Counters of the shared evaluation shards: across all attached
+    /// trials, each resident test shard is derived once.
+    pub fn eval_shard_stats(&self) -> EvalShardStats {
+        self.eval_shards.stats()
     }
 
     /// Trials attached so far. Each attached trial after the first saved

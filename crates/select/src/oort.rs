@@ -63,8 +63,9 @@ pub struct OortSelector {
     /// candidates — O(touched + cohort), never O(eligible) — reused across
     /// rounds so selection allocates nothing at steady state.
     scored: Vec<(f64, usize)>,
-    /// Scratch: shuffled exploration candidates.
-    rest: Vec<usize>,
+    /// Scratch: shuffled exploration candidates, as `u32` ids — the
+    /// shuffle's random swaps walk half the bytes.
+    rest: Vec<u32>,
     /// Scratch: (times-selected, position-in-`rest`) exploration keys of
     /// the scanned prefix of `rest`.
     explore_keys: Vec<(u64, usize)>,
@@ -278,20 +279,25 @@ impl OortSelector {
         // later position can beat `explore_n` keys of (0, earlier).
         if explore_n > 0 {
             scored.sort_unstable_by_key(|&(_, pos)| pos);
+            assert!(
+                eligible.last().is_none_or(|&c| u32::try_from(c).is_ok()),
+                "client ids must fit u32"
+            );
             let mut rest = std::mem::take(&mut self.rest);
             rest.clear();
+            rest.reserve(eligible.len());
             let mut from = 0;
             for &(_, pos) in scored.iter() {
-                rest.extend_from_slice(&eligible[from..pos]);
+                rest.extend(eligible[from..pos].iter().map(|&c| c as u32));
                 from = pos + 1;
             }
-            rest.extend_from_slice(&eligible[from..]);
+            rest.extend(eligible[from..].iter().map(|&c| c as u32));
             rest.shuffle(&mut rng);
             let mut keys = std::mem::take(&mut self.explore_keys);
             keys.clear();
             let mut untried = 0;
-            for (pos, c) in rest.iter().enumerate() {
-                let times = selected(c);
+            for (pos, &c) in rest.iter().enumerate() {
+                let times = selected(&(c as usize));
                 keys.push((times, pos));
                 untried += usize::from(times == 0);
                 if untried == explore_n {
@@ -301,7 +307,7 @@ impl OortSelector {
             top_k_by(&mut keys, explore_n, |a, b| {
                 a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
             });
-            cohort.extend(keys.iter().map(|&(_, pos)| rest[pos]));
+            cohort.extend(keys.iter().map(|&(_, pos)| rest[pos] as usize));
             self.explore_keys = keys;
             self.rest = rest;
         }

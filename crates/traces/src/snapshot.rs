@@ -435,6 +435,7 @@ impl ResourceSampler {
         );
         blocked.sort_unstable();
         let models = self.sweep_models.as_ref().expect("just built");
+        out.reserve(self.index.count());
         for (w, &word) in self.index.row_words().iter().enumerate() {
             let mut bits = word;
             while bits != 0 {

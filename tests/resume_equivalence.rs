@@ -7,10 +7,13 @@
 //! Every order-sensitive subsystem is on (RLHF agent, chaos faults, online
 //! profiler, telemetry), for both synchronous selectors with cross-round
 //! state (FedAvg, Oort) and for the FedBuff event loop, whose in-flight
-//! attempts span the pause.
+//! attempts span the pause. A parked trial also holds its evaluation
+//! shards — its own, or the sweep's shared copy, which another trial may
+//! fill and read while this one is paused.
 
 use proptest::prelude::*;
 
+use float::core::trial::SharedPopulation;
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
 use float::obs::{sink, ObsConfig, Telemetry};
 use float::profile::ProfilingConfig;
@@ -44,22 +47,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `run_to(k); accuracy(); run_to(n)` + finalise ≡ `run()`, for every
-    /// split point `0 ≤ k ≤ n`.
+    /// split point `0 ≤ k ≤ n` — standalone or as a sweep trial, on the
+    /// whole population or a sample of it. While a sweep trial is parked,
+    /// a sibling on the same population runs from start to finish.
     #[test]
     fn a_paused_run_resumes_to_the_same_bytes(
         selector in 0usize..3,
         n in 1usize..7,
         split in 0usize..7,
         four_threads in any::<bool>(),
+        shared in any::<bool>(),
+        sampled in any::<bool>(),
     ) {
         let k = split % (n + 1);
-        let cfg = config(SELECTORS[selector], n, if four_threads { 4 } else { 1 });
+        let mut cfg = config(SELECTORS[selector], n, if four_threads { 4 } else { 1 });
+        cfg.data_seed = 77;
+        cfg.eval_sample = if sampled { 5 } else { 0 };
         let (want, want_telemetry) = uninterrupted(cfg);
 
-        let mut exp = Experiment::new(cfg).expect("valid config");
+        let population = SharedPopulation::build(&cfg).expect("valid population");
+        let mut exp = if shared {
+            Experiment::new_shared(cfg, &population)
+        } else {
+            Experiment::new(cfg)
+        }
+        .expect("valid config");
         exp.run_to(k);
         let score = exp.accuracy();
         prop_assert!((0.0..=1.0).contains(&score), "score {} at round {}", score, k);
+        if shared {
+            let mut sibling = cfg;
+            sibling.seed += 1;
+            sibling.eval_sample = 0;
+            Experiment::new_shared(sibling, &population).expect("same population").run();
+        }
         exp.run_to(n);
         let (got, got_telemetry) = exp.run_traced();
 

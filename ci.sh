@@ -119,8 +119,11 @@ if [[ "${1:-}" != "quick" ]]; then
   # Population smoke: 10k clients, sync, fault-free + chaos, 1 vs 4
   # threads. Asserts bit-identical reports, finite numbers, and that
   # training-data memory stayed bounded by the shard cache (peak
-  # residency <= capacity << population).
-  step "population smoke (10k clients, lazy shards)"
+  # residency <= capacity << population). A 200-client leg (sync and
+  # FedBuff) checks the other side of the auto capacity: a population
+  # under SHARD_RESIDENT_CAP is held whole, never evicted, each shard
+  # derived at most once.
+  step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 
   # Population benchmark in quick mode: the 10k sweep rows, a pooled

@@ -105,6 +105,12 @@ impl AccelMode {
     }
 }
 
+/// Largest population whose training shards the auto-sized cache holds
+/// whole ([`ExperimentConfig::resolved_shard_cache`]): ~17 MB at the
+/// paper's 120 samples × 136 B a client. A constant, not a field — every
+/// preset sits far on one side of it (≤ 200 clients, or ≥ 10 000).
+pub const SHARD_RESIDENT_CAP: usize = 1024;
+
 /// Full description of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -198,7 +204,8 @@ pub struct ExperimentConfig {
     #[serde(default)]
     pub eval_sample: usize,
     /// Capacity of the lazy shard cache in client shards (`0` ⇒ auto:
-    /// scaled to the cohort/concurrency, see
+    /// the whole population up to [`SHARD_RESIDENT_CAP`] clients, the
+    /// cohort/concurrency working set above it, see
     /// [`ExperimentConfig::resolved_shard_cache`]). Bounds training-data
     /// memory: at 1M clients only this many client datasets are ever
     /// resident.
@@ -366,14 +373,19 @@ impl ExperimentConfig {
 
     /// Resolve the shard-cache capacity in client shards.
     ///
-    /// An explicit [`ExperimentConfig::shard_cache`] wins; `0` picks a
-    /// capacity that comfortably covers one round's working set — the
-    /// cohort (with slack for retries and staleness) and the async
+    /// An explicit [`ExperimentConfig::shard_cache`] wins. `0` holds a
+    /// population of at most [`SHARD_RESIDENT_CAP`] clients whole — every
+    /// shard is derived once and nothing is ever evicted — and above that
+    /// picks a capacity that comfortably covers one round's working set —
+    /// the cohort (with slack for retries and staleness) and the async
     /// in-flight set — independent of the population size, so memory
     /// stays O(cohort) at any client count.
     pub fn resolved_shard_cache(&self) -> usize {
         if self.shard_cache > 0 {
             return self.shard_cache;
+        }
+        if self.num_clients <= SHARD_RESIDENT_CAP {
+            return self.num_clients;
         }
         self.num_clients
             .min((4 * self.cohort_size).max(self.async_concurrency).max(64))
@@ -738,18 +750,30 @@ mod tests {
     #[test]
     fn shard_cache_resolution_covers_round_working_set_and_is_bounded() {
         let small = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Off, 5);
-        // Auto capacity never exceeds the population...
-        assert!(small.resolved_shard_cache() <= small.num_clients);
-        // ...and an explicit capacity wins.
-        let mut c = small;
-        c.shard_cache = 17;
-        assert_eq!(c.resolved_shard_cache(), 17);
-        // At population scale the auto capacity is O(cohort), not O(N).
-        let mut big = small;
-        big.num_clients = 1_000_000;
-        assert!(big.resolved_shard_cache() >= big.cohort_size);
-        assert!(big.resolved_shard_cache() >= big.async_concurrency);
-        assert!(big.resolved_shard_cache() < 1_000);
+        // The round working set, which sizes the cache past the cap.
+        let working_set = (4 * small.cohort_size).max(small.async_concurrency).max(64);
+        assert!(working_set < 1_000);
+        for n in [1, 200, SHARD_RESIDENT_CAP] {
+            let mut c = small;
+            c.num_clients = n;
+            assert_eq!(c.resolved_shard_cache(), n, "{n} clients are held whole");
+        }
+        for n in [SHARD_RESIDENT_CAP + 1, 10_000, 1_000_000] {
+            let mut big = small;
+            big.num_clients = n;
+            // At population scale the auto capacity is O(cohort), not O(N).
+            assert_eq!(big.resolved_shard_cache(), working_set, "{n} clients");
+            assert!(big.resolved_shard_cache() >= big.cohort_size);
+            assert!(big.resolved_shard_cache() >= big.async_concurrency);
+            assert!(big.resolved_shard_cache() < 1_000);
+        }
+        // An explicit capacity wins on both sides of the cap.
+        for n in [200, 1_000_000] {
+            let mut c = small;
+            c.num_clients = n;
+            c.shard_cache = 17;
+            assert_eq!(c.resolved_shard_cache(), 17);
+        }
     }
 
     #[test]

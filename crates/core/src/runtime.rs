@@ -4,7 +4,7 @@
 //! loop).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::seq::SliceRandom;
 
@@ -30,6 +30,7 @@ use float_sim::{
     apply_outcome_fault, estimate_round_time_s, execute_client_round, ClientRoundOutcome,
     DropReason, FaultKind, ResourceLedger, RoundParams, SimClock,
 };
+use float_tensor::model::TrainOptions;
 use float_tensor::rng::{seed_rng, split_seed};
 use float_tensor::{Dataset, DriftOptions, Mlp, MlpConfig, Sgd};
 use float_traces::{AvailabilityStats, DeviceProfile, ResourceSampler, ResourceSnapshot};
@@ -123,6 +124,13 @@ pub struct Experiment {
     /// has asked for them (see [`Experiment::client_accuracies`]);
     /// `aggregate()` — the only place the model changes — drops them.
     client_accuracies: Option<Vec<f64>>,
+    /// The magnitude-prune training hooks of the current `global_model`,
+    /// one slot per prune action ([`prune_slot`]): the mask is a function
+    /// of `(global params, fraction, protected)` only, so the first attempt
+    /// that trains under an action fills its slot — from whichever worker
+    /// thread runs it, hence `OnceLock` — every later one reads it, and
+    /// `aggregate()` empties the slots along with `client_accuracies`.
+    prune_options: [OnceLock<TrainOptions>; 3],
     /// Online client profiler ([`ExperimentConfig::profiling`], DESIGN.md
     /// §17): the commit-phase fold of observed outcomes into per-client
     /// estimates that replace the trace oracle in selection and in the
@@ -196,6 +204,17 @@ struct FedBuffState {
     /// Indices into `attempts_store` of the current round's arrivals; empty at
     /// a round boundary (kept for its allocation).
     round_attempts: Vec<usize>,
+}
+
+/// The [`Experiment::prune_options`] slot of a magnitude-pruning action
+/// (`None` for every other action, whose hooks are per attempt).
+fn prune_slot(action: AccelAction) -> Option<usize> {
+    match action {
+        AccelAction::Prune25 => Some(0),
+        AccelAction::Prune50 => Some(1),
+        AccelAction::Prune75 => Some(2),
+        _ => None,
+    }
 }
 
 /// The agent-state inputs one accel decision was taken on.
@@ -291,6 +310,9 @@ struct ExecuteCtx<'a> {
     model: &'a Mlp,
     /// SCAFFOLD server control variate (empty when off).
     scaffold_c: &'a [f32],
+    /// Per-model-version prune hooks, filled on first use by any worker:
+    /// every filler computes the same value from `global_params`.
+    prune_options: &'a [OnceLock<TrainOptions>; 3],
 }
 
 impl ExecuteCtx<'_> {
@@ -358,15 +380,23 @@ impl ExecuteCtx<'_> {
                 cost,
             };
         }
-        let plan = AccelPlan {
-            action: task.action,
-            cost,
-            train_options: action_train_options(
+        let derive_options = || {
+            action_train_options(
                 task.action,
                 global_params,
                 split_seed(self.config.seed, (round as u64) << 20 | task.client as u64),
                 Some(self.protected),
-            ),
+            )
+        };
+        let plan = AccelPlan {
+            action: task.action,
+            cost,
+            // A prune mask is fixed per model version and shared; a frozen
+            // subset is seeded per client and derived per attempt.
+            train_options: match prune_slot(task.action) {
+                Some(slot) => self.prune_options[slot].get_or_init(derive_options).clone(),
+                None => derive_options(),
+            },
         };
 
         // Real local training with the plan's transform hooks. The worker
@@ -379,7 +409,17 @@ impl ExecuteCtx<'_> {
         local
             .set_params(global_params)
             .expect("scratch model shares the global architecture");
-        let before = local.accuracy_mut(test) as f64;
+        // Only an agent reads the accuracy gain (its feedback and reward):
+        // the modes that train none skip both evaluation passes.
+        let scored = self.config.accel.trains_agent();
+        let accuracy = |m: &mut Mlp| {
+            if scored {
+                m.accuracy_mut(test) as f64
+            } else {
+                0.0
+            }
+        };
+        let before = accuracy(local);
         let mut opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
         // Drift corrections (FedProx / SCAFFOLD) read the control variates
@@ -405,7 +445,7 @@ impl ExecuteCtx<'_> {
                 &drift,
             );
         }
-        let after = local.accuracy_mut(test) as f64;
+        let after = accuracy(local);
         // Update delta, computed in place into the scratch buffer.
         local.params_into(&mut scratch.params);
         scratch.delta.clear();
@@ -847,6 +887,7 @@ impl Experiment {
             },
             scaffold_ci: HashMap::new(),
             client_accuracies: None,
+            prune_options: Default::default(),
             profiler: config
                 .profiling
                 .enabled
@@ -1246,6 +1287,7 @@ impl Experiment {
             global_params,
             model: &self.global_model,
             scaffold_c: &self.scaffold_c,
+            prune_options: &self.prune_options,
         }
     }
 
@@ -1761,7 +1803,9 @@ impl Experiment {
         self.global_model
             .set_params(&global)
             .expect("aggregation preserves parameter count");
+        // Everything memoised per model version goes with the version.
         self.client_accuracies = None;
+        self.prune_options = Default::default();
         self.obs.record(Event::AggregationApplied {
             round: round as u64,
             sim_s: self.clock.now_s(),
@@ -1845,6 +1889,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use float_accel::prune::magnitude_mask_protected;
 
     fn run_small(selector: SelectorChoice, accel: AccelMode, rounds: usize) -> ExperimentReport {
         let cfg = ExperimentConfig::small(selector, accel, rounds);
@@ -2005,6 +2050,45 @@ mod tests {
         assert_eq!(report.accuracy.mean, 0.25);
     }
 
+    /// One prune mask per model version. Two rounds driven by hand under a
+    /// static Prune50 policy: an attempt batch fills that action's slot —
+    /// and no other — with exactly the mask of the parameters it trained
+    /// from, `aggregate()` empties every slot, and the next batch's mask is
+    /// that of the new parameters.
+    #[test]
+    fn prune_mask_is_memoised_per_model_version() {
+        let prune50 = ActionCatalogue::paper()
+            .index_of(AccelAction::Prune50)
+            .expect("in the paper catalogue");
+        let cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Static(prune50), 2);
+        let mut exp = Experiment::new(cfg).expect("valid");
+        let mut scratches = exp.worker_scratches();
+        let slot = prune_slot(AccelAction::Prune50).expect("a prune action");
+        let mut masks = Vec::new();
+        for round in 0..2 {
+            assert!(exp.prune_options.iter().all(|s| s.get().is_none()));
+            exp.refresh_eligible(round);
+            let mut cohort = Vec::new();
+            exp.select_cohort(round, cfg.cohort_size, &mut cohort);
+            let global = exp.global_model.params();
+            let mut attempts = exp.run_attempts(round, &cohort, &global, &mut scratches, true);
+            let want = magnitude_mask_protected(&global, 0.5, &exp.protected);
+            for (i, held) in exp.prune_options.iter().enumerate() {
+                let held = held.get().and_then(|o| o.prune_mask.as_deref());
+                assert_eq!(held, (i == slot).then_some(&want[..]), "slot {i}");
+            }
+            masks.push(want);
+            let mut updates: Vec<PendingUpdate> = attempts
+                .iter_mut()
+                .filter_map(|a| a.update.take())
+                .collect();
+            assert!(!updates.is_empty(), "round {round}: nobody trained");
+            exp.aggregate(round, global, &mut updates);
+        }
+        assert!(exp.prune_options.iter().all(|s| s.get().is_none()));
+        assert_ne!(masks[0], masks[1], "the model moved, the mask did not");
+    }
+
     /// A strict eval subset evaluates exactly `eval_sample` clients,
     /// deterministically, without touching the training trajectory.
     #[test]
@@ -2025,22 +2109,33 @@ mod tests {
 
     /// Shard-cache capacity is a memory knob, never a results knob: an
     /// explicit tiny capacity (forcing evictions) must reproduce the
-    /// auto-capacity report bit for bit.
+    /// auto-capacity report bit for bit — in both engines, the FedBuff
+    /// case under chaos at 200 clients, three times what the round's
+    /// working set alone would hold. Auto holds these populations whole:
+    /// each shard is derived at most once and none is evicted.
     #[test]
     fn shard_cache_capacity_does_not_change_results() {
-        let auto = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);
-        let mut tiny = auto;
-        tiny.shard_cache = auto.cohort_size; // smallest legal capacity
-        let (a, a_stats, _) = Experiment::new(auto)
-            .expect("valid")
-            .run_with_population_stats();
-        let (b, b_stats, _) = Experiment::new(tiny)
-            .expect("valid")
-            .run_with_population_stats();
-        assert_eq!(a, b, "cache capacity changed the report");
-        assert!(b_stats.evictions > 0, "tiny cache never evicted");
-        assert!(b_stats.peak_resident <= b_stats.capacity);
-        assert!(a_stats.peak_resident <= a_stats.capacity);
+        let sync = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);
+        let mut fedbuff = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Rlhf, 12);
+        fedbuff.num_clients = 200;
+        fedbuff.fault_plan = float_sim::FaultPlan::chaos();
+        for auto in [sync, fedbuff] {
+            let mut tiny = auto;
+            tiny.shard_cache = auto.cohort_size; // smallest legal capacity
+            let (a, a_stats, _) = Experiment::new(auto)
+                .expect("valid")
+                .run_with_population_stats();
+            let (b, b_stats, _) = Experiment::new(tiny)
+                .expect("valid")
+                .run_with_population_stats();
+            assert_eq!(a, b, "cache capacity changed the report");
+            assert!(b_stats.evictions > 0, "tiny cache never evicted");
+            assert!(b_stats.peak_resident <= b_stats.capacity);
+            assert_eq!(a_stats.capacity, auto.num_clients);
+            assert!(a_stats.misses <= auto.num_clients as u64);
+            assert_eq!(a_stats.evictions, 0);
+            assert!(a_stats.peak_resident <= a_stats.capacity);
+        }
     }
 
     #[test]

@@ -360,7 +360,8 @@ fn micro_kernel<const R: usize, const C: usize>(ap: &[f32], bp: &[f32]) -> [[f32
 
 /// Fused bias-add + ReLU forward over a row-major `[rows×cols]` activation
 /// buffer: `y = max(y + bias, 0)` in one pass, recording the post-bias
-/// positive mask for the backward pass. `mask` is cleared and refilled.
+/// positive mask for the backward pass. `mask` is resized to `rows * cols`
+/// and every entry overwritten.
 ///
 /// # Panics
 ///
@@ -374,12 +375,13 @@ pub fn bias_relu_forward(
 ) {
     assert_eq!(bias.len(), cols, "bias width mismatch");
     assert_eq!(y.len(), rows * cols, "activation buffer shape mismatch");
-    mask.clear();
-    mask.reserve(rows * cols);
-    for row in y.chunks_exact_mut(cols) {
-        for (v, &b) in row.iter_mut().zip(bias) {
+    // Sized once and written through a slice: `push` checks capacity per
+    // element, which keeps the whole loop scalar.
+    mask.resize(rows * cols, false);
+    for (row, mask_row) in y.chunks_exact_mut(cols).zip(mask.chunks_exact_mut(cols)) {
+        for ((v, m), &b) in row.iter_mut().zip(mask_row).zip(bias) {
             let z = *v + b;
-            mask.push(z > 0.0);
+            *m = z > 0.0;
             *v = if z > 0.0 { z } else { 0.0 };
         }
     }

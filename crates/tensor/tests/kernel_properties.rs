@@ -1,13 +1,14 @@
-//! Property tests for the widened GEMM micro-kernels.
+//! Property tests for the widened GEMM micro-kernels and the fused
+//! bias + ReLU pass.
 //!
-//! The contract under test: every dispatched tile shape (4×8, 8×8, 4×16)
+//! The GEMM contract under test: every dispatched tile shape (4×8, 8×8, 4×16)
 //! produces results **bit-identical** to the pinned ascending summation
 //! order, for shapes straddling each MR/NR tile boundary and the KC
 //! depth-panel boundary. Widening a register tile only changes which
 //! output elements share a register block — never the ascending reduction
 //! order of any single element — so any diff is a bug.
 
-use float_tensor::kernels::gemm_nn;
+use float_tensor::kernels::{bias_relu_forward, gemm_nn};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random buffer (golden-ratio hash, same family the
@@ -41,6 +42,21 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// [`pseudo`] with roughly a quarter of the entries replaced by the values
+/// a comparison against zero can get wrong: NaN, both zeros, both
+/// infinities.
+fn pseudo_with_specials(n: usize, salt: u64) -> Vec<f32> {
+    const SPECIALS: [f32; 5] = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+    let mut v = pseudo(n, salt);
+    for (i, x) in v.iter_mut().enumerate() {
+        let h = (i as u64 ^ salt).wrapping_mul(0x9E3779B97F4A7C15) >> 32;
+        if h.is_multiple_of(4) {
+            *x = SPECIALS[(h / 4) as usize % SPECIALS.len()];
+        }
+    }
+    v
+}
+
 proptest! {
     /// N·N through the shape dispatcher == the pinned summation order, bit
     /// for bit.
@@ -71,5 +87,32 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The fused pass == bias-add, then clamp, then compare, bit for bit —
+    /// with one mask buffer carried through calls whose shapes shrink and
+    /// grow (a layer's mask lives as long as its model), so neither a stale
+    /// tail nor a stale entry survives. A NaN or `-0.0` pre-activation
+    /// yields `+0.0` and `false`.
+    #[test]
+    fn bias_relu_forward_matches_two_passes_with_a_reused_mask(
+        calls in prop::collection::vec((0usize..6, 1usize..40, 0u64..1024), 1..6),
+    ) {
+        let mut mask = Vec::new();
+        for (rows, cols, salt) in calls {
+            let mut y = pseudo_with_specials(rows * cols, salt);
+            let bias = pseudo_with_specials(cols, salt + 1);
+            let mut z = y.clone();
+            for row in z.chunks_exact_mut(cols) {
+                for (v, &b) in row.iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            let want: Vec<f32> = z.iter().map(|&z| if z > 0.0 { z } else { 0.0 }).collect();
+            let want_mask: Vec<bool> = z.iter().map(|&z| z > 0.0).collect();
+            bias_relu_forward(&mut y, rows, cols, &bias, &mut mask);
+            prop_assert_eq!(bits(&y), bits(&want));
+            prop_assert_eq!(&mask, &want_mask);
+        }
     }
 }

@@ -9,10 +9,16 @@
 //!   fraction of the population (no up-front per-client datasets);
 //! - sampled evaluation returns exactly `eval_sample` accuracies.
 //!
+//! A small leg runs the same config at 200 clients — the other side of
+//! the auto capacity's choice (`SHARD_RESIDENT_CAP`) — sync and FedBuff:
+//! the cache holds the population whole, derives each shard at most once
+//! and never evicts, under the same thread-count bit-identity.
+//!
 //! ```text
 //! cargo run --release --example population_smoke
 //! ```
 
+use float::core::config::SHARD_RESIDENT_CAP;
 use float::core::{
     AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice, ShardCacheStats,
 };
@@ -22,36 +28,49 @@ use float_bench::Scale;
 
 const ROUNDS: usize = 5;
 const SEED: u64 = 20240422;
+/// The small leg's population, held whole by the auto-sized cache.
+const RESIDENT_CLIENTS: usize = 200;
 
-fn config(chaos: bool, threads: usize) -> ExperimentConfig {
-    let mut cfg = Scale::Pop10k.config(Task::Femnist, SelectorChoice::FedAvg, AccelMode::Rlhf);
+/// One leg of the smoke run: the 10k preset at `num_clients` clients (its
+/// evaluation sample cut down with it).
+#[derive(Clone, Copy)]
+struct Leg {
+    selector: SelectorChoice,
+    num_clients: usize,
+    chaos: bool,
+}
+
+fn config(leg: Leg, threads: usize) -> ExperimentConfig {
+    let mut cfg = Scale::Pop10k.config(Task::Femnist, leg.selector, AccelMode::Rlhf);
+    cfg.num_clients = leg.num_clients;
+    cfg.eval_sample = cfg.eval_sample.min(leg.num_clients);
     cfg.rounds = ROUNDS;
     cfg.eval_every = ROUNDS;
     cfg.seed = SEED;
     cfg.num_threads = threads;
-    if chaos {
+    if leg.chaos {
         cfg.fault_plan = FaultPlan::chaos();
     }
     cfg
 }
 
-fn run(chaos: bool, threads: usize) -> (ExperimentReport, ShardCacheStats) {
-    let (report, cache, _) = Experiment::new(config(chaos, threads))
+fn run(leg: Leg, threads: usize) -> (ExperimentReport, ShardCacheStats) {
+    let (report, cache, _) = Experiment::new(config(leg, threads))
         .expect("config validates")
         .run_with_population_stats();
     (report, cache)
 }
 
-fn check(chaos: bool) -> (ExperimentReport, ShardCacheStats) {
-    let label = if chaos { "chaos" } else { "fault-free" };
-    let (one, stats_one) = run(chaos, 1);
-    let (four, stats_four) = run(chaos, 4);
+fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
+    let label = if leg.chaos { "chaos" } else { "fault-free" };
+    let (one, stats_one) = run(leg, 1);
+    let (four, stats_four) = run(leg, 4);
     assert_eq!(
         one, four,
         "{label}: population reports must be bit-identical across thread counts"
     );
     assert!(one.is_finite(), "{label}: report carries NaN/Inf");
-    let num_clients = config(chaos, 1).num_clients;
+    let num_clients = leg.num_clients;
     for (name, stats) in [("1-thread", &stats_one), ("4-thread", &stats_four)] {
         assert!(
             stats.peak_resident <= stats.capacity,
@@ -59,14 +78,27 @@ fn check(chaos: bool) -> (ExperimentReport, ShardCacheStats) {
             stats.peak_resident,
             stats.capacity
         );
-        assert!(
-            stats.capacity < num_clients,
-            "{label} {name}: cache capacity {} not a strict subset of the {} clients",
-            stats.capacity,
-            num_clients
-        );
+        if num_clients <= SHARD_RESIDENT_CAP {
+            assert_eq!(
+                (stats.capacity, stats.evictions),
+                (num_clients, 0),
+                "{label} {name}: a population under the cap is held whole, never evicted"
+            );
+            assert!(
+                stats.misses <= num_clients as u64,
+                "{label} {name}: {} derivations for {num_clients} clients",
+                stats.misses
+            );
+        } else {
+            assert!(
+                stats.capacity < num_clients,
+                "{label} {name}: cache capacity {} not a strict subset of the {} clients",
+                stats.capacity,
+                num_clients
+            );
+        }
     }
-    let eval_sample = config(chaos, 1).eval_sample;
+    let eval_sample = config(leg, 1).eval_sample;
     assert_eq!(
         one.client_accuracies.len(),
         eval_sample,
@@ -76,23 +108,32 @@ fn check(chaos: bool) -> (ExperimentReport, ShardCacheStats) {
 }
 
 fn main() {
-    let num_clients = config(false, 1).num_clients;
-    println!("population_smoke: {num_clients} clients, {ROUNDS} rounds, sync FedAvg + RLHF");
-
-    for chaos in [false, true] {
-        let label = if chaos { "chaos" } else { "fault-free" };
-        let (report, stats) = check(chaos);
-        println!(
-            "  [{label}] mean acc {:.3}  dropouts {}  cache {}/{} resident \
-             (hits {} misses {} evictions {})",
-            report.accuracy.mean,
-            report.total_dropouts,
-            stats.peak_resident,
-            stats.capacity,
-            stats.hits,
-            stats.misses,
-            stats.evictions
-        );
+    println!("population_smoke: {ROUNDS} rounds, RLHF, each leg at 1 and 4 threads");
+    for (selector, num_clients) in [
+        (SelectorChoice::FedAvg, Scale::Pop10k.num_clients()),
+        (SelectorChoice::FedAvg, RESIDENT_CLIENTS),
+        (SelectorChoice::FedBuff, RESIDENT_CLIENTS),
+    ] {
+        for chaos in [false, true] {
+            let label = if chaos { "chaos" } else { "fault-free" };
+            let (report, stats) = check(Leg {
+                selector,
+                num_clients,
+                chaos,
+            });
+            println!(
+                "  [{num_clients} clients, {}, {label}] mean acc {:.3}  dropouts {}  \
+                 cache {}/{} resident (hits {} misses {} evictions {})",
+                selector.name(),
+                report.accuracy.mean,
+                report.total_dropouts,
+                stats.peak_resident,
+                stats.capacity,
+                stats.hits,
+                stats.misses,
+                stats.evictions
+            );
+        }
     }
     println!("population smoke passed: bit-identical across threads, memory bounded by cache");
 }

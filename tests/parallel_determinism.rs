@@ -5,6 +5,7 @@
 //! sequential plan/commit phases, so `num_threads` may change wall-clock
 //! time but never a single output bit.
 
+use float::accel::{AccelAction, ActionCatalogue};
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
 use float::obs::{Event, ObsConfig, Telemetry};
 use float::sim::FaultPlan;
@@ -81,6 +82,26 @@ fn async_fedbuff_is_thread_count_independent() {
         AccelMode::Rlhf,
         6,
     ));
+}
+
+#[test]
+fn static_prune_is_thread_count_independent() {
+    // Every attempt of a round reads one prune mask, filled by whichever
+    // worker trains first: the value is a function of the global
+    // parameters alone, so the winner of that race must not matter — in
+    // the sync engine or across FedBuff's launch batches. (The RLHF runs
+    // above and below fill the same slots for the attempts the agent
+    // prunes.)
+    let prune50 = ActionCatalogue::paper()
+        .index_of(AccelAction::Prune50)
+        .expect("in the paper catalogue");
+    for selector in [SelectorChoice::FedAvg, SelectorChoice::FedBuff] {
+        assert_bit_identical(ExperimentConfig::small(
+            selector,
+            AccelMode::Static(prune50),
+            6,
+        ));
+    }
 }
 
 #[test]

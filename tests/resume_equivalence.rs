@@ -9,10 +9,14 @@
 //! state (FedAvg, Oort) and for the FedBuff event loop, whose in-flight
 //! attempts span the pause. A parked trial also holds its evaluation
 //! shards — its own, or the sweep's shared copy, which another trial may
-//! fill and read while this one is paused.
+//! fill and read while this one is paused — and the prune masks of its
+//! current model (a FedBuff round whose buffer stayed empty does not
+//! aggregate, so filled slots can cross a boundary), under the agent's
+//! choices or a static prune policy that trains no agent.
 
 use proptest::prelude::*;
 
+use float::accel::{AccelAction, ActionCatalogue};
 use float::core::trial::SharedPopulation;
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
 use float::obs::{sink, ObsConfig, Telemetry};
@@ -58,9 +62,14 @@ proptest! {
         four_threads in any::<bool>(),
         shared in any::<bool>(),
         sampled in any::<bool>(),
+        static_prune in any::<bool>(),
     ) {
         let k = split % (n + 1);
         let mut cfg = config(SELECTORS[selector], n, if four_threads { 4 } else { 1 });
+        if static_prune {
+            let prune50 = ActionCatalogue::paper().index_of(AccelAction::Prune50);
+            cfg.accel = AccelMode::Static(prune50.expect("in the paper catalogue"));
+        }
         cfg.data_seed = 77;
         cfg.eval_sample = if sampled { 5 } else { 0 };
         let (want, want_telemetry) = uninterrupted(cfg);

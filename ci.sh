@@ -44,8 +44,18 @@ if [[ "${1:-}" != "quick" ]]; then
   for w in train_heavy pop1m_oort async_chaos sweep_halving; do
     step "floatbench workload $w (1 s, untraced)"
     cargo run --release --offline --quiet --manifest-path floatbench/Cargo.toml -- \
-      --workload "$w" --seed 7 --seconds 1 --trace 0
+      --workload "$w" --seed 7 --seconds 1 --trace 0 | tee "target/floatbench_$w.json"
   done
+
+  # pop1m_oort's peak is the 1M-client population (16 B/client sweep
+  # table, the calendar, the report's two count vectors) plus the report
+  # export, which streams. ~42 MiB expected; a tree-building export
+  # reads ~76. Fail well between the two.
+  step "pop1m_oort peak_rss_mib <= 60"
+  peak=$(tail -n 1 target/floatbench_pop1m_oort.json \
+    | grep -o '"peak_rss_mib":{"value":[0-9.]*' | cut -d: -f3)
+  echo "peak_rss_mib = $peak"
+  awk -v p="$peak" 'BEGIN { exit !(p != "" && p <= 60) }'
 
   # One traced pass: only it checks that the halving winner's outcomes
   # equal its full-grid outcomes bit for bit, and a sweep's trials share
@@ -122,7 +132,9 @@ if [[ "${1:-}" != "quick" ]]; then
   # residency <= capacity << population). A 200-client leg (sync and
   # FedBuff) checks the other side of the auto capacity: a population
   # under SHARD_RESIDENT_CAP is held whole, never evicted, each shard
-  # derived at most once.
+  # derived at most once. Every full-sweep leg keeps 16 B per client for
+  # the sweep table, a pooled 10k leg none, and the 10k report streams to
+  # the tree writer's compact text.
   step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 

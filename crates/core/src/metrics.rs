@@ -222,7 +222,7 @@ impl ExperimentReport {
     pub fn round_log_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.rounds {
-            out.push_str(&serde_json::to_string(r).expect("RoundRecord serializes"));
+            r.write_json(&mut out);
             out.push('\n');
         }
         out

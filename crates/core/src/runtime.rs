@@ -731,19 +731,18 @@ impl Experiment {
                     ShardSpec::new(config.federated_config(), split_seed(pop_seed, 1)),
                     config.resolved_shard_cache(),
                 ));
-                let mut sampler = ResourceSampler::new(
-                    config.num_clients,
-                    config.interference,
-                    split_seed(pop_seed, 2),
-                );
-                if config.candidate_pool == 0 {
-                    // Full-sweep runs touch every client's availability
-                    // model each round; materialize them now so the cost
-                    // lands at build time, not inside the first round.
-                    // Pooled runs skip this entirely (it is the only
-                    // remaining O(population) allocation).
-                    sampler.prewarm_full_sweep();
-                }
+                let (n, trace_seed) = (config.num_clients, split_seed(pop_seed, 2));
+                let sampler = if config.candidate_pool == 0 {
+                    // Full-sweep runs read every client's interruption draw
+                    // each round: build the table in the calendar's pass,
+                    // one model derivation per client for both. Pooled runs
+                    // skip it (the only O(population) allocation left).
+                    let (index, sweep) = ResourceSampler::build_index_and_sweep(n, trace_seed);
+                    let sweep = Some(Arc::new(sweep));
+                    ResourceSampler::with_shared(n, config.interference, trace_seed, index, sweep)
+                } else {
+                    ResourceSampler::new(n, config.interference, trace_seed)
+                };
                 (data, sampler)
             }
             Some(sp) => {

@@ -10,8 +10,8 @@
 //!
 //! - the client shards (one synthetic-sampler pass per touched client),
 //! - the availability calendar ([`ResourceSampler::build_index`], the
-//!   sampler's only O(population) pass) plus the full-sweep availability
-//!   models,
+//!   sampler's only O(population) pass) plus the full-sweep interruption
+//!   table (16 B per client, built by the first full-sweep trial),
 //! - the test shards every evaluation sweep scores the model on
 //!   (`EvalShards`).
 //!
@@ -39,7 +39,7 @@ use float_data::federated::FederatedConfig;
 use float_data::{ShardCacheStats, ShardSpec, SharedShardCache};
 use float_tensor::rng::split_seed;
 use float_tensor::Dataset;
-use float_traces::{AvailabilityIndex, AvailabilityModel, ResourceSampler};
+use float_traces::{AvailabilityIndex, Interruption, ResourceSampler};
 
 use crate::config::ExperimentConfig;
 use crate::metrics::ExperimentReport;
@@ -129,9 +129,9 @@ pub struct SharedPopulation {
     /// Pre-built availability calendar; trials clone it (cheap) instead
     /// of re-deriving it (O(population) model derivations).
     index: AvailabilityIndex,
-    /// Full-sweep availability models, built on the first trial that
-    /// needs them (candidate_pool == 0) and shared from then on.
-    sweep_models: OnceLock<Arc<Vec<AvailabilityModel>>>,
+    /// Full-sweep interruption table, built on the first trial that
+    /// needs it (candidate_pool == 0) and shared from then on.
+    sweep_models: OnceLock<Arc<Vec<Interruption>>>,
     /// Test shards of the whole population as an evaluation set: the one
     /// copy every trial with `eval_sample == 0` evaluates on.
     eval_shards: Arc<EvalShards>,
@@ -201,7 +201,7 @@ impl SharedPopulation {
     }
 
     /// A sampler for one trial: the shared calendar cloned, the shared
-    /// full-sweep models attached when the trial runs full availability
+    /// full-sweep table attached when the trial runs full availability
     /// sweeps (pooled trials skip them, mirroring the standalone path's
     /// O(population) avoidance).
     pub(crate) fn sampler_for(&self, config: &ExperimentConfig) -> ResourceSampler {

@@ -5,15 +5,17 @@
 //! with [`from_jsonl`] without loading any schema machinery.
 
 use crate::event::Event;
+use serde::Serialize;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// Encode events as JSONL: one event per line, in stream order.
+/// Encode events as JSONL: one event per line, in stream order, each
+/// written straight into the one output buffer.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&serde_json::to_string(e).expect("events always serialize"));
+        e.write_json(&mut out);
         out.push('\n');
     }
     out

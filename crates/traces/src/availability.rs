@@ -107,8 +107,15 @@ impl AvailabilityModel {
     /// draw is seeded per `(client, round)`, so calling this for any
     /// subset of rounds in any order yields the same answers.
     pub fn clear_of_interruption(&self, round: usize) -> bool {
-        let mut rng = seed_rng(split_seed(self.seed, 0xB00 + round as u64));
-        rng.gen::<f64>() >= self.interruption_p
+        self.interruption().clear(round)
+    }
+
+    /// The part of this model the interruption draw reads.
+    pub fn interruption(&self) -> Interruption {
+        Interruption {
+            seed: self.seed,
+            p: self.interruption_p,
+        }
     }
 
     /// Whether the client is available in `round`, combining the diurnal
@@ -145,9 +152,51 @@ impl AvailabilityModel {
     }
 }
 
+/// One client's interruption draw, and nothing else: 16 bytes, half an
+/// [`AvailabilityModel`]. The full availability sweep keeps one per client
+/// and reads only this; the diurnal half lives in the
+/// [`AvailabilityIndex`](crate::AvailabilityIndex).
+#[derive(Debug, Clone, Copy)]
+pub struct Interruption {
+    seed: u64,
+    p: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<Interruption>() == 16);
+
+impl Interruption {
+    /// [`AvailabilityModel::clear_of_interruption`] for this client.
+    #[inline]
+    pub fn clear(&self, round: usize) -> bool {
+        let mut rng = seed_rng(split_seed(self.seed, 0xB00 + round as u64));
+        rng.gen::<f64>() >= self.p
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `clear_of_interruption` now delegates to `Interruption::clear`, so
+    /// both are checked against the draw spelled out from the model's own
+    /// fields.
+    #[test]
+    fn interruption_clear_matches_the_model() {
+        for client in 0..1_000 {
+            let m = AvailabilityModel::for_client(17, client);
+            let cut = m.interruption();
+            for r in 0..300 {
+                let mut rng = seed_rng(split_seed(m.seed, 0xB00 + r as u64));
+                let want = rng.gen::<f64>() >= m.interruption_p;
+                assert_eq!(cut.clear(r), want, "client {client} round {r}");
+                assert_eq!(
+                    m.clear_of_interruption(r),
+                    want,
+                    "client {client} round {r}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn availability_is_deterministic() {

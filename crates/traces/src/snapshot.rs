@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::availability::{AvailabilityModel, BatteryState};
+use crate::availability::{AvailabilityModel, BatteryState, Interruption};
 use crate::compute::DeviceProfile;
 use crate::index::AvailabilityIndex;
 use crate::interference::InterferenceModel;
@@ -81,8 +81,8 @@ pub struct AvailabilityStats {
     pub trace_cache_resident: usize,
     /// Trace-cache capacity.
     pub trace_cache_capacity: usize,
-    /// Bytes held by the full-sweep availability models (0 when the
-    /// sampler has only served pooled queries).
+    /// Bytes held by the full-sweep interruption table, 16 per client (0
+    /// when the sampler has only served pooled queries).
     pub sweep_models_bytes: usize,
     /// Candidates drawn into pools since construction.
     pub pool_draws: u64,
@@ -140,11 +140,12 @@ pub struct ResourceSampler {
     /// derivation per client, the only O(population) pass the sampler ever
     /// makes).
     index: AvailabilityIndex,
-    /// Availability models for the full-sweep path, built on first use
-    /// (never built when only pooled queries are served). `Arc`-shared so
-    /// a sweep of trials over the same population pays the O(population)
+    /// Per-client interruption draws for the full-sweep path (the index
+    /// holds the diurnal half), built on first use or handed in (never
+    /// built when only pooled queries are served). `Arc`-shared so a sweep
+    /// of trials over the same population pays the O(population)
     /// derivation once instead of once per trial.
-    sweep_models: Option<Arc<Vec<AvailabilityModel>>>,
+    sweep_models: Option<Arc<Vec<Interruption>>>,
     /// Sparse battery state: absent ⇒ exactly full (a client that never
     /// drained can never leave full, since charging saturates).
     batteries: HashMap<usize, LazyBattery>,
@@ -183,17 +184,29 @@ impl ResourceSampler {
         AvailabilityIndex::build(n, |i| AvailabilityModel::for_client(seed, i))
     }
 
-    /// The full-sweep availability models `prewarm_full_sweep` builds — a
+    /// The full-sweep interruption table `prewarm_full_sweep` builds — a
     /// pure function of `(n, seed)`, exposed for the same cross-trial
     /// amortization as [`ResourceSampler::build_index`].
-    pub fn build_sweep_models(n: usize, seed: u64) -> Vec<AvailabilityModel> {
+    pub fn build_sweep_models(n: usize, seed: u64) -> Vec<Interruption> {
         (0..n)
-            .map(|i| AvailabilityModel::for_client(seed, i))
+            .map(|i| AvailabilityModel::for_client(seed, i).interruption())
             .collect()
     }
 
+    /// `(build_index(n, seed), build_sweep_models(n, seed))` in one pass:
+    /// each client's model is derived once, for both.
+    pub fn build_index_and_sweep(n: usize, seed: u64) -> (AvailabilityIndex, Vec<Interruption>) {
+        let mut sweep = Vec::with_capacity(n);
+        let index = AvailabilityIndex::build(n, |i| {
+            let m = AvailabilityModel::for_client(seed, i);
+            sweep.push(m.interruption());
+            m
+        });
+        (index, sweep)
+    }
+
     /// Build a sampler around a pre-built availability calendar (and,
-    /// optionally, pre-built full-sweep models). Behaviour is bit-identical
+    /// optionally, a pre-built full-sweep table). Behaviour is bit-identical
     /// to [`ResourceSampler::new`] *provided* the handles were derived
     /// from the same `(n, seed)` — both are pure functions of those two
     /// values, which is what makes sharing them across a sweep's trials
@@ -207,7 +220,7 @@ impl ResourceSampler {
         interference: InterferenceModel,
         seed: u64,
         index: AvailabilityIndex,
-        sweep_models: Option<Arc<Vec<AvailabilityModel>>>,
+        sweep_models: Option<Arc<Vec<Interruption>>>,
     ) -> Self {
         assert_eq!(index.num_clients(), n, "availability index population");
         if let Some(models) = &sweep_models {
@@ -257,7 +270,7 @@ impl ResourceSampler {
             sweep_models_bytes: self
                 .sweep_models
                 .as_ref()
-                .map_or(0, |v| v.len() * std::mem::size_of::<AvailabilityModel>()),
+                .map_or(0, |v| v.len() * std::mem::size_of::<Interruption>()),
             pool_draws: self.pool_draws,
             pool_rejected: self.pool_rejected,
         }
@@ -335,8 +348,8 @@ impl ResourceSampler {
         });
     }
 
-    /// Materialize per-client availability models for the full-sweep path.
-    /// Pooled samplers never pay this (32 B × population) cost.
+    /// Materialize the per-client interruption table for the full-sweep
+    /// path. Pooled samplers never pay this (16 B × population) cost.
     fn ensure_sweep_models(&mut self) {
         if self.sweep_models.is_none() {
             self.sweep_models = Some(Arc::new(Self::build_sweep_models(
@@ -441,7 +454,7 @@ impl ResourceSampler {
             while bits != 0 {
                 let c = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if models[c].clear_of_interruption(round)
+                if models[c].clear(round)
                     && (blocked.is_empty() || blocked.binary_search(&c).is_err())
                 {
                     out.push(c);
@@ -521,7 +534,7 @@ impl ResourceSampler {
         for &c in &cands {
             self.pool_draws += 1;
             let clear = match &self.sweep_models {
-                Some(models) => models[c].clear_of_interruption(round),
+                Some(models) => models[c].clear(round),
                 None => AvailabilityModel::for_client(self.seed, c).clear_of_interruption(round),
             };
             if clear
@@ -794,5 +807,7 @@ mod tests {
         assert_eq!(st.peak_tracked_batteries, 1);
         assert_eq!(st.sweep_models_bytes, 0, "pool path must not build sweep");
         assert!(st.trace_cache_resident <= st.trace_cache_capacity);
+        s.available_clients_into(3, &mut pool);
+        assert_eq!(s.availability_stats().sweep_models_bytes, 16 * 100);
     }
 }

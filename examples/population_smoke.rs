@@ -7,10 +7,15 @@
 //! - training-data memory bounded by the shard cache — peak residency
 //!   never exceeds the cache capacity, and the capacity is a small
 //!   fraction of the population (no up-front per-client datasets);
-//! - sampled evaluation returns exactly `eval_sample` accuracies.
+//! - sampled evaluation returns exactly `eval_sample` accuracies;
+//! - the full availability sweep keeps 16 bytes per client (one
+//!   interruption draw each), and the 10 000-client report streams to the
+//!   same compact JSON as the tree writer gives.
 //!
-//! A small leg runs the same config at 200 clients — the other side of
-//! the auto capacity's choice (`SHARD_RESIDENT_CAP`) — sync and FedBuff:
+//! A pooled leg runs the 10k preset with the 10M preset's candidate pool:
+//! it builds no sweep table at all. A small leg runs the same config at
+//! 200 clients — the other side of the auto capacity's choice
+//! (`SHARD_RESIDENT_CAP`) — sync and FedBuff:
 //! the cache holds the population whole, derives each shard at most once
 //! and never evicts, under the same thread-count bit-identity.
 //!
@@ -24,6 +29,7 @@ use float::core::{
 };
 use float::data::Task;
 use float::sim::FaultPlan;
+use float::traces::AvailabilityStats;
 use float_bench::Scale;
 
 const ROUNDS: usize = 5;
@@ -37,6 +43,7 @@ const RESIDENT_CLIENTS: usize = 200;
 struct Leg {
     selector: SelectorChoice,
     num_clients: usize,
+    candidate_pool: usize,
     chaos: bool,
 }
 
@@ -48,23 +55,23 @@ fn config(leg: Leg, threads: usize) -> ExperimentConfig {
     cfg.eval_every = ROUNDS;
     cfg.seed = SEED;
     cfg.num_threads = threads;
+    cfg.candidate_pool = leg.candidate_pool;
     if leg.chaos {
         cfg.fault_plan = FaultPlan::chaos();
     }
     cfg
 }
 
-fn run(leg: Leg, threads: usize) -> (ExperimentReport, ShardCacheStats) {
-    let (report, cache, _) = Experiment::new(config(leg, threads))
+fn run(leg: Leg, threads: usize) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
+    Experiment::new(config(leg, threads))
         .expect("config validates")
-        .run_with_population_stats();
-    (report, cache)
+        .run_with_population_stats()
 }
 
 fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
     let label = if leg.chaos { "chaos" } else { "fault-free" };
-    let (one, stats_one) = run(leg, 1);
-    let (four, stats_four) = run(leg, 4);
+    let (one, stats_one, avail) = run(leg, 1);
+    let (four, stats_four, _) = run(leg, 4);
     assert_eq!(
         one, four,
         "{label}: population reports must be bit-identical across thread counts"
@@ -98,6 +105,22 @@ fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
             );
         }
     }
+    let table_bytes = match leg.candidate_pool {
+        0 => 16 * num_clients,
+        _ => 0,
+    };
+    assert_eq!(
+        avail.sweep_models_bytes, table_bytes,
+        "{label}: the full sweep keeps 16 B per client, a pooled run none"
+    );
+    if num_clients > SHARD_RESIDENT_CAP && leg.candidate_pool == 0 {
+        let tree = serde_json::to_string(&serde_json::to_value(&one).expect("tree"));
+        assert_eq!(
+            serde_json::to_string(&one).expect("streams"),
+            tree.expect("tree writes"),
+            "{label}: streamed report differs from the tree writer's"
+        );
+    }
     let eval_sample = config(leg, 1).eval_sample;
     assert_eq!(
         one.client_accuracies.len(),
@@ -109,20 +132,27 @@ fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
 
 fn main() {
     println!("population_smoke: {ROUNDS} rounds, RLHF, each leg at 1 and 4 threads");
-    for (selector, num_clients) in [
-        (SelectorChoice::FedAvg, Scale::Pop10k.num_clients()),
-        (SelectorChoice::FedAvg, RESIDENT_CLIENTS),
-        (SelectorChoice::FedBuff, RESIDENT_CLIENTS),
+    let pop10k = Scale::Pop10k.num_clients();
+    for (selector, num_clients, candidate_pool) in [
+        (SelectorChoice::FedAvg, pop10k, 0),
+        (
+            SelectorChoice::FedAvg,
+            pop10k,
+            Scale::Pop10m.candidate_pool(),
+        ),
+        (SelectorChoice::FedAvg, RESIDENT_CLIENTS, 0),
+        (SelectorChoice::FedBuff, RESIDENT_CLIENTS, 0),
     ] {
         for chaos in [false, true] {
             let label = if chaos { "chaos" } else { "fault-free" };
             let (report, stats) = check(Leg {
                 selector,
                 num_clients,
+                candidate_pool,
                 chaos,
             });
             println!(
-                "  [{num_clients} clients, {}, {label}] mean acc {:.3}  dropouts {}  \
+                "  [{num_clients} clients, pool {candidate_pool}, {}, {label}] mean acc {:.3}  dropouts {}  \
                  cache {}/{} resident (hits {} misses {} evictions {})",
                 selector.name(),
                 report.accuracy.mean,

@@ -9,16 +9,22 @@
 //!
 //! Instead of serde's visitor-based data model, everything funnels
 //! through a JSON-shaped [`Value`] tree: `Serialize` renders a value tree
-//! and `Deserialize` reads one back. `serde_json` (also vendored) is then
-//! just a text codec for [`Value`]. This keeps derived code trivial while
+//! and `Deserialize` reads one back. This keeps derived code trivial while
 //! supporting the workspace's actual needs: reports, configs, Q-table
 //! persistence, and JSONL round logs.
+//!
+//! Compact output streams: [`Serialize::write_json`] (derived, and on the
+//! std types) appends JSON text straight to a `String`, so exporting a
+//! million-element vector costs its text, not a `Value` per element. The
+//! tree remains for pretty output ([`Value::write_pretty`]), parsing, and
+//! hand-written impls, whose `write_json` is the default: render the tree,
+//! write it. Both writers share one string escaper and one float formatter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -206,6 +212,14 @@ impl Number {
     pub fn is_f64(&self) -> bool {
         matches!(self.n, N::Float(_))
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self.n {
+            N::PosInt(u) => u.write_json(out),
+            N::NegInt(i) => i.write_json(out),
+            N::Float(v) => write_f64(v, out),
+        }
+    }
 }
 
 // Numeric equality across representations: `1`, `1u64`, and `1.0`
@@ -241,26 +255,44 @@ impl From<i64> for Number {
 
 impl fmt::Display for Number {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.n {
-            N::PosInt(u) => write!(f, "{u}"),
-            N::NegInt(i) => write!(f, "{i}"),
-            N::Float(v) => {
-                if !v.is_finite() {
-                    // JSON has no non-finite literals; mirror a lossy but
-                    // parseable choice.
-                    write!(f, "null")
-                } else {
-                    let s = format!("{v}");
-                    if s.contains('.') || s.contains('e') || s.contains('E') {
-                        write!(f, "{s}")
-                    } else {
-                        // Keep float-ness visible, like serde_json ("1.0").
-                        write!(f, "{s}.0")
-                    }
-                }
+        let mut s = String::new();
+        self.write_json(&mut s);
+        f.write_str(&s)
+    }
+}
+
+/// Append `v` as JSON: non-finite values as `null` (JSON has no
+/// non-finite literals; a lossy but parseable choice), integral values
+/// with a trailing `.0` so float-ness stays visible, like serde_json.
+fn write_f64(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 /// A JSON object: string keys to values, insertion-ordered.
@@ -371,6 +403,82 @@ pub mod ser {
 pub trait Serialize {
     /// Render as a value tree.
     fn to_value(&self) -> Value;
+
+    /// Append compact JSON text to `out`: exactly the text the tree
+    /// writer produces for [`Serialize::to_value`]. The default renders
+    /// the tree and writes it; derived and std impls write directly.
+    fn write_json(&self, out: &mut String) {
+        self.to_value().write_json(out);
+    }
+}
+
+impl Value {
+    /// Append pretty JSON text (two-space indent) to `out`.
+    pub fn write_pretty(&self, out: &mut String) {
+        write_tree(self, out, Some(2), 0);
+    }
+}
+
+fn push_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        for _ in 0..width * depth {
+            out.push(' ');
+        }
+    }
+}
+
+/// The tree writer: compact when `indent` is `None`.
+fn write_tree(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => b.write_json(out),
+        Value::Number(n) => n.write_json(out),
+        Value::String(s) => write_escaped(s, out),
+        Value::Array(items) if items.is_empty() => out.push_str("[]"),
+        Value::Object(map) if map.is_empty() => out.push_str("{}"),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_indent(out, indent, depth + 1);
+                write_tree(item, out, indent, depth + 1);
+            }
+            push_indent(out, indent, depth);
+            out.push(']');
+        }
+        Value::Object(map) => {
+            out.push('{');
+            for (i, (k, val)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_indent(out, indent, depth + 1);
+                write_escaped(k, out);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                write_tree(val, out, indent, depth + 1);
+            }
+            push_indent(out, indent, depth);
+            out.push('}');
+        }
+    }
+}
+
+/// Append `items` as a compact JSON array.
+fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -387,39 +495,45 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_tree(self, out, None, 0);
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
-}
 
-macro_rules! ser_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from(*self as u64))
-            }
-        }
-    )*};
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
-ser_uint!(u8, u16, u32, u64, usize);
 
 macro_rules! ser_int {
-    ($($t:ty),*) => {$(
+    ($wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                Value::Number(Number::from(*self as i64))
+                Value::Number(Number::from(*self as $wide))
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
         }
     )*};
 }
-ser_int!(i8, i16, i32, i64, isize);
+ser_int!(u64: u8, u16, u32, u64, usize);
+ser_int!(i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::from_f64(*self))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
     }
 }
 
@@ -427,11 +541,19 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Number(Number::from_f64(f64::from(*self)))
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(f64::from(*self), out);
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
     }
 }
 
@@ -439,11 +561,19 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -454,11 +584,22 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -466,11 +607,23 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
+    }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
         Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -495,6 +648,21 @@ impl<V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<String, V, S
             m.insert(k.clone(), v.to_value());
         }
         Value::Object(m)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut pairs: Vec<(&String, &V)> = self.iter().collect();
+        pairs.sort_by(|a, b| a.0.cmp(b.0));
+        out.push('{');
+        for (i, (k, v)) in pairs.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(k, out);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 

@@ -1,7 +1,11 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Emits `Serialize` / `Deserialize` impls against the vendored
-//! value-tree `serde` shim (`to_value` / `from_value`). The parser walks
+//! value-tree `serde` shim (`to_value` / `from_value`). `Serialize` also
+//! gets a `write_json` that streams compact JSON text straight into a
+//! `String` — the same bytes as writing `to_value`'s tree, field for
+//! field, without building it; the tree stays for pretty output and
+//! parsing. The parser walks
 //! the raw `proc_macro::TokenStream` directly (no `syn`/`quote`, which
 //! are unavailable offline) and supports exactly what this workspace
 //! derives on:
@@ -334,7 +338,31 @@ fn gen_struct_serialize(name: &str, fields: &[Field], out: &mut String) {
             ));
         }
     }
-    out.push_str("::serde::Value::Object(map)\n}\n}\n");
+    let entries = fields.iter().filter(|f| !f.skip);
+    out.push_str(&format!(
+        "::serde::Value::Object(map)\n}}\n\
+         fn write_json(&self, __out: &mut ::std::string::String) {{\n{}}}\n}}\n",
+        gen_write_object(entries.map(|f| (&f.name, format!("&self.{}", f.name), f.skip_if_none)))
+    ));
+}
+
+/// Code appending, as `to_value`'s map would be written, a JSON object of
+/// `(key, expression, omitted when None)` entries to `__out`. `__sep` is
+/// `{` until the first key is written and `,` after.
+fn gen_write_object<'a>(entries: impl Iterator<Item = (&'a String, String, bool)>) -> String {
+    let mut code = String::from("#[allow(unused_mut)]\nlet mut __sep = '{';\n");
+    for (key, expr, optional) in entries {
+        let write = format!(
+            "__out.push(__sep);\n__sep = ',';\n__out.push_str(\"\\\"{key}\\\":\");\n\
+             ::serde::Serialize::write_json({expr}, __out);\n"
+        );
+        if optional {
+            code += &format!("if !::std::option::Option::is_none({expr}) {{\n{write}}}\n");
+        } else {
+            code += &write;
+        }
+    }
+    code + "if __sep == '{' {\n__out.push('{');\n}\n__out.push('}');\n"
 }
 
 /// The expression for one missing field during struct deserialization.
@@ -447,6 +475,51 @@ fn gen_enum_serialize(name: &str, variants: &[Variant], out: &mut String) {
             }
         }
     }
+    // `write_json` mirrors `to_value`: a unit variant is its name, any
+    // other a one-key object around its payload, and a struct variant
+    // writes every field, as `to_value` does.
+    out.push_str(
+        "}\n}\n\
+         fn write_json(&self, __out: &mut ::std::string::String) {\n\
+         match self {\n",
+    );
+    for v in variants {
+        let vname = &v.name;
+        let (pattern, payload) = match &v.kind {
+            VariantKind::Unit => {
+                out.push_str(&format!(
+                    "{name}::{vname} => __out.push_str(\"\\\"{vname}\\\"\"),\n"
+                ));
+                continue;
+            }
+            VariantKind::Tuple(n) => {
+                let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                let items: Vec<String> = binds
+                    .iter()
+                    .map(|b| format!("::serde::Serialize::write_json({b}, __out);\n"))
+                    .collect();
+                let items = items.join("__out.push(',');\n");
+                let payload = match n {
+                    1 => items,
+                    _ => format!("__out.push('[');\n{items}__out.push(']');\n"),
+                };
+                (format!("({})", binds.join(", ")), payload)
+            }
+            VariantKind::Struct(fields) => {
+                let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                let entries = fields.iter().map(|f| (&f.name, f.name.clone(), false));
+                (
+                    format!(" {{ {} }}", binds.join(", ")),
+                    gen_write_object(entries),
+                )
+            }
+        };
+        out.push_str(&format!(
+            "{name}::{vname}{pattern} => {{\n\
+             __out.push_str(\"{{\\\"{vname}\\\":\");\n\
+             {payload}__out.push('}}');\n}}\n"
+        ));
+    }
     out.push_str("}\n}\n}\n");
 }
 
@@ -528,7 +601,8 @@ fn gen_enum_deserialize(name: &str, variants: &[Variant], out: &mut String) {
     ));
 }
 
-/// Derive `Serialize` (value-tree shim flavor).
+/// Derive `Serialize` (value-tree shim flavor, plus streaming
+/// `write_json`).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let mut out = String::new();

@@ -1,12 +1,19 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! A JSON text codec over the vendored `serde` shim's [`Value`] tree:
+//! A JSON text codec over the vendored `serde` shim:
 //! [`to_string`], [`to_string_pretty`], [`from_str`], and [`to_value`],
 //! plus re-exports of [`Value`], [`Map`], and [`Number`]. Output matches
 //! serde_json conventions closely enough for this workspace: compact
 //! separators (`,`/`:`), two-space pretty indentation, sorted map output
 //! for `HashMap` fields (the shim sorts at serialization time), and
 //! floats printed with a trailing `.0` when integral.
+//!
+//! [`to_string`] streams: it calls [`serde::Serialize::write_json`], which
+//! writes compact text without building a [`Value`] tree. The tree
+//! remains for pretty output, for [`to_value`], and for parsing:
+//! [`from_str`] parses into a [`Value`] and rejects nesting deeper than
+//! [`MAX_DEPTH`], as real serde_json does, instead of overflowing the
+//! stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +21,9 @@
 use std::fmt;
 
 pub use serde::{Map, Number, Value};
+
+/// Deepest array / object nesting [`from_str`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// JSON encode/decode error: a message plus optional position.
 #[derive(Debug, Clone)]
@@ -54,102 +64,29 @@ pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T> {
     Ok(T::from_value(value)?)
 }
 
-/// Serialize to compact JSON text.
+/// Serialize to compact JSON text, streamed without a [`Value`] tree.
 pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
 /// Serialize to pretty JSON text (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    value.to_value().write_pretty(&mut out);
     Ok(out)
 }
 
 /// Parse JSON text into a deserializable type.
+///
+/// # Errors
+///
+/// Malformed text, nesting deeper than [`MAX_DEPTH`] (naming the byte
+/// offset of the bracket that crossed it), or a value of the wrong shape.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     let value = parse_value(s)?;
     Ok(T::from_value(&value)?)
-}
-
-// ---------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            push_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1);
-            }
-            push_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -159,12 +96,15 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -217,8 +157,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::new(format!(
                 "unexpected byte `{}` at {}",
@@ -226,6 +166,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper. The cap keeps
+    /// recursion, and so the stack, bounded on hostile input.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {

@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 
 use float::tensor::rng::split_seed;
+use float::traces::availability::ROUNDS_PER_DAY;
 use float::traces::{AvailabilityIndex, AvailabilityModel, InterferenceModel, ResourceSampler};
 
 proptest! {
@@ -119,6 +120,31 @@ proptest! {
                 pool.iter().all(|c| sweep.binary_search(c).is_ok()),
                 "pool member missing from the sweep at round {}", r
             );
+        }
+    }
+}
+
+/// Building the calendar and the full-sweep table in one pass gives what
+/// the two separate builds give: the same tables bit for bit (`{:?}` of an
+/// `f64` round-trips, so equal text is equal bits) and a calendar whose
+/// row and count agree at every day position.
+#[test]
+fn one_pass_build_equals_the_two_builds() {
+    for n in [1usize, 63, 64, 65, 10_000] {
+        let (mut index, sweep) = ResourceSampler::build_index_and_sweep(n, 29);
+        let mut want_index = ResourceSampler::build_index(n, 29);
+        let want_sweep = ResourceSampler::build_sweep_models(n, 29);
+        assert_eq!(format!("{sweep:?}"), format!("{want_sweep:?}"), "n {n}");
+        assert_eq!(index.heap_bytes(), want_index.heap_bytes(), "n {n}");
+        for p in 0..ROUNDS_PER_DAY {
+            index.advance_to(p);
+            want_index.advance_to(p);
+            assert_eq!(
+                index.row_words(),
+                want_index.row_words(),
+                "n {n} position {p}"
+            );
+            assert_eq!(index.count(), want_index.count(), "n {n} position {p}");
         }
     }
 }

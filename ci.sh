@@ -57,12 +57,23 @@ if [[ "${1:-}" != "quick" ]]; then
   echo "peak_rss_mib = $peak"
   awk -v p="$peak" 'BEGIN { exit !(p != "" && p <= 60) }'
 
-  # One traced pass: only it checks that the halving winner's outcomes
-  # equal its full-grid outcomes bit for bit, and a sweep's trials share
-  # their evaluation shards.
-  step "floatbench workload sweep_halving (1 s, traced)"
-  cargo run --release --offline --quiet --manifest-path floatbench/Cargo.toml -- \
-    --workload sweep_halving --seed 7 --seconds 1 --trace 1
+  # One traced pass per workload (~5 s each). Only the traced pass checks
+  # that the halving winner's outcomes equal its full-grid outcomes bit for
+  # bit, and that a sweep's trials share their evaluation shards. Each pass
+  # must also reproduce the report digest recorded for --seed 7: the digest
+  # hashes the report's compact JSON, so this gates those bytes.
+  declare -A want_digest=(
+    [train_heavy]=228498193650184 [pop1m_oort]=149274491342798
+    [async_chaos]=56307195567166 [sweep_halving]=61873949382235)
+  for w in train_heavy pop1m_oort async_chaos sweep_halving; do
+    step "floatbench workload $w (1 s, traced, report digest)"
+    cargo run --release --offline --quiet --manifest-path floatbench/Cargo.toml -- \
+      --workload "$w" --seed 7 --seconds 1 --trace 1 | tee "target/floatbench_${w}_trace.json"
+    digest=$(tail -n 1 "target/floatbench_${w}_trace.json" \
+      | grep -o '"report_digest48":{"value":[0-9]*' | cut -d: -f3)
+    echo "report_digest48 = $digest (want ${want_digest[$w]})"
+    [[ "$digest" == "${want_digest[$w]}" ]]
+  done
 
   # Short chaos run with a fixed seed, every fault kind active, and
   # telemetry on: asserts reports *and event streams* stay finite and
@@ -133,8 +144,7 @@ if [[ "${1:-}" != "quick" ]]; then
   # FedBuff) checks the other side of the auto capacity: a population
   # under SHARD_RESIDENT_CAP is held whole, never evicted, each shard
   # derived at most once. Every full-sweep leg keeps 16 B per client for
-  # the sweep table, a pooled 10k leg none, and the 10k report streams to
-  # the tree writer's compact text.
+  # the sweep table, a pooled 10k leg none.
   step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 

@@ -67,12 +67,6 @@ pub fn quantization_error_bound(values: &[f32], bits: u32) -> f32 {
     max_abs / levels as f32 / 2.0
 }
 
-/// Wire size in bytes of a `bits`-bit quantized buffer of `n` values:
-/// packed integers plus one f32 scale.
-pub fn quantized_bytes(n: usize, bits: u32) -> usize {
-    (n * bits as usize).div_ceil(8) + 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,13 +119,6 @@ mod tests {
         let deq = quantize_dequantize(&vals, 8);
         assert!((deq[2] - 3.0).abs() < 1e-6);
         assert!((deq[0] + 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn wire_size_shrinks_with_bits() {
-        assert_eq!(quantized_bytes(1000, 16), 2004);
-        assert_eq!(quantized_bytes(1000, 8), 1004);
-        assert!(quantized_bytes(1000, 8) < 4 * 1000);
     }
 
     #[test]

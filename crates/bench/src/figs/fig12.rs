@@ -119,13 +119,6 @@ impl E2e {
         Some((v.dropouts as f64 + 1.0) / (fl.dropouts as f64 + 1.0))
     }
 
-    /// Accuracy improvement (percentage points) of FLOAT over vanilla.
-    pub fn accuracy_gain(&self, task: &str, selector: &str) -> Option<f64> {
-        let v = self.row(task, selector, "vanilla")?;
-        let fl = self.row(task, selector, "float")?;
-        Some(fl.mean - v.mean)
-    }
-
     /// Paper-style text rendering with a `title`.
     pub fn render_with_title(&self, title: &str) -> String {
         let rows: Vec<Vec<String>> = self
@@ -218,16 +211,6 @@ mod tests {
             rows: vec![row("t", "s", "vanilla", 99), row("t", "s", "float", 9)],
         };
         assert!((e2e.dropout_reduction("t", "s").unwrap() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accuracy_gain_subtracts_vanilla() {
-        let mut v = row("t", "s", "vanilla", 1);
-        v.mean = 0.70;
-        let mut f = row("t", "s", "float", 1);
-        f.mean = 0.85;
-        let e2e = E2e { rows: vec![v, f] };
-        assert!((e2e.accuracy_gain("t", "s").unwrap() - 0.15).abs() < 1e-12);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl RoundCost {
     }
 }
 
-/// Bytes occupied by `params` scalars at precision `p`.
-pub fn update_bytes(params: u64, p: Precision) -> f64 {
-    params as f64 * p.bytes_per_param()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +127,5 @@ mod tests {
         let base = RoundCost::vanilla(&p, 10, 1, 8);
         let half = base.scale_compute(0.5).scale_compute(0.5);
         assert!((half.train_flops - base.train_flops * 0.25).abs() < 1.0);
-    }
-
-    #[test]
-    fn update_bytes_matches_precision() {
-        assert_eq!(update_bytes(1000, Precision::Fp32), 4000.0);
-        assert_eq!(update_bytes(1000, Precision::Int16), 2000.0);
-        assert_eq!(update_bytes(1000, Precision::Int8), 1000.0);
     }
 }

@@ -48,11 +48,11 @@ pub struct QTable {
 // JSON objects require string keys, so the table serializes as
 // `(num_actions, Vec<(QKey, Vec<QEntry>)>)` pairs instead of a map.
 impl Serialize for QTable {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
         let mut pairs: Vec<(&QKey, &Vec<QEntry>)> = self.rows.iter().collect();
         // Stable output: sort by the dense local-state index then debug key.
         pairs.sort_by_key(|(k, _)| (k.local.index(), k.hf.map(|h| h.index())));
-        (self.num_actions, pairs).to_value()
+        (self.num_actions, pairs).serialize(w);
     }
 }
 

@@ -23,8 +23,6 @@ pub struct FedBuffSelector {
     seed: u64,
     /// Maximum clients training concurrently (paper setup: 100).
     concurrency: usize,
-    /// Updates buffered per aggregation (paper setup: 30).
-    buffer_size: usize,
     /// Clients currently holding a slot.
     in_flight: Vec<usize>,
     /// Scratch: id-indexed membership mask for `in_flight`, sized lazily
@@ -40,20 +38,15 @@ pub struct FedBuffSelector {
 
 impl FedBuffSelector {
     /// Create a FedBuff selector with the paper's concurrency/buffer
-    /// configuration.
-    pub fn new(seed: u64, concurrency: usize, buffer_size: usize) -> Self {
+    /// configuration. The buffer size `K` is the engine's aggregation
+    /// trigger; selection does not read it.
+    pub fn new(seed: u64, concurrency: usize, _buffer_size: usize) -> Self {
         FedBuffSelector {
             seed,
             concurrency,
-            buffer_size,
             in_flight: Vec::new(),
             taken: Vec::new(),
         }
-    }
-
-    /// The aggregation buffer size `K`.
-    pub fn buffer_size(&self) -> usize {
-        self.buffer_size
     }
 
     /// Clients currently in flight.
@@ -169,13 +162,5 @@ mod tests {
         let mut s = FedBuffSelector::new(3, 100, 30);
         let launched = s.select(0, &pool(40), 0);
         assert_eq!(launched.len(), 40);
-    }
-
-    #[test]
-    fn over_selection_ratio_matches_paper_setup() {
-        // 100 concurrent with a 30-update buffer ≈ the paper's "up to 5x
-        // over-selection" relative to synchronous cohorts of 20-30.
-        let s = FedBuffSelector::new(4, 100, 30);
-        assert!(s.concurrency as f64 / s.buffer_size() as f64 > 3.0);
     }
 }

@@ -57,16 +57,6 @@ impl LedgerTotals {
         self.useful_memory_tb + self.wasted_memory_tb
     }
 
-    /// Fraction of compute hours that were wasted.
-    pub fn compute_waste_fraction(&self) -> f64 {
-        let t = self.total_compute_h();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.wasted_compute_h / t
-        }
-    }
-
     /// Whether every total is finite and non-negative and the quarantine
     /// count stays within the dropout count — the physicality invariant
     /// chaos runs and property tests assert.
@@ -182,17 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn waste_fraction() {
-        let mut l = ResourceLedger::new();
-        l.record(&outcome(true, 3600.0, 0.0, 0.0));
-        l.record(&outcome(false, 3600.0, 0.0, 0.0));
-        assert!((l.totals().compute_waste_fraction() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_ledger_has_zero_fractions() {
         let l = ResourceLedger::new();
-        assert_eq!(l.totals().compute_waste_fraction(), 0.0);
         assert_eq!(l.totals().total_compute_h(), 0.0);
     }
 

@@ -126,8 +126,8 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     if labels.is_empty() {
         return 0.0;
     }
-    // Inline argmax (same tie-breaking as `Tensor::argmax_rows`: first
-    // maximum wins) so the hot evaluation path allocates nothing.
+    // Inline argmax (strict `>`, so the first maximum wins) so the hot
+    // evaluation path allocates nothing.
     let mut correct = 0usize;
     for (r, &y) in labels.iter().enumerate() {
         let row = logits.row(r);

@@ -91,11 +91,6 @@ impl Sgd {
             }
         }
     }
-
-    /// Clear momentum state (used when a model is re-initialized).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 #[cfg(test)]
@@ -125,16 +120,5 @@ mod tests {
         let mut p = [1.0f32];
         opt.step(&mut p, &[0.0]);
         assert!((p[0] - 0.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_clears_velocity() {
-        let mut opt = Sgd::with_momentum(1.0, 0.9, 0.0);
-        let mut p = [0.0f32];
-        opt.step(&mut p, &[1.0]);
-        opt.reset();
-        let mut q = [0.0f32];
-        opt.step(&mut q, &[1.0]);
-        assert_eq!(q[0], -1.0);
     }
 }

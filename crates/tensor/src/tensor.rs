@@ -254,25 +254,6 @@ impl Tensor {
             }
         }
     }
-
-    /// Index of the maximum element in each row.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                row.iter()
-                    .enumerate()
-                    .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                        if v > bv {
-                            (i, v)
-                        } else {
-                            (bi, bv)
-                        }
-                    })
-                    .0
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -333,12 +314,6 @@ mod tests {
         let mut s = Tensor::zeros(9, 9); // wrong shape: must be resized
         a.sum_rows_into(&mut s);
         assert_eq!(s, t(1, 2, &[4.0, 6.0]));
-    }
-
-    #[test]
-    fn argmax_rows_picks_peak() {
-        let a = t(2, 3, &[0.1, 0.9, 0.0, 0.5, 0.2, 0.8]);
-        assert_eq!(a.argmax_rows(), vec![1, 2]);
     }
 
     #[test]

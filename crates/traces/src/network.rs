@@ -94,8 +94,8 @@ impl NetworkGen {
             let mut rng = seed_rng(split_seed(self.seed, step as u64));
             // Markov transition.
             if rng.gen::<f64>() < self.churn() {
-                // Move up or down one state; deep fades are sticky under
-                // driving (blockage runs).
+                // Move up or down one state with equal odds for every
+                // mobility; mobility sets only the churn rate above.
                 let down = rng.gen::<f64>() < 0.5;
                 self.state = if down {
                     self.state.saturating_sub(1)

@@ -7,18 +7,15 @@
 //! from `serde_derive` under the `derive` feature) and a `serde::de`
 //! module with an [`Error`] type.
 //!
-//! Instead of serde's visitor-based data model, everything funnels
-//! through a JSON-shaped [`Value`] tree: `Serialize` renders a value tree
-//! and `Deserialize` reads one back. This keeps derived code trivial while
-//! supporting the workspace's actual needs: reports, configs, Q-table
-//! persistence, and JSONL round logs.
-//!
-//! Compact output streams: [`Serialize::write_json`] (derived, and on the
-//! std types) appends JSON text straight to a `String`, so exporting a
-//! million-element vector costs its text, not a `Value` per element. The
-//! tree remains for pretty output ([`Value::write_pretty`]), parsing, and
-//! hand-written impls, whose `write_json` is the default: render the tree,
-//! write it. Both writers share one string escaper and one float formatter.
+//! Instead of serde's visitor-based data model, the shim is JSON only, and
+//! the two directions take different roads. Serializing writes text:
+//! [`Serialize::serialize`] (derived, on the std types and on [`Value`])
+//! writes into a [`Writer`], the one JSON writer, which appends to a
+//! `String` compact or pretty (two-space indent). One body per type gives
+//! both layouts, and no output path builds a tree, so exporting a
+//! million-element vector costs its text, not a `Value` per element.
+//! Deserializing reads a tree: `serde_json`'s parser builds a [`Value`]
+//! and [`Deserialize::from_value`] rebuilds the type from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -212,14 +209,6 @@ impl Number {
     pub fn is_f64(&self) -> bool {
         matches!(self.n, N::Float(_))
     }
-
-    fn write_json(&self, out: &mut String) {
-        match self.n {
-            N::PosInt(u) => u.write_json(out),
-            N::NegInt(i) => i.write_json(out),
-            N::Float(v) => write_f64(v, out),
-        }
-    }
 }
 
 // Numeric equality across representations: `1`, `1u64`, and `1.0`
@@ -399,86 +388,123 @@ pub mod ser {
     pub use crate::Error;
 }
 
-/// Types that can render themselves as a [`Value`] tree.
+/// Types that write themselves as JSON text.
 pub trait Serialize {
-    /// Render as a value tree.
-    fn to_value(&self) -> Value;
+    /// Write `self` into `w`.
+    fn serialize(&self, w: &mut Writer<'_>);
 
-    /// Append compact JSON text to `out`: exactly the text the tree
-    /// writer produces for [`Serialize::to_value`]. The default renders
-    /// the tree and writes it; derived and std impls write directly.
+    /// Append compact JSON text to `out`.
     fn write_json(&self, out: &mut String) {
-        self.to_value().write_json(out);
+        self.serialize(&mut Writer::compact(out));
     }
 }
 
-impl Value {
-    /// Append pretty JSON text (two-space indent) to `out`.
-    pub fn write_pretty(&self, out: &mut String) {
-        write_tree(self, out, Some(2), 0);
-    }
+/// The one JSON writer: appends to a `String`, compact or pretty. Pretty
+/// puts each array element and object entry on its own line, indented
+/// two spaces per level, with `": "` after keys; an empty container stays
+/// `[]` / `{}`.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Whether the innermost open container has no item yet.
+    first: bool,
 }
 
-fn push_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
+impl<'a> Writer<'a> {
+    /// A writer appending compact text to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Writer {
+            out,
+            pretty: false,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    /// A writer appending pretty text to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Writer {
+            pretty: true,
+            ..Writer::compact(out)
+        }
+    }
+
+    /// Append text that is already JSON: a literal or a quoted string.
+    #[inline]
+    pub fn raw(&mut self, json: &str) {
+        self.out.push_str(json);
+    }
+
+    // `inline(always)` on the structural methods: derived bodies are large
+    // enough that LLVM kept `key` out of line, and compact JSONL export
+    // then took ~30 % longer per event.
+
+    /// Open an array (`'['`) or an object (`'{'`).
+    #[inline(always)]
+    pub fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    /// Start the next element of the innermost open array.
+    #[inline(always)]
+    pub fn item(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    /// Start the next entry of the innermost open object. `key` is the
+    /// key quoted and escaped, followed by its `:`.
+    #[inline(always)]
+    pub fn key(&mut self, key: &str) {
+        self.item();
+        self.out.push_str(key);
+        if self.pretty {
+            self.out.push(' ');
+        }
+    }
+
+    /// Close the innermost open container with `bracket`.
+    #[inline(always)]
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.first = false;
+        self.out.push(bracket);
+    }
+
+    #[cold]
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
         }
     }
 }
 
-/// The tree writer: compact when `indent` is `None`.
-fn write_tree(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => b.write_json(out),
-        Value::Number(n) => n.write_json(out),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) if items.is_empty() => out.push_str("[]"),
-        Value::Object(map) if map.is_empty() => out.push_str("{}"),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, indent, depth + 1);
-                write_tree(item, out, indent, depth + 1);
-            }
-            push_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_indent(out, indent, depth + 1);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_tree(val, out, indent, depth + 1);
-            }
-            push_indent(out, indent, depth);
-            out.push('}');
-        }
+/// Write an object whose keys are known only at run time.
+fn write_object<'a, V: Serialize + 'a>(
+    w: &mut Writer<'_>,
+    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
+) {
+    w.open('{');
+    for (k, v) in entries {
+        w.item();
+        write_escaped(k, w.out);
+        w.raw(if w.pretty { ": " } else { ":" });
+        v.serialize(w);
     }
-}
-
-/// Append `items` as a compact JSON array.
-fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
-    out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        item.write_json(out);
-    }
-    out.push(']');
+    w.close('}');
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -492,177 +518,119 @@ pub trait Deserialize: Sized {
 // ---------------------------------------------------------------------
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, w: &mut Writer<'_>) {
+        match self {
+            Value::Null => w.raw("null"),
+            Value::Bool(b) => b.serialize(w),
+            Value::Number(n) => n.serialize(w),
+            Value::String(s) => s.serialize(w),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(map) => write_object(w, map.iter()),
+        }
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        write_tree(self, out, None, 0);
+impl Serialize for Number {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        match self.n {
+            N::PosInt(u) => u.serialize(w),
+            N::NegInt(i) => i.serialize(w),
+            N::Float(v) => v.serialize(w),
+        }
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.raw(if *self { "true" } else { "false" });
     }
 }
 
 macro_rules! ser_int {
-    ($wide:ty: $($t:ty),*) => {$(
+    ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from(*self as $wide))
-            }
-
-            fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+            fn serialize(&self, w: &mut Writer<'_>) {
+                let _ = write!(w.out, "{self}");
             }
         }
     )*};
 }
-ser_int!(u64: u8, u16, u32, u64, usize);
-ser_int!(i64: i8, i16, i32, i64, isize);
+ser_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self))
-    }
-
-    fn write_json(&self, out: &mut String) {
-        write_f64(*self, out);
+    fn serialize(&self, w: &mut Writer<'_>) {
+        write_f64(*self, w.out);
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(f64::from(*self)))
-    }
-
-    fn write_json(&self, out: &mut String) {
-        write_f64(f64::from(*self), out);
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
-
-    fn write_json(&self, out: &mut String) {
-        write_escaped(self, out);
+    fn serialize(&self, w: &mut Writer<'_>) {
+        write_f64(f64::from(*self), w.out);
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        write_escaped(self, w.out);
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        write_escaped(self, out);
+impl Serialize for String {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        write_escaped(self, w.out);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(w),
+            None => w.raw("null"),
         }
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
-    fn write_json(&self, out: &mut String) {
-        write_seq(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.open('[');
+        for item in self {
+            w.item();
+            item.serialize(w);
+        }
+        w.close(']');
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        write_seq(self, out);
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w);
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        self.0.write_json(out);
-        out.push(',');
-        self.1.write_json(out);
-        out.push(']');
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.open('[');
+        w.item();
+        self.0.serialize(w);
+        w.item();
+        self.1.serialize(w);
+        w.close(']');
     }
 }
 
 // String-keyed maps serialize with keys sorted, matching serde_json's
 // default (BTreeMap-backed) behavior and keeping output deterministic.
 impl<V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<String, V, S> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         let mut pairs: Vec<(&String, &V)> = self.iter().collect();
         pairs.sort_by(|a, b| a.0.cmp(b.0));
-        let mut m = Map::new();
-        for (k, v) in pairs {
-            m.insert(k.clone(), v.to_value());
-        }
-        Value::Object(m)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let mut pairs: Vec<(&String, &V)> = self.iter().collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
-        out.push('{');
-        for (i, (k, v)) in pairs.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(k, out);
-            out.push(':');
-            v.write_json(out);
-        }
-        out.push('}');
+        write_object(w, pairs);
     }
 }
 
@@ -764,22 +732,6 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     }
 }
 
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<(A, B, C), Error> {
-        let arr = v
-            .as_array()
-            .ok_or_else(|| Error::custom("expected array"))?;
-        if arr.len() != 3 {
-            return Err(Error::custom("expected 3-element array"));
-        }
-        Ok((
-            A::from_value(&arr[0])?,
-            B::from_value(&arr[1])?,
-            C::from_value(&arr[2])?,
-        ))
-    }
-}
-
 impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMap<String, V, S> {
     fn from_value(v: &Value) -> Result<HashMap<String, V, S>, Error> {
         let obj = v
@@ -797,26 +749,30 @@ impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMa
 mod tests {
     use super::*;
 
+    /// `x` writes the text `v` writes, and reads back from `v`.
+    fn roundtrip<T: Serialize + Deserialize + PartialEq + fmt::Debug>(x: T, v: Value) {
+        let (mut text, mut tree) = (String::new(), String::new());
+        x.write_json(&mut text);
+        v.write_json(&mut tree);
+        assert_eq!(text, tree);
+        assert_eq!(T::from_value(&v).unwrap(), x);
+    }
+
+    fn int(u: u64) -> Value {
+        Value::Number(u.into())
+    }
+
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert!((f64::from_value(&1.5f64.to_value()).unwrap() - 1.5).abs() < 1e-12);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert_eq!(
-            Option::<u32>::from_value(&Value::Null).unwrap(),
-            None::<u32>
-        );
-        assert_eq!(
-            Vec::<u32>::from_value(&vec![1u32, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
-        );
-        let pair: (usize, String) = Deserialize::from_value(&(4usize, "x").to_value()).unwrap();
-        assert_eq!(pair, (4, "x".to_string()));
+        roundtrip(42u64, int(42));
+        roundtrip(-7i64, Value::Number((-7i64).into()));
+        roundtrip(1.5f64, Value::Number(Number::from_f64(1.5)));
+        roundtrip(true, Value::Bool(true));
+        roundtrip("hi".to_string(), Value::String("hi".into()));
+        roundtrip(None::<u32>, Value::Null);
+        roundtrip(vec![1u32, 2, 3], Value::Array(vec![int(1), int(2), int(3)]));
+        let pair = Value::Array(vec![int(4), Value::String("x".into())]);
+        roundtrip((4usize, "x".to_string()), pair);
     }
 
     #[test]
@@ -824,12 +780,13 @@ mod tests {
         let mut m = HashMap::new();
         m.insert("b".to_string(), 2u32);
         m.insert("a".to_string(), 1u32);
-        let v = m.to_value();
-        let obj = v.as_object().unwrap();
-        let keys: Vec<&String> = obj.keys().collect();
-        assert_eq!(keys, ["a", "b"]);
-        let back: HashMap<String, u32> = Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, m);
+        let mut sorted = Map::new();
+        sorted.insert("a".into(), int(1));
+        sorted.insert("b".into(), int(2));
+        roundtrip(m.clone(), Value::Object(sorted));
+        let mut pretty = String::new();
+        m.serialize(&mut Writer::pretty(&mut pretty));
+        assert_eq!(pretty, "{\n  \"a\": 1,\n  \"b\": 2\n}");
     }
 
     #[test]

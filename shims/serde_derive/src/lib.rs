@@ -1,14 +1,14 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Emits `Serialize` / `Deserialize` impls against the vendored
-//! value-tree `serde` shim (`to_value` / `from_value`). `Serialize` also
-//! gets a `write_json` that streams compact JSON text straight into a
-//! `String` — the same bytes as writing `to_value`'s tree, field for
-//! field, without building it; the tree stays for pretty output and
-//! parsing. The parser walks
-//! the raw `proc_macro::TokenStream` directly (no `syn`/`quote`, which
-//! are unavailable offline) and supports exactly what this workspace
-//! derives on:
+//! Emits `Serialize` / `Deserialize` impls against the vendored `serde`
+//! shim. `Serialize` gets its one method, `serialize`, which writes the
+//! value into a `serde::Writer`: one body per type gives both compact and
+//! pretty text, and field and variant names go in as pre-quoted string
+//! literals, so only run-time keys pass through the escaper.
+//! `Deserialize` gets `from_value`, which reads a parsed `Value` tree.
+//! The parser walks the raw `proc_macro::TokenStream` directly (no
+//! `syn`/`quote`, which are unavailable offline) and supports exactly what
+//! this workspace derives on:
 //!
 //! - structs with named fields,
 //! - enums with unit, tuple, and struct variants (externally tagged,
@@ -318,51 +318,29 @@ fn parse_input(input: TokenStream) -> Parsed {
 // ---------------------------------------------------------------------
 
 fn gen_struct_serialize(name: &str, fields: &[Field], out: &mut String) {
+    let entries = fields.iter().filter(|f| !f.skip);
+    let body =
+        gen_write_object(entries.map(|f| (&f.name, format!("&self.{}", f.name), f.skip_if_none)));
     out.push_str(&format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n\
-         let mut map = ::serde::Map::new();\n"
-    ));
-    for f in fields.iter().filter(|f| !f.skip) {
-        let fname = &f.name;
-        if f.skip_if_none {
-            out.push_str(&format!(
-                "if !::std::option::Option::is_none(&self.{fname}) {{\n\
-                 map.insert(::std::string::String::from(\"{fname}\"), \
-                 ::serde::Serialize::to_value(&self.{fname}));\n}}\n"
-            ));
-        } else {
-            out.push_str(&format!(
-                "map.insert(::std::string::String::from(\"{fname}\"), \
-                 ::serde::Serialize::to_value(&self.{fname}));\n"
-            ));
-        }
-    }
-    let entries = fields.iter().filter(|f| !f.skip);
-    out.push_str(&format!(
-        "::serde::Value::Object(map)\n}}\n\
-         fn write_json(&self, __out: &mut ::std::string::String) {{\n{}}}\n}}\n",
-        gen_write_object(entries.map(|f| (&f.name, format!("&self.{}", f.name), f.skip_if_none)))
+         fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{\n{body}}}\n}}\n"
     ));
 }
 
-/// Code appending, as `to_value`'s map would be written, a JSON object of
-/// `(key, expression, omitted when None)` entries to `__out`. `__sep` is
-/// `{` until the first key is written and `,` after.
+/// Code writing into `__w` a JSON object of `(key, expression, omitted
+/// when None)` entries.
 fn gen_write_object<'a>(entries: impl Iterator<Item = (&'a String, String, bool)>) -> String {
-    let mut code = String::from("#[allow(unused_mut)]\nlet mut __sep = '{';\n");
+    let mut code = String::from("__w.open('{');\n");
     for (key, expr, optional) in entries {
-        let write = format!(
-            "__out.push(__sep);\n__sep = ',';\n__out.push_str(\"\\\"{key}\\\":\");\n\
-             ::serde::Serialize::write_json({expr}, __out);\n"
-        );
+        let write =
+            format!("__w.key(\"\\\"{key}\\\":\");\n::serde::Serialize::serialize({expr}, __w);\n");
         if optional {
             code += &format!("if !::std::option::Option::is_none({expr}) {{\n{write}}}\n");
         } else {
             code += &write;
         }
     }
-    code + "if __sep == '{' {\n__out.push('{');\n}\n__out.push('}');\n"
+    code + "__w.close('}');\n"
 }
 
 /// The expression for one missing field during struct deserialization.
@@ -415,93 +393,34 @@ fn gen_struct_deserialize(name: &str, fields: &[Field], out: &mut String) {
 fn gen_enum_serialize(name: &str, variants: &[Variant], out: &mut String) {
     out.push_str(&format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n\
+         fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{\n\
          match self {{\n"
     ));
-    for v in variants {
-        let vname = &v.name;
-        match &v.kind {
-            VariantKind::Unit => {
-                out.push_str(&format!(
-                    "{name}::{vname} => ::serde::Value::String(\
-                     ::std::string::String::from(\"{vname}\")),\n"
-                ));
-            }
-            VariantKind::Tuple(1) => {
-                out.push_str(&format!(
-                    "{name}::{vname}(__f0) => {{\n\
-                     let mut map = ::serde::Map::new();\n\
-                     map.insert(::std::string::String::from(\"{vname}\"), \
-                     ::serde::Serialize::to_value(__f0));\n\
-                     ::serde::Value::Object(map)\n}}\n"
-                ));
-            }
-            VariantKind::Tuple(n) => {
-                let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                let elems: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                out.push_str(&format!(
-                    "{name}::{vname}({}) => {{\n\
-                     let mut map = ::serde::Map::new();\n\
-                     map.insert(::std::string::String::from(\"{vname}\"), \
-                     ::serde::Value::Array(vec![{}]));\n\
-                     ::serde::Value::Object(map)\n}}\n",
-                    binds.join(", "),
-                    elems.join(", ")
-                ));
-            }
-            VariantKind::Struct(fields) => {
-                let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                out.push_str(&format!(
-                    "{name}::{vname} {{ {} }} => {{\n\
-                     let mut inner = ::serde::Map::new();\n",
-                    binds.join(", ")
-                ));
-                for f in fields {
-                    let fname = &f.name;
-                    out.push_str(&format!(
-                        "inner.insert(::std::string::String::from(\"{fname}\"), \
-                         ::serde::Serialize::to_value({fname}));\n"
-                    ));
-                }
-                out.push_str(&format!(
-                    "let mut map = ::serde::Map::new();\n\
-                     map.insert(::std::string::String::from(\"{vname}\"), \
-                     ::serde::Value::Object(inner));\n\
-                     ::serde::Value::Object(map)\n}}\n"
-                ));
-            }
-        }
-    }
-    // `write_json` mirrors `to_value`: a unit variant is its name, any
-    // other a one-key object around its payload, and a struct variant
-    // writes every field, as `to_value` does.
-    out.push_str(
-        "}\n}\n\
-         fn write_json(&self, __out: &mut ::std::string::String) {\n\
-         match self {\n",
-    );
+    // A unit variant is its name, any other a one-key object around its
+    // payload. A struct variant writes every field, `None` included:
+    // `skip_serializing_if` applies to struct fields only.
     for v in variants {
         let vname = &v.name;
         let (pattern, payload) = match &v.kind {
             VariantKind::Unit => {
                 out.push_str(&format!(
-                    "{name}::{vname} => __out.push_str(\"\\\"{vname}\\\"\"),\n"
+                    "{name}::{vname} => __w.raw(\"\\\"{vname}\\\"\"),\n"
                 ));
                 continue;
             }
             VariantKind::Tuple(n) => {
                 let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                let items: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::write_json({b}, __out);\n"))
-                    .collect();
-                let items = items.join("__out.push(',');\n");
                 let payload = match n {
-                    1 => items,
-                    _ => format!("__out.push('[');\n{items}__out.push(']');\n"),
+                    1 => "::serde::Serialize::serialize(__f0, __w);\n".to_string(),
+                    _ => {
+                        let items: String = binds
+                            .iter()
+                            .map(|b| {
+                                format!("__w.item();\n::serde::Serialize::serialize({b}, __w);\n")
+                            })
+                            .collect();
+                        format!("__w.open('[');\n{items}__w.close(']');\n")
+                    }
                 };
                 (format!("({})", binds.join(", ")), payload)
             }
@@ -516,8 +435,8 @@ fn gen_enum_serialize(name: &str, variants: &[Variant], out: &mut String) {
         };
         out.push_str(&format!(
             "{name}::{vname}{pattern} => {{\n\
-             __out.push_str(\"{{\\\"{vname}\\\":\");\n\
-             {payload}__out.push('}}');\n}}\n"
+             __w.open('{{');\n__w.key(\"\\\"{vname}\\\":\");\n\
+             {payload}__w.close('}}');\n}}\n"
         ));
     }
     out.push_str("}\n}\n}\n");
@@ -601,8 +520,7 @@ fn gen_enum_deserialize(name: &str, variants: &[Variant], out: &mut String) {
     ));
 }
 
-/// Derive `Serialize` (value-tree shim flavor, plus streaming
-/// `write_json`).
+/// Derive `Serialize`: one `serialize` body writing into a `serde::Writer`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let mut out = String::new();
@@ -614,7 +532,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim derive: generated Serialize impl must parse")
 }
 
-/// Derive `Deserialize` (value-tree shim flavor).
+/// Derive `Deserialize`: `from_value` over a parsed `serde::Value` tree.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let mut out = String::new();

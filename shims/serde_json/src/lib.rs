@@ -8,12 +8,12 @@
 //! for `HashMap` fields (the shim sorts at serialization time), and
 //! floats printed with a trailing `.0` when integral.
 //!
-//! [`to_string`] streams: it calls [`serde::Serialize::write_json`], which
-//! writes compact text without building a [`Value`] tree. The tree
-//! remains for pretty output, for [`to_value`], and for parsing:
-//! [`from_str`] parses into a [`Value`] and rejects nesting deeper than
-//! [`MAX_DEPTH`], as real serde_json does, instead of overflowing the
-//! stack.
+//! Both writers are `serde`'s one [`serde::Writer`], compact or pretty:
+//! no output builds a [`Value`] tree. Only reading does: [`from_str`]
+//! parses into a [`Value`] and rejects nesting deeper than [`MAX_DEPTH`],
+//! as real serde_json does, instead of overflowing the stack.
+//! [`to_value`] is the parse of [`to_string`]'s text, which re-prints to
+//! the same text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,9 +54,10 @@ impl From<serde::Error> for Error {
 /// Alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Render a serializable value as its [`Value`] tree.
+/// A serializable value as a [`Value`] tree: the parse of its compact
+/// text.
 pub fn to_value<T: serde::Serialize>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
+    parse_value(&to_string(value)?)
 }
 
 /// Rebuild a deserializable type from a [`Value`] tree.
@@ -64,7 +65,7 @@ pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T> {
     Ok(T::from_value(value)?)
 }
 
-/// Serialize to compact JSON text, streamed without a [`Value`] tree.
+/// Serialize to compact JSON text.
 pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
     value.write_json(&mut out);
@@ -74,7 +75,7 @@ pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
 /// Serialize to pretty JSON text (two-space indent).
 pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    value.to_value().write_pretty(&mut out);
+    value.serialize(&mut serde::Writer::pretty(&mut out));
     Ok(out)
 }
 
@@ -94,6 +95,8 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
 // ---------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -102,6 +105,7 @@ struct Parser<'a> {
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
         depth: 0,
@@ -280,14 +284,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary of `src`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
                 None => return Err(Error::new("unterminated string")),
             }
@@ -321,8 +324,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("bad number"))?;
+        // Only ASCII was consumed, so the slice is on char boundaries.
+        let text = &self.src[start..self.pos];
         let n = if is_float {
             Number::from_f64(
                 text.parse::<f64>()

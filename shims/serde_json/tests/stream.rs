@@ -1,20 +1,22 @@
-//! The shim's compact writer: `to_string` streams through
-//! `Serialize::write_json` and must give the tree writer's bytes
-//! (`to_string(&x.to_value())`, `Value`'s own `write_json`) for every float
-//! bit pattern, every string and every derived shape. Also the parser's
-//! nesting cap.
+//! The shim's one writer, compact and pretty, on every float bit pattern,
+//! every string and every derived shape: literal expectations, and the
+//! parsed `Value` tree re-printing the same compact text (what `to_value`
+//! relies on). Also the parser: its nesting cap, and long strings mixing
+//! plain runs, multibyte characters and escapes.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use serde::Serialize;
-use serde_json::{from_str, to_string, Value, MAX_DEPTH};
+use serde_json::{from_str, to_string, to_string_pretty, Value, MAX_DEPTH};
 
-/// The streamed text, after checking it against the tree writer's.
-fn same_text<T: Serialize>(x: &T) -> String {
-    let streamed = to_string(x).unwrap();
-    assert_eq!(streamed, to_string(&x.to_value()).unwrap());
-    streamed
+/// The compact text of `x`, after checking that the tree it parses into
+/// re-prints it.
+fn text<T: Serialize>(x: &T) -> String {
+    let text = to_string(x).unwrap();
+    let tree: Value = from_str(&text).unwrap();
+    assert_eq!(to_string(&tree).unwrap(), text);
+    text
 }
 
 fn nested(depth: usize) -> String {
@@ -46,15 +48,15 @@ proptest! {
     fn floats_stream_like_the_tree(bits in any::<u64>(), bits32 in any::<u32>()) {
         let single = f32::from_bits(bits32);
         for v in [f64::from_bits(bits), f64::from(single)] {
-            let text = same_text(&v);
+            let written = text(&v);
             if v.is_finite() {
-                prop_assert!(text.contains('.'), "{:?} wrote {}", v, text);
-                prop_assert_eq!(text.parse::<f64>().unwrap().to_bits(), v.to_bits());
+                prop_assert!(written.contains('.'), "{:?} wrote {}", v, written);
+                prop_assert_eq!(written.parse::<f64>().unwrap().to_bits(), v.to_bits());
             } else {
-                prop_assert_eq!(text.as_str(), "null");
+                prop_assert_eq!(written.as_str(), "null");
             }
         }
-        prop_assert_eq!(same_text(&single), same_text(&f64::from(single)));
+        prop_assert_eq!(text(&single), text(&f64::from(single)));
     }
 }
 
@@ -69,29 +71,42 @@ fn float_edge_cases() {
         (-12.0, "-12.0"),
         (0.5, "0.5"),
     ] {
-        assert_eq!(same_text(&v), want, "{v:?}");
+        assert_eq!(text(&v), want, "{v:?}");
     }
-    let big = same_text(&1e300);
+    let big = text(&1e300);
     assert!(big.starts_with("1000") && big.ends_with("000.0"), "{big}");
-    let subnormal = same_text(&5e-324);
+    let subnormal = text(&5e-324);
     assert!(
         subnormal.starts_with("0.000") && subnormal.ends_with('5'),
         "{subnormal}"
     );
-    assert_eq!(same_text(&f32::NAN), "null");
-    assert_eq!(same_text(&1.5f32), "1.5");
+    assert_eq!(text(&f32::NAN), "null");
+    assert_eq!(text(&1.5f32), "1.5");
 }
 
 #[test]
 fn strings_escape_like_the_tree() {
     let controls: String = (0u32..0x20).filter_map(char::from_u32).collect();
     let s = format!("{controls}\"\\/ é 漢 😀 \u{7f}");
-    let text = same_text(&s);
-    assert!(text.starts_with("\"\\u0000\\u0001"), "{text}");
-    assert!(text.contains("\\t\\n\\u000b\\u000c\\r"), "{text}");
-    assert!(text.contains("\\\"\\\\/ é 漢 😀 \u{7f}\""), "{text}");
-    assert_eq!(from_str::<String>(&text).unwrap(), s);
-    assert_eq!(same_text(&"plain"), "\"plain\"");
+    let written = text(&s);
+    assert!(written.starts_with("\"\\u0000\\u0001"), "{written}");
+    assert!(written.contains("\\t\\n\\u000b\\u000c\\r"), "{written}");
+    assert!(written.contains("\\\"\\\\/ é 漢 😀 \u{7f}\""), "{written}");
+    assert_eq!(from_str::<String>(&written).unwrap(), s);
+    assert_eq!(text(&"plain"), "\"plain\"");
+}
+
+/// One long string mixing plain ASCII runs, multibyte characters and
+/// escapes parses back whole: the parser copies each run between escapes
+/// as one slice.
+#[test]
+fn long_mixed_strings_roundtrip() {
+    let piece = "plain ascii, é漢😀 \"quoted\" back\\slash\ttab\nline\u{1}";
+    let s = piece.repeat(2_000);
+    let written = text(&s);
+    assert_eq!(from_str::<String>(&written).unwrap(), s);
+    let escaped = r#""a\u00e9\ud83d\ude00\/b""#;
+    assert_eq!(from_str::<String>(escaped).unwrap(), "aé😀/b");
 }
 
 #[derive(Serialize)]
@@ -125,7 +140,8 @@ enum Shape {
 
 #[test]
 fn derived_shapes_stream_like_the_tree() {
-    assert_eq!(same_text(&Empty {}), "{}");
+    assert_eq!(text(&Empty {}), "{}");
+    assert_eq!(to_string_pretty(&Empty {}).unwrap(), "{}");
     let mut s = Shapes {
         _hidden: 7,
         first: None,
@@ -135,18 +151,34 @@ fn derived_shapes_stream_like_the_tree() {
         map: [("b".to_string(), true), ("a".to_string(), false)].into(),
     };
     assert_eq!(
-        same_text(&s),
+        text(&s),
         r#"{"list":[-3,null,4],"pair":[9,0.25],"map":{"a":false,"b":true}}"#
     );
+    let pretty = r#"{
+  "list": [
+    -3,
+    null,
+    4
+  ],
+  "pair": [
+    9,
+    0.25
+  ],
+  "map": {
+    "a": false,
+    "b": true
+  }
+}"#;
+    assert_eq!(to_string_pretty(&s).unwrap(), pretty);
     s.first = Some(1);
     s.last = Some("x".into());
     s.map.clear();
     assert_eq!(
-        same_text(&s),
+        text(&s),
         r#"{"first":1,"list":[-3,null,4],"last":"x","pair":[9,0.25],"map":{}}"#
     );
-    // Struct variants write every field, `None` included, as `to_value`
-    // does.
+    // Struct variants write every field, `None` included:
+    // `skip_serializing_if` applies to struct fields only.
     let shapes = [
         Shape::Unit,
         Shape::One(vec![]),
@@ -155,7 +187,29 @@ fn derived_shapes_stream_like_the_tree() {
         Shape::NoFields {},
     ];
     assert_eq!(
-        same_text(&shapes.as_slice()),
+        text(&shapes.as_slice()),
         r#"["Unit",{"One":[]},{"Two":[-1,null]},{"Named":{"a":1,"b":null}},{"NoFields":{}}]"#
     );
+    let pretty = r#"[
+  "Unit",
+  {
+    "One": []
+  },
+  {
+    "Two": [
+      -1,
+      null
+    ]
+  },
+  {
+    "Named": {
+      "a": 1,
+      "b": null
+    }
+  },
+  {
+    "NoFields": {}
+  }
+]"#;
+    assert_eq!(to_string_pretty(&shapes.as_slice()).unwrap(), pretty);
 }

@@ -1,11 +1,15 @@
-//! Compact JSON streams byte for byte like the tree writer.
+//! Compact and pretty JSON are one writer's two layouts.
 //!
-//! `serde_json::to_string` writes through `Serialize::write_json`, with no
-//! `Value` tree; `Value`'s own `write_json` is the tree writer, so
-//! `to_string(&x.to_value())` is the text compact output had before it
-//! streamed. The goldens pin only pretty output, which still goes through
-//! the tree; this suite pins the streaming path against it on every kind of
-//! value the workspace exports.
+//! Every `Serialize` body writes into a `serde::Writer` that is either
+//! compact (`serde_json::to_string`: the JSONL streams, the round logs,
+//! floatbench's report digest) or pretty (`to_string_pretty`: the goldens,
+//! the BENCH files, report files). The oracle here shares no code with the
+//! writer: deleting the whitespace outside strings from the pretty text must
+//! give the compact text. The compact text must also parse back, typed and
+//! as a `Value` tree that re-prints it; and every committed JSON file the
+//! shim wrote must re-print to its own bytes, which pins the pretty layout.
+
+use std::path::Path;
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
 use float::data::Task;
@@ -14,20 +18,86 @@ use float::sim::FaultPlan;
 use float::sweep::{run_sweep, Halving, Knob, SweepOptions, SweepPlan};
 use float_bench::Scale;
 use serde::Serialize;
+use serde_json::Value;
 
-/// The streamed text, after checking it against the tree writer's.
+/// `text` without the whitespace JSON ignores, which is all of it outside
+/// strings.
+fn strip_ws(text: &str) -> String {
+    let (mut in_string, mut escaped) = (false, false);
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+        } else if c == '"' {
+            in_string = true;
+        } else if matches!(c, ' ' | '\t' | '\n' | '\r') {
+            continue;
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// The compact text of `x`, after checking it against the pretty text and
+/// against the tree it parses into.
 fn streams_like_the_tree<T: Serialize>(what: &str, x: &T) -> String {
-    let streamed = serde_json::to_string(x).expect("streams");
-    let tree = serde_json::to_string(&x.to_value()).expect("tree writes");
+    let compact = serde_json::to_string(x).expect("writes");
+    let pretty = serde_json::to_string_pretty(x).expect("writes");
     assert_eq!(
-        streamed, tree,
-        "{what}: streamed text differs from the tree writer's"
+        strip_ws(&pretty),
+        compact,
+        "{what}: pretty text is not the compact text laid out"
     );
-    streamed
+    let tree: Value = serde_json::from_str(&compact).expect("parses");
+    assert_eq!(
+        serde_json::to_string(&tree).expect("writes"),
+        compact,
+        "{what}: the parsed tree re-prints other text"
+    );
+    compact
 }
 
 fn run(cfg: ExperimentConfig) -> float::core::ExperimentReport {
     Experiment::new(cfg).expect("valid config").run()
+}
+
+/// Every JSON file the shim wrote re-prints to its own bytes: parsed into a
+/// `Value` and written pretty, it is the file's text up to the final
+/// newline (the BENCH files end in one, the `pinned_pool0_*` goldens do
+/// not). `results_quick.json` is not the shim's text and is left out.
+#[test]
+fn committed_json_files_reprint_byte_for_byte() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let listed = |dir: &Path, keep: fn(&str) -> bool| -> Vec<_> {
+        let entries = std::fs::read_dir(dir).expect("directory lists");
+        let mut paths: Vec<_> = entries
+            .map(|e| e.expect("entry reads").path())
+            .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(keep))
+            .collect();
+        paths.sort();
+        paths
+    };
+    let mut files = listed(&root.join("tests/data"), |n| n.ends_with(".json"));
+    files.extend(listed(root, |n| {
+        n.starts_with("BENCH") && n.ends_with(".json")
+    }));
+    assert!(files.len() >= 9, "{files:?}");
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("file reads");
+        let tree: Value = serde_json::from_str(&text).expect("file parses");
+        let reprinted = serde_json::to_string_pretty(&tree).expect("writes");
+        assert!(
+            text.strip_suffix('\n').unwrap_or(&text) == reprinted,
+            "{} does not re-print to its own bytes",
+            path.display()
+        );
+    }
 }
 
 /// The configs behind `tests/data/pinned_pool0_*`: their reports, and
@@ -41,7 +111,7 @@ fn pinned_reports_stream_like_the_tree() {
         let report = run(cfg);
         let text = streams_like_the_tree(name, &report);
         let back: float::core::ExperimentReport = serde_json::from_str(&text).expect("parses");
-        assert_eq!(back, report, "{name}: streamed text does not round-trip");
+        assert_eq!(back, report, "{name}: compact text does not round-trip");
         let log = report.round_log_jsonl();
         assert_eq!(log.lines().count(), report.rounds.len());
         for (line, record) in log.lines().zip(&report.rounds) {
@@ -123,8 +193,7 @@ fn halving_sweep_outcome_streams_like_the_tree() {
     streams_like_the_tree("sweep outcome", &outcome);
 }
 
-/// The Q-table's `Serialize` is hand-written and streams through the
-/// provided default, which writes its tree.
+/// The Q-table's `Serialize` is hand-written: `(num_actions, sorted rows)`.
 #[test]
 fn trained_agent_streams_like_the_tree() {
     let cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);

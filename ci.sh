@@ -87,6 +87,25 @@ if [[ "${1:-}" != "quick" ]]; then
     [[ "$flags" == *-prefer-256-bit* ]]
   done
 
+  # The full availability sweep draws one interruption mask per row word
+  # with a branch-free loop that LLVM vectorizes with AVX-512's 64-bit
+  # multiply (DESIGN.md §14). That needs `first_f64` and `split_seed` to
+  # inline across crates; if either stops inlining, the sweep silently
+  # runs ~2x slower while every test stays green. So count `vpmullq` in
+  # the built benchmark binary's sweep and fail on none.
+  step "availability sweep vectorized (vpmullq in available_clients_into)"
+  if grep -qw avx512dq /proc/cpuinfo && command -v objdump > /dev/null; then
+    muls=$(objdump -d --no-show-raw-insn -C floatbench/target/release/floatbench \
+      | awk '/^[0-9a-f]+ <.*ResourceSampler::available_clients_into.*>:$/ { f = 1; next }
+             /^$/ { f = 0 }
+             f && /vpmullq/ { n++ }
+             END { print n + 0 }')
+    echo "vpmullq in available_clients_into: $muls"
+    [[ "$muls" -gt 0 ]]
+  else
+    echo "skipped: needs an avx512dq host and objdump"
+  fi
+
   # Short chaos run with a fixed seed, every fault kind active, and
   # telemetry on: asserts reports *and event streams* stay finite and
   # bit-identical across thread counts, and writes the sync run's JSONL

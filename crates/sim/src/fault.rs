@@ -12,10 +12,9 @@
 //! keep its bit-identical-across-thread-counts guarantee with faults
 //! enabled, and what makes every chaos run reproducible from its seed.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use float_tensor::rng::{seed_rng, split_seed};
+use float_tensor::rng::{first_f64, split_seed};
 
 use crate::round::{ClientRoundOutcome, DropReason, RoundParams};
 
@@ -167,7 +166,7 @@ impl FaultPlan {
             split_seed(seed, FAULT_STREAM.wrapping_add(round)),
             (client << 8) | u64::from(attempt),
         );
-        let x: f64 = seed_rng(s).gen();
+        let x = first_f64(s);
         let mut edge = self.crash_rate;
         if x < edge {
             return Some(FaultKind::MidRoundCrash);

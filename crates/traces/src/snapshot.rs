@@ -449,14 +449,19 @@ impl ResourceSampler {
         blocked.sort_unstable();
         let models = self.sweep_models.as_ref().expect("just built");
         out.reserve(self.index.count());
+        // One interruption mask per row word: the 64 draws run branch-free
+        // (and vectorized), then only the surviving bits are visited.
         for (w, &word) in self.index.row_words().iter().enumerate() {
-            let mut bits = word;
+            if word == 0 {
+                continue;
+            }
+            let base = w * 64;
+            let end = (base + 64).min(models.len());
+            let mut bits = word & Interruption::clear_word(&models[base..end], round);
             while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros() as usize;
+                let c = base + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if models[c].clear(round)
-                    && (blocked.is_empty() || blocked.binary_search(&c).is_err())
-                {
+                if blocked.is_empty() || blocked.binary_search(&c).is_err() {
                     out.push(c);
                 }
             }

@@ -40,33 +40,18 @@ proptest! {
 
     /// The sampler's indexed sweep equals filtering every client through
     /// `is_available` — including after arbitrary battery drains and
-    /// recharges, visited in an arbitrary round order.
+    /// recharges, visited in an arbitrary round order. Populations reach
+    /// seven row words, so the sweep's per-word masks meet full words,
+    /// empty words and partial tail words.
     #[test]
     fn indexed_sweep_matches_per_client_filter(
         seed in any::<u64>(),
-        n in 1usize..120,
-        drains in prop::collection::vec((0usize..120, 1u32..4), 0..16),
+        n in 1usize..400,
+        drains in prop::collection::vec((0usize..400, 1u32..4), 0..16),
         rounds in prop::collection::vec(0usize..300, 1..10),
         charge_at in 0usize..10,
     ) {
-        let mut sweeper = ResourceSampler::new(n, InterferenceModel::None, seed);
-        let mut brute = ResourceSampler::new(n, InterferenceModel::None, seed);
-        for &(c, times) in &drains {
-            for _ in 0..times {
-                sweeper.drain_battery(c % n, 18_000.0);
-                brute.drain_battery(c % n, 18_000.0);
-            }
-        }
-        let mut sweep = Vec::new();
-        for (step, &r) in rounds.iter().enumerate() {
-            if step == charge_at {
-                sweeper.charge_all();
-                brute.charge_all();
-            }
-            sweeper.available_clients_into(r, &mut sweep);
-            let want: Vec<usize> = (0..n).filter(|&c| brute.is_available(c, r)).collect();
-            prop_assert_eq!(&sweep, &want, "sweep diverged at round {}", r);
-        }
+        sweep_matches_per_client_filter(seed, n, &drains, &rounds, charge_at)?;
     }
 
     /// Pooled draws: the returned eligible count is the exact brute-force
@@ -121,6 +106,51 @@ proptest! {
                 "pool member missing from the sweep at round {}", r
             );
         }
+    }
+}
+
+/// Drains `(client % n, times)` into a sweeping sampler and a twin, then
+/// at each of `rounds` (charging both before step `charge_at`) checks the
+/// sweep against the twin's one-client-at-a-time `is_available`.
+fn sweep_matches_per_client_filter(
+    seed: u64,
+    n: usize,
+    drains: &[(usize, u32)],
+    rounds: &[usize],
+    charge_at: usize,
+) -> Result<(), String> {
+    let mut sweeper = ResourceSampler::new(n, InterferenceModel::None, seed);
+    let mut brute = ResourceSampler::new(n, InterferenceModel::None, seed);
+    for &(c, times) in drains {
+        for _ in 0..times {
+            sweeper.drain_battery(c % n, 18_000.0);
+            brute.drain_battery(c % n, 18_000.0);
+        }
+    }
+    let mut sweep = Vec::new();
+    for (step, &r) in rounds.iter().enumerate() {
+        if step == charge_at {
+            sweeper.charge_all();
+            brute.charge_all();
+        }
+        sweeper.available_clients_into(r, &mut sweep);
+        let want: Vec<usize> = (0..n).filter(|&c| brute.is_available(c, r)).collect();
+        prop_assert_eq!(&sweep, &want, "n {} sweep diverged at round {}", n, r);
+    }
+    Ok(())
+}
+
+/// The populations on either side of one and two full row words, and one
+/// ending mid-word far down the row, with drains landing in the tail word.
+#[test]
+fn indexed_sweep_matches_at_word_edges() {
+    for n in [63usize, 64, 65, 128, 129, 1000] {
+        let drains: Vec<(usize, u32)> = [0, 1, 62, 63, 64, 127, 128, n - 1, n - 2]
+            .iter()
+            .map(|&c| (c, 3))
+            .collect();
+        let rounds = [0, 7, 40, 95, 96, 180, 3];
+        sweep_matches_per_client_filter(0x5EED + n as u64, n, &drains, &rounds, 4).unwrap();
     }
 }
 

@@ -146,15 +146,6 @@ if [[ "${1:-}" != "quick" ]]; then
   grep -q "event stream and report reconcile exactly" \
     target/obs/obsdump_profiles_ci.txt
 
-  # Oracle-gap benchmark in quick mode: the Oort chaos cell in all
-  # three estimation modes (oracle / profiled / coldstart), the
-  # 1-vs-4-thread determinism probe, and a parse-back asserting
-  # mode-correct labels and non-empty convergence curves. Writes to
-  # target/ so the checked-in BENCH_profile_gap.json (full grid) is not
-  # clobbered by CI.
-  step "profile gap (quick self-check)"
-  cargo run --release --offline -p float-bench --bin profile_gap -- --quick
-
   # Kernel micro-bench in quick mode: asserts the blocked GEMM stays
   # bit-identical to the ascending-order reference and that the emitted
   # report parses with positive throughput on every one of the twelve
@@ -179,36 +170,18 @@ if [[ "${1:-}" != "quick" ]]; then
   step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 
-  # Population benchmark in quick mode: the 10k sweep rows, a pooled
-  # stand-in row (the 10M preset's candidate_pool=2048 config downsized
-  # to 10k clients, so CI exercises the sampled-planner path), the
-  # 1-vs-2-thread determinism probe, and a parse-back of the emitted
-  # JSON asserting positive throughput, the cache bound, and the
-  # availability-index stats. Writes to target/ so the checked-in
-  # BENCH_population_scale.json (full 10k/100k/1M/10M run) is not
-  # clobbered by CI.
-  step "population scale (quick self-check, incl. pooled stand-in)"
-  cargo run --release --offline -p float-bench --bin population_scale -- --quick
-
-  # Algorithm comparison in quick mode: one chaos cell per server
-  # optimizer / drift-correction variant, a 1-vs-4-thread determinism
-  # probe of the heaviest composition (FedYogi + FedProx + SCAFFOLD),
-  # and a parse-back asserting finite accuracies, correctly suffixed
-  # labels, and replayable per-trial event streams. Writes to target/
-  # so the checked-in BENCH_algo_compare.json (full 48-trial grid) is
-  # not clobbered by CI.
-  step "algorithm comparison (quick self-check)"
-  cargo run --release --offline -p float-bench --bin algo_compare -- --quick
-
-  # Sweep orchestrator in quick mode: a 2x2 grid (cohort x epochs) with
-  # eta=2 successive halving, a 1-vs-4-worker bit-identity probe over
-  # the shared population, per-trial JSONL under target/obs/sweep_ci,
-  # and a parse-back asserting in-range accuracies, positive trials/hour,
-  # a non-empty Pareto frontier, and replayable event streams. Writes to
-  # target/ so the checked-in BENCH_sweep.json (full 3x3 grid) is not
-  # clobbered by CI.
-  step "sweep orchestrator (quick self-check)"
-  cargo run --release --offline -p float-bench --bin sweepexp -- --quick
+  # The studies beyond the paper's figures, each at quick scale: the
+  # algorithm comparison, the oracle gap (oracle / profiled / coldstart),
+  # the concurrent sweep (grid + successive halving, per-trial JSONL under
+  # target/obs/sweep) and the population benchmark (10k rows plus a pooled
+  # stand-in for the 10M preset). This is the one end-to-end run of
+  # expfig's figure table and its JSON writer; what the tables must show
+  # is asserted in tests/paper_claims.rs.
+  step "experiment figures (expfig --scale quick)"
+  for fig in algos profile_gap sweep population; do
+    cargo run --release --offline --quiet -p float-bench --bin expfig -- \
+      "$fig" --scale quick --json "target/expfig_$fig.json"
+  done
 fi
 
 step "CI green"

@@ -23,8 +23,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use float_bench::selfcheck;
-
 use float_tensor::{kernels, seed_rng, Tensor};
 use rand::Rng;
 use serde::Serialize;
@@ -330,11 +328,16 @@ fn main() {
         geomean_speedup_vs_naive,
         geomean_speedup_vs_pr3,
     };
-    selfcheck::write_report(&out_path, &report);
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write(&out_path, format!("{json}\n"))
+        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    eprintln!("wrote {out_path}");
 
     // Self-check: the file must parse back and every rate must be a
     // positive finite number — this is what CI's quick run asserts.
-    let v: serde_json::Value = selfcheck::parse_back(&out_path);
+    let text = std::fs::read_to_string(&out_path)
+        .unwrap_or_else(|e| panic!("cannot read back {out_path}: {e}"));
+    let v: serde_json::Value = serde_json::from_str(&text).expect("report parses back");
     let parsed = v
         .get("results")
         .and_then(|r| r.as_array())
@@ -346,7 +349,10 @@ fn main() {
                 .get(field)
                 .and_then(|g| g.as_f64())
                 .expect("rate present");
-            selfcheck::assert_positive(g, field);
+            assert!(
+                g.is_finite() && g > 0.0,
+                "{field} must be positive, got {g}"
+            );
         }
     }
     eprintln!("self-check OK: report parses, all rates positive");

@@ -41,10 +41,11 @@
 
 use std::collections::BTreeMap;
 
+use float_bench::figs::profile_gap::replay_kind;
 use float_core::ExperimentReport;
 use float_obs::metrics::{Histogram, LATENCY_BUCKETS_S, UTILIZATION_BUCKETS};
 use float_obs::{Event, HistogramSummary, OutcomeKind};
-use float_profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
+use float_profile::{ClientProfiler, Observation, ProfilingConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -128,20 +129,6 @@ fn main() {
     }
     if report.is_some() {
         println!("\nobsdump: event stream and report reconcile exactly.");
-    }
-}
-
-/// Map a committed-outcome event kind onto the profiler's observation
-/// kind. Duplicates fold into `Completed` (the client did the work and
-/// the wire carried the bytes); the stream cannot distinguish OOM kills
-/// from other drops, so replayed drops are all `Dropped` — reliability
-/// counters are unaffected, only the OOM split is unavailable offline.
-fn replay_kind(outcome: OutcomeKind) -> ObservedOutcome {
-    match outcome {
-        OutcomeKind::Completed | OutcomeKind::Duplicate => ObservedOutcome::Completed,
-        OutcomeKind::Quarantined => ObservedOutcome::Quarantined,
-        OutcomeKind::Stalled => ObservedOutcome::Stalled,
-        OutcomeKind::Dropped => ObservedOutcome::Dropped,
     }
 }
 

@@ -5,8 +5,8 @@
 //! Each `figN` module runs the corresponding experiment and returns a
 //! serializable result with a `render()` method that prints the same rows
 //! or series the paper reports. The `expfig` binary dispatches on a figure
-//! id and supports `--paper` for full-scale runs (200 clients, 300 rounds)
-//! versus the default scaled-down runs that finish in minutes.
+//! id and supports `--scale paper` for full-scale runs (200 clients, 300
+//! rounds) versus the default scaled-down runs that finish in minutes.
 //!
 //! Absolute numbers will not match the paper (the substrate is a
 //! simulator, not the authors' GPU testbed); the *shape* — who wins, by
@@ -18,7 +18,6 @@
 
 pub mod figs;
 pub mod scale;
-pub mod selfcheck;
 
 pub use scale::Scale;
 
@@ -66,6 +65,36 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Render serializable rows as a [`table`]: one column per scalar field in
+/// declaration order, except those named in `skip`. Floats print through
+/// [`f`], strings bare, other scalars as JSON; array and object fields are
+/// left out.
+pub fn rows_table<R: serde::Serialize>(rows: &[R], skip: &[&str]) -> String {
+    use serde_json::Value;
+    let values: Vec<Value> = rows
+        .iter()
+        .map(|r| serde_json::to_value(r).expect("table rows serialize"))
+        .collect();
+    let Some(first) = values.first().and_then(Value::as_object) else {
+        return String::new();
+    };
+    let headers: Vec<&str> = first
+        .iter()
+        .filter(|(k, v)| !skip.contains(&k.as_str()) && !v.is_array() && !v.is_object())
+        .map(|(k, _)| k.as_str())
+        .collect();
+    let cell = |v: &Value| match v {
+        Value::String(s) => s.clone(),
+        Value::Number(n) if n.is_f64() => f(n.as_f64()),
+        _ => serde_json::to_string(v).expect("scalars serialize"),
+    };
+    let cells: Vec<Vec<String>> = values
+        .iter()
+        .map(|v| headers.iter().map(|&h| cell(&v[h])).collect())
+        .collect();
+    table(&headers, &cells)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,5 +120,32 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("name"));
         assert!(lines[3].contains("long-name"));
+    }
+
+    #[test]
+    fn rows_table_lists_scalar_fields_in_order() {
+        #[derive(serde::Serialize)]
+        struct Row {
+            name: String,
+            n: u64,
+            acc: f64,
+            curve: Vec<u64>,
+        }
+        let rows = [Row {
+            name: "a".into(),
+            n: 3,
+            acc: 0.5,
+            curve: vec![1],
+        }];
+        let t = rows_table(&rows, &["name"]);
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(
+            lines[0].split_whitespace().collect::<Vec<_>>(),
+            ["n", "acc"]
+        );
+        assert_eq!(
+            lines[2].split_whitespace().collect::<Vec<_>>(),
+            ["3", "0.5000"]
+        );
     }
 }

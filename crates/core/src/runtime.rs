@@ -18,9 +18,7 @@ use float_obs::metrics::{
     ESTIMATE_ERROR_BUCKETS, LATENCY_BUCKETS_S, PAYLOAD_BUCKETS_BYTES, UTILIZATION_BUCKETS,
 };
 use float_obs::{Collector, Event, OutcomeKind, Phase, Telemetry};
-use float_profile::{
-    ClientEstimate, ClientProfiler, ColdStartPolicy, Observation, ObservedOutcome, ProfilerStats,
-};
+use float_profile::{ClientEstimate, ClientProfiler, Observation, ObservedOutcome, ProfilerStats};
 use float_rl::{AgentConfig, DeadlineLevel, GlobalState, LocalState, RlhfAgent};
 use float_select::{
     ClientSelector, FedAvgSelector, FedBuffSelector, HeuristicPolicy, OortSelector, ReflSelector,
@@ -523,11 +521,6 @@ impl ExecuteCtx<'_> {
     }
 }
 
-/// Resource-availability fraction assumed for every component under the
-/// `Pessimistic` cold-start policy (a quarter of peak — a deliberately
-/// conservative device until proven otherwise).
-const PESSIMISTIC_FRACTION: f64 = 0.25;
-
 /// Per-component `(cpu, mem, net)` availability fractions derivable from
 /// one profiled estimate; `None` where the estimate has no evidence yet.
 /// Compute capability is witnessed GFLOP/s relative to the device's
@@ -551,28 +544,18 @@ fn fraction_components(
 
 /// The profiled replacement for the oracle snapshot fractions feeding the
 /// accel agent's [`LocalState`] and the heuristic policy. Components the
-/// client's own estimate cannot supply fall back to the cold-start
-/// policy: the population's running estimate under `GlobalPrior` (full
-/// fractions before any data exists), full fractions under `Optimistic`,
-/// quarter fractions under `Pessimistic`. A pure read — never perturbs
-/// profiler state.
+/// client's own estimate cannot supply fall back to the population's
+/// running estimate (full fractions before any data exists). A pure read —
+/// never perturbs profiler state.
 fn profiled_fractions(
     profiler: &ClientProfiler,
     client: usize,
     peak_gflops: f64,
 ) -> (f64, f64, f64) {
-    let cold = match profiler.config().cold_start {
-        ColdStartPolicy::Optimistic => (1.0, 1.0, 1.0),
-        ColdStartPolicy::Pessimistic => (
-            PESSIMISTIC_FRACTION,
-            PESSIMISTIC_FRACTION,
-            PESSIMISTIC_FRACTION,
-        ),
-        ColdStartPolicy::GlobalPrior => profiler.global_estimate().map_or((1.0, 1.0, 1.0), |g| {
-            let (c, m, n) = fraction_components(&g, peak_gflops);
-            (c.unwrap_or(1.0), m.unwrap_or(1.0), n.unwrap_or(1.0))
-        }),
-    };
+    let cold = profiler.global_estimate().map_or((1.0, 1.0, 1.0), |g| {
+        let (c, m, n) = fraction_components(&g, peak_gflops);
+        (c.unwrap_or(1.0), m.unwrap_or(1.0), n.unwrap_or(1.0))
+    });
     let (c, m, n) = profiler
         .estimate(client)
         .map_or((None, None, None), |e| fraction_components(&e, peak_gflops));
@@ -587,37 +570,21 @@ fn profiled_fractions(
 /// human-feedback overrun signal: predict the vanilla round time from the
 /// client's witnessed throughput estimates, mirroring the oracle
 /// formula's floors (`mbps ≥ 1e-3`, `gflops ≥ 1e-4`). Unknown components
-/// fall back per the cold-start policy: the global estimate under
-/// `GlobalPrior`, an instant phase under `Optimistic` (no overrun signal
-/// until evidence), three-quarters of the deadline per phase under
-/// `Pessimistic` (two unknown phases ⇒ a 1.5× deadline assumption).
-fn profiled_round_time_s(
-    profiler: &ClientProfiler,
-    client: usize,
-    cost: &RoundCost,
-    deadline_s: f64,
-) -> f64 {
+/// fall back to the global estimate, and to an instant phase before any
+/// data exists (no overrun signal until evidence).
+fn profiled_round_time_s(profiler: &ClientProfiler, client: usize, cost: &RoundCost) -> f64 {
     let est = profiler.estimate(client);
     let global = profiler.global_estimate();
-    let global_prior = profiler.config().cold_start == ColdStartPolicy::GlobalPrior;
-    let pick =
-        |local: Option<f64>, glob: Option<f64>| local.or(if global_prior { glob } else { None });
-    let mbps = pick(
-        est.and_then(|e| e.bandwidth_mbps),
-        global.and_then(|g| g.bandwidth_mbps),
-    );
-    let gflops = pick(
-        est.and_then(|e| e.compute_gflops),
-        global.and_then(|g| g.compute_gflops),
-    );
-    let cold_term = match profiler.config().cold_start {
-        ColdStartPolicy::Pessimistic => 0.75 * deadline_s,
-        ColdStartPolicy::Optimistic | ColdStartPolicy::GlobalPrior => 0.0,
-    };
-    let net_term = mbps.map_or(cold_term, |m| {
+    let mbps = est
+        .and_then(|e| e.bandwidth_mbps)
+        .or(global.and_then(|g| g.bandwidth_mbps));
+    let gflops = est
+        .and_then(|e| e.compute_gflops)
+        .or(global.and_then(|g| g.compute_gflops));
+    let net_term = mbps.map_or(0.0, |m| {
         (cost.download_bytes + cost.upload_bytes) * 8.0 / (m.max(1e-3) * 1e6)
     });
-    let compute_term = gflops.map_or(cold_term, |g| cost.train_flops / (g.max(1e-4) * 1e9));
+    let compute_term = gflops.map_or(0.0, |g| cost.train_flops / (g.max(1e-4) * 1e9));
     net_term + compute_term
 }
 
@@ -1256,14 +1223,14 @@ impl Experiment {
         // throughput — the runtime's own observations — may be consulted.
         let vanilla_time_s = match &self.profiler {
             None => estimate_round_time_s(&snap, &base_cost),
-            Some(p) => profiled_round_time_s(p, client, &base_cost, self.config.deadline_s),
+            Some(p) => profiled_round_time_s(p, client, &base_cost),
         };
         let vanilla_overrun =
             ((vanilla_time_s - self.config.deadline_s) / self.config.deadline_s).max(0.0);
         let ema = self.hf_overrun_ema.entry(client).or_insert(0.0);
         *ema = 0.7 * *ema + 0.3 * vanilla_overrun;
         // The accel decision's resource features: oracle fractions, or the
-        // profiler's witnessed estimates under the cold-start policy.
+        // profiler's witnessed estimates with the population prior.
         let fractions = match &self.profiler {
             None => (snap.cpu_fraction, snap.mem_fraction, snap.net_fraction),
             Some(p) => profiled_fractions(p, client, device.gflops),

@@ -24,8 +24,7 @@
 //! value-transparent because every artifact is a pure function of
 //! `(population config, population seed)` — a trial built through
 //! [`Experiment::new_shared`] produces a report bit-identical to the same
-//! config built standalone, a contract pinned by tests and the `sweepexp`
-//! self-check.
+//! config built standalone, a contract pinned by tests.
 //!
 //! The seed split that makes this work: trials set `seed =
 //! split_seed(root, trial_idx)` for independent runtime randomness and

@@ -5,30 +5,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// What the runtime should assume about a client it has never observed.
-///
-/// This only governs the *accel-agent / pacing* features (local resource
-/// fractions and the overrun estimate). Selectors keep their own
-/// cold-start behaviour: a `None` estimate routes the client through the
-/// selector's existing exploration / prior path (Oort's untried pool,
-/// REFL's 0.5 availability prior, TiFL's unprofiled tier watermark).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ColdStartPolicy {
-    /// Use population-level running estimates (the mean of everything
-    /// observed so far); before any observation exists at all, behave
-    /// like [`ColdStartPolicy::Optimistic`]. This is the default: new
-    /// clients are assumed to look like the fleet.
-    #[default]
-    GlobalPrior,
-    /// Assume a healthy client: full resource fractions, no overrun.
-    /// First contact runs the heaviest plan the policy allows.
-    Optimistic,
-    /// Assume a constrained client: quarter resource fractions and a
-    /// 1.5x-deadline latency guess. First contact runs conservatively.
-    Pessimistic,
-}
-
 /// Configuration for the online client profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfilingConfig {
@@ -43,11 +19,9 @@ pub struct ProfilingConfig {
     pub latency_alpha: f64,
     /// EWMA smoothing factor for bandwidth/compute estimates, in (0, 1].
     pub bandwidth_alpha: f64,
-    /// Policy for never-observed clients (see [`ColdStartPolicy`]).
-    pub cold_start: ColdStartPolicy,
     /// Evaluation knob: record nothing and answer every query with the
     /// cold-start prior. This is the "cold start forever" lower bound in
-    /// the `profile_gap` bench; it requires `enabled`.
+    /// `expfig profile_gap`; it requires `enabled`.
     pub cold_only: bool,
 }
 
@@ -62,7 +36,6 @@ impl ProfilingConfig {
             capacity: 0,
             latency_alpha: 0.3,
             bandwidth_alpha: 0.3,
-            cold_start: ColdStartPolicy::GlobalPrior,
             cold_only: false,
         }
     }
@@ -163,6 +136,11 @@ mod tests {
         assert!(!cfg.enabled);
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ProfilingConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(cfg, back);
+        // Configs written while a `cold_start` policy field existed still
+        // load: unknown named fields are skipped.
+        let legacy = json.replacen('{', r#"{"cold_start":"pessimistic","#, 1);
+        let back: ProfilingConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(cfg, back);
     }
 }

@@ -26,7 +26,7 @@ pub mod config;
 pub mod estimator;
 pub mod profiler;
 
-pub use config::{ColdStartPolicy, ProfilingConfig};
+pub use config::ProfilingConfig;
 pub use estimator::{Ewma, P2Quantile};
 pub use profiler::{
     ClientEstimate, ClientProfiler, Observation, ObservedOutcome, ProfileView, ProfilerStats,

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ColdStartPolicy, ProfilingConfig};
+use crate::config::ProfilingConfig;
 use crate::estimator::{Ewma, P2Quantile};
 
 /// How an observed attempt ended, as seen from the commit phase.
@@ -289,11 +289,6 @@ impl ClientProfiler {
         Self::new(cfg, capacity)
     }
 
-    /// The config this profiler was built with.
-    pub fn config(&self) -> &ProfilingConfig {
-        &self.cfg
-    }
-
     /// Fold one commit-phase observation into the store.
     pub fn observe(&mut self, client: usize, obs: &Observation) {
         self.stats.observations += 1;
@@ -463,11 +458,6 @@ impl ProfileView<'_> {
     /// Population-level estimate, `None` before any observation.
     pub fn global_estimate(&self) -> Option<ClientEstimate> {
         self.profiler.global_estimate()
-    }
-
-    /// The configured cold-start policy.
-    pub fn cold_start(&self) -> ColdStartPolicy {
-        self.profiler.cfg.cold_start
     }
 }
 

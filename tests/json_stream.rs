@@ -87,7 +87,10 @@ fn committed_json_files_reprint_byte_for_byte() {
     files.extend(listed(root, |n| {
         n.starts_with("BENCH") && n.ends_with(".json")
     }));
-    assert!(files.len() >= 9, "{files:?}");
+    // The three `tests/data` goldens, `BENCHMARK.json` and
+    // `BENCH_kernels.json`; experiment tables are `expfig` output and are
+    // not committed.
+    assert!(files.len() >= 5, "{files:?}");
     for path in &files {
         let text = std::fs::read_to_string(path).expect("file reads");
         let tree: Value = serde_json::from_str(&text).expect("file parses");

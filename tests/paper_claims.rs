@@ -242,3 +242,75 @@ fn fig13_shape_openimage_gains() {
         assert!(red >= 0.75, "openimage/{sel}: reduction {red}");
     }
 }
+
+/// Each profile-gap trial runs in the mode its row names, and its
+/// replayed convergence curve carries well-formed error quantiles.
+#[test]
+fn profile_gap_rows_are_mode_correct() {
+    let fig = figs::profile_gap::run(SCALE);
+    assert_eq!(fig.rows.len(), 3 * fig.gaps.len());
+    for row in &fig.rows {
+        let cell = format!("{}/{}/{}", row.selector, row.fault, row.mode);
+        let suffix_ok = match row.mode.as_str() {
+            "oracle" => !row.label.contains("+prof"),
+            "profiled" => row.label.ends_with("+prof"),
+            _ => row.label.ends_with("+prof0"),
+        };
+        assert!(suffix_ok, "{cell}: label {}", row.label);
+        assert_eq!(
+            row.profile_observations > 0,
+            row.mode != "oracle",
+            "{cell}: {} profiler observations",
+            row.profile_observations
+        );
+        assert!(
+            !row.error_rounds.is_empty(),
+            "{cell}: no predictions scored"
+        );
+        for e in &row.error_rounds {
+            assert!(
+                e.predictions > 0 && e.p50.is_finite() && e.p90.is_finite() && e.p50 <= e.p90,
+                "{cell}: malformed error quantiles at round {}",
+                e.round
+            );
+        }
+    }
+}
+
+/// Successive halving executes fewer rounds than the full grid, and the
+/// grid has a non-empty Pareto frontier.
+#[test]
+fn sweep_halving_saves_rounds_and_frontier_is_nonempty() {
+    let fig = figs::sweep::run(SCALE);
+    assert!(
+        fig.pruning.rounds_executed < fig.pruning.full_grid_rounds,
+        "halving ran {} of {} rounds",
+        fig.pruning.rounds_executed,
+        fig.pruning.full_grid_rounds
+    );
+    assert_eq!(fig.frontier.len(), fig.trials);
+    assert!(fig.frontier.iter().any(|r| r.on_frontier));
+}
+
+/// The pooled planner never builds the full-sweep table, and training
+/// data stays bounded by a shard cache far smaller than the population.
+#[test]
+fn population_rows_keep_memory_bounded() {
+    let fig = figs::population::run(SCALE);
+    let pooled = fig
+        .rows
+        .iter()
+        .find(|r| r.candidate_pool > 0)
+        .expect("pooled stand-in row");
+    assert_eq!(pooled.sweep_models_mb, 0.0);
+    for row in &fig.rows {
+        assert!(
+            row.cache_peak_resident <= row.cache_capacity && row.cache_capacity < row.clients,
+            "{} clients ({}): {} resident, capacity {}",
+            row.clients,
+            row.mode,
+            row.cache_peak_resident,
+            row.cache_capacity
+        );
+    }
+}

@@ -127,10 +127,28 @@ fn labels_distinguish_algorithm_variants() {
 /// duplicates, and stall retries through the optimizer path.
 #[test]
 fn every_variant_is_thread_count_invariant_under_chaos() {
+    let mut cfgs = Vec::new();
     for variant in 0..NUM_VARIANTS {
         let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 5);
-        cfg.fault_plan = FaultPlan::chaos();
         apply_variant(&mut cfg, variant);
+        cfgs.push((format!("variant {variant}"), cfg));
+    }
+    // The heaviest composition: an adaptive optimizer with both drift
+    // corrections, non-IID data, the RLHF agent and telemetry.
+    let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 5);
+    cfg.alpha = Some(0.1);
+    cfg.seed = 42;
+    cfg.obs = float::obs::ObsConfig::on();
+    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedYogi);
+    cfg.prox_mu = 0.1;
+    cfg.scaffold = true;
+    cfgs.push(("fedyogi+prox+scaffold".to_string(), cfg));
+    // The async engine aggregates on its own path; cover it too.
+    let mut cfg = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Off, 4);
+    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAdam);
+    cfgs.push(("fedbuff fedadam".to_string(), cfg));
+    for (what, mut cfg) in cfgs {
+        cfg.fault_plan = FaultPlan::chaos();
         let mut one = cfg;
         one.num_threads = 1;
         let mut four = cfg;
@@ -138,18 +156,9 @@ fn every_variant_is_thread_count_invariant_under_chaos() {
         assert_eq!(
             run(one),
             run(four),
-            "variant {variant}: 1 vs 4 threads diverged under chaos"
+            "{what}: 1 vs 4 threads diverged under chaos"
         );
     }
-    // The async engine aggregates on its own path; cover it too.
-    let mut cfg = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Off, 4);
-    cfg.fault_plan = FaultPlan::chaos();
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAdam);
-    let mut one = cfg;
-    one.num_threads = 1;
-    let mut four = cfg;
-    four.num_threads = 4;
-    assert_eq!(run(one), run(four), "fedbuff fedadam diverged");
 }
 
 /// Drift corrections compose: FedProx + SCAFFOLD + an adaptive server

@@ -16,6 +16,10 @@ cargo fmt --all -- --check
 step "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Broken or private intra-doc links fail here, not in a reader's browser.
+step "cargo doc --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 if [[ "${1:-}" != "quick" ]]; then
   step "cargo build --release"
   cargo build --release --offline

@@ -447,6 +447,13 @@ impl ExperimentConfig {
         if self.num_clients == 0 {
             return Err(format!("num_clients {} must be positive", self.num_clients));
         }
+        if u32::try_from(self.num_clients).is_err() {
+            return Err(format!(
+                "num_clients {} must be at most {} (client ids are stored as u32)",
+                self.num_clients,
+                u32::MAX
+            ));
+        }
         if self.cohort_size == 0 || self.cohort_size > self.num_clients {
             return Err(format!(
                 "cohort_size {} must be in 1..={}",
@@ -654,6 +661,10 @@ mod tests {
         c.num_clients = 40;
         let err = c.validate().expect_err("bad cohort");
         assert!(err.contains("77") && err.contains("40"), "message: {err}");
+        let mut c = base;
+        c.num_clients = u32::MAX as usize + 1;
+        let err = c.validate().expect_err("client ids past u32");
+        assert!(err.contains("4294967296"), "message: {err}");
         let mut c = base;
         c.deadline_s = -3.5;
         let err = c.validate().expect_err("bad deadline");

@@ -4,7 +4,7 @@
 //! loop).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::seq::SliceRandom;
 
@@ -12,7 +12,7 @@ use float_accel::apply::transform_update;
 use float_accel::{
     action_cost, action_train_options, AccelAction, AccelPlan, ActionCatalogue, ErrorFeedback,
 };
-use float_data::{ShardCache, ShardCacheStats, ShardSpec, SharedShardCache};
+use float_data::{ShardCache, ShardCacheStats};
 use float_models::RoundCost;
 use float_obs::metrics::{
     ESTIMATE_ERROR_BUCKETS, LATENCY_BUCKETS_S, PAYLOAD_BUCKETS_BYTES, UTILIZATION_BUCKETS,
@@ -38,7 +38,7 @@ use crate::config::{AccelMode, ExperimentConfig, SelectorChoice};
 use crate::engine::parallel_map_with;
 use crate::metrics::{AccuracySummary, ExperimentReport, RoundRecord};
 use crate::optim::{ServerOptimizer, ServerOptimizerChoice};
-use crate::trial::{EvalShardStats, EvalShards, SharedPopulation};
+use crate::trial::{lock_shards, EvalShardStats, EvalShards, SharedPopulation};
 
 /// Hidden width of the proxy model used for the accuracy side of the
 /// simulation. Kept modest so full 300-round runs stay fast.
@@ -47,13 +47,13 @@ const PROXY_HIDDEN: usize = 128;
 /// A fully assembled experiment, ready to run.
 pub struct Experiment {
     config: ExperimentConfig,
-    /// Lazy per-client shards behind a bounded LRU cache (standalone
-    /// runs) or a sweep-wide shared store (trials built through
-    /// [`Experiment::new_shared`]). Client datasets are derived on first
-    /// touch (a pure function of `(seed, client)` — bit-identical to
-    /// eager generation, pinned by the `lazy_shards` proptest), so
-    /// training-data memory is O(cache capacity), not O(population).
-    data: ShardSource,
+    /// Lazy per-client shards behind the population's bounded LRU cache,
+    /// shared with every other trial over the same [`SharedPopulation`].
+    /// Client datasets are derived on first touch (a pure function of
+    /// `(seed, client)` — bit-identical to eager generation, pinned by the
+    /// `lazy_shards` proptest), so training-data memory is O(cache
+    /// capacity), not O(population).
+    shards: Arc<Mutex<ShardCache>>,
     sampler: ResourceSampler,
     selector: Box<dyn ClientSelector + Send + Sync>,
     catalogue: ActionCatalogue,
@@ -98,8 +98,8 @@ pub struct Experiment {
     /// Drawn once from its own seed stream and kept in ascending order, so
     /// `eval_sample == num_clients` is bit-identical to full eval.
     eval_set: Vec<usize>,
-    /// The evaluation set's test shards: the sweep's one copy when this is
-    /// a shared trial that evaluates the whole population, else private.
+    /// The evaluation set's test shards: the population's one copy when
+    /// the trial evaluates the whole population, else private.
     eval_shards: Arc<EvalShards>,
     /// Exact eligible count of the current round under candidate pooling
     /// (`None` on full-sweep runs, where `eligible_buf.len()` already *is*
@@ -655,93 +655,36 @@ fn draw_eval_set(num_clients: usize, eval_sample: usize, seed: u64) -> Vec<usize
     ids.iter().map(|&c| c as usize).collect()
 }
 
-/// Where a run's client shards come from: a private bounded LRU cache
-/// (every standalone run — the historical path, byte for byte), or one
-/// sweep-wide [`SharedShardCache`] serving many concurrent trials over
-/// the same population. Both serve bit-identical values — shards are pure
-/// functions of `(spec, client)` — so the choice never changes a report.
-enum ShardSource {
-    Owned(ShardCache),
-    Shared(Arc<SharedShardCache>),
-}
-
-impl ShardSource {
-    fn get(&mut self, client: usize) -> (Arc<Dataset>, Arc<Dataset>) {
-        match self {
-            ShardSource::Owned(cache) => cache.get(client),
-            ShardSource::Shared(store) => store.get(client),
-        }
-    }
-
-    fn spec(&self) -> &ShardSpec {
-        match self {
-            ShardSource::Owned(cache) => cache.spec(),
-            ShardSource::Shared(store) => store.spec(),
-        }
-    }
-
-    fn stats(&self) -> ShardCacheStats {
-        match self {
-            ShardSource::Owned(cache) => cache.stats(),
-            ShardSource::Shared(store) => store.stats(),
-        }
-    }
-}
-
 impl Experiment {
-    /// Build an experiment from a validated configuration.
+    /// Build an experiment from a validated configuration: a trial over a
+    /// population of its own, [`SharedPopulation::build`] of `config`.
     ///
     /// # Errors
     ///
     /// Returns the configuration error string if `config.validate()` fails.
     pub fn new(config: ExperimentConfig) -> Result<Self, String> {
-        Self::build(config, None)
+        Self::new_shared(config, &SharedPopulation::build(&config)?)
     }
 
-    /// Build a sweep trial against a pre-built [`SharedPopulation`]: the
-    /// trial reads shards through the sweep-wide shared store and clones
-    /// the already-built availability calendar instead of re-deriving
-    /// either. The resulting run is bit-identical to `Experiment::new`
-    /// with the same config — sharing amortizes cost, never changes bits.
+    /// Build a trial over a pre-built [`SharedPopulation`]: the trial
+    /// reads shards through the population's store and clones its
+    /// availability calendar instead of re-deriving either. The resulting
+    /// run is bit-identical to `Experiment::new` with the same config —
+    /// sharing amortizes cost, never changes bits.
     ///
     /// # Errors
     ///
     /// Returns the validation error string, or a mismatch description if
-    /// `config` describes a different population than `shared` was built
-    /// for.
-    pub fn new_shared(config: ExperimentConfig, shared: &SharedPopulation) -> Result<Self, String> {
-        Self::build(config, Some(shared))
-    }
-
-    fn build(config: ExperimentConfig, shared: Option<&SharedPopulation>) -> Result<Self, String> {
+    /// `config` describes a different population than `population` was
+    /// built for.
+    pub fn new_shared(
+        config: ExperimentConfig,
+        population: &SharedPopulation,
+    ) -> Result<Self, String> {
         config.validate()?;
+        population.check(&config)?;
         let seed = config.seed;
-        let pop_seed = config.population_seed();
-        let (data, sampler) = match shared {
-            None => {
-                let data = ShardSource::Owned(ShardCache::new(
-                    ShardSpec::new(config.federated_config(), split_seed(pop_seed, 1)),
-                    config.resolved_shard_cache(),
-                ));
-                let (n, trace_seed) = (config.num_clients, split_seed(pop_seed, 2));
-                let sampler = if config.candidate_pool == 0 {
-                    // Full-sweep runs read every client's interruption draw
-                    // each round: build the table in the calendar's pass,
-                    // one model derivation per client for both. Pooled runs
-                    // skip it (the only O(population) allocation left).
-                    let (index, sweep) = ResourceSampler::build_index_and_sweep(n, trace_seed);
-                    let sweep = Some(Arc::new(sweep));
-                    ResourceSampler::with_shared(n, config.interference, trace_seed, index, sweep)
-                } else {
-                    ResourceSampler::new(n, config.interference, trace_seed)
-                };
-                (data, sampler)
-            }
-            Some(sp) => {
-                sp.check(&config)?;
-                (ShardSource::Shared(sp.shards()), sp.sampler_for(&config))
-            }
-        };
+        let sampler = population.sampler_for(&config);
         let selector: Box<dyn ClientSelector + Send + Sync> = match config.selector {
             SelectorChoice::FedAvg => Box::new(FedAvgSelector::new(split_seed(seed, 3))),
             SelectorChoice::Oort => Box::new(OortSelector::new(
@@ -776,7 +719,7 @@ impl Experiment {
             AccelMode::Heuristic => Some(HeuristicPolicy::new(split_seed(seed, 5))),
             _ => None,
         };
-        let synth = *data.spec().synthetic();
+        let synth = *population.spec().synthetic();
         let global_model = Mlp::new(
             &MlpConfig::new(synth.feature_dim, &[PROXY_HIDDEN], synth.num_classes),
             split_seed(seed, 6),
@@ -829,15 +772,16 @@ impl Experiment {
         let protected = global_model.protected_mask();
         let num_params = global_model.num_params();
         let eval_set = draw_eval_set(config.num_clients, config.eval_sample, seed);
-        let eval_shards = match shared {
-            Some(sp) if eval_set.is_empty() => sp.eval_shards(),
-            _ if eval_set.is_empty() => Arc::new(EvalShards::new(config.num_clients)),
+        let eval_shards = if eval_set.is_empty() {
+            population.eval_shards()
+        } else {
             // A sampled set is drawn from the trial seed: a private copy.
-            _ => Arc::new(EvalShards::new(eval_set.len())),
+            let spec = Arc::clone(population.spec());
+            Arc::new(EvalShards::new(spec, eval_set.len()))
         };
         Ok(Experiment {
             config,
-            data,
+            shards: population.shards(),
             sampler,
             selector,
             catalogue,
@@ -990,7 +934,7 @@ impl Experiment {
         mut self,
     ) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
         self.run_to(self.config.rounds);
-        let cache = self.data.stats();
+        let cache = lock_shards(&self.shards).stats();
         let avail = self.sampler.availability_stats();
         (self.finalize(), cache, avail)
     }
@@ -1205,10 +1149,11 @@ impl Experiment {
     fn plan_attempt(&mut self, client: usize, round: usize, staleness: u64) -> AttemptTask {
         let snap = self.sampler.snapshot(client, round);
         let device = self.sampler.client(client).profile;
-        // Pin the client's shards for the execute phase. The cache is only
-        // touched here, in the sequential plan phase, so its LRU state
-        // (and therefore its hit/miss/eviction sequence) is deterministic.
-        let (train, test) = self.data.get(client);
+        // Pin the client's shards for the execute phase. A run touches the
+        // cache only here, in the sequential plan phase, so on a population
+        // of its own its LRU state (and therefore its hit/miss/eviction
+        // sequence) is deterministic.
+        let (train, test) = lock_shards(&self.shards).get(client);
         let shard_len = train.len();
         let base_cost = RoundCost::vanilla(
             &self.config.arch.profile(),
@@ -1612,11 +1557,11 @@ impl Experiment {
     /// of the parameters, so the result is identical for any worker count.
     fn eval_all_clients(&self) -> Vec<f64> {
         let mut models = vec![self.global_model.clone(); self.config.effective_threads()];
-        let (spec, set, shards) = (self.data.spec(), &self.eval_set, &*self.eval_shards);
+        let (set, shards) = (&self.eval_set, &*self.eval_shards);
         let positions: Vec<usize> = (0..shards.eval_clients()).collect();
         parallel_map_with(&mut models, &positions, |m, &pos| {
             let client = set.get(pos).copied().unwrap_or(pos);
-            shards.with(spec, pos, client, |test| m.accuracy_mut(test) as f64)
+            shards.with(pos, client, |test| m.accuracy_mut(test) as f64)
         })
     }
 

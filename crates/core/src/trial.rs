@@ -1,48 +1,49 @@
-//! Shared-population trial execution — the `float-core` half of the sweep
-//! orchestrator.
+//! Populations and the trials built over them.
 //!
-//! A sweep runs many [`ExperimentConfig`] variations over *one*
-//! population: same task, client count, data skew, and trace calendar,
-//! differing only in runtime knobs (cohort size, deadline, local epochs,
-//! selector, optimizer, accel policy). Building each trial independently
-//! would re-derive the population's expensive artifacts once per
-//! trial:
+//! Every experiment is a trial over a [`SharedPopulation`]:
+//! [`Experiment::new`] builds one of its own from its config, and a sweep
+//! builds one and attaches every trial to it through
+//! [`Experiment::new_shared`]. A sweep's trials share task, client count,
+//! data skew and trace calendar, and differ only in runtime knobs (cohort
+//! size, deadline, local epochs, selector, optimizer, accel policy). The
+//! population holds what is expensive to derive, once:
 //!
-//! - the client shards (one synthetic-sampler pass per touched client),
+//! - the client shards, through one [`ShardCache`] behind a lock, sized by
+//!   [`ExperimentConfig::resolved_shard_cache`] (the whole population up to
+//!   [`SHARD_RESIDENT_CAP`] clients, so a sweep derives each client once),
 //! - the availability calendar ([`ResourceSampler::build_index`], the
-//!   sampler's only O(population) pass) plus the full-sweep interruption
-//!   table (16 B per client, built by the first full-sweep trial),
+//!   sampler's only O(population) pass): each trial's sampler clones it,
+//!   which shares the calendar and copies only the membership row,
+//! - the full-sweep interruption table (16 B per client), built in the
+//!   calendar's pass when the population's config runs full sweeps
+//!   (`candidate_pool == 0`),
 //! - the test shards every evaluation sweep scores the model on
-//!   (`EvalShards`).
+//!   (`EvalShards`), filled by whichever trial evaluates first.
 //!
-//! [`SharedPopulation`] builds each exactly once and hands every trial a
-//! cheap handle: shards through one sweep-wide
-//! [`SharedShardCache`](float_data::SharedShardCache) (derive-once,
-//! `Arc`-served), the calendar as a clone of the pre-built index (a
-//! memcpy, not a re-derivation), the whole population's test shards as one
-//! copy filled by whichever trial evaluates first. Sharing is
-//! value-transparent because every artifact is a pure function of
-//! `(population config, population seed)` — a trial built through
-//! [`Experiment::new_shared`] produces a report bit-identical to the same
-//! config built standalone, a contract pinned by tests.
+//! Sharing is value-transparent because every artifact is a pure function
+//! of `(population config, population seed)`: a trial attached to a
+//! sweep's population produces a report bit-identical to the same config
+//! built through [`Experiment::new`], a contract pinned by tests.
 //!
 //! The seed split that makes this work: trials set `seed =
 //! split_seed(root, trial_idx)` for independent runtime randomness and
 //! `data_seed = root` so the population stays common — see
 //! [`ExperimentConfig::data_seed`].
+//!
+//! [`Experiment::new`]: crate::Experiment::new
+//! [`Experiment::new_shared`]: crate::Experiment::new_shared
+//! [`SHARD_RESIDENT_CAP`]: crate::config::SHARD_RESIDENT_CAP
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use float_data::federated::FederatedConfig;
-use float_data::{ShardCacheStats, ShardSpec, SharedShardCache};
+use float_data::{ShardCache, ShardCacheStats, ShardSpec};
 use float_tensor::rng::split_seed;
 use float_tensor::Dataset;
 use float_traces::{AvailabilityIndex, Interruption, ResourceSampler};
 
 use crate::config::ExperimentConfig;
-use crate::metrics::ExperimentReport;
-use crate::runtime::Experiment;
 
 /// Bound on evaluation clients whose test shards stay resident.
 pub const EVAL_RESIDENT_CAP: usize = 4096;
@@ -54,6 +55,9 @@ pub const EVAL_RESIDENT_CAP: usize = 4096;
 /// first derived. Clients past [`EVAL_RESIDENT_CAP`] have no slot and are
 /// derived per sweep, which keeps a population-sized evaluation O(cohort).
 pub(crate) struct EvalShards {
+    /// The derivation, read without the training store's lock so parallel
+    /// evaluation workers and concurrent trials never wait on it.
+    spec: Arc<ShardSpec>,
     /// Allocated by the first sweep: building a trial or a population
     /// costs nothing for an evaluation that may never run.
     slots: OnceLock<Vec<OnceLock<Dataset>>>,
@@ -71,8 +75,9 @@ pub struct EvalShardStats {
 }
 
 impl EvalShards {
-    pub(crate) fn new(eval_clients: usize) -> Self {
+    pub(crate) fn new(spec: Arc<ShardSpec>, eval_clients: usize) -> Self {
         EvalShards {
+            spec,
             slots: OnceLock::new(),
             eval_clients,
             derivations: AtomicU64::new(0),
@@ -85,20 +90,14 @@ impl EvalShards {
     }
 
     /// `f` on the test shard of `client`, the evaluation set's `pos`-th.
-    pub(crate) fn with<R>(
-        &self,
-        spec: &ShardSpec,
-        pos: usize,
-        client: usize,
-        f: impl FnOnce(&Dataset) -> R,
-    ) -> R {
+    pub(crate) fn with<R>(&self, pos: usize, client: usize, f: impl FnOnce(&Dataset) -> R) -> R {
         let slots = self.slots.get_or_init(|| {
             let resident = self.eval_clients.min(EVAL_RESIDENT_CAP);
             (0..resident).map(|_| OnceLock::new()).collect()
         });
         let derive = || {
             self.derivations.fetch_add(1, Ordering::Relaxed);
-            spec.test_shard(client)
+            self.spec.test_shard(client)
         };
         match slots.get(pos) {
             Some(slot) => f(slot.get_or_init(derive)),
@@ -115,22 +114,24 @@ impl EvalShards {
     }
 }
 
-/// One population's shared read-only artifacts, built once per sweep and
-/// handed to every trial over that population.
+/// One population's read-only artifacts, built once and handed to every
+/// trial over that population.
 pub struct SharedPopulation {
     /// The dataset parameters the shard spec was built from — trials must
     /// match these exactly (shards are a function of them).
     fed: FederatedConfig,
     /// The population seed the spec and calendar derive from.
     population_seed: u64,
-    /// Sweep-wide shard store (derive-once, `Arc`-served).
-    shards: Arc<SharedShardCache>,
-    /// Pre-built availability calendar; trials clone it (cheap) instead
-    /// of re-deriving it (O(population) model derivations).
+    /// The pure shard derivation.
+    spec: Arc<ShardSpec>,
+    /// Training-shard store of every attached trial.
+    shards: Arc<Mutex<ShardCache>>,
+    /// Availability calendar; a trial's sampler clones it (the calendar
+    /// is shared, the row copied) instead of re-deriving it.
     index: AvailabilityIndex,
-    /// Full-sweep interruption table, built on the first trial that
-    /// needs it (candidate_pool == 0) and shared from then on.
-    sweep_models: OnceLock<Arc<Vec<Interruption>>>,
+    /// Full-sweep interruption table, built in the calendar's pass when
+    /// the population's config runs full sweeps (`candidate_pool == 0`).
+    sweep_models: Option<Arc<Vec<Interruption>>>,
     /// Test shards of the whole population as an evaluation set: the one
     /// copy every trial with `eval_sample == 0` evaluates on.
     eval_shards: Arc<EvalShards>,
@@ -140,7 +141,8 @@ pub struct SharedPopulation {
 
 impl SharedPopulation {
     /// Build the shared artifacts for `config`'s population. Only the
-    /// population-defining fields matter: any trial whose
+    /// population-defining fields, `candidate_pool` (whether to build the
+    /// full-sweep table) and the shard-cache size matter: any trial whose
     /// [`ExperimentConfig::federated_config`] and
     /// [`ExperimentConfig::population_seed`] match can attach, whatever
     /// its runtime knobs.
@@ -152,15 +154,27 @@ impl SharedPopulation {
         config.validate()?;
         let fed = config.federated_config();
         let pop_seed = config.population_seed();
-        let spec = ShardSpec::new(fed, split_seed(pop_seed, 1));
-        let index = ResourceSampler::build_index(config.num_clients, split_seed(pop_seed, 2));
+        let spec = Arc::new(ShardSpec::new(fed, split_seed(pop_seed, 1)));
+        let (n, trace_seed) = (config.num_clients, split_seed(pop_seed, 2));
+        let (index, sweep_models) = if config.candidate_pool == 0 {
+            // Full-sweep runs read every client's interruption draw each
+            // round: build the table in the calendar's pass, one model
+            // derivation per client for both. Pooled runs skip it (the
+            // only O(population) allocation left).
+            let (index, sweep) = ResourceSampler::build_index_and_sweep(n, trace_seed);
+            (index, Some(Arc::new(sweep)))
+        } else {
+            (ResourceSampler::build_index(n, trace_seed), None)
+        };
+        let shards = ShardCache::new(Arc::clone(&spec), config.resolved_shard_cache());
         Ok(SharedPopulation {
             fed,
             population_seed: pop_seed,
-            shards: Arc::new(SharedShardCache::new(spec)),
+            shards: Arc::new(Mutex::new(shards)),
+            eval_shards: Arc::new(EvalShards::new(Arc::clone(&spec), n)),
+            spec,
             index,
-            sweep_models: OnceLock::new(),
-            eval_shards: Arc::new(EvalShards::new(config.num_clients)),
+            sweep_models,
             attached: AtomicU64::new(0),
         })
     }
@@ -194,42 +208,43 @@ impl SharedPopulation {
         Ok(())
     }
 
-    /// Handle to the sweep-wide shard store.
-    pub(crate) fn shards(&self) -> Arc<SharedShardCache> {
+    /// The pure shard derivation.
+    pub(crate) fn spec(&self) -> &Arc<ShardSpec> {
+        &self.spec
+    }
+
+    /// Handle to the training-shard store.
+    pub(crate) fn shards(&self) -> Arc<Mutex<ShardCache>> {
         Arc::clone(&self.shards)
     }
 
-    /// A sampler for one trial: the shared calendar cloned, the shared
-    /// full-sweep table attached when the trial runs full availability
-    /// sweeps (pooled trials skip them, mirroring the standalone path's
-    /// O(population) avoidance).
+    /// A sampler for one trial: the calendar cloned, and the full-sweep
+    /// table attached when the trial runs full availability sweeps. Pooled
+    /// trials never read it, and a full-sweep trial over a pooled
+    /// population builds its own on its first sweep.
     pub(crate) fn sampler_for(&self, config: &ExperimentConfig) -> ResourceSampler {
-        let trace_seed = split_seed(self.population_seed, 2);
-        let models = (config.candidate_pool == 0).then(|| {
-            Arc::clone(self.sweep_models.get_or_init(|| {
-                Arc::new(ResourceSampler::build_sweep_models(
-                    self.fed.num_clients,
-                    trace_seed,
-                ))
-            }))
-        });
+        let models = if config.candidate_pool == 0 {
+            self.sweep_models.clone()
+        } else {
+            None
+        };
         ResourceSampler::with_shared(
             self.fed.num_clients,
             config.interference,
-            trace_seed,
+            split_seed(self.population_seed, 2),
             self.index.clone(),
             models,
         )
     }
 
     /// Shard-store counters: `misses` is the number of shard derivations
-    /// actually paid across *all* attached trials (at most one per
-    /// client), `hits` the derivations avoided by sharing.
+    /// actually paid across *all* attached trials (one per client while
+    /// the store holds the population), `hits` the derivations avoided.
     pub fn shard_stats(&self) -> ShardCacheStats {
-        self.shards.stats()
+        lock_shards(&self.shards).stats()
     }
 
-    /// Handle to the sweep-wide full-population evaluation shards.
+    /// Handle to the full-population evaluation shards.
     pub(crate) fn eval_shards(&self) -> Arc<EvalShards> {
         Arc::clone(&self.eval_shards)
     }
@@ -247,27 +262,18 @@ impl SharedPopulation {
     }
 }
 
-/// Run one trial to completion: through `shared` handles when given (the
-/// sweep path), standalone otherwise. Both paths produce bit-identical
-/// reports for the same `config`.
-///
-/// # Errors
-///
-/// Propagates [`Experiment::new`] / [`Experiment::new_shared`] errors.
-pub fn run_trial(
-    config: ExperimentConfig,
-    shared: Option<&SharedPopulation>,
-) -> Result<ExperimentReport, String> {
-    Ok(match shared {
-        Some(sp) => Experiment::new_shared(config, sp)?.run(),
-        None => Experiment::new(config)?.run(),
-    })
+/// The shard store, locked. A derivation that panics inside
+/// `ShardCache::get` leaves the cache consistent (the entry is simply
+/// absent), so a poisoned lock is taken as is.
+pub(crate) fn lock_shards(shards: &Mutex<ShardCache>) -> MutexGuard<'_, ShardCache> {
+    shards.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{AccelMode, SelectorChoice};
+    use crate::runtime::Experiment;
 
     fn base() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 3);
@@ -276,6 +282,10 @@ mod tests {
         cfg.mean_samples = 30;
         cfg.seed = 1234;
         cfg
+    }
+
+    fn alone(cfg: ExperimentConfig) -> crate::ExperimentReport {
+        Experiment::new(cfg).expect("valid config").run()
     }
 
     #[test]
@@ -289,20 +299,89 @@ mod tests {
             trial.cohort_size = cohort;
             trial.local_epochs = epochs;
             trial.seed = split_seed(7, cohort as u64);
-            let standalone = run_trial(trial, None).expect("standalone runs");
-            let via_shared = run_trial(trial, Some(&shared)).expect("shared runs");
+            let via_shared = Experiment::new_shared(trial, &shared)
+                .expect("shared runs")
+                .run();
             assert_eq!(
-                standalone, via_shared,
+                alone(trial),
+                via_shared,
                 "shared-handle trial diverged at cohort {cohort}"
             );
         }
         assert_eq!(shared.trials_attached(), 2);
         let stats = shared.shard_stats();
         assert!(stats.hits > 0, "second trial should hit the shared store");
-        assert!(
-            stats.misses <= cfg.num_clients as u64,
-            "at most one derivation per client across the sweep"
+        assert_eq!(stats.capacity, cfg.num_clients, "the store holds everyone");
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(
+            stats.misses, stats.resident as u64,
+            "each resident client derived exactly once across the sweep"
         );
+    }
+
+    #[test]
+    fn concurrent_trials_derive_each_shard_once() {
+        let mut cfg = base();
+        cfg.data_seed = 31;
+        let shared = SharedPopulation::build(&cfg).expect("valid population");
+        let trials: Vec<ExperimentConfig> = (0..4u64)
+            .map(|t| {
+                let mut trial = cfg;
+                trial.seed = split_seed(5, t);
+                trial
+            })
+            .collect();
+        // Four trials race on one store from four threads, released together
+        // once all are built; each must still read the pure derivation, so
+        // equal its own population's run.
+        let start = std::sync::Barrier::new(trials.len());
+        let reports: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = trials
+                .iter()
+                .map(|&trial| {
+                    let (shared, start) = (&shared, &start);
+                    scope.spawn(move || {
+                        let exp = Experiment::new_shared(trial, shared).expect("same population");
+                        start.wait();
+                        exp.run()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trial thread"))
+                .collect()
+        });
+        for (trial, report) in trials.iter().zip(reports) {
+            assert_eq!(report, alone(*trial), "seed {}", trial.seed);
+        }
+        let stats = shared.shard_stats();
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.misses, stats.resident as u64, "derived exactly once");
+        assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn pooled_population_serves_full_sweep_and_pooled_trials() {
+        let mut pooled = base();
+        pooled.candidate_pool = 8;
+        let population = SharedPopulation::build(&pooled).expect("valid population");
+        let mut full = pooled;
+        full.candidate_pool = 0;
+        for cfg in [full, pooled] {
+            let (report, _, avail) = Experiment::new_shared(cfg, &population)
+                .expect("same population")
+                .run_with_population_stats();
+            assert_eq!(report, alone(cfg), "candidate_pool {}", cfg.candidate_pool);
+            // The pooled population built no table: the full-sweep trial
+            // built its own, the pooled one none.
+            let table = if cfg.candidate_pool == 0 {
+                16 * cfg.num_clients
+            } else {
+                0
+            };
+            assert_eq!(avail.sweep_models_bytes, table);
+        }
     }
 
     #[test]
@@ -322,25 +401,26 @@ mod tests {
         let cfg = base();
         let mut split = cfg;
         split.data_seed = cfg.seed; // explicit override equal to the root
-        let a = run_trial(cfg, None).expect("runs");
-        let b = run_trial(split, None).expect("runs");
-        assert_eq!(a, b, "data_seed == seed must reproduce data_seed == 0");
+        assert_eq!(
+            alone(cfg),
+            alone(split),
+            "data_seed == seed must reproduce data_seed == 0"
+        );
     }
 
     #[test]
     fn data_seed_pins_population_across_runtime_seeds() {
         // Two trials with different root seeds but one data_seed must see
         // identical shards — proven indirectly: both attach to the same
-        // SharedPopulation and reproduce their standalone reports.
+        // SharedPopulation and reproduce their own populations' reports.
         let mut cfg = base();
         cfg.data_seed = 555;
         let shared = SharedPopulation::build(&cfg).expect("valid population");
         for s in [1u64, 2] {
             let mut trial = cfg;
             trial.seed = s;
-            let standalone = run_trial(trial, None).expect("runs");
-            let via_shared = run_trial(trial, Some(&shared)).expect("runs");
-            assert_eq!(standalone, via_shared);
+            let via_shared = Experiment::new_shared(trial, &shared).expect("runs").run();
+            assert_eq!(alone(trial), via_shared);
         }
     }
 }

@@ -25,8 +25,7 @@
 //! [`dirichlet_client_counts`]: crate::partition::dirichlet_client_counts
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use float_tensor::rng::split_seed;
 use float_tensor::Dataset;
@@ -199,7 +198,7 @@ struct CacheEntry {
 /// always unique and the cache's contents are a pure function of the
 /// access sequence — no iteration-order or timing dependence.
 pub struct ShardCache {
-    spec: ShardSpec,
+    spec: Arc<ShardSpec>,
     entries: HashMap<usize, CacheEntry>,
     capacity: usize,
     clock: u64,
@@ -210,16 +209,17 @@ pub struct ShardCache {
 }
 
 impl ShardCache {
-    /// Wrap `spec` in a cache bounded to `capacity` resident clients.
+    /// Wrap `spec` (owned, or an `Arc` shared with cache-free readers) in
+    /// a cache bounded to `capacity` resident clients.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0` (a cache that can hold nothing cannot
     /// hand out entries).
-    pub fn new(spec: ShardSpec, capacity: usize) -> Self {
+    pub fn new(spec: impl Into<Arc<ShardSpec>>, capacity: usize) -> Self {
         assert!(capacity > 0, "shard cache capacity must be positive");
         ShardCache {
-            spec,
+            spec: spec.into(),
             entries: HashMap::new(),
             capacity,
             clock: 0,
@@ -287,94 +287,6 @@ impl ShardCache {
         self.entries.insert(client, entry);
         self.peak_resident = self.peak_resident.max(self.entries.len());
         out
-    }
-}
-
-/// A client's derived train/eval pair as stored by [`SharedShardCache`].
-type SharedShardEntry = (Arc<Dataset>, Arc<Dataset>);
-
-/// A sweep-wide shard store shared read-only across concurrent trials.
-///
-/// Where [`ShardCache`] is a per-run bounded LRU behind `&mut self`, this
-/// store is an `Arc<ShardSpec>`-backed map behind `&self`: many trials of
-/// a sweep — running simultaneously on different worker threads — request
-/// shards through one instance, and each client's pair is derived exactly
-/// once for the whole sweep (the deriving thread holds the lock, so a
-/// concurrent request for the same client waits and then hits).
-///
-/// Sharing is value-transparent: shard contents are pure functions of
-/// `(spec, client)`, so a trial served from this store sees bit-identical
-/// data to one deriving through its own private cache. Only the hit/miss
-/// counters depend on trial interleaving, and those never feed any
-/// trial's report.
-pub struct SharedShardCache {
-    spec: Arc<ShardSpec>,
-    entries: Mutex<HashMap<usize, SharedShardEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    peak_resident: AtomicU64,
-}
-
-impl SharedShardCache {
-    /// Wrap `spec` in a shared store. Capacity is the whole population:
-    /// a sweep amortizes derivations, so evicting would only re-pay them.
-    pub fn new(spec: ShardSpec) -> Self {
-        SharedShardCache {
-            spec: Arc::new(spec),
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            peak_resident: AtomicU64::new(0),
-        }
-    }
-
-    /// The underlying pure derivation.
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.spec.num_clients()
-    }
-
-    /// The `(train, test)` shard pair of `client`, derived at most once
-    /// across every trial sharing this store.
-    pub fn get(&self, client: usize) -> (Arc<Dataset>, Arc<Dataset>) {
-        let mut entries = self.entries.lock().expect("shard store lock poisoned");
-        if let Some((train, test)) = entries.get(&client) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(train), Arc::clone(test));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Derive under the lock: the point of the store is exactly-once
-        // derivation, so a racing request for the same client should wait
-        // for this one rather than duplicate the work.
-        let (train, test) = self.spec.shard_pair(client);
-        let pair = (Arc::new(train), Arc::new(test));
-        entries.insert(client, (Arc::clone(&pair.0), Arc::clone(&pair.1)));
-        self.peak_resident
-            .fetch_max(entries.len() as u64, Ordering::Relaxed);
-        pair
-    }
-
-    /// Behaviour counters in [`ShardCacheStats`] form. `misses` is the
-    /// number of derivations actually paid (at most one per client for
-    /// the whole sweep); `evictions` is always zero.
-    pub fn stats(&self) -> ShardCacheStats {
-        let resident = self
-            .entries
-            .lock()
-            .expect("shard store lock poisoned")
-            .len();
-        ShardCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: 0,
-            resident,
-            peak_resident: self.peak_resident.load(Ordering::Relaxed) as usize,
-            capacity: self.spec.num_clients(),
-        }
     }
 }
 
@@ -486,48 +398,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = ShardCache::new(ShardSpec::new(cfg(2), 1), 0);
-    }
-
-    #[test]
-    fn shared_store_derives_each_client_once() {
-        let store = SharedShardCache::new(ShardSpec::new(cfg(6), 9));
-        for i in [3usize, 1, 3, 5, 1, 3, 0, 5] {
-            let _ = store.get(i);
-        }
-        let s = store.stats();
-        assert_eq!(s.misses, 4, "one derivation per distinct client");
-        assert_eq!(s.hits, 4);
-        assert_eq!(s.evictions, 0);
-        assert_eq!(s.resident, 4);
-        assert_eq!(s.peak_resident, 4);
-        assert_eq!(s.capacity, 6);
-    }
-
-    #[test]
-    fn shared_store_matches_pure_derivation_across_threads() {
-        let spec = ShardSpec::new(cfg(8), 21);
-        let store = SharedShardCache::new(spec.clone());
-        // Hammer the store from several threads in scrambled orders; every
-        // returned pair must be the pure derivation, bit for bit.
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
-                let store = &store;
-                let spec = &spec;
-                scope.spawn(move || {
-                    for k in 0..8usize {
-                        let i = (k * 3 + t) % 8;
-                        let (train, test) = store.get(i);
-                        let (dt, de) = spec.shard_pair(i);
-                        assert_eq!(train.features().data(), dt.features().data());
-                        assert_eq!(train.labels(), dt.labels());
-                        assert_eq!(test.features().data(), de.features().data());
-                        assert_eq!(test.labels(), de.labels());
-                    }
-                });
-            }
-        });
-        let s = store.stats();
-        assert_eq!(s.misses, 8, "each client derived exactly once");
-        assert_eq!(s.hits + s.misses, 32);
     }
 }

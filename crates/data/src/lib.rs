@@ -21,7 +21,7 @@ pub mod synthetic;
 pub mod task;
 
 pub use federated::FederatedDataset;
-pub use lazy::{ShardCache, ShardCacheStats, ShardSpec, SharedShardCache};
+pub use lazy::{ShardCache, ShardCacheStats, ShardSpec};
 pub use partition::{
     dirichlet_client_counts, dirichlet_partition, dirichlet_partition_with_quantity_skew,
     iid_client_counts, iid_partition, PartitionSpec,

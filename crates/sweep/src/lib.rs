@@ -14,8 +14,9 @@
 //!    completion order.
 //! 2. **Shared-resource amortization.** All trials share one population
 //!    (`data_seed = root`): one [`SharedPopulation`] derives the shard
-//!    spec, the sweep-wide shard store, and the availability calendar
-//!    exactly once; every trial attaches via cheap handles.
+//!    spec, the shard store, and the availability calendar exactly once;
+//!    every trial attaches via cheap handles, as a lone
+//!    [`Experiment::new`] does to a population of its own.
 //! 3. **Successive-halving pruning.** With a [`Halving`] schedule, each
 //!    trial is *one* experiment built at the full-budget config; a rung
 //!    advances every surviving trial to its round budget
@@ -287,8 +288,11 @@ pub struct PrunedTrial {
 pub struct AmortizationStats {
     /// Shard requests served from the sweep-wide store.
     pub shard_hits: u64,
-    /// Shard derivations actually paid (≤ population, for the whole
-    /// sweep).
+    /// Shard derivations actually paid, for the whole sweep: one per
+    /// client touched while the store holds the population (up to
+    /// `SHARD_RESIDENT_CAP` clients, see
+    /// [`ExperimentConfig::resolved_shard_cache`]); above that the store
+    /// keeps the working set and re-derives what it evicted.
     pub shard_derivations: u64,
     /// Client shard pairs resident at the end.
     pub shard_resident: usize,

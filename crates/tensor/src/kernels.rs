@@ -21,7 +21,7 @@
 //! - **Micro-kernels.** `MR×NR` accumulator blocks updated over the packed
 //!   depth dimension, monomorphized over the tile shape (`4×16`, `4×8`)
 //!   and selected once per GEMM call as a pure function of the output
-//!   width — see [`select_tile`]. All loop bounds are compile-time
+//!   width — see `select_tile`. All loop bounds are compile-time
 //!   constants over fixed-size arrays and `chunks_exact` slices, so LLVM
 //!   fully unrolls and autovectorizes the inner loop; there is no
 //!   per-element branching. The tile rule assumes 512-bit registers: the

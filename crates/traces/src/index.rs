@@ -20,6 +20,8 @@
 //! among the set bits" in one left-to-right sweep. That is the substrate
 //! for sampled candidate pools (`ExperimentConfig::candidate_pool`).
 
+use std::sync::Arc;
+
 use crate::availability::{AvailabilityModel, ROUNDS_PER_DAY};
 
 /// Words per superblock: popcounts are maintained per 64 words = 4096
@@ -27,11 +29,9 @@ use crate::availability::{AvailabilityModel, ROUNDS_PER_DAY};
 /// large enough that the block array stays tiny (≤ ~10 KiB at 10M).
 const BLOCK_WORDS: usize = 64;
 
-/// Calendar-queue availability index over one client population's diurnal
-/// models. See the module docs for the design.
-#[derive(Debug, Clone)]
-pub struct AvailabilityIndex {
-    num_clients: usize,
+/// The transition calendar, fixed once built.
+#[derive(Debug)]
+struct Calendar {
     /// CSR calendar of ON transitions: clients `on_ids[on_start[p]..on_start[p+1]]`
     /// turn diurnally ON when the row advances to day position `p`.
     on_start: Vec<u32>,
@@ -39,6 +39,18 @@ pub struct AvailabilityIndex {
     /// CSR calendar of OFF transitions, same layout.
     off_start: Vec<u32>,
     off_ids: Vec<u32>,
+}
+
+/// Calendar-queue availability index over one client population's diurnal
+/// models. See the module docs for the design.
+///
+/// A clone shares the calendar (~8 B a client) and copies only the row
+/// and its popcounts (~1/8 B a client), so every sampler over one
+/// population advances a row of its own without a second calendar.
+#[derive(Debug, Clone)]
+pub struct AvailabilityIndex {
+    num_clients: usize,
+    calendar: Arc<Calendar>,
     /// The maintained membership row: bit `c` set iff client `c` is
     /// diurnally available at day position `row_pos`.
     row: Vec<u64>,
@@ -107,10 +119,12 @@ impl AvailabilityIndex {
         }
         AvailabilityIndex {
             num_clients: n,
-            on_start,
-            on_ids,
-            off_start,
-            off_ids,
+            calendar: Arc::new(Calendar {
+                on_start,
+                on_ids,
+                off_start,
+                off_ids,
+            }),
             row,
             blocks,
             row_pos: 0,
@@ -130,26 +144,27 @@ impl AvailabilityIndex {
             return;
         }
         self.advances += 1;
+        let cal: &Calendar = &self.calendar;
         while self.row_pos != target {
             self.row_pos = (self.row_pos + 1) % ROUNDS_PER_DAY;
             let p = self.row_pos;
-            let (s, e) = (self.off_start[p] as usize, self.off_start[p + 1] as usize);
-            for &id in &self.off_ids[s..e] {
+            let (s, e) = (cal.off_start[p] as usize, cal.off_start[p + 1] as usize);
+            for &id in &cal.off_ids[s..e] {
                 let (w, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
                 debug_assert!(self.row[w] & bit != 0, "OFF transition on clear bit");
                 self.row[w] &= !bit;
                 self.blocks[w / BLOCK_WORDS] -= 1;
                 self.count -= 1;
             }
-            let (s, e) = (self.on_start[p] as usize, self.on_start[p + 1] as usize);
-            for &id in &self.on_ids[s..e] {
+            let (s, e) = (cal.on_start[p] as usize, cal.on_start[p + 1] as usize);
+            for &id in &cal.on_ids[s..e] {
                 let (w, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
                 debug_assert!(self.row[w] & bit == 0, "ON transition on set bit");
                 self.row[w] |= bit;
                 self.blocks[w / BLOCK_WORDS] += 1;
                 self.count += 1;
             }
-            self.transitions += (e - s) as u64 + (self.off_start[p + 1] - self.off_start[p]) as u64;
+            self.transitions += (e - s) as u64 + (cal.off_start[p + 1] - cal.off_start[p]) as u64;
         }
     }
 
@@ -221,12 +236,14 @@ impl AvailabilityIndex {
         self.advances
     }
 
-    /// Bytes of heap owned by the index (calendars + row + popcounts).
+    /// Bytes of heap the index reads (calendars + row + popcounts); a clone
+    /// shares the calendars and reports the same.
     pub fn heap_bytes(&self) -> usize {
-        self.on_start.len() * 4
-            + self.on_ids.len() * 4
-            + self.off_start.len() * 4
-            + self.off_ids.len() * 4
+        let cal = &self.calendar;
+        cal.on_start.len() * 4
+            + cal.on_ids.len() * 4
+            + cal.off_start.len() * 4
+            + cal.off_ids.len() * 4
             + self.row.len() * 8
             + self.blocks.len() * 4
     }

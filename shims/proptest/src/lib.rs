@@ -247,7 +247,7 @@ pub fn any<T: Arbitrary>() -> T::Strategy {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: built from `usize` ranges.
+    /// Length specification for [`vec()`]: built from `usize` ranges.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

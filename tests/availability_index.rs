@@ -38,6 +38,36 @@ proptest! {
         }
     }
 
+    /// Clones share the calendar but advance rows of their own: two clones
+    /// driven through the same rounds in opposite orders each stay the
+    /// brute-force diurnal filter, report the parent's heap bytes, and
+    /// leave the parent's row where it was.
+    #[test]
+    fn clones_advance_independently(
+        seed in any::<u64>(),
+        n in 0usize..200,
+        rounds in prop::collection::vec(0usize..500, 1..25),
+    ) {
+        let mk = |i: usize| AvailabilityModel::new(split_seed(seed, 0xA11 + i as u64));
+        let parent = AvailabilityIndex::build(n, mk);
+        let start = parent.row_words().to_vec();
+        let (mut a, mut b) = (parent.clone(), parent.clone());
+        for (&ra, &rb) in rounds.iter().zip(rounds.iter().rev()) {
+            a.advance_to(ra);
+            b.advance_to(rb);
+            for (index, r) in [(&a, ra), (&b, rb)] {
+                let want: Vec<usize> =
+                    (0..n).filter(|&c| mk(c).diurnal_available(r)).collect();
+                let got: Vec<usize> = (0..n).filter(|&c| index.contains(c)).collect();
+                prop_assert_eq!(&got, &want, "round {}", r);
+                prop_assert_eq!(index.count(), want.len(), "count at round {}", r);
+            }
+        }
+        prop_assert_eq!(a.heap_bytes(), parent.heap_bytes());
+        prop_assert_eq!(b.heap_bytes(), parent.heap_bytes());
+        prop_assert_eq!(parent.row_words(), &start[..]);
+    }
+
     /// The sampler's indexed sweep equals filtering every client through
     /// `is_available` — including after arbitrary battery drains and
     /// recharges, visited in an arbitrary round order. Populations reach

@@ -7,8 +7,7 @@
 
 use proptest::prelude::*;
 
-use float::core::trial::run_trial;
-use float::core::{AccelMode, SelectorChoice};
+use float::core::{AccelMode, Experiment, SelectorChoice};
 use float::sweep::{run_sweep, Halving, Knob, SweepOptions, SweepPlan};
 
 /// A tiny population so each proptest case stays in the milliseconds.
@@ -87,7 +86,7 @@ proptest! {
             &SweepOptions { workers: 3, ..Default::default() },
         )
         .expect("sweep");
-        let alone = run_trial(plan.trial_config(idx, 2), None).expect("standalone trial");
+        let alone = Experiment::new(plan.trial_config(idx, 2)).expect("valid trial").run();
         prop_assert_eq!(&sweep.results[idx].report, &alone, "trial {} diverged", idx);
     }
 

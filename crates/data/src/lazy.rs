@@ -295,6 +295,7 @@ mod tests {
     use super::*;
     use crate::federated::FederatedDataset;
     use crate::task::Task;
+    use std::sync::Mutex;
 
     fn cfg(num_clients: usize) -> FederatedConfig {
         FederatedConfig {
@@ -398,5 +399,51 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = ShardCache::new(ShardSpec::new(cfg(2), 1), 0);
+    }
+
+    #[test]
+    fn shared_store_derives_each_client_once() {
+        // A population-wide store: capacity covers every client, so it
+        // never evicts and each distinct client is derived exactly once.
+        let store = Mutex::new(ShardCache::new(ShardSpec::new(cfg(6), 9), 6));
+        for i in [3usize, 1, 3, 5, 1, 3, 0, 5] {
+            let _ = store.lock().unwrap().get(i);
+        }
+        let s = store.lock().unwrap().stats();
+        assert_eq!(s.misses, 4, "one derivation per distinct client");
+        assert_eq!(s.hits, 4);
+        assert_eq!(s.evictions, 0);
+        assert_eq!(s.resident, 4);
+        assert_eq!(s.peak_resident, 4);
+        assert_eq!(s.capacity, 6);
+    }
+
+    #[test]
+    fn shared_store_matches_pure_derivation_across_threads() {
+        let spec = Arc::new(ShardSpec::new(cfg(8), 21));
+        let store = Mutex::new(ShardCache::new(Arc::clone(&spec), 8));
+        // Hammer the store from several threads in scrambled orders; every
+        // returned pair must be the pure derivation, bit for bit.
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let store = &store;
+                let spec = &spec;
+                scope.spawn(move || {
+                    for k in 0..8usize {
+                        let i = (k * 3 + t) % 8;
+                        let (train, test) = store.lock().unwrap().get(i);
+                        let (dt, de) = spec.shard_pair(i);
+                        assert_eq!(train.features().data(), dt.features().data());
+                        assert_eq!(train.labels(), dt.labels());
+                        assert_eq!(test.features().data(), de.features().data());
+                        assert_eq!(test.labels(), de.labels());
+                    }
+                });
+            }
+        });
+        let s = store.lock().unwrap().stats();
+        assert_eq!(s.misses, 8, "each client derived exactly once");
+        assert_eq!(s.hits + s.misses, 32);
+        assert_eq!(s.evictions, 0);
     }
 }

@@ -91,6 +91,17 @@ if [[ "${1:-}" != "quick" ]]; then
     [[ "$flags" == *-prefer-256-bit* ]]
   done
 
+  # Count `vpmullq` (AVX-512's 64-bit multiply) in one function of the
+  # built benchmark binary: the symbol lines of `objdump -d -C` that match
+  # the pattern open a function, a blank line closes it.
+  vpmullq_in() {
+    objdump -d --no-show-raw-insn -C floatbench/target/release/floatbench \
+      | awk -v sym="$1" '/^[0-9a-f]+ <.*>:$/ { f = index($0, sym) > 0; next }
+                         /^$/ { f = 0 }
+                         f && /vpmullq/ { n++ }
+                         END { print n + 0 }'
+  }
+
   # The full availability sweep draws one interruption mask per row word
   # with a branch-free loop that LLVM vectorizes with AVX-512's 64-bit
   # multiply (DESIGN.md §14). That needs `first_f64` and `split_seed` to
@@ -99,12 +110,23 @@ if [[ "${1:-}" != "quick" ]]; then
   # the built benchmark binary's sweep and fail on none.
   step "availability sweep vectorized (vpmullq in available_clients_into)"
   if grep -qw avx512dq /proc/cpuinfo && command -v objdump > /dev/null; then
-    muls=$(objdump -d --no-show-raw-insn -C floatbench/target/release/floatbench \
-      | awk '/^[0-9a-f]+ <.*ResourceSampler::available_clients_into.*>:$/ { f = 1; next }
-             /^$/ { f = 0 }
-             f && /vpmullq/ { n++ }
-             END { print n + 0 }')
+    muls=$(vpmullq_in "ResourceSampler::available_clients_into")
     echo "vpmullq in available_clients_into: $muls"
+    [[ "$muls" -gt 0 ]]
+  else
+    echo "skipped: needs an avx512dq host and objdump"
+  fi
+
+  # The population build (calendar, sweep table, and every one-client
+  # model) derives availability models 64 clients at a time in
+  # `AvailabilityModel::for_clients`, a branch-free loop kept out of line
+  # (`#[inline(never)]`) so it is one symbol. A branch in it, or a draw
+  # that stops inlining into it, leaves it scalar and `setup_s` ~25 %
+  # slower with every test green, so fail on no `vpmullq` there.
+  step "population build vectorized (vpmullq in AvailabilityModel::for_clients)"
+  if grep -qw avx512dq /proc/cpuinfo && command -v objdump > /dev/null; then
+    muls=$(vpmullq_in "AvailabilityModel::for_clients")
+    echo "vpmullq in AvailabilityModel::for_clients: $muls"
     [[ "$muls" -gt 0 ]]
   else
     echo "skipped: needs an avx512dq host and objdump"

@@ -76,7 +76,9 @@ pub struct AvailabilityModel {
 }
 
 impl AvailabilityModel {
-    /// Build the model for one client from a seed.
+    /// Build the model for one client from a seed. The population's models
+    /// come from the batch `AvailabilityModel::for_clients`, which spells
+    /// this generator out; this body is the reference it is tested against.
     pub fn new(seed: u64) -> Self {
         let mut rng = seed_rng(split_seed(seed, 0xA7A));
         AvailabilityModel {
@@ -88,11 +90,45 @@ impl AvailabilityModel {
     }
 
     /// Client `client`'s model in a population sampled under `seed`: stream
-    /// 2 of the client's trace seed. The availability index, the
-    /// full-sweep models and the trace cache each derive it on their own
-    /// and must agree bit for bit, so this is its only spelling.
+    /// 2 of the client's trace seed, as [`AvailabilityModel::new`] builds
+    /// it. The trace cache and `is_available` read it through this
+    /// one-entry batch, so they share [`AvailabilityModel::for_clients`]
+    /// with the calendar and the sweep table bit for bit.
     pub(crate) fn for_client(seed: u64, client: usize) -> Self {
-        Self::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2))
+        let mut one = [UNSET];
+        Self::for_clients(seed, client, &mut one);
+        let [m] = one;
+        m
+    }
+
+    /// Write `for_client(seed, base + k)` into `out[k]` for every `k`.
+    ///
+    /// The loop spells out `new`'s generator without building it, and has
+    /// no branch, so it vectorizes (eight clients per 512-bit register,
+    /// 64-bit multiplies as `vpmullq`). [`StdRng::seed_from_u64`] fills
+    /// xoshiro256++'s state word `k` with `split_seed(s, k)` (the identity
+    /// [`first_f64`] uses); three outputs then give `phase`, `duty` and
+    /// `interruption_p` through the shim's `gen_range` formulas, spelled in
+    /// [`day_position`] and [`uniform`]. Kept out of line so the build
+    /// loops that call it stay small and the vectorized body has one home.
+    ///
+    /// [`StdRng::seed_from_u64`]: rand::SeedableRng::seed_from_u64
+    #[inline(never)]
+    pub(crate) fn for_clients(seed: u64, base: usize, out: &mut [AvailabilityModel]) {
+        for (k, m) in out.iter_mut().enumerate() {
+            let client_seed = split_seed(split_seed(seed, 0x1000 + (base + k) as u64), 2);
+            let s = split_seed(client_seed, 0xA7A);
+            let mut state = [0, 1, 2, 3].map(|w| split_seed(s, w));
+            let phase = day_position(xoshiro_next(&mut state));
+            let duty = uniform(0.35, 0.85, xoshiro_next(&mut state));
+            let interruption_p = uniform(0.02, 0.12, xoshiro_next(&mut state));
+            *m = AvailabilityModel {
+                seed: client_seed,
+                phase,
+                duty,
+                interruption_p,
+            };
+        }
     }
 
     /// Whether the diurnal cycle marks this client available in `round`
@@ -149,6 +185,56 @@ impl AvailabilityModel {
         let start = (ROUNDS_PER_DAY - self.phase % ROUNDS_PER_DAY) % ROUNDS_PER_DAY;
         let len = (self.duty * ROUNDS_PER_DAY as f64).ceil() as usize;
         (start, len.clamp(1, ROUNDS_PER_DAY - 1))
+    }
+}
+
+/// A placeholder the batch builders overwrite before anyone reads it.
+pub(crate) const UNSET: AvailabilityModel = AvailabilityModel {
+    seed: 0,
+    phase: 0,
+    duty: 0.0,
+    interruption_p: 0.0,
+};
+
+/// One xoshiro256++ step: the shim's `StdRng::next_u64`.
+#[inline(always)]
+fn xoshiro_next(s: &mut [u64; 4]) -> u64 {
+    let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
+}
+
+/// The shim's `gen_range(0..ROUNDS_PER_DAY)` on output `x`: Lemire's
+/// `(x·96) >> 64`, exactly in `u64`. With `x = a·2⁵⁹ + b`, `b < 2⁵⁹`,
+/// `x·96 = 3x·2⁵` and `3x = 3a·2⁵⁹ + 3b`, so the top word is
+/// `3a + (3b >> 59)`; `3b < 2⁶¹` cannot overflow.
+#[inline(always)]
+fn day_position(x: u64) -> usize {
+    const _: () = assert!(ROUNDS_PER_DAY == 3 << 5);
+    const LOW: u64 = (1 << 59) - 1;
+    (3 * (x >> 59) + ((3 * (x & LOW)) >> 59)) as usize
+}
+
+/// The shim's `gen_range(lo..hi)` for `f64` on output `x`:
+/// `lo + (hi − lo)·u` with `u` the 53-bit `Standard` draw, and a value
+/// rounded up to `hi` pulled back to `max(lo, prev_down(hi))`. The guard
+/// is a select, not a branch. `hi` must be positive (then `prev_down` is
+/// one step down in the bits).
+#[inline(always)]
+fn uniform(lo: f64, hi: f64, x: u64) -> f64 {
+    let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let v = lo + (hi - lo) * u;
+    let top = lo.max(f64::from_bits(hi.to_bits() - 1));
+    if v >= hi {
+        top
+    } else {
+        v
     }
 }
 
@@ -235,6 +321,126 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn same_model(a: &AvailabilityModel, b: &AvailabilityModel) -> bool {
+        a.seed == b.seed
+            && a.phase == b.phase
+            && a.duty.to_bits() == b.duty.to_bits()
+            && a.interruption_p.to_bits() == b.interruption_p.to_bits()
+    }
+
+    /// The constructor every client's model is defined by, through the
+    /// full generator.
+    fn generated(seed: u64, client: usize) -> AvailabilityModel {
+        AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2))
+    }
+
+    /// The batch is checked against the generator it spells out, on every
+    /// client of whole populations, as one slice and as slices that start
+    /// and end off a 64-client boundary; `for_client` is a one-entry
+    /// batch and is checked the same way.
+    #[test]
+    fn batch_equals_the_generator_over_whole_populations() {
+        for seed in [0, 1, 17, 20_240_422, u64::MAX] {
+            for n in [0, 1, 63, 64, 65, 1000, 100_000] {
+                let want: Vec<AvailabilityModel> = (0..n).map(|c| generated(seed, c)).collect();
+                let mut got = vec![UNSET; n];
+                AvailabilityModel::for_clients(seed, 0, &mut got);
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        same_model(g, w),
+                        "seed {seed} n {n} client {c}: {g:?} vs {w:?}"
+                    );
+                }
+                for (start, len) in [(0, 1), (5, 59), (7, 64), (63, 2), (64, 65), (100, 129)] {
+                    if start + len > n {
+                        continue;
+                    }
+                    let mut part = vec![UNSET; len];
+                    AvailabilityModel::for_clients(seed, start, &mut part);
+                    for (k, g) in part.iter().enumerate() {
+                        let w = &want[start + k];
+                        assert!(same_model(g, w), "seed {seed} slice {start}+{k}");
+                    }
+                }
+                for c in (0..n).step_by(997) {
+                    let one = AvailabilityModel::for_client(seed, c);
+                    assert!(same_model(&one, &want[c]), "seed {seed} client {c}");
+                }
+            }
+        }
+    }
+
+    /// A generator whose every output is `x`, to drive the shim's range
+    /// draws at chosen outputs.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    fn outputs() -> impl Iterator<Item = u64> {
+        let edges = [
+            0,
+            1,
+            (1 << 59) - 1,
+            1 << 59,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        edges
+            .into_iter()
+            .chain((0..100_000).map(|i| split_seed(0x5EED, i)))
+    }
+
+    /// `day_position` is Lemire's widening multiply, and the shim's draw.
+    #[test]
+    fn day_position_is_the_shims_lemire_draw() {
+        for x in outputs() {
+            let want = ((u128::from(x) * 96) >> 64) as usize;
+            assert_eq!(day_position(x), want, "x {x:#x}");
+            assert_eq!(Fixed(x).gen_range(0..ROUNDS_PER_DAY), want, "x {x:#x}");
+        }
+    }
+
+    /// `uniform` is the shim's float range, including the guard: at
+    /// `1.0..2.0` the top output rounds up to `hi` and must come back to
+    /// the float below it. (At the model's own ranges no output does.)
+    #[test]
+    fn uniform_is_the_shims_float_range() {
+        for (lo, hi) in [(0.35, 0.85), (0.02, 0.12), (1.0, 2.0)] {
+            for x in outputs() {
+                let want: f64 = Fixed(x).gen_range(lo..hi);
+                assert_eq!(
+                    uniform(lo, hi, x).to_bits(),
+                    want.to_bits(),
+                    "{lo}..{hi} x {x:#x}"
+                );
+            }
+        }
+        assert_eq!(uniform(1.0, 2.0, u64::MAX), 2.0f64.next_down());
+    }
+
+    /// The interruption probability is `U[0.02, 0.12)`: over a million
+    /// clients its mean lies within six standard errors,
+    /// `6 · 0.1/√(12n)`, of 0.07. (`interruption_p` has no public reader,
+    /// so this check sits here rather than in `tests/substrate.rs`.)
+    #[test]
+    fn interruption_p_mean_matches_its_closed_form() {
+        let n = 1_000_000;
+        let mut batch = [UNSET; 64];
+        let mut sum = 0.0;
+        for base in (0..n).step_by(64) {
+            AvailabilityModel::for_clients(20_240_422, base, &mut batch);
+            sum += batch.iter().map(|m| m.interruption_p).sum::<f64>();
+        }
+        let mean = sum / n as f64;
+        let bound = 6.0 * 0.1 / (12.0 * n as f64).sqrt();
+        assert!((mean - 0.07).abs() < bound, "mean {mean}, bound {bound}");
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub struct AvailabilityIndex {
 
 impl AvailabilityIndex {
     /// Build the index for `n` clients whose diurnal model is produced by
-    /// `model(i)`. Each model is derived exactly once. The row is left at
-    /// day position 0.
+    /// `model(i)`. Each model is derived exactly once, in ascending order
+    /// of `i`. The row is left at day position 0.
     pub fn build<F: FnMut(usize) -> AvailabilityModel>(n: usize, mut model: F) -> Self {
         let words = n.div_ceil(64);
         let mut row = vec![0u64; words];

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::availability::{AvailabilityModel, BatteryState, Interruption};
+use crate::availability::{AvailabilityModel, BatteryState, Interruption, UNSET};
 use crate::compute::DeviceProfile;
 use crate::index::AvailabilityIndex;
 use crate::interference::InterferenceModel;
@@ -127,6 +127,24 @@ impl LazyBattery {
     }
 }
 
+/// `i ↦ AvailabilityModel::for_client(seed, i)` for a population of `n`,
+/// derived one row word (64 clients) at a time into a batch that lives in
+/// the closure, on the caller's stack. Any order of `i` gives the same
+/// models; ascending order, as the builders call it, derives each batch
+/// once.
+fn batched_models(n: usize, seed: u64) -> impl FnMut(usize) -> AvailabilityModel {
+    let mut batch = [UNSET; 64];
+    let mut base = usize::MAX;
+    move |i| {
+        let word = i - i % 64;
+        if word != base {
+            base = word;
+            AvailabilityModel::for_clients(seed, word, &mut batch[..(n - word).min(64)]);
+        }
+        batch[i % 64].clone()
+    }
+}
+
 /// Deterministic factory producing [`ResourceSnapshot`]s for a population
 /// of clients under an [`InterferenceModel`].
 #[derive(Debug, Clone)]
@@ -136,9 +154,11 @@ pub struct ResourceSampler {
     seed: u64,
     /// Population seed for [`DeviceProfile::derive`].
     pop_seed: u64,
-    /// Event-driven diurnal availability index (built eagerly — one model
-    /// derivation per client, the only O(population) pass the sampler ever
-    /// makes).
+    /// Event-driven diurnal availability index: built by `new`, or (the
+    /// usual case) a clone of a shared population's, handed in through
+    /// `with_shared`; a clone copies only the row. Advancing it costs the
+    /// round's transitions, but the full sweep still reads every word of
+    /// the row, O(population) a round.
     index: AvailabilityIndex,
     /// Per-client interruption draws for the full-sweep path (the index
     /// holds the diurnal half), built on first use or handed in (never
@@ -181,24 +201,25 @@ impl ResourceSampler {
     /// build it once and hand clones to every trial over the same
     /// population via [`ResourceSampler::with_shared`].
     pub fn build_index(n: usize, seed: u64) -> AvailabilityIndex {
-        AvailabilityIndex::build(n, |i| AvailabilityModel::for_client(seed, i))
+        AvailabilityIndex::build(n, batched_models(n, seed))
     }
 
-    /// The full-sweep interruption table `prewarm_full_sweep` builds — a
-    /// pure function of `(n, seed)`, exposed for the same cross-trial
-    /// amortization as [`ResourceSampler::build_index`].
+    /// The full-sweep interruption table — a pure function of `(n, seed)`.
+    /// A sampler handed none builds it on its first full sweep; a shared
+    /// population builds it with the calendar through
+    /// [`ResourceSampler::build_index_and_sweep`].
     pub fn build_sweep_models(n: usize, seed: u64) -> Vec<Interruption> {
-        (0..n)
-            .map(|i| AvailabilityModel::for_client(seed, i).interruption())
-            .collect()
+        let mut model = batched_models(n, seed);
+        (0..n).map(|i| model(i).interruption()).collect()
     }
 
     /// `(build_index(n, seed), build_sweep_models(n, seed))` in one pass:
     /// each client's model is derived once, for both.
     pub fn build_index_and_sweep(n: usize, seed: u64) -> (AvailabilityIndex, Vec<Interruption>) {
         let mut sweep = Vec::with_capacity(n);
+        let mut model = batched_models(n, seed);
         let index = AvailabilityIndex::build(n, |i| {
-            let m = AvailabilityModel::for_client(seed, i);
+            let m = model(i);
             sweep.push(m.interruption());
             m
         });

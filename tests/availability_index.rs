@@ -185,26 +185,33 @@ fn indexed_sweep_matches_at_word_edges() {
 }
 
 /// Building the calendar and the full-sweep table in one pass gives what
-/// the two separate builds give: the same tables bit for bit (`{:?}` of an
-/// `f64` round-trips, so equal text is equal bits) and a calendar whose
-/// row and count agree at every day position.
+/// the two separate builds give, and what the generator gives client by
+/// client: the same tables bit for bit (`{:?}` of an `f64` round-trips, so
+/// equal text is equal bits) and calendars whose rows and counts agree at
+/// every day position. All three builders derive their models through the
+/// same 64-client batch; the generator-spelled index is the independent
+/// side.
 #[test]
 fn one_pass_build_equals_the_two_builds() {
+    let spelled =
+        |i: usize| AvailabilityModel::new(split_seed(split_seed(29, 0x1000 + i as u64), 2));
     for n in [1usize, 63, 64, 65, 10_000] {
         let (mut index, sweep) = ResourceSampler::build_index_and_sweep(n, 29);
         let mut want_index = ResourceSampler::build_index(n, 29);
         let want_sweep = ResourceSampler::build_sweep_models(n, 29);
+        let mut gen_index = AvailabilityIndex::build(n, spelled);
+        let gen_sweep: Vec<_> = (0..n).map(|i| spelled(i).interruption()).collect();
         assert_eq!(format!("{sweep:?}"), format!("{want_sweep:?}"), "n {n}");
+        assert_eq!(format!("{sweep:?}"), format!("{gen_sweep:?}"), "n {n}");
         assert_eq!(index.heap_bytes(), want_index.heap_bytes(), "n {n}");
         for p in 0..ROUNDS_PER_DAY {
             index.advance_to(p);
             want_index.advance_to(p);
-            assert_eq!(
-                index.row_words(),
-                want_index.row_words(),
-                "n {n} position {p}"
-            );
-            assert_eq!(index.count(), want_index.count(), "n {n} position {p}");
+            gen_index.advance_to(p);
+            for other in [&want_index, &gen_index] {
+                assert_eq!(index.row_words(), other.row_words(), "n {n} position {p}");
+                assert_eq!(index.count(), other.count(), "n {n} position {p}");
+            }
         }
     }
 }

@@ -192,7 +192,11 @@ if [[ "${1:-}" != "quick" ]]; then
   # FedBuff) checks the other side of the auto capacity: a population
   # under SHARD_RESIDENT_CAP is held whole, never evicted, each shard
   # derived at most once. Every full-sweep leg keeps 16 B per client for
-  # the sweep table, a pooled 10k leg none.
+  # the sweep table, a pooled 10k leg none. Test shards have one bounded
+  # owner, the population's store, read by the agent's reward and by
+  # evaluation: every leg keeps at most min(clients, EVAL_RESIDENT_CAP)
+  # resident, the 200-client legs derive each resident shard once, and
+  # 1 and 4 threads report the same counters.
   step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 

@@ -495,17 +495,16 @@ impl ExperimentConfig {
         if self.eval_every == 0 {
             return Err(format!("eval_every {} must be positive", self.eval_every));
         }
-        if self.failure_hazard_per_s < 0.0 || self.failure_hazard_per_s.is_nan() {
+        if !(self.failure_hazard_per_s >= 0.0 && self.failure_hazard_per_s.is_finite()) {
             return Err(format!(
-                "failure_hazard_per_s {} must be non-negative",
+                "failure_hazard_per_s {} must be non-negative and finite",
                 self.failure_hazard_per_s
             ));
         }
-        if !(self.reward_w_participation >= 0.0 && self.reward_w_accuracy >= 0.0)
-            || self.reward_w_participation + self.reward_w_accuracy <= 0.0
-        {
+        let weights = [self.reward_w_participation, self.reward_w_accuracy];
+        if !weights.iter().all(|w| *w >= 0.0 && w.is_finite()) || weights[0] + weights[1] <= 0.0 {
             return Err(format!(
-                "reward weights (participation {}, accuracy {}) must be non-negative and not both zero",
+                "reward weights (participation {}, accuracy {}) must be non-negative, finite and not both zero",
                 self.reward_w_participation, self.reward_w_accuracy
             ));
         }
@@ -684,6 +683,18 @@ mod tests {
             err.contains("wall_timers true") && err.contains("enabled false"),
             "message: {err}"
         );
+        let mut c = base;
+        c.failure_hazard_per_s = f64::INFINITY;
+        let err = c.validate().expect_err("infinite hazard");
+        assert!(err.contains("failure_hazard_per_s inf"), "message: {err}");
+        let mut c = base;
+        c.reward_w_participation = f64::INFINITY;
+        let err = c.validate().expect_err("infinite participation weight");
+        assert!(err.contains("participation inf"), "message: {err}");
+        let mut c = base;
+        c.reward_w_accuracy = f64::INFINITY;
+        let err = c.validate().expect_err("infinite accuracy weight");
+        assert!(err.contains("accuracy inf"), "message: {err}");
         let mut c = base;
         c.eval_sample = 41; // num_clients is 40
         let err = c.validate().expect_err("bad eval_sample");

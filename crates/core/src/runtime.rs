@@ -98,8 +98,12 @@ pub struct Experiment {
     /// Drawn once from its own seed stream and kept in ascending order, so
     /// `eval_sample == num_clients` is bit-identical to full eval.
     eval_set: Vec<usize>,
-    /// The evaluation set's test shards: the population's one copy when
-    /// the trial evaluates the whole population, else private.
+    /// The population's test-shard store: the one copy of every client's
+    /// test shard, which the agent's reward reads.
+    test_shards: Arc<EvalShards>,
+    /// The evaluation set's test shards: `test_shards` itself when the
+    /// trial evaluates the whole population, else a private store over the
+    /// sample (whose ids mostly lie past the population store's bound).
     eval_shards: Arc<EvalShards>,
     /// Exact eligible count of the current round under candidate pooling
     /// (`None` on full-sweep runs, where `eligible_buf.len()` already *is*
@@ -239,8 +243,6 @@ struct AttemptTask {
     /// the shard cache so the parallel execute phase never touches the
     /// cache (cheap `Arc` clone; eviction cannot invalidate it).
     train: Arc<Dataset>,
-    /// The client's held-out test shard, pinned like `train`.
-    test: Arc<Dataset>,
     /// What the agent decided on, replayed verbatim to its feedback call
     /// in the commit phase (`None` in the modes that train no agent).
     agent_state: Option<AgentState>,
@@ -308,6 +310,8 @@ struct ExecuteCtx<'a> {
     model: &'a Mlp,
     /// SCAFFOLD server control variate (empty when off).
     scaffold_c: &'a [f32],
+    /// The population's test-shard store, read by the agent's reward.
+    test_shards: &'a EvalShards,
     /// Per-model-version prune hooks, filled on first use by any worker:
     /// every filler computes the same value from `global_params`.
     prune_options: &'a [OnceLock<TrainOptions>; 3],
@@ -399,24 +403,22 @@ impl ExecuteCtx<'_> {
 
         // Real local training with the plan's transform hooks. The worker
         // scratch supplies the local model and parameter buffers, reused
-        // across attempts and rounds; shards were pinned by the plan phase
-        // (Arc), so execution never touches the shard cache.
+        // across attempts and rounds; the train shard was pinned by the
+        // plan phase (Arc), so execution never touches the shard cache.
         let shard = &*task.train;
-        let test = &*task.test;
         let local = scratch.local.get_or_insert_with(|| self.model.clone());
         local
             .set_params(global_params)
             .expect("scratch model shares the global architecture");
         // Only an agent reads the accuracy gain (its feedback and reward):
-        // the modes that train none skip both evaluation passes.
-        let scored = self.config.accel.trains_agent();
-        let accuracy = |m: &mut Mlp| {
-            if scored {
-                m.accuracy_mut(test) as f64
-            } else {
-                0.0
-            }
-        };
+        // the modes that train none fetch no test shard and skip both
+        // evaluation passes. One fetch serves both passes.
+        let test = self
+            .config
+            .accel
+            .trains_agent()
+            .then(|| self.test_shards.get(task.client, task.client));
+        let accuracy = |m: &mut Mlp| test.as_deref().map_or(0.0, |t| m.accuracy_mut(t) as f64);
         let before = accuracy(local);
         let mut opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
@@ -772,8 +774,9 @@ impl Experiment {
         let protected = global_model.protected_mask();
         let num_params = global_model.num_params();
         let eval_set = draw_eval_set(config.num_clients, config.eval_sample, seed);
+        let test_shards = population.test_shards();
         let eval_shards = if eval_set.is_empty() {
-            population.eval_shards()
+            Arc::clone(&test_shards)
         } else {
             // A sampled set is drawn from the trial seed: a private copy.
             let spec = Arc::clone(population.spec());
@@ -799,6 +802,7 @@ impl Experiment {
             eligible_buf: Vec::new(),
             cohort_buf: Vec::new(),
             eval_set,
+            test_shards,
             eval_shards,
             record_eligible: None,
             server_optim: ServerOptimizer::new(config.server_optim),
@@ -874,8 +878,9 @@ impl Experiment {
         &self.global_model
     }
 
-    /// Counters of the test shards this experiment evaluates on (shared
-    /// with the sweep's other trials when [`SharedPopulation`] holds them).
+    /// Counters of the test shards this experiment evaluates on: with
+    /// `eval_sample == 0` that is the [`SharedPopulation`]'s store, shared
+    /// with the agent's reads and the sweep's other trials.
     pub fn eval_shard_stats(&self) -> EvalShardStats {
         self.eval_shards.stats()
     }
@@ -1023,10 +1028,9 @@ impl Experiment {
     /// actually acted on.
     fn select_cohort(&mut self, round: usize, target: usize, cohort: &mut Vec<usize>) {
         match &self.profiler {
-            Some(p) => {
-                self.selector
-                    .select_profiled(round, &self.eligible_buf, target, &p.view(), cohort)
-            }
+            Some(p) => self
+                .selector
+                .select_profiled(round, &self.eligible_buf, target, p, cohort),
             None => self
                 .selector
                 .select_into(round, &self.eligible_buf, target, cohort),
@@ -1149,11 +1153,11 @@ impl Experiment {
     fn plan_attempt(&mut self, client: usize, round: usize, staleness: u64) -> AttemptTask {
         let snap = self.sampler.snapshot(client, round);
         let device = self.sampler.client(client).profile;
-        // Pin the client's shards for the execute phase. A run touches the
-        // cache only here, in the sequential plan phase, so on a population
-        // of its own its LRU state (and therefore its hit/miss/eviction
-        // sequence) is deterministic.
-        let (train, test) = lock_shards(&self.shards).get(client);
+        // Pin the client's training shard for the execute phase. A run
+        // touches the cache only here, in the sequential plan phase, so on
+        // a population of its own its LRU state (and therefore its
+        // hit/miss/eviction sequence) is deterministic.
+        let train = lock_shards(&self.shards).get(client);
         let shard_len = train.len();
         let base_cost = RoundCost::vanilla(
             &self.config.arch.profile(),
@@ -1192,7 +1196,6 @@ impl Experiment {
             base_cost,
             shard_len,
             train,
-            test,
             agent_state,
             error_feedback,
             scaffold_ci,
@@ -1200,9 +1203,10 @@ impl Experiment {
     }
 
     /// The execute phase's view of the experiment: configuration,
-    /// protection mask, global parameters, architecture template, and the
-    /// SCAFFOLD server variate. Borrowed once per attempt batch — and again
-    /// per retry, which by contract sees the batch's earlier commits.
+    /// protection mask, global parameters, architecture template, the
+    /// SCAFFOLD server variate and the test-shard store. Borrowed once per
+    /// attempt batch — and again per retry, which by contract sees the
+    /// batch's earlier commits.
     fn execute_ctx<'a>(&'a self, global_params: &'a [f32]) -> ExecuteCtx<'a> {
         ExecuteCtx {
             config: &self.config,
@@ -1210,6 +1214,7 @@ impl Experiment {
             global_params,
             model: &self.global_model,
             scaffold_c: &self.scaffold_c,
+            test_shards: &self.test_shards,
             prune_options: &self.prune_options,
         }
     }
@@ -1549,7 +1554,8 @@ impl Experiment {
     /// `eval_sample` subset when configured. Test shards come from
     /// [`EvalShards`] (derived from the pure shard spec, never through the
     /// training cache), so evaluation cannot perturb the cache's
-    /// deterministic LRU state.
+    /// deterministic LRU state; a full-population sweep reads the store
+    /// the agent's reward fills.
     ///
     /// Each worker evaluates through its own clone of the global model via
     /// [`Mlp::accuracy_mut`], so one forward scratch is reused across
@@ -1561,7 +1567,7 @@ impl Experiment {
         let positions: Vec<usize> = (0..shards.eval_clients()).collect();
         parallel_map_with(&mut models, &positions, |m, &pos| {
             let client = set.get(pos).copied().unwrap_or(pos);
-            shards.with(pos, client, |test| m.accuracy_mut(test) as f64)
+            m.accuracy_mut(&shards.get(pos, client)) as f64
         })
     }
 

@@ -8,17 +8,21 @@
 //! size, deadline, local epochs, selector, optimizer, accel policy). The
 //! population holds what is expensive to derive, once:
 //!
-//! - the client shards, through one [`ShardCache`] behind a lock, sized by
-//!   [`ExperimentConfig::resolved_shard_cache`] (the whole population up to
-//!   [`SHARD_RESIDENT_CAP`] clients, so a sweep derives each client once),
+//! - the training shards, through one [`ShardCache`] behind a lock, sized
+//!   by [`ExperimentConfig::resolved_shard_cache`] (the whole population up
+//!   to [`SHARD_RESIDENT_CAP`] clients, so a sweep derives each client
+//!   once),
 //! - the availability calendar ([`ResourceSampler::build_index`], the
 //!   sampler's only O(population) pass): each trial's sampler clones it,
 //!   which shares the calendar and copies only the membership row,
 //! - the full-sweep interruption table (16 B per client), built in the
 //!   calendar's pass when the population's config runs full sweeps
 //!   (`candidate_pool == 0`),
-//! - the test shards every evaluation sweep scores the model on
-//!   (`EvalShards`), filled by whichever trial evaluates first.
+//! - the test shards, each held once (`EvalShards`, slot = client id, up
+//!   to [`EVAL_RESIDENT_CAP`] clients): the accel agent scores a completed
+//!   attempt on its client's shard and every full-population evaluation
+//!   sweep scores the model on all of them, so whichever reader reaches a
+//!   client first derives it and every later one reads it.
 //!
 //! Sharing is value-transparent because every artifact is a pure function
 //! of `(population config, population seed)`: a trial attached to a
@@ -34,6 +38,7 @@
 //! [`Experiment::new_shared`]: crate::Experiment::new_shared
 //! [`SHARD_RESIDENT_CAP`]: crate::config::SHARD_RESIDENT_CAP
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -45,15 +50,21 @@ use float_traces::{AvailabilityIndex, Interruption, ResourceSampler};
 
 use crate::config::ExperimentConfig;
 
-/// Bound on evaluation clients whose test shards stay resident.
+/// Bound on the clients of one test-shard store whose shards stay
+/// resident.
 pub const EVAL_RESIDENT_CAP: usize = 4096;
 
-/// Test shards of an evaluation set, kept once derived: slot `i` is the
-/// shard of the set's `i`-th client, filled by the first evaluation sweep
-/// to reach it. A test shard is a pure function of `(spec, client)` and the
-/// set never changes during a run, so every later sweep reads what the
-/// first derived. Clients past [`EVAL_RESIDENT_CAP`] have no slot and are
-/// derived per sweep, which keeps a population-sized evaluation O(cohort).
+/// Test shards of a set of clients, kept once derived: slot `i` is the
+/// shard of the set's `i`-th client, filled by the first reader to reach
+/// it. A test shard is a pure function of `(spec, client)` and the set
+/// never changes during a run, so every later reader gets what the first
+/// derived. Clients past [`EVAL_RESIDENT_CAP`] have no slot and are derived
+/// per read, which keeps a population-sized set O(cohort).
+///
+/// A [`SharedPopulation`] owns one over its whole population (slot =
+/// client id): the one copy the accel agent's reward reads and every
+/// full-population evaluation scores. A trial with a sampled evaluation
+/// set keeps a private one over its sample.
 pub(crate) struct EvalShards {
     /// The derivation, read without the training store's lock so parallel
     /// evaluation workers and concurrent trials never wait on it.
@@ -65,12 +76,13 @@ pub(crate) struct EvalShards {
     derivations: AtomicU64,
 }
 
-/// Counters of an evaluation set's test shards.
+/// Counters of a test-shard store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalShardStats {
     /// Test shards resident, at most [`EVAL_RESIDENT_CAP`].
     pub resident: usize,
-    /// Test-shard derivations all sweeps so far paid for, resident or not.
+    /// Test-shard derivations all readers so far paid for, resident or
+    /// not.
     pub derivations: u64,
 }
 
@@ -84,13 +96,14 @@ impl EvalShards {
         }
     }
 
-    /// Size of the evaluation set.
+    /// Size of the set.
     pub(crate) fn eval_clients(&self) -> usize {
         self.eval_clients
     }
 
-    /// `f` on the test shard of `client`, the evaluation set's `pos`-th.
-    pub(crate) fn with<R>(&self, pos: usize, client: usize, f: impl FnOnce(&Dataset) -> R) -> R {
+    /// The test shard of `client`, the set's `pos`-th: borrowed when
+    /// resident, derived and owned when `pos` is past the bound.
+    pub(crate) fn get(&self, pos: usize, client: usize) -> Cow<'_, Dataset> {
         let slots = self.slots.get_or_init(|| {
             let resident = self.eval_clients.min(EVAL_RESIDENT_CAP);
             (0..resident).map(|_| OnceLock::new()).collect()
@@ -100,8 +113,8 @@ impl EvalShards {
             self.spec.test_shard(client)
         };
         match slots.get(pos) {
-            Some(slot) => f(slot.get_or_init(derive)),
-            None => f(&derive()),
+            Some(slot) => Cow::Borrowed(slot.get_or_init(derive)),
+            None => Cow::Owned(derive()),
         }
     }
 
@@ -132,9 +145,10 @@ pub struct SharedPopulation {
     /// Full-sweep interruption table, built in the calendar's pass when
     /// the population's config runs full sweeps (`candidate_pool == 0`).
     sweep_models: Option<Arc<Vec<Interruption>>>,
-    /// Test shards of the whole population as an evaluation set: the one
-    /// copy every trial with `eval_sample == 0` evaluates on.
-    eval_shards: Arc<EvalShards>,
+    /// Test shards of the whole population, slot = client id: the one
+    /// copy every attached trial's agent reads and every trial with
+    /// `eval_sample == 0` evaluates on.
+    test_shards: Arc<EvalShards>,
     /// Trials attached so far (for amortization reporting).
     attached: AtomicU64,
 }
@@ -171,7 +185,7 @@ impl SharedPopulation {
             fed,
             population_seed: pop_seed,
             shards: Arc::new(Mutex::new(shards)),
-            eval_shards: Arc::new(EvalShards::new(Arc::clone(&spec), n)),
+            test_shards: Arc::new(EvalShards::new(Arc::clone(&spec), n)),
             spec,
             index,
             sweep_models,
@@ -244,15 +258,16 @@ impl SharedPopulation {
         lock_shards(&self.shards).stats()
     }
 
-    /// Handle to the full-population evaluation shards.
-    pub(crate) fn eval_shards(&self) -> Arc<EvalShards> {
-        Arc::clone(&self.eval_shards)
+    /// Handle to the population's test-shard store.
+    pub(crate) fn test_shards(&self) -> Arc<EvalShards> {
+        Arc::clone(&self.test_shards)
     }
 
-    /// Counters of the shared evaluation shards: across all attached
-    /// trials, each resident test shard is derived once.
+    /// Counters of the population's test-shard store: across the agent
+    /// reads and full-population evaluations of all attached trials, each
+    /// resident test shard is derived once.
     pub fn eval_shard_stats(&self) -> EvalShardStats {
-        self.eval_shards.stats()
+        self.test_shards.stats()
     }
 
     /// Trials attached so far. Each attached trial after the first saved

@@ -1,27 +1,23 @@
-//! Lazy, population-scale shard derivation.
-//!
-//! [`FederatedDataset::generate`] materializes every client's train and
-//! test shard up front — fine at 200 clients, ruinous at 1M. This module
-//! provides the O(cohort)-memory alternative the population-scale runtime
-//! uses:
+//! Lazy, population-scale shard derivation: no client's data exists until
+//! something reads it, so memory is O(cohort), not O(population).
 //!
 //! - [`ShardSpec`] makes each client's shard a *pure function* of
 //!   `(config, seed, client)`. This works because every random quantity in
-//!   shard construction already lives on a per-client RNG stream: the
-//!   partition row comes from `split_seed(partition_seed, client)` (see
+//!   shard construction lives on a per-client RNG stream: the partition
+//!   row comes from `split_seed(partition_seed, client)` (see
 //!   [`dirichlet_client_counts`]), and the train/test sample draws come
 //!   from `split_seed(seed, 1000 + client)` / `split_seed(seed, 2000 +
-//!   client)`. No client's stream ever feeds another's, so deriving one
-//!   shard in isolation is bit-identical to generating the whole
-//!   population eagerly — a property pinned by the `lazy_shards` proptest.
-//! - [`ShardCache`] serves `Arc`-shared shard pairs through a bounded LRU
-//!   keyed by a strictly increasing access clock, so resident
+//!   client)`. No client's stream ever feeds another's, so the order in
+//!   which shards are derived cannot change any of them.
+//! - [`ShardCache`] serves `Arc`-shared *training* shards through a
+//!   bounded LRU keyed by a strictly increasing access clock, so resident
 //!   training-data memory is bounded by the configured capacity no matter
 //!   how large the population is. Eviction picks the unique minimum
 //!   last-use stamp, so cache behaviour is a deterministic function of the
-//!   access sequence alone.
+//!   access sequence alone. Test shards are not its business: their
+//!   readers (the accel agent's reward, evaluation) derive them through
+//!   the spec into a store of their own.
 //!
-//! [`FederatedDataset::generate`]: crate::FederatedDataset::generate
 //! [`dirichlet_client_counts`]: crate::partition::dirichlet_client_counts
 
 use std::collections::HashMap;
@@ -35,17 +31,16 @@ use crate::partition::{dirichlet_client_counts, iid_client_counts};
 use crate::synthetic::SyntheticTaskConfig;
 
 /// The ±50% quantity skew [`crate::partition::dirichlet_partition`]
-/// applies by default; `ShardSpec` must match it exactly to stay
-/// bit-identical with the eager path.
+/// applies by default; `ShardSpec` must match it exactly so a client's
+/// row equals that of the eager partition matrix.
 const DEFAULT_QUANTITY_SKEW: f64 = 0.5;
 
 /// Pure per-client shard derivation: each client's train/test shard is a
 /// function of `(config, seed, client)` and nothing else.
 ///
-/// The seed schedule matches [`crate::FederatedDataset::generate`]
-/// exactly: centroids from `seed`, partition rows from `split_seed(seed,
-/// 1)`, train samples from `split_seed(seed, 1000 + client)`, test
-/// samples from `split_seed(seed, 2000 + client)`.
+/// The seed schedule: centroids from `seed`, partition rows from
+/// `split_seed(seed, 1)`, train samples from `split_seed(seed, 1000 +
+/// client)`, test samples from `split_seed(seed, 2000 + client)`.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     config: FederatedConfig,
@@ -108,7 +103,7 @@ impl ShardSpec {
     }
 
     /// Split a client's combined counts into `(train, test)` counts using
-    /// the config's test fraction — the same arithmetic as the eager path.
+    /// the config's test fraction.
     fn split_counts(&self, counts: &[usize]) -> (Vec<usize>, Vec<usize>) {
         let tf = self.config.test_fraction.clamp(0.0, 0.9);
         let train: Vec<usize> = counts
@@ -168,11 +163,11 @@ impl ShardSpec {
 pub struct ShardCacheStats {
     /// Accesses served from a resident entry.
     pub hits: u64,
-    /// Accesses that derived the shard pair on the spot.
+    /// Accesses that derived the training shard on the spot.
     pub misses: u64,
     /// Entries dropped to make room.
     pub evictions: u64,
-    /// Client shard pairs currently resident.
+    /// Training shards currently resident.
     pub resident: usize,
     /// The largest `resident` ever observed — the memory high-water mark,
     /// always `<= capacity`.
@@ -181,19 +176,19 @@ pub struct ShardCacheStats {
     pub capacity: usize,
 }
 
-/// One resident cache entry: the client's shard pair plus its last-use
-/// stamp from the access clock.
+/// One resident cache entry: the client's training shard plus its
+/// last-use stamp from the access clock.
 struct CacheEntry {
     train: Arc<Dataset>,
-    test: Arc<Dataset>,
     last_used: u64,
 }
 
-/// A bounded, deterministic LRU cache over [`ShardSpec`] derivations.
+/// A bounded, deterministic LRU cache over [`ShardSpec::train_shard`]
+/// derivations.
 ///
-/// `get` returns `Arc` handles, so evicting an entry only drops the
-/// cache's reference — callers that captured the shards (e.g. in-flight
-/// attempt tasks) keep them alive until they finish. Least-recently-used
+/// `get` returns an `Arc` handle, so evicting an entry only drops the
+/// cache's reference — callers that captured the shard (e.g. in-flight
+/// attempt tasks) keep it alive until they finish. Least-recently-used
 /// eviction uses a strictly increasing access clock, so the victim is
 /// always unique and the cache's contents are a pure function of the
 /// access sequence — no iteration-order or timing dependence.
@@ -230,18 +225,6 @@ impl ShardCache {
         }
     }
 
-    /// The underlying pure derivation (for cache-free access paths, e.g.
-    /// parallel evaluation workers that each derive shards into their own
-    /// scratch).
-    pub fn spec(&self) -> &ShardSpec {
-        &self.spec
-    }
-
-    /// Number of clients.
-    pub fn num_clients(&self) -> usize {
-        self.spec.num_clients()
-    }
-
     /// Behaviour counters (see [`ShardCacheStats`]).
     pub fn stats(&self) -> ShardCacheStats {
         ShardCacheStats {
@@ -254,14 +237,13 @@ impl ShardCache {
         }
     }
 
-    /// The `(train, test)` shard pair of `client`, from cache or derived
-    /// on the spot.
-    pub fn get(&mut self, client: usize) -> (Arc<Dataset>, Arc<Dataset>) {
+    /// The training shard of `client`, from cache or derived on the spot.
+    pub fn get(&mut self, client: usize) -> Arc<Dataset> {
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&client) {
             e.last_used = self.clock;
             self.hits += 1;
-            return (Arc::clone(&e.train), Arc::clone(&e.test));
+            return Arc::clone(&e.train);
         }
         self.misses += 1;
         if self.entries.len() >= self.capacity {
@@ -277,23 +259,20 @@ impl ShardCache {
             self.entries.remove(&victim);
             self.evictions += 1;
         }
-        let (train, test) = self.spec.shard_pair(client);
+        let train = Arc::new(self.spec.train_shard(client));
         let entry = CacheEntry {
-            train: Arc::new(train),
-            test: Arc::new(test),
+            train: Arc::clone(&train),
             last_used: self.clock,
         };
-        let out = (Arc::clone(&entry.train), Arc::clone(&entry.test));
         self.entries.insert(client, entry);
         self.peak_resident = self.peak_resident.max(self.entries.len());
-        out
+        train
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federated::FederatedDataset;
     use crate::task::Task;
     use std::sync::Mutex;
 
@@ -307,46 +286,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spec_matches_eager_generation() {
-        let c = cfg(10);
-        let eager = FederatedDataset::generate(c, 17);
-        let spec = ShardSpec::new(c, 17);
-        // Access in a scrambled order: derivations are independent.
+    fn assert_same(a: &Dataset, b: &Dataset) {
+        assert_eq!(a.labels(), b.labels());
+        assert_eq!(a.features().data(), b.features().data());
+    }
+
+    /// `train_shard` and `test_shard` each derive the partition row on
+    /// their own; `shard_pair` shares it. All three must agree, in any
+    /// order and across two specs built from the same `(config, seed)`.
+    fn assert_split_derivations_equal_the_pair(c: FederatedConfig, seed: u64) {
+        let spec = ShardSpec::new(c, seed);
+        let twin = ShardSpec::new(c, seed);
         for i in [7usize, 0, 9, 3, 3, 1, 8] {
+            let i = i % c.num_clients;
             let (train, test) = spec.shard_pair(i);
-            assert_eq!(train.labels(), eager.train_shard(i).labels());
-            assert_eq!(
-                train.features().data(),
-                eager.train_shard(i).features().data()
-            );
-            assert_eq!(test.labels(), eager.test_shard(i).labels());
-            assert_eq!(
-                test.features().data(),
-                eager.test_shard(i).features().data()
-            );
-            assert_eq!(spec.train_shard(i).labels(), train.labels());
-            assert_eq!(spec.test_shard(i).labels(), test.labels());
+            assert_same(&train, &spec.train_shard(i));
+            assert_same(&test, &spec.test_shard(i));
+            assert_same(&train, &twin.train_shard(i));
+            assert_same(&test, &twin.test_shard(i));
         }
     }
 
     #[test]
-    fn iid_spec_matches_eager_generation() {
+    fn split_derivations_equal_the_pair() {
+        assert_split_derivations_equal_the_pair(cfg(10), 17);
+    }
+
+    #[test]
+    fn iid_split_derivations_equal_the_pair() {
         let mut c = cfg(6);
         c.alpha = None;
-        let eager = FederatedDataset::generate(c, 3);
-        let spec = ShardSpec::new(c, 3);
-        for i in (0..6).rev() {
-            let (train, test) = spec.shard_pair(i);
-            assert_eq!(
-                train.features().data(),
-                eager.train_shard(i).features().data()
-            );
-            assert_eq!(
-                test.features().data(),
-                eager.test_shard(i).features().data()
-            );
-        }
+        assert_split_derivations_equal_the_pair(c, 3);
     }
 
     #[test]
@@ -383,15 +353,10 @@ mod tests {
     fn cached_shards_equal_direct_derivation() {
         let spec = ShardSpec::new(cfg(8), 11);
         let mut cache = ShardCache::new(spec.clone(), 2);
-        // Thrash the cache; every returned pair must still be the pure
+        // Thrash the cache; every returned shard must still be the pure
         // derivation, bit for bit.
         for i in [5usize, 2, 7, 5, 0, 2, 5, 1, 6] {
-            let (train, test) = cache.get(i);
-            let (dt, de) = spec.shard_pair(i);
-            assert_eq!(train.features().data(), dt.features().data());
-            assert_eq!(train.labels(), dt.labels());
-            assert_eq!(test.features().data(), de.features().data());
-            assert_eq!(test.labels(), de.labels());
+            assert_same(&cache.get(i), &spec.train_shard(i));
         }
     }
 
@@ -423,7 +388,7 @@ mod tests {
         let spec = Arc::new(ShardSpec::new(cfg(8), 21));
         let store = Mutex::new(ShardCache::new(Arc::clone(&spec), 8));
         // Hammer the store from several threads in scrambled orders; every
-        // returned pair must be the pure derivation, bit for bit.
+        // returned shard must be the pure derivation, bit for bit.
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let store = &store;
@@ -431,12 +396,8 @@ mod tests {
                 scope.spawn(move || {
                     for k in 0..8usize {
                         let i = (k * 3 + t) % 8;
-                        let (train, test) = store.lock().unwrap().get(i);
-                        let (dt, de) = spec.shard_pair(i);
-                        assert_eq!(train.features().data(), dt.features().data());
-                        assert_eq!(train.labels(), dt.labels());
-                        assert_eq!(test.features().data(), de.features().data());
-                        assert_eq!(test.labels(), de.labels());
+                        let train = store.lock().unwrap().get(i);
+                        assert_same(&train, &spec.train_shard(i));
                     }
                 });
             }

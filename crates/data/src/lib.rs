@@ -20,7 +20,6 @@ pub mod partition;
 pub mod synthetic;
 pub mod task;
 
-pub use federated::FederatedDataset;
 pub use lazy::{ShardCache, ShardCacheStats, ShardSpec};
 pub use partition::{
     dirichlet_client_counts, dirichlet_partition, dirichlet_partition_with_quantity_skew,

@@ -1,12 +1,12 @@
 //! Property tests pinning the lazy-shard determinism contract: for any
-//! population, seed, cache capacity, and access order, shards served by
-//! [`ShardSpec`]/[`ShardCache`] are bit-identical to eager
-//! [`FederatedDataset::generate`] output.
+//! population, seed, cache capacity, and access order, training shards
+//! served by [`ShardCache`] are bit-identical to a direct
+//! [`ShardSpec::train_shard`] derivation.
 
 use proptest::prelude::*;
 
 use float_data::federated::FederatedConfig;
-use float_data::{FederatedDataset, ShardCache, ShardSpec, Task};
+use float_data::{ShardCache, ShardSpec, Task};
 
 fn config(num_clients: usize, alpha: Option<f64>) -> FederatedConfig {
     FederatedConfig {
@@ -22,9 +22,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary (client, access-order) sequences through an arbitrary-
-    /// capacity cache return exactly the shards eager generation builds.
+    /// capacity cache return exactly the shards the spec derives.
     #[test]
-    fn lazy_matches_eager_for_arbitrary_access_orders(
+    fn cache_matches_spec_for_arbitrary_access_orders(
         seed in any::<u64>(),
         num_clients in 2usize..16,
         capacity in 1usize..9,
@@ -33,21 +33,13 @@ proptest! {
     ) {
         let alpha = [None, Some(0.1), Some(1.0)][alpha_pick];
         let cfg = config(num_clients, alpha);
-        let eager = FederatedDataset::generate(cfg, seed);
-        let mut cache = ShardCache::new(ShardSpec::new(cfg, seed), capacity);
+        let spec = ShardSpec::new(cfg, seed);
+        let mut cache = ShardCache::new(spec.clone(), capacity);
         for a in accesses {
             let c = a % num_clients;
-            let (train, test) = cache.get(c);
-            prop_assert_eq!(train.labels(), eager.train_shard(c).labels());
-            prop_assert_eq!(
-                train.features().data(),
-                eager.train_shard(c).features().data()
-            );
-            prop_assert_eq!(test.labels(), eager.test_shard(c).labels());
-            prop_assert_eq!(
-                test.features().data(),
-                eager.test_shard(c).features().data()
-            );
+            let (train, want) = (cache.get(c), spec.train_shard(c));
+            prop_assert_eq!(train.labels(), want.labels());
+            prop_assert_eq!(train.features().data(), want.features().data());
             let stats = cache.stats();
             prop_assert!(stats.resident <= capacity);
             prop_assert!(stats.peak_resident <= capacity);

@@ -28,6 +28,4 @@ pub mod profiler;
 
 pub use config::ProfilingConfig;
 pub use estimator::{Ewma, P2Quantile};
-pub use profiler::{
-    ClientEstimate, ClientProfiler, Observation, ObservedOutcome, ProfileView, ProfilerStats,
-};
+pub use profiler::{ClientEstimate, ClientProfiler, Observation, ObservedOutcome, ProfilerStats};

@@ -232,7 +232,7 @@ struct Entry {
 
 /// The bounded, deterministic per-client profile store.
 ///
-/// Reads (`view`, `estimate`) take `&self` and never touch the LRU
+/// Reads (`observed`, `estimate`) take `&self` and never touch the LRU
 /// clock; only [`ClientProfiler::observe`] mutates state. Eviction
 /// picks the unique minimum `last_used` stamp (stamps are issued from a
 /// strictly increasing clock, so the minimum is unique), which makes
@@ -429,35 +429,6 @@ impl ClientProfiler {
             .collect();
         rows.sort_by_key(|(c, _)| *c);
         rows
-    }
-
-    /// Borrowed read-only view, the type the runtime hands to selectors.
-    pub fn view(&self) -> ProfileView<'_> {
-        ProfileView { profiler: self }
-    }
-}
-
-/// A read-only window onto a [`ClientProfiler`], passed to selectors
-/// and the accel feature path during the (parallel-safe) plan phase.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileView<'a> {
-    profiler: &'a ClientProfiler,
-}
-
-impl ProfileView<'_> {
-    /// Has this client at least one resident observation?
-    pub fn observed(&self, client: usize) -> bool {
-        self.profiler.observed(client)
-    }
-
-    /// Estimate for a client, `None` means cold start.
-    pub fn estimate(&self, client: usize) -> Option<ClientEstimate> {
-        self.profiler.estimate(client)
-    }
-
-    /// Population-level estimate, `None` before any observation.
-    pub fn global_estimate(&self) -> Option<ClientEstimate> {
-        self.profiler.global_estimate()
     }
 }
 

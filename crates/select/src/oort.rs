@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use float_profile::{ClientEstimate, ProfileView};
+use float_profile::{ClientEstimate, ClientProfiler};
 use float_tensor::rng::{seed_rng, split_seed};
 
 use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
@@ -187,7 +187,7 @@ impl ClientSelector for OortSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: &ProfileView<'_>,
+        profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
     ) {
         self.select_impl(round, eligible, target, Some(profiles), cohort);
@@ -227,7 +227,7 @@ impl OortSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: Option<&ProfileView<'_>>,
+        profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         debug_assert!(
@@ -333,7 +333,7 @@ mod tests {
             round: usize,
             eligible: &[usize],
             target: usize,
-            profiles: Option<&ProfileView<'_>>,
+            profiles: Option<&ClientProfiler>,
             cohort: &mut Vec<usize>,
         ) {
             cohort.clear();
@@ -631,8 +631,7 @@ mod tests {
             1,
             &Observation::replay(0, ObservedOutcome::Completed, 600.0),
         );
-        let view = p.view();
-        let (est0, est1) = (view.estimate(0), view.estimate(1));
+        let (est0, est1) = (p.estimate(0), p.estimate(1));
         assert!(
             s.priority_with(&s.records[&0], 1, est0.as_ref())
                 > s.priority_with(&s.records[&1], 1, est1.as_ref())
@@ -640,7 +639,7 @@ mod tests {
         // select_profiled ranks accordingly: the single exploit slot goes
         // to the observed-fast client.
         let mut cohort = Vec::new();
-        s.select_profiled(1, &pool(2), 1, &view, &mut cohort);
+        s.select_profiled(1, &pool(2), 1, &p, &mut cohort);
         assert_eq!(cohort, vec![0]);
     }
 
@@ -734,8 +733,7 @@ mod tests {
                     rng.gen_range(0..=12usize)
                 };
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                let view = profiler.view();
-                let profiles = profiled.then_some(&view);
+                let profiles = profiled.then_some(&profiler);
                 sparse.select_impl(round, &eligible, target, profiles, &mut got);
                 dense.select_dense_reference(round, &eligible, target, profiles, &mut want);
                 prop_assert_eq!(&got, &want, "round {} cohort", round);

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use rand::seq::SliceRandom;
 
-use float_profile::{ClientEstimate, ProfileView};
+use float_profile::{ClientEstimate, ClientProfiler};
 use float_tensor::rng::{seed_rng, split_seed};
 
 use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
@@ -128,7 +128,7 @@ impl ReflSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: Option<&ProfileView<'_>>,
+        profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         cohort.clear();
@@ -181,7 +181,7 @@ impl ClientSelector for ReflSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: &ProfileView<'_>,
+        profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
     ) {
         self.select_impl(round, eligible, target, Some(profiles), cohort);
@@ -345,11 +345,10 @@ mod tests {
             1,
             &Observation::replay(0, ObservedOutcome::Completed, 500.0),
         );
-        let view = p.view();
-        let (e0, e1) = (view.estimate(0), view.estimate(1));
+        let (e0, e1) = (p.estimate(0), p.estimate(1));
         assert!(s.score_with(0, e0.as_ref()) > s.score_with(1, e1.as_ref()));
         let mut cohort = Vec::new();
-        s.select_profiled(1, &pool(2), 1, &view, &mut cohort);
+        s.select_profiled(1, &pool(2), 1, &p, &mut cohort);
         assert_eq!(cohort, vec![0]);
     }
 

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use float_profile::ProfileView;
+use float_profile::ClientProfiler;
 use serde::{Deserialize, Serialize};
 
 /// Reduce `v` to its top `k` elements under `cmp` (the comparator's
@@ -81,17 +81,17 @@ pub trait ClientSelector {
     /// `ExperimentConfig::profiling`). Selectors that score clients on
     /// oracle-fed internal state (Oort's measured durations, REFL's
     /// reliability, TiFL's latency tiers) override this to read the
-    /// [`ProfileView`] instead; a client with no estimate (`None`) goes
+    /// [`ClientProfiler`] instead; a client with no estimate (`None`) goes
     /// through the selector's own cold-start path — Oort's untried
     /// exploration pool, REFL's 0.5 availability prior, TiFL's
-    /// unprofiled tier. The default ignores the view, so purely random
+    /// unprofiled tier. The default ignores the profiler, so purely random
     /// baselines (FedAvg, FedBuff) are unchanged by profiling.
     fn select_profiled(
         &mut self,
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: &ProfileView<'_>,
+        profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
     ) {
         let _ = profiles;

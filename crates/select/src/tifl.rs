@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use float_profile::ProfileView;
+use float_profile::ClientProfiler;
 use float_tensor::rng::{seed_rng, split_seed};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -112,11 +112,11 @@ impl TiflSelector {
 
     /// Recompute tier boundaries by latency quantiles over profiled
     /// clients; unprofiled clients go to the middle tier. When a
-    /// [`ProfileView`] is supplied, a client's latency comes from its
+    /// profiler is supplied, a client's latency comes from its
     /// online estimate (observed completions) in preference to the
     /// selector's own feedback EMA — TiFL's tiers then reflect measured
     /// behaviour rather than whatever the feedback channel reported.
-    fn retier(&mut self, profiles: Option<&ProfileView<'_>>) {
+    fn retier(&mut self, profiles: Option<&ClientProfiler>) {
         let lat = |c: usize, p: &ClientProfile| -> Option<f64> {
             profiles
                 .and_then(|v| v.estimate(c).and_then(|e| e.latency_s))
@@ -222,7 +222,7 @@ impl ClientSelector for TiflSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: &ProfileView<'_>,
+        profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
     ) {
         self.select_impl(round, eligible, target, Some(profiles), cohort);
@@ -267,7 +267,7 @@ impl TiflSelector {
         round: usize,
         eligible: &[usize],
         target: usize,
-        profiles: Option<&ProfileView<'_>>,
+        profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         cohort.clear();
@@ -473,9 +473,9 @@ mod tests {
 
     #[test]
     fn profiled_latencies_drive_retiering() {
-        use float_profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
+        use float_profile::{Observation, ObservedOutcome, ProfilingConfig};
         // Internal EMAs say latency grows with id, but the profiler has
-        // observed the opposite ordering; with the view supplied, tiers
+        // observed the opposite ordering; with the profiler supplied, tiers
         // must follow the observations.
         let mut s = TiflSelector::new(9);
         let mut p = ClientProfiler::new(ProfilingConfig::on(), 64);
@@ -492,7 +492,7 @@ mod tests {
                 );
             }
             let mut cohort = Vec::new();
-            s.select_profiled(round, &pool(20), 4, &p.view(), &mut cohort);
+            s.select_profiled(round, &pool(20), 4, &p, &mut cohort);
         }
         let fast = s.tier_of(19).expect("profiled");
         let slow = s.tier_of(0).expect("profiled");

@@ -70,8 +70,6 @@ pub enum Knob {
     Accel(AccelMode),
     /// FedProx proximal coefficient.
     ProxMu(f64),
-    /// Candidate-pool size (0 ⇒ full availability sweep).
-    CandidatePool(usize),
 }
 
 impl Knob {
@@ -87,7 +85,6 @@ impl Knob {
             Knob::ServerOptim(v) => cfg.server_optim = ServerOptimConfig::with(v),
             Knob::Accel(v) => cfg.accel = v,
             Knob::ProxMu(v) => cfg.prox_mu = v,
-            Knob::CandidatePool(v) => cfg.candidate_pool = v,
         }
     }
 }
@@ -294,7 +291,8 @@ pub struct AmortizationStats {
     /// [`ExperimentConfig::resolved_shard_cache`]); above that the store
     /// keeps the working set and re-derives what it evicted.
     pub shard_derivations: u64,
-    /// Client shard pairs resident at the end.
+    /// Training shards resident at the end (test shards live in the
+    /// population's own store and are not counted here).
     pub shard_resident: usize,
     /// Availability-calendar builds paid (always 1).
     pub index_builds: u64,

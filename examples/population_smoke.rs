@@ -7,6 +7,10 @@
 //! - training-data memory bounded by the shard cache — peak residency
 //!   never exceeds the cache capacity, and the capacity is a small
 //!   fraction of the population (no up-front per-client datasets);
+//! - test shards have one bounded owner, the population's store, which
+//!   the agent's reward and evaluation both read: at most
+//!   `EVAL_RESIDENT_CAP` resident, each resident shard derived once on the
+//!   small legs, and the same counters at 1 and 4 threads;
 //! - sampled evaluation returns exactly `eval_sample` accuracies;
 //! - the full availability sweep keeps 16 bytes per client (one
 //!   interruption draw each).
@@ -23,6 +27,7 @@
 //! ```
 
 use float::core::config::SHARD_RESIDENT_CAP;
+use float::core::trial::{EvalShardStats, SharedPopulation, EVAL_RESIDENT_CAP};
 use float::core::{
     AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice, ShardCacheStats,
 };
@@ -61,23 +66,54 @@ fn config(leg: Leg, threads: usize) -> ExperimentConfig {
     cfg
 }
 
-fn run(leg: Leg, threads: usize) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
-    Experiment::new(config(leg, threads))
-        .expect("config validates")
-        .run_with_population_stats()
+struct Run {
+    report: ExperimentReport,
+    cache: ShardCacheStats,
+    avail: AvailabilityStats,
+    test_shards: EvalShardStats,
 }
 
-fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
+fn run(leg: Leg, threads: usize) -> Run {
+    let cfg = config(leg, threads);
+    let population = SharedPopulation::build(&cfg).expect("config validates");
+    let (report, cache, avail) = Experiment::new_shared(cfg, &population)
+        .expect("its own population")
+        .run_with_population_stats();
+    Run {
+        report,
+        cache,
+        avail,
+        test_shards: population.eval_shard_stats(),
+    }
+}
+
+fn check(leg: Leg) -> Run {
     let label = if leg.chaos { "chaos" } else { "fault-free" };
-    let (one, stats_one, avail) = run(leg, 1);
-    let (four, stats_four, _) = run(leg, 4);
+    let num_clients = leg.num_clients;
+    let one = run(leg, 1);
+    let four = run(leg, 4);
     assert_eq!(
-        one, four,
+        one.report, four.report,
         "{label}: population reports must be bit-identical across thread counts"
     );
-    assert!(one.is_finite(), "{label}: report carries NaN/Inf");
-    let num_clients = leg.num_clients;
-    for (name, stats) in [("1-thread", &stats_one), ("4-thread", &stats_four)] {
+    assert_eq!(
+        one.test_shards, four.test_shards,
+        "{label}: test-shard counters must not depend on the thread count"
+    );
+    let tests = one.test_shards;
+    assert!(
+        tests.resident <= num_clients.min(EVAL_RESIDENT_CAP),
+        "{label}: {} test shards resident for {num_clients} clients",
+        tests.resident
+    );
+    if num_clients <= EVAL_RESIDENT_CAP {
+        assert_eq!(
+            tests.derivations, tests.resident as u64,
+            "{label}: a population under the bound derives each test shard once"
+        );
+    }
+    assert!(one.report.is_finite(), "{label}: report carries NaN/Inf");
+    for (name, stats) in [("1-thread", &one.cache), ("4-thread", &four.cache)] {
         assert!(
             stats.peak_resident <= stats.capacity,
             "{label} {name}: cache exceeded capacity ({} > {})",
@@ -109,16 +145,16 @@ fn check(leg: Leg) -> (ExperimentReport, ShardCacheStats) {
         _ => 0,
     };
     assert_eq!(
-        avail.sweep_models_bytes, table_bytes,
+        one.avail.sweep_models_bytes, table_bytes,
         "{label}: the full sweep keeps 16 B per client, a pooled run none"
     );
     let eval_sample = config(leg, 1).eval_sample;
     assert_eq!(
-        one.client_accuracies.len(),
+        one.report.client_accuracies.len(),
         eval_sample,
         "{label}: sampled evaluation must report exactly eval_sample accuracies"
     );
-    (one, stats_one)
+    one
 }
 
 fn main() {
@@ -136,7 +172,12 @@ fn main() {
     ] {
         for chaos in [false, true] {
             let label = if chaos { "chaos" } else { "fault-free" };
-            let (report, stats) = check(Leg {
+            let Run {
+                report,
+                cache: stats,
+                test_shards: tests,
+                ..
+            } = check(Leg {
                 selector,
                 num_clients,
                 candidate_pool,
@@ -144,7 +185,8 @@ fn main() {
             });
             println!(
                 "  [{num_clients} clients, pool {candidate_pool}, {}, {label}] mean acc {:.3}  dropouts {}  \
-                 cache {}/{} resident (hits {} misses {} evictions {})",
+                 cache {}/{} resident (hits {} misses {} evictions {})  \
+                 test shards {} resident ({} derived)",
                 selector.name(),
                 report.accuracy.mean,
                 report.total_dropouts,
@@ -152,9 +194,14 @@ fn main() {
                 stats.capacity,
                 stats.hits,
                 stats.misses,
-                stats.evictions
+                stats.evictions,
+                tests.resident,
+                tests.derivations
             );
         }
     }
-    println!("population smoke passed: bit-identical across threads, memory bounded by cache");
+    println!(
+        "population smoke passed: bit-identical across threads, memory bounded by cache, \
+         test shards held once"
+    );
 }

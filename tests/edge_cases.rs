@@ -3,8 +3,8 @@
 
 use float::core::aggregate::{aggregate, PendingUpdate};
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
-use float::data::federated::{FederatedConfig, FederatedDataset};
-use float::data::Task;
+use float::data::federated::FederatedConfig;
+use float::data::{ShardSpec, Task};
 use float::traces::InterferenceModel;
 
 fn base(rounds: usize) -> ExperimentConfig {
@@ -111,11 +111,12 @@ fn tiny_dirichlet_alpha_still_generates() {
         alpha: Some(0.001), // near one-hot label distributions
         test_fraction: 0.25,
     };
-    let d = FederatedDataset::generate(cfg, 3);
+    let d = ShardSpec::new(cfg, 3);
     for i in 0..d.num_clients() {
-        assert!(!d.train_shard(i).is_empty());
+        let train = d.train_shard(i);
+        assert!(!train.is_empty());
         // With alpha ~ 0, most clients should be (near) single-class.
-        let hist = d.train_shard(i).label_histogram();
+        let hist = train.label_histogram();
         let nonzero = hist.iter().filter(|&&c| c > 0).count();
         assert!(nonzero >= 1);
     }
@@ -130,7 +131,7 @@ fn zero_test_fraction_keeps_all_samples_for_training() {
         alpha: Some(0.5),
         test_fraction: 0.0,
     };
-    let d = FederatedDataset::generate(cfg, 3);
+    let d = ShardSpec::new(cfg, 3);
     for i in 0..d.num_clients() {
         // Test shards degrade to the guaranteed singleton.
         assert_eq!(d.test_shard(i).len(), 1);

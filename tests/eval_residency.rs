@@ -1,9 +1,10 @@
-//! Resident evaluation shards against the derivation they replace. An
-//! experiment derives each evaluation client's test shard on the first
-//! sweep that reaches it and reads it on every later one; a sweep's trials
-//! that evaluate the whole population share one copy. None of that may
-//! move a bit: the twin here scores the global model on a test shard
-//! derived afresh from the spec for every client of every sweep — what
+//! Resident test shards against the derivation they replace. A
+//! population holds each client's test shard once: the accel agent's
+//! reward and every full-population evaluation sweep read the same store,
+//! so whichever reaches a client first derives it and every later reader
+//! gets it; a sweep's trials share that copy too. None of that may move a
+//! bit: the twin here scores the global model on a test shard derived
+//! afresh from the spec for every client of every sweep — what
 //! `eval_all_clients` did before shards stayed resident.
 
 use rand::seq::SliceRandom;
@@ -37,13 +38,21 @@ fn eval_clients(cfg: &ExperimentConfig) -> Vec<usize> {
     ids
 }
 
-/// Run `cfg` one round at a time and check every recorded accuracy against
-/// the twin. Returns the report with the evaluation-shard counters read
-/// after the last round (finalisation reuses that round's sweep).
-fn run_against_twin(cfg: ExperimentConfig) -> (ExperimentReport, EvalShardStats) {
+/// The counters of a test-shard store that has derived each resident
+/// shard once, and nothing past its bound.
+fn held_once(stats: EvalShardStats) -> bool {
+    stats.derivations == stats.resident as u64
+}
+
+/// Run `cfg` one round at a time, on a population of its own, and check
+/// every recorded accuracy against the twin. Returns the report with the
+/// counters of the trial's evaluation shards and of the population's store,
+/// read after the last round (finalisation reuses that round's sweep).
+fn run_against_twin(cfg: ExperimentConfig) -> (ExperimentReport, EvalShardStats, EvalShardStats) {
     let spec = ShardSpec::new(cfg.federated_config(), split_seed(cfg.population_seed(), 1));
     let clients = eval_clients(&cfg);
-    let mut exp = Experiment::new(cfg).expect("valid config");
+    let population = SharedPopulation::build(&cfg).expect("valid config");
+    let mut exp = Experiment::new_shared(cfg, &population).expect("its own population");
     let mut fresh: Vec<Vec<f64>> = Vec::new();
     for round in 0..cfg.rounds {
         exp.run_to(round + 1);
@@ -56,6 +65,7 @@ fn run_against_twin(cfg: ExperimentConfig) -> (ExperimentReport, EvalShardStats)
         );
     }
     let stats = exp.eval_shard_stats();
+    let population_stats = population.eval_shard_stats();
     let report = exp.run();
     for (round, record) in report.rounds.iter().enumerate() {
         let is_eval = round % cfg.eval_every == 0 || round + 1 == cfg.rounds;
@@ -67,7 +77,7 @@ fn run_against_twin(cfg: ExperimentConfig) -> (ExperimentReport, EvalShardStats)
         );
     }
     assert_eq!(&report.client_accuracies, fresh.last().expect("rounds > 0"));
-    (report, stats)
+    (report, stats, population_stats)
 }
 
 fn json(report: &ExperimentReport) -> String {
@@ -79,11 +89,12 @@ fn recorded_accuracies_equal_freshly_derived_shards() {
     for selector in [SelectorChoice::FedAvg, SelectorChoice::FedBuff] {
         for eval_sample in [0, 7] {
             let cfg = config(selector, eval_sample);
-            let (report, stats) = run_against_twin(cfg);
+            let (report, stats, population) = run_against_twin(cfg);
             // Stepping round by round is the same run.
             let whole = Experiment::new(cfg).expect("valid config").run();
             assert_eq!(json(&report), json(&whole));
-            // Four sweeps (rounds 0, 2, 4, 5), one derivation per client.
+            // Four sweeps (rounds 0, 2, 4, 5) and the agent's reads, one
+            // derivation per client.
             let n = eval_clients(&cfg).len();
             assert_eq!(
                 stats,
@@ -92,6 +103,12 @@ fn recorded_accuracies_equal_freshly_derived_shards() {
                     derivations: n as u64
                 },
                 "{selector:?} eval_sample {eval_sample}"
+            );
+            // A sampled set keeps its own copy; the agent still reads the
+            // population's store, and derives each of its shards once.
+            assert!(
+                held_once(population) && population.resident > 0,
+                "{selector:?} eval_sample {eval_sample}: {population:?}"
             );
         }
     }
@@ -106,13 +123,22 @@ fn a_set_past_the_bound_keeps_the_bound_resident_and_derives_the_rest() {
     cfg.rounds = 3;
     cfg.eval_every = 1;
     cfg.fault_plan = FaultPlan::none();
-    let (_, stats) = run_against_twin(cfg);
-    // Three sweeps: the resident prefix once, the tail every time.
+    let (report, stats, population) = run_against_twin(cfg);
+    assert_eq!(stats, population, "the whole population is the set");
+    // Without faults nothing retries, so each completed attempt read its
+    // client's shard once, for both of the agent's accuracy passes.
+    let agent_reads_past: u64 = report.completed_count[EVAL_RESIDENT_CAP..].iter().sum();
+    assert!(
+        agent_reads_past > 0,
+        "the run must score an attempt past the bound"
+    );
+    // Three sweeps: the resident prefix once, the tail every time, and the
+    // tail again for every agent read past the bound.
     assert_eq!(
         stats,
         EvalShardStats {
             resident: EVAL_RESIDENT_CAP,
-            derivations: (EVAL_RESIDENT_CAP + 3 * over) as u64
+            derivations: (EVAL_RESIDENT_CAP + 3 * over) as u64 + agent_reads_past
         }
     );
 }

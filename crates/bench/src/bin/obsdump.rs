@@ -176,8 +176,8 @@ fn profile_table(events: &[Event], report: Option<&ExperimentReport>, async_engi
         // from the report's per-client ledger| (needs the report).
         let gap = report
             .and_then(|r| {
-                let sel = *r.selected_count.get(*c)?;
-                let done = *r.completed_count.get(*c)?;
+                let sel = r.selected_count.get(*c)?;
+                let done = r.completed_count.get(*c)?;
                 (sel > 0).then(|| (est.reliability - done as f64 / sel as f64).abs())
             })
             .map_or("-".to_string(), |g| format!("{g:.2}"));
@@ -225,9 +225,7 @@ fn profile_table(events: &[Event], report: Option<&ExperimentReport>, async_engi
         } else {
             let mismatches = rows
                 .iter()
-                .filter(|(id, est)| {
-                    report.completed_count.get(*id).copied().unwrap_or(0) != est.completions
-                })
+                .filter(|(id, est)| report.completed_count.get(*id).unwrap_or(0) != est.completions)
                 .count() as u64;
             c.eq_u64(
                 "clients whose profiled completions disagree with the report",

@@ -59,8 +59,8 @@ pub fn run(scale: Scale) -> Fig2 {
             let report = Experiment::new(cfg).expect("scaled config valid").run();
             Fig2Row {
                 algorithm: sel.name().to_string(),
-                selected: report.selected_count.iter().sum(),
-                completed: report.completed_count.iter().sum(),
+                selected: report.selected_count.sum(),
+                completed: report.completed_count.sum(),
                 never_selected: report.never_selected(),
                 never_completed: report.never_completed(),
                 compute_h: report.resources.total_compute_h(),

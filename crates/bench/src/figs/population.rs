@@ -1,14 +1,15 @@
 //! Population scale — round throughput and peak memory at 10k / 100k / 1M
 //! / 10M clients.
 //!
-//! The claim under test: with lazy shards, an event-driven availability
-//! index, sampled candidate pools, top-k selection, and sampled
-//! evaluation, per-round cost is O(cohort + diurnal transitions) and
-//! memory is O(index + caches), so a ten-million-client population runs
-//! on a laptop. Each row reports rounds/sec plus the process high-water
-//! RSS (`VmHWM`), the shard cache's peak residency, and the availability
-//! substrate's footprint: index heap bytes, diurnal transitions applied
-//! per round, tracked (non-full) batteries, and trace-cache residency.
+//! The claim under test: with lazy shards, a two-byte-a-client
+//! availability index, sampled candidate pools, top-k selection, and
+//! sampled evaluation, per-round cost is one pass over the index's bits
+//! plus O(cohort) and memory is O(index + caches), so a
+//! ten-million-client population runs on a laptop. Each row reports
+//! rounds/sec plus the process high-water RSS (`VmHWM`), the shard
+//! cache's peak residency, and the availability substrate's footprint:
+//! index heap bytes, row bits changed per round, tracked (non-full)
+//! batteries, and trace-cache residency.
 //!
 //! A population scale (`10k`, `100k`, `1m`, `10m`) runs that preset's
 //! sync and async rows. Any other scale runs the 10k rows plus a pooled
@@ -54,10 +55,10 @@ pub struct PopulationRow {
     pub cache_evictions: u64,
     /// Candidate-pool size the run planned with (0 = full sweep).
     pub candidate_pool: usize,
-    /// Heap footprint of the availability index (calendars + bitset), MiB.
+    /// Heap footprint of the availability index (windows + bitset), MiB.
     pub index_heap_mb: f64,
-    /// Mean diurnal on/off transitions applied per index advance — the
-    /// event-driven planner's per-round work, vs O(clients) for a sweep.
+    /// Mean row bits changed per index advance: the clients that switched
+    /// on or off in a one-position step.
     pub avail_transitions_per_round: f64,
     /// Most non-full batteries tracked at once (lazy battery residency).
     pub peak_tracked_batteries: usize,

@@ -4,7 +4,7 @@
 //! Reports (see `DESIGN.md` §18):
 //!
 //! - **Shared-resource amortization**: shard derivations and
-//!   availability-calendar builds paid once for the whole sweep.
+//!   availability-index builds paid once for the whole sweep.
 //! - **Successive-halving pruning**: rounds executed vs the full grid
 //!   (rungs resume paused trials, so no round runs twice), whether the
 //!   surviving best trial matches the full grid's best bit-for-bit, and
@@ -198,7 +198,7 @@ impl Sweep {
              halving (eta {}, r0 {}): {} of {} rounds ({:.0}%), best trial {} (acc {:.4}) \
              vs grid best {} (acc {:.4}), bit-identical: {}\n{}\n{}\
              amortization: {} shard derivations for {} runs ({} hits), \
-             calendar built once ({} builds saved)\n",
+             availability index built once ({} builds saved)\n",
             self.trials,
             self.rounds,
             self.root_seed,

@@ -165,13 +165,13 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Population seed override for the *data/trace* streams (`0` ⇒ use
     /// `seed`, the historical behaviour bit for bit). When nonzero, the
-    /// shard partition and the availability/trace calendar derive from
+    /// shard partition and the availability traces derive from
     /// this seed while every runtime stream (selection, agent, model
     /// init, faults, evaluation sample, candidate pools) stays on `seed`.
     /// This is the seed split a sweep needs: trials keep independent
     /// runtime randomness via `split_seed(root, trial_idx)` yet share one
     /// population — and therefore one shard store and one availability
-    /// calendar — keyed by `data_seed`. See `DESIGN.md` §18.
+    /// index — keyed by `data_seed`. See `DESIGN.md` §18.
     #[serde(default)]
     pub data_seed: u64,
     /// Worker threads for the parallel attempt phase of each round

@@ -2,9 +2,9 @@
 //! average / bottom-10 % client accuracy, dropout counts, per-technique
 //! success/failure statistics, and resource-inefficiency totals.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value, Writer};
 
 use float_accel::AccelAction;
 use float_obs::TelemetrySummary;
@@ -106,13 +106,100 @@ pub struct RoundRecord {
     /// agent is off).
     pub mean_reward: Option<f64>,
     /// Exact number of eligible clients this round (diurnally available ∩
-    /// battery-admitted), maintained incrementally by the availability
-    /// index. Only populated under candidate pooling
+    /// battery-admitted), counted over the availability index's row.
+    /// Only populated under candidate pooling
     /// (`ExperimentConfig::candidate_pool > 0`) — it is the truthful
     /// population-wide count, *never* the pool size. `None` on full-sweep
     /// runs, whose round logs stay byte-identical to pre-pool reports.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub eligible: Option<usize>,
+}
+
+/// One count per client of a population, kept only for the clients whose
+/// count is not zero: a run touches a cohort's worth of clients a round,
+/// so at a million clients a dense array is almost all zeros. It
+/// serializes as that dense array, element for element, and reads one
+/// back.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClientCounts {
+    num_clients: usize,
+    /// Client → count; no zero is ever stored.
+    counts: BTreeMap<usize, u64>,
+}
+
+impl ClientCounts {
+    /// All-zero counts over `num_clients` clients.
+    pub fn new(num_clients: usize) -> Self {
+        ClientCounts {
+            num_clients,
+            counts: BTreeMap::new(),
+        }
+    }
+
+    /// Add one to `client`'s count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not below [`ClientCounts::len`].
+    pub fn increment(&mut self, client: usize) {
+        assert!(client < self.num_clients, "client {client} out of range");
+        *self.counts.entry(client).or_insert(0) += 1;
+    }
+
+    /// Number of clients counted over, zeros included.
+    pub fn len(&self) -> usize {
+        self.num_clients
+    }
+
+    /// Whether the population is empty.
+    pub fn is_empty(&self) -> bool {
+        self.num_clients == 0
+    }
+
+    /// `client`'s count, `None` past the population.
+    pub fn get(&self, client: usize) -> Option<u64> {
+        (client < self.num_clients).then(|| self.counts.get(&client).copied().unwrap_or(0))
+    }
+
+    /// `(client, count)` of every non-zero count, in ascending client order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.counts.iter().map(|(&c, &n)| (c, n))
+    }
+
+    /// Sum over all clients.
+    pub fn sum(&self) -> u64 {
+        self.counts.values().sum()
+    }
+
+    /// Number of clients whose count is zero.
+    pub fn zeros(&self) -> usize {
+        self.num_clients - self.counts.len()
+    }
+}
+
+impl Serialize for ClientCounts {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut nonzero = self.counts.iter().peekable();
+        w.open('[');
+        for client in 0..self.num_clients {
+            w.item();
+            match nonzero.next_if(|&(&c, _)| c == client) {
+                Some((_, n)) => n.serialize(w),
+                None => w.raw("0"),
+            }
+        }
+        w.close(']');
+    }
+}
+
+impl Deserialize for ClientCounts {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let dense = Vec::<u64>::from_value(v)?;
+        Ok(ClientCounts {
+            num_clients: dense.len(),
+            counts: (0..).zip(dense).filter(|&(_, n)| n > 0).collect(),
+        })
+    }
 }
 
 /// Full result of one experiment run.
@@ -125,9 +212,9 @@ pub struct ExperimentReport {
     /// Per-client final accuracies (for distribution plots).
     pub client_accuracies: Vec<f64>,
     /// Count of selections per client (Fig. 2a "C").
-    pub selected_count: Vec<u64>,
+    pub selected_count: ClientCounts,
     /// Count of successful participations per client (Fig. 2a "S").
-    pub completed_count: Vec<u64>,
+    pub completed_count: ClientCounts,
     /// Total dropout events across the run.
     pub total_dropouts: u64,
     /// Total completion events across the run.
@@ -164,12 +251,12 @@ impl ExperimentReport {
     /// Number of clients never selected during the run — the selection
     /// bias measure behind Fig. 2a.
     pub fn never_selected(&self) -> usize {
-        self.selected_count.iter().filter(|&&c| c == 0).count()
+        self.selected_count.zeros()
     }
 
     /// Number of clients that never completed a round.
     pub fn never_completed(&self) -> usize {
-        self.completed_count.iter().filter(|&&c| c == 0).count()
+        self.completed_count.zeros()
     }
 
     /// Record one technique outcome.
@@ -231,7 +318,48 @@ impl ExperimentReport {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    proptest! {
+        /// The sparse counts write the bytes a dense `Vec<u64>` twin
+        /// writes, compact and pretty, read back from them, and answer
+        /// every query the twin answers.
+        #[test]
+        fn client_counts_write_the_dense_array(
+            n in 0usize..300,
+            increments in prop::collection::vec(any::<u16>(), 0..600),
+        ) {
+            let mut counts = ClientCounts::new(n);
+            let mut twin = vec![0u64; n];
+            for &c in increments.iter().filter(|_| n > 0) {
+                let c = usize::from(c) % n;
+                counts.increment(c);
+                twin[c] += 1;
+            }
+            prop_assert_eq!(
+                serde_json::to_string(&counts).unwrap(),
+                serde_json::to_string(&twin).unwrap()
+            );
+            let pretty = serde_json::to_string_pretty(&counts).unwrap();
+            prop_assert_eq!(&pretty, &serde_json::to_string_pretty(&twin).unwrap());
+            let back: ClientCounts = serde_json::from_str(&pretty).unwrap();
+            prop_assert_eq!(&back, &counts);
+            let value = serde_json::to_value(&twin).unwrap();
+            prop_assert_eq!(serde_json::from_value::<ClientCounts>(&value).unwrap(), counts.clone());
+            prop_assert_eq!(counts.len(), n);
+            for (c, &want) in twin.iter().enumerate() {
+                prop_assert_eq!(counts.get(c), Some(want), "client {}", c);
+            }
+            prop_assert_eq!(counts.get(n), None);
+            let nonzero: Vec<(usize, u64)> =
+                twin.iter().copied().enumerate().filter(|&(_, k)| k > 0).collect();
+            prop_assert_eq!(counts.iter().collect::<Vec<_>>(), nonzero);
+            prop_assert_eq!(counts.sum(), twin.iter().sum::<u64>());
+            prop_assert_eq!(counts.zeros(), twin.iter().filter(|&&k| k == 0).count());
+        }
+    }
 
     #[test]
     fn summary_of_uniform_accuracies() {
@@ -312,14 +440,21 @@ mod tests {
         assert_eq!(a, before);
     }
 
+    /// One client, counted once.
+    fn counted_once() -> ClientCounts {
+        let mut counts = ClientCounts::new(1);
+        counts.increment(0);
+        counts
+    }
+
     #[test]
     fn round_log_jsonl_is_one_valid_object_per_line() {
         let report = ExperimentReport {
             label: "t".into(),
             accuracy: AccuracySummary::from_accuracies(&[0.5]),
             client_accuracies: vec![0.5],
-            selected_count: vec![1],
-            completed_count: vec![1],
+            selected_count: counted_once(),
+            completed_count: counted_once(),
             total_dropouts: 0,
             total_completions: 1,
             total_quarantined: 0,

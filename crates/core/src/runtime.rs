@@ -36,7 +36,7 @@ use float_traces::{AvailabilityStats, DeviceProfile, ResourceSampler, ResourceSn
 use crate::aggregate::{dedup_updates, PendingUpdate};
 use crate::config::{AccelMode, ExperimentConfig, SelectorChoice};
 use crate::engine::parallel_map_with;
-use crate::metrics::{AccuracySummary, ExperimentReport, RoundRecord};
+use crate::metrics::{AccuracySummary, ClientCounts, ExperimentReport, RoundRecord};
 use crate::optim::{ServerOptimizer, ServerOptimizerChoice};
 use crate::trial::{lock_shards, EvalShardStats, EvalShards, SharedPopulation};
 
@@ -643,7 +643,10 @@ fn deliver_update(updates: &mut Vec<PendingUpdate>, update: PendingUpdate, dupli
 /// The buffer is shrunk in place before the ids are widened. Freeing it
 /// whole instead raises glibc's dynamic mmap threshold to its size, which
 /// moves the population's later multi-megabyte tables from `mmap` onto
-/// the heap: `pop1m_oort`'s peak RSS read 55 instead of 42 MiB.
+/// the heap (DESIGN.md §13). Beside a transition calendar and dense
+/// per-client report counts that made `pop1m_oort`'s peak RSS 55 instead
+/// of 42 MiB; beside the two-byte index and sparse counts it reads
+/// ~34 MiB either way.
 fn draw_eval_set(num_clients: usize, eval_sample: usize, seed: u64) -> Vec<usize> {
     if eval_sample == 0 || eval_sample >= num_clients {
         return Vec::new();
@@ -670,7 +673,7 @@ impl Experiment {
 
     /// Build a trial over a pre-built [`SharedPopulation`]: the trial
     /// reads shards through the population's store and clones its
-    /// availability calendar instead of re-deriving either. The resulting
+    /// availability index instead of re-deriving either. The resulting
     /// run is bit-identical to `Experiment::new` with the same config —
     /// sharing amortizes cost, never changes bits.
     ///
@@ -758,8 +761,8 @@ impl Experiment {
             label,
             accuracy: AccuracySummary::from_accuracies(&[]),
             client_accuracies: Vec::new(),
-            selected_count: vec![0; config.num_clients],
-            completed_count: vec![0; config.num_clients],
+            selected_count: ClientCounts::new(config.num_clients),
+            completed_count: ClientCounts::new(config.num_clients),
             total_dropouts: 0,
             total_completions: 0,
             total_quarantined: 0,
@@ -932,7 +935,7 @@ impl Experiment {
     /// Run to completion and also return the shard-cache counters (so
     /// population-scale harnesses can assert that training-data memory
     /// stayed bounded by the configured cache capacity) plus the
-    /// availability-index residency stats (heap bytes, transitions applied,
+    /// availability-index residency stats (heap bytes, row bits changed,
     /// tracked batteries, pool draws), so they can attribute both memory
     /// and per-round work.
     pub fn run_with_population_stats(
@@ -998,11 +1001,12 @@ impl Experiment {
     /// With `candidate_pool == 0` this is the full availability sweep
     /// (bit-identical to the historical behaviour). Otherwise the sampler
     /// draws a deterministic pool of at most `candidate_pool` candidates
-    /// from its event-driven index — per-round cost O(transitions + pool),
-    /// independent of population — and `record_eligible` captures the
-    /// *exact* population-wide eligible count for telemetry. The pool's
-    /// seed stream (8) is keyed by round only, so it is identical across
-    /// thread counts and unaffected by any other consumer of randomness.
+    /// from its availability index — per-round cost one pass over the
+    /// index's row bits plus O(pool), no per-client model derived — and
+    /// `record_eligible` captures the *exact* population-wide eligible
+    /// count for telemetry. The pool's seed stream (8) is keyed by round
+    /// only, so it is identical across thread counts and unaffected by any
+    /// other consumer of randomness.
     fn refresh_eligible(&mut self, round: usize) {
         let k = self.config.candidate_pool;
         if k == 0 {
@@ -1469,7 +1473,7 @@ impl Experiment {
         let plan_t = self.obs.phase_start();
         let mut tasks = Vec::with_capacity(cohort.len());
         for &client in cohort {
-            self.report.selected_count[client] += 1;
+            self.report.selected_count.increment(client);
             tasks.push(self.plan_attempt(client, round, 0));
         }
         self.obs.phase_end(round as u64, Phase::Plan, plan_t);
@@ -1753,7 +1757,7 @@ impl Experiment {
             quarantined += usize::from(a.quarantined);
             if a.completed {
                 completed += 1;
-                self.report.completed_count[a.client] += 1;
+                self.report.completed_count.increment(a.client);
                 self.report.total_completions += 1;
             } else {
                 self.report.total_dropouts += 1;
@@ -1833,7 +1837,7 @@ mod tests {
         assert!(r.total_completions + r.total_dropouts > 0);
         assert!(r.wall_clock_h > 0.0);
         // Selected counts sum to rounds * cohort.
-        let total_selected: u64 = r.selected_count.iter().sum();
+        let total_selected = r.selected_count.sum();
         assert_eq!(total_selected, 8 * 10);
     }
 

@@ -4,7 +4,7 @@
 //! [`Experiment::new`] builds one of its own from its config, and a sweep
 //! builds one and attaches every trial to it through
 //! [`Experiment::new_shared`]. A sweep's trials share task, client count,
-//! data skew and trace calendar, and differ only in runtime knobs (cohort
+//! data skew and availability traces, and differ only in runtime knobs (cohort
 //! size, deadline, local epochs, selector, optimizer, accel policy). The
 //! population holds what is expensive to derive, once:
 //!
@@ -12,11 +12,13 @@
 //!   by [`ExperimentConfig::resolved_shard_cache`] (the whole population up
 //!   to [`SHARD_RESIDENT_CAP`] clients, so a sweep derives each client
 //!   once),
-//! - the availability calendar ([`ResourceSampler::build_index`], the
-//!   sampler's only O(population) pass): each trial's sampler clones it,
-//!   which shares the calendar and copies only the membership row,
+//! - the availability index ([`ResourceSampler::build_index`], 2 B of
+//!   diurnal window per client, derived in one pass over the population's
+//!   models): each trial's sampler clones it, which shares the windows
+//!   and copies only the membership row (1/8 B per client) that every
+//!   round recomputes,
 //! - the full-sweep interruption table (16 B per client), built in the
-//!   calendar's pass when the population's config runs full sweeps
+//!   index's pass when the population's config runs full sweeps
 //!   (`candidate_pool == 0`),
 //! - the test shards, each held once (`EvalShards`, slot = client id, up
 //!   to [`EVAL_RESIDENT_CAP`] clients): the accel agent scores a completed
@@ -133,16 +135,16 @@ pub struct SharedPopulation {
     /// The dataset parameters the shard spec was built from — trials must
     /// match these exactly (shards are a function of them).
     fed: FederatedConfig,
-    /// The population seed the spec and calendar derive from.
+    /// The population seed the spec and index derive from.
     population_seed: u64,
     /// The pure shard derivation.
     spec: Arc<ShardSpec>,
     /// Training-shard store of every attached trial.
     shards: Arc<Mutex<ShardCache>>,
-    /// Availability calendar; a trial's sampler clones it (the calendar
-    /// is shared, the row copied) instead of re-deriving it.
+    /// Availability index; a trial's sampler clones it (the windows are
+    /// shared, the row copied) instead of re-deriving it.
     index: AvailabilityIndex,
-    /// Full-sweep interruption table, built in the calendar's pass when
+    /// Full-sweep interruption table, built in the index's pass when
     /// the population's config runs full sweeps (`candidate_pool == 0`).
     sweep_models: Option<Arc<Vec<Interruption>>>,
     /// Test shards of the whole population, slot = client id: the one
@@ -172,7 +174,7 @@ impl SharedPopulation {
         let (n, trace_seed) = (config.num_clients, split_seed(pop_seed, 2));
         let (index, sweep_models) = if config.candidate_pool == 0 {
             // Full-sweep runs read every client's interruption draw each
-            // round: build the table in the calendar's pass, one model
+            // round: build the table in the index's pass, one model
             // derivation per client for both. Pooled runs skip it (the
             // only O(population) allocation left).
             let (index, sweep) = ResourceSampler::build_index_and_sweep(n, trace_seed);
@@ -232,7 +234,7 @@ impl SharedPopulation {
         Arc::clone(&self.shards)
     }
 
-    /// A sampler for one trial: the calendar cloned, and the full-sweep
+    /// A sampler for one trial: the index cloned, and the full-sweep
     /// table attached when the trial runs full availability sweeps. Pooled
     /// trials never read it, and a full-sweep trial over a pooled
     /// population builds its own on its first sweep.
@@ -271,7 +273,7 @@ impl SharedPopulation {
     }
 
     /// Trials attached so far. Each attached trial after the first saved
-    /// one availability-calendar build and one shard-spec derivation.
+    /// one availability-index build and one shard-spec derivation.
     pub fn trials_attached(&self) -> u64 {
         self.attached.load(Ordering::Relaxed)
     }

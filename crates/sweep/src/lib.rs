@@ -14,7 +14,7 @@
 //!    completion order.
 //! 2. **Shared-resource amortization.** All trials share one population
 //!    (`data_seed = root`): one [`SharedPopulation`] derives the shard
-//!    spec, the shard store, and the availability calendar exactly once;
+//!    spec, the shard store, and the availability index exactly once;
 //!    every trial attaches via cheap handles, as a lone
 //!    [`Experiment::new`] does to a population of its own.
 //! 3. **Successive-halving pruning.** With a [`Halving`] schedule, each
@@ -294,9 +294,9 @@ pub struct AmortizationStats {
     /// Training shards resident at the end (test shards live in the
     /// population's own store and are not counted here).
     pub shard_resident: usize,
-    /// Availability-calendar builds paid (always 1).
+    /// Availability-index builds paid (always 1).
     pub index_builds: u64,
-    /// Calendar builds the sharing avoided: one per attached trial beyond
+    /// Index builds the sharing avoided: one per attached trial beyond
     /// the first.
     pub index_builds_saved: u64,
     /// Experiments that attached to the shared population: one per
@@ -678,7 +678,7 @@ mod tests {
         .expect("parallel sweep");
         assert_eq!(seq.results, par.results, "worker count changed bits");
         assert_eq!(seq.rounds_executed, plan.len() * 2);
-        // Amortization: the calendar was built once; every run after the
+        // Amortization: the index was built once; every run after the
         // first attached for free.
         assert_eq!(par.amortization.index_builds, 1);
         assert_eq!(par.amortization.runs_attached, 2);

@@ -93,7 +93,7 @@ impl AvailabilityModel {
     /// 2 of the client's trace seed, as [`AvailabilityModel::new`] builds
     /// it. The trace cache and `is_available` read it through this
     /// one-entry batch, so they share [`AvailabilityModel::for_clients`]
-    /// with the calendar and the sweep table bit for bit.
+    /// with the availability index and the sweep table bit for bit.
     pub(crate) fn for_client(seed: u64, client: usize) -> Self {
         let mut one = [UNSET];
         Self::for_clients(seed, client, &mut one);
@@ -171,20 +171,19 @@ impl AvailabilityModel {
         self.phase
     }
 
-    /// The diurnal ON window as `(start, len)` in day positions
-    /// (`round % ROUNDS_PER_DAY`): the client is diurnally available at
-    /// round `r` iff `(r % ROUNDS_PER_DAY)` falls within `len` positions
-    /// starting at `start` (wrapping). This is the event-index view of
-    /// [`AvailabilityModel::diurnal_available`]: one ON transition at
-    /// `start` and one OFF transition at `(start + len) % ROUNDS_PER_DAY`
-    /// per simulated day.
-    pub fn diurnal_window(&self) -> (usize, usize) {
-        // diurnal_available(r) ⇔ (r + phase) % 96 < duty * 96, i.e. the
-        // position (r + phase) % 96 lies in [0, ceil(duty * 96)). In
-        // `r % 96` space that window starts where (r + phase) % 96 == 0.
-        let start = (ROUNDS_PER_DAY - self.phase % ROUNDS_PER_DAY) % ROUNDS_PER_DAY;
-        let len = (self.duty * ROUNDS_PER_DAY as f64).ceil() as usize;
-        (start, len.clamp(1, ROUNDS_PER_DAY - 1))
+    /// The diurnal ON window as `(phase, len)`, the two numbers
+    /// [`AvailabilityModel::diurnal_available`] reads: the client is
+    /// diurnally available at round `r` iff `(r + phase) % ROUNDS_PER_DAY
+    /// < len`. `len = ceil(duty · ROUNDS_PER_DAY)`, because a whole
+    /// position lies below `duty · ROUNDS_PER_DAY` exactly when it lies
+    /// below its ceiling. Both fit a byte; the
+    /// [`AvailabilityIndex`](crate::AvailabilityIndex) keeps them, and
+    /// nothing else, per client.
+    pub fn diurnal_window(&self) -> (u8, u8) {
+        const _: () = assert!(ROUNDS_PER_DAY <= u8::MAX as usize);
+        // duty < 1, so len ≤ ROUNDS_PER_DAY.
+        let len = (self.duty * ROUNDS_PER_DAY as f64).ceil();
+        (self.phase as u8, len as u8)
     }
 }
 
@@ -261,7 +260,7 @@ impl Interruption {
     /// bit `k` of the result is `table[k].clear(round)`, bits past
     /// `table.len()` are zero. The loop has no branch, so it vectorizes
     /// (eight clients per 512-bit register); the full availability sweep
-    /// calls it once per word of the calendar row.
+    /// calls it once per word of the index's membership row.
     ///
     /// # Panics
     ///

@@ -1,58 +1,58 @@
-//! Event-driven diurnal availability index.
+//! Diurnal availability index.
 //!
 //! The diurnal bit of every client is a pure function of the *day
 //! position* `round % ROUNDS_PER_DAY`: client `c` is diurnally available
-//! iff the position falls inside its ON window (see
-//! [`AvailabilityModel::diurnal_window`]). Instead of recomputing a
-//! population-width membership row every round (O(population)), this
-//! index keeps ONE maintained bitset row plus a calendar queue of
-//! transitions: for each of the `ROUNDS_PER_DAY` day positions, the list
-//! of clients that turn ON and the list that turn OFF exactly there.
-//! Advancing the row by one position applies just those transition lists
-//! — on average `2·N/ROUNDS_PER_DAY` bit flips — and because the row is
-//! periodic in the day, *any* target round (forward, backward, replayed
-//! after a reset) is reachable in at most `ROUNDS_PER_DAY - 1` steps.
-//! Per-round cost is therefore O(transitions this round), independent of
-//! both population size and round order.
+//! iff `(position + phase) % ROUNDS_PER_DAY < len`, with `len =
+//! ceil(duty · ROUNDS_PER_DAY)` (see [`AvailabilityModel::diurnal_window`]).
+//! The index keeps those two numbers, one byte each, per client, and ONE
+//! bitset row for the day position last asked for. Moving the row to a
+//! new position recomputes it from the two bytes, 64 clients to a row
+//! word in a branch-free loop, together with the row's superblock
+//! popcounts and its count. Any target round (forward, backward, replayed
+//! after a reset) costs the same one pass, and a round on the row's own
+//! position costs nothing.
 //!
-//! The row carries superblock popcounts so the index can also answer
-//! rank/select queries: "give me the clients at sorted ranks r₁ < r₂ < …
-//! among the set bits" in one left-to-right sweep. That is the substrate
-//! for sampled candidate pools (`ExperimentConfig::candidate_pool`).
+//! An earlier version kept a calendar of each position's ON and OFF
+//! transitions (8 more bytes a client) and applied only those, about
+//! `2·N/ROUNDS_PER_DAY` bit flips a step. Building it took a counting sort
+//! over the population that cost as much as 130–210 of the dearer
+//! recomputes, and no population preset runs that many rounds (DESIGN.md
+//! §14).
+//!
+//! The superblock popcounts let the index also answer rank/select
+//! queries: "give me the clients at sorted ranks r₁ < r₂ < … among the set
+//! bits" in one left-to-right sweep. That is the substrate for sampled
+//! candidate pools (`ExperimentConfig::candidate_pool`).
 
 use std::sync::Arc;
 
 use crate::availability::{AvailabilityModel, ROUNDS_PER_DAY};
 
-/// Words per superblock: popcounts are maintained per 64 words = 4096
-/// clients, small enough that an in-block scan is cache-resident and
-/// large enough that the block array stays tiny (≤ ~10 KiB at 10M).
+/// Words per superblock: popcounts are kept per 64 words = 4096 clients,
+/// small enough that an in-block scan is cache-resident and large enough
+/// that the block array stays tiny (≤ ~10 KiB at 10M).
 const BLOCK_WORDS: usize = 64;
 
-/// The transition calendar, fixed once built.
+/// Every client's diurnal window, fixed once built: client `c` is
+/// diurnally available at day position `p` iff `(p + phase[c]) %
+/// ROUNDS_PER_DAY < len[c]`.
 #[derive(Debug)]
-struct Calendar {
-    /// CSR calendar of ON transitions: clients `on_ids[on_start[p]..on_start[p+1]]`
-    /// turn diurnally ON when the row advances to day position `p`.
-    on_start: Vec<u32>,
-    on_ids: Vec<u32>,
-    /// CSR calendar of OFF transitions, same layout.
-    off_start: Vec<u32>,
-    off_ids: Vec<u32>,
+struct Windows {
+    phase: Vec<u8>,
+    len: Vec<u8>,
 }
 
-/// Calendar-queue availability index over one client population's diurnal
-/// models. See the module docs for the design.
+/// Diurnal availability index over one client population's models. See
+/// the module docs for the design.
 ///
-/// A clone shares the calendar (~8 B a client) and copies only the row
-/// and its popcounts (~1/8 B a client), so every sampler over one
-/// population advances a row of its own without a second calendar.
+/// A clone shares the windows (2 B a client) and copies only the row and
+/// its popcounts (~1/8 B a client), so every sampler over one population
+/// moves a row of its own without a second copy of the windows.
 #[derive(Debug, Clone)]
 pub struct AvailabilityIndex {
-    num_clients: usize,
-    calendar: Arc<Calendar>,
-    /// The maintained membership row: bit `c` set iff client `c` is
-    /// diurnally available at day position `row_pos`.
+    windows: Arc<Windows>,
+    /// The membership row: bit `c` set iff client `c` is diurnally
+    /// available at day position `row_pos`.
     row: Vec<u64>,
     /// Popcount of each superblock of `row` ([`BLOCK_WORDS`] words).
     blocks: Vec<u32>,
@@ -60,9 +60,9 @@ pub struct AvailabilityIndex {
     row_pos: usize,
     /// Number of set bits in `row`.
     count: usize,
-    /// Total individual bit transitions applied since construction.
+    /// Row bits changed by every recompute since construction.
     transitions: u64,
-    /// Number of `advance_to` calls that moved the row at least one step.
+    /// Number of `advance_to` calls that moved the row.
     advances: u64,
 }
 
@@ -71,106 +71,75 @@ impl AvailabilityIndex {
     /// `model(i)`. Each model is derived exactly once, in ascending order
     /// of `i`. The row is left at day position 0.
     pub fn build<F: FnMut(usize) -> AvailabilityModel>(n: usize, mut model: F) -> Self {
+        let mut phase = Vec::with_capacity(n);
+        let mut len = Vec::with_capacity(n);
+        for i in 0..n {
+            let (p, l) = model(i).diurnal_window();
+            phase.push(p);
+            len.push(l);
+        }
         let words = n.div_ceil(64);
-        let mut row = vec![0u64; words];
-        let mut on_pos = vec![0u8; n];
-        let mut off_pos = vec![0u8; n];
-        let mut on_count = vec![0u32; ROUNDS_PER_DAY + 1];
-        let mut off_count = vec![0u32; ROUNDS_PER_DAY + 1];
-        let mut count = 0usize;
-        for i in 0..n {
-            let m = model(i);
-            let (start, len) = m.diurnal_window();
-            let end = (start + len) % ROUNDS_PER_DAY;
-            on_pos[i] = start as u8;
-            off_pos[i] = end as u8;
-            on_count[start + 1] += 1;
-            off_count[end + 1] += 1;
-            // Row state at day position 0: inside the wrapping ON window?
-            if (ROUNDS_PER_DAY - start) % ROUNDS_PER_DAY < len {
-                row[i / 64] |= 1u64 << (i % 64);
-                count += 1;
-            }
-        }
-        // Prefix-sum the counts into CSR starts, then counting-sort the
-        // client ids into the calendar buckets (ascending id within each
-        // bucket, which keeps every downstream iteration deterministic).
-        for p in 0..ROUNDS_PER_DAY {
-            on_count[p + 1] += on_count[p];
-            off_count[p + 1] += off_count[p];
-        }
-        let on_start = on_count;
-        let off_start = off_count;
-        let mut on_ids = vec![0u32; n];
-        let mut off_ids = vec![0u32; n];
-        let mut on_cursor: Vec<u32> = on_start[..ROUNDS_PER_DAY].to_vec();
-        let mut off_cursor: Vec<u32> = off_start[..ROUNDS_PER_DAY].to_vec();
-        for i in 0..n {
-            let p = on_pos[i] as usize;
-            on_ids[on_cursor[p] as usize] = i as u32;
-            on_cursor[p] += 1;
-            let p = off_pos[i] as usize;
-            off_ids[off_cursor[p] as usize] = i as u32;
-            off_cursor[p] += 1;
-        }
-        let mut blocks = vec![0u32; words.div_ceil(BLOCK_WORDS)];
-        for (w, &word) in row.iter().enumerate() {
-            blocks[w / BLOCK_WORDS] += word.count_ones();
-        }
-        AvailabilityIndex {
-            num_clients: n,
-            calendar: Arc::new(Calendar {
-                on_start,
-                on_ids,
-                off_start,
-                off_ids,
-            }),
-            row,
-            blocks,
+        let mut index = AvailabilityIndex {
+            windows: Arc::new(Windows { phase, len }),
+            row: vec![0; words],
+            blocks: vec![0; words.div_ceil(BLOCK_WORDS)],
             row_pos: 0,
-            count,
+            count: 0,
             transitions: 0,
             advances: 0,
-        }
+        };
+        index.recompute(0);
+        index
     }
 
-    /// Advance the maintained row to `round`'s day position, applying the
-    /// calendar transitions in between. At most `ROUNDS_PER_DAY - 1`
-    /// single-position steps regardless of how far (or in which
-    /// direction) `round` is from the last query.
+    /// Move the row to `round`'s day position: one recompute of every
+    /// row word when the position changes, nothing when it does not.
     pub fn advance_to(&mut self, round: usize) {
         let target = round % ROUNDS_PER_DAY;
         if target == self.row_pos {
             return;
         }
         self.advances += 1;
-        let cal: &Calendar = &self.calendar;
-        while self.row_pos != target {
-            self.row_pos = (self.row_pos + 1) % ROUNDS_PER_DAY;
-            let p = self.row_pos;
-            let (s, e) = (cal.off_start[p] as usize, cal.off_start[p + 1] as usize);
-            for &id in &cal.off_ids[s..e] {
-                let (w, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
-                debug_assert!(self.row[w] & bit != 0, "OFF transition on clear bit");
-                self.row[w] &= !bit;
-                self.blocks[w / BLOCK_WORDS] -= 1;
-                self.count -= 1;
+        self.transitions += self.recompute(target);
+    }
+
+    /// Rewrite the row, its superblock popcounts and its count for day
+    /// position `pos`, and return how many row bits changed.
+    fn recompute(&mut self, pos: usize) -> u64 {
+        let pos = pos as u8;
+        let Windows { phase, len } = &*self.windows;
+        let (phase_words, phase_tail) = phase.as_chunks::<64>();
+        let (len_words, len_tail) = len.as_chunks::<64>();
+        // The last, partial word reads a copy padded with windows of
+        // length 0, which are never on: its bits past `n` stay clear.
+        let mut tail = ([0; 64], [0; 64]);
+        tail.0[..phase_tail.len()].copy_from_slice(phase_tail);
+        tail.1[..len_tail.len()].copy_from_slice(len_tail);
+        let padded = (!phase_tail.is_empty()).then_some((&tail.0, &tail.1));
+        let mut words = self
+            .row
+            .iter_mut()
+            .zip(phase_words.iter().zip(len_words).chain(padded));
+        let (mut changed, mut count) = (0u64, 0usize);
+        for block in &mut self.blocks {
+            let mut ones = 0;
+            for (word, (phase, len)) in words.by_ref().take(BLOCK_WORDS) {
+                let new = row_word(phase, len, pos);
+                changed += u64::from((*word ^ new).count_ones());
+                ones += new.count_ones();
+                *word = new;
             }
-            let (s, e) = (cal.on_start[p] as usize, cal.on_start[p + 1] as usize);
-            for &id in &cal.on_ids[s..e] {
-                let (w, bit) = (id as usize / 64, 1u64 << (id as usize % 64));
-                debug_assert!(self.row[w] & bit == 0, "ON transition on set bit");
-                self.row[w] |= bit;
-                self.blocks[w / BLOCK_WORDS] += 1;
-                self.count += 1;
-            }
-            self.transitions += (e - s) as u64 + (cal.off_start[p + 1] - cal.off_start[p]) as u64;
+            *block = ones;
+            count += ones as usize;
         }
+        self.row_pos = usize::from(pos);
+        self.count = count;
+        changed
     }
 
     /// Number of clients in the population.
     pub fn num_clients(&self) -> usize {
-        self.num_clients
+        self.windows.phase.len()
     }
 
     /// Number of diurnally available clients at the current row position.
@@ -183,8 +152,8 @@ impl AvailabilityIndex {
         self.row[c / 64] & (1u64 << (c % 64)) != 0
     }
 
-    /// The maintained membership row (bit `c` = client `c` diurnally
-    /// available at the current position). For full-sweep iteration.
+    /// The membership row (bit `c` = client `c` diurnally available at the
+    /// current position). For full-sweep iteration.
     pub fn row_words(&self) -> &[u64] {
         &self.row
     }
@@ -226,7 +195,9 @@ impl AvailabilityIndex {
         debug_assert_eq!(ri, ranks.len(), "rank out of range of set-bit count");
     }
 
-    /// Total individual bit transitions applied since construction.
+    /// Row bits changed since construction: each advance adds the bits
+    /// its old and new rows differ in, so a one-position step counts every
+    /// client that switched and a longer jump counts the net change.
     pub fn transitions_applied(&self) -> u64 {
         self.transitions
     }
@@ -236,17 +207,37 @@ impl AvailabilityIndex {
         self.advances
     }
 
-    /// Bytes of heap the index reads (calendars + row + popcounts); a clone
-    /// shares the calendars and reports the same.
+    /// Bytes of heap the index reads (windows + row + popcounts); a clone
+    /// shares the windows and reports the same.
     pub fn heap_bytes(&self) -> usize {
-        let cal = &self.calendar;
-        cal.on_start.len() * 4
-            + cal.on_ids.len() * 4
-            + cal.off_start.len() * 4
-            + cal.off_ids.len() * 4
+        self.windows.phase.len()
+            + self.windows.len.len()
             + self.row.len() * 8
             + self.blocks.len() * 4
     }
+}
+
+/// The row word of 64 consecutive clients at day position `pos`: bit `k`
+/// is set iff `(pos + phase[k]) % ROUNDS_PER_DAY < len[k]`. `pos` and the
+/// phase are below `ROUNDS_PER_DAY`, so their sum stays under 192 and one
+/// select wraps it. The loops have no branch and fixed lengths, so they vectorize: a
+/// byte compare per client, sixteen clients per instruction. Each half
+/// folds into a `u32`; one `u64` fold over all 64 clients vectorized only
+/// eight clients at a time and ran ~25 % slower.
+#[inline(always)]
+fn row_word(phase: &[u8; 64], len: &[u8; 64], pos: u8) -> u64 {
+    const DAY: u8 = ROUNDS_PER_DAY as u8;
+    let half = |h: usize| {
+        let mut bits = 0u32;
+        for j in 0..32 {
+            let k = 32 * h + j;
+            let at = pos + phase[k];
+            let at = if at >= DAY { at - DAY } else { at };
+            bits |= u32::from(at < len[k]) << j;
+        }
+        u64::from(bits)
+    };
+    half(0) | half(1) << 32
 }
 
 /// Position of the `j`-th set bit (0-based, from LSB) of `word`.
@@ -269,13 +260,13 @@ mod tests {
     fn window_matches_diurnal_available() {
         for seed in 0..50u64 {
             let m = AvailabilityModel::new(seed);
-            let (start, len) = m.diurnal_window();
+            let (phase, len) = m.diurnal_window();
             for r in 0..ROUNDS_PER_DAY {
-                let in_window = (r + ROUNDS_PER_DAY - start) % ROUNDS_PER_DAY < len;
+                let in_window = (r + usize::from(phase)) % ROUNDS_PER_DAY < usize::from(len);
                 assert_eq!(
                     in_window,
                     m.diurnal_available(r),
-                    "seed {seed} round {r} window ({start},{len})"
+                    "seed {seed} round {r} window ({phase},{len})"
                 );
             }
         }

@@ -2,9 +2,10 @@
 //! simulator executes against and the RLHF agent observes.
 //!
 //! At population scale the sampler is *lazy*: every per-client trace is a
-//! pure function of `(seed, client)`, so nothing population-sized is
-//! materialized. Availability queries go through the event-driven
-//! [`AvailabilityIndex`] (O(transitions) per round, not O(population)),
+//! pure function of `(seed, client)`, so little is kept per client: the
+//! [`AvailabilityIndex`] holds each client's diurnal window in two bytes
+//! and recomputes one membership bit per client when the day position
+//! moves, the full sweep adds a 16-byte interruption draw per client,
 //! batteries are tracked sparsely (only clients that ever drained), and
 //! full trace bundles are rederived on demand through a small bounded
 //! cache. All of this is bit-identical to the eager implementation it
@@ -67,9 +68,12 @@ pub struct ClientTraces {
 /// population-scale bench can attribute memory and per-round work.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AvailabilityStats {
-    /// Heap bytes owned by the event-driven availability index.
+    /// Heap bytes owned by the availability index: 2 per client for the
+    /// windows, plus the membership row and its popcounts.
     pub index_heap_bytes: usize,
-    /// Total diurnal bit transitions the index has applied.
+    /// Row bits the index's advances have changed: per one-position step,
+    /// the clients that switched; per longer jump, the net change (a
+    /// client that switched off and back on in between counts zero).
     pub transitions_applied: u64,
     /// Number of index advances that moved the maintained row.
     pub rounds_advanced: u64,
@@ -154,11 +158,11 @@ pub struct ResourceSampler {
     seed: u64,
     /// Population seed for [`DeviceProfile::derive`].
     pop_seed: u64,
-    /// Event-driven diurnal availability index: built by `new`, or (the
-    /// usual case) a clone of a shared population's, handed in through
-    /// `with_shared`; a clone copies only the row. Advancing it costs the
-    /// round's transitions, but the full sweep still reads every word of
-    /// the row, O(population) a round.
+    /// Diurnal availability index: built by `new`, or (the usual case) a
+    /// clone of a shared population's, handed in through `with_shared`; a
+    /// clone copies only the row. Advancing it recomputes the row, one bit
+    /// per client, and the full sweep then reads every word of it: both
+    /// are O(population) a round.
     index: AvailabilityIndex,
     /// Per-client interruption draws for the full-sweep path (the index
     /// holds the diurnal half), built on first use or handed in (never
@@ -196,8 +200,7 @@ impl ResourceSampler {
         Self::with_shared(n, interference, seed, Self::build_index(n, seed), None)
     }
 
-    /// The event-driven availability calendar `new` builds eagerly — a
-    /// pure function of `(n, seed)`, exposed so a sweep orchestrator can
+    /// The availability index `new` builds eagerly — a pure function of `(n, seed)`, exposed so a sweep orchestrator can
     /// build it once and hand clones to every trial over the same
     /// population via [`ResourceSampler::with_shared`].
     pub fn build_index(n: usize, seed: u64) -> AvailabilityIndex {
@@ -206,7 +209,7 @@ impl ResourceSampler {
 
     /// The full-sweep interruption table — a pure function of `(n, seed)`.
     /// A sampler handed none builds it on its first full sweep; a shared
-    /// population builds it with the calendar through
+    /// population builds it with the index through
     /// [`ResourceSampler::build_index_and_sweep`].
     pub fn build_sweep_models(n: usize, seed: u64) -> Vec<Interruption> {
         let mut model = batched_models(n, seed);
@@ -226,7 +229,7 @@ impl ResourceSampler {
         (index, sweep)
     }
 
-    /// Build a sampler around a pre-built availability calendar (and,
+    /// Build a sampler around a pre-built availability index (and,
     /// optionally, a pre-built full-sweep table). Behaviour is bit-identical
     /// to [`ResourceSampler::new`] *provided* the handles were derived
     /// from the same `(n, seed)` — both are pure functions of those two
@@ -447,9 +450,9 @@ impl ResourceSampler {
 
     /// Collect all available clients at `round` into `out` (cleared first),
     /// in ascending client order — identical to filtering
-    /// `(0..n).filter(|&c| self.snapshot(c, round).available)` but with the
-    /// diurnal membership maintained incrementally by the event index
-    /// instead of recomputed per round.
+    /// `(0..n).filter(|&c| self.snapshot(c, round).available)`, but with
+    /// the diurnal half read from the index's row, 64 clients a word,
+    /// instead of from one derived model per client.
     pub fn available_clients_into(&mut self, round: usize, out: &mut Vec<usize>) {
         out.clear();
         self.index.advance_to(round);
@@ -493,7 +496,7 @@ impl ResourceSampler {
     /// Draw a deterministic candidate pool of at most `k` clients for
     /// `round` into `out` (cleared first; ascending client order), and
     /// return the **exact** number of eligible clients (diurnally
-    /// available ∩ battery-admitted) — maintained incrementally, never
+    /// available ∩ battery-admitted) — counted over the index's row, never
     /// approximated by the pool size.
     ///
     /// The pool is a uniform sample without replacement of `k` clients

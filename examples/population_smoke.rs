@@ -13,7 +13,9 @@
 //!   small legs, and the same counters at 1 and 4 threads;
 //! - sampled evaluation returns exactly `eval_sample` accuracies;
 //! - the full availability sweep keeps 16 bytes per client (one
-//!   interruption draw each).
+//!   interruption draw each), and the availability index at most 2.2 on
+//!   the 10k legs (two bytes of diurnal window, the row and its
+//!   popcounts).
 //!
 //! A pooled leg runs the 10k preset with the 10M preset's candidate pool:
 //! it builds no sweep table at all. A small leg runs the same config at
@@ -148,6 +150,15 @@ fn check(leg: Leg) -> Run {
         one.avail.sweep_models_bytes, table_bytes,
         "{label}: the full sweep keeps 16 B per client, a pooled run none"
     );
+    if num_clients == Scale::Pop10k.num_clients() {
+        // Two bytes of diurnal window per client, plus the membership row
+        // (1/8 B) and its superblock popcounts (1/1024 B).
+        let per_client = one.avail.index_heap_bytes as f64 / num_clients as f64;
+        assert!(
+            per_client <= 2.2,
+            "{label}: the availability index holds {per_client:.3} B per client"
+        );
+    }
     let eval_sample = config(leg, 1).eval_sample;
     assert_eq!(
         one.report.client_accuracies.len(),

@@ -1,6 +1,7 @@
-//! Property tests for the event-driven availability substrate: the
-//! calendar index must agree with the brute-force per-model check over
-//! arbitrary seeds, population sizes, and (non-monotone) round orders;
+//! Property tests for the availability substrate: the recomputed index
+//! must agree with the brute-force per-model check over arbitrary seeds,
+//! population sizes, and (non-monotone) round orders, at the edges of its
+//! row words and superblocks too;
 //! the sampler's indexed sweep must agree with per-client `is_available`
 //! under arbitrary battery drains; and pooled draws must be exact about
 //! the eligible count, subsets of the sweep, and deterministic in the
@@ -38,7 +39,7 @@ proptest! {
         }
     }
 
-    /// Clones share the calendar but advance rows of their own: two clones
+    /// Clones share the windows but advance rows of their own: two clones
     /// driven through the same rounds in opposite orders each stay the
     /// brute-force diurnal filter, report the parent's heap bytes, and
     /// leave the parent's row where it was.
@@ -184,10 +185,10 @@ fn indexed_sweep_matches_at_word_edges() {
     }
 }
 
-/// Building the calendar and the full-sweep table in one pass gives what
+/// Building the index and the full-sweep table in one pass gives what
 /// the two separate builds give, and what the generator gives client by
 /// client: the same tables bit for bit (`{:?}` of an `f64` round-trips, so
-/// equal text is equal bits) and calendars whose rows and counts agree at
+/// equal text is equal bits) and indexes whose rows and counts agree at
 /// every day position. All three builders derive their models through the
 /// same 64-client batch; the generator-spelled index is the independent
 /// side.
@@ -212,6 +213,50 @@ fn one_pass_build_equals_the_two_builds() {
                 assert_eq!(index.row_words(), other.row_words(), "n {n} position {p}");
                 assert_eq!(index.count(), other.count(), "n {n} position {p}");
             }
+        }
+    }
+}
+
+/// Populations on either side of one row word, of one 4096-client
+/// superblock, and a large one, driven forward one position, forward
+/// several, backward, and onto the position they already hold. At every
+/// step the index is the brute-force diurnal filter, read through
+/// `select_ranks_into` over every rank (so each superblock popcount is
+/// checked) and through `count`; `transitions_applied` grows by the bits
+/// the row words changed in; and the heap holds two bytes a client plus
+/// the row and its popcounts.
+#[test]
+fn recomputed_index_matches_brute_force_at_block_edges() {
+    let rounds = [0, 1, 2, 7, 40, 39, 3, 95, 96, 96 + 3, 191, 250, 0];
+    for n in [63usize, 64, 65, 4095, 4096, 4097, 100_000] {
+        let seed = 0xED9E + n as u64;
+        let models: Vec<AvailabilityModel> = (0..n)
+            .map(|i| AvailabilityModel::new(split_seed(seed, i as u64)))
+            .collect();
+        let mut index = AvailabilityIndex::build(n, |i| models[i].clone());
+        assert_eq!(
+            index.heap_bytes(),
+            2 * n + 8 * n.div_ceil(64) + 4 * n.div_ceil(4096),
+            "n {n}"
+        );
+        let mut flipped = 0u64;
+        let mut got = Vec::new();
+        for &r in &rounds {
+            let before = index.row_words().to_vec();
+            index.advance_to(r);
+            flipped += before
+                .iter()
+                .zip(index.row_words())
+                .map(|(&b, &a)| u64::from((b ^ a).count_ones()))
+                .sum::<u64>();
+            assert_eq!(index.transitions_applied(), flipped, "n {n} round {r}");
+
+            let want: Vec<usize> = (0..n).filter(|&c| models[c].diurnal_available(r)).collect();
+            assert_eq!(index.count(), want.len(), "n {n} round {r}");
+            let ranks: Vec<usize> = (0..want.len()).collect();
+            got.clear();
+            index.select_ranks_into(&ranks, &mut got);
+            assert_eq!(got, want, "n {n} round {r}");
         }
     }
 }

@@ -35,10 +35,10 @@ fn every_selector_runs_with_every_accel_mode() {
 fn report_invariants_hold() {
     let r = run(SelectorChoice::FedAvg, AccelMode::Rlhf, 10);
     // Per-client counts are consistent with totals.
-    let completed_sum: u64 = r.completed_count.iter().sum();
+    let completed_sum = r.completed_count.sum();
     assert_eq!(completed_sum, r.total_completions);
     // Every completion and dropout is a selection (sync engine).
-    let selected_sum: u64 = r.selected_count.iter().sum();
+    let selected_sum = r.selected_count.sum();
     assert_eq!(selected_sum, r.total_completions + r.total_dropouts);
     // Ledger counts match report counts.
     assert_eq!(r.resources.completions, r.total_completions);

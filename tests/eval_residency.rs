@@ -127,7 +127,12 @@ fn a_set_past_the_bound_keeps_the_bound_resident_and_derives_the_rest() {
     assert_eq!(stats, population, "the whole population is the set");
     // Without faults nothing retries, so each completed attempt read its
     // client's shard once, for both of the agent's accuracy passes.
-    let agent_reads_past: u64 = report.completed_count[EVAL_RESIDENT_CAP..].iter().sum();
+    let agent_reads_past: u64 = report
+        .completed_count
+        .iter()
+        .filter(|&(c, _)| c >= EVAL_RESIDENT_CAP)
+        .map(|(_, n)| n)
+        .sum();
     assert!(
         agent_reads_past > 0,
         "the run must score an attempt past the bound"

@@ -3,7 +3,7 @@
 //! Each check derives a moment or a distribution from a generator's
 //! parameters alone, then holds a sampled population to it within a
 //! stated false-alarm budget. They test the population the simulator
-//! actually runs on: the calendar `ResourceSampler::build_index` builds.
+//! actually runs on: the index `ResourceSampler::build_index` builds.
 //!
 //! Availability. A client's duty cycle is `d ~ U[0.35, 0.85)` and its ON
 //! window is `ceil(96·d)` day positions long. Over `96·d ∈ [33.6, 81.6)`
@@ -52,7 +52,7 @@ fn window_weight(len: usize) -> f64 {
     }
 }
 
-/// Walk the calendar of a 1M-client population once around the day. At
+/// Walk the index of a 1M-client population once around the day. At
 /// every position the ON count lies within 6σ of n·q; the ON transitions
 /// give each client's window start (a bijection of its phase) and, with
 /// the OFF transitions, its window length. Both histograms pass a χ² test

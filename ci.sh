@@ -203,6 +203,13 @@ if [[ "${1:-}" != "quick" ]]; then
   step "population smoke (10k clients, lazy shards; 200 clients, resident)"
   cargo run --release --offline --example population_smoke
 
+  # The one end-to-end agent save -> load -> fine-tune path: pre-train
+  # the RLHF agent on one workload, write it as JSON, read it back
+  # (the example panics if the JSON does not load) and install it on a
+  # second workload. ~0.15 s once built.
+  step "agent transfer (save, load, fine-tune)"
+  cargo run --release --offline --example agent_transfer
+
   # The studies beyond the paper's figures, each at quick scale: the
   # algorithm comparison, the oracle gap (oracle / profiled / coldstart),
   # the concurrent sweep (grid + successive halving, per-trial JSONL under

@@ -67,18 +67,6 @@ impl AccelAction {
             AccelAction::TopK10 => 0.9,
         }
     }
-
-    /// The technique family of this action (for Fig. 6/11 per-technique
-    /// aggregation).
-    pub fn family(self) -> &'static str {
-        match self {
-            AccelAction::NoOp => "none",
-            AccelAction::Quantize16 | AccelAction::Quantize8 => "quantization",
-            AccelAction::Prune25 | AccelAction::Prune50 | AccelAction::Prune75 => "pruning",
-            AccelAction::Partial25 | AccelAction::Partial50 | AccelAction::Partial75 => "partial",
-            AccelAction::CompressLossless | AccelAction::TopK10 => "compression",
-        }
-    }
 }
 
 /// An ordered action catalogue (the RL agent indexes actions by position).

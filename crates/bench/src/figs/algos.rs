@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use float_core::optim::{ServerOptimConfig, ServerOptimizerChoice};
+use float_core::optim::ServerOptimizerChoice;
 use float_core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
 use float_obs::ObsConfig;
 use float_sim::FaultPlan;
@@ -44,9 +44,9 @@ const ALGOS: [&str; 6] = [
 fn apply_algo(cfg: &mut ExperimentConfig, algo: &str) {
     match algo {
         "fedavg" => {}
-        "fedavgm" => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAvgM),
-        "fedadam" => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAdam),
-        "fedyogi" => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedYogi),
+        "fedavgm" => cfg.server_optim = ServerOptimizerChoice::FedAvgM,
+        "fedadam" => cfg.server_optim = ServerOptimizerChoice::FedAdam,
+        "fedyogi" => cfg.server_optim = ServerOptimizerChoice::FedYogi,
         "fedavg+prox" => cfg.prox_mu = 0.1,
         "fedavg+scaffold" => cfg.scaffold = true,
         other => panic!("unknown algorithm variant {other}"),

@@ -10,7 +10,7 @@ use float_profile::ProfilingConfig;
 use float_sim::FaultPlan;
 use float_traces::InterferenceModel;
 
-use crate::optim::ServerOptimConfig;
+use crate::optim::ServerOptimizerChoice;
 
 /// Which client-selection algorithm drives the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -229,7 +229,7 @@ pub struct ExperimentConfig {
     /// thread-count determinism contract. See `DESIGN.md` §Server
     /// optimizer layer.
     #[serde(default)]
-    pub server_optim: ServerOptimConfig,
+    pub server_optim: ServerOptimizerChoice,
     /// FedProx proximal coefficient `μ` (`0` ⇒ off, the historical
     /// training path bit for bit). When positive, every local gradient
     /// step is pulled toward the round's global parameters by
@@ -302,7 +302,7 @@ impl ExperimentConfig {
             eval_sample: 0,
             shard_cache: 0,
             candidate_pool: 0,
-            server_optim: ServerOptimConfig::default(),
+            server_optim: ServerOptimizerChoice::FedAvg,
             prox_mu: 0.0,
             scaffold: false,
             pipeline_rounds: false,
@@ -342,7 +342,7 @@ impl ExperimentConfig {
             eval_sample: 0,
             shard_cache: 0,
             candidate_pool: 0,
-            server_optim: ServerOptimConfig::default(),
+            server_optim: ServerOptimizerChoice::FedAvg,
             prox_mu: 0.0,
             scaffold: false,
             pipeline_rounds: false,
@@ -416,9 +416,9 @@ impl ExperimentConfig {
             self.deadline_s,
             self.selector.name(),
         );
-        if self.server_optim.optimizer != crate::optim::ServerOptimizerChoice::FedAvg {
+        if self.server_optim != ServerOptimizerChoice::FedAvg {
             label.push('@');
-            label.push_str(self.server_optim.optimizer.name());
+            label.push_str(self.server_optim.name());
         }
         if self.accel != AccelMode::Off {
             label.push('+');
@@ -488,8 +488,8 @@ impl ExperimentConfig {
             ));
         }
         if let Some(a) = self.alpha {
-            if a <= 0.0 || a.is_nan() {
-                return Err(format!("alpha {a} must be positive"));
+            if !(a > 0.0 && a.is_finite()) {
+                return Err(format!("alpha {a} must be positive and finite"));
             }
         }
         if self.eval_every == 0 {
@@ -548,7 +548,6 @@ impl ExperimentConfig {
                 self.prox_mu
             ));
         }
-        self.server_optim.validate()?;
         self.fault_plan.validate()?;
         self.obs.validate()?;
         self.profiling.validate()?;
@@ -635,17 +634,13 @@ mod tests {
         c.prox_mu = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = base;
-        c.server_optim.server_lr = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = base;
         c.profiling.cold_only = true; // without enabled
         assert!(c.validate().is_err());
         let mut c = base;
         c.profiling = ProfilingConfig::on();
         c.validate().expect("profiling preset must validate");
         let mut c = base;
-        c.server_optim =
-            crate::optim::ServerOptimConfig::with(crate::optim::ServerOptimizerChoice::FedYogi);
+        c.server_optim = ServerOptimizerChoice::FedYogi;
         c.prox_mu = 0.1;
         c.scaffold = true;
         c.validate()
@@ -713,18 +708,13 @@ mod tests {
         let err = c.validate().expect_err("pool below concurrency");
         assert!(err.contains("12") && err.contains("20"), "message: {err}");
         let mut c = base;
+        c.alpha = Some(f64::INFINITY);
+        let err = c.validate().expect_err("infinite alpha");
+        assert!(err.contains("alpha inf"), "message: {err}");
+        let mut c = base;
         c.prox_mu = -0.5;
         let err = c.validate().expect_err("bad prox_mu");
         assert!(err.contains("-0.5"), "message: {err}");
-        let mut c = base;
-        c.server_optim.beta1 = 1.25;
-        let err = c.validate().expect_err("bad beta1");
-        assert!(err.contains("1.25"), "message: {err}");
-        let mut c = base;
-        c.profiling = ProfilingConfig::on();
-        c.profiling.latency_alpha = 2.5;
-        let err = c.validate().expect_err("bad latency_alpha");
-        assert!(err.contains("2.5"), "message: {err}");
     }
 
     #[test]
@@ -741,6 +731,28 @@ mod tests {
         let old = format!("{}{}", &json[..start], &json[end + 1..]);
         let back: ExperimentConfig = serde_json::from_str(&old).expect("old config deserializes");
         assert_eq!(back.profiling, ProfilingConfig::off());
+    }
+
+    /// `server_optim` was an object (the choice plus η, β₁, β₂, τ) until
+    /// those became constants. A config of that shape is refused with an
+    /// error, not a panic; one without the field loads as FedAvg.
+    #[test]
+    fn object_shaped_server_optim_is_an_error_and_a_missing_one_is_fedavg() {
+        let c = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Off, 5);
+        let json = serde_json::to_string(&c).expect("serializes");
+        let field = r#","server_optim":"FedAvg""#;
+        assert!(
+            json.contains(field),
+            "choice serialized as a string: {json}"
+        );
+        let old = json.replace(
+            field,
+            r#","server_optim":{"optimizer":"FedAdam","server_lr":1.0,"beta1":0.9,"beta2":0.99,"tau":0.001}"#,
+        );
+        assert!(serde_json::from_str::<ExperimentConfig>(&old).is_err());
+        let back: ExperimentConfig =
+            serde_json::from_str(&json.replace(field, "")).expect("config without the field");
+        assert_eq!(back.server_optim, ServerOptimizerChoice::FedAvg);
     }
 
     /// Configs written while the flag selected a second attempt engine
@@ -761,8 +773,8 @@ mod tests {
     fn server_optim_defaults_keep_fedavg() {
         let c = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Off, 5);
         assert_eq!(
-            c.server_optim.optimizer,
-            crate::optim::ServerOptimizerChoice::FedAvg,
+            c.server_optim,
+            ServerOptimizerChoice::FedAvg,
             "presets must default to the historical FedAvg path"
         );
         assert_eq!(c.prox_mu, 0.0);

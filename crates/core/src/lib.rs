@@ -28,6 +28,6 @@ pub mod trial;
 pub use config::{AccelMode, ExperimentConfig, SelectorChoice};
 pub use float_data::ShardCacheStats;
 pub use metrics::{AccuracySummary, ClientCounts, ExperimentReport, RoundRecord, TechniqueStats};
-pub use optim::{ServerOptimConfig, ServerOptimizer, ServerOptimizerChoice};
+pub use optim::{ServerOptimizer, ServerOptimizerChoice};
 pub use runtime::Experiment;
 pub use trial::SharedPopulation;

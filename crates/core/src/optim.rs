@@ -26,11 +26,13 @@ use serde::{Deserialize, Serialize};
 use crate::aggregate::{weighted_mean_delta, PendingUpdate};
 
 /// Which server-side optimizer folds the aggregated delta into the
-/// global model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// global model. The default is FedAvg, so configurations that predate
+/// the server optimizer keep their exact behaviour.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ServerOptimizerChoice {
     /// Direct application of the weighted-mean delta (the historical
     /// path, bit-identical to pre-optimizer reports).
+    #[default]
     FedAvg,
     /// Server momentum over the aggregated delta.
     FedAvgM,
@@ -61,90 +63,24 @@ impl ServerOptimizerChoice {
     ];
 }
 
-/// Hyperparameters of the server optimizer. The defaults select
-/// [`ServerOptimizerChoice::FedAvg`], so configurations that never heard
-/// of this struct (old JSON, existing presets) keep their exact
-/// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServerOptimConfig {
-    /// Which optimizer runs at the server.
-    pub optimizer: ServerOptimizerChoice,
-    /// Server learning rate `η`. Ignored by FedAvg (whose step is the
-    /// raw mean delta); `1.0` keeps the adaptive members on the same
-    /// scale as FedAvg.
-    pub server_lr: f64,
-    /// First-moment coefficient `β₁` (FedAvgM momentum / Adam / Yogi).
-    pub beta1: f64,
-    /// Second-moment coefficient `β₂` (FedAdam / FedYogi).
-    pub beta2: f64,
-    /// Adaptivity floor `τ` added to `√v` — bounds the effective
-    /// per-parameter learning rate at `η/τ`.
-    pub tau: f64,
-}
+/// Server learning rate `η`. FedAvg ignores it (its step is the raw
+/// mean delta); `1.0` keeps the adaptive members on FedAvg's scale.
+const ETA: f64 = 1.0;
+/// First-moment coefficient `β₁` (FedAvgM momentum / Adam / Yogi).
+const BETA1: f64 = 0.9;
+/// Second-moment coefficient `β₂` (FedAdam / FedYogi).
+const BETA2: f64 = 0.99;
+/// Adaptivity floor `τ` added to `√v`: it bounds the effective
+/// per-parameter learning rate at `η/τ`.
+const TAU: f64 = 1e-3;
 
-impl Default for ServerOptimConfig {
-    fn default() -> Self {
-        ServerOptimConfig {
-            optimizer: ServerOptimizerChoice::FedAvg,
-            server_lr: 1.0,
-            beta1: 0.9,
-            beta2: 0.99,
-            tau: 1e-3,
-        }
-    }
-}
-
-impl ServerOptimConfig {
-    /// A preset for `optimizer` with the default hyperparameters.
-    pub fn with(optimizer: ServerOptimizerChoice) -> Self {
-        ServerOptimConfig {
-            optimizer,
-            ..Default::default()
-        }
-    }
-
-    /// Validate internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint, carrying
-    /// the offending value.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.server_lr <= 0.0 || !self.server_lr.is_finite() {
-            return Err(format!(
-                "server_optim.server_lr {} must be positive and finite",
-                self.server_lr
-            ));
-        }
-        if !(0.0..1.0).contains(&self.beta1) {
-            return Err(format!(
-                "server_optim.beta1 {} must be in [0, 1)",
-                self.beta1
-            ));
-        }
-        if !(0.0..1.0).contains(&self.beta2) {
-            return Err(format!(
-                "server_optim.beta2 {} must be in [0, 1)",
-                self.beta2
-            ));
-        }
-        if self.tau <= 0.0 || !self.tau.is_finite() {
-            return Err(format!(
-                "server_optim.tau {} must be positive and finite",
-                self.tau
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The server optimizer: configuration plus moment buffers, lazily sized
+/// The server optimizer: its choice plus moment buffers, lazily sized
 /// to the model on first use. Owned by the experiment and only ever
 /// touched from the sequential commit phase, so its state trajectory is
 /// identical for any worker-thread count.
 #[derive(Debug, Clone)]
 pub struct ServerOptimizer {
-    cfg: ServerOptimConfig,
+    optimizer: ServerOptimizerChoice,
     /// First moment `m` (FedAvgM / FedAdam / FedYogi). Empty until the
     /// first aggregation.
     momentum: Vec<f64>,
@@ -154,18 +90,14 @@ pub struct ServerOptimizer {
 }
 
 impl ServerOptimizer {
-    /// Build an optimizer from its configuration.
-    pub fn new(cfg: ServerOptimConfig) -> Self {
+    /// Build an optimizer that runs `optimizer` with the FedOpt server
+    /// defaults (`η = 1`, `β₁ = 0.9`, `β₂ = 0.99`, `τ = 10⁻³`).
+    pub fn new(optimizer: ServerOptimizerChoice) -> Self {
         ServerOptimizer {
-            cfg,
+            optimizer,
             momentum: Vec::new(),
             second: Vec::new(),
         }
-    }
-
-    /// The configuration this optimizer runs with.
-    pub fn config(&self) -> &ServerOptimConfig {
-        &self.cfg
     }
 
     /// Aggregate `updates` into `global` through the configured
@@ -203,14 +135,7 @@ impl ServerOptimizer {
             delta.len(),
             global.len()
         );
-        let ServerOptimConfig {
-            optimizer,
-            server_lr: eta,
-            beta1,
-            beta2,
-            tau,
-        } = self.cfg;
-        match optimizer {
+        match self.optimizer {
             ServerOptimizerChoice::FedAvg => {
                 for (g, d) in global.iter_mut().zip(delta) {
                     *g += *d as f32;
@@ -219,8 +144,8 @@ impl ServerOptimizer {
             ServerOptimizerChoice::FedAvgM => {
                 self.ensure_momentum(global.len());
                 for ((g, d), m) in global.iter_mut().zip(delta).zip(&mut self.momentum) {
-                    *m = beta1 * *m + *d;
-                    *g = (f64::from(*g) + eta * *m) as f32;
+                    *m = BETA1 * *m + *d;
+                    *g = (f64::from(*g) + ETA * *m) as f32;
                 }
             }
             ServerOptimizerChoice::FedAdam => {
@@ -232,9 +157,9 @@ impl ServerOptimizer {
                     .zip(&mut self.momentum)
                     .zip(&mut self.second)
                 {
-                    *m = beta1 * *m + (1.0 - beta1) * *d;
-                    *v = beta2 * *v + (1.0 - beta2) * *d * *d;
-                    *g = (f64::from(*g) + eta * *m / (v.sqrt() + tau)) as f32;
+                    *m = BETA1 * *m + (1.0 - BETA1) * *d;
+                    *v = BETA2 * *v + (1.0 - BETA2) * *d * *d;
+                    *g = (f64::from(*g) + ETA * *m / (v.sqrt() + TAU)) as f32;
                 }
             }
             ServerOptimizerChoice::FedYogi => {
@@ -246,10 +171,10 @@ impl ServerOptimizer {
                     .zip(&mut self.momentum)
                     .zip(&mut self.second)
                 {
-                    *m = beta1 * *m + (1.0 - beta1) * *d;
+                    *m = BETA1 * *m + (1.0 - BETA1) * *d;
                     let d2 = *d * *d;
-                    *v -= (1.0 - beta2) * d2 * (*v - d2).signum();
-                    *g = (f64::from(*g) + eta * *m / (v.sqrt().max(0.0) + tau)) as f32;
+                    *v -= (1.0 - BETA2) * d2 * (*v - d2).signum();
+                    *g = (f64::from(*g) + ETA * *m / (v.sqrt().max(0.0) + TAU)) as f32;
                 }
             }
         }
@@ -289,37 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_fedavg_and_validates() {
-        let cfg = ServerOptimConfig::default();
-        assert_eq!(cfg.optimizer, ServerOptimizerChoice::FedAvg);
-        cfg.validate().expect("default must validate");
-    }
-
-    #[test]
-    fn validation_messages_carry_offending_values() {
-        let cfg = ServerOptimConfig {
-            server_lr: -0.25,
-            ..ServerOptimConfig::default()
-        };
-        let err = cfg.validate().expect_err("bad lr");
-        assert!(err.contains("-0.25"), "message: {err}");
-        let cfg = ServerOptimConfig {
-            beta1: 1.5,
-            ..ServerOptimConfig::default()
-        };
-        let err = cfg.validate().expect_err("bad beta1");
-        assert!(err.contains("1.5"), "message: {err}");
-        let cfg = ServerOptimConfig {
-            beta2: -0.1,
-            ..ServerOptimConfig::default()
-        };
-        let err = cfg.validate().expect_err("bad beta2");
-        assert!(err.contains("-0.1"), "message: {err}");
-        let cfg = ServerOptimConfig {
-            tau: f64::NAN,
-            ..ServerOptimConfig::default()
-        };
-        assert!(cfg.validate().is_err());
+    fn default_choice_is_fedavg() {
+        assert_eq!(
+            ServerOptimizerChoice::default(),
+            ServerOptimizerChoice::FedAvg
+        );
     }
 
     #[test]
@@ -332,7 +231,7 @@ mod tests {
         let mut direct = vec![0.5f32, -1.25, 2.0];
         let n_direct = aggregate(&mut direct, &updates);
         let mut through = vec![0.5f32, -1.25, 2.0];
-        let mut opt = ServerOptimizer::new(ServerOptimConfig::default());
+        let mut opt = ServerOptimizer::new(ServerOptimizerChoice::FedAvg);
         let n_through = opt.aggregate(&mut through, &updates);
         assert_eq!(n_direct, n_through);
         assert_eq!(
@@ -346,43 +245,29 @@ mod tests {
 
     #[test]
     fn fedavgm_momentum_accumulates_across_rounds() {
-        let mut opt = ServerOptimizer::new(ServerOptimConfig {
-            optimizer: ServerOptimizerChoice::FedAvgM,
-            server_lr: 1.0,
-            beta1: 0.5,
-            ..Default::default()
-        });
+        let mut opt = ServerOptimizer::new(ServerOptimizerChoice::FedAvgM);
         let mut g = vec![0.0f32];
         opt.apply(&mut g, &[1.0]); // m = 1, g = 1
         assert!((g[0] - 1.0).abs() < 1e-6);
-        opt.apply(&mut g, &[1.0]); // m = 1.5, g = 2.5
-        assert!((g[0] - 2.5).abs() < 1e-6, "momentum lost: {}", g[0]);
+        opt.apply(&mut g, &[1.0]); // m = 0.9 + 1 = 1.9, g = 2.9
+        assert!((g[0] - 2.9).abs() < 1e-6, "momentum lost: {}", g[0]);
     }
 
     #[test]
     fn fedadam_step_is_bounded_by_lr_over_tau() {
-        let mut opt = ServerOptimizer::new(ServerOptimConfig {
-            optimizer: ServerOptimizerChoice::FedAdam,
-            server_lr: 0.1,
-            tau: 1e-3,
-            ..Default::default()
-        });
+        let mut opt = ServerOptimizer::new(ServerOptimizerChoice::FedAdam);
         let mut g = vec![0.0f32];
         for _ in 0..100 {
             opt.apply(&mut g, &[1000.0]);
         }
         // η/τ bounds each per-parameter step; 100 steps stay under 100·η/τ.
         assert!(g[0].is_finite());
-        assert!(g[0] <= 100.0 * 0.1 / 1e-3 + 1.0, "unbounded step: {}", g[0]);
+        assert!(g[0] <= 100.0 * 1.0 / 1e-3 + 1.0, "unbounded step: {}", g[0]);
     }
 
     #[test]
     fn fedyogi_second_moment_moves_toward_delta_square() {
-        let cfg = ServerOptimConfig {
-            optimizer: ServerOptimizerChoice::FedYogi,
-            ..Default::default()
-        };
-        let mut opt = ServerOptimizer::new(cfg);
+        let mut opt = ServerOptimizer::new(ServerOptimizerChoice::FedYogi);
         let mut g = vec![0.0f32];
         for _ in 0..200 {
             opt.apply(&mut g, &[2.0]);
@@ -393,13 +278,106 @@ mod tests {
         assert!(g[0].is_finite());
     }
 
+    /// Three rounds of each stateful optimizer against its update rule
+    /// expanded by hand from DESIGN.md's optimizer table, in f64, at the
+    /// FedOpt server defaults `η = 1`, `β₁ = 0.9`, `β₂ = 0.99`, `τ = 10⁻³`.
+    #[test]
+    fn three_rounds_match_the_closed_forms() {
+        let (eta, b1, b2, tau) = (1.0f64, 0.9f64, 0.99f64, 1e-3f64);
+        let w0 = [0.5f64, -1.25, 2.0];
+        // d[t][i]: the aggregated delta of round t + 1 for parameter i.
+        let d = [[0.3f64, -0.7, 1.1], [0.25, -0.5, 1.3], [-0.4, -0.6, 0.9]];
+        let run = |choice| {
+            let mut opt = ServerOptimizer::new(choice);
+            let mut g: Vec<f32> = w0.iter().map(|&w| w as f32).collect();
+            for dt in &d {
+                opt.apply(&mut g, dt);
+            }
+            g
+        };
+        let check = |choice, want: [f64; 3]| {
+            let got = run(choice);
+            for i in 0..3 {
+                // Three f32 roundings of |w| < 8 stay well under 4e-6.
+                assert!(
+                    (f64::from(got[i]) - want[i]).abs() < 4e-6,
+                    "{choice:?} parameter {i}: got {}, closed form {}",
+                    got[i],
+                    want[i]
+                );
+            }
+        };
+        let col = |i: usize| (d[0][i], d[1][i], d[2][i]);
+
+        // FedAvgM: m₁ = d₁, m₂ = β₁d₁ + d₂, m₃ = β₁²d₁ + β₁d₂ + d₃.
+        check(
+            ServerOptimizerChoice::FedAvgM,
+            std::array::from_fn(|i| {
+                let (d1, d2, d3) = col(i);
+                let m = [d1, b1 * d1 + d2, b1 * b1 * d1 + b1 * d2 + d3];
+                w0[i] + eta * (m[0] + m[1] + m[2])
+            }),
+        );
+
+        // FedAdam and FedYogi share mₜ = (1−β₁)·Σₖ β₁^(t−k)·dₖ.
+        let first = |i: usize| {
+            let (d1, d2, d3) = col(i);
+            [
+                (1.0 - b1) * d1,
+                (1.0 - b1) * (b1 * d1 + d2),
+                (1.0 - b1) * (b1 * b1 * d1 + b1 * d2 + d3),
+            ]
+        };
+        let step = |i: usize, v: [f64; 3]| {
+            let m = first(i);
+            w0[i]
+                + (0..3)
+                    .map(|t| eta * m[t] / (v[t].sqrt() + tau))
+                    .sum::<f64>()
+        };
+
+        // FedAdam: vₜ = (1−β₂)·Σₖ β₂^(t−k)·dₖ².
+        check(
+            ServerOptimizerChoice::FedAdam,
+            std::array::from_fn(|i| {
+                let (d1, d2, d3) = col(i);
+                let (s1, s2, s3) = (d1 * d1, d2 * d2, d3 * d3);
+                let v = [
+                    (1.0 - b2) * s1,
+                    (1.0 - b2) * (b2 * s1 + s2),
+                    (1.0 - b2) * (b2 * b2 * s1 + b2 * s2 + s3),
+                ];
+                step(i, v)
+            }),
+        );
+
+        // FedYogi from v₀ = 0: while each dₜ² exceeds vₜ₋₁, the sign term
+        // is −1 and v grows additively, vₜ = (1−β₂)·Σₖ dₖ².
+        check(
+            ServerOptimizerChoice::FedYogi,
+            std::array::from_fn(|i| {
+                let (d1, d2, d3) = col(i);
+                let (s1, s2, s3) = (d1 * d1, d2 * d2, d3 * d3);
+                let v = [
+                    (1.0 - b2) * s1,
+                    (1.0 - b2) * (s1 + s2),
+                    (1.0 - b2) * (s1 + s2 + s3),
+                ];
+                assert!(
+                    s2 > v[0] && s3 > v[1],
+                    "parameter {i} leaves the additive regime"
+                );
+                step(i, v)
+            }),
+        );
+    }
+
     #[test]
     fn adaptive_optimizers_are_deterministic() {
         for choice in ServerOptimizerChoice::ALL {
-            let cfg = ServerOptimConfig::with(choice);
             let updates = vec![upd(0, vec![0.3, -0.7], 12), upd(1, vec![1.5, 0.2], 5)];
             let run = || {
-                let mut opt = ServerOptimizer::new(cfg);
+                let mut opt = ServerOptimizer::new(choice);
                 let mut g = vec![0.1f32, -0.2];
                 for _ in 0..5 {
                     opt.aggregate(&mut g, &updates);
@@ -413,7 +391,7 @@ mod tests {
     #[test]
     fn empty_batch_applies_nothing_and_reports_zero() {
         for choice in ServerOptimizerChoice::ALL {
-            let mut opt = ServerOptimizer::new(ServerOptimConfig::with(choice));
+            let mut opt = ServerOptimizer::new(choice);
             let mut g = vec![1.0f32, 2.0];
             assert_eq!(opt.aggregate(&mut g, &[]), 0);
             assert_eq!(g, vec![1.0, 2.0], "{choice:?} moved on empty batch");
@@ -424,7 +402,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn mismatched_delta_panics() {
-        let mut opt = ServerOptimizer::new(ServerOptimConfig::with(ServerOptimizerChoice::FedAdam));
+        let mut opt = ServerOptimizer::new(ServerOptimizerChoice::FedAdam);
         let mut g = vec![0.0f32; 2];
         opt.apply(&mut g, &[1.0]);
     }

@@ -738,9 +738,9 @@ impl Experiment {
             config.selector.name(),
             config.task.name()
         );
-        if config.server_optim.optimizer != ServerOptimizerChoice::FedAvg {
+        if config.server_optim != ServerOptimizerChoice::FedAvg {
             label.push('@');
-            label.push_str(config.server_optim.optimizer.name());
+            label.push_str(config.server_optim.name());
         }
         if config.prox_mu > 0.0 {
             label.push_str("+prox");
@@ -1156,7 +1156,7 @@ impl Experiment {
     /// in cohort order, so the parallel phase inherits a fixed plan.
     fn plan_attempt(&mut self, client: usize, round: usize, staleness: u64) -> AttemptTask {
         let snap = self.sampler.snapshot(client, round);
-        let device = self.sampler.client(client).profile;
+        let device = self.sampler.profile(client);
         // Pin the client's training shard for the execute phase. A run
         // touches the cache only here, in the sequential plan phase, so on
         // a population of its own its LRU state (and therefore its

@@ -90,7 +90,8 @@ pub fn dirichlet_partition(
 ///
 /// # Panics
 ///
-/// Panics if `alpha <= 0` or `quantity_skew` is not in `[0, 1)`.
+/// Panics if `alpha` is not positive and finite, or `quantity_skew` is
+/// not in `[0, 1)`.
 pub fn dirichlet_partition_with_quantity_skew(
     num_clients: usize,
     num_classes: usize,
@@ -99,7 +100,10 @@ pub fn dirichlet_partition_with_quantity_skew(
     quantity_skew: f64,
     seed: u64,
 ) -> Vec<Vec<usize>> {
-    assert!(alpha > 0.0, "Dirichlet alpha must be positive");
+    assert!(
+        alpha > 0.0 && alpha.is_finite(),
+        "Dirichlet alpha must be positive and finite, got {alpha}"
+    );
     assert!(
         (0.0..1.0).contains(&quantity_skew),
         "quantity skew must be in [0, 1)"
@@ -119,7 +123,8 @@ pub fn dirichlet_partition_with_quantity_skew(
 ///
 /// # Panics
 ///
-/// Panics if `alpha <= 0` or `quantity_skew` is not in `[0, 1)`.
+/// Panics if `alpha` is not positive and finite, or `quantity_skew` is
+/// not in `[0, 1)`.
 pub fn dirichlet_client_counts(
     client: usize,
     num_classes: usize,
@@ -128,7 +133,12 @@ pub fn dirichlet_client_counts(
     quantity_skew: f64,
     seed: u64,
 ) -> Vec<usize> {
-    assert!(alpha > 0.0, "Dirichlet alpha must be positive");
+    // Marsaglia–Tsang never accepts at an infinite shape (∞ − ∞ is NaN),
+    // so an infinite alpha would loop forever rather than fail.
+    assert!(
+        alpha > 0.0 && alpha.is_finite(),
+        "Dirichlet alpha must be positive and finite, got {alpha}"
+    );
     assert!(
         (0.0..1.0).contains(&quantity_skew),
         "quantity skew must be in [0, 1)"
@@ -361,5 +371,11 @@ mod tests {
     #[should_panic(expected = "alpha must be positive")]
     fn per_client_zero_alpha_panics() {
         let _ = dirichlet_client_counts(0, 2, 10, 0.0, 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be positive and finite, got inf")]
+    fn per_client_infinite_alpha_panics_instead_of_hanging() {
+        let _ = dirichlet_client_counts(0, 10, 60, f64::INFINITY, 0.5, 7);
     }
 }

@@ -15,10 +15,6 @@ pub struct ProfilingConfig {
     /// size clamped to [`ProfilingConfig::AUTO_CAPACITY_CAP`], so the
     /// store stays O(MB) even at the 1M/10M presets.
     pub capacity: usize,
-    /// EWMA smoothing factor for latency estimates, in (0, 1].
-    pub latency_alpha: f64,
-    /// EWMA smoothing factor for bandwidth/compute estimates, in (0, 1].
-    pub bandwidth_alpha: f64,
     /// Evaluation knob: record nothing and answer every query with the
     /// cold-start prior. This is the "cold start forever" lower bound in
     /// `expfig profile_gap`; it requires `enabled`.
@@ -34,13 +30,11 @@ impl ProfilingConfig {
         Self {
             enabled: false,
             capacity: 0,
-            latency_alpha: 0.3,
-            bandwidth_alpha: 0.3,
             cold_only: false,
         }
     }
 
-    /// Profiling enabled with default estimator constants.
+    /// Profiling enabled.
     pub fn on() -> Self {
         Self {
             enabled: true,
@@ -65,20 +59,8 @@ impl ProfilingConfig {
         }
     }
 
-    /// Validate ranges; errors carry the offending value.
+    /// Validate consistency; errors name the offending fields.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.latency_alpha > 0.0 && self.latency_alpha <= 1.0) {
-            return Err(format!(
-                "profiling.latency_alpha must be in (0, 1], got {}",
-                self.latency_alpha
-            ));
-        }
-        if !(self.bandwidth_alpha > 0.0 && self.bandwidth_alpha <= 1.0) {
-            return Err(format!(
-                "profiling.bandwidth_alpha must be in (0, 1], got {}",
-                self.bandwidth_alpha
-            ));
-        }
         if self.cold_only && !self.enabled {
             return Err("profiling.cold_only = true requires profiling.enabled = true".to_string());
         }
@@ -105,12 +87,6 @@ mod tests {
 
     #[test]
     fn bad_values_are_rejected_with_the_value_in_the_message() {
-        let mut cfg = ProfilingConfig::on();
-        cfg.latency_alpha = 0.0;
-        assert!(cfg.validate().unwrap_err().contains("got 0"));
-        let mut cfg = ProfilingConfig::on();
-        cfg.bandwidth_alpha = 1.5;
-        assert!(cfg.validate().unwrap_err().contains("got 1.5"));
         let mut cfg = ProfilingConfig::off();
         cfg.cold_only = true;
         assert!(cfg.validate().unwrap_err().contains("cold_only"));
@@ -140,6 +116,10 @@ mod tests {
         // Configs written while a `cold_start` policy field existed still
         // load: unknown named fields are skipped.
         let legacy = json.replacen('{', r#"{"cold_start":"pessimistic","#, 1);
+        let back: ProfilingConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(cfg, back);
+        // So do configs written while the two EWMA rates were fields.
+        let legacy = json.replacen('{', r#"{"latency_alpha":0.3,"bandwidth_alpha":0.3,"#, 1);
         let back: ProfilingConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(cfg, back);
     }

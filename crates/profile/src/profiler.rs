@@ -65,6 +65,11 @@ impl Observation {
     }
 }
 
+/// EWMA smoothing factor of the latency estimates.
+const LATENCY_ALPHA: f64 = 0.3;
+/// EWMA smoothing factor of the bandwidth and compute estimates.
+const BANDWIDTH_ALPHA: f64 = 0.3;
+
 /// Per-client estimator state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ClientProfile {
@@ -86,14 +91,14 @@ struct ClientProfile {
 }
 
 impl ClientProfile {
-    fn new(cfg: &ProfilingConfig) -> Self {
+    fn new() -> Self {
         Self {
-            latency: Ewma::new(cfg.latency_alpha),
+            latency: Ewma::new(LATENCY_ALPHA),
             latency_p50: P2Quantile::new(0.5),
             latency_p90: P2Quantile::new(0.9),
-            bandwidth: Ewma::new(cfg.bandwidth_alpha),
+            bandwidth: Ewma::new(BANDWIDTH_ALPHA),
             bandwidth_peak: 0.0,
-            compute: Ewma::new(cfg.bandwidth_alpha),
+            compute: Ewma::new(BANDWIDTH_ALPHA),
             observed: 0,
             completed: 0,
             quarantined: 0,
@@ -267,10 +272,10 @@ impl ClientProfiler {
             capacity,
             clock: 0,
             clients: HashMap::new(),
-            global_latency: Ewma::new(cfg.latency_alpha),
-            global_bandwidth: Ewma::new(cfg.bandwidth_alpha),
+            global_latency: Ewma::new(LATENCY_ALPHA),
+            global_bandwidth: Ewma::new(BANDWIDTH_ALPHA),
             global_bandwidth_peak: 0.0,
-            global_compute: Ewma::new(cfg.bandwidth_alpha),
+            global_compute: Ewma::new(BANDWIDTH_ALPHA),
             global_observed: 0,
             global_completed: 0,
             global_stalled: 0,
@@ -353,7 +358,7 @@ impl ClientProfiler {
                 self.stats.evictions += 1;
             }
         }
-        let mut profile = ClientProfile::new(&self.cfg);
+        let mut profile = ClientProfile::new();
         profile.observe(obs);
         self.clients.insert(
             client,

@@ -7,11 +7,21 @@ use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::explore::{balanced_explore, uniform_explore, EpsilonSchedule};
+use crate::explore::{balanced_explore, epsilon, uniform_explore};
 use crate::qtable::{QKey, QTable};
 use crate::state::{DeadlineLevel, GlobalState, LocalState};
 
-/// Configuration of the RLHF agent.
+/// Learning rate used when [`AgentConfig::dynamic_lr`] is off.
+const FIXED_LR: f64 = 0.3;
+
+/// Configuration of the RLHF agent: the objective weights and the
+/// on/off switches the ablations flip. The discount on future value is
+/// fixed at 0 (the paper's RQ1: the next state is driven by random
+/// resource fluctuation, not by the chosen action), so each update is a
+/// moving average of the observed reward with no bootstrap term. The
+/// fixed learning rate (0.3) and the exploration schedule (ε from 0.30
+/// down to 0.05) are constants too. Agent JSON written while they were
+/// fields still loads: unknown keys are skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AgentConfig {
     /// Number of acceleration actions the agent chooses among.
@@ -20,22 +30,14 @@ pub struct AgentConfig {
     pub w_participation: f64,
     /// Weight of the accuracy-improvement objective (paper Eq. 2 `w_a`).
     pub w_accuracy: f64,
-    /// Discount factor on future value. The paper argues the next state is
-    /// driven by random resource fluctuation, not the chosen action, and
-    /// sends this to ~0.
-    pub discount: f64,
     /// Whether human feedback (deadline difference) is part of the state —
     /// `false` gives the FLOAT-RL ablation of Fig. 11.
     pub use_human_feedback: bool,
     /// Whether exploration is count-balanced (`true`, RQ6) or uniform.
     pub balanced_exploration: bool,
     /// Whether to use the dynamic (progress-scaled) learning rate (RQ6);
-    /// `false` uses `fixed_lr` throughout.
+    /// `false` uses a fixed rate of 0.3 throughout.
     pub dynamic_lr: bool,
-    /// Learning rate used when `dynamic_lr` is off.
-    pub fixed_lr: f64,
-    /// Exploration schedule.
-    pub epsilon: EpsilonSchedule,
     /// Whether to estimate rewards for dropped-out clients from cached
     /// feedback of similar clients (RQ7).
     pub dropout_feedback_cache: bool,
@@ -51,12 +53,9 @@ impl AgentConfig {
             num_actions,
             w_participation: 0.5,
             w_accuracy: 0.5,
-            discount: 0.0,
             use_human_feedback: true,
             balanced_exploration: true,
             dynamic_lr: true,
-            fixed_lr: 0.3,
-            epsilon: EpsilonSchedule::paper_default(),
             dropout_feedback_cache: true,
             raw_accumulation: false,
         }
@@ -158,7 +157,7 @@ impl RlhfAgent {
     /// averages.
     pub fn learning_rate(&self, round: usize, total_rounds: usize) -> f64 {
         if !self.config.dynamic_lr {
-            return self.config.fixed_lr;
+            return FIXED_LR;
         }
         if total_rounds == 0 {
             return 1.0;
@@ -198,7 +197,7 @@ impl RlhfAgent {
         self.decisions += 1;
         let mut rng = seed_rng(split_seed(self.seed, self.decisions));
         use rand::Rng;
-        let eps = self.config.epsilon.epsilon(round, total_rounds);
+        let eps = epsilon(round, total_rounds);
         let explore = rng.gen::<f64>() < eps;
         let (action, explored) = if explore {
             if self.config.balanced_exploration {
@@ -250,29 +249,12 @@ impl RlhfAgent {
     ) {
         let key = self.key(global, local, hf);
         let lr = self.learning_rate(round, total_rounds);
-        let next_best =
-            self.table
-                .best_values(&key, self.config.w_participation, self.config.w_accuracy);
         if self.config.raw_accumulation {
-            self.table.update_accumulate(
-                key,
-                action,
-                participation,
-                accuracy_improvement,
-                lr,
-                self.config.discount,
-                next_best,
-            );
+            self.table
+                .update_accumulate(key, action, participation, accuracy_improvement, lr);
         } else {
-            self.table.update(
-                key,
-                action,
-                participation,
-                accuracy_improvement,
-                lr,
-                self.config.discount,
-                next_best,
-            );
+            self.table
+                .update(key, action, participation, accuracy_improvement, lr);
         }
         self.cache.insert(
             (key, action),
@@ -313,18 +295,7 @@ impl RlhfAgent {
             0.0
         };
         let lr = self.learning_rate(round, total_rounds);
-        let next_best =
-            self.table
-                .best_values(&key, self.config.w_participation, self.config.w_accuracy);
-        self.table.update(
-            key,
-            action,
-            0.0,
-            estimated_acc,
-            lr,
-            self.config.discount,
-            next_best,
-        );
+        self.table.update(key, action, 0.0, estimated_acc, lr);
     }
 
     /// Resident memory estimate in bytes (Fig. 8).
@@ -622,6 +593,39 @@ mod tests {
             back.table().best_action(&kc, 0.5, 0.5),
             agent.table().best_action(&kc, 0.5, 0.5)
         );
+    }
+
+    /// Agent JSON written while the discount, the fixed learning rate and
+    /// the exploration schedule were config fields still loads, and the
+    /// restored agent decides exactly as the one that wrote it.
+    #[test]
+    fn legacy_json_with_removed_config_keys_loads_and_decides_identically() {
+        let mut agent = train_agent(AgentConfig::rlhf(8), 40);
+        let json = agent.to_json();
+        let legacy = json.replacen(
+            "\"config\":{",
+            r#""config":{"discount":0.0,"fixed_lr":0.3,"epsilon":{"start":0.3,"end":0.05},"#,
+            1,
+        );
+        assert_ne!(legacy, json, "config object not found");
+        let mut back = RlhfAgent::from_json(&legacy).expect("legacy agent JSON loads");
+        assert_eq!(back.config(), agent.config());
+        for round in 0..30 {
+            for client in 0..6usize {
+                let local = if client % 2 == 0 {
+                    constrained()
+                } else {
+                    rich()
+                };
+                let hf = DeadlineLevel::ALL[client % DeadlineLevel::ALL.len()];
+                let a = agent.choose_action(gstate(), local, hf, round, 30);
+                assert_eq!(back.choose_action(gstate(), local, hf, round, 30), a);
+                let (p, acc) = env_reward(local, a);
+                agent.feedback(client, gstate(), local, hf, a, p, acc, round, 30);
+                back.feedback(client, gstate(), local, hf, a, p, acc, round, 30);
+            }
+        }
+        assert_eq!(back.to_json(), agent.to_json());
     }
 
     #[test]

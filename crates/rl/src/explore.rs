@@ -7,38 +7,22 @@
 //! tried first and the Q-table fills evenly.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::qtable::QEntry;
 
-/// Exploration schedule: ε decays linearly from `start` to `end` over the
-/// training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpsilonSchedule {
-    /// ε at round 0.
-    pub start: f64,
-    /// ε at the final round.
-    pub end: f64,
-}
+/// ε at round 0: explore 30 % of decisions at first.
+const EPSILON_START: f64 = 0.30;
+/// ε at the final round: explore 5 % of decisions at the end.
+const EPSILON_END: f64 = 0.05;
 
-impl EpsilonSchedule {
-    /// The defaults used across experiments: explore 30 % of decisions at
-    /// first, 5 % at the end.
-    pub fn paper_default() -> Self {
-        EpsilonSchedule {
-            start: 0.30,
-            end: 0.05,
-        }
+/// The exploration rate for `round` of `total_rounds`: ε decays linearly
+/// from 0.30 to 0.05 over the training run.
+pub(crate) fn epsilon(round: usize, total_rounds: usize) -> f64 {
+    if total_rounds <= 1 {
+        return EPSILON_END;
     }
-
-    /// ε for `round` of `total_rounds`.
-    pub fn epsilon(&self, round: usize, total_rounds: usize) -> f64 {
-        if total_rounds <= 1 {
-            return self.end;
-        }
-        let t = (round as f64 / (total_rounds - 1) as f64).clamp(0.0, 1.0);
-        self.start + (self.end - self.start) * t
-    }
+    let t = (round as f64 / (total_rounds - 1) as f64).clamp(0.0, 1.0);
+    EPSILON_START + (EPSILON_END - EPSILON_START) * t
 }
 
 /// Pick an exploration action biased toward lesser-visited actions:
@@ -77,18 +61,16 @@ mod tests {
 
     #[test]
     fn epsilon_decays_linearly() {
-        let s = EpsilonSchedule::paper_default();
-        assert!((s.epsilon(0, 300) - 0.30).abs() < 1e-9);
-        assert!((s.epsilon(299, 300) - 0.05).abs() < 1e-9);
-        let mid = s.epsilon(150, 300);
+        assert!((epsilon(0, 300) - 0.30).abs() < 1e-9);
+        assert!((epsilon(299, 300) - 0.05).abs() < 1e-9);
+        let mid = epsilon(150, 300);
         assert!(mid < 0.30 && mid > 0.05);
     }
 
     #[test]
     fn epsilon_handles_degenerate_totals() {
-        let s = EpsilonSchedule::paper_default();
-        assert_eq!(s.epsilon(0, 1), 0.05);
-        assert_eq!(s.epsilon(5, 0), 0.05);
+        assert_eq!(epsilon(0, 1), 0.05);
+        assert_eq!(epsilon(5, 0), 0.05);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!
 //! - **Q-learning, not deep RL** (RQ2/RQ5): a small table over 125 runtime
 //!   states × 8 actions, sub-millisecond updates, < 0.2 MB resident.
-//! - **Discount → 0** (RQ1): the next state is driven by random resource
-//!   fluctuations, not by the chosen action, so future-value terms are
-//!   suppressed.
+//! - **Discount 0** (RQ1): the next state is driven by random resource
+//!   fluctuations, not by the chosen action, so the update has no
+//!   future-value term: each Q value is a moving average of its reward.
 //! - **Moving-average rewards** and a **dynamic learning rate** that grows
 //!   with training progress, capped at 1.0 (RQ6).
 //! - **Count-based balanced exploration** preferring lesser-explored

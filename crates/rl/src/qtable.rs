@@ -110,44 +110,32 @@ impl QTable {
         self.rows.get(key).map(Vec::as_slice)
     }
 
-    /// Update one state-action pair toward an observed reward pair with
-    /// learning rate `lr` and discount `discount` on the best next-state
-    /// scalarized value `next_best` (the paper drives `discount → 0`
-    /// because the next state is resource-random).
-    ///
-    /// Both objectives use the same moving-average scheme (RQ6).
+    /// Move one state-action pair toward an observed reward pair with
+    /// learning rate `lr`: `Q ← Q + lr·(r − Q)` per objective, the same
+    /// moving average for both (RQ6). There is no bootstrap term: the
+    /// paper sets the discount to 0 because the next state is driven by
+    /// random resource fluctuation, not by the chosen action, so the agent
+    /// is a contextual bandit.
     ///
     /// # Panics
     ///
     /// Panics if `action` is out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update(
-        &mut self,
-        key: QKey,
-        action: usize,
-        participation: f64,
-        accuracy: f64,
-        lr: f64,
-        discount: f64,
-        next_best: (f64, f64),
-    ) {
+    pub fn update(&mut self, key: QKey, action: usize, participation: f64, accuracy: f64, lr: f64) {
         assert!(action < self.num_actions, "action {action} out of range");
         let entry = &mut self.row_mut(key)[action];
-        entry.q_participation +=
-            lr * (participation + discount * next_best.0 - entry.q_participation);
-        entry.q_accuracy += lr * (accuracy + discount * next_best.1 - entry.q_accuracy);
+        entry.q_participation += lr * (participation - entry.q_participation);
+        entry.q_accuracy += lr * (accuracy - entry.q_accuracy);
         entry.visits += 1;
     }
 
     /// The *naive accumulation* update the paper tried first and rejected
-    /// (RQ6): rewards are summed Bellman-style rather than averaged, so
+    /// (RQ6): `Q ← Q + lr·r`, rewards summed rather than averaged, so
     /// frequently explored actions accumulate inflated Q values simply by
     /// being visited more often. Kept for the ablation study.
     ///
     /// # Panics
     ///
     /// Panics if `action` is out of range.
-    #[allow(clippy::too_many_arguments)]
     pub fn update_accumulate(
         &mut self,
         key: QKey,
@@ -155,13 +143,11 @@ impl QTable {
         participation: f64,
         accuracy: f64,
         lr: f64,
-        discount: f64,
-        next_best: (f64, f64),
     ) {
         assert!(action < self.num_actions, "action {action} out of range");
         let entry = &mut self.row_mut(key)[action];
-        entry.q_participation += lr * (participation + discount * next_best.0);
-        entry.q_accuracy += lr * (accuracy + discount * next_best.1);
+        entry.q_participation += lr * participation;
+        entry.q_accuracy += lr * accuracy;
         entry.visits += 1;
     }
 
@@ -191,17 +177,6 @@ impl QTable {
                 .map(|(i, _)| i)
                 .unwrap_or(0)
         })
-    }
-
-    /// Best scalarized objectives at a state (0s for unvisited states).
-    pub fn best_values(&self, key: &QKey, w_p: f64, w_a: f64) -> (f64, f64) {
-        match self.best_action(key, w_p, w_a) {
-            Some(a) => {
-                let e = self.row(key).expect("row exists when best_action did")[a];
-                (e.q_participation, e.q_accuracy)
-            }
-            None => (0.0, 0.0),
-        }
     }
 
     /// Total visits across all rows (used by overhead benchmarks).
@@ -268,11 +243,11 @@ mod tests {
     #[test]
     fn update_moves_toward_reward() {
         let mut t = QTable::new(4);
-        t.update(key(), 2, 1.0, 0.5, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 2, 1.0, 0.5, 0.5);
         let e = t.row(&key()).unwrap()[2];
         assert!((e.q_participation - 0.5).abs() < 1e-12);
         assert!((e.q_accuracy - 0.25).abs() < 1e-12);
-        t.update(key(), 2, 1.0, 0.5, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 2, 1.0, 0.5, 0.5);
         let e = t.row(&key()).unwrap()[2];
         assert!((e.q_participation - 0.75).abs() < 1e-12);
         assert_eq!(e.visits, 2);
@@ -284,7 +259,7 @@ mod tests {
         // never push Q beyond 1.0 (the RQ6 fix).
         let mut t = QTable::new(2);
         for _ in 0..1000 {
-            t.update(key(), 0, 1.0, 1.0, 0.9, 0.0, (0.0, 0.0));
+            t.update(key(), 0, 1.0, 1.0, 0.9);
         }
         let e = t.row(&key()).unwrap()[0];
         assert!(e.q_participation <= 1.0 + 1e-9);
@@ -295,8 +270,8 @@ mod tests {
         let mut t = QTable::new(2);
         // Action 0: great participation, no accuracy. Action 1: reverse.
         for _ in 0..20 {
-            t.update(key(), 0, 1.0, 0.0, 0.5, 0.0, (0.0, 0.0));
-            t.update(key(), 1, 0.0, 1.0, 0.5, 0.0, (0.0, 0.0));
+            t.update(key(), 0, 1.0, 0.0, 0.5);
+            t.update(key(), 1, 0.0, 1.0, 0.5);
         }
         assert_eq!(t.best_action(&key(), 1.0, 0.0), Some(0));
         assert_eq!(t.best_action(&key(), 0.0, 1.0), Some(1));
@@ -308,9 +283,9 @@ mod tests {
         // Action 0 earns a solid finite value; action 2 is poisoned with a
         // NaN reward (as a quarantined round's feedback could produce).
         for _ in 0..10 {
-            t.update(key(), 0, 0.8, 0.8, 0.5, 0.0, (0.0, 0.0));
+            t.update(key(), 0, 0.8, 0.8, 0.5);
         }
-        t.update(key(), 2, f64::NAN, f64::NAN, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 2, f64::NAN, f64::NAN, 0.5);
         assert_eq!(
             t.best_action(&key(), 0.5, 0.5),
             Some(0),
@@ -319,8 +294,8 @@ mod tests {
         // All-NaN rows degrade deterministically instead of depending on
         // comparator accidents: ties break toward the highest index.
         let mut t = QTable::new(2);
-        t.update(key(), 0, f64::NAN, f64::NAN, 0.5, 0.0, (0.0, 0.0));
-        t.update(key(), 1, f64::NAN, f64::NAN, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 0, f64::NAN, f64::NAN, 0.5);
+        t.update(key(), 1, f64::NAN, f64::NAN, 0.5);
         assert_eq!(t.best_action(&key(), 0.5, 0.5), Some(1));
     }
 
@@ -338,7 +313,6 @@ mod tests {
     fn unvisited_state_has_no_best() {
         let t = QTable::new(3);
         assert_eq!(t.best_action(&key(), 0.5, 0.5), None);
-        assert_eq!(t.best_values(&key(), 0.5, 0.5), (0.0, 0.0));
     }
 
     #[test]
@@ -355,7 +329,7 @@ mod tests {
                             local: LocalState { cpu, mem, net },
                             hf: Some(hf),
                         };
-                        t.update(k, 0, 1.0, 0.0, 0.1, 0.0, (0.0, 0.0));
+                        t.update(k, 0, 1.0, 0.0, 0.1);
                     }
                 }
             }
@@ -371,7 +345,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let mut t = QTable::new(3);
-        t.update(key(), 1, 0.7, 0.3, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 1, 0.7, 0.3, 0.5);
         let s = t.to_json();
         let back = QTable::from_json(&s).expect("roundtrip");
         assert_eq!(back.num_actions(), 3);
@@ -385,17 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn discount_incorporates_next_state() {
-        let mut t = QTable::new(1);
-        t.update(key(), 0, 0.0, 0.0, 1.0, 0.5, (1.0, 1.0));
-        let e = t.row(&key()).unwrap()[0];
-        assert!((e.q_participation - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn reset_visits_keeps_values() {
         let mut t = QTable::new(2);
-        t.update(key(), 0, 1.0, 1.0, 0.5, 0.0, (0.0, 0.0));
+        t.update(key(), 0, 1.0, 1.0, 0.5);
         t.reset_visits();
         let e = t.row(&key()).unwrap()[0];
         assert_eq!(e.visits, 0);

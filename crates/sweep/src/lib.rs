@@ -40,7 +40,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use float_core::engine::parallel_map_with;
-use float_core::optim::{ServerOptimConfig, ServerOptimizerChoice};
+use float_core::optim::ServerOptimizerChoice;
 use float_core::trial::SharedPopulation;
 use float_core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
 use float_obs::{sink, ObsConfig};
@@ -82,7 +82,7 @@ impl Knob {
             Knob::LearningRate(v) => cfg.learning_rate = v,
             Knob::BatchSize(v) => cfg.batch_size = v,
             Knob::Selector(v) => cfg.selector = v,
-            Knob::ServerOptim(v) => cfg.server_optim = ServerOptimConfig::with(v),
+            Knob::ServerOptim(v) => cfg.server_optim = v,
             Knob::Accel(v) => cfg.accel = v,
             Knob::ProxMu(v) => cfg.prox_mu = v,
         }

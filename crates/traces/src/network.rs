@@ -117,11 +117,6 @@ impl NetworkGen {
     pub fn profile(&self) -> NetworkProfile {
         self.profile
     }
-
-    /// The mobility profile of this generator.
-    pub fn mobility(&self) -> Mobility {
-        self.mobility
-    }
 }
 
 /// Summary statistics of a generated bandwidth series (used by tests and

@@ -407,6 +407,18 @@ impl ResourceSampler {
         }
     }
 
+    /// A client's device profile, read through the bounded trace cache
+    /// (the same cache touch as [`ResourceSampler::client`], without
+    /// cloning the rest of the bundle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is out of range.
+    pub fn profile(&mut self, client: usize) -> DeviceProfile {
+        assert!(client < self.num_clients, "client {client} out of range");
+        self.cached(client).profile
+    }
+
     /// Drain a client's battery by `joules` (after it trains/communicates).
     /// Called by the simulator for participating clients.
     ///
@@ -818,6 +830,20 @@ mod tests {
             assert_eq!(pa, pb, "round {r}");
             assert_eq!(ea, eb, "round {r} eligible");
         }
+    }
+
+    #[test]
+    fn profile_matches_the_full_bundle_across_evictions() {
+        // More clients than the trace cache holds, so the walk evicts.
+        let n = TRACE_CACHE_CAP + 100;
+        let mut a = ResourceSampler::new(n, InterferenceModel::None, 3);
+        let mut b = ResourceSampler::new(n, InterferenceModel::None, 3);
+        for c in (0..n).chain((0..n).step_by(7)) {
+            assert_eq!(a.profile(c), b.client(c).profile, "client {c}");
+        }
+        let (sa, sb) = (a.availability_stats(), b.availability_stats());
+        assert_eq!(sa.trace_cache_resident, sb.trace_cache_resident);
+        assert_eq!(sa.trace_cache_resident, TRACE_CACHE_CAP);
     }
 
     #[test]

@@ -200,7 +200,7 @@ proptest! {
             hf: None,
         };
         for &r in &rewards {
-            t.update(key, 0, r, r, lr, 0.0, (0.0, 0.0));
+            t.update(key, 0, r, r, lr);
         }
         let e = t.row(&key).expect("row")[0];
         prop_assert!(e.q_participation >= -1e-9 && e.q_participation <= 1.0 + 1e-9);
@@ -216,7 +216,7 @@ proptest! {
             hf: Some(DeadlineLevel::Moderate),
         };
         for i in 0..visits {
-            t.update(key, (i % 4) as usize, 0.7, 0.2, 0.5, 0.0, (0.0, 0.0));
+            t.update(key, (i % 4) as usize, 0.7, 0.2, 0.5);
         }
         let back = QTable::from_json(&t.to_json()).expect("roundtrip");
         for (a, b) in back.row(&key).expect("row").iter().zip(t.row(&key).expect("row")) {

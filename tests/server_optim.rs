@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use float::core::optim::{ServerOptimConfig, ServerOptimizerChoice};
+use float::core::optim::ServerOptimizerChoice;
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
 use float::sim::FaultPlan;
 
@@ -19,9 +19,9 @@ fn run(cfg: ExperimentConfig) -> float::core::ExperimentReport {
 fn apply_variant(cfg: &mut ExperimentConfig, variant: usize) {
     match variant {
         0 => {}
-        1 => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAvgM),
-        2 => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAdam),
-        3 => cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedYogi),
+        1 => cfg.server_optim = ServerOptimizerChoice::FedAvgM,
+        2 => cfg.server_optim = ServerOptimizerChoice::FedAdam,
+        3 => cfg.server_optim = ServerOptimizerChoice::FedYogi,
         4 => cfg.prox_mu = 0.1,
         _ => cfg.scaffold = true,
     }
@@ -37,18 +37,18 @@ const NUM_VARIANTS: usize = 6;
 fn explicit_fedavg_reproduces_pinned_reports_byte_for_byte() {
     let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 12);
     assert_eq!(
-        cfg.server_optim.optimizer,
+        cfg.server_optim,
         ServerOptimizerChoice::FedAvg,
         "preset must default to FedAvg"
     );
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAvg);
+    cfg.server_optim = ServerOptimizerChoice::FedAvg;
     let got = serde_json::to_string_pretty(&run(cfg)).expect("report serializes");
     let want = include_str!("data/pinned_pool0_fedavg_rlhf.json");
     assert_eq!(got, want.trim_end(), "fedavg+rlhf report drifted");
 
     let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Off, 10);
     cfg.fault_plan = FaultPlan::chaos();
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAvg);
+    cfg.server_optim = ServerOptimizerChoice::FedAvg;
     let got = serde_json::to_string_pretty(&run(cfg)).expect("report serializes");
     let want = include_str!("data/pinned_pool0_oort_chaos.json");
     assert_eq!(got, want.trim_end(), "oort+chaos report drifted");
@@ -139,13 +139,13 @@ fn every_variant_is_thread_count_invariant_under_chaos() {
     cfg.alpha = Some(0.1);
     cfg.seed = 42;
     cfg.obs = float::obs::ObsConfig::on();
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedYogi);
+    cfg.server_optim = ServerOptimizerChoice::FedYogi;
     cfg.prox_mu = 0.1;
     cfg.scaffold = true;
     cfgs.push(("fedyogi+prox+scaffold".to_string(), cfg));
     // The async engine aggregates on its own path; cover it too.
     let mut cfg = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Off, 4);
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAdam);
+    cfg.server_optim = ServerOptimizerChoice::FedAdam;
     cfgs.push(("fedbuff fedadam".to_string(), cfg));
     for (what, mut cfg) in cfgs {
         cfg.fault_plan = FaultPlan::chaos();
@@ -167,7 +167,7 @@ fn every_variant_is_thread_count_invariant_under_chaos() {
 #[test]
 fn composed_corrections_run_and_are_deterministic() {
     let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 4);
-    cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedYogi);
+    cfg.server_optim = ServerOptimizerChoice::FedYogi;
     cfg.prox_mu = 0.05;
     cfg.scaffold = true;
     let a = run(cfg);

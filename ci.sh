@@ -210,6 +210,13 @@ if [[ "${1:-}" != "quick" ]]; then
   step "agent transfer (save, load, fine-tune)"
   cargo run --release --offline --example agent_transfer
 
+  # The one end-to-end run of float-vfl's split model: per-party costing
+  # of FLOAT's actions, then 40 epochs of split training (vanilla and with
+  # one party's bottom model half frozen) through the scratch layer path
+  # the horizontal MLP trains through. The unit tests cover single epochs.
+  step "vertical FL (split model, per-party acceleration)"
+  cargo run --release --offline --example vertical_fl
+
   # The studies beyond the paper's figures, each at quick scale: the
   # algorithm comparison, the oracle gap (oracle / profiled / coldstart),
   # the concurrent sweep (grid + successive halving, per-trial JSONL under

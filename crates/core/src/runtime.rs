@@ -420,7 +420,7 @@ impl ExecuteCtx<'_> {
             .then(|| self.test_shards.get(task.client, task.client));
         let accuracy = |m: &mut Mlp| test.as_deref().map_or(0.0, |t| m.accuracy_mut(t) as f64);
         let before = accuracy(local);
-        let mut opt = Sgd::new(self.config.learning_rate);
+        let opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
         // Drift corrections (FedProx / SCAFFOLD) read the control variates
         // through ctx + task, so every attempt in a batch sees one
@@ -436,7 +436,7 @@ impl ExecuteCtx<'_> {
             last_loss = local.train_epoch_corrected(
                 shard,
                 self.config.batch_size,
-                &mut opt,
+                &opt,
                 split_seed(
                     self.config.seed,
                     (round as u64) << 24 | (task.client as u64) << 8 | e as u64,

@@ -22,19 +22,6 @@ pub struct FederatedConfig {
     pub test_fraction: f64,
 }
 
-impl FederatedConfig {
-    /// A paper-standard configuration: 200 clients, Dirichlet α.
-    pub fn paper_default(task: Task, alpha: f64) -> Self {
-        FederatedConfig {
-            task,
-            num_clients: 200,
-            mean_samples: 120,
-            alpha: Some(alpha),
-            test_fraction: 0.25,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

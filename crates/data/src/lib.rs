@@ -23,7 +23,7 @@ pub mod task;
 pub use lazy::{ShardCache, ShardCacheStats, ShardSpec};
 pub use partition::{
     dirichlet_client_counts, dirichlet_partition, dirichlet_partition_with_quantity_skew,
-    iid_client_counts, iid_partition, PartitionSpec,
+    iid_client_counts, iid_partition,
 };
 pub use synthetic::SyntheticTaskConfig;
 pub use task::Task;

@@ -6,20 +6,8 @@
 //! (0.01–0.1 in the paper) produces extreme label skew.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
-
-/// How to split sample counts across clients and classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PartitionSpec {
-    /// Number of clients.
-    pub num_clients: usize,
-    /// Mean samples per client.
-    pub mean_samples: usize,
-    /// Dirichlet concentration α; `None` means IID.
-    pub alpha: Option<f64>,
-}
 
 /// Sample one Dirichlet(α·1_k) proportion vector using the Gamma–Dirichlet
 /// construction with Marsaglia–Tsang gamma sampling (with the standard

@@ -8,24 +8,28 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Exponentially weighted moving average with a fixed smoothing factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Exponentially weighted moving average with the fixed smoothing factor
+/// [`Ewma::ALPHA`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ewma {
-    alpha: f64,
     value: Option<f64>,
 }
 
 impl Ewma {
-    /// A fresh estimator; `alpha` in (0, 1] weights the newest sample.
-    pub fn new(alpha: f64) -> Self {
-        Self { alpha, value: None }
+    /// Weight of the newest sample. Every profiler estimate (latency,
+    /// bandwidth, compute) smooths with it.
+    pub const ALPHA: f64 = 0.3;
+
+    /// A fresh estimator.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Fold one sample in. The first sample seeds the estimate exactly.
     pub fn observe(&mut self, x: f64) {
         self.value = Some(match self.value {
             None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
+            Some(v) => Self::ALPHA * x + (1.0 - Self::ALPHA) * v,
         });
     }
 
@@ -172,12 +176,15 @@ mod tests {
 
     #[test]
     fn ewma_seeds_then_smooths() {
-        let mut e = Ewma::new(0.5);
+        let mut e = Ewma::new();
         assert_eq!(e.value(), None);
         e.observe(10.0);
         assert_eq!(e.value(), Some(10.0));
         e.observe(20.0);
-        assert_eq!(e.value(), Some(15.0));
+        assert!((e.value().unwrap() - 13.0).abs() < 1e-12);
+        // The rate is a constant, not a field: the estimator is the bare
+        // `Option<f64>`.
+        assert_eq!(std::mem::size_of::<Ewma>(), 16);
     }
 
     #[test]

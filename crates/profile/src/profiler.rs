@@ -65,11 +65,6 @@ impl Observation {
     }
 }
 
-/// EWMA smoothing factor of the latency estimates.
-const LATENCY_ALPHA: f64 = 0.3;
-/// EWMA smoothing factor of the bandwidth and compute estimates.
-const BANDWIDTH_ALPHA: f64 = 0.3;
-
 /// Per-client estimator state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ClientProfile {
@@ -93,12 +88,12 @@ struct ClientProfile {
 impl ClientProfile {
     fn new() -> Self {
         Self {
-            latency: Ewma::new(LATENCY_ALPHA),
+            latency: Ewma::new(),
             latency_p50: P2Quantile::new(0.5),
             latency_p90: P2Quantile::new(0.9),
-            bandwidth: Ewma::new(BANDWIDTH_ALPHA),
+            bandwidth: Ewma::new(),
             bandwidth_peak: 0.0,
-            compute: Ewma::new(BANDWIDTH_ALPHA),
+            compute: Ewma::new(),
             observed: 0,
             completed: 0,
             quarantined: 0,
@@ -272,10 +267,10 @@ impl ClientProfiler {
             capacity,
             clock: 0,
             clients: HashMap::new(),
-            global_latency: Ewma::new(LATENCY_ALPHA),
-            global_bandwidth: Ewma::new(BANDWIDTH_ALPHA),
+            global_latency: Ewma::new(),
+            global_bandwidth: Ewma::new(),
             global_bandwidth_peak: 0.0,
-            global_compute: Ewma::new(BANDWIDTH_ALPHA),
+            global_compute: Ewma::new(),
             global_observed: 0,
             global_completed: 0,
             global_stalled: 0,

@@ -1,10 +1,11 @@
 //! Cache-blocked, register-tiled compute kernels for the training hot path.
 //!
 //! The FL experiments spend nearly all wall-clock inside the three GEMM
-//! variants (`matmul`, `t_matmul`, `matmul_t`). This module is the single
-//! place that work happens: a packed-panel GEMM with register
-//! micro-kernels widened per call shape, plus the fused elementwise passes
-//! (bias+ReLU forward, ReLU-mask backward) the layers use.
+//! variants (`matmul_into`, `t_matmul_into`, `matmul_t_into`). This
+//! module is the single place that work happens: a packed-panel GEMM with
+//! register micro-kernels widened per call shape, plus the fused
+//! elementwise passes (bias+ReLU forward, ReLU-mask backward) the layers
+//! use.
 //!
 //! # Design
 //!

@@ -1,23 +1,25 @@
-//! Neural network layers with manual forward/backward passes.
+//! Neural network layers with manual forward/backward passes into caller
+//! scratch. The caller keeps each layer's forward input and hands it back
+//! to the backward pass, so a layer caches nothing but the ReLU mask.
 
 use rand::Rng;
 
 use crate::rng::seed_rng;
 use crate::{Tensor, TensorError};
 
-/// A fully connected layer `y = x · W + b` with cached activations for
-/// backpropagation.
+/// A fully connected layer `y = x · W + b`.
 #[derive(Debug, Clone)]
 pub struct Linear {
     /// Weight matrix, `[in, out]`.
     pub weight: Tensor,
     /// Bias row, `[1, out]`.
     pub bias: Tensor,
-    /// Gradient of the loss w.r.t. `weight`, populated by [`Linear::backward`].
+    /// Gradient of the loss w.r.t. `weight`, populated by
+    /// [`Linear::backward_into`] / [`Linear::backward_params_only`].
     pub grad_weight: Tensor,
-    /// Gradient of the loss w.r.t. `bias`, populated by [`Linear::backward`].
+    /// Gradient of the loss w.r.t. `bias`, populated alongside
+    /// `grad_weight`.
     pub grad_bias: Tensor,
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -34,23 +36,11 @@ impl Linear {
             bias: Tensor::zeros(1, out_dim),
             grad_weight: Tensor::zeros(in_dim, out_dim),
             grad_bias: Tensor::zeros(1, out_dim),
-            cached_input: None,
         }
     }
 
-    /// Forward pass; caches the input for the subsequent backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `x` is not `[*, in_dim]`.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let mut y = x.matmul(&self.weight)?;
-        y.add_row_broadcast(&self.bias)?;
-        self.cached_input = Some(x.clone());
-        Ok(y)
-    }
-
-    /// Inference-only forward pass (no caching).
+    /// Allocating forward pass `x · W + b`: the inference path, and the
+    /// independent reference the scratch path is checked against.
     ///
     /// # Errors
     ///
@@ -61,10 +51,10 @@ impl Linear {
         Ok(y)
     }
 
-    /// Matmul-only forward into caller scratch: `out = x · W`, no bias, no
-    /// caching. The hot path ([`crate::Mlp`]) fuses the bias add with the
-    /// following ReLU and keeps the activation as the backward-pass input
-    /// itself, so the layer never clones `x`.
+    /// Matmul-only forward into caller scratch: `out = x · W`, no bias.
+    /// [`crate::Mlp`] fuses the bias add with the following ReLU and keeps
+    /// the activation as the backward-pass input itself, so the layer
+    /// never clones `x`.
     ///
     /// # Errors
     ///
@@ -73,9 +63,9 @@ impl Linear {
         x.matmul_into(&self.weight, out)
     }
 
-    /// Fill `grad_weight` / `grad_bias` from an explicit forward input
-    /// (instead of the cached clone), writing the input gradient into
-    /// `grad_in`. Allocation-free once the gradient tensors have capacity.
+    /// Fill `grad_weight` / `grad_bias` from the forward input `x`, writing
+    /// the input gradient into `grad_in`. Allocation-free once the gradient
+    /// tensors have capacity.
     ///
     /// # Errors
     ///
@@ -92,8 +82,8 @@ impl Linear {
     }
 
     /// [`Linear::backward_into`] without the input gradient — the first
-    /// layer of a network has no upstream consumer, so the `matmul_t` is
-    /// pure waste there.
+    /// layer of a network has no upstream consumer, so the `x · Wᵀ` GEMM
+    /// is pure waste there.
     ///
     /// # Errors
     ///
@@ -106,23 +96,6 @@ impl Linear {
         x.t_matmul_into(grad_out, &mut self.grad_weight)?;
         grad_out.sum_rows_into(&mut self.grad_bias);
         Ok(())
-    }
-
-    /// Backward pass: consumes the cached input, fills `grad_weight` /
-    /// `grad_bias`, and returns the gradient w.r.t. the layer input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidData`] if called before `forward`, or a
-    /// shape error if `grad_out` does not match the forward output shape.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, TensorError> {
-        let x = self
-            .cached_input
-            .take()
-            .ok_or_else(|| TensorError::InvalidData("backward before forward".into()))?;
-        let mut grad_in = Tensor::default();
-        self.backward_into(&x, grad_out, &mut grad_in)?;
-        Ok(grad_in)
     }
 }
 
@@ -138,19 +111,7 @@ impl Relu {
         Relu::default()
     }
 
-    /// Forward pass; remembers which activations were positive.
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        self.mask = x.data().iter().map(|&v| v > 0.0).collect();
-        for v in y.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        y
-    }
-
-    /// Inference-only forward pass.
+    /// Allocating inference forward pass (records no mask).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
         let mut y = x.clone();
         for v in y.data_mut() {
@@ -183,26 +144,14 @@ impl Relu {
         Ok(())
     }
 
-    /// Backward pass: zero the gradient where the forward input was
-    /// non-positive.
+    /// Backward pass in place: zero the gradient where the forward input
+    /// was non-positive.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidData`] if the gradient size does not
-    /// match the cached mask (i.e. `forward` was not called with a matching
-    /// batch).
-    pub fn backward(&self, grad_out: &Tensor) -> Result<Tensor, TensorError> {
-        let mut g = grad_out.clone();
-        self.backward_in_place(&mut g)?;
-        Ok(g)
-    }
-
-    /// [`Relu::backward`] applied in place to caller scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidData`] on a mask/gradient size
-    /// mismatch.
+    /// match the recorded mask (the last [`Relu::forward_fused_bias`] saw a
+    /// different batch).
     pub fn backward_in_place(&self, grad: &mut Tensor) -> Result<(), TensorError> {
         if grad.len() != self.mask.len() {
             return Err(TensorError::InvalidData(
@@ -220,17 +169,11 @@ mod tests {
 
     #[test]
     fn linear_forward_shapes() {
-        let mut l = Linear::new(3, 2, 1);
-        let x = Tensor::zeros(4, 3);
-        let y = l.forward(&x).unwrap();
+        let l = Linear::new(3, 2, 1);
+        let mut y = Tensor::zeros(9, 9); // wrong shape: must be resized
+        l.forward_matmul_into(&Tensor::zeros(4, 3), &mut y).unwrap();
         assert_eq!((y.rows(), y.cols()), (4, 2));
-    }
-
-    #[test]
-    fn linear_backward_requires_forward() {
-        let mut l = Linear::new(2, 2, 1);
-        let g = Tensor::zeros(1, 2);
-        assert!(l.backward(&g).is_err());
+        assert!(l.forward_matmul_into(&Tensor::zeros(4, 2), &mut y).is_err());
     }
 
     #[test]
@@ -250,31 +193,43 @@ mod tests {
         l.weight.set(0, 1, base_w);
         let numeric = (up - down) / (2.0 * eps);
 
-        let y = l.forward(&x).unwrap();
-        let ones = Tensor::from_vec(y.rows(), y.cols(), vec![1.0; y.len()]).unwrap();
-        l.backward(&ones).unwrap();
+        let ones = Tensor::from_vec(1, 2, vec![1.0; 2]).unwrap();
+        let mut grad_in = Tensor::default();
+        l.backward_into(&x, &ones, &mut grad_in).unwrap();
         let analytic = l.grad_weight.at(0, 1);
         assert!(
             (numeric - analytic).abs() < 1e-2,
             "numeric {numeric} vs analytic {analytic}"
         );
+        // dL/dx = ones · Wᵀ, and the params-only pass leaves the same
+        // parameter gradients.
+        for i in 0..2 {
+            let want = l.weight.at(i, 0) + l.weight.at(i, 1);
+            assert!((grad_in.at(0, i) - want).abs() < 1e-6);
+        }
+        let (gw, gb) = (l.grad_weight.clone(), l.grad_bias.clone());
+        l.backward_params_only(&x, &ones).unwrap();
+        assert_eq!((&l.grad_weight, &l.grad_bias), (&gw, &gb));
     }
 
     #[test]
     fn relu_zeroes_negatives_and_gradients() {
         let mut r = Relu::new();
-        let x = Tensor::from_vec(1, 4, vec![-1.0, 2.0, -3.0, 4.0]).unwrap();
-        let y = r.forward(&x);
+        let mut y = Tensor::from_vec(1, 4, vec![-1.0, 2.0, -3.0, 4.0]).unwrap();
+        let inference = r.forward_inference(&y);
+        r.forward_fused_bias(&mut y, &Tensor::zeros(1, 4)).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = Tensor::from_vec(1, 4, vec![1.0; 4]).unwrap();
-        let gx = r.backward(&g).unwrap();
-        assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(inference, y);
+        let mut g = Tensor::from_vec(1, 4, vec![1.0; 4]).unwrap();
+        r.backward_in_place(&mut g).unwrap();
+        assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn relu_backward_mismatch_is_error() {
         let mut r = Relu::new();
-        let _ = r.forward(&Tensor::zeros(1, 2));
-        assert!(r.backward(&Tensor::zeros(1, 3)).is_err());
+        r.forward_fused_bias(&mut Tensor::zeros(1, 2), &Tensor::zeros(1, 2))
+            .unwrap();
+        assert!(r.backward_in_place(&mut Tensor::zeros(1, 3)).is_err());
     }
 }

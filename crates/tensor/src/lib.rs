@@ -4,7 +4,13 @@
 //! The FLOAT paper trains PyTorch models (ResNet-18/34/50, ShuffleNet) on
 //! GPUs. This crate provides the from-scratch stand-in: row-major `f32`
 //! tensors, a small set of linear-algebra kernels, layers with manual
-//! backpropagation, a multi-layer perceptron model, and an SGD optimizer.
+//! backpropagation, a multi-layer perceptron model, and plain SGD.
+//! Training has one path: layers forward and backward into caller-owned
+//! scratch (`Linear::forward_matmul_into`, `backward_into`,
+//! `backward_params_only`) and the step updates parameters in place, for
+//! [`Mlp`] and for `float-vfl`'s split model alike. The allocating
+//! `forward_inference` path serves evaluation and is the independent
+//! reference the training path is tested against.
 //! It is deliberately small but *real*: models genuinely train, so the
 //! accuracy dynamics FLOAT manipulates (non-IID degradation, the accuracy
 //! cost of pruning / quantization / partial training) emerge from actual
@@ -26,9 +32,9 @@
 //! let data = Dataset::from_rows(&xs, &ys, 2).unwrap();
 //!
 //! let mut model = Mlp::new(&MlpConfig::new(4, &[16], 2), 42);
-//! let mut opt = Sgd::new(0.1);
+//! let opt = Sgd::new(0.1);
 //! for _ in 0..30 {
-//!     model.train_epoch(&data, 16, &mut opt, 7);
+//!     model.train_epoch(&data, 16, &opt, 7);
 //! }
 //! assert!(model.evaluate(&data).accuracy > 0.95);
 //! ```
@@ -47,7 +53,7 @@ pub mod tensor;
 
 pub use dataset::Dataset;
 pub use layers::{Linear, Relu};
-pub use loss::{softmax_cross_entropy, Evaluation};
+pub use loss::Evaluation;
 pub use model::{DriftOptions, Mlp, MlpConfig};
 pub use optim::Sgd;
 pub use rng::seed_rng;

@@ -13,27 +13,10 @@ pub struct Evaluation {
     pub samples: usize,
 }
 
-/// Numerically stable softmax cross-entropy.
-///
-/// Returns `(mean_loss, grad_logits)` where `grad_logits` is the gradient of
-/// the *mean* loss w.r.t. the logits (i.e. already divided by batch size).
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidData`] if `labels.len() != logits.rows()`
-/// or any label is out of range for the logit width.
-pub fn softmax_cross_entropy(
-    logits: &Tensor,
-    labels: &[usize],
-) -> Result<(f32, Tensor), TensorError> {
-    let mut grad = Tensor::default();
-    let loss = softmax_cross_entropy_into(logits, labels, &mut grad)?;
-    Ok((loss, grad))
-}
-
-/// [`softmax_cross_entropy`] writing the gradient into caller scratch
-/// (resized as needed); returns the mean loss. Allocation-free once `grad`
-/// has capacity.
+/// Numerically stable softmax cross-entropy: returns the mean loss and
+/// writes into `grad` (resized as needed) the gradient of the *mean* loss
+/// w.r.t. the logits (i.e. already divided by batch size). Allocation-free
+/// once `grad` has capacity.
 ///
 /// # Errors
 ///
@@ -88,7 +71,7 @@ pub fn softmax_cross_entropy_into(
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidData`] under the same conditions as
-/// [`softmax_cross_entropy`].
+/// [`softmax_cross_entropy_into`].
 pub fn cross_entropy_loss(logits: &Tensor, labels: &[usize]) -> Result<f32, TensorError> {
     let (n, c) = (logits.rows(), logits.cols());
     if labels.len() != n {
@@ -148,24 +131,32 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
 mod tests {
     use super::*;
 
+    /// [`softmax_cross_entropy_into`]'s loss and gradient, into a fresh
+    /// tensor.
+    fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor), TensorError> {
+        let mut grad = Tensor::default();
+        let loss = softmax_cross_entropy_into(logits, labels, &mut grad)?;
+        Ok((loss, grad))
+    }
+
     #[test]
     fn perfect_logits_have_low_loss() {
         let logits = Tensor::from_vec(2, 2, vec![10.0, -10.0, -10.0, 10.0]).unwrap();
-        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1]).unwrap();
+        let (loss, _) = loss_and_grad(&logits, &[0, 1]).unwrap();
         assert!(loss < 1e-3, "loss was {loss}");
     }
 
     #[test]
     fn uniform_logits_loss_is_ln_c() {
         let logits = Tensor::zeros(4, 8);
-        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1, 2, 3]).unwrap();
+        let (loss, _) = loss_and_grad(&logits, &[0, 1, 2, 3]).unwrap();
         assert!((loss - (8.0f32).ln()).abs() < 1e-5);
     }
 
     #[test]
     fn gradient_rows_sum_to_zero() {
         let logits = Tensor::from_vec(2, 3, vec![0.5, -0.2, 1.0, 0.0, 0.0, 0.0]).unwrap();
-        let (_, grad) = softmax_cross_entropy(&logits, &[2, 0]).unwrap();
+        let (_, grad) = loss_and_grad(&logits, &[2, 0]).unwrap();
         for r in 0..2 {
             let s: f32 = grad.row(r).iter().sum();
             assert!(s.abs() < 1e-6, "row {r} grad sums to {s}");
@@ -176,15 +167,15 @@ mod tests {
     fn gradient_finite_difference() {
         let logits = Tensor::from_vec(1, 3, vec![0.2, -0.4, 0.9]).unwrap();
         let labels = [1usize];
-        let (_, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
+        let (_, grad) = loss_and_grad(&logits, &labels).unwrap();
         let eps = 1e-3;
         for j in 0..3 {
             let mut up = logits.clone();
             up.set(0, j, logits.at(0, j) + eps);
-            let (lu, _) = softmax_cross_entropy(&up, &labels).unwrap();
+            let (lu, _) = loss_and_grad(&up, &labels).unwrap();
             let mut dn = logits.clone();
             dn.set(0, j, logits.at(0, j) - eps);
-            let (ld, _) = softmax_cross_entropy(&dn, &labels).unwrap();
+            let (ld, _) = loss_and_grad(&dn, &labels).unwrap();
             let numeric = (lu - ld) / (2.0 * eps);
             assert!(
                 (numeric - grad.at(0, j)).abs() < 1e-3,
@@ -197,7 +188,7 @@ mod tests {
     #[test]
     fn huge_logits_are_stable() {
         let logits = Tensor::from_vec(1, 2, vec![1e4, -1e4]).unwrap();
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0]).unwrap();
+        let (loss, grad) = loss_and_grad(&logits, &[0]).unwrap();
         assert!(loss.is_finite());
         assert!(grad.data().iter().all(|v| v.is_finite()));
     }
@@ -211,6 +202,6 @@ mod tests {
     #[test]
     fn rejects_out_of_range_label() {
         let logits = Tensor::zeros(1, 2);
-        assert!(softmax_cross_entropy(&logits, &[5]).is_err());
+        assert!(loss_and_grad(&logits, &[5]).is_err());
     }
 }

@@ -2,11 +2,11 @@
 //! for FLOAT's acceleration techniques (pruning masks, frozen-parameter
 //! partial training).
 //!
-//! Masks, drift-correction vectors and the optimizer's momentum state all
-//! use the *flat layout* of [`Mlp::params`] (weights then bias, layer by
-//! layer). Training never materializes that layout: each minibatch step
-//! updates every layer's tensors in place, addressing the flat-layout
-//! vectors by the tensor's offset.
+//! Masks and drift-correction vectors use the *flat layout* of
+//! [`Mlp::params`] (weights then bias, layer by layer). Training never
+//! materializes that layout: each minibatch step updates every layer's
+//! tensors in place, addressing the flat-layout vectors by the tensor's
+//! offset.
 
 use rand::seq::SliceRandom;
 
@@ -195,7 +195,10 @@ impl Mlp {
     /// it (drift corrections added, frozen entries zeroed).
     pub fn grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
-        self.grads_into(&mut out);
+        for l in &self.layers {
+            out.extend_from_slice(l.grad_weight.data());
+            out.extend_from_slice(l.grad_bias.data());
+        }
         out
     }
 
@@ -207,17 +210,6 @@ impl Mlp {
         for l in &self.layers {
             out.extend_from_slice(l.weight.data());
             out.extend_from_slice(l.bias.data());
-        }
-    }
-
-    /// Write the flattened gradient vector into `out`, reusing its
-    /// allocation. `out` is cleared first.
-    pub fn grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.num_params());
-        for l in &self.layers {
-            out.extend_from_slice(l.grad_weight.data());
-            out.extend_from_slice(l.grad_bias.data());
         }
     }
 
@@ -296,13 +288,7 @@ impl Mlp {
     ///
     /// Returns the mean training loss over all batches. Panics are avoided:
     /// an empty dataset returns `0.0`.
-    pub fn train_epoch(
-        &mut self,
-        data: &Dataset,
-        batch_size: usize,
-        opt: &mut Sgd,
-        seed: u64,
-    ) -> f32 {
+    pub fn train_epoch(&mut self, data: &Dataset, batch_size: usize, opt: &Sgd, seed: u64) -> f32 {
         self.train_epoch_corrected(
             data,
             batch_size,
@@ -328,7 +314,7 @@ impl Mlp {
         &mut self,
         data: &Dataset,
         batch_size: usize,
-        opt: &mut Sgd,
+        opt: &Sgd,
         seed: u64,
         opts: &TrainOptions,
         drift: &DriftOptions<'_>,
@@ -373,16 +359,15 @@ impl Mlp {
     /// left in the layers, applied tensor by tensor in place: drift
     /// corrections and the frozen mask edit the gradient, the optimizer
     /// updates the parameter, the prune mask re-zeroes it. Every
-    /// flat-layout vector (masks, anchor, control variates, momentum) is
-    /// read at the tensor's offset into that layout, so each parameter
+    /// flat-layout vector (masks, anchor, control variates) is read at
+    /// the tensor's offset into that layout, so each parameter
     /// sees exactly the operations, in the order, that a step over the
     /// flattened model would apply to it. A vector shorter than the model
     /// covers a prefix of it: each zip below stops where its vector ends.
-    fn apply_step(&mut self, opt: &mut Sgd, opts: &TrainOptions, drift: &DriftOptions<'_>) {
+    fn apply_step(&mut self, opt: &Sgd, opts: &TrainOptions, drift: &DriftOptions<'_>) {
         fn from<T>(flat: &[T], off: usize) -> &[T] {
             flat.get(off..).unwrap_or(&[])
         }
-        opt.size_velocity(self.num_params());
         let mut off = 0;
         for l in &mut self.layers {
             for (param, grad) in [
@@ -415,7 +400,7 @@ impl Mlp {
                         }
                     }
                 }
-                opt.step_at(off, params, grads);
+                opt.step(params, grads);
                 if let Some(mask) = &opts.prune_mask {
                     for (p, &keep) in params.iter_mut().zip(from(mask, off)) {
                         if !keep {
@@ -510,7 +495,7 @@ mod tests {
             &mut self,
             data: &Dataset,
             batch_size: usize,
-            opt: &mut Sgd,
+            opt: &Sgd,
             seed: u64,
             opts: &TrainOptions,
             drift: &DriftOptions<'_>,
@@ -522,7 +507,6 @@ mod tests {
             order.shuffle(&mut seed_rng(seed));
             let (mut batch, mut batch_labels) = (Tensor::default(), Vec::new());
             let mut params = self.params();
-            let mut grads = Vec::new();
             let (mut total, mut batches) = (0.0, 0);
             for chunk in order.chunks(batch_size) {
                 data.gather_into(chunk, &mut batch, &mut batch_labels);
@@ -533,7 +517,7 @@ mod tests {
                     }
                     Err(_) => continue,
                 }
-                self.grads_into(&mut grads);
+                let mut grads = self.grads();
                 if let Some((mu, anchor)) = drift.prox {
                     for ((g, &p), &a) in grads.iter_mut().zip(&params).zip(anchor) {
                         *g += mu * (p - a);
@@ -603,18 +587,15 @@ mod tests {
 
         /// The in-place step against the flat-buffer oracle, bit for bit:
         /// every parameter, and the loss each epoch reports, over random
-        /// frozen / prune masks × momentum / weight decay × FedProx ×
-        /// SCAFFOLD (first-time client with an empty `c_i`, and a full
-        /// one). Two epochs on one optimizer, so momentum state laid down
-        /// by the first is read by the second; 37 samples at batch 8 end
-        /// each epoch on a ragged batch.
+        /// frozen / prune masks × FedProx × SCAFFOLD (first-time client
+        /// with an empty `c_i`, and a full one). Two epochs, so the second
+        /// starts from the parameters the first left; 37 samples at batch
+        /// 8 end each epoch on a ragged batch.
         #[test]
         fn in_place_step_matches_flat_reference_bitwise(
             seed in any::<u64>(),
             frozen_kind in 0u8..3,
             prune_kind in 0u8..3,
-            momentum in any::<bool>(),
-            decay in any::<bool>(),
             prox in any::<bool>(),
             scaffold_kind in 0u8..3,
         ) {
@@ -641,20 +622,12 @@ mod tests {
                     _ => Some((&c[..], &ci[..])),
                 },
             };
-            let new_opt = || {
-                Sgd::with_momentum(
-                    0.1,
-                    if momentum { 0.9 } else { 0.0 },
-                    if decay { 0.01 } else { 0.0 },
-                )
-            };
-            let (mut opt, mut ref_opt) = (new_opt(), new_opt());
+            let opt = Sgd::new(0.1);
             let mut model = Mlp::new(&cfg, split_seed(seed, 7));
             let mut oracle = model.clone();
             for epoch in 0..2 {
-                let loss = model.train_epoch_corrected(&data, 8, &mut opt, epoch, &opts, &drift);
-                let want =
-                    oracle.train_epoch_reference(&data, 8, &mut ref_opt, epoch, &opts, &drift);
+                let loss = model.train_epoch_corrected(&data, 8, &opt, epoch, &opts, &drift);
+                let want = oracle.train_epoch_reference(&data, 8, &opt, epoch, &opts, &drift);
                 prop_assert_eq!(loss.to_bits(), want.to_bits());
                 prop_assert_eq!(bits(&model.params()), bits(&oracle.params()));
             }
@@ -701,9 +674,9 @@ mod tests {
         let data = xor_like();
         let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
         let before = m.evaluate(&data);
-        let mut opt = Sgd::new(0.2);
+        let opt = Sgd::new(0.2);
         for e in 0..20 {
-            m.train_epoch(&data, 16, &mut opt, e);
+            m.train_epoch(&data, 16, &opt, e);
         }
         let after = m.evaluate(&data);
         assert!(after.loss < before.loss);
@@ -717,11 +690,11 @@ mod tests {
         let mut m = Mlp::new(&cfg, 3);
         let frozen = vec![true; cfg.num_params()];
         let before = m.params();
-        let mut opt = Sgd::new(0.5);
+        let opt = Sgd::new(0.5);
         m.train_epoch_corrected(
             &data,
             16,
-            &mut opt,
+            &opt,
             0,
             &TrainOptions {
                 frozen: Some(frozen),
@@ -740,11 +713,11 @@ mod tests {
         let n = cfg.num_params();
         // Zero out the first half of parameters.
         let mask: Vec<bool> = (0..n).map(|i| i >= n / 2).collect();
-        let mut opt = Sgd::new(0.2);
+        let opt = Sgd::new(0.2);
         m.train_epoch_corrected(
             &data,
             16,
-            &mut opt,
+            &opt,
             0,
             &TrainOptions {
                 prune_mask: Some(mask.clone()),
@@ -764,9 +737,9 @@ mod tests {
     fn evaluate_mut_matches_evaluate() {
         let data = xor_like();
         let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
-        let mut opt = Sgd::new(0.2);
+        let opt = Sgd::new(0.2);
         for e in 0..3 {
-            m.train_epoch(&data, 16, &mut opt, e);
+            m.train_epoch(&data, 16, &opt, e);
         }
         let by_ref = m.evaluate(&data);
         let by_scratch = m.evaluate_mut(&data);
@@ -779,11 +752,11 @@ mod tests {
     fn accuracy_mut_is_the_accuracy_evaluate_mut_reports() {
         let data = xor_like();
         let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
-        let mut opt = Sgd::new(0.2);
+        let opt = Sgd::new(0.2);
         for e in 0..4 {
             // Untrained, partly trained and converged models alike.
             assert_eq!(m.accuracy_mut(&data), m.evaluate_mut(&data).accuracy);
-            m.train_epoch(&data, 16, &mut opt, e);
+            m.train_epoch(&data, 16, &opt, e);
         }
         let acc = m.accuracy_mut(&data);
         assert_eq!(acc, m.evaluate_mut(&data).accuracy);
@@ -827,9 +800,9 @@ mod tests {
         assert_eq!(first, m.evaluate(&data));
         assert_eq!(first, fresh(&m.params()).evaluate_mut(&data));
         let mut cold = fresh(&m.params());
-        let (mut opt, mut cold_opt) = (Sgd::new(0.2), Sgd::new(0.2));
-        let loss = m.train_epoch(&data, 16, &mut opt, 0);
-        let cold_loss = cold.train_epoch(&data, 16, &mut cold_opt, 0);
+        let opt = Sgd::new(0.2);
+        let loss = m.train_epoch(&data, 16, &opt, 0);
+        let cold_loss = cold.train_epoch(&data, 16, &opt, 0);
         assert_eq!(loss.to_bits(), cold_loss.to_bits());
         assert_eq!(bits(&m.params()), bits(&cold.params()));
         let second = m.evaluate_mut(&data);
@@ -844,14 +817,13 @@ mod tests {
         let cfg = MlpConfig::new(2, &[8], 2);
         let mut plain = Mlp::new(&cfg, 3);
         let mut corrected = Mlp::new(&cfg, 3);
-        let mut opt_a = Sgd::new(0.2);
-        let mut opt_b = Sgd::new(0.2);
+        let opt = Sgd::new(0.2);
         for e in 0..3 {
-            plain.train_epoch(&data, 16, &mut opt_a, e);
+            plain.train_epoch(&data, 16, &opt, e);
             corrected.train_epoch_corrected(
                 &data,
                 16,
-                &mut opt_b,
+                &opt,
                 e,
                 &TrainOptions::default(),
                 &DriftOptions::default(),
@@ -879,12 +851,12 @@ mod tests {
         let dist = |mu: f32| {
             let mut m = Mlp::new(&cfg, 3);
             let anchor = m.params();
-            let mut opt = Sgd::new(0.2);
+            let opt = Sgd::new(0.2);
             for e in 0..5 {
                 m.train_epoch_corrected(
                     &data,
                     16,
-                    &mut opt,
+                    &opt,
                     e,
                     &TrainOptions::default(),
                     &DriftOptions {
@@ -914,8 +886,8 @@ mod tests {
         let n = cfg.num_params();
         let run = |drift: &DriftOptions<'_>| {
             let mut m = Mlp::new(&cfg, 3);
-            let mut opt = Sgd::new(0.2);
-            m.train_epoch_corrected(&data, 16, &mut opt, 0, &TrainOptions::default(), drift);
+            let opt = Sgd::new(0.2);
+            m.train_epoch_corrected(&data, 16, &opt, 0, &TrainOptions::default(), drift);
             m.params()
         };
         let baseline = run(&DriftOptions::default());
@@ -941,8 +913,8 @@ mod tests {
         let mut m = Mlp::new(&cfg, 3);
         let d = Dataset::from_rows(&[vec![0.0, 0.0]], &[0], 2).unwrap();
         let sub = d.subset(&[]);
-        let mut opt = Sgd::new(0.1);
-        assert_eq!(m.train_epoch(&sub, 8, &mut opt, 0), 0.0);
+        let opt = Sgd::new(0.1);
+        assert_eq!(m.train_epoch(&sub, 8, &opt, 0), 0.0);
         assert_eq!(m.evaluate(&sub).samples, 0);
     }
 }

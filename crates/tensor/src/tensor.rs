@@ -3,8 +3,10 @@
 //! and reductions.
 //!
 //! The matrix products delegate to the blocked, register-tiled kernels in
-//! [`crate::kernels`]; the `*_into` variants write into caller-owned
-//! scratch so steady-state training performs no heap allocation.
+//! [`crate::kernels`]. Training uses only the `*_into` products, which
+//! write into caller-owned scratch so steady-state training performs no
+//! heap allocation; the allocating [`Tensor::matmul`] and
+//! [`Tensor::transpose`] serve inference and the reference checks.
 
 use crate::{kernels, TensorError};
 
@@ -147,18 +149,8 @@ impl Tensor {
         Ok(())
     }
 
-    /// `selfᵀ (k×m)ᵀ · rhs (m×n) → k×n` without materializing the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when row counts disagree.
-    pub fn t_matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::default();
-        self.t_matmul_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::t_matmul`] writing into caller scratch.
+    /// `selfᵀ (k×m)ᵀ · rhs (m×n) → k×n` without materializing the
+    /// transpose, written into caller scratch.
     ///
     /// # Errors
     ///
@@ -177,18 +169,8 @@ impl Tensor {
         Ok(())
     }
 
-    /// `self (m×k) · rhsᵀ (n×k)ᵀ → m×n` without materializing the transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when column counts disagree.
-    pub fn matmul_t(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::default();
-        self.matmul_t_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor::matmul_t`] writing into caller scratch.
+    /// `self (m×k) · rhsᵀ (n×k)ᵀ → m×n` without materializing the
+    /// transpose, written into caller scratch.
     ///
     /// # Errors
     ///
@@ -286,7 +268,8 @@ mod tests {
     fn t_matmul_matches_explicit_transpose() {
         let a = t(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(3, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        let fused = a.t_matmul(&b).unwrap();
+        let mut fused = Tensor::default();
+        a.t_matmul_into(&b, &mut fused).unwrap();
         let explicit = a.transpose().matmul(&b).unwrap();
         assert_eq!(fused, explicit);
     }
@@ -295,7 +278,8 @@ mod tests {
     fn matmul_t_matches_explicit_transpose() {
         let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(4, 3, &[1.0; 12]);
-        let fused = a.matmul_t(&b).unwrap();
+        let mut fused = Tensor::default();
+        a.matmul_t_into(&b, &mut fused).unwrap();
         let explicit = a.matmul(&b.transpose()).unwrap();
         assert_eq!(fused, explicit);
     }
@@ -330,12 +314,13 @@ mod tests {
         let b = t(2, 2, &[f32::NAN, 1.0, 2.0, 3.0]);
         let c = a.matmul(&b).unwrap();
         assert!(c.data()[0].is_nan(), "0·NaN swallowed in matmul");
-        let c = a.t_matmul(&t(1, 2, &[f32::NAN, 1.0])).unwrap();
-        assert!(c.data()[0].is_nan(), "0·NaN swallowed in t_matmul");
-        let c = t(1, 2, &[0.0, 0.0])
-            .matmul_t(&t(1, 2, &[f32::NAN, 1.0]))
+        let mut c = Tensor::default();
+        a.t_matmul_into(&t(1, 2, &[f32::NAN, 1.0]), &mut c).unwrap();
+        assert!(c.data()[0].is_nan(), "0·NaN swallowed in t_matmul_into");
+        t(1, 2, &[0.0, 0.0])
+            .matmul_t_into(&t(1, 2, &[f32::NAN, 1.0]), &mut c)
             .unwrap();
-        assert!(c.data()[0].is_nan(), "0·NaN swallowed in matmul_t");
+        assert!(c.data()[0].is_nan(), "0·NaN swallowed in matmul_t_into");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! customers). Training uses a split model: each party runs a local
 //! *bottom model* producing an embedding of its features; an aggregator
 //! concatenates the embeddings, runs a *top model* to the label, and
-//! backpropagates embedding gradients to each party.
+//! backpropagates embedding gradients to each party. The layers train
+//! through `float-tensor`'s scratch path, the one the horizontal MLP
+//! uses; a bottom model computes only its parameter gradients, since its
+//! input gradient has no consumer.
 //!
 //! Every forward/backward step is a synchronous barrier over all parties,
 //! so a single straggling party stalls the entire round — which makes

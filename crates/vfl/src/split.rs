@@ -5,7 +5,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use float_tensor::layers::Linear;
-use float_tensor::loss::{accuracy, softmax_cross_entropy};
+use float_tensor::loss::{accuracy, softmax_cross_entropy_into};
 use float_tensor::model::TrainOptions;
 use float_tensor::rng::{seed_rng, split_seed};
 use float_tensor::{Dataset, Sgd, Tensor};
@@ -110,15 +110,14 @@ impl VflDataset {
         self.labels.is_empty()
     }
 
-    /// Extract the rows at `indices` for one party.
-    fn party_batch(&self, party: usize, indices: &[usize]) -> Tensor {
+    /// Gather the rows at `indices` of one party's features into `out`.
+    fn party_batch_into(&self, party: usize, indices: &[usize], out: &mut Tensor) {
         let src = &self.party_features[party];
         let w = src.cols();
-        let mut flat = Vec::with_capacity(indices.len() * w);
-        for &i in indices {
-            flat.extend_from_slice(src.row(i));
+        out.resize(indices.len(), w);
+        for (r, &i) in indices.iter().enumerate() {
+            out.data_mut()[r * w..(r + 1) * w].copy_from_slice(src.row(i));
         }
-        Tensor::from_vec(indices.len(), w, flat).expect("batch buffer sized by construction")
     }
 }
 
@@ -197,7 +196,8 @@ impl SplitModel {
     /// One epoch of split training: minibatches flow bottom-up through all
     /// parties, the top model computes the loss, and embedding gradients
     /// flow back down. `party_opts[i]` carries FLOAT's acceleration hooks
-    /// for party `i` (frozen masks for partial training, prune masks).
+    /// for party `i` (frozen masks for partial training, prune masks); a
+    /// mask whose length is not the party's parameter count is ignored.
     ///
     /// Returns the mean training loss.
     ///
@@ -225,100 +225,76 @@ impl SplitModel {
         order.shuffle(&mut seed_rng(seed));
         let e = self.config.embed_dim;
         let p = self.config.num_parties();
-        let mut opt = Sgd::new(lr);
+        let opt = Sgd::new(lr);
+        // Per-party batches and pre-ReLU embeddings stay alive from the
+        // forward pass to the backward pass; every buffer is reused across
+        // batches.
+        let mut xs = vec![Tensor::default(); p];
+        let mut embeddings = vec![Tensor::default(); p];
+        let (mut concat, mut logits) = (Tensor::default(), Tensor::default());
+        let (mut grad_logits, mut grad_concat, mut grad_emb) =
+            (Tensor::default(), Tensor::default(), Tensor::default());
+        let mut labels = Vec::with_capacity(batch_size);
         let mut total = 0.0;
         let mut batches = 0;
         for chunk in order.chunks(batch_size) {
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
-            // Bottom forward per party (cached for backward).
-            let mut embeddings = Vec::with_capacity(p);
-            for pi in 0..p {
-                let x = data.party_batch(pi, chunk);
-                let raw = self.bottoms[pi].forward(&x).expect("width matches");
-                embeddings.push(raw);
-            }
-            // Concatenate ReLU(embeddings).
             let n = chunk.len();
-            let mut concat = Tensor::zeros(n, e * p);
-            for (pi, emb) in embeddings.iter().enumerate() {
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| data.labels[i]));
+            // Bottom forward per party, then concatenate ReLU(embeddings).
+            concat.resize(n, e * p);
+            for pi in 0..p {
+                data.party_batch_into(pi, chunk, &mut xs[pi]);
+                let bottom = &self.bottoms[pi];
+                let emb = &mut embeddings[pi];
+                bottom
+                    .forward_matmul_into(&xs[pi], emb)
+                    .expect("width matches");
+                emb.add_row_broadcast(&bottom.bias).expect("width matches");
                 for r in 0..n {
-                    for c in 0..e {
-                        concat.set(r, pi * e + c, emb.at(r, c).max(0.0));
+                    let block = &mut concat.data_mut()[(r * p + pi) * e..][..e];
+                    for (c, &v) in block.iter_mut().zip(emb.row(r)) {
+                        *c = v.max(0.0);
                     }
                 }
             }
             // Top forward + loss.
-            let logits = self.top.forward(&concat).expect("width matches");
-            let Ok((loss, grad_logits)) = softmax_cross_entropy(&logits, &labels) else {
+            self.top
+                .forward_matmul_into(&concat, &mut logits)
+                .expect("width matches");
+            logits
+                .add_row_broadcast(&self.top.bias)
+                .expect("width matches");
+            let Ok(loss) = softmax_cross_entropy_into(&logits, &labels, &mut grad_logits) else {
                 continue;
             };
             total += loss;
             batches += 1;
-            // Top backward; grad w.r.t. concatenated embeddings.
-            let grad_concat = self
-                .top
-                .backward(&grad_logits)
-                .expect("backward follows forward");
-            // Update top model.
-            {
-                let mut params: Vec<f32> = Vec::new();
-                params.extend_from_slice(self.top.weight.data());
-                params.extend_from_slice(self.top.bias.data());
-                let mut grads: Vec<f32> = Vec::new();
-                grads.extend_from_slice(self.top.grad_weight.data());
-                grads.extend_from_slice(self.top.grad_bias.data());
-                opt.step(&mut params, &grads);
-                let (w, b) = params.split_at(self.top.weight.len());
-                self.top.weight.data_mut().copy_from_slice(w);
-                self.top.bias.data_mut().copy_from_slice(b);
-            }
-            // Per-party backward through the ReLU and bottom model.
+            // Top backward (grad w.r.t. the concatenated embeddings), then
+            // update the top model.
+            self.top
+                .backward_into(&concat, &grad_logits, &mut grad_concat)
+                .expect("shapes match the forward pass");
+            step_layer(&mut self.top, &opt, &TrainOptions::default());
+            // Per-party backward through the ReLU and the bottom model. A
+            // bottom model's input gradient has no consumer, so only its
+            // parameter gradients are computed.
+            grad_emb.resize(n, e);
             for pi in 0..p {
-                let emb = &embeddings[pi];
-                let mut grad_emb = Tensor::zeros(n, e);
                 for r in 0..n {
-                    for c in 0..e {
-                        // ReLU gate on the cached pre-activation.
-                        let g = if emb.at(r, c) > 0.0 {
-                            grad_concat.at(r, pi * e + c)
-                        } else {
-                            0.0
-                        };
-                        grad_emb.set(r, c, g);
+                    let upstream = &grad_concat.row(r)[pi * e..(pi + 1) * e];
+                    let gated = &mut grad_emb.data_mut()[r * e..(r + 1) * e];
+                    // ReLU gate on the pre-activation.
+                    for ((g, &pre), &up) in
+                        gated.iter_mut().zip(embeddings[pi].row(r)).zip(upstream)
+                    {
+                        *g = if pre > 0.0 { up } else { 0.0 };
                     }
                 }
-                let _ = self.bottoms[pi]
-                    .backward(&grad_emb)
-                    .expect("backward follows forward");
-                let mut params: Vec<f32> = Vec::new();
-                params.extend_from_slice(self.bottoms[pi].weight.data());
-                params.extend_from_slice(self.bottoms[pi].bias.data());
-                let mut grads: Vec<f32> = Vec::new();
-                grads.extend_from_slice(self.bottoms[pi].grad_weight.data());
-                grads.extend_from_slice(self.bottoms[pi].grad_bias.data());
-                // FLOAT hooks: freeze / prune this party's parameters.
-                if let Some(frozen) = &party_opts[pi].frozen {
-                    if frozen.len() == grads.len() {
-                        for (g, &f) in grads.iter_mut().zip(frozen) {
-                            if f {
-                                *g = 0.0;
-                            }
-                        }
-                    }
-                }
-                opt.step(&mut params, &grads);
-                if let Some(mask) = &party_opts[pi].prune_mask {
-                    if mask.len() == params.len() {
-                        for (v, &keep) in params.iter_mut().zip(mask) {
-                            if !keep {
-                                *v = 0.0;
-                            }
-                        }
-                    }
-                }
-                let (w, b) = params.split_at(self.bottoms[pi].weight.len());
-                self.bottoms[pi].weight.data_mut().copy_from_slice(w);
-                self.bottoms[pi].bias.data_mut().copy_from_slice(b);
+                self.bottoms[pi]
+                    .backward_params_only(&xs[pi], &grad_emb)
+                    .expect("shapes match the forward pass");
+                step_layer(&mut self.bottoms[pi], &opt, &party_opts[pi]);
             }
         }
         if batches == 0 {
@@ -326,6 +302,43 @@ impl SplitModel {
         } else {
             total / batches as f32
         }
+    }
+}
+
+/// One in-place SGD step on `layer`'s weight and bias, with FLOAT's hooks
+/// read over the layer's flat layout (weights then bias): a frozen entry's
+/// gradient is zeroed before the step, a pruned entry is re-zeroed after
+/// it. A mask applies only when its length equals the layer's parameter
+/// count.
+fn step_layer(layer: &mut Linear, opt: &Sgd, hooks: &TrainOptions) {
+    fn fitting(mask: &Option<Vec<bool>>, n: usize) -> Option<&[bool]> {
+        mask.as_deref().filter(|m| m.len() == n)
+    }
+    let n = layer.weight.len() + layer.bias.len();
+    let (frozen, prune) = (fitting(&hooks.frozen, n), fitting(&hooks.prune_mask, n));
+    let mut off = 0;
+    for (param, grad) in [
+        (&mut layer.weight, &mut layer.grad_weight),
+        (&mut layer.bias, &mut layer.grad_bias),
+    ] {
+        let (params, grads) = (param.data_mut(), grad.data_mut());
+        let end = off + params.len();
+        if let Some(frozen) = frozen {
+            for (g, &f) in grads.iter_mut().zip(&frozen[off..end]) {
+                if f {
+                    *g = 0.0;
+                }
+            }
+        }
+        opt.step(params, grads);
+        if let Some(mask) = prune {
+            for (v, &keep) in params.iter_mut().zip(&mask[off..end]) {
+                if !keep {
+                    *v = 0.0;
+                }
+            }
+        }
+        off = end;
     }
 }
 

@@ -60,15 +60,23 @@ fn main() {
             .collect();
         pts.iter().sum::<f64>() / pts.len().max(1) as f64
     };
+    let (fine_early, fresh_early) = (early(&fine_report), early(&fresh_report));
     println!("\nearly mean reward (first 5 rounds):");
-    println!("  fine-tuned: {:.3}", early(&fine_report));
-    println!("  scratch:    {:.3}", early(&fresh_report));
+    println!("  fine-tuned: {fine_early:.3}");
+    println!("  scratch:    {fresh_early:.3}");
     println!(
         "\nfinal dropouts: fine-tuned {} vs scratch {}",
         fine_report.total_dropouts, fresh_report.total_dropouts
     );
-    println!(
-        "\nTakeaway: the pre-trained agent starts productive immediately on a\n\
-         new dataset and architecture, matching the paper's reusability claim."
-    );
+
+    // The verdict is read from the two comparisons just printed.
+    let reward_ahead = fine_early > fresh_early;
+    let dropouts_ahead = fine_report.total_dropouts < fresh_report.total_dropouts;
+    let verdict = match (reward_ahead, dropouts_ahead) {
+        (true, true) => "ahead on both: the paper's reusability claim shows",
+        (false, false) => "ahead on neither: the paper's reusability claim does not show",
+        (true, false) => "ahead on early reward only: mixed evidence for the claim",
+        (false, true) => "ahead on dropouts only: mixed evidence for the claim",
+    };
+    println!("\nVerdict: on this workload and seed the transferred agent is {verdict}.");
 }

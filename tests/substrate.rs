@@ -14,11 +14,24 @@
 //! (`interruption_p ~ U[0.02, 0.12)` has no public reader; its mean is
 //! checked beside the model, in `float-traces`' unit tests.)
 //!
-//! The whole file costs ~0.1 s of the tier-1 run at the test profile's
+//! Bandwidth. `NetworkGen` is a four-state chain (deep fade, poor, good,
+//! peak) that starts in "good" (state 2). Before each round's draw it
+//! leaves its state with probability c, the churn (0.08 / 0.22 / 0.45 for
+//! stationary / walking / driving on 4G, 1.5× that on 5G), moving one
+//! state down or up with equal odds and staying put at either end. Its
+//! transition matrix P is symmetric, so doubly stochastic: round R's
+//! state law π_R = e₂·P^(R+1) tends to uniform. Given state s the draw is
+//! m_s·e^(0.4z), z ~ N(0, 1), floored at 0.05, so E[X_R] =
+//! Σ_s π_R(s)·m_s·e^0.08 and E[X_R²] = Σ_s π_R(s)·m_s²·e^0.32 (the floor
+//! moves the mean by under 10⁻⁶ of itself). At stationarity that is
+//! 23.97 Mbit/s on 4G and 199.1 on 5G, for every mobility.
+//!
+//! The whole file costs ~0.5 s of the tier-1 run at the test profile's
 //! `opt-level = 2` (a two-core x86-64 host).
 
+use float::tensor::rng::split_seed;
 use float::traces::availability::ROUNDS_PER_DAY;
-use float::traces::ResourceSampler;
+use float::traces::{Mobility, NetworkGen, NetworkProfile, ResourceSampler};
 
 const N: usize = 1_000_000;
 const SEED: u64 = 20_240_422;
@@ -121,4 +134,77 @@ fn diurnal_population_matches_its_closed_form() {
         .collect();
     let x2 = chi2(&lengths[34..=82], &expected);
     assert!(x2 < chi2_critical(48), "window-length χ² {x2} over 49 bins");
+}
+
+/// Clients per profile × mobility in the bandwidth check.
+const BW_CLIENTS: usize = 20_000;
+/// The rounds it reads: the first draw and two later ones (at 24 the
+/// driving chains are near stationary, the stationary ones still mixing).
+const BW_ROUNDS: [usize; 3] = [0, 5, 24];
+
+/// π_R = e₂·P^(R+1) for the chain with churn `c` (see the module docs).
+fn bandwidth_state_law(c: f64, round: usize) -> [f64; 4] {
+    let mut pi = [0.0, 0.0, 1.0, 0.0];
+    for _ in 0..=round {
+        let mut next = [0.0; 4];
+        for (s, &p) in pi.iter().enumerate() {
+            next[s] += p * (1.0 - c);
+            next[s.saturating_sub(1)] += p * c / 2.0;
+            next[(s + 1).min(3)] += p * c / 2.0;
+        }
+        pi = next;
+    }
+    pi
+}
+
+/// For each profile × mobility, the mean bandwidth of `BW_CLIENTS`
+/// independent clients at each of `BW_ROUNDS` lies within 6 standard
+/// errors of the exact π_R expectation, the standard error taken from the
+/// closed-form variance.
+#[test]
+fn bandwidth_population_matches_its_closed_form() {
+    let (e1, e2) = (0.08f64.exp(), 0.32f64.exp());
+    let profiles = [
+        (NetworkProfile::FourG, [0.5, 6.0, 22.0, 60.0], 1.0, 23.97),
+        (NetworkProfile::FiveG, [0.3, 15.0, 120.0, 600.0], 1.5, 199.1),
+    ];
+    let mobilities = [
+        (Mobility::Stationary, 0.08),
+        (Mobility::Walking, 0.22),
+        (Mobility::Driving, 0.45),
+    ];
+    for (profile, means, scale, stationary) in profiles {
+        for (mobility, base) in mobilities {
+            let churn = f64::min(base * scale, 0.9);
+            let moments = |pi: [f64; 4]| {
+                let mean: f64 = pi.iter().zip(&means).map(|(p, m)| p * m * e1).sum();
+                let square: f64 = pi.iter().zip(&means).map(|(p, m)| p * m * m * e2).sum();
+                (mean, square - mean * mean)
+            };
+            // The chain forgets its start: the stationary law is uniform.
+            let (limit, _) = moments(bandwidth_state_law(churn, 10_000));
+            assert!(
+                (limit - stationary).abs() < 0.005 * stationary,
+                "{profile:?}/{mobility:?}: stationary mean {limit}, want {stationary}"
+            );
+
+            let mut sums = [0.0; BW_ROUNDS.len()];
+            for i in 0..BW_CLIENTS {
+                let mut gen = NetworkGen::new(profile, mobility, split_seed(SEED, i as u64));
+                for (sum, &r) in sums.iter_mut().zip(&BW_ROUNDS) {
+                    *sum += gen.bandwidth_mbps(r);
+                }
+            }
+            for (sum, &r) in sums.iter().zip(&BW_ROUNDS) {
+                let (mean, var) = moments(bandwidth_state_law(churn, r));
+                let se = (var / BW_CLIENTS as f64).sqrt();
+                let got = sum / BW_CLIENTS as f64;
+                assert!(
+                    (got - mean).abs() <= 6.0 * se,
+                    "{profile:?}/{mobility:?} round {r}: mean {got:.3} Mbit/s, want {mean:.3} ± {:.3}",
+                    6.0 * se
+                );
+            }
+        }
+    }
 }

@@ -89,8 +89,8 @@ pub struct Experiment {
     obs: Collector,
     /// Reusable eligibility buffer, refilled each round — at population
     /// scale the eligible list is the largest per-round structure, so it
-    /// is allocated once, not per round.
-    eligible_buf: Vec<usize>,
+    /// is allocated once, not per round, and holds `u32` ids.
+    eligible_buf: Vec<u32>,
     /// Reusable cohort buffer the selector writes into each round.
     cohort_buf: Vec<usize>,
     /// Clients whose accuracy defines the report
@@ -645,8 +645,10 @@ fn deliver_update(updates: &mut Vec<PendingUpdate>, update: PendingUpdate, dupli
 /// moves the population's later multi-megabyte tables from `mmap` onto
 /// the heap (DESIGN.md §13). Beside a transition calendar and dense
 /// per-client report counts that made `pop1m_oort`'s peak RSS 55 instead
-/// of 42 MiB; beside the two-byte index and sparse counts it reads
-/// ~34 MiB either way.
+/// of 42 MiB. Beside the two-byte index, sparse counts, the 4-byte sweep
+/// table and `u32` eligible ids it costs little: 20.4–20.5 MiB shrunk
+/// against 20.6–20.8 freed whole (`--seed 9176432`, four of five
+/// alternating pairs; the fifth shrunk run read 24.5).
 fn draw_eval_set(num_clients: usize, eval_sample: usize, seed: u64) -> Vec<usize> {
     if eval_sample == 0 || eval_sample >= num_clients {
         return Vec::new();

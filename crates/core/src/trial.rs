@@ -17,7 +17,7 @@
 //!   models): each trial's sampler clones it, which shares the windows
 //!   and copies only the membership row (1/8 B per client) that every
 //!   round recomputes,
-//! - the full-sweep interruption table (16 B per client), built in the
+//! - the full-sweep interruption table (4 B per client), built in the
 //!   index's pass when the population's config runs full sweeps
 //!   (`candidate_pool == 0`),
 //! - the test shards, each held once (`EvalShards`, slot = client id, up
@@ -48,7 +48,7 @@ use float_data::federated::FederatedConfig;
 use float_data::{ShardCache, ShardCacheStats, ShardSpec};
 use float_tensor::rng::split_seed;
 use float_tensor::Dataset;
-use float_traces::{AvailabilityIndex, Interruption, ResourceSampler};
+use float_traces::{AvailabilityIndex, InterruptionTable, ResourceSampler};
 
 use crate::config::ExperimentConfig;
 
@@ -146,7 +146,7 @@ pub struct SharedPopulation {
     index: AvailabilityIndex,
     /// Full-sweep interruption table, built in the index's pass when
     /// the population's config runs full sweeps (`candidate_pool == 0`).
-    sweep_models: Option<Arc<Vec<Interruption>>>,
+    sweep_models: Option<Arc<InterruptionTable>>,
     /// Test shards of the whole population, slot = client id: the one
     /// copy every attached trial's agent reads and every trial with
     /// `eval_sample == 0` evaluates on.
@@ -393,7 +393,7 @@ mod tests {
             // The pooled population built no table: the full-sweep trial
             // built its own, the pooled one none.
             let table = if cfg.candidate_pool == 0 {
-                16 * cfg.num_clients
+                4 * cfg.num_clients
             } else {
                 0
             };

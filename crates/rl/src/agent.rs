@@ -328,6 +328,7 @@ impl RlhfAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qtable::QEntry;
 
     fn gstate() -> GlobalState {
         GlobalState::from_raw(20, 5, 30)
@@ -492,6 +493,80 @@ mod tests {
         cfg.dynamic_lr = false;
         let agent = RlhfAgent::new(cfg, 1);
         assert_eq!(agent.learning_rate(0, 300), agent.learning_rate(299, 300));
+    }
+
+    /// With the discount at 0 each Q value is a moving average of its own
+    /// rewards. From Q = 0, rewards r_1..r_T taken at rates a_1..a_T leave
+    /// Q_T = Σ_t a_t·r_t·Π_{s>t}(1 − a_s), for each objective on its own;
+    /// the raw-accumulation ablation leaves Q_T = Σ_t a_t·r_t. A
+    /// hand-written reward stream goes through `feedback` under both
+    /// learning-rate schedules (spelled out here, not read from the agent)
+    /// and both update rules, and each entry is held to its expanded sum
+    /// in f64. The rounds reach neither the rate's cap nor 1.0, so no
+    /// reward is forgotten outright.
+    #[test]
+    fn q_values_match_their_expanded_sums() {
+        const TOTAL: usize = 200;
+        let rounds = [0, 3, 9, 10, 24, 40, 41, 63, 77, 98, 120, 150];
+        let participation = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0];
+        let accuracy = [
+            0.12, -0.03, 0.4, 0.07, 0.0, 0.25, -0.1, 0.33, 0.05, 0.18, 0.02, 0.6,
+        ];
+        let (local, hf, action) = (constrained(), DeadlineLevel::Low, 2);
+        for dynamic_lr in [true, false] {
+            for raw_accumulation in [false, true] {
+                let config = AgentConfig {
+                    dynamic_lr,
+                    raw_accumulation,
+                    ..AgentConfig::rlhf(4)
+                };
+                let mut agent = RlhfAgent::new(config, 3);
+                for (t, &round) in rounds.iter().enumerate() {
+                    let (p, acc) = (participation[t], accuracy[t]);
+                    agent.feedback(t, gstate(), local, hf, action, p, acc, round, TOTAL);
+                }
+                let rates: Vec<f64> = rounds
+                    .iter()
+                    .map(|&r| {
+                        if dynamic_lr {
+                            ((r + 1) as f64 / TOTAL as f64).max(0.05)
+                        } else {
+                            0.3
+                        }
+                    })
+                    .collect();
+                let expanded = |rewards: &[f64]| -> f64 {
+                    (0..rewards.len())
+                        .map(|t| {
+                            let kept: f64 = if raw_accumulation {
+                                1.0
+                            } else {
+                                rates[t + 1..].iter().map(|a| 1.0 - a).product()
+                            };
+                            rates[t] * rewards[t] * kept
+                        })
+                        .sum()
+                };
+                let key = agent.key(gstate(), local, hf);
+                let row = agent.table().row(&key).expect("visited");
+                let label = format!("dynamic_lr {dynamic_lr} raw {raw_accumulation}");
+                let (want_p, want_a) = (expanded(&participation), expanded(&accuracy));
+                assert!(
+                    (row[action].q_participation - want_p).abs() < 1e-12,
+                    "{label}: participation {} vs {want_p}",
+                    row[action].q_participation
+                );
+                assert!(
+                    (row[action].q_accuracy - want_a).abs() < 1e-12,
+                    "{label}: accuracy {} vs {want_a}",
+                    row[action].q_accuracy
+                );
+                assert_eq!(row[action].visits, rounds.len() as u64, "{label}");
+                for (a, e) in row.iter().enumerate().filter(|&(a, _)| a != action) {
+                    assert_eq!(*e, QEntry::default(), "{label}: action {a} moved");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,17 @@ use crate::selector::{ClientSelector, SelectionFeedback};
 #[derive(Debug, Clone)]
 pub struct FedAvgSelector {
     seed: u64,
+    /// Scratch: the shuffled eligible ids, reused across rounds.
+    ids: Vec<u32>,
 }
 
 impl FedAvgSelector {
     /// Create a selector with a deterministic selection stream.
     pub fn new(seed: u64) -> Self {
-        FedAvgSelector { seed }
+        FedAvgSelector {
+            seed,
+            ids: Vec::new(),
+        }
     }
 }
 
@@ -28,14 +33,19 @@ impl ClientSelector for FedAvgSelector {
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
     ) {
+        // The shuffle's draws and swaps do not depend on the element type,
+        // so shuffling `u32` ids picks what shuffling `usize` ids would.
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend_from_slice(eligible);
+        ids.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
         cohort.clear();
-        cohort.extend_from_slice(eligible);
-        cohort.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
-        cohort.truncate(target.min(cohort.len()));
+        cohort.extend(ids[..target.min(ids.len())].iter().map(|&c| c as usize));
+        self.ids = ids;
     }
 
     fn feedback(&mut self, _round: usize, _results: &[SelectionFeedback]) {
@@ -48,7 +58,7 @@ mod tests {
     use super::*;
 
     /// Test helper: an eligible pool of the first `n` client ids.
-    fn pool(n: usize) -> Vec<usize> {
+    fn pool(n: u32) -> Vec<u32> {
         (0..n).collect()
     }
 

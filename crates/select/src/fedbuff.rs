@@ -34,6 +34,9 @@ pub struct FedBuffSelector {
     /// is one byte per client id actually seen in flight (≤10 MiB even
     /// at the 10M preset, and only ~pool-sized ids under pooling).
     taken: Vec<bool>,
+    /// Scratch: the eligible ids not in flight, shuffled, reused across
+    /// calls.
+    free: Vec<u32>,
 }
 
 impl FedBuffSelector {
@@ -46,6 +49,7 @@ impl FedBuffSelector {
             concurrency,
             in_flight: Vec::new(),
             taken: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -62,7 +66,7 @@ impl ClientSelector for FedBuffSelector {
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         _target: usize,
         cohort: &mut Vec<usize>,
     ) {
@@ -80,18 +84,23 @@ impl ClientSelector for FedBuffSelector {
         for &c in &self.in_flight {
             taken[c] = true;
         }
-        cohort.extend(
+        let mut free = std::mem::take(&mut self.free);
+        free.clear();
+        free.extend(
             eligible
                 .iter()
                 .copied()
-                .filter(|&c| !taken.get(c).copied().unwrap_or(false)),
+                .filter(|&c| !taken.get(c as usize).copied().unwrap_or(false)),
         );
         for &c in &self.in_flight {
             taken[c] = false;
         }
         self.taken = taken;
-        cohort.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
-        cohort.truncate(want - self.in_flight.len());
+        // The shuffle's draws and swaps do not depend on the element type.
+        free.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
+        let launch = free.len().min(want - self.in_flight.len());
+        cohort.extend(free[..launch].iter().map(|&c| c as usize));
+        self.free = free;
         self.in_flight.extend_from_slice(cohort);
     }
 
@@ -110,7 +119,7 @@ mod tests {
     use super::*;
 
     /// Test helper: an eligible pool of the first `n` client ids.
-    fn pool(n: usize) -> Vec<usize> {
+    fn pool(n: u32) -> Vec<u32> {
         (0..n).collect()
     }
 

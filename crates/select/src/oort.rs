@@ -63,8 +63,8 @@ pub struct OortSelector {
     /// candidates — O(touched + cohort), never O(eligible) — reused across
     /// rounds so selection allocates nothing at steady state.
     scored: Vec<(f64, usize)>,
-    /// Scratch: shuffled exploration candidates, as `u32` ids — the
-    /// shuffle's random swaps walk half the bytes.
+    /// Scratch: shuffled exploration candidates, the eligible `u32` ids
+    /// minus the exploit picks.
     rest: Vec<u32>,
     /// Scratch: (times-selected, position-in-`rest`) exploration keys of
     /// the scanned prefix of `rest`.
@@ -175,7 +175,7 @@ impl ClientSelector for OortSelector {
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
     ) {
@@ -185,7 +185,7 @@ impl ClientSelector for OortSelector {
     fn select_profiled(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
@@ -225,7 +225,7 @@ impl OortSelector {
     fn select_impl(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
@@ -256,18 +256,19 @@ impl OortSelector {
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
         for (c, r) in self.records.iter().filter(|(_, r)| r.selected > 0) {
-            if let Ok(pos) = eligible.binary_search(c) {
+            // Recorded ids came from eligible lists, so they fit `u32`.
+            if let Ok(pos) = eligible.binary_search(&(*c as u32)) {
                 let est = profiles.and_then(|v| v.estimate(*c));
                 scored.push((self.priority_with(r, round, est.as_ref()), pos));
             }
         }
         let selected = |c: &usize| self.records.get(c).map_or(0, |r| r.selected);
-        let earliest = (0..eligible.len()).filter(|&pos| selected(&eligible[pos]) == 0);
+        let earliest = (0..eligible.len()).filter(|&pos| selected(&(eligible[pos] as usize)) == 0);
         scored.extend(earliest.take(exploit_n).map(|pos| (0.0, pos)));
         top_k_by(&mut scored, exploit_n, |a, b| {
             b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
         });
-        cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos]));
+        cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos] as usize));
 
         // Exploration: random among the rest, preferring untried clients —
         // take untried first but keep some randomness among equals. The
@@ -279,19 +280,15 @@ impl OortSelector {
         // later position can beat `explore_n` keys of (0, earlier).
         if explore_n > 0 {
             scored.sort_unstable_by_key(|&(_, pos)| pos);
-            assert!(
-                eligible.last().is_none_or(|&c| u32::try_from(c).is_ok()),
-                "client ids must fit u32"
-            );
             let mut rest = std::mem::take(&mut self.rest);
             rest.clear();
             rest.reserve(eligible.len());
             let mut from = 0;
             for &(_, pos) in scored.iter() {
-                rest.extend(eligible[from..pos].iter().map(|&c| c as u32));
+                rest.extend_from_slice(&eligible[from..pos]);
                 from = pos + 1;
             }
-            rest.extend(eligible[from..].iter().map(|&c| c as u32));
+            rest.extend_from_slice(&eligible[from..]);
             rest.shuffle(&mut rng);
             let mut keys = std::mem::take(&mut self.explore_keys);
             keys.clear();
@@ -331,7 +328,7 @@ mod tests {
         fn select_dense_reference(
             &mut self,
             round: usize,
-            eligible: &[usize],
+            eligible: &[u32],
             target: usize,
             profiles: Option<&ClientProfiler>,
             cohort: &mut Vec<usize>,
@@ -346,6 +343,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(pos, &c)| {
+                    let c = c as usize;
                     let r = self.records.get(&c).copied().unwrap_or_default();
                     let est = profiles.and_then(|v| v.estimate(c));
                     (self.priority_with(&r, round, est.as_ref()), pos)
@@ -354,11 +352,11 @@ mod tests {
             top_k_by(&mut scored, exploit_n, |a, b| {
                 b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
             });
-            cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos]));
+            cohort.extend(scored.iter().map(|&(_, pos)| eligible[pos] as usize));
 
             let mut rest: Vec<usize> = eligible
                 .iter()
-                .copied()
+                .map(|&c| c as usize)
                 .filter(|c| !cohort.contains(c))
                 .collect();
             rest.shuffle(&mut rng);
@@ -397,7 +395,7 @@ mod tests {
     }
 
     /// Test helper: an eligible pool of the first `n` client ids.
-    fn pool(n: usize) -> Vec<usize> {
+    fn pool(n: u32) -> Vec<u32> {
         (0..n).collect()
     }
 
@@ -578,13 +576,13 @@ mod tests {
         let exploit_n = target - explore_n;
         let mut scored: Vec<(f64, usize)> = eligible
             .iter()
-            .map(|&c| (s.priority(c, round), c))
+            .map(|&c| (s.priority(c as usize, round), c as usize))
             .collect();
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         let mut expected: Vec<usize> = scored.into_iter().take(exploit_n).map(|(_, c)| c).collect();
         let mut rest: Vec<usize> = eligible
             .iter()
-            .copied()
+            .map(|&c| c as usize)
             .filter(|c| !expected.contains(c))
             .collect();
         rest.shuffle(&mut seed_rng(split_seed(9, round as u64)));
@@ -678,7 +676,7 @@ mod tests {
     fn selection_scratch_stays_small_at_population_scale() {
         // Work-counter pin on the sparse path: scoring and exploration
         // keys are O(touched + cohort), never O(eligible).
-        let eligible: Vec<usize> = (0..1_000_000).step_by(2).collect();
+        let eligible: Vec<u32> = (0..1_000_000).step_by(2).collect();
         let mut s = OortSelector::new(13, 60.0);
         let mut cohort = Vec::new();
         for round in 0..6 {
@@ -722,9 +720,9 @@ mod tests {
                 let mut rng = seed_rng(word);
                 let round = if rng.gen_bool(0.15) { i / 2 } else { i };
                 let keep_all = rng.gen_bool(0.5);
-                let eligible: Vec<usize> = pool
+                let eligible: Vec<u32> = pool
                     .iter()
-                    .copied()
+                    .map(|&c| c as u32)
                     .filter(|_| keep_all || rng.gen_bool(0.75))
                     .collect();
                 let target = if rng.gen_bool(0.5) {

@@ -63,7 +63,7 @@ pub struct ReflSelector {
     /// Round deadline the predicted window must cover.
     deadline_s: f64,
     /// Scratch: shuffled candidate ids, reused across rounds.
-    ids: Vec<usize>,
+    ids: Vec<u32>,
     /// Scratch: (score, position-in-`ids`) pairs, reused across rounds.
     scored: Vec<(f64, usize)>,
 }
@@ -126,19 +126,20 @@ impl ReflSelector {
     fn select_impl(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         cohort.clear();
-        let max_id = eligible.iter().copied().max().map_or(0, |m| m + 1);
+        let max_id = eligible.iter().copied().max().map_or(0, |m| m as usize + 1);
         self.ensure(max_id);
         let target = target.min(eligible.len());
         let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         ids.extend_from_slice(eligible);
-        // Shuffle first so ties break randomly rather than by id.
+        // Shuffle first so ties break randomly rather than by id. The
+        // shuffle's draws and swaps do not depend on the element type.
         ids.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
         // Scores are computed once per client (the sort comparator used to
         // call `score()` twice per comparison), and the descending full
@@ -149,6 +150,7 @@ impl ReflSelector {
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
         scored.extend(ids.iter().enumerate().map(|(pos, &c)| {
+            let c = c as usize;
             let est = profiles.and_then(|v| v.estimate(c));
             (self.score_with(c, est.as_ref()), pos)
         }));
@@ -156,7 +158,7 @@ impl ReflSelector {
             b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
         });
         for &(_, pos) in scored.iter() {
-            let c = ids[pos];
+            let c = ids[pos] as usize;
             cohort.push(c);
             self.histories.entry(c).or_default().selected += 1;
         }
@@ -169,7 +171,7 @@ impl ClientSelector for ReflSelector {
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
     ) {
@@ -179,7 +181,7 @@ impl ClientSelector for ReflSelector {
     fn select_profiled(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
@@ -215,7 +217,7 @@ mod tests {
     use super::*;
 
     /// Test helper: an eligible pool of the first `n` client ids.
-    fn pool(n: usize) -> Vec<usize> {
+    fn pool(n: u32) -> Vec<u32> {
         (0..n).collect()
     }
 

@@ -62,15 +62,18 @@ pub trait ClientSelector {
     /// FedScale/production model where unavailable devices are never
     /// candidates. `eligible` is strictly ascending (so duplicate-free):
     /// both of the runtime's producers emit it that way, and selectors may
-    /// binary-search it. `target` is the configured per-round cohort size
-    /// (synchronous) or the top-up size (asynchronous). Must write
+    /// binary-search it. Its ids are `u32`, half the bytes of `usize` in
+    /// the largest per-round list (a population has at most `u32::MAX`
+    /// clients); the cohort's are `usize`. `target` is the configured
+    /// per-round cohort size (synchronous) or the top-up size
+    /// (asynchronous). Must write
     /// distinct ids drawn from `eligible` into `cohort`, which is cleared
     /// first — the caller owns the buffer so population-scale loops can
     /// reuse one allocation across thousands of rounds.
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
     );
@@ -89,7 +92,7 @@ pub trait ClientSelector {
     fn select_profiled(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
@@ -100,7 +103,7 @@ pub trait ClientSelector {
 
     /// Allocating convenience wrapper around
     /// [`ClientSelector::select_into`].
-    fn select(&mut self, round: usize, eligible: &[usize], target: usize) -> Vec<usize> {
+    fn select(&mut self, round: usize, eligible: &[u32], target: usize) -> Vec<usize> {
         let mut cohort = Vec::new();
         self.select_into(round, eligible, target, &mut cohort);
         cohort

@@ -67,7 +67,7 @@ pub struct TiflSelector {
     credits: Vec<u64>,
     rounds_seen: usize,
     /// Scratch: eligible members of the chosen tier, reused across rounds.
-    pool: Vec<usize>,
+    pool: Vec<u32>,
     /// Scratch: (tier-distance, position-in-eligible) top-up keys.
     rest: Vec<(usize, usize)>,
 }
@@ -162,10 +162,11 @@ impl TiflSelector {
     /// Pick the tier for this round: among tiers with credits and eligible
     /// clients, weight by recent mean utility (data the model still needs)
     /// with a floor so no tier starves.
-    fn choose_tier<R: Rng>(&self, eligible: &[usize], rng: &mut R) -> usize {
+    fn choose_tier<R: Rng>(&self, eligible: &[u32], rng: &mut R) -> usize {
         let mut weight = [0.0f64; NUM_TIERS];
         let mut count = [0usize; NUM_TIERS];
         for &c in eligible {
+            let c = c as usize;
             let (tier, utility) = self
                 .profiles
                 .get(&c)
@@ -210,7 +211,7 @@ impl ClientSelector for TiflSelector {
     fn select_into(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
     ) {
@@ -220,7 +221,7 @@ impl ClientSelector for TiflSelector {
     fn select_profiled(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: &ClientProfiler,
         cohort: &mut Vec<usize>,
@@ -265,13 +266,13 @@ impl TiflSelector {
     fn select_impl(
         &mut self,
         round: usize,
-        eligible: &[usize],
+        eligible: &[u32],
         target: usize,
         profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         cohort.clear();
-        let max_id = eligible.iter().copied().max().map_or(0, |m| m + 1);
+        let max_id = eligible.iter().copied().max().map_or(0, |m| m as usize + 1);
         self.ensure(max_id);
         self.rounds_seen += 1;
         if self.rounds_seen.is_multiple_of(RETIER_EVERY) {
@@ -290,10 +291,11 @@ impl TiflSelector {
             eligible
                 .iter()
                 .copied()
-                .filter(|&c| self.effective_tier(c) == tier),
+                .filter(|&c| self.effective_tier(c as usize) == tier),
         );
+        // The shuffle's draws and swaps do not depend on the element type.
         pool.shuffle(&mut rng);
-        cohort.extend_from_slice(&pool[..need.min(pool.len())]);
+        cohort.extend(pool[..need.min(pool.len())].iter().map(|&c| c as usize));
         self.pool = pool;
         // Top up from neighbouring tiers if the chosen tier is too small
         // (TiFL merges adjacent tiers when underpopulated). The full
@@ -308,9 +310,10 @@ impl TiflSelector {
                 eligible
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &c)| self.effective_tier(c) != tier)
+                    .filter(|&(_, &c)| self.effective_tier(c as usize) != tier)
                     .map(|(pos, &c)| {
-                        let dist = (self.effective_tier(c) as isize - tier as isize).unsigned_abs();
+                        let dist = (self.effective_tier(c as usize) as isize - tier as isize)
+                            .unsigned_abs();
                         (dist, pos)
                     }),
             );
@@ -318,7 +321,7 @@ impl TiflSelector {
                 a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
             });
             for &(_, pos) in rest.iter() {
-                cohort.push(eligible[pos]);
+                cohort.push(eligible[pos] as usize);
             }
             self.rest = rest;
         }
@@ -330,7 +333,7 @@ mod tests {
     use super::*;
 
     /// Test helper: an eligible pool of the first `n` client ids.
-    fn pool(n: usize) -> Vec<usize> {
+    fn pool(n: u32) -> Vec<u32> {
         (0..n).collect()
     }
 
@@ -353,7 +356,7 @@ mod tests {
                 .map(|c| fb(c, 10.0 + c as f64 * 10.0, 1.0))
                 .collect();
             s.feedback(round, &results);
-            let _ = s.select(round, &pool(n), 4);
+            let _ = s.select(round, &pool(n as u32), 4);
         }
     }
 

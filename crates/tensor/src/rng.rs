@@ -36,18 +36,23 @@ pub fn split_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `seed_rng(seed).gen::<f64>()`, without building the generator.
+/// `seed_rng(seed).next_u64()`, without building the generator.
 ///
 /// [`StdRng::seed_from_u64`] fills xoshiro256++'s state word `k` with the
 /// SplitMix64 output `split_seed(seed, k)`, and the first output reads
 /// only words 0 and 3. A one-draw consumer therefore needs two finalizers
 /// instead of four plus a state update, and a loop of them vectorizes.
 #[inline]
-pub fn first_f64(seed: u64) -> f64 {
+pub fn first_u64(seed: u64) -> u64 {
     let (s0, s3) = (split_seed(seed, 0), split_seed(seed, 3));
-    let x = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-    // The shim's `Standard` f64: 53 uniform mantissa bits in [0, 1).
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+}
+
+/// `seed_rng(seed).gen::<f64>()`, without building the generator: the
+/// shim's `Standard` f64 of [`first_u64`], its top 53 bits times 2⁻⁵³.
+#[inline]
+pub fn first_f64(seed: u64) -> f64 {
+    (first_u64(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -83,7 +88,7 @@ mod tests {
         assert_eq!(split_seed(123, 45), split_seed(123, 45));
     }
 
-    /// The shortcut is checked against the generator it skips, bit for
+    /// The shortcuts are checked against the generator they skip, bit for
     /// bit, over a run of split seeds and the edges of the seed space.
     #[test]
     fn first_f64_is_the_generators_first_draw() {
@@ -92,6 +97,7 @@ mod tests {
         for s in edges.into_iter().chain(seeds) {
             let want = seed_rng(s).gen::<f64>();
             assert_eq!(first_f64(s).to_bits(), want.to_bits(), "seed {s:#x}");
+            assert_eq!(first_u64(s), seed_rng(s).gen::<u64>(), "seed {s:#x}");
         }
     }
 }

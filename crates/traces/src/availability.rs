@@ -13,7 +13,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use float_tensor::rng::{first_f64, seed_rng, split_seed};
+use float_tensor::rng::{first_f64, first_u64, seed_rng, split_seed};
 
 /// Number of simulator rounds we map onto one simulated "day" for the
 /// diurnal cycle. The paper's runs are 300 rounds ≈ a few days.
@@ -116,7 +116,7 @@ impl AvailabilityModel {
     #[inline(never)]
     pub(crate) fn for_clients(seed: u64, base: usize, out: &mut [AvailabilityModel]) {
         for (k, m) in out.iter_mut().enumerate() {
-            let client_seed = split_seed(split_seed(seed, 0x1000 + (base + k) as u64), 2);
+            let client_seed = client_seed(seed, base + k);
             let s = split_seed(client_seed, 0xA7A);
             let mut state = [0, 1, 2, 3].map(|w| split_seed(s, w));
             let phase = day_position(xoshiro_next(&mut state));
@@ -238,8 +238,10 @@ fn uniform(lo: f64, hi: f64, x: u64) -> f64 {
 }
 
 /// One client's interruption draw, and nothing else: 16 bytes, half an
-/// [`AvailabilityModel`]. The full availability sweep keeps one per client
-/// and reads only this; the diurnal half lives in the
+/// [`AvailabilityModel`]. It is the single-client reference the model's
+/// [`AvailabilityModel::clear_of_interruption`] reads; the full
+/// availability sweep keeps the 4-byte [`InterruptionTable`] instead, and
+/// the diurnal half lives in the
 /// [`AvailabilityIndex`](crate::AvailabilityIndex).
 #[derive(Debug, Clone, Copy)]
 pub struct Interruption {
@@ -256,22 +258,150 @@ impl Interruption {
         first_f64(split_seed(self.seed, 0xB00 + round as u64)) >= self.p
     }
 
-    /// [`Interruption::clear`] for up to 64 consecutive clients at once:
-    /// bit `k` of the result is `table[k].clear(round)`, bits past
-    /// `table.len()` are zero. The loop has no branch, so it vectorizes
-    /// (eight clients per 512-bit register); the full availability sweep
-    /// calls it once per word of the index's membership row.
+    /// The top 32 bits of the smallest raw draw that clears this client,
+    /// the one number [`InterruptionTable`] keeps of it.
+    ///
+    /// [`Interruption::clear`] reads the draw `x` as `X·2⁻⁵³` with
+    /// `X = x >> 11` (exact in `f64`), so it clears exactly when
+    /// `X ≥ p·2⁵³`, that is when `X ≥ T = ⌈p·2⁵³⌉` (`p·2⁵³` is exact: a
+    /// power-of-two scale). The threshold is `T >> 21`, comparable with
+    /// `x >> 32 = X >> 21`. For `p < 1`, `T < 2⁵³` and it fits a `u32`;
+    /// the model's `p < 0.12` keeps it under 2²⁹.
+    pub fn threshold(&self) -> u32 {
+        debug_assert!((0.0..1.0).contains(&self.p), "p = {}", self.p);
+        let t = (self.p * (1u64 << 53) as f64).ceil() as u64;
+        (t >> 21) as u32
+    }
+}
+
+/// The seed of client `client`'s traces in a population sampled under
+/// `seed`: the stream [`AvailabilityModel::for_clients`] derives.
+#[inline(always)]
+fn client_seed(seed: u64, client: usize) -> u64 {
+    split_seed(split_seed(seed, 0x1000 + client as u64), 2)
+}
+
+/// The full availability sweep's interruption draws: 4 bytes per client,
+/// where a table of [`Interruption`]s takes 16.
+///
+/// Entry `c` is client `c`'s [`Interruption::threshold`], the top 32 bits
+/// of the smallest raw draw that clears it. The client's seed is not
+/// stored; it is recomputed from the population seed, two finalizers per
+/// client. A round's raw draw `x` then decides on its top 32 bits
+/// `top = x >> 32` against the entry `hi`:
+///
+/// - `top > hi`: the client is clear;
+/// - `top < hi`: the client is interrupted;
+/// - `top == hi` (one draw in 2³²): the low bits decide, so the client's
+///   model is rederived and its exact [`Interruption::clear`] applied.
+///
+/// Every answer therefore equals [`Interruption::clear`] bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InterruptionTable {
+    /// Population seed the clients' seeds derive from.
+    seed: u64,
+    /// Per-client [`Interruption::threshold`].
+    hi: Vec<u32>,
+}
+
+impl InterruptionTable {
+    /// An empty table for the population sampled under `seed`, with room
+    /// for `n` clients.
+    pub fn with_capacity(seed: u64, n: usize) -> Self {
+        InterruptionTable {
+            seed,
+            hi: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append the next client's entry. `cut` must be that client's
+    /// [`AvailabilityModel::interruption`] under the table's seed.
+    pub fn push(&mut self, cut: Interruption) {
+        self.hi.push(cut.threshold());
+    }
+
+    /// Number of clients.
+    pub fn len(&self) -> usize {
+        self.hi.len()
+    }
+
+    /// Whether the table holds no client.
+    pub fn is_empty(&self) -> bool {
+        self.hi.is_empty()
+    }
+
+    /// Heap bytes of the entries: 4 per client.
+    pub fn heap_bytes(&self) -> usize {
+        self.hi.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The exact rule for client `client`, from its rederived model.
+    fn exact(&self, client: usize) -> Interruption {
+        AvailabilityModel::for_client(self.seed, client).interruption()
+    }
+
+    /// Top 32 bits of client `client`'s raw draw in `round`.
+    #[inline(always)]
+    fn top(&self, client: usize, round: usize) -> u32 {
+        let s = split_seed(client_seed(self.seed, client), 0xB00 + round as u64);
+        (first_u64(s) >> 32) as u32
+    }
+
+    /// [`Interruption::clear`] of client `client` in `round`.
     ///
     /// # Panics
     ///
-    /// Panics if `table` holds more than 64 entries.
+    /// Panics if `client` is out of range.
+    pub fn clear(&self, client: usize, round: usize) -> bool {
+        self.clear_with(client, round, |c| self.exact(c))
+    }
+
+    fn clear_with(
+        &self,
+        client: usize,
+        round: usize,
+        exact: impl FnOnce(usize) -> Interruption,
+    ) -> bool {
+        let (top, hi) = (self.top(client, round), self.hi[client]);
+        top > hi || (top == hi && exact(client).clear(round))
+    }
+
+    /// [`InterruptionTable::clear`] for the up to 64 clients from `base`:
+    /// bit `k` of the result is `clear(base + k, round)`, bits past the
+    /// table's end are zero. The compare loop has no branch, so it
+    /// vectorizes (eight clients per 512-bit register) into two masks,
+    /// above and tie; the full availability sweep calls it once per word
+    /// of the index's membership row. Only a non-empty tie mask, one
+    /// word in ~2²⁶, pays the exact rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is past the end of the table.
     #[inline]
-    pub fn clear_word(table: &[Interruption], round: usize) -> u64 {
-        assert!(table.len() <= 64, "clear_word: {} entries", table.len());
-        table
-            .iter()
-            .enumerate()
-            .fold(0, |mask, (k, m)| mask | (u64::from(m.clear(round)) << k))
+    pub fn clear_word(&self, base: usize, round: usize) -> u64 {
+        self.clear_word_with(base, round, |c| self.exact(c))
+    }
+
+    #[inline(always)]
+    fn clear_word_with(
+        &self,
+        base: usize,
+        round: usize,
+        exact: impl Fn(usize) -> Interruption,
+    ) -> u64 {
+        let hi = &self.hi[base..(base + 64).min(self.hi.len())];
+        let (mut above, mut tie) = (0u64, 0u64);
+        for (k, &h) in hi.iter().enumerate() {
+            let top = self.top(base + k, round);
+            above |= u64::from(top > h) << k;
+            tie |= u64::from(top == h) << k;
+        }
+        while tie != 0 {
+            let k = tie.trailing_zeros() as usize;
+            tie &= tie - 1;
+            above |= u64::from(exact(base + k).clear(round)) << k;
+        }
+        above
     }
 }
 
@@ -279,10 +409,9 @@ impl Interruption {
 mod tests {
     use super::*;
 
-    /// `clear_of_interruption` delegates to `Interruption::clear`, and the
-    /// sweep reads `Interruption::clear_word`, so all three are checked
-    /// against the draw spelled out from the model's own fields through
-    /// the full generator.
+    /// `clear_of_interruption` delegates to `Interruption::clear`, so both
+    /// are checked against the draw spelled out from the model's own
+    /// fields through the full generator.
     #[test]
     fn interruption_clear_matches_the_model() {
         let models: Vec<AvailabilityModel> = (0..1_000)
@@ -304,20 +433,88 @@ mod tests {
                 );
             }
         }
-        let table: Vec<Interruption> = models.iter().map(|m| m.interruption()).collect();
-        for base in [0, 1, 63, 64, 129, 500, 936] {
-            for len in 0..=64 {
-                for r in [0, 1, 95, 299] {
-                    let mask = Interruption::clear_word(&table[base..base + len], r);
-                    for k in 0..64 {
-                        let want = k < len && spelled(&models[base + k], r);
-                        assert_eq!(
-                            (mask >> k) & 1 == 1,
-                            want,
-                            "base {base} len {len} round {r} bit {k}"
-                        );
-                    }
+    }
+
+    fn table_of(seed: u64, models: &[AvailabilityModel]) -> InterruptionTable {
+        let mut table = InterruptionTable::with_capacity(seed, models.len());
+        for m in models {
+            table.push(m.interruption());
+        }
+        table
+    }
+
+    /// The 4-byte table is a twin of the 16-byte reference: every word
+    /// mask, at every word edge of populations on either side of one word
+    /// and of a long row, is the fold of `Interruption::clear` over its
+    /// clients, and every one-client answer is that client's.
+    #[test]
+    fn table_clear_word_equals_the_fold_of_clear() {
+        for n in [1usize, 63, 64, 65, 10_000] {
+            let models: Vec<AvailabilityModel> = (0..n)
+                .map(|c| AvailabilityModel::for_client(23, c))
+                .collect();
+            let table = table_of(23, &models);
+            assert_eq!(table.len(), n);
+            assert_eq!(table.heap_bytes(), 4 * n);
+            for r in 0..300 {
+                for base in (0..n).step_by(64) {
+                    let end = (base + 64).min(n);
+                    let want = models[base..end]
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |mask, (k, m)| {
+                            mask | (u64::from(m.interruption().clear(r)) << k)
+                        });
+                    assert_eq!(
+                        table.clear_word(base, r),
+                        want,
+                        "n {n} base {base} round {r}"
+                    );
                 }
+                for (c, m) in models.iter().enumerate().step_by(7) {
+                    let want = m.interruption().clear(r);
+                    assert_eq!(table.clear(c, r), want, "n {n} client {c} round {r}");
+                }
+            }
+        }
+    }
+
+    /// A tie on the top 32 bits is decided by the exact rule, both ways.
+    /// The entry of client 5 is forced to the top bits of its own draw in
+    /// round 3, and the exact rule is handed `p` at the draw's value
+    /// `X·2⁻⁵³` (clear: the draw is not below it) and one float above it
+    /// (interrupted). Both `p` give that same entry, so each is a true tie
+    /// of the encoding, and only the low bits can tell them apart.
+    #[test]
+    fn a_forced_tie_is_decided_by_the_exact_rule() {
+        let (seed, client, round) = (31, 5, 3);
+        let models: Vec<AvailabilityModel> = (0..64)
+            .map(|c| AvailabilityModel::for_client(seed, c))
+            .collect();
+        let mut table = table_of(seed, &models);
+        let s = models[client].seed;
+        let x = first_u64(split_seed(s, 0xB00 + round as u64));
+        let top = (x >> 32) as u32;
+        let at = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // The draw's low 21 bits are not all ones, so `X + 1` keeps its
+        // top bits and `p` one float above the draw is a tie too.
+        assert_ne!((x >> 11) & ((1 << 21) - 1), (1 << 21) - 1);
+        table.hi[client] = top;
+        for (p, want) in [(at, true), (at.next_up(), false)] {
+            let cut = Interruption { seed: s, p };
+            assert_eq!(cut.threshold(), top, "p {p} is not a tie");
+            assert_eq!(cut.clear(round), want, "p {p}");
+            let exact = |c: usize| {
+                assert_eq!(c, client, "only the forced entry ties");
+                cut
+            };
+            assert_eq!(table.clear_with(client, round, exact), want, "p {p}");
+            let mask = table.clear_word_with(0, round, exact);
+            assert_eq!((mask >> client) & 1 == 1, want, "p {p}");
+            // The other 63 lanes keep their own answers.
+            for (k, m) in models.iter().enumerate().filter(|&(k, _)| k != client) {
+                let bit = (mask >> k) & 1 == 1;
+                assert_eq!(bit, m.interruption().clear(round), "lane {k}");
             }
         }
     }

@@ -31,7 +31,7 @@ pub mod network;
 pub mod replay;
 pub mod snapshot;
 
-pub use availability::{AvailabilityModel, BatteryState, Interruption};
+pub use availability::{AvailabilityModel, BatteryState, Interruption, InterruptionTable};
 pub use compute::{DeviceClass, DevicePopulation, DeviceProfile};
 pub use index::AvailabilityIndex;
 pub use interference::InterferenceModel;

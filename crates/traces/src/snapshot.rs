@@ -5,7 +5,7 @@
 //! pure function of `(seed, client)`, so little is kept per client: the
 //! [`AvailabilityIndex`] holds each client's diurnal window in two bytes
 //! and recomputes one membership bit per client when the day position
-//! moves, the full sweep adds a 16-byte interruption draw per client,
+//! moves, the full sweep adds a 4-byte interruption threshold per client,
 //! batteries are tracked sparsely (only clients that ever drained), and
 //! full trace bundles are rederived on demand through a small bounded
 //! cache. All of this is bit-identical to the eager implementation it
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::availability::{AvailabilityModel, BatteryState, Interruption, UNSET};
+use crate::availability::{AvailabilityModel, BatteryState, InterruptionTable, UNSET};
 use crate::compute::DeviceProfile;
 use crate::index::AvailabilityIndex;
 use crate::interference::InterferenceModel;
@@ -85,7 +85,7 @@ pub struct AvailabilityStats {
     pub trace_cache_resident: usize,
     /// Trace-cache capacity.
     pub trace_cache_capacity: usize,
-    /// Bytes held by the full-sweep interruption table, 16 per client (0
+    /// Bytes held by the full-sweep interruption table, 4 per client (0
     /// when the sampler has only served pooled queries).
     pub sweep_models_bytes: usize,
     /// Candidates drawn into pools since construction.
@@ -164,12 +164,12 @@ pub struct ResourceSampler {
     /// per client, and the full sweep then reads every word of it: both
     /// are O(population) a round.
     index: AvailabilityIndex,
-    /// Per-client interruption draws for the full-sweep path (the index
-    /// holds the diurnal half), built on first use or handed in (never
-    /// built when only pooled queries are served). `Arc`-shared so a sweep
-    /// of trials over the same population pays the O(population)
+    /// Per-client interruption thresholds for the full-sweep path (the
+    /// index holds the diurnal half), built on first use or handed in
+    /// (never built when only pooled queries are served). `Arc`-shared so
+    /// a sweep of trials over the same population pays the O(population)
     /// derivation once instead of once per trial.
-    sweep_models: Option<Arc<Vec<Interruption>>>,
+    sweep_models: Option<Arc<InterruptionTable>>,
     /// Sparse battery state: absent ⇒ exactly full (a client that never
     /// drained can never leave full, since charging saturates).
     batteries: HashMap<usize, LazyBattery>,
@@ -211,15 +211,19 @@ impl ResourceSampler {
     /// A sampler handed none builds it on its first full sweep; a shared
     /// population builds it with the index through
     /// [`ResourceSampler::build_index_and_sweep`].
-    pub fn build_sweep_models(n: usize, seed: u64) -> Vec<Interruption> {
+    pub fn build_sweep_models(n: usize, seed: u64) -> InterruptionTable {
+        let mut table = InterruptionTable::with_capacity(seed, n);
         let mut model = batched_models(n, seed);
-        (0..n).map(|i| model(i).interruption()).collect()
+        for i in 0..n {
+            table.push(model(i).interruption());
+        }
+        table
     }
 
     /// `(build_index(n, seed), build_sweep_models(n, seed))` in one pass:
     /// each client's model is derived once, for both.
-    pub fn build_index_and_sweep(n: usize, seed: u64) -> (AvailabilityIndex, Vec<Interruption>) {
-        let mut sweep = Vec::with_capacity(n);
+    pub fn build_index_and_sweep(n: usize, seed: u64) -> (AvailabilityIndex, InterruptionTable) {
+        let mut sweep = InterruptionTable::with_capacity(seed, n);
         let mut model = batched_models(n, seed);
         let index = AvailabilityIndex::build(n, |i| {
             let m = model(i);
@@ -244,9 +248,10 @@ impl ResourceSampler {
         interference: InterferenceModel,
         seed: u64,
         index: AvailabilityIndex,
-        sweep_models: Option<Arc<Vec<Interruption>>>,
+        sweep_models: Option<Arc<InterruptionTable>>,
     ) -> Self {
         assert_eq!(index.num_clients(), n, "availability index population");
+        assert!(n as u64 <= 1 << 32, "client ids must fit u32: {n} clients");
         if let Some(models) = &sweep_models {
             assert_eq!(models.len(), n, "sweep-model population");
         }
@@ -291,10 +296,7 @@ impl ResourceSampler {
             peak_tracked_batteries: self.peak_batteries,
             trace_cache_resident: self.cache.len(),
             trace_cache_capacity: self.cache_cap,
-            sweep_models_bytes: self
-                .sweep_models
-                .as_ref()
-                .map_or(0, |v| v.len() * std::mem::size_of::<Interruption>()),
+            sweep_models_bytes: self.sweep_models.as_ref().map_or(0, |t| t.heap_bytes()),
             pool_draws: self.pool_draws,
             pool_rejected: self.pool_rejected,
         }
@@ -373,7 +375,7 @@ impl ResourceSampler {
     }
 
     /// Materialize the per-client interruption table for the full-sweep
-    /// path. Pooled samplers never pay this (16 B × population) cost.
+    /// path. Pooled samplers never pay this (4 B × population) cost.
     fn ensure_sweep_models(&mut self) {
         if self.sweep_models.is_none() {
             self.sweep_models = Some(Arc::new(Self::build_sweep_models(
@@ -465,7 +467,7 @@ impl ResourceSampler {
     /// `(0..n).filter(|&c| self.snapshot(c, round).available)`, but with
     /// the diurnal half read from the index's row, 64 clients a word,
     /// instead of from one derived model per client.
-    pub fn available_clients_into(&mut self, round: usize, out: &mut Vec<usize>) {
+    pub fn available_clients_into(&mut self, round: usize, out: &mut Vec<u32>) {
         out.clear();
         self.index.advance_to(round);
         self.settle_and_prune();
@@ -492,13 +494,12 @@ impl ResourceSampler {
                 continue;
             }
             let base = w * 64;
-            let end = (base + 64).min(models.len());
-            let mut bits = word & Interruption::clear_word(&models[base..end], round);
+            let mut bits = word & models.clear_word(base, round);
             while bits != 0 {
                 let c = base + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if blocked.is_empty() || blocked.binary_search(&c).is_err() {
-                    out.push(c);
+                    out.push(c as u32);
                 }
             }
         }
@@ -527,7 +528,7 @@ impl ResourceSampler {
         round: usize,
         k: usize,
         draw_seed: u64,
-        out: &mut Vec<usize>,
+        out: &mut Vec<u32>,
     ) -> usize {
         assert!(k > 0, "candidate_pool_into requires k > 0");
         out.clear();
@@ -575,7 +576,7 @@ impl ResourceSampler {
         for &c in &cands {
             self.pool_draws += 1;
             let clear = match &self.sweep_models {
-                Some(models) => models[c].clear(round),
+                Some(models) => models.clear(c, round),
                 None => AvailabilityModel::for_client(self.seed, c).clear_of_interruption(round),
             };
             if clear
@@ -584,7 +585,7 @@ impl ResourceSampler {
                     .get(&c)
                     .is_none_or(|b| b.state.allows_training())
             {
-                out.push(c);
+                out.push(c as u32);
             } else {
                 self.pool_rejected += 1;
             }
@@ -682,8 +683,9 @@ mod tests {
         let mut buf = Vec::new();
         for r in 0..120 {
             a.available_clients_into(r, &mut buf);
-            let brute: Vec<usize> = (0..b.num_clients())
+            let brute: Vec<u32> = (0..b.num_clients())
                 .filter(|&c| b.snapshot(c, r).available)
+                .map(|c| c as u32)
                 .collect();
             assert_eq!(buf, brute, "round {r}");
             // Drain one client to exercise battery gating mid-sequence.
@@ -863,6 +865,6 @@ mod tests {
         assert_eq!(st.sweep_models_bytes, 0, "pool path must not build sweep");
         assert!(st.trace_cache_resident <= st.trace_cache_capacity);
         s.available_clients_into(3, &mut pool);
-        assert_eq!(s.availability_stats().sweep_models_bytes, 16 * 100);
+        assert_eq!(s.availability_stats().sweep_models_bytes, 4 * 100);
     }
 }

@@ -12,8 +12,8 @@
 //!   `EVAL_RESIDENT_CAP` resident, each resident shard derived once on the
 //!   small legs, and the same counters at 1 and 4 threads;
 //! - sampled evaluation returns exactly `eval_sample` accuracies;
-//! - the full availability sweep keeps 16 bytes per client (one
-//!   interruption draw each), and the availability index at most 2.2 on
+//! - the full availability sweep keeps 4 bytes per client (one
+//!   interruption threshold each), and the availability index at most 2.2 on
 //!   the 10k legs (two bytes of diurnal window, the row and its
 //!   popcounts).
 //!
@@ -143,12 +143,12 @@ fn check(leg: Leg) -> Run {
         }
     }
     let table_bytes = match leg.candidate_pool {
-        0 => 16 * num_clients,
+        0 => 4 * num_clients,
         _ => 0,
     };
     assert_eq!(
         one.avail.sweep_models_bytes, table_bytes,
-        "{label}: the full sweep keeps 16 B per client, a pooled run none"
+        "{label}: the full sweep keeps 4 B per client, a pooled run none"
     );
     if num_clients == Scale::Pop10k.num_clients() {
         // Two bytes of diurnal window per client, plus the membership row

@@ -11,7 +11,9 @@ use proptest::prelude::*;
 
 use float::tensor::rng::split_seed;
 use float::traces::availability::ROUNDS_PER_DAY;
-use float::traces::{AvailabilityIndex, AvailabilityModel, InterferenceModel, ResourceSampler};
+use float::traces::{
+    AvailabilityIndex, AvailabilityModel, InterferenceModel, InterruptionTable, ResourceSampler,
+};
 
 proptest! {
     /// The maintained index row is exactly the brute-force diurnal filter
@@ -165,7 +167,10 @@ fn sweep_matches_per_client_filter(
             brute.charge_all();
         }
         sweeper.available_clients_into(r, &mut sweep);
-        let want: Vec<usize> = (0..n).filter(|&c| brute.is_available(c, r)).collect();
+        let want: Vec<u32> = (0..n)
+            .filter(|&c| brute.is_available(c, r))
+            .map(|c| c as u32)
+            .collect();
         prop_assert_eq!(&sweep, &want, "n {} sweep diverged at round {}", n, r);
     }
     Ok(())
@@ -187,11 +192,10 @@ fn indexed_sweep_matches_at_word_edges() {
 
 /// Building the index and the full-sweep table in one pass gives what
 /// the two separate builds give, and what the generator gives client by
-/// client: the same tables bit for bit (`{:?}` of an `f64` round-trips, so
-/// equal text is equal bits) and indexes whose rows and counts agree at
-/// every day position. All three builders derive their models through the
-/// same 64-client batch; the generator-spelled index is the independent
-/// side.
+/// client: the same tables entry for entry and indexes whose rows and
+/// counts agree at every day position. All three builders derive their
+/// models through the same 64-client batch; the generator-spelled index
+/// and table are the independent side.
 #[test]
 fn one_pass_build_equals_the_two_builds() {
     let spelled =
@@ -201,9 +205,13 @@ fn one_pass_build_equals_the_two_builds() {
         let mut want_index = ResourceSampler::build_index(n, 29);
         let want_sweep = ResourceSampler::build_sweep_models(n, 29);
         let mut gen_index = AvailabilityIndex::build(n, spelled);
-        let gen_sweep: Vec<_> = (0..n).map(|i| spelled(i).interruption()).collect();
-        assert_eq!(format!("{sweep:?}"), format!("{want_sweep:?}"), "n {n}");
-        assert_eq!(format!("{sweep:?}"), format!("{gen_sweep:?}"), "n {n}");
+        let mut gen_sweep = InterruptionTable::with_capacity(29, n);
+        for i in 0..n {
+            gen_sweep.push(spelled(i).interruption());
+        }
+        assert_eq!(sweep, want_sweep, "n {n}");
+        assert_eq!(sweep, gen_sweep, "n {n}");
+        assert_eq!(sweep.heap_bytes(), 4 * n, "n {n}");
         assert_eq!(index.heap_bytes(), want_index.heap_bytes(), "n {n}");
         for p in 0..ROUNDS_PER_DAY {
             index.advance_to(p);

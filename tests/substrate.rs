@@ -11,8 +11,14 @@
 //! with weight 0.6, out of 48. So E[window] = 2788.8 / 48 = 58.1
 //! positions, and with a uniform phase a client is diurnally ON at any
 //! one day position with probability q = 58.1 / 96 ≈ 0.60521.
-//! (`interruption_p ~ U[0.02, 0.12)` has no public reader; its mean is
-//! checked beside the model, in `float-traces`' unit tests.)
+//!
+//! Interruption. A client is interrupted in a round with its own
+//! probability p ~ U[0.02, 0.12), so E[p] = 0.07, drawn afresh each round
+//! and independently across clients. Batteries start full and nothing
+//! drains them here, so of the m clients the index marks diurnally ON,
+//! the full sweep's eligible count is a sum of m independent
+//! Bernoulli(0.93) draws: mean m·0.93, σ = √(m·0.93·0.07). (The mean of
+//! p itself is checked beside the model, in `float-traces`' unit tests.)
 //!
 //! Bandwidth. `NetworkGen` is a four-state chain (deep fade, poor, good,
 //! peak) that starts in "good" (state 2). Before each round's draw it
@@ -31,7 +37,7 @@
 
 use float::tensor::rng::split_seed;
 use float::traces::availability::ROUNDS_PER_DAY;
-use float::traces::{Mobility, NetworkGen, NetworkProfile, ResourceSampler};
+use float::traces::{InterferenceModel, Mobility, NetworkGen, NetworkProfile, ResourceSampler};
 
 const N: usize = 1_000_000;
 const SEED: u64 = 20_240_422;
@@ -134,6 +140,31 @@ fn diurnal_population_matches_its_closed_form() {
         .collect();
     let x2 = chi2(&lengths[34..=82], &expected);
     assert!(x2 < chi2_critical(48), "window-length χ² {x2} over 49 bins");
+}
+
+/// Sweep a 1M-client population at seven rounds (five day positions, one
+/// of them twice, a day apart): each round's eligible count lies within
+/// 6σ of m·(1 − E[p]), m the index's diurnal count. The sweep reads the
+/// interruption table, so this holds whatever the table's encoding.
+#[test]
+fn interruption_population_matches_its_closed_form() {
+    let clear = 1.0 - 0.07;
+    let mut sampler = ResourceSampler::new(N, InterferenceModel::None, SEED);
+    let mut index = ResourceSampler::build_index(N, SEED);
+    let mut eligible = Vec::new();
+    for round in [0, 17, 40, 63, 95, 96 + 17, 150] {
+        index.advance_to(round);
+        let m = index.count() as f64;
+        sampler.available_clients_into(round, &mut eligible);
+        let count = eligible.len() as f64;
+        let sigma = (m * clear * (1.0 - clear)).sqrt();
+        assert!(
+            (count - m * clear).abs() <= 6.0 * sigma,
+            "round {round}: {count} eligible of {m} ON, want {} ± {}",
+            m * clear,
+            6.0 * sigma
+        );
+    }
 }
 
 /// Clients per profile × mobility in the bandwidth check.

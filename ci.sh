@@ -138,21 +138,29 @@ if [[ "${1:-}" != "quick" ]]; then
 
   # Short chaos run with a fixed seed, every fault kind active, and
   # telemetry on: asserts reports *and event streams* stay finite and
-  # bit-identical across thread counts, and writes the sync run's JSONL
-  # event stream + report JSON to target/obs/ for the next step.
+  # bit-identical across thread counts, and writes each engine's JSONL
+  # event stream + report JSON to target/obs/ for the next two steps.
   step "chaos smoke (faults + telemetry on)"
   cargo run --release --offline --example chaos_smoke
 
-  # Replay the event stream and reconcile it against the report: every
-  # committed attempt must appear exactly once as a ClientOutcome event,
-  # so the ledger totals, retry/dedup counters, and per-round records
-  # must all be derivable from the JSONL alone. obsdump exits 1 on any
-  # mismatch.
+  # Replay the event stream and audit it against the report
+  # (float_core::audit::audit): every committed attempt must appear
+  # exactly once as a ClientOutcome event, so the ledger totals,
+  # retry/dedup counters, and per-round records must all be derivable
+  # from the JSONL alone. obsdump exits 1 on any broken identity.
   step "telemetry reconcile (obsdump)"
   cargo run --release --offline -p float-bench --bin obsdump -- \
     target/obs/chaos_sync.jsonl --report target/obs/chaos_sync.report.json \
     --clients 1 > target/obs/obsdump_ci.txt
   grep -q "event stream and report reconcile exactly" target/obs/obsdump_ci.txt
+
+  # The same audit for the FedBuff run, whose attempts still in flight at
+  # run end are in the stream but not in the report's round bookkeeping.
+  step "telemetry reconcile, async engine (obsdump --async)"
+  cargo run --release --offline -p float-bench --bin obsdump -- \
+    target/obs/chaos_async.jsonl --report target/obs/chaos_async.report.json \
+    --async --clients 1 > target/obs/obsdump_async_ci.txt
+  grep -q "event stream and report reconcile exactly" target/obs/obsdump_async_ci.txt
 
   # Profiling smoke: sync Oort + async FedBuff with the online client
   # profiler enabled, fault-free and chaos, each asserted bit-identical

@@ -1,6 +1,6 @@
 //! `obsdump` — replay a telemetry JSONL event stream into per-client
-//! timelines and histogram tables, and (with `--report`) reconcile the
-//! stream against an `ExperimentReport`'s ledger and counters.
+//! timelines and histogram tables, and (with `--report`) audit the stream
+//! against an `ExperimentReport`'s ledger and counters.
 //!
 //! ```text
 //! obsdump EVENTS.jsonl [--report REPORT.json] [--clients N]
@@ -12,40 +12,27 @@
 //! themselves (client latency, round utilization).
 //!
 //! With `--profiles`: replays the `ClientOutcome` stream through a fresh
-//! [`float_profile::ClientProfiler`] — the same fold the runtime applies
-//! in its commit phase — and prints the per-client profile table
-//! (estimated latency, reliability, observation counts; witnessed
-//! bandwidth is not derivable from the stream, which carries durations
-//! but not phase rates). The replayed profiler's accounting is then
-//! reconciled against the stream itself and, when `--report` is given,
-//! against the run's ledger (completions, quarantines, per-client
-//! completed counts). Any mismatch exits 1.
+//! [`float_profile::ClientProfiler`] ([`float_core::audit::replay_profiles`],
+//! the fold the `profile_gap` figure scores) and prints the per-client
+//! profile table (estimated latency, reliability, observation counts;
+//! witnessed bandwidth is not derivable from the stream, which carries
+//! durations but not phase rates).
 //!
-//! With `--report`: additionally checks the event-count identities that
-//! tie the stream to the run's resource ledger — every committed attempt
-//! appears exactly once as a `ClientOutcome`, so
-//!
-//! * `ledger.completions  == #Completed + #Duplicate`
-//! * `ledger.dropouts     == #Quarantined + #Stalled + #Dropped`
-//! * `ledger.quarantined  == #Quarantined == report.total_quarantined`
-//!
-//! and for the synchronous engine (skip with `--async`, whose in-flight
-//! attempts at run end break the per-round bookkeeping identities)
-//!
-//! * `report.stall_retries         == #outcomes with attempt > 0`
-//! * `report.duplicates_suppressed == #Duplicate == Σ agg.suppressed`
-//! * per-round `RoundEnd` fields   == `report.rounds` records
-//!
-//! Exits 1 on any mismatch, making it a CI oracle for the telemetry
-//! pipeline (see `ci.sh`).
+//! With `--report`: prints every identity [`float_core::audit::audit`]
+//! finds broken between the stream and the report — ledger totals,
+//! retry and dedup counters, per-round records, report totals, attempt
+//! batches, the embedded telemetry summary and the profiler replay (the
+//! list is in that module's docs). `--async` names a FedBuff run, whose
+//! attempts still in flight at run end are in the stream but not in the
+//! report's round bookkeeping. Any broken identity exits 1, making this a
+//! CI oracle for the telemetry pipeline (see `ci.sh`); an unreadable or
+//! malformed input exits 2.
 
 use std::collections::BTreeMap;
 
-use float_bench::figs::profile_gap::replay_kind;
+use float_core::audit::{audit, replay_histograms, replay_profiles};
 use float_core::ExperimentReport;
-use float_obs::metrics::{Histogram, LATENCY_BUCKETS_S, UTILIZATION_BUCKETS};
-use float_obs::{Event, HistogramSummary, OutcomeKind};
-use float_profile::{ClientProfiler, Observation, ProfilingConfig};
+use float_obs::{Event, HistogramSummary};
 
 fn usage() -> ! {
     eprintln!(
@@ -55,20 +42,28 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Reconciliation failure tally; any failure flips the exit code.
-struct Checker {
-    failures: u64,
+/// Read `path` and parse its text; the error names the file.
+fn load<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Result<T, String> {
+    let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse(&body).map_err(|e| format!("{path}: {e}"))
 }
 
-impl Checker {
-    fn eq_u64(&mut self, label: &str, got: u64, want: u64) {
-        if got == want {
-            println!("  ok   {label}: {got}");
-        } else {
-            println!("  FAIL {label}: events say {got}, report says {want}");
-            self.failures += 1;
-        }
-    }
+fn load_events(path: &str) -> Result<Vec<Event>, String> {
+    load(path, float_obs::sink::from_jsonl)
+}
+
+fn load_report(path: &str) -> Result<ExperimentReport, String> {
+    load(path, |body| {
+        serde_json::from_str(body).map_err(|e| format!("not an ExperimentReport: {e}"))
+    })
+}
+
+/// Print an input error and exit 2, as for bad arguments.
+fn or_exit<T>(loaded: Result<T, String>) -> T {
+    loaded.unwrap_or_else(|e| {
+        eprintln!("obsdump: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -94,8 +89,8 @@ fn main() {
     }
     let path = path.unwrap_or_else(|| usage());
 
-    let body = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let events = float_obs::sink::from_jsonl(&body).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let events = or_exit(load_events(&path));
+    let report = report_path.map(|rp| or_exit(load_report(&rp)));
     overview(&path, &events);
 
     if let Some(id) = only_client {
@@ -106,62 +101,32 @@ fn main() {
         }
     }
     histogram_tables(&events);
-
-    let report: Option<ExperimentReport> = report_path.map(|rp| {
-        let body = std::fs::read_to_string(&rp).unwrap_or_else(|e| panic!("cannot read {rp}: {e}"));
-        serde_json::from_str(&body)
-            .unwrap_or_else(|e| panic!("{rp} is not an ExperimentReport: {e}"))
-    });
-
-    let mut failures = 0u64;
     if profiles {
-        failures += profile_table(&events, report.as_ref(), async_engine);
+        profile_table(&events, report.as_ref());
     }
-    if let Some(report) = &report {
-        failures += reconcile(&events, report, async_engine);
+    let Some(report) = &report else { return };
+    println!("\nauditing against report `{}`:", report.label);
+    let failed = audit(report, &events, async_engine);
+    for m in &failed {
+        println!(
+            "  FAIL {}: stream says {}, report says {}",
+            m.identity, m.stream, m.report
+        );
     }
-    if failures > 0 {
+    if !failed.is_empty() {
         eprintln!("obsdump: event stream and report DISAGREE");
         std::process::exit(1);
     }
     if profiles {
         println!("\nobsdump: profile replay reconciles exactly.");
     }
-    if report.is_some() {
-        println!("\nobsdump: event stream and report reconcile exactly.");
-    }
+    println!("\nobsdump: event stream and report reconcile exactly.");
 }
 
-/// Replay the outcome stream through a fresh profiler, print the profile
-/// table, and reconcile its accounting against the stream (and the
-/// report's ledger when supplied). Returns the failure count.
-fn profile_table(events: &[Event], report: Option<&ExperimentReport>, async_engine: bool) -> u64 {
-    let clients: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ClientOutcome { client, .. } => Some(*client),
-            _ => None,
-        })
-        .collect();
-    let mut profiler = ClientProfiler::new(ProfilingConfig::on(), clients.len().max(1));
-    let mut outcome_events = 0u64;
-    for e in events {
-        if let Event::ClientOutcome {
-            round,
-            client,
-            outcome,
-            sim_duration_s,
-            ..
-        } = e
-        {
-            outcome_events += 1;
-            profiler.observe(
-                *client as usize,
-                &Observation::replay(*round, replay_kind(*outcome), *sim_duration_s),
-            );
-        }
-    }
-
+/// Replay the outcome stream through a fresh profiler and print the
+/// profile table; the gap column needs the report.
+fn profile_table(events: &[Event], report: Option<&ExperimentReport>) {
+    let profiler = replay_profiles(events, |_, _, _| {});
     println!("\nper-client profiles (replayed from the stream):");
     println!(
         "  {:>7} {:>4} {:>5} {:>9} {:>9} {:>9} {:>6} {:>6}",
@@ -195,46 +160,6 @@ fn profile_table(events: &[Event], report: Option<&ExperimentReport>, async_engi
     if rows.len() > shown {
         println!("  ... {} more clients", rows.len() - shown);
     }
-
-    let stats = profiler.stats();
-    println!("\nreconciling profile replay:");
-    let mut c = Checker { failures: 0 };
-    c.eq_u64(
-        "profiler observations == client_outcome events",
-        stats.observations,
-        outcome_events,
-    );
-    c.eq_u64(
-        "profiler store accounting: inserted == evictions + resident",
-        stats.inserted,
-        stats.evictions + stats.resident as u64,
-    );
-    if let Some(report) = report {
-        c.eq_u64(
-            "profiler completions == ledger completions",
-            stats.completed,
-            report.resources.completions,
-        );
-        c.eq_u64(
-            "profiler quarantines == report quarantined",
-            stats.quarantined,
-            report.total_quarantined,
-        );
-        if async_engine {
-            println!("  skip per-client completions (--async: in-flight attempts at run end)");
-        } else {
-            let mismatches = rows
-                .iter()
-                .filter(|(id, est)| report.completed_count.get(*id).unwrap_or(0) != est.completions)
-                .count() as u64;
-            c.eq_u64(
-                "clients whose profiled completions disagree with the report",
-                mismatches,
-                0,
-            );
-        }
-    }
-    c.failures
 }
 
 fn overview(path: &str, events: &[Event]) {
@@ -337,41 +262,6 @@ fn client_timeline(events: &[Event], id: u64) {
     }
 }
 
-/// Rebuild the latency and utilization histograms purely from the event
-/// stream (the same values, in the same order, the runtime's commit phase
-/// recorded).
-fn replay_histograms(events: &[Event]) -> (Histogram, Histogram) {
-    let mut latency = Histogram::new(LATENCY_BUCKETS_S);
-    let mut utilization = Histogram::new(UTILIZATION_BUCKETS);
-    for e in events {
-        match e {
-            // Latency is observed for every attempt whose *execution*
-            // completed — quarantine and dedup reclassify it afterwards,
-            // so those outcomes carry a latency observation too.
-            Event::ClientOutcome {
-                outcome,
-                sim_duration_s,
-                ..
-            } if *outcome != OutcomeKind::Stalled && *outcome != OutcomeKind::Dropped => {
-                latency.observe(*sim_duration_s);
-            }
-            Event::RoundEnd {
-                completed, dropped, ..
-            } => {
-                let slots = completed + dropped;
-                let u = if slots == 0 {
-                    0.0
-                } else {
-                    *completed as f64 / slots as f64
-                };
-                utilization.observe(u);
-            }
-            _ => {}
-        }
-    }
-    (latency, utilization)
-}
-
 fn histogram_tables(events: &[Event]) {
     let (latency, utilization) = replay_histograms(events);
     print_histogram("client latency (s, replayed)", &latency.summary());
@@ -397,114 +287,38 @@ fn print_histogram(title: &str, h: &HistogramSummary) {
     }
 }
 
-/// Assert the event↔report identities; returns the failure count.
-fn reconcile(events: &[Event], report: &ExperimentReport, async_engine: bool) -> u64 {
-    let mut by_kind: BTreeMap<OutcomeKind, u64> = BTreeMap::new();
-    let mut retries = 0u64;
-    let mut agg_suppressed = 0u64;
-    let mut round_ends: Vec<(u64, u64, u64)> = Vec::new();
-    for e in events {
-        match e {
-            Event::ClientOutcome {
-                outcome, attempt, ..
-            } => {
-                *by_kind.entry(*outcome).or_default() += 1;
-                retries += u64::from(*attempt > 0);
-            }
-            Event::AggregationApplied { suppressed, .. } => agg_suppressed += suppressed,
-            Event::RoundEnd {
-                completed,
-                dropped,
-                quarantined,
-                ..
-            } => round_ends.push((*completed, *dropped, *quarantined)),
-            _ => {}
-        }
-    }
-    let n = |k: OutcomeKind| by_kind.get(&k).copied().unwrap_or(0);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    println!("\nreconciling against report `{}`:", report.label);
-    let mut c = Checker { failures: 0 };
-    c.eq_u64(
-        "ledger completions == completed + duplicate outcomes",
-        n(OutcomeKind::Completed) + n(OutcomeKind::Duplicate),
-        report.resources.completions,
-    );
-    c.eq_u64(
-        "ledger dropouts == quarantined + stalled + dropped outcomes",
-        n(OutcomeKind::Quarantined) + n(OutcomeKind::Stalled) + n(OutcomeKind::Dropped),
-        report.resources.dropouts,
-    );
-    c.eq_u64(
-        "ledger quarantined == quarantined outcomes",
-        n(OutcomeKind::Quarantined),
-        report.resources.quarantined,
-    );
-    c.eq_u64(
-        "report quarantined == quarantined outcomes",
-        n(OutcomeKind::Quarantined),
-        report.total_quarantined,
-    );
-    if async_engine {
-        println!("  skip sync-only identities (--async: in-flight attempts at run end)");
-    } else {
-        c.eq_u64(
-            "stall retries == outcomes with attempt > 0",
-            retries,
-            report.stall_retries,
+    /// Write `body` to a fresh file under the temp dir; returns its path.
+    fn scratch_file(name: &str, body: &str) -> String {
+        let path = std::env::temp_dir().join(format!("obsdump-{}-{name}", std::process::id()));
+        std::fs::write(&path, body).expect("write scratch input");
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn bad_inputs_are_errors_naming_the_file() {
+        let missing = std::env::temp_dir().join("obsdump-no-such-file.jsonl");
+        let missing = missing.to_string_lossy();
+        let err = load_events(&missing).expect_err("missing file");
+        assert!(err.starts_with(&format!("cannot read {missing}")), "{err}");
+
+        let event =
+            r#"{"RoundEnd":{"round":0,"sim_s":1.0,"completed":1,"dropped":0,"quarantined":0}}"#;
+        let jsonl = scratch_file("bad.jsonl", &format!("{event}\n{{\"RoundEnd\":\n"));
+        let err = load_events(&jsonl).expect_err("malformed line");
+        assert!(err.starts_with(&format!("{jsonl}: line 2")), "{err}");
+
+        let not_report = scratch_file("not_report.json", r#"{"label": "x", "rounds": []}"#);
+        let err = load_report(&not_report).expect_err("not a report");
+        assert!(
+            err.starts_with(&format!("{not_report}: not an ExperimentReport")),
+            "{err}"
         );
-        c.eq_u64(
-            "duplicates suppressed == duplicate outcomes",
-            n(OutcomeKind::Duplicate),
-            report.duplicates_suppressed,
-        );
-        c.eq_u64(
-            "duplicates suppressed == sum of aggregation suppressions",
-            agg_suppressed,
-            report.duplicates_suppressed,
-        );
-        c.eq_u64(
-            "round-end events == per-round records",
-            round_ends.len() as u64,
-            report.rounds.len() as u64,
-        );
-        for (i, (ends, rec)) in round_ends.iter().zip(&report.rounds).enumerate() {
-            if ends.0 as usize != rec.completed
-                || ends.1 as usize != rec.dropped
-                || ends.2 as usize != rec.quarantined
-            {
-                println!(
-                    "  FAIL round {i}: event ({}, {}, {}) vs record ({}, {}, {})",
-                    ends.0, ends.1, ends.2, rec.completed, rec.dropped, rec.quarantined
-                );
-                c.failures += 1;
-            }
+        for path in [jsonl, not_report] {
+            std::fs::remove_file(path).expect("remove scratch input");
         }
     }
-    if let Some(summary) = &report.telemetry {
-        // The embedded summary tallies every kind, including events a full
-        // buffer would have dropped; with no drops it must match the file.
-        if summary.events_dropped == 0 {
-            c.eq_u64(
-                "summary events_recorded == events in file",
-                events.len() as u64,
-                summary.events_recorded,
-            );
-        }
-        let outcome_total: u64 = by_kind.values().sum();
-        c.eq_u64(
-            "summary client_outcome tally == outcome events",
-            outcome_total,
-            summary.event_count("client_outcome"),
-        );
-        if let Some(hist) = summary.histogram("client_latency_s") {
-            let (latency, _) = replay_histograms(events);
-            c.eq_u64(
-                "latency histogram count == replayed observations",
-                latency.summary().count,
-                hist.count,
-            );
-        }
-    }
-    c.failures
 }

@@ -26,10 +26,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use float_core::audit::replay_profiles;
 use float_core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
-use float_obs::event::{Event, OutcomeKind};
+use float_obs::event::Event;
 use float_obs::ObsConfig;
-use float_profile::{ClientProfiler, Observation, ObservedOutcome, ProfilingConfig};
+use float_profile::{ObservedOutcome, ProfilingConfig};
 use float_sim::FaultPlan;
 use float_tensor::rng::split_seed;
 
@@ -157,51 +158,24 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Map a committed-outcome event kind onto the profiler's observation
-/// kind. Duplicates fold into `Completed` (the client did the work and
-/// the wire carried the bytes); the stream cannot distinguish OOM kills
-/// from other drops, so replayed drops are all `Dropped` — reliability
-/// counters are unaffected, only the OOM split is unavailable offline.
-pub fn replay_kind(outcome: OutcomeKind) -> ObservedOutcome {
-    match outcome {
-        OutcomeKind::Completed | OutcomeKind::Duplicate => ObservedOutcome::Completed,
-        OutcomeKind::Quarantined => ObservedOutcome::Quarantined,
-        OutcomeKind::Stalled => ObservedOutcome::Stalled,
-        OutcomeKind::Dropped => ObservedOutcome::Dropped,
-    }
-}
-
-/// Replay a trial's ClientOutcome stream through a fresh profiler and
-/// score each completed attempt against the latency estimate available
-/// before its outcome was folded. Mirrors `obsdump --profiles` (replay
-/// in stream order == commit order), but keeps per-round error samples.
-fn replay_error_rounds(events: &[Event], num_clients: usize) -> Vec<ErrorRound> {
-    let mut profiler = ClientProfiler::new(ProfilingConfig::on(), num_clients.max(1));
+/// Replay a trial's ClientOutcome stream through a fresh profiler
+/// ([`replay_profiles`], the fold `obsdump --profiles` prints) and score
+/// each completed attempt against the latency estimate available before
+/// its outcome was folded, keeping per-round error samples.
+fn replay_error_rounds(events: &[Event]) -> Vec<ErrorRound> {
     let mut per_round: Vec<(u64, Vec<f64>)> = Vec::new();
-    for event in events {
-        let Event::ClientOutcome {
-            round,
-            client,
-            outcome,
-            sim_duration_s,
-            ..
-        } = event
-        else {
-            continue;
-        };
-        let kind = replay_kind(*outcome);
-        let client = *client as usize;
-        if kind == ObservedOutcome::Completed && *sim_duration_s > 0.0 {
+    replay_profiles(events, |profiler, client, obs| {
+        let actual = obs.duration_s;
+        if obs.kind == ObservedOutcome::Completed && actual > 0.0 {
             if let Some(pred) = profiler.estimate(client).and_then(|e| e.latency_s) {
-                let err = ((pred - sim_duration_s) / sim_duration_s).abs();
-                match per_round.iter_mut().find(|(r, _)| r == round) {
+                let err = ((pred - actual) / actual).abs();
+                match per_round.iter_mut().find(|(r, _)| *r == obs.round) {
                     Some((_, errs)) => errs.push(err),
-                    None => per_round.push((*round, vec![err])),
+                    None => per_round.push((obs.round, vec![err])),
                 }
             }
         }
-        profiler.observe(client, &Observation::replay(*round, kind, *sim_duration_s));
-    }
+    });
     per_round.sort_by_key(|&(round, _)| round);
     per_round
         .into_iter()
@@ -255,7 +229,7 @@ fn run_trial(
         quarantined: report.total_quarantined,
         wall_clock_h: report.wall_clock_h,
         profile_observations: telemetry.summary.counter("profile_observations"),
-        error_rounds: replay_error_rounds(&telemetry.events, cfg.num_clients),
+        error_rounds: replay_error_rounds(&telemetry.events),
     }
 }
 

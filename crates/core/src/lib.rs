@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod audit;
 pub mod config;
 pub mod engine;
 pub mod metrics;

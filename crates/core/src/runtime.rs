@@ -18,7 +18,7 @@ use float_obs::metrics::{
     ESTIMATE_ERROR_BUCKETS, LATENCY_BUCKETS_S, PAYLOAD_BUCKETS_BYTES, UTILIZATION_BUCKETS,
 };
 use float_obs::{Collector, Event, OutcomeKind, Phase, Telemetry};
-use float_profile::{ClientEstimate, ClientProfiler, Observation, ObservedOutcome, ProfilerStats};
+use float_profile::{ClientEstimate, ClientProfiler, Observation, ProfilerStats};
 use float_rl::{AgentConfig, DeadlineLevel, GlobalState, LocalState, RlhfAgent};
 use float_select::{
     ClientSelector, FedAvgSelector, FedBuffSelector, HeuristicPolicy, OortSelector, ReflSelector,
@@ -34,6 +34,7 @@ use float_tensor::{Dataset, DriftOptions, Mlp, MlpConfig, Sgd};
 use float_traces::{AvailabilityStats, DeviceProfile, ResourceSampler, ResourceSnapshot};
 
 use crate::aggregate::{dedup_updates, PendingUpdate};
+use crate::audit::observed_outcome;
 use crate::config::{AccelMode, ExperimentConfig, SelectorChoice};
 use crate::engine::parallel_map_with;
 use crate::metrics::{AccuracySummary, ClientCounts, ExperimentReport, RoundRecord};
@@ -605,7 +606,8 @@ fn outcome_counter(kind: OutcomeKind) -> &'static str {
 /// Outcome of executing one client attempt (used by both round loops).
 struct Attempt {
     client: usize,
-    completed: bool,
+    /// How the attempt ended: the commit phase's one classification.
+    outcome: OutcomeKind,
     duration_s: f64,
     was_available: bool,
     utility: f64,
@@ -613,12 +615,12 @@ struct Attempt {
     reward: Option<f64>,
     /// Pending update if the client completed.
     update: Option<PendingUpdate>,
-    /// The update arrived but payload validation quarantined it.
-    quarantined: bool,
-    /// The transport will deliver this update twice.
-    duplicate: bool,
-    /// The upload stalled past the server timeout (retry candidate).
-    stalled: bool,
+}
+
+impl Attempt {
+    fn completed(&self) -> bool {
+        self.outcome.is_completion()
+    }
 }
 
 /// Hand a completed update to the aggregation input. An injected
@@ -1062,18 +1064,18 @@ impl Experiment {
     /// profiling off the historical uncensored value flows through,
     /// byte for byte.
     fn selection_feedback(&self, a: &Attempt) -> SelectionFeedback {
-        let duration_s = if self.profiler.is_some() && !a.completed {
+        let duration_s = if self.profiler.is_some() && !a.completed() {
             a.duration_s.min(self.config.deadline_s)
         } else {
             a.duration_s
         };
         SelectionFeedback {
             client: a.client,
-            completed: a.completed,
+            completed: a.completed(),
             duration_s,
             utility: a.utility,
             was_available: a.was_available,
-            quarantined: a.quarantined,
+            quarantined: a.outcome == OutcomeKind::Quarantined,
         }
     }
 
@@ -1281,11 +1283,11 @@ impl Experiment {
         // poison the global model through aggregation, so it is quarantined
         // — dropped before aggregation, its resources counted as wasted,
         // and the event surfaced in the ledger and report.
-        let quarantined = exec
+        if exec
             .update
             .as_ref()
-            .is_some_and(|u| u.delta.iter().any(|v| !v.is_finite()));
-        if quarantined {
+            .is_some_and(|u| u.delta.iter().any(|v| !v.is_finite()))
+        {
             exec.outcome.dropped = Some(DropReason::Quarantined);
             exec.update = None;
             // Discard the residual too: error feedback distilled from a
@@ -1320,7 +1322,17 @@ impl Experiment {
                 self.scaffold_ci.insert(task.client, ci_new);
             }
         }
-        let completed = exec.outcome.completed();
+        // The one classification of this attempt: the event, the registry
+        // counter, the profiler's observation and the round loops' view of
+        // the attempt all derive from it.
+        let outcome = match exec.outcome.dropped {
+            None if exec.duplicate => OutcomeKind::Duplicate,
+            None => OutcomeKind::Completed,
+            Some(DropReason::Quarantined) => OutcomeKind::Quarantined,
+            Some(DropReason::NetworkStall) => OutcomeKind::Stalled,
+            Some(_) => OutcomeKind::Dropped,
+        };
+        let completed = outcome.is_completion();
         let reward = self.agent.as_mut().map(|agent| {
             let (global, local, hf) = task.agent_state.expect("the agent decided this attempt");
             let idx = self
@@ -1355,8 +1367,6 @@ impl Experiment {
             }
         });
         self.report.record_technique(task.action, completed);
-        let duplicate = exec.duplicate && completed;
-        let stalled = exec.outcome.dropped == Some(DropReason::NetworkStall);
         if self.obs.enabled() {
             if let Some(kind) = exec.fault {
                 self.obs.record(Event::FaultInjected {
@@ -1367,27 +1377,14 @@ impl Experiment {
                 });
                 self.obs.registry_mut().inc("faults_injected", 1);
             }
-            let outcome_kind = if quarantined {
-                OutcomeKind::Quarantined
-            } else if duplicate {
-                OutcomeKind::Duplicate
-            } else if completed {
-                OutcomeKind::Completed
-            } else if stalled {
-                OutcomeKind::Stalled
-            } else {
-                OutcomeKind::Dropped
-            };
             self.obs.record(Event::ClientOutcome {
                 round: round as u64,
                 client: task.client as u64,
                 attempt: u64::from(task.attempt),
-                outcome: outcome_kind,
+                outcome,
                 sim_duration_s: exec.outcome.total_s(),
             });
-            self.obs
-                .registry_mut()
-                .inc(outcome_counter(outcome_kind), 1);
+            self.obs.registry_mut().inc(outcome_counter(outcome), 1);
         }
         // Online profiling: fold the committed outcome into the profiler.
         // Commit phase, slot order — so profiler state (and everything
@@ -1397,17 +1394,10 @@ impl Experiment {
         // (`upload_s = bytes·8 / (mbps·1e6)`, `train_s = flops /
         // (gflops·1e9)`) so estimates converge on the effective rates.
         if let Some(profiler) = self.profiler.as_mut() {
-            let kind = if quarantined {
-                ObservedOutcome::Quarantined
-            } else if completed {
-                ObservedOutcome::Completed
-            } else if stalled {
-                ObservedOutcome::Stalled
-            } else if exec.outcome.dropped == Some(DropReason::OutOfMemory) {
-                ObservedOutcome::DroppedOom
-            } else {
-                ObservedOutcome::Dropped
-            };
+            let kind = observed_outcome(
+                outcome,
+                exec.outcome.dropped == Some(DropReason::OutOfMemory),
+            );
             let upload_mbps = (completed && exec.outcome.upload_s > 0.0)
                 .then(|| exec.cost.upload_bytes * 8.0 / (exec.outcome.upload_s * 1e6));
             let compute_gflops = (completed && exec.outcome.train_s > 0.0)
@@ -1442,15 +1432,12 @@ impl Experiment {
         }
         Attempt {
             client: task.client,
-            completed,
+            outcome,
             duration_s: exec.outcome.total_s(),
             was_available: task.snap.available,
             utility: exec.utility,
             reward,
             update: exec.update,
-            quarantined,
-            duplicate,
-            stalled,
         }
     }
 
@@ -1517,7 +1504,7 @@ impl Experiment {
         }
         for (i, task0) in tasks.iter().enumerate() {
             let mut attempt_no = 0u32;
-            while attempts[i].stalled && attempt_no < max_retries {
+            while attempts[i].outcome == OutcomeKind::Stalled && attempt_no < max_retries {
                 attempt_no += 1;
                 let mut task = task0.clone();
                 task.attempt = attempt_no;
@@ -1597,7 +1584,7 @@ impl Experiment {
             let mut updates: Vec<PendingUpdate> = Vec::with_capacity(attempts.len());
             for a in attempts.iter_mut() {
                 if let Some(u) = a.update.take() {
-                    deliver_update(&mut updates, u, a.duplicate);
+                    deliver_update(&mut updates, u, a.outcome == OutcomeKind::Duplicate);
                 }
             }
             self.aggregate(round, global, &mut updates);
@@ -1606,10 +1593,10 @@ impl Experiment {
             // the full deadline if anyone missed it — plus any backoff the
             // stall retries charged.
             let backoff_s = std::mem::take(&mut self.round_backoff_s);
-            let any_miss = attempts.iter().any(|a| !a.completed && a.was_available);
+            let any_miss = attempts.iter().any(|a| !a.completed() && a.was_available);
             let max_complete = attempts
                 .iter()
-                .filter(|a| a.completed)
+                .filter(|a| a.completed())
                 .map(|a| a.duration_s)
                 .fold(0.0f64, f64::max);
             let round_wall = if any_miss {
@@ -1666,7 +1653,7 @@ impl Experiment {
                     // reclaimed when the server-side timeout (the round
                     // deadline) fires — this is what bounds FedBuff's
                     // relaunch churn to the paper's ~5x over-selection.
-                    let slot_free_s = if a.completed {
+                    let slot_free_s = if a.completed() {
                         a.duration_s.max(1.0)
                     } else {
                         self.config.deadline_s
@@ -1693,7 +1680,7 @@ impl Experiment {
                 fb.round_attempts.push(ev.attempt_idx);
                 if let Some(mut u) = attempt.update.take() {
                     u.staleness = fb.agg_count - fb.launch_agg[ev.attempt_idx];
-                    deliver_update(&mut fb.buffer, u, attempt.duplicate);
+                    deliver_update(&mut fb.buffer, u, attempt.outcome == OutcomeKind::Duplicate);
                 }
             }
             if !fb.buffer.is_empty() {
@@ -1756,8 +1743,8 @@ impl Experiment {
         let mut rewards: Vec<f64> = Vec::new();
         for a in attempts {
             selected += 1;
-            quarantined += usize::from(a.quarantined);
-            if a.completed {
+            quarantined += usize::from(a.outcome == OutcomeKind::Quarantined);
+            if a.completed() {
                 completed += 1;
                 self.report.completed_count.increment(a.client);
                 self.report.total_completions += 1;
@@ -2128,51 +2115,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Count ClientOutcome events matching `pred`.
-    fn count_outcomes(
-        events: &[float_obs::Event],
-        pred: impl Fn(float_obs::OutcomeKind, u64) -> bool,
-    ) -> u64 {
-        events
-            .iter()
-            .filter(|e| {
-                matches!(e, float_obs::Event::ClientOutcome { outcome, attempt, .. }
-                    if pred(*outcome, *attempt))
-            })
-            .count() as u64
-    }
-
-    /// Split the stream into attempt batches, asserting every batch emits
-    /// exactly `Plan, Execute, Commit` in that order; returns the number of
-    /// attempts each batch planned (one `AccelDecision` apiece).
-    fn planned_per_batch(events: &[Event]) -> Vec<usize> {
-        let mut batches = Vec::new();
-        let mut planned = 0usize;
-        let mut next = Phase::Plan;
-        for e in events {
-            match e {
-                Event::AccelDecision { .. } => {
-                    assert_eq!(next, Phase::Plan, "decision outside a plan phase");
-                    planned += 1;
-                }
-                Event::PhaseSpan { phase, .. } => {
-                    assert_eq!(*phase, next, "phase span out of order");
-                    next = match phase {
-                        Phase::Plan => Phase::Execute,
-                        Phase::Execute => Phase::Commit,
-                        Phase::Commit => {
-                            batches.push(std::mem::take(&mut planned));
-                            Phase::Plan
-                        }
-                    };
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(next, Phase::Plan, "stream ends inside a batch");
-        batches
-    }
-
     #[test]
     fn telemetry_is_pure_observation_under_chaos() {
         // Turning telemetry on must not change a single bit of the report
@@ -2200,64 +2142,17 @@ mod tests {
 
     #[test]
     fn sync_event_stream_reconciles_with_ledger_and_report() {
-        use float_obs::OutcomeKind;
         let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 10);
         cfg.fault_plan = float_sim::FaultPlan::chaos();
         cfg.obs = float_obs::ObsConfig::on();
         let (report, telemetry) = Experiment::new(cfg).expect("valid").run_traced();
-        let events = &telemetry.events;
-        // Ledger counts every committed attempt; so does the event stream.
-        let completions = count_outcomes(events, |k, _| k.is_completion());
-        let dropouts = count_outcomes(events, |k, _| !k.is_completion());
-        let quarantined = count_outcomes(events, |k, _| k == OutcomeKind::Quarantined);
-        assert_eq!(completions, report.resources.completions);
-        assert_eq!(dropouts, report.resources.dropouts);
-        assert_eq!(quarantined, report.resources.quarantined);
-        assert_eq!(quarantined, report.total_quarantined);
-        // Retries carry attempt > 0; the sync engine's retry counter
-        // matches them one-for-one.
-        let retries = count_outcomes(events, |_, attempt| attempt > 0);
-        assert_eq!(retries, report.stall_retries);
-        assert!(retries > 0, "chaos plan should force retries");
-        // Every duplicate outcome is suppressed by dedup the same round.
-        let duplicates = count_outcomes(events, |k, _| k == OutcomeKind::Duplicate);
-        assert_eq!(duplicates, report.duplicates_suppressed);
-        // Aggregation events account for every suppression too.
-        let suppressed: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                float_obs::Event::AggregationApplied { suppressed, .. } => Some(*suppressed),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(suppressed, report.duplicates_suppressed);
-        // Round-end events mirror the per-round report records exactly.
-        let round_ends: Vec<(u64, u64, u64)> = events
-            .iter()
-            .filter_map(|e| match e {
-                float_obs::Event::RoundEnd {
-                    completed,
-                    dropped,
-                    quarantined,
-                    ..
-                } => Some((*completed, *dropped, *quarantined)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(round_ends.len(), report.rounds.len());
-        for (ends, rec) in round_ends.iter().zip(&report.rounds) {
-            assert_eq!(ends.0 as usize, rec.completed);
-            assert_eq!(ends.1 as usize, rec.dropped);
-            assert_eq!(ends.2 as usize, rec.quarantined);
-        }
-        // One decision per planned (non-retry) attempt.
-        let decisions = telemetry.summary.event_count("accel_decision");
-        let planned = count_outcomes(events, |_, attempt| attempt == 0);
-        assert_eq!(decisions, planned);
-        // One attempt batch per round, each spanning plan/execute/commit.
-        let batches = planned_per_batch(events);
-        assert_eq!(batches.len(), report.rounds.len());
-        assert_eq!(batches.iter().sum::<usize>() as u64, planned);
+        assert_eq!(
+            crate::audit::audit(&report, &telemetry.events, false),
+            vec![]
+        );
+        // The scenario reaches the retry and dedup paths the audit counts.
+        assert!(report.stall_retries > 0, "chaos plan should force retries");
+        assert!(report.duplicates_suppressed > 0, "no duplicate delivered");
     }
 
     #[test]
@@ -2266,24 +2161,15 @@ mod tests {
         cfg.fault_plan = float_sim::FaultPlan::chaos();
         cfg.obs = float_obs::ObsConfig::on();
         let (report, telemetry) = Experiment::new(cfg).expect("valid").run_traced();
-        // The async engine commits attempts at launch, so the ledger and
-        // the event stream agree even though some attempts are still
-        // in-flight at run end (those never reach the per-round report).
-        let completions = count_outcomes(&telemetry.events, |k, _| k.is_completion());
-        let dropouts = count_outcomes(&telemetry.events, |k, _| !k.is_completion());
-        assert_eq!(completions, report.resources.completions);
-        assert_eq!(dropouts, report.resources.dropouts);
-        assert!(completions >= report.total_completions);
+        assert_eq!(
+            crate::audit::audit(&report, &telemetry.events, true),
+            vec![]
+        );
         // FedBuff launches a batch on every event-loop turn; a turn with no
         // free slot launches nobody and still emits the three spans.
-        let batches = planned_per_batch(&telemetry.events);
+        let batches = crate::audit::planned_per_batch(&telemetry.events).expect("phase order");
         assert!(batches.len() > report.rounds.len());
         assert!(batches.contains(&0), "no empty launch batch exercised");
-        assert_eq!(
-            batches.iter().sum::<usize>() as u64,
-            completions + dropouts,
-            "every launched attempt is committed exactly once"
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 use float_core::engine::parallel_map_with;
 use float_core::optim::ServerOptimizerChoice;
 use float_core::trial::SharedPopulation;
-use float_core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
+use float_core::{Experiment, ExperimentConfig, ExperimentReport};
 use float_obs::{sink, ObsConfig};
 use float_tensor::rng::split_seed;
 
@@ -56,20 +56,10 @@ pub enum Knob {
     CohortSize(usize),
     /// Local epochs per client round.
     LocalEpochs(usize),
-    /// Round deadline, seconds.
-    DeadlineS(f64),
     /// Local SGD learning rate.
     LearningRate(f32),
-    /// Local batch size.
-    BatchSize(usize),
-    /// Client-selection algorithm.
-    Selector(SelectorChoice),
     /// Server-side aggregation optimizer.
     ServerOptim(ServerOptimizerChoice),
-    /// Acceleration mode.
-    Accel(AccelMode),
-    /// FedProx proximal coefficient.
-    ProxMu(f64),
 }
 
 impl Knob {
@@ -78,13 +68,8 @@ impl Knob {
         match *self {
             Knob::CohortSize(v) => cfg.cohort_size = v,
             Knob::LocalEpochs(v) => cfg.local_epochs = v,
-            Knob::DeadlineS(v) => cfg.deadline_s = v,
             Knob::LearningRate(v) => cfg.learning_rate = v,
-            Knob::BatchSize(v) => cfg.batch_size = v,
-            Knob::Selector(v) => cfg.selector = v,
             Knob::ServerOptim(v) => cfg.server_optim = v,
-            Knob::Accel(v) => cfg.accel = v,
-            Knob::ProxMu(v) => cfg.prox_mu = v,
         }
     }
 }
@@ -595,6 +580,7 @@ pub fn frontier(records: &[TrialRecord]) -> Vec<FrontierPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use float_core::{AccelMode, SelectorChoice};
 
     fn tiny_base(rounds: usize) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Off, rounds);

@@ -5,7 +5,7 @@
 //! quarantined updates accounted identically by ledger and report, and
 //! bit-identical results *and event streams* across thread counts — then
 //! prints a fault-accounting summary and the first rounds' telemetry
-//! digests, and writes the sync run's event stream + report to
+//! digests, and writes each engine's event stream + report to
 //! `target/obs/` for downstream tooling (`obsdump`, see ci.sh).
 //!
 //! ```text
@@ -102,20 +102,26 @@ fn main() {
     let (async_r, async_tel) = check(SelectorChoice::FedBuff);
     summarize(&async_r, &async_tel);
 
-    // Persist the sync run's artefacts so obsdump can replay and
-    // reconcile them (ci.sh asserts the event↔ledger identities).
+    // Persist both runs' artefacts so obsdump can replay and audit them
+    // (ci.sh asserts the event↔ledger identities for each engine).
     let dir = std::path::Path::new("target/obs");
-    sink::write_jsonl(dir.join("chaos_sync.jsonl"), &sync_tel.events).expect("write event stream");
-    let report_json = serde_json::to_string_pretty(&sync).expect("report serializes");
-    std::fs::write(
-        dir.join("chaos_sync.report.json"),
-        format!("{report_json}\n"),
-    )
-    .expect("write report json");
-    println!(
-        "\nwrote target/obs/chaos_sync.jsonl ({} events) and chaos_sync.report.json",
-        sync_tel.events.len()
-    );
+    for (name, report, tel) in [
+        ("chaos_sync", &sync, &sync_tel),
+        ("chaos_async", &async_r, &async_tel),
+    ] {
+        sink::write_jsonl(dir.join(format!("{name}.jsonl")), &tel.events)
+            .expect("write event stream");
+        let report_json = serde_json::to_string_pretty(report).expect("report serializes");
+        std::fs::write(
+            dir.join(format!("{name}.report.json")),
+            format!("{report_json}\n"),
+        )
+        .expect("write report json");
+        println!(
+            "\nwrote target/obs/{name}.jsonl ({} events) and {name}.report.json",
+            tel.events.len()
+        );
+    }
 
     println!("\nchaos smoke passed: finite, deterministic, faults accounted.");
 }

@@ -1,13 +1,19 @@
 //! Chaos tests for the fault-injection harness: under *any* fault
 //! schedule, experiment runs must complete without panicking, reports must
 //! stay free of NaN/Inf, and the fault bookkeeping (quarantines, duplicate
-//! suppression, stall retries) must agree between the ledger and report.
+//! suppression, stall retries) must agree between the ledger and report,
+//! and — with telemetry on — between both and the event stream.
 
 use proptest::prelude::*;
 
+use float::core::audit::audit;
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
+use float::obs::ObsConfig;
 use float::sim::FaultPlan;
 
+/// Run with telemetry on — pure observation, so the run is the one an
+/// untraced config makes — and assert the ledger↔stream audit finds no
+/// broken identity.
 fn run_with_plan(
     selector: SelectorChoice,
     accel: AccelMode,
@@ -18,7 +24,12 @@ fn run_with_plan(
     let mut cfg = ExperimentConfig::small(selector, accel, rounds);
     cfg.seed = seed;
     cfg.fault_plan = plan;
-    Experiment::new(cfg).expect("valid config").run()
+    cfg.obs = ObsConfig::on();
+    let (report, telemetry) = Experiment::new(cfg).expect("valid config").run_traced();
+    let async_engine = selector == SelectorChoice::FedBuff;
+    let failed = audit(&report, &telemetry.events, async_engine);
+    assert_eq!(failed, vec![], "{}: broken identities", report.label);
+    report
 }
 
 /// The invariants every faulted run must uphold.

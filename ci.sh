@@ -227,6 +227,15 @@ if [[ "${1:-}" != "quick" ]]; then
   step "vertical FL (split model, per-party acceleration)"
   cargo run --release --offline --example vertical_fl
 
+  # The examples no step above runs: the quickstart tour, and the two
+  # studies that close with a verdict computed from the table they print
+  # (sync vs async, static pruning vs FLOAT under interference). Together
+  # ~1 s once built (0.1 / 0.2 / 0.7 s on a two-core host).
+  step "examples (quickstart, sync_vs_async, interference_study)"
+  for ex in quickstart sync_vs_async interference_study; do
+    cargo run --release --offline --quiet --example "$ex"
+  done
+
   # The studies beyond the paper's figures, each at quick scale: the
   # algorithm comparison, the oracle gap (oracle / profiled / coldstart),
   # the concurrent sweep (grid + successive halving, per-trial JSONL under

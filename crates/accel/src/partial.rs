@@ -27,14 +27,6 @@ pub fn frozen_mask(n: usize, fraction: f64, seed: u64) -> Vec<bool> {
     mask
 }
 
-/// Fraction of frozen parameters in a mask.
-pub fn frozen_fraction(mask: &[bool]) -> f64 {
-    if mask.is_empty() {
-        return 0.0;
-    }
-    mask.iter().filter(|&&f| f).count() as f64 / mask.len() as f64
-}
-
 /// Compute-cost multiplier for training with `fraction` of parameters
 /// frozen.
 ///
@@ -50,6 +42,11 @@ pub fn compute_multiplier(fraction: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of frozen parameters in a mask.
+    fn frozen_fraction(mask: &[bool]) -> f64 {
+        mask.iter().filter(|&&f| f).count() as f64 / mask.len() as f64
+    }
 
     #[test]
     fn mask_freezes_requested_fraction() {

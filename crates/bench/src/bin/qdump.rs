@@ -7,22 +7,28 @@
 //! ```
 //!
 //! Output: per-action aggregates (participation / accuracy Q, visits)
-//! followed by the learned best action per visited state.
+//! followed by the learned best action per visited state. An unreadable
+//! file, or one that is not a serialized agent, is reported on stderr and
+//! exits 2.
 
 use float_accel::ActionCatalogue;
 use float_core::{AccelMode, Experiment, SelectorChoice};
 use float_data::Task;
 use float_rl::RlhfAgent;
 
+/// Read a serialized agent; the error names the file.
+fn load_agent(path: &str) -> Result<RlhfAgent, String> {
+    let body = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    RlhfAgent::from_json(&body).ok_or_else(|| format!("{path}: not a serialized agent"))
+}
+
 fn main() {
     let arg = std::env::args().nth(1);
     let agent: RlhfAgent = match arg {
-        Some(path) => {
-            let body = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            RlhfAgent::from_json(&body)
-                .unwrap_or_else(|| panic!("{path} is not a serialized agent"))
-        }
+        Some(path) => load_agent(&path).unwrap_or_else(|e| {
+            eprintln!("qdump: {e}");
+            std::process::exit(2);
+        }),
         None => {
             eprintln!("no agent file given; training a quick agent on femnist…");
             let cfg = float_bench::Scale::Quick.config(
@@ -117,5 +123,26 @@ fn main() {
             catalogue.action(best).name(),
             total
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_inputs_are_errors_naming_the_file() {
+        let dir = std::env::temp_dir();
+        let missing = dir.join("qdump-no-such-file.json");
+        let missing = missing.to_string_lossy();
+        let err = load_agent(&missing).expect_err("missing file");
+        assert!(err.starts_with(&format!("cannot read {missing}")), "{err}");
+
+        let path = dir.join(format!("qdump-{}-not_agent.json", std::process::id()));
+        std::fs::write(&path, r#"{"label": "x", "rounds": []}"#).expect("write scratch input");
+        let path = path.to_string_lossy().into_owned();
+        let err = load_agent(&path).expect_err("not an agent");
+        assert_eq!(err, format!("{path}: not a serialized agent"));
+        std::fs::remove_file(&path).expect("remove scratch input");
     }
 }

@@ -107,11 +107,6 @@ pub fn run(scale: Scale) -> Ablations {
 }
 
 impl Ablations {
-    /// Find a variant row.
-    pub fn row(&self, variant: &str) -> Option<&AblationRow> {
-        self.rows.iter().find(|r| r.variant == variant)
-    }
-
     /// Paper-style text rendering.
     pub fn render(&self) -> String {
         let rows: Vec<Vec<String>> = self

@@ -27,7 +27,7 @@ pub struct RewardCurve {
 
 impl RewardCurve {
     /// Mean reward over the first `n` sampled rounds.
-    pub fn early_mean(&self, n: usize) -> f64 {
+    fn early_mean(&self, n: usize) -> f64 {
         let pts: Vec<f64> = self.points.iter().take(n).map(|&(_, r)| r).collect();
         if pts.is_empty() {
             0.0
@@ -109,7 +109,7 @@ fn clone_agent(agent: &float_rl::RlhfAgent) -> float_rl::RlhfAgent {
 impl Fig9 {
     /// Whether fine-tuning converges faster than scratch on both targets
     /// (the paper's headline Fig. 9 claim).
-    pub fn transfer_wins(&self) -> (bool, bool) {
+    fn transfer_wins(&self) -> (bool, bool) {
         let early = |c: &RewardCurve| c.early_mean(5);
         (
             early(&self.transfer_same_arch.0) > early(&self.transfer_same_arch.1),

@@ -22,7 +22,7 @@ pub mod scale;
 pub use scale::Scale;
 
 /// Render a float with sensible width for table output.
-pub fn f(v: f64) -> String {
+fn f(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.abs() >= 100.0 {
@@ -35,7 +35,7 @@ pub fn f(v: f64) -> String {
 }
 
 /// Render a simple aligned table: header row plus data rows.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -69,7 +69,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// declaration order, except those named in `skip`. Floats print through
 /// [`f`], strings bare, other scalars as JSON; array and object fields are
 /// left out.
-pub fn rows_table<R: serde::Serialize>(rows: &[R], skip: &[&str]) -> String {
+fn rows_table<R: serde::Serialize>(rows: &[R], skip: &[&str]) -> String {
     use serde_json::Value;
     let values: Vec<Value> = rows
         .iter()

@@ -172,7 +172,7 @@ impl ClientCounts {
     }
 
     /// Number of clients whose count is zero.
-    pub fn zeros(&self) -> usize {
+    fn zeros(&self) -> usize {
         self.num_clients - self.counts.len()
     }
 }

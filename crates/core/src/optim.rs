@@ -15,7 +15,7 @@
 //! FedAvgM is classical server momentum (`m ← β₁·m + Δ; w ← w + η·m`).
 //!
 //! Determinism contract: optimizer state is mutated only in the
-//! sequential commit phase (both engines call [`ServerOptimizer::apply`]
+//! sequential commit phase (both engines call [`ServerOptimizer::aggregate`]
 //! from their aggregation step), all accumulation runs in `f64` in
 //! parameter order, and [`ServerOptimizerChoice::FedAvg`] reproduces the
 //! historical direct-apply path bit for bit — see `DESIGN.md` §Server
@@ -53,14 +53,6 @@ impl ServerOptimizerChoice {
             ServerOptimizerChoice::FedYogi => "fedyogi",
         }
     }
-
-    /// All four optimizers, in comparison-grid order.
-    pub const ALL: [ServerOptimizerChoice; 4] = [
-        ServerOptimizerChoice::FedAvg,
-        ServerOptimizerChoice::FedAvgM,
-        ServerOptimizerChoice::FedAdam,
-        ServerOptimizerChoice::FedYogi,
-    ];
 }
 
 /// Server learning rate `η`. FedAvg ignores it (its step is the raw
@@ -102,7 +94,7 @@ impl ServerOptimizer {
 
     /// Aggregate `updates` into `global` through the configured
     /// optimizer: compute the staleness-discounted weighted-mean delta,
-    /// then fold it in via [`ServerOptimizer::apply`].
+    /// then fold it into `global`, advancing the moment buffers.
     ///
     /// Returns the number of updates actually applied — `0` when the
     /// batch is empty or carries no aggregate weight, in which case
@@ -127,7 +119,7 @@ impl ServerOptimizer {
     /// # Panics
     ///
     /// Panics if `delta.len() != global.len()`.
-    pub fn apply(&mut self, global: &mut [f32], delta: &[f64]) {
+    fn apply(&mut self, global: &mut [f32], delta: &[f64]) {
         assert_eq!(
             delta.len(),
             global.len(),
@@ -180,12 +172,6 @@ impl ServerOptimizer {
         }
     }
 
-    /// Snapshot of the moment buffers (momentum, second moment) for
-    /// determinism tests; empty until the optimizer first applies.
-    pub fn state(&self) -> (&[f64], &[f64]) {
-        (&self.momentum, &self.second)
-    }
-
     fn ensure_momentum(&mut self, n: usize) {
         if self.momentum.len() != n {
             self.momentum = vec![0.0; n];
@@ -203,6 +189,14 @@ impl ServerOptimizer {
 mod tests {
     use super::*;
     use crate::aggregate::aggregate;
+
+    /// All four optimizers, in comparison-grid order.
+    const ALL: [ServerOptimizerChoice; 4] = [
+        ServerOptimizerChoice::FedAvg,
+        ServerOptimizerChoice::FedAvgM,
+        ServerOptimizerChoice::FedAdam,
+        ServerOptimizerChoice::FedYogi,
+    ];
 
     fn upd(client: usize, delta: Vec<f32>, samples: usize) -> PendingUpdate {
         PendingUpdate {
@@ -240,7 +234,7 @@ mod tests {
             "FedAvg through the optimizer drifted from the direct path"
         );
         // FedAvg keeps no moment state.
-        assert!(opt.state().0.is_empty() && opt.state().1.is_empty());
+        assert!(opt.momentum.is_empty() && opt.second.is_empty());
     }
 
     #[test]
@@ -272,7 +266,7 @@ mod tests {
         for _ in 0..200 {
             opt.apply(&mut g, &[2.0]);
         }
-        let (_, v) = opt.state();
+        let v = &opt.second;
         // Yogi's additive update converges v toward Δ² = 4 from below.
         assert!((v[0] - 4.0).abs() < 0.5, "v = {}", v[0]);
         assert!(g[0].is_finite());
@@ -374,7 +368,7 @@ mod tests {
 
     #[test]
     fn adaptive_optimizers_are_deterministic() {
-        for choice in ServerOptimizerChoice::ALL {
+        for choice in ALL {
             let updates = vec![upd(0, vec![0.3, -0.7], 12), upd(1, vec![1.5, 0.2], 5)];
             let run = || {
                 let mut opt = ServerOptimizer::new(choice);
@@ -390,12 +384,12 @@ mod tests {
 
     #[test]
     fn empty_batch_applies_nothing_and_reports_zero() {
-        for choice in ServerOptimizerChoice::ALL {
+        for choice in ALL {
             let mut opt = ServerOptimizer::new(choice);
             let mut g = vec![1.0f32, 2.0];
             assert_eq!(opt.aggregate(&mut g, &[]), 0);
             assert_eq!(g, vec![1.0, 2.0], "{choice:?} moved on empty batch");
-            assert!(opt.state().0.is_empty(), "{choice:?} grew state");
+            assert!(opt.momentum.is_empty(), "{choice:?} grew state");
         }
     }
 

@@ -847,11 +847,6 @@ impl Experiment {
         self.agent = Some(agent);
     }
 
-    /// Borrow the (possibly trained) agent.
-    pub fn agent(&self) -> Option<&RlhfAgent> {
-        self.agent.as_ref()
-    }
-
     /// Replace the agent with a differently configured one *before*
     /// running (ablation studies). Unlike
     /// [`Experiment::install_pretrained_agent`], the agent's state is

@@ -197,7 +197,7 @@ impl SharedPopulation {
 
     /// Whether `config` describes exactly the population these artifacts
     /// were built for.
-    pub fn matches(&self, config: &ExperimentConfig) -> bool {
+    fn matches(&self, config: &ExperimentConfig) -> bool {
         config.federated_config() == self.fed && config.population_seed() == self.population_seed
     }
 

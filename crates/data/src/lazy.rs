@@ -65,11 +65,6 @@ impl ShardSpec {
         }
     }
 
-    /// Construction parameters.
-    pub fn config(&self) -> &FederatedConfig {
-        &self.config
-    }
-
     /// The synthetic task parameters (class count, dimensionality).
     pub fn synthetic(&self) -> &SyntheticTaskConfig {
         &self.synth
@@ -82,7 +77,7 @@ impl ShardSpec {
 
     /// Per-class sample counts of client `client` (train + test combined)
     /// — row `client` of the partition matrix, derived in isolation.
-    pub fn client_counts(&self, client: usize) -> Vec<usize> {
+    fn client_counts(&self, client: usize) -> Vec<usize> {
         let part_seed = split_seed(self.seed, 1);
         match self.config.alpha {
             Some(a) => dirichlet_client_counts(

@@ -21,16 +21,6 @@ pub enum Architecture {
 }
 
 impl Architecture {
-    /// Every supported architecture.
-    pub const ALL: [Architecture; 6] = [
-        Architecture::ResNet18,
-        Architecture::ResNet34,
-        Architecture::ResNet50,
-        Architecture::ShuffleNetV2,
-        Architecture::MobileNetV2,
-        Architecture::SpeechCnn,
-    ];
-
     /// The published cost profile of this architecture.
     ///
     /// Parameter counts and inference FLOPs are the standard ImageNet-scale
@@ -109,6 +99,16 @@ impl ModelProfile {
 mod tests {
     use super::*;
 
+    /// Every supported architecture.
+    const ALL: [Architecture; 6] = [
+        Architecture::ResNet18,
+        Architecture::ResNet34,
+        Architecture::ResNet50,
+        Architecture::ShuffleNetV2,
+        Architecture::MobileNetV2,
+        Architecture::SpeechCnn,
+    ];
+
     #[test]
     fn profiles_have_sane_ordering() {
         let r18 = Architecture::ResNet18.profile();
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn training_flops_exceed_forward() {
-        for a in Architecture::ALL {
+        for a in ALL {
             let p = a.profile();
             assert!(p.train_flops_per_sample() > p.forward_flops);
         }
@@ -142,9 +142,9 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<_> = Architecture::ALL.iter().map(|a| a.name()).collect();
+        let mut names: Vec<_> = ALL.iter().map(|a| a.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), Architecture::ALL.len());
+        assert_eq!(names.len(), ALL.len());
     }
 }

@@ -50,7 +50,7 @@ impl Collector {
 
     /// Whether wall-clock phase timers are on.
     #[inline]
-    pub fn wall_timers(&self) -> bool {
+    fn wall_timers(&self) -> bool {
         self.cfg.enabled && self.cfg.wall_timers
     }
 
@@ -99,11 +99,6 @@ impl Collector {
     /// The central metrics registry, for sequential-phase emission sites.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
-    }
-
-    /// Read access to the registry (tests, summaries).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Number of events currently buffered.

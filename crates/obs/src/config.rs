@@ -21,8 +21,8 @@ pub struct ObsConfig {
     /// §12) because wall time is inherently irreproducible.
     #[serde(default)]
     pub wall_timers: bool,
-    /// Hard cap on buffered events; `0` means the default cap
-    /// ([`ObsConfig::DEFAULT_MAX_EVENTS`]). Recording past the cap drops
+    /// Hard cap on buffered events; `0` means the default cap of 2²⁰
+    /// events. Recording past the cap drops
     /// the event (counted in `TelemetrySummary::events_dropped`) instead
     /// of growing without bound — a 300-round paper run emits ~50k
     /// events, so the default cap of one million is generous.
@@ -38,7 +38,7 @@ impl Default for ObsConfig {
 
 impl ObsConfig {
     /// Default event-buffer cap.
-    pub const DEFAULT_MAX_EVENTS: usize = 1 << 20;
+    const DEFAULT_MAX_EVENTS: usize = 1 << 20;
 
     /// Telemetry fully disabled (the default).
     pub fn off() -> Self {

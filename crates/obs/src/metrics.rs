@@ -191,21 +191,6 @@ impl MetricsRegistry {
             .observe(value);
     }
 
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any observation has been recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
@@ -290,10 +275,10 @@ mod tests {
         r.inc("attempts", 3);
         r.set_gauge("battery", 0.8);
         r.observe("latency_s", LATENCY_BUCKETS_S, 100.0);
-        assert_eq!(r.counter("attempts"), 5);
-        assert_eq!(r.counter("never"), 0);
-        assert_eq!(r.gauge("battery"), Some(0.8));
-        assert_eq!(r.histogram("latency_s").expect("exists").count(), 1);
+        assert_eq!(r.counters.get("attempts"), Some(&5));
+        assert_eq!(r.counters.get("never"), None);
+        assert_eq!(r.gauges.get("battery"), Some(&0.8));
+        assert_eq!(r.histograms["latency_s"].count(), 1);
         // Deterministic name-ordered iteration.
         r.inc("aaa", 1);
         let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();

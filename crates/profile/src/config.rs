@@ -12,7 +12,7 @@ pub struct ProfilingConfig {
     /// byte-identical to the pinned goldens.
     pub enabled: bool,
     /// Bounded-store capacity in clients. `0` means auto: the population
-    /// size clamped to [`ProfilingConfig::AUTO_CAPACITY_CAP`], so the
+    /// size clamped to 8192 clients, so the
     /// store stays O(MB) even at the 1M/10M presets.
     pub capacity: usize,
     /// Evaluation knob: record nothing and answer every query with the
@@ -23,7 +23,7 @@ pub struct ProfilingConfig {
 
 impl ProfilingConfig {
     /// Cap applied to the auto-sized store (`capacity == 0`).
-    pub const AUTO_CAPACITY_CAP: usize = 8192;
+    const AUTO_CAPACITY_CAP: usize = 8192;
 
     /// Profiling disabled — the oracle path. This is the default.
     pub fn off() -> Self {

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Exponentially weighted moving average with the fixed smoothing factor
-/// [`Ewma::ALPHA`].
+/// 0.3 (the newest sample's weight).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Ewma {
     value: Option<f64>,
@@ -18,7 +18,7 @@ pub struct Ewma {
 impl Ewma {
     /// Weight of the newest sample. Every profiler estimate (latency,
     /// bandwidth, compute) smooths with it.
-    pub const ALPHA: f64 = 0.3;
+    const ALPHA: f64 = 0.3;
 
     /// A fresh estimator.
     pub fn new() -> Self {
@@ -70,11 +70,6 @@ impl P2Quantile {
             dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
             count: 0,
         }
-    }
-
-    /// Number of samples folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Fold one sample in.
@@ -226,7 +221,7 @@ mod tests {
         assert_eq!(q.value(), None);
         for (i, x) in [5.0, 1.0, 3.0].iter().enumerate() {
             q.observe(*x);
-            assert_eq!(q.count(), i as u64 + 1);
+            assert_eq!(q.count, i as u64 + 1);
         }
         // Sorted prefix is [1, 3, 5]; median is 3.
         assert_eq!(q.value(), Some(3.0));

@@ -414,11 +414,6 @@ impl ClientProfiler {
         s
     }
 
-    /// Number of clients currently resident in the store.
-    pub fn resident(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Deterministically ordered (client, estimate) table — resident
     /// clients sorted by id. For dump/report tooling.
     pub fn table(&self) -> Vec<(usize, ClientEstimate)> {

@@ -139,7 +139,7 @@ impl RlhfAgent {
 
     /// Build the Q-table key for a state, honoring the human-feedback
     /// ablation switch.
-    pub fn key(&self, global: GlobalState, local: LocalState, hf: DeadlineLevel) -> QKey {
+    fn key(&self, global: GlobalState, local: LocalState, hf: DeadlineLevel) -> QKey {
         QKey {
             global,
             local,
@@ -155,7 +155,7 @@ impl RlhfAgent {
     /// at 1.0 (paper RQ6 / Algorithm 1). Early rounds see large accuracy
     /// jumps, so a small early rate stops them from dominating the moving
     /// averages.
-    pub fn learning_rate(&self, round: usize, total_rounds: usize) -> f64 {
+    fn learning_rate(&self, round: usize, total_rounds: usize) -> f64 {
         if !self.config.dynamic_lr {
             return FIXED_LR;
         }

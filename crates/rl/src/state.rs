@@ -29,7 +29,7 @@ impl Level5 {
     /// Discretize a CPU or memory availability fraction in `[0, 1]`
     /// (Table 1: None 0 %, Low 1–20 %, Moderate 21–40 %, High 41–60 %,
     /// Very High ≥ 61 %).
-    pub fn from_compute_fraction(f: f64) -> Level5 {
+    fn from_compute_fraction(f: f64) -> Level5 {
         let pct = (f * 100.0).clamp(0.0, 100.0);
         if pct < 1.0 {
             Level5::L0
@@ -47,7 +47,7 @@ impl Level5 {
     /// Discretize a network availability fraction in `[0, 1]`
     /// (Table 1: Low 1–20 %, Moderate 21–40 %, High 41–60 %, Very High
     /// 61–80 %, Extremely High 81–100 %).
-    pub fn from_network_fraction(f: f64) -> Level5 {
+    fn from_network_fraction(f: f64) -> Level5 {
         let pct = (f * 100.0).clamp(0.0, 100.0);
         if pct <= 20.0 {
             Level5::L0

@@ -52,11 +52,6 @@ impl FedBuffSelector {
             free: Vec::new(),
         }
     }
-
-    /// Clients currently in flight.
-    pub fn in_flight(&self) -> &[usize] {
-        &self.in_flight
-    }
 }
 
 impl ClientSelector for FedBuffSelector {
@@ -139,7 +134,7 @@ mod tests {
         let mut s = FedBuffSelector::new(1, 100, 30);
         let launched = s.select(0, &pool(200), 30);
         assert_eq!(launched.len(), 100);
-        assert_eq!(s.in_flight().len(), 100);
+        assert_eq!(s.in_flight.len(), 100);
     }
 
     #[test]
@@ -148,10 +143,10 @@ mod tests {
         let launched = s.select(0, &pool(50), 0);
         assert_eq!(launched.len(), 10);
         s.feedback(0, &[done(launched[0]), done(launched[1])]);
-        assert_eq!(s.in_flight().len(), 8);
+        assert_eq!(s.in_flight.len(), 8);
         let topped = s.select(1, &pool(50), 0);
         assert_eq!(topped.len(), 2);
-        assert_eq!(s.in_flight().len(), 10);
+        assert_eq!(s.in_flight.len(), 10);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         let _ = s.select(0, &pool(30), 0);
         let again = s.select(1, &pool(30), 0);
         assert!(again.is_empty());
-        let mut all = s.in_flight().to_vec();
+        let mut all = s.in_flight.clone();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 20);

@@ -92,11 +92,6 @@ impl OortSelector {
         }
     }
 
-    /// Current preferred round duration (moves as the pacer relaxes it).
-    pub fn preferred_duration_s(&self) -> f64 {
-        self.preferred_duration_s
-    }
-
     /// Oort's pacer: when the aggregate statistical utility of the last
     /// window is no better than the window before it, the developer's
     /// speed preference is costing information — relax `T` by one step so
@@ -481,15 +476,15 @@ mod tests {
     #[test]
     fn pacer_relaxes_preference_when_utility_stalls() {
         let mut s = OortSelector::new(7, 100.0);
-        let t0 = s.preferred_duration_s();
+        let t0 = s.preferred_duration_s;
         // Feed a stagnant utility stream long enough for two pacer windows.
         for round in 0..20 {
             s.feedback(round, &[feedback(0, true, 50.0, 1.0)]);
         }
         assert!(
-            s.preferred_duration_s() > t0,
+            s.preferred_duration_s > t0,
             "pacer never relaxed: {} vs {}",
-            s.preferred_duration_s(),
+            s.preferred_duration_s,
             t0
         );
     }
@@ -497,14 +492,13 @@ mod tests {
     #[test]
     fn pacer_holds_when_utility_grows() {
         let mut s = OortSelector::new(7, 100.0);
-        let t0 = s.preferred_duration_s();
+        let t0 = s.preferred_duration_s;
         // Strictly growing utility: the preference is paying off.
         for round in 0..20 {
             s.feedback(round, &[feedback(0, true, 50.0, (round + 1) as f64)]);
         }
         assert_eq!(
-            s.preferred_duration_s(),
-            t0,
+            s.preferred_duration_s, t0,
             "pacer relaxed despite improving utility"
         );
     }

@@ -44,18 +44,6 @@ pub struct RoundParams {
     pub failure_hazard_per_s: f64,
 }
 
-impl RoundParams {
-    /// Paper-like defaults: a few-minute deadline per round, and a small
-    /// per-second failure hazard so multi-minute rounds on flaky devices
-    /// fail noticeably often while sub-minute rounds rarely do.
-    pub fn paper_default() -> Self {
-        RoundParams {
-            deadline_s: 240.0,
-            failure_hazard_per_s: 4.0e-4,
-        }
-    }
-}
-
 /// Outcome of attempting one client round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClientRoundOutcome {
@@ -200,6 +188,16 @@ mod tests {
         s.client(0).profile
     }
 
+    /// A few-minute deadline, and a small per-second failure hazard so
+    /// multi-minute rounds on flaky devices fail noticeably often while
+    /// sub-minute rounds rarely do.
+    fn paper_default() -> RoundParams {
+        RoundParams {
+            deadline_s: 240.0,
+            failure_hazard_per_s: 4.0e-4,
+        }
+    }
+
     fn small_cost() -> RoundCost {
         RoundCost::vanilla(&Architecture::ShuffleNetV2.profile(), 50, 1, 16)
     }
@@ -210,7 +208,7 @@ mod tests {
             &fast_snapshot(),
             &profile(),
             &small_cost(),
-            &RoundParams::paper_default(),
+            &paper_default(),
             3,
         );
         assert!(out.completed(), "dropped: {:?}", out.dropped);
@@ -222,13 +220,7 @@ mod tests {
     fn unavailable_client_burns_nothing() {
         let mut snap = fast_snapshot();
         snap.available = false;
-        let out = execute_client_round(
-            &snap,
-            &profile(),
-            &small_cost(),
-            &RoundParams::paper_default(),
-            3,
-        );
+        let out = execute_client_round(&snap, &profile(), &small_cost(), &paper_default(), 3);
         assert_eq!(out.dropped, Some(DropReason::Unavailable));
         assert_eq!(out.total_s(), 0.0);
         assert_eq!(out.energy_j, 0.0);
@@ -238,13 +230,7 @@ mod tests {
     fn memory_pressure_drops_client() {
         let mut snap = fast_snapshot();
         snap.effective_memory_bytes = 1.0; // nothing fits
-        let out = execute_client_round(
-            &snap,
-            &profile(),
-            &small_cost(),
-            &RoundParams::paper_default(),
-            3,
-        );
+        let out = execute_client_round(&snap, &profile(), &small_cost(), &paper_default(), 3);
         assert_eq!(out.dropped, Some(DropReason::OutOfMemory));
         assert_eq!(out.train_s, 0.0);
     }
@@ -253,20 +239,14 @@ mod tests {
     fn slow_client_misses_deadline() {
         let mut snap = fast_snapshot();
         snap.effective_gflops = 0.001;
-        let out = execute_client_round(
-            &snap,
-            &profile(),
-            &small_cost(),
-            &RoundParams::paper_default(),
-            3,
-        );
+        let out = execute_client_round(&snap, &profile(), &small_cost(), &paper_default(), 3);
         assert_eq!(out.dropped, Some(DropReason::DeadlineMiss));
         assert!(out.deadline_overrun > 0.0);
     }
 
     #[test]
     fn deadline_overrun_scales_with_slowness() {
-        let params = RoundParams::paper_default();
+        let params = paper_default();
         let mut slow = fast_snapshot();
         slow.effective_gflops = 0.01;
         let mut slower = fast_snapshot();
@@ -283,7 +263,7 @@ mod tests {
         let mut snap = fast_snapshot();
         snap.effective_gflops = 11.0; // vanilla ≈ 300 s train, over deadline
         snap.effective_mbps = 100.0;
-        let params = RoundParams::paper_default();
+        let params = paper_default();
         let vanilla = RoundCost::vanilla(&Architecture::ResNet34.profile(), 60, 5, 20);
         let out_v = execute_client_round(&snap, &profile(), &vanilla, &params, 3);
         assert_eq!(out_v.dropped, Some(DropReason::DeadlineMiss));

@@ -64,7 +64,7 @@ pub enum Knob {
 
 impl Knob {
     /// Apply this knob to a trial config.
-    pub fn apply(&self, cfg: &mut ExperimentConfig) {
+    fn apply(&self, cfg: &mut ExperimentConfig) {
         match *self {
             Knob::CohortSize(v) => cfg.cohort_size = v,
             Knob::LocalEpochs(v) => cfg.local_epochs = v,
@@ -163,7 +163,7 @@ impl SweepPlan {
     }
 
     /// Trial `idx`'s human-readable knob label.
-    pub fn trial_label(&self, idx: usize) -> String {
+    fn trial_label(&self, idx: usize) -> String {
         self.trial_config(idx, self.full_budget()).knob_label()
     }
 }
@@ -186,7 +186,7 @@ impl Halving {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.eta < 2 {
             return Err(format!("halving eta {} must be at least 2", self.eta));
         }
@@ -202,7 +202,7 @@ impl Halving {
     /// # Panics
     ///
     /// Panics on a schedule [`Halving::validate`] rejects.
-    pub fn budgets(&self, full: usize) -> Vec<usize> {
+    fn budgets(&self, full: usize) -> Vec<usize> {
         assert!(self.eta >= 2, "halving eta must be at least 2");
         assert!(self.r0 >= 1, "halving r0 must be at least 1");
         let mut budgets = Vec::new();

@@ -130,11 +130,6 @@ impl Mlp {
         }
     }
 
-    /// The architecture this model was built from.
-    pub fn config(&self) -> &MlpConfig {
-        &self.config
-    }
-
     /// Total number of trainable parameters.
     pub fn num_params(&self) -> usize {
         self.config.num_params()

@@ -161,16 +161,6 @@ impl AvailabilityModel {
         self.diurnal_available(round) && self.clear_of_interruption(round)
     }
 
-    /// Duty cycle of this client.
-    pub fn duty(&self) -> f64 {
-        self.duty
-    }
-
-    /// Phase offset of the diurnal cycle in rounds within the day.
-    pub fn phase(&self) -> usize {
-        self.phase
-    }
-
     /// The diurnal ON window as `(phase, len)`, the two numbers
     /// [`AvailabilityModel::diurnal_available`] reads: the client is
     /// diurnally available at round `r` iff `(r + phase) % ROUNDS_PER_DAY
@@ -656,9 +646,9 @@ mod tests {
             .count() as f64
             / (ROUNDS_PER_DAY * 10) as f64;
         assert!(
-            (avail - m.duty()).abs() < 0.05,
+            (avail - m.duty).abs() < 0.05,
             "measured {avail} vs duty {}",
-            m.duty()
+            m.duty
         );
     }
 

@@ -28,7 +28,7 @@ impl DeviceClass {
     /// benchmark's 30–50×. This matters for FLOAT's story: most dropouts
     /// must be interference-driven (temporarily starved but rescuable by
     /// acceleration), not devices that could never finish.
-    pub fn median_gflops(self) -> f64 {
+    fn median_gflops(self) -> f64 {
         match self {
             DeviceClass::LowEnd => 1.5,
             DeviceClass::MidRange => 5.0,
@@ -37,7 +37,7 @@ impl DeviceClass {
     }
 
     /// Tier population share (most of the fleet is low/mid-range).
-    pub fn share(self) -> f64 {
+    fn share(self) -> f64 {
         match self {
             DeviceClass::LowEnd => 0.40,
             DeviceClass::MidRange => 0.45,
@@ -46,7 +46,7 @@ impl DeviceClass {
     }
 
     /// RAM available to apps, bytes (device total minus OS reservation).
-    pub fn memory_bytes(self) -> u64 {
+    fn memory_bytes(self) -> u64 {
         match self {
             DeviceClass::LowEnd => 1 << 31,   // 2 GiB
             DeviceClass::MidRange => 1 << 32, // 4 GiB
@@ -73,11 +73,10 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
-    /// Derive device `i`'s profile from the population seed — exactly the
-    /// draw [`DevicePopulation::generate`] makes for index `i`, exposed as
-    /// a pure function of `(population_seed, i)` so population-scale
-    /// callers can derive profiles on demand instead of materializing all
-    /// `n` of them up front.
+    /// Derive device `i`'s profile from the population seed, a pure
+    /// function of `(population_seed, i)` so population-scale callers
+    /// derive profiles on demand instead of materializing all `n` of them
+    /// up front.
     pub fn derive(population_seed: u64, i: usize) -> Self {
         let mut rng = seed_rng(split_seed(population_seed, i as u64));
         let class = {
@@ -107,61 +106,27 @@ impl DeviceProfile {
     }
 }
 
-/// A deterministic population of device profiles.
-#[derive(Debug, Clone)]
-pub struct DevicePopulation {
-    profiles: Vec<DeviceProfile>,
-}
-
-impl DevicePopulation {
-    /// Generate `n` device profiles from `seed`.
-    pub fn generate(n: usize, seed: u64) -> Self {
-        DevicePopulation {
-            profiles: (0..n).map(|i| DeviceProfile::derive(seed, i)).collect(),
-        }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
-    /// Profile of device `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn device(&self, i: usize) -> &DeviceProfile {
-        &self.profiles[i]
-    }
-
-    /// Iterate over all profiles.
-    pub fn iter(&self) -> impl Iterator<Item = &DeviceProfile> {
-        self.profiles.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The first `n` profiles of population `seed`.
+    fn population(n: usize, seed: u64) -> Vec<DeviceProfile> {
+        (0..n).map(|i| DeviceProfile::derive(seed, i)).collect()
+    }
+
     #[test]
     fn generation_is_deterministic() {
-        let a = DevicePopulation::generate(50, 7);
-        let b = DevicePopulation::generate(50, 7);
+        let a = population(50, 7);
+        let b = population(50, 7);
         for i in 0..50 {
-            assert_eq!(a.device(i).gflops, b.device(i).gflops);
+            assert_eq!(a[i].gflops, b[i].gflops);
         }
     }
 
     #[test]
     fn population_spans_orders_of_magnitude() {
-        let p = DevicePopulation::generate(500, 3);
+        let p = population(500, 3);
         let min = p.iter().map(|d| d.gflops).fold(f64::INFINITY, f64::min);
         let max = p.iter().map(|d| d.gflops).fold(0.0f64, f64::max);
         assert!(
@@ -173,7 +138,7 @@ mod tests {
 
     #[test]
     fn tier_shares_roughly_hold() {
-        let p = DevicePopulation::generate(2000, 5);
+        let p = population(2000, 5);
         let low = p.iter().filter(|d| d.class == DeviceClass::LowEnd).count();
         let high = p.iter().filter(|d| d.class == DeviceClass::HighEnd).count();
         let lf = low as f64 / 2000.0;
@@ -184,7 +149,7 @@ mod tests {
 
     #[test]
     fn high_end_is_faster_in_median() {
-        let p = DevicePopulation::generate(2000, 5);
+        let p = population(2000, 5);
         let med = |cls: DeviceClass| -> f64 {
             let mut xs: Vec<f64> = p
                 .iter()
@@ -200,7 +165,7 @@ mod tests {
 
     #[test]
     fn profiles_are_physical() {
-        let p = DevicePopulation::generate(200, 11);
+        let p = population(200, 11);
         for d in p.iter() {
             assert!(d.gflops > 0.0);
             assert!(d.battery_j > 0.0);

@@ -6,12 +6,13 @@
 //! energy trace (Yang et al., WWW '21). None of those datasets are
 //! available offline, so this crate implements synthetic generators that
 //! match their first- and second-order statistics and, crucially, their
-//! *temporal variability* — the property FLOAT exploits:
+//! *temporal variability* — the property FLOAT exploits. There is no path
+//! for replaying measured traces: none is in the repository. The modules:
 //!
 //! - [`network`]: Markov-modulated bandwidth processes for 4G and 5G with
 //!   stationary / walking / driving mobility profiles.
-//! - [`compute`]: a heterogeneous device population with log-normally
-//!   distributed training throughput across device tiers.
+//! - [`compute`]: per-client device profiles, log-normally distributed
+//!   training throughput across device tiers.
 //! - [`availability`]: diurnal on/off availability plus a battery model.
 //! - [`interference`]: co-located application interference (None / Static /
 //!   Dynamic) shaving time-varying fractions off each resource.
@@ -28,13 +29,11 @@ pub mod compute;
 pub mod index;
 pub mod interference;
 pub mod network;
-pub mod replay;
 pub mod snapshot;
 
 pub use availability::{AvailabilityModel, BatteryState, Interruption, InterruptionTable};
-pub use compute::{DeviceClass, DevicePopulation, DeviceProfile};
+pub use compute::{DeviceClass, DeviceProfile};
 pub use index::AvailabilityIndex;
 pub use interference::InterferenceModel;
 pub use network::{Mobility, NetworkGen, NetworkProfile};
-pub use replay::{ReplayTrace, TraceError};
 pub use snapshot::{AvailabilityStats, ResourceSampler, ResourceSnapshot};

@@ -112,42 +112,6 @@ impl NetworkGen {
         }
         self.cache[round]
     }
-
-    /// The radio profile of this generator.
-    pub fn profile(&self) -> NetworkProfile {
-        self.profile
-    }
-}
-
-/// Summary statistics of a generated bandwidth series (used by tests and
-/// the Fig. 4 experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BandwidthStats {
-    /// Arithmetic mean, Mbit/s.
-    pub mean: f64,
-    /// Standard deviation, Mbit/s.
-    pub std: f64,
-    /// Coefficient of variation (`std / mean`).
-    pub cv: f64,
-    /// Minimum observed, Mbit/s.
-    pub min: f64,
-    /// Maximum observed, Mbit/s.
-    pub max: f64,
-}
-
-/// Compute [`BandwidthStats`] over the first `rounds` steps of a generator.
-pub fn bandwidth_stats(gen: &mut NetworkGen, rounds: usize) -> BandwidthStats {
-    let xs: Vec<f64> = (0..rounds).map(|r| gen.bandwidth_mbps(r)).collect();
-    let mean = xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len().max(1) as f64;
-    let std = var.sqrt();
-    BandwidthStats {
-        mean,
-        std,
-        cv: if mean > 0.0 { std / mean } else { 0.0 },
-        min: xs.iter().cloned().fold(f64::INFINITY, f64::min),
-        max: xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-    }
 }
 
 #[cfg(test)]
@@ -167,17 +131,18 @@ mod tests {
 
     #[test]
     fn five_g_has_higher_mean_and_cv_than_four_g() {
-        let mut g4 = NetworkGen::new(NetworkProfile::FourG, Mobility::Walking, 9);
-        let mut g5 = NetworkGen::new(NetworkProfile::FiveG, Mobility::Walking, 9);
-        let s4 = bandwidth_stats(&mut g4, 2000);
-        let s5 = bandwidth_stats(&mut g5, 2000);
-        assert!(
-            s5.mean > s4.mean,
-            "5G mean {} <= 4G mean {}",
-            s5.mean,
-            s4.mean
-        );
-        assert!(s5.cv > s4.cv, "5G cv {} <= 4G cv {}", s5.cv, s4.cv);
+        // (mean, coefficient of variation) of the first 2000 rounds.
+        let stats = |profile| {
+            let mut g = NetworkGen::new(profile, Mobility::Walking, 9);
+            let xs: Vec<f64> = (0..2000).map(|r| g.bandwidth_mbps(r)).collect();
+            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+            (mean, var.sqrt() / mean)
+        };
+        let (m4, cv4) = stats(NetworkProfile::FourG);
+        let (m5, cv5) = stats(NetworkProfile::FiveG);
+        assert!(m5 > m4, "5G mean {m5} <= 4G mean {m4}");
+        assert!(cv5 > cv4, "5G cv {cv5} <= 4G cv {cv4}");
     }
 
     #[test]

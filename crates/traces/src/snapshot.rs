@@ -281,11 +281,6 @@ impl ResourceSampler {
         self.num_clients
     }
 
-    /// The interference model in force.
-    pub fn interference(&self) -> InterferenceModel {
-        self.interference
-    }
-
     /// Residency and activity counters (see [`AvailabilityStats`]).
     pub fn availability_stats(&self) -> AvailabilityStats {
         AvailabilityStats {

@@ -55,7 +55,7 @@ pub struct PartyCost {
 
 impl PartyCost {
     /// Vanilla (fp32) cost of a round.
-    pub fn vanilla(round: &VflRound) -> Self {
+    fn vanilla(round: &VflRound) -> Self {
         let wire = round.samples as f64 * round.embed_dim as f64 * 4.0;
         PartyCost {
             flops: round.party_flops_per_sample * round.samples as f64,

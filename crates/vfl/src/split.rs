@@ -23,7 +23,7 @@ pub struct VflConfig {
 
 impl VflConfig {
     /// Total feature dimensionality across parties.
-    pub fn total_dim(&self) -> usize {
+    fn total_dim(&self) -> usize {
         self.party_dims.iter().sum()
     }
 
@@ -37,7 +37,7 @@ impl VflConfig {
     /// # Errors
     ///
     /// Returns a message naming the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.party_dims.is_empty() {
             return Err("need at least one party".into());
         }
@@ -71,7 +71,7 @@ impl VflDataset {
     ///
     /// Returns a message if the dataset's width does not equal the sum of
     /// party widths.
-    pub fn split(data: &Dataset, config: &VflConfig) -> Result<Self, String> {
+    fn split(data: &Dataset, config: &VflConfig) -> Result<Self, String> {
         config.validate()?;
         if data.dim() != config.total_dim() {
             return Err(format!(
@@ -149,11 +149,6 @@ impl SplitModel {
             bottoms,
             top,
         }
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &VflConfig {
-        &self.config
     }
 
     /// Bottom-model parameter count of one party.

@@ -1,12 +1,10 @@
 //! Integration tests for the reproduction's extension surface: the
 //! extended action catalogue (RQ5), the §7 reward-weight knob, the
-//! vertical-FL substrate, agent transfer through the facade, and trace
-//! replay.
+//! vertical-FL substrate, and agent transfer through the facade.
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
 use float::rl::RlhfAgent;
 use float::tensor::model::TrainOptions;
-use float::traces::ReplayTrace;
 use float::vfl::split::synthetic_vfl;
 use float::vfl::{SplitModel, VflConfig};
 
@@ -80,16 +78,6 @@ fn vfl_substrate_trains_through_facade() {
         model.train_epoch(&data, 16, 0.1, e, &opts);
     }
     assert!(model.evaluate(&data) > before + 0.2);
-}
-
-#[test]
-fn replay_trace_integrates_with_simulation_style_queries() {
-    let trace = ReplayTrace::parse("10\n20\n30\n").expect("valid");
-    // Behave like a bandwidth source across a long horizon.
-    let series: Vec<f64> = (0..300).map(|r| trace.at(r)).collect();
-    assert_eq!(series[0], 10.0);
-    assert_eq!(series[299], 30.0);
-    assert!((trace.mean() - 20.0).abs() < 1e-12);
 }
 
 #[test]

@@ -30,7 +30,10 @@
 //! m_s·e^(0.4z), z ~ N(0, 1), floored at 0.05, so E[X_R] =
 //! Σ_s π_R(s)·m_s·e^0.08 and E[X_R²] = Σ_s π_R(s)·m_s²·e^0.32 (the floor
 //! moves the mean by under 10⁻⁶ of itself). At stationarity that is
-//! 23.97 Mbit/s on 4G and 199.1 on 5G, for every mobility.
+//! 23.97 Mbit/s on 4G and 199.1 on 5G, for every mobility. The sampled
+//! E[X_R²] is held to its closed form too, which pins the spread (CV) of
+//! each round's bandwidth; its standard error comes from the fourth
+//! moment E[X_R⁴] = Σ_s π_R(s)·m_s⁴·e^1.28.
 //!
 //! The whole file costs ~0.5 s of the tier-1 run at the test profile's
 //! `opt-level = 2` (a two-core x86-64 host).
@@ -188,13 +191,13 @@ fn bandwidth_state_law(c: f64, round: usize) -> [f64; 4] {
     pi
 }
 
-/// For each profile × mobility, the mean bandwidth of `BW_CLIENTS`
-/// independent clients at each of `BW_ROUNDS` lies within 6 standard
-/// errors of the exact π_R expectation, the standard error taken from the
-/// closed-form variance.
+/// For each profile × mobility, the mean bandwidth and the mean squared
+/// bandwidth of `BW_CLIENTS` independent clients at each of `BW_ROUNDS`
+/// lie within 6 standard errors of their exact π_R expectations, each
+/// standard error taken from the closed-form higher moment.
 #[test]
 fn bandwidth_population_matches_its_closed_form() {
-    let (e1, e2) = (0.08f64.exp(), 0.32f64.exp());
+    let (e1, e2, e4) = (0.08f64.exp(), 0.32f64.exp(), 1.28f64.exp());
     let profiles = [
         (NetworkProfile::FourG, [0.5, 6.0, 22.0, 60.0], 1.0, 23.97),
         (NetworkProfile::FiveG, [0.3, 15.0, 120.0, 600.0], 1.5, 199.1),
@@ -207,33 +210,49 @@ fn bandwidth_population_matches_its_closed_form() {
     for (profile, means, scale, stationary) in profiles {
         for (mobility, base) in mobilities {
             let churn = f64::min(base * scale, 0.9);
+            // (E[X], E[X²], E[X⁴]) under state law `pi`.
             let moments = |pi: [f64; 4]| {
-                let mean: f64 = pi.iter().zip(&means).map(|(p, m)| p * m * e1).sum();
-                let square: f64 = pi.iter().zip(&means).map(|(p, m)| p * m * m * e2).sum();
-                (mean, square - mean * mean)
+                let raw = |k: i32, e: f64| -> f64 {
+                    pi.iter()
+                        .zip(&means)
+                        .map(|(p, &m): (&f64, &f64)| p * m.powi(k) * e)
+                        .sum()
+                };
+                (raw(1, e1), raw(2, e2), raw(4, e4))
             };
             // The chain forgets its start: the stationary law is uniform.
-            let (limit, _) = moments(bandwidth_state_law(churn, 10_000));
+            let (limit, _, _) = moments(bandwidth_state_law(churn, 10_000));
             assert!(
                 (limit - stationary).abs() < 0.005 * stationary,
                 "{profile:?}/{mobility:?}: stationary mean {limit}, want {stationary}"
             );
 
-            let mut sums = [0.0; BW_ROUNDS.len()];
+            // Per round: (Σ x, Σ x²) over the clients.
+            let mut sums = [(0.0, 0.0); BW_ROUNDS.len()];
             for i in 0..BW_CLIENTS {
                 let mut gen = NetworkGen::new(profile, mobility, split_seed(SEED, i as u64));
                 for (sum, &r) in sums.iter_mut().zip(&BW_ROUNDS) {
-                    *sum += gen.bandwidth_mbps(r);
+                    let x = gen.bandwidth_mbps(r);
+                    sum.0 += x;
+                    sum.1 += x * x;
                 }
             }
-            for (sum, &r) in sums.iter().zip(&BW_ROUNDS) {
-                let (mean, var) = moments(bandwidth_state_law(churn, r));
-                let se = (var / BW_CLIENTS as f64).sqrt();
-                let got = sum / BW_CLIENTS as f64;
+            let n = BW_CLIENTS as f64;
+            for (&(sum, sum_sq), &r) in sums.iter().zip(&BW_ROUNDS) {
+                let (mean, square, fourth) = moments(bandwidth_state_law(churn, r));
+                let se = ((square - mean * mean) / n).sqrt();
+                let got = sum / n;
                 assert!(
                     (got - mean).abs() <= 6.0 * se,
                     "{profile:?}/{mobility:?} round {r}: mean {got:.3} Mbit/s, want {mean:.3} ± {:.3}",
                     6.0 * se
+                );
+                let se_sq = ((fourth - square * square) / n).sqrt();
+                let got_sq = sum_sq / n;
+                assert!(
+                    (got_sq - square).abs() <= 6.0 * se_sq,
+                    "{profile:?}/{mobility:?} round {r}: E[X²] {got_sq:.1}, want {square:.1} ± {:.1}",
+                    6.0 * se_sq
                 );
             }
         }

@@ -112,16 +112,6 @@ impl ActionCatalogue {
         }
     }
 
-    /// Build a custom catalogue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actions` is empty — the agent must always have a move.
-    pub fn custom(actions: Vec<AccelAction>) -> Self {
-        assert!(!actions.is_empty(), "action catalogue cannot be empty");
-        ActionCatalogue { actions }
-    }
-
     /// Number of actions.
     pub fn len(&self) -> usize {
         self.actions.len()
@@ -184,12 +174,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), cat.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot be empty")]
-    fn empty_catalogue_panics() {
-        let _ = ActionCatalogue::custom(vec![]);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl ErrorFeedback {
             .map(|&r| f64::from(r) * f64::from(r))
             .sum()
     }
-
-    /// Drop the carried residual (e.g. after the client re-syncs with a
-    /// fresh global model).
-    pub fn reset(&mut self) {
-        self.residual.clear();
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +146,5 @@ mod tests {
         let _ = ef.compress(&[0.0, 0.0, 0.0, 0.0], 1.0);
         // With keep=1.0 everything ships, so the residual empties.
         assert!(ef.residual_sq_norm() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut ef = ErrorFeedback::new();
-        let _ = ef.compress(&[1.0, 2.0, 3.0, 4.0], 0.25);
-        ef.reset();
-        assert_eq!(ef.residual_sq_norm(), 0.0);
     }
 }

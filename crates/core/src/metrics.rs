@@ -74,13 +74,6 @@ impl TechniqueStats {
             self.successes as f64 / total as f64
         }
     }
-
-    /// Fold another technique's counts into this one (combining reports
-    /// from sharded or repeated runs).
-    pub fn merge(&mut self, other: &TechniqueStats) {
-        self.successes += other.successes;
-        self.failures += other.failures;
-    }
 }
 
 /// One row of the per-round log.
@@ -418,26 +411,6 @@ mod tests {
         let s2 = AccuracySummary::from_accuracies(&accs);
         assert_eq!(s.bottom10.to_bits(), s2.bottom10.to_bits());
         assert_eq!(s.top10.to_bits(), s2.top10.to_bits());
-    }
-
-    #[test]
-    fn technique_stats_merge_adds_counts() {
-        let mut a = TechniqueStats {
-            successes: 3,
-            failures: 1,
-        };
-        let b = TechniqueStats {
-            successes: 2,
-            failures: 5,
-        };
-        a.merge(&b);
-        assert_eq!(a.successes, 5);
-        assert_eq!(a.failures, 6);
-        assert!((a.success_rate() - 5.0 / 11.0).abs() < 1e-12);
-        // Merging the empty stats is the identity.
-        let before = a;
-        a.merge(&TechniqueStats::default());
-        assert_eq!(a, before);
     }
 
     /// One client, counted once.

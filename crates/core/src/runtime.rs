@@ -990,8 +990,12 @@ impl Experiment {
     // ------------------------------------------------------------------
 
     /// Refresh `eligible_buf` with the selection candidates for `round`,
-    /// strictly ascending — the `ClientSelector::select_into` contract,
-    /// which Oort's binary searches rely on. Mirrors the FedScale/production
+    /// strictly ascending — the [`ClientSelector::select_in_place`]
+    /// contract, which Oort's and FedBuff's binary searches rely on. Only
+    /// selection reads the ids, and it leaves the buffer as its scratch;
+    /// the round reads just the count afterwards (`Event::RoundStart`),
+    /// so the sync engine selects in the buffer itself and the full sweep
+    /// holds one O(eligible) array per round. Mirrors the FedScale/production
     /// model: devices that are off, interrupted, or below the battery
     /// threshold never become selection candidates, so dropouts are
     /// resource-driven (deadline, memory, mid-round failures) rather than
@@ -1021,23 +1025,23 @@ impl Experiment {
         }
     }
 
-    /// Select a cohort for `round` out of `eligible_buf`. The profiled
-    /// path hands the selector a read-only view of the online estimates
-    /// ([`ClientSelector::select_profiled`]); the oracle path is the
-    /// historical `select_into`, byte for byte. When telemetry is on,
-    /// cohort coverage — the fraction of selected clients the profiler
-    /// has at least one resident observation for — is recorded before
-    /// the round runs, so the metric describes the estimates selection
-    /// actually acted on.
-    fn select_cohort(&mut self, round: usize, target: usize, cohort: &mut Vec<usize>) {
-        match &self.profiler {
-            Some(p) => self
-                .selector
-                .select_profiled(round, &self.eligible_buf, target, p, cohort),
-            None => self
-                .selector
-                .select_into(round, &self.eligible_buf, target, cohort),
-        }
+    /// Select a cohort for `round` out of `eligible` (the round's ids,
+    /// strictly ascending), which the selector draws from in place and
+    /// leaves as its scratch. The profiled path hands the selector a
+    /// read-only view of the online estimates; the oracle path hands it
+    /// none. When telemetry is on, cohort coverage — the fraction of
+    /// selected clients the profiler has at least one resident
+    /// observation for — is recorded before the round runs, so the
+    /// metric describes the estimates selection actually acted on.
+    fn select_cohort(
+        &mut self,
+        round: usize,
+        target: usize,
+        eligible: &mut [u32],
+        cohort: &mut Vec<usize>,
+    ) {
+        self.selector
+            .select_in_place(round, eligible, target, self.profiler.as_ref(), cohort);
         if self.obs.enabled() && !cohort.is_empty() {
             if let Some(p) = &self.profiler {
                 let covered = cohort.iter().filter(|&&c| p.observed(c)).count();
@@ -1570,7 +1574,9 @@ impl Experiment {
         for round in self.next_round..end {
             self.refresh_eligible(round);
             let mut cohort = std::mem::take(&mut self.cohort_buf);
-            self.select_cohort(round, self.config.cohort_size, &mut cohort);
+            let mut eligible = std::mem::take(&mut self.eligible_buf);
+            self.select_cohort(round, self.config.cohort_size, &mut eligible, &mut cohort);
+            self.eligible_buf = eligible;
             self.record_round_start(round, cohort.len());
             let global = self.global_model.params();
             let mut attempts = self.run_attempts(round, &cohort, &global, &mut scratches, true);
@@ -1623,6 +1629,9 @@ impl Experiment {
         let mut fb = std::mem::take(&mut self.fedbuff);
 
         let mut scratches = self.worker_scratches();
+        // Each launch batch selects from a fresh copy of the round's ids:
+        // selection draws in place, and one round launches many batches.
+        let mut launch_ids = Vec::new();
         for agg_round in self.next_round..end {
             // Event loop: keep the in-flight set topped up continuously
             // (FedBuff never waits to relaunch) and drain completion
@@ -1634,7 +1643,9 @@ impl Experiment {
             let mut round_started = false;
             loop {
                 let mut launched = std::mem::take(&mut self.cohort_buf);
-                self.select_cohort(agg_round, self.config.cohort_size, &mut launched);
+                launch_ids.clone_from(&self.eligible_buf);
+                let target = self.config.cohort_size;
+                self.select_cohort(agg_round, target, &mut launch_ids, &mut launched);
                 if !round_started {
                     round_started = true;
                     self.record_round_start(agg_round, launched.len());
@@ -2003,7 +2014,8 @@ mod tests {
             assert!(exp.prune_options.iter().all(|s| s.get().is_none()));
             exp.refresh_eligible(round);
             let mut cohort = Vec::new();
-            exp.select_cohort(round, cfg.cohort_size, &mut cohort);
+            let mut eligible = exp.eligible_buf.clone();
+            exp.select_cohort(round, cfg.cohort_size, &mut eligible, &mut cohort);
             let global = exp.global_model.params();
             let mut attempts = exp.run_attempts(round, &cohort, &global, &mut scratches, true);
             let want = magnitude_mask_protected(&global, 0.5, &exp.protected);

@@ -148,15 +148,6 @@ impl Collector {
                 .collect(),
         }
     }
-
-    /// Consume the collector into the full run telemetry.
-    pub fn finish(mut self) -> Telemetry {
-        let summary = self.summary();
-        Telemetry {
-            events: self.take_events(),
-            summary,
-        }
-    }
 }
 
 /// End-of-run telemetry totals, embedded in the experiment report when
@@ -302,16 +293,6 @@ mod tests {
         assert_eq!(s.counter("attempts_executed"), 2);
         assert_eq!(s.histogram("latency").expect("exists").count, 1);
         assert_eq!(s.gauges, vec![("sim_hours".to_string(), 1.5)]);
-    }
-
-    #[test]
-    fn finish_bundles_events_and_summary() {
-        let mut c = Collector::new(ObsConfig::on());
-        c.record(outcome(3, 9));
-        let t = c.finish();
-        assert_eq!(t.events.len(), 1);
-        assert_eq!(t.summary.events_recorded, 1);
-        assert_eq!(t.summary.event_count("client_outcome"), 1);
     }
 
     #[test]

@@ -92,22 +92,6 @@ impl Histogram {
         self.count
     }
 
-    /// Fold another histogram with identical bounds into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds must match");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Immutable snapshot for reports and serialization.
     pub fn summary(&self) -> HistogramSummary {
         HistogramSummary {
@@ -246,20 +230,6 @@ mod tests {
         assert_eq!(s.buckets.last().expect("overflow").1, 2);
         assert_eq!(s.sum, 0.5);
         assert_eq!(s.max, 0.5);
-    }
-
-    #[test]
-    fn histogram_merge_adds_componentwise() {
-        let mut a = Histogram::new(&[1.0, 10.0]);
-        let mut b = Histogram::new(&[1.0, 10.0]);
-        a.observe(0.5);
-        b.observe(5.0);
-        b.observe(50.0);
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 0.5);
-        assert_eq!(s.max, 50.0);
     }
 
     #[test]

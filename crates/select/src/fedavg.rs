@@ -2,6 +2,7 @@
 
 use rand::seq::SliceRandom;
 
+use float_profile::ClientProfiler;
 use float_tensor::rng::{seed_rng, split_seed};
 
 use crate::selector::{ClientSelector, SelectionFeedback};
@@ -15,37 +16,33 @@ use crate::selector::{ClientSelector, SelectionFeedback};
 #[derive(Debug, Clone)]
 pub struct FedAvgSelector {
     seed: u64,
-    /// Scratch: the shuffled eligible ids, reused across rounds.
-    ids: Vec<u32>,
 }
 
 impl FedAvgSelector {
     /// Create a selector with a deterministic selection stream.
     pub fn new(seed: u64) -> Self {
-        FedAvgSelector {
-            seed,
-            ids: Vec::new(),
-        }
+        FedAvgSelector { seed }
     }
 }
 
 impl ClientSelector for FedAvgSelector {
-    fn select_into(
+    fn select_in_place(
         &mut self,
         round: usize,
-        eligible: &[u32],
+        eligible: &mut [u32],
         target: usize,
+        _profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         // The shuffle's draws and swaps do not depend on the element type,
         // so shuffling `u32` ids picks what shuffling `usize` ids would.
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        ids.extend_from_slice(eligible);
-        ids.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
+        eligible.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
         cohort.clear();
-        cohort.extend(ids[..target.min(ids.len())].iter().map(|&c| c as usize));
-        self.ids = ids;
+        cohort.extend(
+            eligible[..target.min(eligible.len())]
+                .iter()
+                .map(|&c| c as usize),
+        );
     }
 
     fn feedback(&mut self, _round: usize, _results: &[SelectionFeedback]) {

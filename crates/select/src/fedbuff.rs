@@ -13,9 +13,10 @@
 
 use rand::seq::SliceRandom;
 
+use float_profile::ClientProfiler;
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{ClientSelector, SelectionFeedback};
+use crate::selector::{remove_positions, ClientSelector, SelectionFeedback};
 
 /// Asynchronous over-selecting selector.
 #[derive(Debug, Clone)]
@@ -25,18 +26,9 @@ pub struct FedBuffSelector {
     concurrency: usize,
     /// Clients currently holding a slot.
     in_flight: Vec<usize>,
-    /// Scratch: id-indexed membership mask for `in_flight`, sized lazily
-    /// to the largest id ever launched and wiped O(slots) after each
-    /// call. The async engine tops up once per completion event, so this
-    /// filter runs once per *eligible* client per top-up — on the
-    /// full-sweep path that is hundreds of thousands of probes per call,
-    /// and the O(1) indexed load beats any sorted/hashed lookup. Memory
-    /// is one byte per client id actually seen in flight (≤10 MiB even
-    /// at the 10M preset, and only ~pool-sized ids under pooling).
-    taken: Vec<bool>,
-    /// Scratch: the eligible ids not in flight, shuffled, reused across
-    /// calls.
-    free: Vec<u32>,
+    /// Scratch: the in-flight clients' positions in the pool, ascending;
+    /// at most `concurrency` long.
+    taken: Vec<usize>,
 }
 
 impl FedBuffSelector {
@@ -49,7 +41,6 @@ impl FedBuffSelector {
             concurrency,
             in_flight: Vec::new(),
             taken: Vec::new(),
-            free: Vec::new(),
         }
     }
 }
@@ -58,11 +49,19 @@ impl ClientSelector for FedBuffSelector {
     /// Top up the in-flight set to `concurrency` from the eligible pool
     /// (ignoring `target`, which synchronous baselines use) and write the
     /// *newly launched* clients into `cohort`.
-    fn select_into(
+    ///
+    /// The in-flight ids are located in the ascending pool by binary
+    /// search and removed from it in place, which leaves the free ids as a
+    /// prefix in pool order; that prefix is shuffled and its head
+    /// launched. The async engine tops up once per completion event, so
+    /// the cost per call is O(slots · log eligible) plus one memmove of
+    /// the pool and its shuffle.
+    fn select_in_place(
         &mut self,
         round: usize,
-        eligible: &[u32],
+        eligible: &mut [u32],
         _target: usize,
+        _profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
         cohort.clear();
@@ -71,31 +70,21 @@ impl ClientSelector for FedBuffSelector {
             return;
         }
         let mut taken = std::mem::take(&mut self.taken);
-        if let Some(&max) = self.in_flight.iter().max() {
-            if taken.len() <= max {
-                taken.resize(max + 1, false);
-            }
-        }
-        for &c in &self.in_flight {
-            taken[c] = true;
-        }
-        let mut free = std::mem::take(&mut self.free);
-        free.clear();
-        free.extend(
-            eligible
+        taken.clear();
+        // In-flight ids came from eligible pools, so they fit `u32`.
+        taken.extend(
+            self.in_flight
                 .iter()
-                .copied()
-                .filter(|&c| !taken.get(c as usize).copied().unwrap_or(false)),
+                .filter_map(|&c| eligible.binary_search(&(c as u32)).ok()),
         );
-        for &c in &self.in_flight {
-            taken[c] = false;
-        }
+        taken.sort_unstable();
+        let free = remove_positions(eligible, taken.iter().copied());
         self.taken = taken;
+        let free = &mut eligible[..free];
         // The shuffle's draws and swaps do not depend on the element type.
         free.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
         let launch = free.len().min(want - self.in_flight.len());
         cohort.extend(free[..launch].iter().map(|&c| c as usize));
-        self.free = free;
         self.in_flight.extend_from_slice(cohort);
     }
 

@@ -40,3 +40,6 @@ pub use oort::OortSelector;
 pub use refl::ReflSelector;
 pub use selector::{top_k_by, ClientSelector, SelectionFeedback};
 pub use tifl::TiflSelector;
+
+#[cfg(test)]
+mod contract_tests;

@@ -17,7 +17,7 @@ use rand::Rng;
 use float_profile::{ClientEstimate, ClientProfiler};
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
+use crate::selector::{remove_positions, top_k_by, ClientSelector, SelectionFeedback};
 
 /// Per-client rolling statistics maintained by Oort.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,11 +63,8 @@ pub struct OortSelector {
     /// candidates — O(touched + cohort), never O(eligible) — reused across
     /// rounds so selection allocates nothing at steady state.
     scored: Vec<(f64, usize)>,
-    /// Scratch: shuffled exploration candidates, the eligible `u32` ids
-    /// minus the exploit picks.
-    rest: Vec<u32>,
-    /// Scratch: (times-selected, position-in-`rest`) exploration keys of
-    /// the scanned prefix of `rest`.
+    /// Scratch: (times-selected, position-in-shuffle) exploration keys of
+    /// the scanned prefix of the shuffled exploration candidates.
     explore_keys: Vec<(u64, usize)>,
     /// Scratch membership set over client ids; empty between calls
     /// (cleared by walking the cohort, not the population).
@@ -86,7 +83,6 @@ impl OortSelector {
             exploration_fraction: 0.2,
             round_utilities: Vec::new(),
             scored: Vec::new(),
-            rest: Vec::new(),
             explore_keys: Vec::new(),
             mask: HashSet::new(),
         }
@@ -167,60 +163,10 @@ impl OortSelector {
 }
 
 impl ClientSelector for OortSelector {
-    fn select_into(
+    fn select_in_place(
         &mut self,
         round: usize,
-        eligible: &[u32],
-        target: usize,
-        cohort: &mut Vec<usize>,
-    ) {
-        self.select_impl(round, eligible, target, None, cohort);
-    }
-
-    fn select_profiled(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        profiles: &ClientProfiler,
-        cohort: &mut Vec<usize>,
-    ) {
-        self.select_impl(round, eligible, target, Some(profiles), cohort);
-    }
-
-    fn feedback(&mut self, _round: usize, results: &[SelectionFeedback]) {
-        let mut round_utility = 0.0;
-        for f in results {
-            let r = self.records.entry(f.client).or_default();
-            if f.completed {
-                r.completed += 1;
-                r.stat_utility = 0.7 * r.stat_utility + 0.3 * f.utility;
-                r.last_duration_s = f.duration_s;
-                round_utility += f.utility;
-            } else if f.quarantined {
-                // A quarantined payload is worse than slowness: the client
-                // consumed a slot and shipped poison. Decay its utility
-                // harder than an ordinary dropout — but say nothing about
-                // its speed: the payload was rejected, so its duration is
-                // not a measurement of this client's pace and must not
-                // feed the system-utility penalty.
-                r.stat_utility *= 0.5;
-            } else {
-                // A dropout tells Oort the client is slow/unreliable.
-                r.last_duration_s = r.last_duration_s.max(f.duration_s);
-                r.stat_utility *= 0.8;
-            }
-        }
-        self.round_utilities.push(round_utility);
-        self.run_pacer();
-    }
-}
-
-impl OortSelector {
-    fn select_impl(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
+        eligible: &mut [u32],
         target: usize,
         profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
@@ -268,22 +214,16 @@ impl OortSelector {
         // Exploration: random among the rest, preferring untried clients —
         // take untried first but keep some randomness among equals. The
         // (times-selected, position-in-shuffle) key is again a strict
-        // total order. `rest` is `eligible` minus the exploit picks, copied
-        // as the slices between their positions, and is shuffled in full
-        // (a truncated reverse Fisher–Yates would change the stream). The
-        // key scan then stops at the `explore_n`-th untried client: no
-        // later position can beat `explore_n` keys of (0, earlier).
+        // total order. The rest is `eligible` minus the exploit picks,
+        // compacted in place (one memmove per slice between two picks, so
+        // the order is kept) and shuffled in full (a truncated reverse
+        // Fisher–Yates would change the stream). The key scan then stops at
+        // the `explore_n`-th untried client: no later position can beat
+        // `explore_n` keys of (0, earlier).
         if explore_n > 0 {
             scored.sort_unstable_by_key(|&(_, pos)| pos);
-            let mut rest = std::mem::take(&mut self.rest);
-            rest.clear();
-            rest.reserve(eligible.len());
-            let mut from = 0;
-            for &(_, pos) in scored.iter() {
-                rest.extend_from_slice(&eligible[from..pos]);
-                from = pos + 1;
-            }
-            rest.extend_from_slice(&eligible[from..]);
+            let rest = remove_positions(eligible, scored.iter().map(|&(_, pos)| pos));
+            let rest = &mut eligible[..rest];
             rest.shuffle(&mut rng);
             let mut keys = std::mem::take(&mut self.explore_keys);
             keys.clear();
@@ -301,12 +241,38 @@ impl OortSelector {
             });
             cohort.extend(keys.iter().map(|&(_, pos)| rest[pos] as usize));
             self.explore_keys = keys;
-            self.rest = rest;
         }
         self.scored = scored;
 
         self.commit_selection_into(cohort, round);
         let _ = rng.gen::<u64>();
+    }
+
+    fn feedback(&mut self, _round: usize, results: &[SelectionFeedback]) {
+        let mut round_utility = 0.0;
+        for f in results {
+            let r = self.records.entry(f.client).or_default();
+            if f.completed {
+                r.completed += 1;
+                r.stat_utility = 0.7 * r.stat_utility + 0.3 * f.utility;
+                r.last_duration_s = f.duration_s;
+                round_utility += f.utility;
+            } else if f.quarantined {
+                // A quarantined payload is worse than slowness: the client
+                // consumed a slot and shipped poison. Decay its utility
+                // harder than an ordinary dropout — but say nothing about
+                // its speed: the payload was rejected, so its duration is
+                // not a measurement of this client's pace and must not
+                // feed the system-utility penalty.
+                r.stat_utility *= 0.5;
+            } else {
+                // A dropout tells Oort the client is slow/unreliable.
+                r.last_duration_s = r.last_duration_s.max(f.duration_s);
+                r.stat_utility *= 0.8;
+            }
+        }
+        self.round_utilities.push(round_utility);
+        self.run_pacer();
     }
 }
 
@@ -317,10 +283,11 @@ mod tests {
     use proptest::prelude::*;
 
     impl OortSelector {
-        /// Brute-force twin of `select_impl`: the dense implementation it
-        /// replaced, scoring every eligible client (three hash probes
-        /// each) and keying every exploration candidate.
-        fn select_dense_reference(
+        /// Brute-force twin of `select_in_place`: the dense implementation
+        /// it replaced, scoring every eligible client (three hash probes
+        /// each) and keying every exploration candidate from a private
+        /// copy of the pool.
+        pub(crate) fn select_dense_reference(
             &mut self,
             round: usize,
             eligible: &[u32],
@@ -369,7 +336,7 @@ mod tests {
         }
 
         /// Every record, bit for bit, in client order.
-        fn snapshot(&self) -> Vec<(usize, u64, u64, u64, u64, usize)> {
+        pub(crate) fn snapshot(&self) -> Vec<(usize, u64, u64, u64, u64, usize)> {
             let mut rows: Vec<_> = self
                 .records
                 .iter()
@@ -628,10 +595,10 @@ mod tests {
             s.priority_with(&s.records[&0], 1, est0.as_ref())
                 > s.priority_with(&s.records[&1], 1, est1.as_ref())
         );
-        // select_profiled ranks accordingly: the single exploit slot goes
-        // to the observed-fast client.
+        // Profiled selection ranks accordingly: the single exploit slot
+        // goes to the observed-fast client.
         let mut cohort = Vec::new();
-        s.select_profiled(1, &pool(2), 1, &p, &mut cohort);
+        s.select_in_place(1, &mut pool(2), 1, Some(&p), &mut cohort);
         assert_eq!(cohort, vec![0]);
     }
 
@@ -669,12 +636,15 @@ mod tests {
     #[test]
     fn selection_scratch_stays_small_at_population_scale() {
         // Work-counter pin on the sparse path: scoring and exploration
-        // keys are O(touched + cohort), never O(eligible).
+        // keys are O(touched + cohort), never O(eligible), and the
+        // exploration candidates are drawn in the caller's buffer, so no
+        // scratch of the selector grows with the pool.
         let eligible: Vec<u32> = (0..1_000_000).step_by(2).collect();
         let mut s = OortSelector::new(13, 60.0);
-        let mut cohort = Vec::new();
+        let (mut scratch, mut cohort) = (Vec::new(), Vec::new());
         for round in 0..6 {
-            s.select_into(round, &eligible, 16, &mut cohort);
+            scratch.clone_from(&eligible);
+            s.select_in_place(round, &mut scratch, 16, None, &mut cohort);
             assert_eq!(cohort.len(), 16);
             let fb: Vec<_> = cohort
                 .iter()
@@ -688,10 +658,11 @@ mod tests {
             "{}",
             s.explore_keys.capacity()
         );
+        assert!(s.mask.capacity() <= 4096, "{}", s.mask.capacity());
     }
 
     proptest! {
-        /// The sparse `select_impl` returns the dense reference's cohort
+        /// The sparse `select_in_place` returns the dense reference's cohort
         /// and leaves the same records, round after round, over sparse id
         /// pools with churning eligibility, targets past the pool size,
         /// tied and zero utilities, every feedback kind, feedback for
@@ -726,7 +697,8 @@ mod tests {
                 };
                 let (mut got, mut want) = (Vec::new(), Vec::new());
                 let profiles = profiled.then_some(&profiler);
-                sparse.select_impl(round, &eligible, target, profiles, &mut got);
+                let mut scratch = eligible.clone();
+                sparse.select_in_place(round, &mut scratch, target, profiles, &mut got);
                 dense.select_dense_reference(round, &eligible, target, profiles, &mut want);
                 prop_assert_eq!(&got, &want, "round {} cohort", round);
                 prop_assert_eq!(sparse.snapshot(), dense.snapshot(), "round {} records", round);

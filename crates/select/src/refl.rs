@@ -22,6 +22,10 @@ use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
 /// How many past rounds of availability history to keep per client.
 const HISTORY: usize = 64;
 
+/// Scores a selection collects past twice its target before it cuts
+/// them back to the target's best.
+const SCORE_BATCH: usize = 1024;
+
 /// Per-client availability history and speed estimate.
 #[derive(Debug, Clone, Default)]
 struct ClientHistory {
@@ -62,9 +66,8 @@ pub struct ReflSelector {
     ensured: usize,
     /// Round deadline the predicted window must cover.
     deadline_s: f64,
-    /// Scratch: shuffled candidate ids, reused across rounds.
-    ids: Vec<u32>,
-    /// Scratch: (score, position-in-`ids`) pairs, reused across rounds.
+    /// Scratch: (score, position-in-shuffle) pairs, reused across rounds;
+    /// at most `2 × target + SCORE_BATCH` long whatever the pool's size.
     scored: Vec<(f64, usize)>,
 }
 
@@ -76,7 +79,6 @@ impl ReflSelector {
             histories: HashMap::new(),
             ensured: 0,
             deadline_s,
-            ids: Vec::new(),
             scored: Vec::new(),
         }
     }
@@ -122,11 +124,13 @@ impl ReflSelector {
         }
         s
     }
+}
 
-    fn select_impl(
+impl ClientSelector for ReflSelector {
+    fn select_in_place(
         &mut self,
         round: usize,
-        eligible: &[u32],
+        eligible: &mut [u32],
         target: usize,
         profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
@@ -135,58 +139,37 @@ impl ReflSelector {
         let max_id = eligible.iter().copied().max().map_or(0, |m| m as usize + 1);
         self.ensure(max_id);
         let target = target.min(eligible.len());
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        ids.extend_from_slice(eligible);
         // Shuffle first so ties break randomly rather than by id. The
         // shuffle's draws and swaps do not depend on the element type.
-        ids.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
+        eligible.shuffle(&mut seed_rng(split_seed(self.seed, round as u64)));
         // Scores are computed once per client (the sort comparator used to
         // call `score()` twice per comparison), and the descending full
         // sort is a top-k select. The comparator is a strict total order —
         // `total_cmp` on the score, position in the shuffle as tiebreak —
         // so equal scores keep their shuffled order exactly as the stable
-        // sort this replaces did.
+        // sort this replaces did. A strict total order also means the top
+        // `target` of the pool is the top `target` of any kept superset,
+        // so `scored` is cut back to its best `target` whenever it fills
+        // and never holds the whole pool.
+        let cmp =
+            |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1));
         let mut scored = std::mem::take(&mut self.scored);
         scored.clear();
-        scored.extend(ids.iter().enumerate().map(|(pos, &c)| {
+        for (pos, &c) in eligible.iter().enumerate() {
             let c = c as usize;
             let est = profiles.and_then(|v| v.estimate(c));
-            (self.score_with(c, est.as_ref()), pos)
-        }));
-        top_k_by(&mut scored, target, |a, b| {
-            b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1))
-        });
+            scored.push((self.score_with(c, est.as_ref()), pos));
+            if scored.len() == 2 * target + SCORE_BATCH {
+                top_k_by(&mut scored, target, cmp);
+            }
+        }
+        top_k_by(&mut scored, target, cmp);
         for &(_, pos) in scored.iter() {
-            let c = ids[pos] as usize;
+            let c = eligible[pos] as usize;
             cohort.push(c);
             self.histories.entry(c).or_default().selected += 1;
         }
         self.scored = scored;
-        self.ids = ids;
-    }
-}
-
-impl ClientSelector for ReflSelector {
-    fn select_into(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        cohort: &mut Vec<usize>,
-    ) {
-        self.select_impl(round, eligible, target, None, cohort);
-    }
-
-    fn select_profiled(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        profiles: &ClientProfiler,
-        cohort: &mut Vec<usize>,
-    ) {
-        self.select_impl(round, eligible, target, Some(profiles), cohort);
     }
 
     fn feedback(&mut self, _round: usize, results: &[SelectionFeedback]) {
@@ -350,7 +333,7 @@ mod tests {
         let (e0, e1) = (p.estimate(0), p.estimate(1));
         assert!(s.score_with(0, e0.as_ref()) > s.score_with(1, e1.as_ref()));
         let mut cohort = Vec::new();
-        s.select_profiled(1, &pool(2), 1, &p, &mut cohort);
+        s.select_in_place(1, &mut pool(2), 1, Some(&p), &mut cohort);
         assert_eq!(cohort, vec![0]);
     }
 

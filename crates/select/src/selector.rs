@@ -1,5 +1,6 @@
 //! The common client-selection interface.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 
 use float_profile::ClientProfiler;
@@ -51,6 +52,36 @@ pub struct SelectionFeedback {
     pub quarantined: bool,
 }
 
+/// Remove the elements at `positions` (strictly ascending, each inside
+/// `ids`) and close the gaps, keeping the survivors in order as a prefix;
+/// returns the prefix's length. Each run between two removed positions
+/// moves with one `copy_within` (a memmove), and the runs before the first
+/// removal do not move at all.
+pub(crate) fn remove_positions(
+    ids: &mut [u32],
+    positions: impl IntoIterator<Item = usize>,
+) -> usize {
+    let (mut from, mut to) = (0, 0);
+    for pos in positions {
+        debug_assert!(from <= pos && pos < ids.len(), "positions must ascend");
+        if to != from {
+            ids.copy_within(from..pos, to);
+        }
+        to += pos - from;
+        from = pos + 1;
+    }
+    if to != from {
+        ids.copy_within(from.., to);
+    }
+    to + (ids.len() - from)
+}
+
+thread_local! {
+    /// The copy [`ClientSelector::select_into`] selects from, reused
+    /// across calls on each thread.
+    static SELECT_SCRATCH: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
 /// A client-selection strategy.
 ///
 /// Selectors are deliberately ignorant of FLOAT: the runtime wraps any
@@ -60,45 +91,55 @@ pub trait ClientSelector {
     /// Choose the clients to task in `round` from the `eligible` pool —
     /// the clients currently checked in as available, mirroring the
     /// FedScale/production model where unavailable devices are never
-    /// candidates. `eligible` is strictly ascending (so duplicate-free):
-    /// both of the runtime's producers emit it that way, and selectors may
+    /// candidates — and write them into `cohort`, which is cleared first.
+    ///
+    /// On entry `eligible` is strictly ascending (so duplicate-free): both
+    /// of the runtime's producers emit it that way, and selectors may
     /// binary-search it. Its ids are `u32`, half the bytes of `usize` in
     /// the largest per-round list (a population has at most `u32::MAX`
-    /// clients); the cohort's are `usize`. `target` is the configured
-    /// per-round cohort size (synchronous) or the top-up size
-    /// (asynchronous). Must write
-    /// distinct ids drawn from `eligible` into `cohort`, which is cleared
-    /// first — the caller owns the buffer so population-scale loops can
-    /// reuse one allocation across thousands of rounds.
+    /// clients); the cohort's are `usize`. After the call `eligible`'s
+    /// contents are unspecified: it is the selector's scratch, so a
+    /// selector shuffles or compacts it where it stands instead of keeping
+    /// a private O(eligible) copy. The caller owns both buffers,
+    /// so population-scale loops reuse two allocations across thousands
+    /// of rounds. `target` is the configured per-round cohort size
+    /// (synchronous) or the top-up size (asynchronous). The cohort's ids
+    /// are distinct and drawn from `eligible`.
+    ///
+    /// `profiles` is FLOAT's observability-as-control-input path
+    /// (`ExperimentConfig::profiling`): selectors that score clients on
+    /// oracle-fed internal state (Oort's measured durations, REFL's
+    /// reliability, TiFL's latency tiers) read the [`ClientProfiler`]'s
+    /// online estimates instead when it is `Some`; a client with no
+    /// estimate goes through the selector's own cold-start path — Oort's
+    /// untried exploration pool, REFL's 0.5 availability prior, TiFL's
+    /// unprofiled tier. Purely random baselines (FedAvg, FedBuff) ignore
+    /// it.
+    fn select_in_place(
+        &mut self,
+        round: usize,
+        eligible: &mut [u32],
+        target: usize,
+        profiles: Option<&ClientProfiler>,
+        cohort: &mut Vec<usize>,
+    );
+
+    /// [`ClientSelector::select_in_place`] without profiles, for a caller
+    /// that keeps its `eligible` (same contract: strictly ascending). The
+    /// selector draws from a copy in a buffer each thread reuses, so a
+    /// call copies the pool but allocates nothing at steady state.
     fn select_into(
         &mut self,
         round: usize,
         eligible: &[u32],
         target: usize,
         cohort: &mut Vec<usize>,
-    );
-
-    /// Like [`ClientSelector::select_into`] (same contract: `eligible`
-    /// strictly ascending), but with access to online profiled estimates
-    /// (FLOAT's observability-as-control-input path,
-    /// `ExperimentConfig::profiling`). Selectors that score clients on
-    /// oracle-fed internal state (Oort's measured durations, REFL's
-    /// reliability, TiFL's latency tiers) override this to read the
-    /// [`ClientProfiler`] instead; a client with no estimate (`None`) goes
-    /// through the selector's own cold-start path — Oort's untried
-    /// exploration pool, REFL's 0.5 availability prior, TiFL's
-    /// unprofiled tier. The default ignores the profiler, so purely random
-    /// baselines (FedAvg, FedBuff) are unchanged by profiling.
-    fn select_profiled(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        profiles: &ClientProfiler,
-        cohort: &mut Vec<usize>,
     ) {
-        let _ = profiles;
-        self.select_into(round, eligible, target, cohort);
+        let mut scratch = SELECT_SCRATCH.take();
+        scratch.clear();
+        scratch.extend_from_slice(eligible);
+        self.select_in_place(round, &mut scratch, target, None, cohort);
+        SELECT_SCRATCH.set(scratch);
     }
 
     /// Allocating convenience wrapper around
@@ -131,6 +172,27 @@ mod tests {
             let mut v = scores.clone();
             top_k_by(&mut v, k, cmp);
             assert_eq!(v, reference[..k.min(scores.len())], "k = {k}");
+        }
+    }
+
+    #[test]
+    fn remove_positions_keeps_the_rest_in_order() {
+        for removed in [
+            vec![],
+            vec![0],
+            vec![9],
+            vec![0, 9],
+            vec![2, 3, 7],
+            vec![1, 4, 5, 6, 8],
+            (0..10).collect(),
+        ] {
+            let mut ids: Vec<u32> = (100..110).collect();
+            let n = remove_positions(&mut ids, removed.iter().copied());
+            let want: Vec<u32> = (0..10)
+                .filter(|p| !removed.contains(p))
+                .map(|p| 100 + p as u32)
+                .collect();
+            assert_eq!(ids[..n], want[..], "removed {removed:?}");
         }
     }
 

@@ -16,7 +16,7 @@ use float_tensor::rng::{seed_rng, split_seed};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::selector::{top_k_by, ClientSelector, SelectionFeedback};
+use crate::selector::{ClientSelector, SelectionFeedback};
 
 /// Number of latency tiers TiFL maintains.
 const NUM_TIERS: usize = 5;
@@ -67,9 +67,9 @@ pub struct TiflSelector {
     credits: Vec<u64>,
     rounds_seen: usize,
     /// Scratch: eligible members of the chosen tier, reused across rounds.
+    /// Kept apart from the caller's pool because the top-up below walks
+    /// that pool in its ascending order after the tier's draw.
     pool: Vec<u32>,
-    /// Scratch: (tier-distance, position-in-eligible) top-up keys.
-    rest: Vec<(usize, usize)>,
 }
 
 impl TiflSelector {
@@ -83,7 +83,6 @@ impl TiflSelector {
             credits: vec![INITIAL_CREDITS; NUM_TIERS],
             rounds_seen: 0,
             pool: Vec::new(),
-            rest: Vec::new(),
         }
     }
 
@@ -208,25 +207,58 @@ impl TiflSelector {
 const INITIAL_CREDITS: u64 = 20;
 
 impl ClientSelector for TiflSelector {
-    fn select_into(
+    /// Reads `eligible` and leaves it ascending.
+    fn select_in_place(
         &mut self,
         round: usize,
-        eligible: &[u32],
+        eligible: &mut [u32],
         target: usize,
+        profiles: Option<&ClientProfiler>,
         cohort: &mut Vec<usize>,
     ) {
-        self.select_impl(round, eligible, target, None, cohort);
-    }
-
-    fn select_profiled(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        profiles: &ClientProfiler,
-        cohort: &mut Vec<usize>,
-    ) {
-        self.select_impl(round, eligible, target, Some(profiles), cohort);
+        let eligible = &*eligible;
+        cohort.clear();
+        let max_id = eligible.iter().copied().max().map_or(0, |m| m as usize + 1);
+        self.ensure(max_id);
+        self.rounds_seen += 1;
+        if self.rounds_seen.is_multiple_of(RETIER_EVERY) {
+            self.retier(profiles);
+        }
+        if self.credits.iter().all(|&c| c == 0) {
+            self.credits = vec![INITIAL_CREDITS; NUM_TIERS];
+        }
+        let mut rng = seed_rng(split_seed(self.seed, round as u64));
+        let tier = self.choose_tier(eligible, &mut rng);
+        self.credits[tier] = self.credits[tier].saturating_sub(1);
+        let need = target.min(eligible.len());
+        let mut pool = std::mem::take(&mut self.pool);
+        pool.clear();
+        pool.extend(
+            eligible
+                .iter()
+                .copied()
+                .filter(|&c| self.effective_tier(c as usize) == tier),
+        );
+        // The shuffle's draws and swaps do not depend on the element type.
+        pool.shuffle(&mut rng);
+        cohort.extend(pool[..need.min(pool.len())].iter().map(|&c| c as usize));
+        self.pool = pool;
+        // Top up from neighbouring tiers if the chosen tier is too small
+        // (TiFL merges adjacent tiers when underpopulated): the least
+        // (tier distance, position in `eligible`) keys — the strict total
+        // order that matches exactly where a stable sort by distance left
+        // tied clients — taken one distance at a time, each in position
+        // order, so no key list is built.
+        let dist =
+            |c: &u32| (self.effective_tier(*c as usize) as isize - tier as isize).unsigned_abs();
+        for d in 1..NUM_TIERS {
+            let want = need - cohort.len();
+            if want == 0 {
+                break;
+            }
+            let nearest = eligible.iter().filter(|c| dist(c) == d).take(want);
+            cohort.extend(nearest.map(|&c| c as usize));
+        }
     }
 
     fn feedback(&mut self, _round: usize, results: &[SelectionFeedback]) {
@@ -258,72 +290,6 @@ impl ClientSelector for TiflSelector {
             } else {
                 p.utility *= 0.9;
             }
-        }
-    }
-}
-
-impl TiflSelector {
-    fn select_impl(
-        &mut self,
-        round: usize,
-        eligible: &[u32],
-        target: usize,
-        profiles: Option<&ClientProfiler>,
-        cohort: &mut Vec<usize>,
-    ) {
-        cohort.clear();
-        let max_id = eligible.iter().copied().max().map_or(0, |m| m as usize + 1);
-        self.ensure(max_id);
-        self.rounds_seen += 1;
-        if self.rounds_seen.is_multiple_of(RETIER_EVERY) {
-            self.retier(profiles);
-        }
-        if self.credits.iter().all(|&c| c == 0) {
-            self.credits = vec![INITIAL_CREDITS; NUM_TIERS];
-        }
-        let mut rng = seed_rng(split_seed(self.seed, round as u64));
-        let tier = self.choose_tier(eligible, &mut rng);
-        self.credits[tier] = self.credits[tier].saturating_sub(1);
-        let need = target.min(eligible.len());
-        let mut pool = std::mem::take(&mut self.pool);
-        pool.clear();
-        pool.extend(
-            eligible
-                .iter()
-                .copied()
-                .filter(|&c| self.effective_tier(c as usize) == tier),
-        );
-        // The shuffle's draws and swaps do not depend on the element type.
-        pool.shuffle(&mut rng);
-        cohort.extend(pool[..need.min(pool.len())].iter().map(|&c| c as usize));
-        self.pool = pool;
-        // Top up from neighbouring tiers if the chosen tier is too small
-        // (TiFL merges adjacent tiers when underpopulated). The full
-        // distance sort is a top-k select keyed on (tier distance,
-        // position in `eligible`) — a strict total order matching exactly
-        // where the stable `sort_by_key` left tied elements.
-        if cohort.len() < need {
-            let want = need - cohort.len();
-            let mut rest = std::mem::take(&mut self.rest);
-            rest.clear();
-            rest.extend(
-                eligible
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| self.effective_tier(c as usize) != tier)
-                    .map(|(pos, &c)| {
-                        let dist = (self.effective_tier(c as usize) as isize - tier as isize)
-                            .unsigned_abs();
-                        (dist, pos)
-                    }),
-            );
-            top_k_by(&mut rest, want, |a, b| {
-                a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-            });
-            for &(_, pos) in rest.iter() {
-                cohort.push(eligible[pos] as usize);
-            }
-            self.rest = rest;
         }
     }
 }
@@ -495,7 +461,7 @@ mod tests {
                 );
             }
             let mut cohort = Vec::new();
-            s.select_profiled(round, &pool(20), 4, &p, &mut cohort);
+            s.select_in_place(round, &mut pool(20), 4, Some(&p), &mut cohort);
         }
         let fast = s.tier_of(19).expect("profiled");
         let slow = s.tier_of(0).expect("profiled");

@@ -35,12 +35,22 @@
 //! each round's bandwidth; its standard error comes from the fourth
 //! moment E[X_R⁴] = Σ_s π_R(s)·m_s⁴·e^1.28.
 //!
+//! Compute. `DeviceProfile::derive` draws a tier with shares 0.40 /
+//! 0.45 / 0.15 (low / mid / high end), then a throughput of
+//! m·e^(0.35z), z ~ N(0, 1), around the tier's median m = 1.5 / 5 / 18
+//! GFLOP/s: a three-part log-normal mixture, whose CDF is
+//! F(g) = Σ_k w_k·Φ(ln(g / m_k) / 0.35). Its quantile spans follow by
+//! bisection: P10–P90 13.1×, P5–P95 20.9×, P1–P99 40.3×.
+//!
 //! The whole file costs ~0.5 s of the tier-1 run at the test profile's
 //! `opt-level = 2` (a two-core x86-64 host).
 
 use float::tensor::rng::split_seed;
 use float::traces::availability::ROUNDS_PER_DAY;
-use float::traces::{InterferenceModel, Mobility, NetworkGen, NetworkProfile, ResourceSampler};
+use float::traces::{
+    DeviceClass, DeviceProfile, InterferenceModel, Mobility, NetworkGen, NetworkProfile,
+    ResourceSampler,
+};
 
 const N: usize = 1_000_000;
 const SEED: u64 = 20_240_422;
@@ -255,6 +265,124 @@ fn bandwidth_population_matches_its_closed_form() {
                     6.0 * se_sq
                 );
             }
+        }
+    }
+}
+
+/// Profiles in the compute check.
+const COMPUTE_PROFILES: usize = 200_000;
+/// Log-throughput spread within a tier.
+const COMPUTE_SIGMA: f64 = 0.35;
+/// Each tier with its population share and median GFLOP/s.
+const TIERS: [(DeviceClass, f64, f64); 3] = [
+    (DeviceClass::LowEnd, 0.40, 1.5),
+    (DeviceClass::MidRange, 0.45, 5.0),
+    (DeviceClass::HighEnd, 0.15, 18.0),
+];
+
+/// The standard normal CDF, by Abramowitz & Stegun 7.1.26 for erf
+/// (absolute error under 1.5·10⁻⁷, far inside the bounds it meets here).
+fn normal_cdf(x: f64) -> f64 {
+    let z = x.abs() / std::f64::consts::SQRT_2;
+    let t = 1.0 / (1.0 + 0.327_591_1 * z);
+    let poly = t
+        * (0.254_829_592
+            + t * (-0.284_496_736
+                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+    let erf = 1.0 - poly * (-z * z).exp();
+    0.5 * (1.0 + erf.copysign(x))
+}
+
+/// The mixture's CDF at `g` GFLOP/s.
+fn compute_cdf(g: f64) -> f64 {
+    TIERS
+        .iter()
+        .map(|&(_, share, median)| share * normal_cdf((g / median).ln() / COMPUTE_SIGMA))
+        .sum()
+}
+
+/// The mixture's `p`-quantile, by bisection on log-throughput.
+fn compute_quantile(p: f64) -> f64 {
+    let (mut lo, mut hi) = (1e-3f64.ln(), 1e4f64.ln());
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if compute_cdf(mid.exp()) < p {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (0.5 * (lo + hi)).exp()
+}
+
+/// The Kolmogorov–Smirnov distance of `sorted` from Φ.
+fn ks_distance_from_normal(sorted: &[f64]) -> f64 {
+    let n = sorted.len() as f64;
+    sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let f = normal_cdf(x);
+            f64::max(f - i as f64 / n, (i + 1) as f64 / n - f)
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Derive 200 000 profiles. Each tier's share lies within 6σ of its
+/// binomial mean; each tier's standardized log-throughput
+/// ln(g / m) / 0.35 passes a Kolmogorov–Smirnov test against Φ at a 10⁻⁶
+/// false-alarm rate (the asymptotic bound √(ln(2·10⁶) / 2n)). The
+/// closed-form quantile spans are the ones `DeviceClass`'s docs quote,
+/// and the sample's CDF at each closed-form quantile lies within 6σ of
+/// its level.
+#[test]
+fn compute_population_matches_its_closed_form() {
+    let profiles: Vec<DeviceProfile> = (0..COMPUTE_PROFILES)
+        .map(|i| DeviceProfile::derive(SEED, i))
+        .collect();
+    let n = COMPUTE_PROFILES as f64;
+    for &(class, share, median) in &TIERS {
+        let mut z: Vec<f64> = profiles
+            .iter()
+            .filter(|p| p.class == class)
+            .map(|p| (p.gflops / median).ln() / COMPUTE_SIGMA)
+            .collect();
+        let count = z.len() as f64;
+        let sigma = (n * share * (1.0 - share)).sqrt();
+        assert!(
+            (count - n * share).abs() <= 6.0 * sigma,
+            "{class:?}: {count} profiles, want {} ± {}",
+            n * share,
+            6.0 * sigma
+        );
+        z.sort_by(f64::total_cmp);
+        let d = ks_distance_from_normal(&z);
+        let bound = ((2e6f64).ln() / (2.0 * count)).sqrt();
+        assert!(
+            d < bound,
+            "{class:?}: KS distance {d} from Φ, bound {bound}"
+        );
+    }
+
+    let mut gflops: Vec<f64> = profiles.iter().map(|p| p.gflops).collect();
+    gflops.sort_by(f64::total_cmp);
+    for (p, span) in [(0.10, 13.1), (0.05, 20.9), (0.01, 40.3)] {
+        let (low, high) = (compute_quantile(p), compute_quantile(1.0 - p));
+        let ratio = high / low;
+        assert!(
+            (ratio - span).abs() < 0.05,
+            "P{}–P{} span {ratio:.2}×, docs say {span}×",
+            p * 100.0,
+            (1.0 - p) * 100.0
+        );
+        for (q, at) in [(p, low), (1.0 - p, high)] {
+            let below = gflops.partition_point(|&g| g < at) as f64 / n;
+            let sigma = (q * (1.0 - q) / n).sqrt();
+            assert!(
+                (below - q).abs() <= 6.0 * sigma,
+                "sample CDF {below} at the closed-form P{} ({at:.3} GFLOP/s)",
+                q * 100.0
+            );
         }
     }
 }

@@ -127,16 +127,16 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "skipped: needs an avx512dq host and objdump"
   fi
 
-  # The population build (index, sweep table, and every one-client
-  # model) derives availability models 64 clients at a time in
-  # `AvailabilityModel::for_clients`, a branch-free loop kept out of line
-  # (`#[inline(never)]`) so it is one symbol. A branch in it, or a draw
-  # that stops inlining into it, leaves it scalar and `setup_s` ~25 %
-  # slower with every test green, so fail on no `vpmullq` there.
-  step "population build vectorized (vpmullq in AvailabilityModel::for_clients)"
+  # Every population build (the index's windows, the sweep table) goes
+  # through `float_traces::availability::population_tables`, a
+  # branch-free loop kept out of line (`#[inline(never)]`) so it is one
+  # symbol. A branch in it, or a draw that stops inlining into it, leaves
+  # it scalar and set-up slower with every test green, so fail on no
+  # `vpmullq` there.
+  step "population build vectorized (vpmullq in population_tables)"
   if grep -qw avx512dq /proc/cpuinfo && command -v objdump > /dev/null; then
-    muls=$(vpmullq_in "AvailabilityModel::for_clients")
-    echo "vpmullq in AvailabilityModel::for_clients: $muls"
+    muls=$(vpmullq_in "availability::population_tables")
+    echo "vpmullq in population_tables: $muls"
     [[ "$muls" -gt 0 ]]
   else
     echo "skipped: needs an avx512dq host and objdump"

@@ -645,12 +645,13 @@ fn deliver_update(updates: &mut Vec<PendingUpdate>, update: PendingUpdate, dupli
 /// The buffer is shrunk in place before the ids are widened. Freeing it
 /// whole instead raises glibc's dynamic mmap threshold to its size, which
 /// moves the population's later multi-megabyte tables from `mmap` onto
-/// the heap (DESIGN.md §13). Beside a transition calendar and dense
-/// per-client report counts that made `pop1m_oort`'s peak RSS 55 instead
-/// of 42 MiB. Beside the two-byte index, sparse counts, the 4-byte sweep
-/// table and `u32` eligible ids it costs little: 20.4–20.5 MiB shrunk
-/// against 20.6–20.8 freed whole (`--seed 9176432`, four of five
-/// alternating pairs; the fifth shrunk run read 24.5).
+/// the heap (DESIGN.md §13, which names the change each figure below was
+/// measured with). Beside a transition calendar and dense per-client
+/// report counts that made `pop1m_oort`'s peak RSS 55 instead of 42 MiB.
+/// Beside the two-byte index, sparse counts, the 4-byte sweep table and
+/// `u32` eligible ids it costs little: 20.4–20.5 MiB shrunk against
+/// 20.6–20.8 freed whole (`--seed 9176432`, four of five alternating
+/// pairs; the fifth shrunk run read 24.5).
 fn draw_eval_set(num_clients: usize, eval_sample: usize, seed: u64) -> Vec<usize> {
     if eval_sample == 0 || eval_sample >= num_clients {
         return Vec::new();

@@ -174,8 +174,8 @@ impl SharedPopulation {
         let (n, trace_seed) = (config.num_clients, split_seed(pop_seed, 2));
         let (index, sweep_models) = if config.candidate_pool == 0 {
             // Full-sweep runs read every client's interruption draw each
-            // round: build the table in the index's pass, one model
-            // derivation per client for both. Pooled runs skip it (the
+            // round: build the table in the index's pass, one kernel
+            // pass writing both. Pooled runs skip it (the
             // only O(population) allocation left).
             let (index, sweep) = ResourceSampler::build_index_and_sweep(n, trace_seed);
             (index, Some(Arc::new(sweep)))

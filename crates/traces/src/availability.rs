@@ -76,9 +76,9 @@ pub struct AvailabilityModel {
 }
 
 impl AvailabilityModel {
-    /// Build the model for one client from a seed. The population's models
-    /// come from the batch `AvailabilityModel::for_clients`, which spells
-    /// this generator out; this body is the reference it is tested against.
+    /// Build the model for one client from a seed. The population's tables
+    /// come from `population_tables`, which spells this generator out;
+    /// this body is the reference it is tested against.
     pub fn new(seed: u64) -> Self {
         let mut rng = seed_rng(split_seed(seed, 0xA7A));
         AvailabilityModel {
@@ -89,46 +89,11 @@ impl AvailabilityModel {
         }
     }
 
-    /// Client `client`'s model in a population sampled under `seed`: stream
-    /// 2 of the client's trace seed, as [`AvailabilityModel::new`] builds
-    /// it. The trace cache and `is_available` read it through this
-    /// one-entry batch, so they share [`AvailabilityModel::for_clients`]
-    /// with the availability index and the sweep table bit for bit.
+    /// Client `client`'s model in a population sampled under `seed`: the
+    /// generator on stream 2 of the client's trace seed. The trace cache,
+    /// `is_available` and the sweep table's tie rule read it.
     pub(crate) fn for_client(seed: u64, client: usize) -> Self {
-        let mut one = [UNSET];
-        Self::for_clients(seed, client, &mut one);
-        let [m] = one;
-        m
-    }
-
-    /// Write `for_client(seed, base + k)` into `out[k]` for every `k`.
-    ///
-    /// The loop spells out `new`'s generator without building it, and has
-    /// no branch, so it vectorizes (eight clients per 512-bit register,
-    /// 64-bit multiplies as `vpmullq`). [`StdRng::seed_from_u64`] fills
-    /// xoshiro256++'s state word `k` with `split_seed(s, k)` (the identity
-    /// [`first_f64`] uses); three outputs then give `phase`, `duty` and
-    /// `interruption_p` through the shim's `gen_range` formulas, spelled in
-    /// [`day_position`] and [`uniform`]. Kept out of line so the build
-    /// loops that call it stay small and the vectorized body has one home.
-    ///
-    /// [`StdRng::seed_from_u64`]: rand::SeedableRng::seed_from_u64
-    #[inline(never)]
-    pub(crate) fn for_clients(seed: u64, base: usize, out: &mut [AvailabilityModel]) {
-        for (k, m) in out.iter_mut().enumerate() {
-            let client_seed = client_seed(seed, base + k);
-            let s = split_seed(client_seed, 0xA7A);
-            let mut state = [0, 1, 2, 3].map(|w| split_seed(s, w));
-            let phase = day_position(xoshiro_next(&mut state));
-            let duty = uniform(0.35, 0.85, xoshiro_next(&mut state));
-            let interruption_p = uniform(0.02, 0.12, xoshiro_next(&mut state));
-            *m = AvailabilityModel {
-                seed: client_seed,
-                phase,
-                duty,
-                interruption_p,
-            };
-        }
+        Self::new(client_seed(seed, client))
     }
 
     /// Whether the diurnal cycle marks this client available in `round`
@@ -171,19 +136,69 @@ impl AvailabilityModel {
     /// nothing else, per client.
     pub fn diurnal_window(&self) -> (u8, u8) {
         const _: () = assert!(ROUNDS_PER_DAY <= u8::MAX as usize);
-        // duty < 1, so len ≤ ROUNDS_PER_DAY.
-        let len = (self.duty * ROUNDS_PER_DAY as f64).ceil();
-        (self.phase as u8, len as u8)
+        (self.phase as u8, window_len(self.duty))
     }
 }
 
-/// A placeholder the batch builders overwrite before anyone reads it.
-pub(crate) const UNSET: AvailabilityModel = AvailabilityModel {
-    seed: 0,
-    phase: 0,
-    duty: 0.0,
-    interruption_p: 0.0,
-};
+/// Write client `base + k`'s [`AvailabilityModel::diurnal_window`] into
+/// `(phase[k], len[k])` and its [`Interruption::threshold`] into `hi[k]`,
+/// for every `k` (the three slices must be of one length). Every
+/// population builder goes through it.
+///
+/// The loop spells out [`AvailabilityModel::new`]'s generator without
+/// building a model and has no branch, so it vectorizes (eight clients
+/// per 512-bit register, 64-bit multiplies as `vpmullq`).
+/// [`StdRng::seed_from_u64`] fills xoshiro256++'s state word `w` with
+/// `split_seed(s, w)` (the identity [`first_f64`] uses); three outputs
+/// give the phase, the duty and `p` through the shim's `gen_range`
+/// formulas ([`day_position`], [`uniform`]), and the window's and the
+/// threshold's own functions turn the last two into bytes: the same
+/// integer and IEEE operations in the same order, so every entry is
+/// bit-identical. Out of line, so it is one symbol for `ci.sh`'s
+/// `vpmullq` count.
+///
+/// [`StdRng::seed_from_u64`]: rand::SeedableRng::seed_from_u64
+#[inline(never)]
+pub(crate) fn population_tables(
+    seed: u64,
+    base: usize,
+    phase: &mut [u8],
+    len: &mut [u8],
+    hi: &mut [u32],
+) {
+    let n = phase.len();
+    assert_eq!((len.len(), hi.len()), (n, n), "one entry per client");
+    for k in 0..n {
+        let s = split_seed(client_seed(seed, base + k), 0xA7A);
+        let mut state = [0, 1, 2, 3].map(|w| split_seed(s, w));
+        phase[k] = day_position(xoshiro_next(&mut state)) as u8;
+        len[k] = window_len(uniform(0.35, 0.85, xoshiro_next(&mut state)));
+        hi[k] = threshold_of(uniform(0.02, 0.12, xoshiro_next(&mut state)));
+    }
+}
+
+/// The diurnal window's length for duty cycle `duty`: `ceil(duty ·
+/// ROUNDS_PER_DAY)`. `duty < 1`, so it is at most `ROUNDS_PER_DAY`.
+#[inline(always)]
+fn window_len(duty: f64) -> u8 {
+    whole((duty * ROUNDS_PER_DAY as f64).ceil()) as u8
+}
+
+/// [`Interruption::threshold`] of interruption probability `p`.
+#[inline(always)]
+fn threshold_of(p: f64) -> u32 {
+    (whole((p * (1u64 << 53) as f64).ceil()) >> 21) as u32
+}
+
+/// A whole `x` in `[0, 2⁵²)` as an integer, what `x as u64` gives. Adding
+/// 2⁵² is exact and leaves `x` as the low mantissa bits; unlike the
+/// saturating `as`, which LLVM lowers lane by lane through scalar code,
+/// it is two vector instructions.
+#[inline(always)]
+fn whole(x: f64) -> u64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    (x + TWO_52).to_bits() - TWO_52.to_bits()
+}
 
 /// One xoshiro256++ step: the shim's `StdRng::next_u64`.
 #[inline(always)]
@@ -255,17 +270,17 @@ impl Interruption {
     /// `X = x >> 11` (exact in `f64`), so it clears exactly when
     /// `X ≥ p·2⁵³`, that is when `X ≥ T = ⌈p·2⁵³⌉` (`p·2⁵³` is exact: a
     /// power-of-two scale). The threshold is `T >> 21`, comparable with
-    /// `x >> 32 = X >> 21`. For `p < 1`, `T < 2⁵³` and it fits a `u32`;
-    /// the model's `p < 0.12` keeps it under 2²⁹.
+    /// `x >> 32 = X >> 21`. For `p < 1/2`, `T < 2⁵²`, the range `whole`
+    /// converts, and it fits a `u32`; the model's `p < 0.12` keeps it
+    /// under 2²⁹.
     pub fn threshold(&self) -> u32 {
-        debug_assert!((0.0..1.0).contains(&self.p), "p = {}", self.p);
-        let t = (self.p * (1u64 << 53) as f64).ceil() as u64;
-        (t >> 21) as u32
+        debug_assert!((0.0..0.5).contains(&self.p), "p = {}", self.p);
+        threshold_of(self.p)
     }
 }
 
 /// The seed of client `client`'s traces in a population sampled under
-/// `seed`: the stream [`AvailabilityModel::for_clients`] derives.
+/// `seed`: the stream [`population_tables`] derives.
 #[inline(always)]
 fn client_seed(seed: u64, client: usize) -> u64 {
     split_seed(split_seed(seed, 0x1000 + client as u64), 2)
@@ -295,19 +310,10 @@ pub struct InterruptionTable {
 }
 
 impl InterruptionTable {
-    /// An empty table for the population sampled under `seed`, with room
-    /// for `n` clients.
-    pub fn with_capacity(seed: u64, n: usize) -> Self {
-        InterruptionTable {
-            seed,
-            hi: Vec::with_capacity(n),
-        }
-    }
-
-    /// Append the next client's entry. `cut` must be that client's
-    /// [`AvailabilityModel::interruption`] under the table's seed.
-    pub fn push(&mut self, cut: Interruption) {
-        self.hi.push(cut.threshold());
+    /// The table of the population sampled under `seed`: `hi[c]` must be
+    /// client `c`'s [`Interruption::threshold`] under that seed.
+    pub fn from_thresholds(seed: u64, hi: Vec<u32>) -> Self {
+        InterruptionTable { seed, hi }
     }
 
     /// Number of clients.
@@ -426,11 +432,11 @@ mod tests {
     }
 
     fn table_of(seed: u64, models: &[AvailabilityModel]) -> InterruptionTable {
-        let mut table = InterruptionTable::with_capacity(seed, models.len());
-        for m in models {
-            table.push(m.interruption());
-        }
-        table
+        let hi = models
+            .iter()
+            .map(|m| m.interruption().threshold())
+            .collect();
+        InterruptionTable::from_thresholds(seed, hi)
     }
 
     /// The 4-byte table is a twin of the 16-byte reference: every word
@@ -466,6 +472,42 @@ mod tests {
                     assert_eq!(table.clear(c, r), want, "n {n} client {c} round {r}");
                 }
             }
+        }
+    }
+
+    /// The threshold is what its doc says: the top 32 bits of the smallest
+    /// `X` that `Interruption::clear`'s compare `X·2⁻⁵³ ≥ p` passes, found
+    /// here by stepping up from below `p·2⁵³`. The ceiling matters only
+    /// when `p·2⁵³` lies just under a multiple of 2²¹, one model `p` in
+    /// ~2²¹, so such `p` are built on purpose beside sampled ones, 1/8 to
+    /// 3/4 under it: a truncation misses the multiple the ceiling reaches
+    /// at each, and a rounding to nearest at 3/4.
+    #[test]
+    fn threshold_is_the_top_of_the_smallest_clearing_draw() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let crafted = (1u64..2000).flat_map(|i| {
+            let k = (1u64 << 27) + i * 9_973; // p·2⁵³ near k·2²¹ ∈ [2⁴⁸, 2⁴⁹)
+            [0.75, 0.5, 0.25, 0.125].map(|below| ((k << 21) as f64 - below) * scale)
+        });
+        let sampled = (0..100_000).map(|c| AvailabilityModel::for_client(5, c).interruption_p);
+        for p in crafted.chain(sampled) {
+            let mut x = (p / scale) as u64 - 2;
+            while (x as f64) * scale < p {
+                x += 1;
+            }
+            let cut = Interruption { seed: 0, p };
+            assert_eq!(cut.threshold(), (x >> 21) as u32, "p {p:e}");
+        }
+    }
+
+    /// `whole` is the integer cast on every whole float it is handed: the
+    /// window lengths, thresholds up to 2⁵⁰, and the edges of its range.
+    #[test]
+    fn whole_is_the_integer_cast() {
+        let edges = [0, 1, 34, 82, 96, (1 << 21) - 1, 1 << 50, (1 << 52) - 1];
+        let spread = (0..100_000u64).map(|i| split_seed(7, i) >> 12);
+        for x in edges.into_iter().chain(spread) {
+            assert_eq!(whole(x as f64), x, "x {x}");
         }
     }
 
@@ -509,50 +551,40 @@ mod tests {
         }
     }
 
-    fn same_model(a: &AvailabilityModel, b: &AvailabilityModel) -> bool {
-        a.seed == b.seed
-            && a.phase == b.phase
-            && a.duty.to_bits() == b.duty.to_bits()
-            && a.interruption_p.to_bits() == b.interruption_p.to_bits()
+    /// Client `client`'s `(phase, len, threshold)` through the full
+    /// generator, the constructor every client's model is defined by.
+    fn generated(seed: u64, client: usize) -> (u8, u8, u32) {
+        let m = AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2));
+        let (phase, len) = m.diurnal_window();
+        (phase, len, m.interruption().threshold())
     }
 
-    /// The constructor every client's model is defined by, through the
-    /// full generator.
-    fn generated(seed: u64, client: usize) -> AvailabilityModel {
-        AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2))
+    /// [`population_tables`] from client `base`, `n` entries.
+    fn tables(seed: u64, base: usize, n: usize) -> Vec<(u8, u8, u32)> {
+        let (mut phase, mut len, mut hi) = (vec![0; n], vec![0; n], vec![0; n]);
+        population_tables(seed, base, &mut phase, &mut len, &mut hi);
+        (0..n).map(|k| (phase[k], len[k], hi[k])).collect()
     }
 
-    /// The batch is checked against the generator it spells out, on every
+    /// The kernel is checked against the generator it spells out, on every
     /// client of whole populations, as one slice and as slices that start
-    /// and end off a 64-client boundary; `for_client` is a one-entry
-    /// batch and is checked the same way.
+    /// and end off a 64-client boundary (and so off every vector lane
+    /// boundary).
     #[test]
     fn batch_equals_the_generator_over_whole_populations() {
         for seed in [0, 1, 17, 20_240_422, u64::MAX] {
             for n in [0, 1, 63, 64, 65, 1000, 100_000] {
-                let want: Vec<AvailabilityModel> = (0..n).map(|c| generated(seed, c)).collect();
-                let mut got = vec![UNSET; n];
-                AvailabilityModel::for_clients(seed, 0, &mut got);
-                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        same_model(g, w),
-                        "seed {seed} n {n} client {c}: {g:?} vs {w:?}"
-                    );
+                let want: Vec<(u8, u8, u32)> = (0..n).map(|c| generated(seed, c)).collect();
+                for (c, (g, w)) in tables(seed, 0, n).iter().zip(&want).enumerate() {
+                    assert_eq!(g, w, "seed {seed} n {n} client {c}");
                 }
                 for (start, len) in [(0, 1), (5, 59), (7, 64), (63, 2), (64, 65), (100, 129)] {
                     if start + len > n {
                         continue;
                     }
-                    let mut part = vec![UNSET; len];
-                    AvailabilityModel::for_clients(seed, start, &mut part);
-                    for (k, g) in part.iter().enumerate() {
-                        let w = &want[start + k];
-                        assert!(same_model(g, w), "seed {seed} slice {start}+{k}");
+                    for (k, g) in tables(seed, start, len).iter().enumerate() {
+                        assert_eq!(g, &want[start + k], "seed {seed} slice {start}+{k}");
                     }
-                }
-                for c in (0..n).step_by(997) {
-                    let one = AvailabilityModel::for_client(seed, c);
-                    assert!(same_model(&one, &want[c]), "seed {seed} client {c}");
                 }
             }
         }
@@ -618,12 +650,9 @@ mod tests {
     #[test]
     fn interruption_p_mean_matches_its_closed_form() {
         let n = 1_000_000;
-        let mut batch = [UNSET; 64];
-        let mut sum = 0.0;
-        for base in (0..n).step_by(64) {
-            AvailabilityModel::for_clients(20_240_422, base, &mut batch);
-            sum += batch.iter().map(|m| m.interruption_p).sum::<f64>();
-        }
+        let sum: f64 = (0..n)
+            .map(|c| AvailabilityModel::for_client(20_240_422, c).interruption_p)
+            .sum();
         let mean = sum / n as f64;
         let bound = 6.0 * 0.1 / (12.0 * n as f64).sqrt();
         assert!((mean - 0.07).abs() < bound, "mean {mean}, bound {bound}");

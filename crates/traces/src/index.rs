@@ -3,7 +3,8 @@
 //! The diurnal bit of every client is a pure function of the *day
 //! position* `round % ROUNDS_PER_DAY`: client `c` is diurnally available
 //! iff `(position + phase) % ROUNDS_PER_DAY < len`, with `len =
-//! ceil(duty · ROUNDS_PER_DAY)` (see [`AvailabilityModel::diurnal_window`]).
+//! ceil(duty · ROUNDS_PER_DAY)` (see
+//! [`AvailabilityModel::diurnal_window`](crate::AvailabilityModel::diurnal_window)).
 //! The index keeps those two numbers, one byte each, per client, and ONE
 //! bitset row for the day position last asked for. Moving the row to a
 //! new position recomputes it from the two bytes, 64 clients to a row
@@ -26,7 +27,7 @@
 
 use std::sync::Arc;
 
-use crate::availability::{AvailabilityModel, ROUNDS_PER_DAY};
+use crate::availability::ROUNDS_PER_DAY;
 
 /// Words per superblock: popcounts are kept per 64 words = 4096 clients,
 /// small enough that an in-block scan is cache-resident and large enough
@@ -67,18 +68,16 @@ pub struct AvailabilityIndex {
 }
 
 impl AvailabilityIndex {
-    /// Build the index for `n` clients whose diurnal model is produced by
-    /// `model(i)`. Each model is derived exactly once, in ascending order
-    /// of `i`. The row is left at day position 0.
-    pub fn build<F: FnMut(usize) -> AvailabilityModel>(n: usize, mut model: F) -> Self {
-        let mut phase = Vec::with_capacity(n);
-        let mut len = Vec::with_capacity(n);
-        for i in 0..n {
-            let (p, l) = model(i).diurnal_window();
-            phase.push(p);
-            len.push(l);
-        }
-        let words = n.div_ceil(64);
+    /// The index over finished windows: client `c`'s
+    /// [`diurnal_window`](crate::AvailabilityModel::diurnal_window) is
+    /// `(phase[c], len[c])`. The row is left at day position 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two tables differ in length.
+    pub fn from_windows(phase: Vec<u8>, len: Vec<u8>) -> Self {
+        assert_eq!(phase.len(), len.len(), "one window length per phase");
+        let words = phase.len().div_ceil(64);
         let mut index = AvailabilityIndex {
             windows: Arc::new(Windows { phase, len }),
             row: vec![0; words],
@@ -251,9 +250,13 @@ fn nth_set_bit(mut word: u64, j: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AvailabilityModel;
 
     fn build(seed: u64, n: usize) -> AvailabilityIndex {
-        AvailabilityIndex::build(n, |i| AvailabilityModel::for_client(seed, i))
+        let (phase, len) = (0..n)
+            .map(|i| AvailabilityModel::for_client(seed, i).diurnal_window())
+            .unzip();
+        AvailabilityIndex::from_windows(phase, len)
     }
 
     #[test]

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use float_tensor::rng::{seed_rng, split_seed};
 
-use crate::availability::{AvailabilityModel, BatteryState, InterruptionTable, UNSET};
+use crate::availability::{population_tables, AvailabilityModel, BatteryState, InterruptionTable};
 use crate::compute::DeviceProfile;
 use crate::index::AvailabilityIndex;
 use crate::interference::InterferenceModel;
@@ -131,23 +131,9 @@ impl LazyBattery {
     }
 }
 
-/// `i ↦ AvailabilityModel::for_client(seed, i)` for a population of `n`,
-/// derived one row word (64 clients) at a time into a batch that lives in
-/// the closure, on the caller's stack. Any order of `i` gives the same
-/// models; ascending order, as the builders call it, derives each batch
-/// once.
-fn batched_models(n: usize, seed: u64) -> impl FnMut(usize) -> AvailabilityModel {
-    let mut batch = [UNSET; 64];
-    let mut base = usize::MAX;
-    move |i| {
-        let word = i - i % 64;
-        if word != base {
-            base = word;
-            AvailabilityModel::for_clients(seed, word, &mut batch[..(n - word).min(64)]);
-        }
-        batch[i % 64].clone()
-    }
-}
+/// Clients per [`population_tables`] call in a builder that keeps only
+/// some of its outputs; the rest land in stack scratch and are dropped.
+const CHUNK: usize = 4096;
 
 /// Deterministic factory producing [`ResourceSnapshot`]s for a population
 /// of clients under an [`InterferenceModel`].
@@ -181,8 +167,10 @@ pub struct ResourceSampler {
     cache: HashMap<usize, (u64, CachedTrace)>,
     cache_cap: usize,
     cache_tick: u64,
-    /// Scratch buffers for pool sampling.
+    /// Scratch for pool sampling: the drawn ranks, the sparse
+    /// Fisher–Yates swaps behind them, and the candidates they resolve to.
     pool_ranks: Vec<usize>,
+    pool_swap: HashMap<usize, usize>,
     pool_cands: Vec<usize>,
     pool_draws: u64,
     pool_rejected: u64,
@@ -204,7 +192,13 @@ impl ResourceSampler {
     /// build it once and hand clones to every trial over the same
     /// population via [`ResourceSampler::with_shared`].
     pub fn build_index(n: usize, seed: u64) -> AvailabilityIndex {
-        AvailabilityIndex::build(n, batched_models(n, seed))
+        let (mut phase, mut len, mut hi) = (vec![0; n], vec![0; n], [0; CHUNK]);
+        for base in (0..n).step_by(CHUNK) {
+            let end = n.min(base + CHUNK);
+            let (p, l) = (&mut phase[base..end], &mut len[base..end]);
+            population_tables(seed, base, p, l, &mut hi[..end - base]);
+        }
+        AvailabilityIndex::from_windows(phase, len)
     }
 
     /// The full-sweep interruption table — a pure function of `(n, seed)`.
@@ -212,25 +206,22 @@ impl ResourceSampler {
     /// population builds it with the index through
     /// [`ResourceSampler::build_index_and_sweep`].
     pub fn build_sweep_models(n: usize, seed: u64) -> InterruptionTable {
-        let mut table = InterruptionTable::with_capacity(seed, n);
-        let mut model = batched_models(n, seed);
-        for i in 0..n {
-            table.push(model(i).interruption());
+        let (mut phase, mut len, mut hi) = ([0; CHUNK], [0; CHUNK], vec![0; n]);
+        for base in (0..n).step_by(CHUNK) {
+            let end = n.min(base + CHUNK);
+            let (p, l) = (&mut phase[..end - base], &mut len[..end - base]);
+            population_tables(seed, base, p, l, &mut hi[base..end]);
         }
-        table
+        InterruptionTable::from_thresholds(seed, hi)
     }
 
     /// `(build_index(n, seed), build_sweep_models(n, seed))` in one pass:
-    /// each client's model is derived once, for both.
+    /// each client's draws are made once, for both.
     pub fn build_index_and_sweep(n: usize, seed: u64) -> (AvailabilityIndex, InterruptionTable) {
-        let mut sweep = InterruptionTable::with_capacity(seed, n);
-        let mut model = batched_models(n, seed);
-        let index = AvailabilityIndex::build(n, |i| {
-            let m = model(i);
-            sweep.push(m.interruption());
-            m
-        });
-        (index, sweep)
+        let (mut phase, mut len, mut hi) = (vec![0; n], vec![0; n], vec![0; n]);
+        population_tables(seed, 0, &mut phase, &mut len, &mut hi);
+        let index = AvailabilityIndex::from_windows(phase, len);
+        (index, InterruptionTable::from_thresholds(seed, hi))
     }
 
     /// Build a sampler around a pre-built availability index (and,
@@ -269,6 +260,7 @@ impl ResourceSampler {
             cache_cap: n.clamp(1, TRACE_CACHE_CAP),
             cache_tick: 0,
             pool_ranks: Vec::new(),
+            pool_swap: HashMap::new(),
             pool_cands: Vec::new(),
             pool_draws: 0,
             pool_rejected: 0,
@@ -551,11 +543,13 @@ impl ResourceSampler {
             }
         } else {
             // Sparse Fisher–Yates: k distinct ranks uniform over 0..m,
-            // deterministic in draw_seed, O(k) time and space.
+            // deterministic in draw_seed, O(k) time and space. The swap map
+            // is only read with `get`, so reusing its table changes no draw.
             let mut ranks = std::mem::take(&mut self.pool_ranks);
             ranks.clear();
             let mut rng = seed_rng(draw_seed);
-            let mut swap: HashMap<usize, usize> = HashMap::new();
+            let swap = &mut self.pool_swap;
+            swap.clear();
             for i in 0..k {
                 let j = rng.gen_range(i..m);
                 let pj = swap.get(&j).copied().unwrap_or(j);

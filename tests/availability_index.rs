@@ -25,7 +25,7 @@ proptest! {
         rounds in prop::collection::vec(0usize..500, 1..25),
     ) {
         let mk = |i: usize| AvailabilityModel::new(split_seed(seed, 0xA11 + i as u64));
-        let mut index = AvailabilityIndex::build(n, mk);
+        let mut index = index_of((0..n).map(mk));
         for &r in &rounds {
             index.advance_to(r);
             let mut want_count = 0usize;
@@ -52,7 +52,7 @@ proptest! {
         rounds in prop::collection::vec(0usize..500, 1..25),
     ) {
         let mk = |i: usize| AvailabilityModel::new(split_seed(seed, 0xA11 + i as u64));
-        let parent = AvailabilityIndex::build(n, mk);
+        let parent = index_of((0..n).map(mk));
         let start = parent.row_words().to_vec();
         let (mut a, mut b) = (parent.clone(), parent.clone());
         for (&ra, &rb) in rounds.iter().zip(rounds.iter().rev()) {
@@ -142,6 +142,12 @@ proptest! {
     }
 }
 
+/// The index over `models`' diurnal windows, in order.
+fn index_of(models: impl Iterator<Item = AvailabilityModel>) -> AvailabilityIndex {
+    let (phase, len) = models.map(|m| m.diurnal_window()).unzip();
+    AvailabilityIndex::from_windows(phase, len)
+}
+
 /// Drains `(client % n, times)` into a sweeping sampler and a twin, then
 /// at each of `rounds` (charging both before step `charge_at`) checks the
 /// sweep against the twin's one-client-at-a-time `is_available`.
@@ -190,37 +196,42 @@ fn indexed_sweep_matches_at_word_edges() {
     }
 }
 
-/// Building the index and the full-sweep table in one pass gives what
-/// the two separate builds give, and what the generator gives client by
-/// client: the same tables entry for entry and indexes whose rows and
-/// counts agree at every day position. All three builders derive their
-/// models through the same 64-client batch; the generator-spelled index
-/// and table are the independent side.
+/// All three population builders against the generator, client by
+/// client: the one-pass build, the index alone and the table alone each
+/// hold every client's `AvailabilityModel::new` diurnal bit at every day
+/// position (read from the model's duty, not from its window) and its
+/// interruption threshold. The populations sit on either side of one row
+/// word and of the builders' 4096-client chunk, and one is large; an
+/// empty one builds empty tables.
 #[test]
 fn one_pass_build_equals_the_two_builds() {
+    let seed = 29;
     let spelled =
-        |i: usize| AvailabilityModel::new(split_seed(split_seed(29, 0x1000 + i as u64), 2));
-    for n in [1usize, 63, 64, 65, 10_000] {
-        let (mut index, sweep) = ResourceSampler::build_index_and_sweep(n, 29);
-        let mut want_index = ResourceSampler::build_index(n, 29);
-        let want_sweep = ResourceSampler::build_sweep_models(n, 29);
-        let mut gen_index = AvailabilityIndex::build(n, spelled);
-        let mut gen_sweep = InterruptionTable::with_capacity(29, n);
-        for i in 0..n {
-            gen_sweep.push(spelled(i).interruption());
-        }
-        assert_eq!(sweep, want_sweep, "n {n}");
-        assert_eq!(sweep, gen_sweep, "n {n}");
+        |c: usize| AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + c as u64), 2));
+    for n in [0usize, 1, 63, 64, 65, 4095, 4096, 4097, 100_000] {
+        let models: Vec<AvailabilityModel> = (0..n).map(spelled).collect();
+        let thresholds = models.iter().map(|m| m.interruption().threshold());
+        let want_sweep = InterruptionTable::from_thresholds(seed, thresholds.collect());
+        let (mut index, sweep) = ResourceSampler::build_index_and_sweep(n, seed);
+        let mut alone = ResourceSampler::build_index(n, seed);
+        assert!(sweep == want_sweep, "n {n}: one-pass thresholds differ");
+        let sweep_alone = ResourceSampler::build_sweep_models(n, seed);
+        assert!(
+            sweep_alone == want_sweep,
+            "n {n}: table-only thresholds differ"
+        );
         assert_eq!(sweep.heap_bytes(), 4 * n, "n {n}");
-        assert_eq!(index.heap_bytes(), want_index.heap_bytes(), "n {n}");
+        assert_eq!(index.heap_bytes(), alone.heap_bytes(), "n {n}");
+        assert_eq!(index.num_clients(), n, "n {n}");
         for p in 0..ROUNDS_PER_DAY {
             index.advance_to(p);
-            want_index.advance_to(p);
-            gen_index.advance_to(p);
-            for other in [&want_index, &gen_index] {
-                assert_eq!(index.row_words(), other.row_words(), "n {n} position {p}");
-                assert_eq!(index.count(), other.count(), "n {n} position {p}");
+            alone.advance_to(p);
+            for (c, m) in models.iter().enumerate() {
+                let want = m.diurnal_available(p);
+                assert_eq!(index.contains(c), want, "n {n} position {p} client {c}");
+                assert_eq!(alone.contains(c), want, "n {n} position {p} client {c}");
             }
+            assert_eq!(index.count(), alone.count(), "n {n} position {p}");
         }
     }
 }
@@ -241,7 +252,7 @@ fn recomputed_index_matches_brute_force_at_block_edges() {
         let models: Vec<AvailabilityModel> = (0..n)
             .map(|i| AvailabilityModel::new(split_seed(seed, i as u64)))
             .collect();
-        let mut index = AvailabilityIndex::build(n, |i| models[i].clone());
+        let mut index = index_of(models.iter().cloned());
         assert_eq!(
             index.heap_bytes(),
             2 * n + 8 * n.div_ceil(64) + 4 * n.div_ceil(4096),

@@ -33,7 +33,12 @@
 //! 23.97 Mbit/s on 4G and 199.1 on 5G, for every mobility. The sampled
 //! E[X_R²] is held to its closed form too, which pins the spread (CV) of
 //! each round's bandwidth; its standard error comes from the fourth
-//! moment E[X_R⁴] = Σ_s π_R(s)·m_s⁴·e^1.28.
+//! moment E[X_R⁴] = Σ_s π_R(s)·m_s⁴·e^1.28. Each round's jitter is drawn
+//! afresh, so consecutive rounds share only the state:
+//! E[X_R·X_(R+1)] = e^0.16·Σ_s π_R(s)·m_s·Σ_s' P(s, s')·m_s', with
+//! P = (1 − c)·I plus c/2 to each neighbour (an end keeps that share),
+//! and its standard error from E[(X_R·X_(R+1))²], the same sum over m²
+//! times e^0.64.
 //!
 //! Compute. `DeviceProfile::derive` draws a tier with shares 0.40 /
 //! 0.45 / 0.15 (low / mid / high end), then a throughput of
@@ -186,19 +191,20 @@ const BW_CLIENTS: usize = 20_000;
 /// driving chains are near stationary, the stationary ones still mixing).
 const BW_ROUNDS: [usize; 3] = [0, 5, 24];
 
+/// π·P for the chain with churn `c`: the state law one step after `pi`.
+fn bandwidth_step(c: f64, pi: [f64; 4]) -> [f64; 4] {
+    let mut next = [0.0; 4];
+    for (s, &p) in pi.iter().enumerate() {
+        next[s] += p * (1.0 - c);
+        next[s.saturating_sub(1)] += p * c / 2.0;
+        next[(s + 1).min(3)] += p * c / 2.0;
+    }
+    next
+}
+
 /// π_R = e₂·P^(R+1) for the chain with churn `c` (see the module docs).
 fn bandwidth_state_law(c: f64, round: usize) -> [f64; 4] {
-    let mut pi = [0.0, 0.0, 1.0, 0.0];
-    for _ in 0..=round {
-        let mut next = [0.0; 4];
-        for (s, &p) in pi.iter().enumerate() {
-            next[s] += p * (1.0 - c);
-            next[s.saturating_sub(1)] += p * c / 2.0;
-            next[(s + 1).min(3)] += p * c / 2.0;
-        }
-        pi = next;
-    }
-    pi
+    (0..=round).fold([0.0, 0.0, 1.0, 0.0], |pi, _| bandwidth_step(c, pi))
 }
 
 /// For each profile × mobility, the mean bandwidth and the mean squared
@@ -263,6 +269,68 @@ fn bandwidth_population_matches_its_closed_form() {
                     (got_sq - square).abs() <= 6.0 * se_sq,
                     "{profile:?}/{mobility:?} round {r}: E[X²] {got_sq:.1}, want {square:.1} ± {:.1}",
                     6.0 * se_sq
+                );
+            }
+        }
+    }
+}
+
+/// Round pairs of the lag-1 check: each draw and the next, at the start,
+/// while mixing, and near stationarity for the driving chains.
+const BW_LAG_ROUNDS: [usize; 3] = [0, 5, 24];
+
+/// For each profile × mobility, the mean of X_R·X_(R+1) over `BW_CLIENTS`
+/// independent clients lies within 6 standard errors of its closed form
+/// at R = 0, 5 and 24 (module docs). This is the check that sees the
+/// churn: the marginal moments are the same for a chain that never
+/// moves from its law, while the product moment weighs each state's mean
+/// against its neighbours' at rate c.
+#[test]
+fn bandwidth_lag_one_matches_its_closed_form() {
+    let (e1, e2) = (0.16f64.exp(), 0.64f64.exp());
+    let profiles: [(_, [f64; 4], f64); 2] = [
+        (NetworkProfile::FourG, [0.5, 6.0, 22.0, 60.0], 1.0),
+        (NetworkProfile::FiveG, [0.3, 15.0, 120.0, 600.0], 1.5),
+    ];
+    let mobilities = [
+        (Mobility::Stationary, 0.08),
+        (Mobility::Walking, 0.22),
+        (Mobility::Driving, 0.45),
+    ];
+    for (profile, means, scale) in profiles {
+        for (mobility, base) in mobilities {
+            let churn = f64::min(base * scale, 0.9);
+            // E[(X_R·X_(R+1))^k] for k = 1, 2 under round R's law `pi`:
+            // Σ_s π(s)·m_s^k·Σ_s' P(s, s')·m_s'^k, times e^(0.16·k²).
+            let product = |pi: [f64; 4], k: i32, e: f64| -> f64 {
+                (0..4)
+                    .map(|s| {
+                        let mut from = [0.0; 4];
+                        from[s] = 1.0;
+                        let next = bandwidth_step(churn, from);
+                        let ahead: f64 = next.iter().zip(&means).map(|(p, m)| p * m.powi(k)).sum();
+                        pi[s] * means[s].powi(k) * ahead * e
+                    })
+                    .sum()
+            };
+            let mut sums = [0.0; BW_LAG_ROUNDS.len()];
+            for i in 0..BW_CLIENTS {
+                let mut gen = NetworkGen::new(profile, mobility, split_seed(SEED, i as u64));
+                for (sum, &r) in sums.iter_mut().zip(&BW_LAG_ROUNDS) {
+                    *sum += gen.bandwidth_mbps(r) * gen.bandwidth_mbps(r + 1);
+                }
+            }
+            let n = BW_CLIENTS as f64;
+            for (&sum, &r) in sums.iter().zip(&BW_LAG_ROUNDS) {
+                let pi = bandwidth_state_law(churn, r);
+                let (want, square) = (product(pi, 1, e1), product(pi, 2, e2));
+                let se = ((square - want * want) / n).sqrt();
+                let got = sum / n;
+                assert!(
+                    (got - want).abs() <= 6.0 * se,
+                    "{profile:?}/{mobility:?} rounds {r}→{}: E[X·X'] {got:.1}, want {want:.1} ± {:.1}",
+                    r + 1,
+                    6.0 * se
                 );
             }
         }

@@ -6,8 +6,6 @@
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use rand::seq::SliceRandom;
-
 use float_accel::apply::transform_update;
 use float_accel::{
     action_cost, action_train_options, AccelAction, AccelPlan, ActionCatalogue, ErrorFeedback,
@@ -29,7 +27,7 @@ use float_sim::{
     DropReason, FaultKind, ResourceLedger, RoundParams, SimClock,
 };
 use float_tensor::model::TrainOptions;
-use float_tensor::rng::{seed_rng, split_seed};
+use float_tensor::rng::{sample_distinct_into, seed_rng, split_seed};
 use float_tensor::{Dataset, DriftOptions, Mlp, MlpConfig, Sgd};
 use float_traces::{AvailabilityStats, DeviceProfile, ResourceSampler, ResourceSnapshot};
 
@@ -634,35 +632,21 @@ fn deliver_update(updates: &mut Vec<PendingUpdate>, update: PendingUpdate, dupli
     updates.push(update);
 }
 
-/// The evaluation set: a fixed uniform sample of `eval_sample` clients
-/// from a dedicated seed stream, sorted ascending so sampled evaluation
-/// visits clients in the same order full evaluation does. Empty means
-/// "everyone". The shuffle runs over `u32` ids — half the transient bytes
-/// of `usize` ids (4 MB at 1M clients) — and `shuffle`'s draws and swaps
-/// do not depend on the element type, so the sample is the one a `usize`
-/// shuffle picks.
-///
-/// The buffer is shrunk in place before the ids are widened. Freeing it
-/// whole instead raises glibc's dynamic mmap threshold to its size, which
-/// moves the population's later multi-megabyte tables from `mmap` onto
-/// the heap (DESIGN.md §13, which names the change each figure below was
-/// measured with). Beside a transition calendar and dense per-client
-/// report counts that made `pop1m_oort`'s peak RSS 55 instead of 42 MiB.
-/// Beside the two-byte index, sparse counts, the 4-byte sweep table and
-/// `u32` eligible ids it costs little: 20.4–20.5 MiB shrunk against
-/// 20.6–20.8 freed whole (`--seed 9176432`, four of five alternating
-/// pairs; the fifth shrunk run read 24.5).
-fn draw_eval_set(num_clients: usize, eval_sample: usize, seed: u64) -> Vec<usize> {
-    if eval_sample == 0 || eval_sample >= num_clients {
-        return Vec::new();
+/// The evaluation set: a fixed uniform sample of `k` (`eval_sample`) of
+/// the `n` clients from a dedicated seed stream (7), sorted ascending so
+/// sampled evaluation visits clients in the same order full evaluation
+/// does. Empty means "everyone". The sample is the first `k` positions of
+/// a forward Fisher–Yates shuffle of every id, drawn sparsely
+/// ([`sample_distinct_into`]): `k` draws, and nothing the size of the
+/// population is allocated.
+fn draw_eval_set(n: usize, k: usize, seed: u64) -> Vec<usize> {
+    let mut ids = Vec::new();
+    if k != 0 && k < n {
+        let mut rng = seed_rng(split_seed(seed, 7));
+        sample_distinct_into(&mut rng, n, k, &mut HashMap::new(), &mut ids);
+        ids.sort_unstable();
     }
-    let n = u32::try_from(num_clients).expect("client ids must fit u32");
-    let mut ids: Vec<u32> = (0..n).collect();
-    ids.shuffle(&mut seed_rng(split_seed(seed, 7)));
-    ids.truncate(eval_sample);
-    ids.shrink_to_fit();
-    ids.sort_unstable();
-    ids.iter().map(|&c| c as usize).collect()
+    ids
 }
 
 impl Experiment {
@@ -1943,21 +1927,86 @@ mod tests {
         assert_eq!(a, b, "eval_sample == num_clients changed the report");
     }
 
-    /// The `u32` shuffle picks the evaluation set the historical `usize`
-    /// shuffle picked: same draws, same swaps, same ids.
+    /// The evaluation set is a set: sorted, distinct, in range and exactly
+    /// `k` long, the same for the same seed, and empty ("everyone") for
+    /// `k = 0` and `k ≥ n`.
     #[test]
-    fn eval_set_draw_equals_the_usize_shuffle() {
+    fn eval_set_is_k_sorted_distinct_ids() {
         for seed in [0, 7, 20240422, 9176432, u64::MAX] {
-            for (n, k) in [(2, 1), (10, 3), (200, 64), (1000, 999), (100_000, 256)] {
-                let mut ids: Vec<usize> = (0..n).collect();
-                ids.shuffle(&mut seed_rng(split_seed(seed, 7)));
-                ids.truncate(k);
-                ids.sort_unstable();
-                assert_eq!(draw_eval_set(n, k, seed), ids, "seed {seed}, n {n}, k {k}");
+            for (n, k) in [(2, 1), (10, 3), (200, 64), (1000, 999), (1_000_000, 256)] {
+                let ids = draw_eval_set(n, k, seed);
+                assert_eq!(ids.len(), k, "seed {seed}, n {n}, k {k}");
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "not strictly ascending"
+                );
+                assert!(ids.last().is_some_and(|&c| c < n), "out of range");
+                assert_eq!(
+                    draw_eval_set(n, k, seed),
+                    ids,
+                    "the seed does not fix the set"
+                );
             }
-            assert!(draw_eval_set(50, 0, seed).is_empty(), "0 means everyone");
-            assert!(draw_eval_set(50, 50, seed).is_empty(), "n means everyone");
+            for k in [0, 50, 51] {
+                assert!(
+                    draw_eval_set(50, k, seed).is_empty(),
+                    "k {k} means everyone"
+                );
+            }
         }
+    }
+
+    /// The set is a uniform k-subset. Over S = 20 000 seeds at
+    /// (n, k) = (50, 10), client a's inclusion count I_a and pair {a, b}'s
+    /// co-inclusion count P_ab are sums of S independent draws, so each
+    /// statistic is chi-square under the null. With p = k/n, the I_a have
+    /// covariance S·p(1−p)·n/(n−1)·(I − J/n), which gives 49 degrees of
+    /// freedom. The row sums of P − S·q are (k−1)(I_a − S·p), so the pair
+    /// test reads only what the inclusion counts cannot see: P's
+    /// projection onto the Johnson scheme's n(n−3)/2 = 1175-dimensional
+    /// eigenspace, whose per-draw variance is q − 2r + t, where q, r and t
+    /// are the chances that a given 2, 3 or 4 clients are all drawn.
+    /// χ²₄₉ > 120 and χ²₁₁₇₅ > 1450 each have probability under 10⁻⁷, so a
+    /// uniform draw fails this test with probability under 2·10⁻⁷.
+    #[test]
+    fn eval_set_is_a_uniform_subset() {
+        let (n, k, seeds) = (50usize, 10usize, 20_000u64);
+        let mut inc = vec![0.0f64; n];
+        let mut pair = vec![vec![0.0f64; n]; n];
+        for seed in 0..seeds {
+            let ids = draw_eval_set(n, k, split_seed(0xE7A1, seed));
+            for (x, &a) in ids.iter().enumerate() {
+                inc[a] += 1.0;
+                for &b in &ids[x + 1..] {
+                    pair[a][b] += 1.0;
+                    pair[b][a] += 1.0;
+                }
+            }
+        }
+        let (nf, kf, s) = (n as f64, k as f64, seeds as f64);
+        let p = kf / nf;
+        let q = p * (kf - 1.0) / (nf - 1.0);
+        let r = q * (kf - 2.0) / (nf - 2.0);
+        let t = r * (kf - 3.0) / (nf - 3.0);
+        let inclusion = inc.iter().map(|c| (c - s * p).powi(2)).sum::<f64>() * (nf - 1.0)
+            / (nf * s * p * (1.0 - p));
+        let rows: Vec<f64> = inc.iter().map(|c| (kf - 1.0) * (c - s * p)).collect();
+        let mut coinclusion = 0.0;
+        for a in 0..n {
+            for b in a + 1..n {
+                let e = pair[a][b] - s * q - (rows[a] + rows[b]) / (nf - 2.0);
+                coinclusion += e * e;
+            }
+        }
+        coinclusion /= s * (q - 2.0 * r + t);
+        assert!(
+            inclusion < 120.0,
+            "inclusion chi-square {inclusion:.1} on 49 df"
+        );
+        assert!(
+            coinclusion < 1450.0,
+            "co-inclusion chi-square {coinclusion:.1} on 1175 df"
+        );
     }
 
     /// One evaluation sweep per global model. Planting a marker where the

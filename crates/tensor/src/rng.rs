@@ -6,8 +6,10 @@
 //! generation, client traces, RL exploration, …) draw from decorrelated
 //! streams derived from a single experiment seed.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Construct a deterministic [`StdRng`] from a `u64` seed.
 ///
@@ -55,10 +57,33 @@ pub fn first_f64(seed: u64) -> f64 {
     (first_u64(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Sparse Fisher–Yates: `k` distinct values uniform over `0..n` into `out`,
+/// in draw order — the first `k` positions of a forward shuffle of `0..n`,
+/// position `i` taking the value at `gen_range(i..n)`. Only displaced
+/// positions are kept, in `swap`, so a draw is O(k) for any `n`. Both
+/// buffers are cleared first; `swap` is only read with `get`, so a reused
+/// table draws what a fresh one does. Panics if `k > n`.
+pub fn sample_distinct_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    k: usize,
+    swap: &mut HashMap<usize, usize>,
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    swap.clear();
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        let pj = swap.get(&j).copied().unwrap_or(j);
+        let pi = swap.get(&i).copied().unwrap_or(i);
+        out.push(pj);
+        swap.insert(j, pi);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn seed_rng_is_deterministic() {
@@ -98,6 +123,26 @@ mod tests {
             let want = seed_rng(s).gen::<f64>();
             assert_eq!(first_f64(s).to_bits(), want.to_bits(), "seed {s:#x}");
             assert_eq!(first_u64(s), seed_rng(s).gen::<u64>(), "seed {s:#x}");
+        }
+    }
+
+    /// The sparse draw is the first `k` positions of a forward
+    /// Fisher–Yates run on the whole `0..n` array, and a table reused
+    /// from an earlier, larger draw changes nothing.
+    #[test]
+    fn sparse_draw_is_a_partial_forward_shuffle() {
+        let (mut swap, mut out) = (HashMap::new(), Vec::new());
+        for seed in 0..200 {
+            for (n, k) in [(1, 0), (1, 1), (2, 1), (10, 10), (50, 10), (1000, 37)] {
+                let mut rng = seed_rng(seed);
+                let mut ids: Vec<usize> = (0..n).collect();
+                for i in 0..k {
+                    let j = rng.gen_range(i..n);
+                    ids.swap(i, j);
+                }
+                sample_distinct_into(&mut seed_rng(seed), n, k, &mut swap, &mut out);
+                assert_eq!(out, ids[..k], "seed {seed}, n {n}, k {k}");
+            }
         }
     }
 }

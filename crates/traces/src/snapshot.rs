@@ -16,15 +16,13 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use float_tensor::rng::{seed_rng, split_seed};
+use float_tensor::rng::{sample_distinct_into, seed_rng, split_seed};
 
 use crate::availability::{population_tables, AvailabilityModel, BatteryState, InterruptionTable};
 use crate::compute::DeviceProfile;
 use crate::index::AvailabilityIndex;
 use crate::interference::InterferenceModel;
 use crate::network::{Mobility, NetworkGen, NetworkProfile};
-
-use rand::Rng;
 
 /// Everything the simulator needs to know about one client's resources in
 /// one round.
@@ -542,24 +540,12 @@ impl ResourceSampler {
                 }
             }
         } else {
-            // Sparse Fisher–Yates: k distinct ranks uniform over 0..m,
-            // deterministic in draw_seed, O(k) time and space. The swap map
-            // is only read with `get`, so reusing its table changes no draw.
-            let mut ranks = std::mem::take(&mut self.pool_ranks);
-            ranks.clear();
-            let mut rng = seed_rng(draw_seed);
-            let swap = &mut self.pool_swap;
-            swap.clear();
-            for i in 0..k {
-                let j = rng.gen_range(i..m);
-                let pj = swap.get(&j).copied().unwrap_or(j);
-                let pi = swap.get(&i).copied().unwrap_or(i);
-                ranks.push(pj);
-                swap.insert(j, pi);
-            }
+            // k distinct ranks uniform over 0..m, deterministic in
+            // draw_seed, O(k) time and space.
+            let ranks = &mut self.pool_ranks;
+            sample_distinct_into(&mut seed_rng(draw_seed), m, k, &mut self.pool_swap, ranks);
             ranks.sort_unstable();
-            self.index.select_ranks_into(&ranks, &mut cands);
-            self.pool_ranks = ranks;
+            self.index.select_ranks_into(ranks, &mut cands);
         }
 
         for &c in &cands {

@@ -7,7 +7,7 @@
 //! afresh from the spec for every client of every sweep — what
 //! `eval_all_clients` did before shards stayed resident.
 
-use rand::seq::SliceRandom;
+use rand::Rng;
 
 use float::core::trial::{EvalShardStats, SharedPopulation, EVAL_RESIDENT_CAP};
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
@@ -26,12 +26,17 @@ fn config(selector: SelectorChoice, eval_sample: usize) -> ExperimentConfig {
     cfg
 }
 
-/// The evaluation set, drawn the way `Experiment::build` documents it: a
-/// uniform sample from seed stream 7, ascending; everyone when unsampled.
+/// The evaluation set, drawn by the rule DESIGN.md §13 states: the
+/// first `eval_sample` positions of a forward Fisher–Yates shuffle of every
+/// client id, seeded from stream 7, ascending; everyone when unsampled.
 fn eval_clients(cfg: &ExperimentConfig) -> Vec<usize> {
     let mut ids: Vec<usize> = (0..cfg.num_clients).collect();
     if cfg.eval_sample != 0 && cfg.eval_sample < cfg.num_clients {
-        ids.shuffle(&mut seed_rng(split_seed(cfg.seed, 7)));
+        let mut rng = seed_rng(split_seed(cfg.seed, 7));
+        for i in 0..cfg.eval_sample {
+            let j = rng.gen_range(i..cfg.num_clients);
+            ids.swap(i, j);
+        }
         ids.truncate(cfg.eval_sample);
         ids.sort_unstable();
     }

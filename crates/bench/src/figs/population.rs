@@ -9,7 +9,7 @@
 //! rounds/sec plus the process high-water RSS (`VmHWM`), the shard
 //! cache's peak residency, and the availability substrate's footprint:
 //! index heap bytes, row bits changed per round, tracked (non-full)
-//! batteries, and trace-cache residency.
+//! batteries, trace-cache residency, and the sweep's exact tie fallbacks.
 //!
 //! A population scale (`10k`, `100k`, `1m`, `10m`) runs that preset's
 //! sync and async rows. Any other scale runs the 10k rows plus a pooled
@@ -69,6 +69,10 @@ pub struct PopulationRow {
     /// Heap held by eagerly materialized sweep models, MiB (0 under
     /// pooling — the pooled path never builds them).
     pub sweep_models_mb: f64,
+    /// Full-sweep interruption draws that tied their client's one-byte
+    /// key and took the exact rule, ~2⁻¹¹ of the available clients' draws
+    /// (0 under pooling).
+    pub sweep_exact_fallbacks: u64,
 }
 
 /// Full population-scale result.
@@ -125,6 +129,7 @@ fn run_row(cfg: ExperimentConfig, mode: &str) -> PopulationRow {
         trace_cache_resident: avail.trace_cache_resident,
         trace_cache_capacity: avail.trace_cache_capacity,
         sweep_models_mb: mib(avail.sweep_models_bytes),
+        sweep_exact_fallbacks: avail.sweep_exact_fallbacks,
     }
 }
 

@@ -17,7 +17,7 @@
 //!   models): each trial's sampler clones it, which shares the windows
 //!   and copies only the membership row (1/8 B per client) that every
 //!   round recomputes,
-//! - the full-sweep interruption table (4 B per client), built in the
+//! - the full-sweep interruption table (1 B per client), built in the
 //!   index's pass when the population's config runs full sweeps
 //!   (`candidate_pool == 0`),
 //! - the test shards, each held once (`EvalShards`, slot = client id, up
@@ -393,7 +393,7 @@ mod tests {
             // The pooled population built no table: the full-sweep trial
             // built its own, the pooled one none.
             let table = if cfg.candidate_pool == 0 {
-                4 * cfg.num_clients
+                cfg.num_clients
             } else {
                 0
             };

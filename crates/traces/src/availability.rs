@@ -147,7 +147,9 @@ impl AvailabilityModel {
 ///
 /// The loop spells out [`AvailabilityModel::new`]'s generator without
 /// building a model and has no branch, so it vectorizes (eight clients
-/// per 512-bit register, 64-bit multiplies as `vpmullq`).
+/// per 512-bit register, 64-bit multiplies as `vpmullq`); with three
+/// byte-wide outputs LLVM runs it 64 clients a step, which hides the
+/// latency of each client's chain of multiplies (DESIGN.md §14).
 /// [`StdRng::seed_from_u64`] fills xoshiro256++'s state word `w` with
 /// `split_seed(s, w)` (the identity [`first_f64`] uses); three outputs
 /// give the phase, the duty and `p` through the shim's `gen_range`
@@ -164,7 +166,7 @@ pub(crate) fn population_tables(
     base: usize,
     phase: &mut [u8],
     len: &mut [u8],
-    hi: &mut [u32],
+    hi: &mut [u8],
 ) {
     let n = phase.len();
     assert_eq!((len.len(), hi.len()), (n, n), "one entry per client");
@@ -186,9 +188,21 @@ fn window_len(duty: f64) -> u8 {
 
 /// [`Interruption::threshold`] of interruption probability `p`.
 #[inline(always)]
-fn threshold_of(p: f64) -> u32 {
-    (whole((p * (1u64 << 53) as f64).ceil()) >> 21) as u32
+fn threshold_of(p: f64) -> u8 {
+    (clearing_draw(p) >> 42) as u8
 }
+
+/// `T = ⌈p·2⁵³⌉`, the smallest 53-bit draw that clears probability `p`
+/// (`p·2⁵³` is exact: a power-of-two scale), for `p < 1/2`.
+#[inline(always)]
+fn clearing_draw(p: f64) -> u64 {
+    whole((p * (1u64 << 53) as f64).ceil())
+}
+
+/// The largest `p` whose key fits a byte: `⌈p·2⁵³⌉ < 2⁵⁰` exactly when
+/// `p·2⁵³ ≤ 2⁵⁰ − 1`. It lies 2⁻⁵³ below 1/8, far above the model's
+/// `p < 0.12`.
+const KEY_P_MAX: f64 = ((1u64 << 50) - 1) as f64 / (1u64 << 53) as f64;
 
 /// A whole `x` in `[0, 2⁵²)` as an integer, what `x as u64` gives. Adding
 /// 2⁵² is exact and leaves `x` as the low mantissa bits; unlike the
@@ -245,7 +259,7 @@ fn uniform(lo: f64, hi: f64, x: u64) -> f64 {
 /// One client's interruption draw, and nothing else: 16 bytes, half an
 /// [`AvailabilityModel`]. It is the single-client reference the model's
 /// [`AvailabilityModel::clear_of_interruption`] reads; the full
-/// availability sweep keeps the 4-byte [`InterruptionTable`] instead, and
+/// availability sweep keeps the 1-byte [`InterruptionTable`] instead, and
 /// the diurnal half lives in the
 /// [`AvailabilityIndex`](crate::AvailabilityIndex).
 #[derive(Debug, Clone, Copy)]
@@ -263,18 +277,26 @@ impl Interruption {
         first_f64(split_seed(self.seed, 0xB00 + round as u64)) >= self.p
     }
 
-    /// The top 32 bits of the smallest raw draw that clears this client,
-    /// the one number [`InterruptionTable`] keeps of it.
+    /// The key of this client: the top 11 bits of the smallest raw draw
+    /// that clears it, the one byte [`InterruptionTable`] keeps of it.
     ///
     /// [`Interruption::clear`] reads the draw `x` as `X·2⁻⁵³` with
     /// `X = x >> 11` (exact in `f64`), so it clears exactly when
     /// `X ≥ p·2⁵³`, that is when `X ≥ T = ⌈p·2⁵³⌉` (`p·2⁵³` is exact: a
-    /// power-of-two scale). The threshold is `T >> 21`, comparable with
-    /// `x >> 32 = X >> 21`. For `p < 1/2`, `T < 2⁵²`, the range `whole`
-    /// converts, and it fits a `u32`; the model's `p < 0.12` keeps it
-    /// under 2²⁹.
-    pub fn threshold(&self) -> u32 {
-        debug_assert!((0.0..0.5).contains(&self.p), "p = {}", self.p);
+    /// power-of-two scale). The key is `T >> 42`, comparable with
+    /// `x >> 53 = X >> 42`. Below 1/8, `T ≤ 2⁵⁰`, and the key fits a
+    /// byte up to 2⁻⁵³ under 1/8; the model's `p < 0.12` keeps it at
+    /// most 245.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is negative or its key does not fit a byte.
+    pub fn threshold(&self) -> u8 {
+        assert!(
+            (0.0..=KEY_P_MAX).contains(&self.p),
+            "p = {} has no one-byte key",
+            self.p
+        );
         threshold_of(self.p)
     }
 }
@@ -286,18 +308,18 @@ fn client_seed(seed: u64, client: usize) -> u64 {
     split_seed(split_seed(seed, 0x1000 + client as u64), 2)
 }
 
-/// The full availability sweep's interruption draws: 4 bytes per client,
+/// The full availability sweep's interruption draws: 1 byte per client,
 /// where a table of [`Interruption`]s takes 16.
 ///
-/// Entry `c` is client `c`'s [`Interruption::threshold`], the top 32 bits
+/// Entry `c` is client `c`'s [`Interruption::threshold`], the top 11 bits
 /// of the smallest raw draw that clears it. The client's seed is not
 /// stored; it is recomputed from the population seed, two finalizers per
-/// client. A round's raw draw `x` then decides on its top 32 bits
-/// `top = x >> 32` against the entry `hi`:
+/// client. A round's raw draw `x` then decides on its top 11 bits
+/// `top = x >> 53` against the entry `hi`:
 ///
 /// - `top > hi`: the client is clear;
 /// - `top < hi`: the client is interrupted;
-/// - `top == hi` (one draw in 2³²): the low bits decide, so the client's
+/// - `top == hi` (one draw in 2¹¹): the low bits decide, so the client's
 ///   model is rederived and its exact [`Interruption::clear`] applied.
 ///
 /// Every answer therefore equals [`Interruption::clear`] bit for bit.
@@ -306,13 +328,13 @@ pub struct InterruptionTable {
     /// Population seed the clients' seeds derive from.
     seed: u64,
     /// Per-client [`Interruption::threshold`].
-    hi: Vec<u32>,
+    hi: Vec<u8>,
 }
 
 impl InterruptionTable {
     /// The table of the population sampled under `seed`: `hi[c]` must be
     /// client `c`'s [`Interruption::threshold`] under that seed.
-    pub fn from_thresholds(seed: u64, hi: Vec<u32>) -> Self {
+    pub fn from_thresholds(seed: u64, hi: Vec<u8>) -> Self {
         InterruptionTable { seed, hi }
     }
 
@@ -326,9 +348,9 @@ impl InterruptionTable {
         self.hi.is_empty()
     }
 
-    /// Heap bytes of the entries: 4 per client.
+    /// Heap bytes of the entries: 1 per client.
     pub fn heap_bytes(&self) -> usize {
-        self.hi.len() * std::mem::size_of::<u32>()
+        self.hi.len()
     }
 
     /// The exact rule for client `client`, from its rederived model.
@@ -336,11 +358,11 @@ impl InterruptionTable {
         AvailabilityModel::for_client(self.seed, client).interruption()
     }
 
-    /// Top 32 bits of client `client`'s raw draw in `round`.
+    /// Top 11 bits of client `client`'s raw draw in `round`.
     #[inline(always)]
-    fn top(&self, client: usize, round: usize) -> u32 {
+    fn top(&self, client: usize, round: usize) -> u64 {
         let s = split_seed(client_seed(self.seed, client), 0xB00 + round as u64);
-        (first_u64(s) >> 32) as u32
+        first_u64(s) >> 53
     }
 
     /// [`Interruption::clear`] of client `client` in `round`.
@@ -358,24 +380,27 @@ impl InterruptionTable {
         round: usize,
         exact: impl FnOnce(usize) -> Interruption,
     ) -> bool {
-        let (top, hi) = (self.top(client, round), self.hi[client]);
+        let (top, hi) = (self.top(client, round), u64::from(self.hi[client]));
         top > hi || (top == hi && exact(client).clear(round))
     }
 
-    /// [`InterruptionTable::clear`] for the up to 64 clients from `base`:
-    /// bit `k` of the result is `clear(base + k, round)`, bits past the
-    /// table's end are zero. The compare loop has no branch, so it
-    /// vectorizes (eight clients per 512-bit register) into two masks,
-    /// above and tie; the full availability sweep calls it once per word
-    /// of the index's membership row. Only a non-empty tie mask, one
-    /// word in ~2²⁶, pays the exact rule.
+    /// [`InterruptionTable::clear`] for the clients of `row` among the up
+    /// to 64 from `base`: bit `k` of the mask is set when bit `k` of `row`
+    /// is and `clear(base + k, round)`; bits past the table's end are
+    /// zero. The count is the number of those clients whose draw tied
+    /// their key and took the exact rule. The compare loop has no branch,
+    /// so it vectorizes (eight clients per 512-bit register) into two
+    /// masks, above and tie; the full availability sweep calls it once
+    /// per word of the index's membership row, with that word as `row`.
+    /// Only a tie among the row's clients, one draw in 2¹¹, pays the exact
+    /// rule.
     ///
     /// # Panics
     ///
     /// Panics if `base` is past the end of the table.
     #[inline]
-    pub fn clear_word(&self, base: usize, round: usize) -> u64 {
-        self.clear_word_with(base, round, |c| self.exact(c))
+    pub fn clear_word(&self, base: usize, round: usize, row: u64) -> (u64, u32) {
+        self.clear_word_with(base, round, row, |c| self.exact(c))
     }
 
     #[inline(always)]
@@ -383,21 +408,24 @@ impl InterruptionTable {
         &self,
         base: usize,
         round: usize,
+        row: u64,
         exact: impl Fn(usize) -> Interruption,
-    ) -> u64 {
+    ) -> (u64, u32) {
         let hi = &self.hi[base..(base + 64).min(self.hi.len())];
         let (mut above, mut tie) = (0u64, 0u64);
         for (k, &h) in hi.iter().enumerate() {
-            let top = self.top(base + k, round);
+            let (top, h) = (self.top(base + k, round), u64::from(h));
             above |= u64::from(top > h) << k;
             tie |= u64::from(top == h) << k;
         }
+        let (mut clear, mut tie) = (above & row, tie & row);
+        let ties = tie.count_ones();
         while tie != 0 {
             let k = tie.trailing_zeros() as usize;
             tie &= tie - 1;
-            above |= u64::from(exact(base + k).clear(round)) << k;
+            clear |= u64::from(exact(base + k).clear(round)) << k;
         }
-        above
+        (clear, ties)
     }
 }
 
@@ -439,33 +467,46 @@ mod tests {
         InterruptionTable::from_thresholds(seed, hi)
     }
 
-    /// The 4-byte table is a twin of the 16-byte reference: every word
+    /// Client `client`'s raw interruption draw in `round`.
+    fn draw(m: &AvailabilityModel, round: usize) -> u64 {
+        first_u64(split_seed(m.seed, 0xB00 + round as u64))
+    }
+
+    /// The 1-byte table is a twin of the 16-byte reference: every word
     /// mask, at every word edge of populations on either side of one word
-    /// and of a long row, is the fold of `Interruption::clear` over its
-    /// clients, and every one-client answer is that client's.
+    /// and of a long row, is the fold of `Interruption::clear` over the
+    /// clients of its row (a full row and a scattered one), every tie
+    /// count is the row's clients whose top 11 bits equal their key, and
+    /// every one-client answer is that client's. The ~3M full-row draws
+    /// must meet natural ties (~1500 expected), so the exact path runs on
+    /// real draws, not only on the forced one below.
     #[test]
     fn table_clear_word_equals_the_fold_of_clear() {
+        let mut natural_ties = 0;
         for n in [1usize, 63, 64, 65, 10_000] {
             let models: Vec<AvailabilityModel> = (0..n)
                 .map(|c| AvailabilityModel::for_client(23, c))
                 .collect();
             let table = table_of(23, &models);
             assert_eq!(table.len(), n);
-            assert_eq!(table.heap_bytes(), 4 * n);
+            assert_eq!(table.heap_bytes(), n);
             for r in 0..300 {
                 for base in (0..n).step_by(64) {
-                    let end = (base + 64).min(n);
-                    let want = models[base..end]
-                        .iter()
-                        .enumerate()
-                        .fold(0u64, |mask, (k, m)| {
-                            mask | (u64::from(m.interruption().clear(r)) << k)
-                        });
-                    assert_eq!(
-                        table.clear_word(base, r),
-                        want,
-                        "n {n} base {base} round {r}"
-                    );
+                    let lanes = &models[base..(base + 64).min(n)];
+                    for row in [u64::MAX, split_seed(r as u64, base as u64)] {
+                        let in_row = |k: usize| (row >> k) & 1 == 1;
+                        let (mut want, mut want_ties) = (0u64, 0);
+                        for (k, m) in lanes.iter().enumerate().filter(|&(k, _)| in_row(k)) {
+                            want |= u64::from(m.interruption().clear(r)) << k;
+                            let key = m.interruption().threshold();
+                            want_ties += u32::from(draw(m, r) >> 53 == u64::from(key));
+                        }
+                        let got = table.clear_word(base, r, row);
+                        assert_eq!(got, (want, want_ties), "n {n} base {base} round {r}");
+                        if row == u64::MAX {
+                            natural_ties += want_ties;
+                        }
+                    }
                 }
                 for (c, m) in models.iter().enumerate().step_by(7) {
                     let want = m.interruption().clear(r);
@@ -473,21 +514,23 @@ mod tests {
                 }
             }
         }
+        assert!(natural_ties > 0, "no draw tied its key");
     }
 
-    /// The threshold is what its doc says: the top 32 bits of the smallest
-    /// `X` that `Interruption::clear`'s compare `X·2⁻⁵³ ≥ p` passes, found
-    /// here by stepping up from below `p·2⁵³`. The ceiling matters only
-    /// when `p·2⁵³` lies just under a multiple of 2²¹, one model `p` in
-    /// ~2²¹, so such `p` are built on purpose beside sampled ones, 1/8 to
-    /// 3/4 under it: a truncation misses the multiple the ceiling reaches
-    /// at each, and a rounding to nearest at 3/4.
+    /// The key is what its doc says: the top 11 bits (`X >> 42`) of the
+    /// smallest `X` that `Interruption::clear`'s compare `X·2⁻⁵³ ≥ p`
+    /// passes, found here by stepping up from below `p·2⁵³`. The ceiling
+    /// matters only when `p·2⁵³` lies just under a multiple of 2⁴², one
+    /// model `p` in ~2⁴², so such `p` are built on purpose beside sampled
+    /// ones, 1/8 to 3/4 under every multiple in the model's range and
+    /// under the last one a byte holds: a truncation misses the multiple
+    /// the ceiling reaches at each, and a rounding to nearest at 3/4.
     #[test]
     fn threshold_is_the_top_of_the_smallest_clearing_draw() {
         let scale = 1.0 / (1u64 << 53) as f64;
-        let crafted = (1u64..2000).flat_map(|i| {
-            let k = (1u64 << 27) + i * 9_973; // p·2⁵³ near k·2²¹ ∈ [2⁴⁸, 2⁴⁹)
-            [0.75, 0.5, 0.25, 0.125].map(|below| ((k << 21) as f64 - below) * scale)
+        let crafted = (41u64..=246).chain([255]).flat_map(|k| {
+            // p·2⁵³ just under k·2⁴², exact: the floats there are 1/8 apart.
+            [0.75, 0.5, 0.25, 0.125].map(|below| ((k << 42) as f64 - below) * scale)
         });
         let sampled = (0..100_000).map(|c| AvailabilityModel::for_client(5, c).interruption_p);
         for p in crafted.chain(sampled) {
@@ -496,8 +539,31 @@ mod tests {
                 x += 1;
             }
             let cut = Interruption { seed: 0, p };
-            assert_eq!(cut.threshold(), (x >> 21) as u32, "p {p:e}");
+            assert_eq!(u64::from(cut.threshold()), x >> 42, "p {p:e}");
         }
+    }
+
+    /// Every model key fits its byte with room to spare: `p` rises with
+    /// the draw, so the largest is the last output's, key 245, and every
+    /// sampled client's key is its clearing draw's top bits, untruncated.
+    /// The last `p` with a one-byte key has key 255; one float above it
+    /// the key would be 256, and `threshold` refuses it.
+    #[test]
+    fn every_model_key_is_below_256() {
+        let p_max = uniform(0.02, 0.12, u64::MAX);
+        assert_eq!(clearing_draw(p_max) >> 42, 245);
+        for c in 0..100_000 {
+            let p = AvailabilityModel::for_client(11, c).interruption_p;
+            let key = Interruption { seed: 0, p }.threshold();
+            assert_eq!(u64::from(key), clearing_draw(p) >> 42, "client {c}");
+            assert!(key <= 245, "client {c}: key {key}");
+        }
+        let cut = |p: f64| Interruption { seed: 0, p };
+        assert_eq!(cut(KEY_P_MAX).threshold(), 255);
+        let past = KEY_P_MAX.next_up();
+        assert_eq!(clearing_draw(past) >> 42, 256);
+        let refused = std::panic::catch_unwind(|| cut(past).threshold());
+        assert!(refused.is_err(), "a two-byte key was truncated");
     }
 
     /// `whole` is the integer cast on every whole float it is handed: the
@@ -511,56 +577,76 @@ mod tests {
         }
     }
 
-    /// A tie on the top 32 bits is decided by the exact rule, both ways.
-    /// The entry of client 5 is forced to the top bits of its own draw in
-    /// round 3, and the exact rule is handed `p` at the draw's value
-    /// `X·2⁻⁵³` (clear: the draw is not below it) and one float above it
-    /// (interrupted). Both `p` give that same entry, so each is a true tie
-    /// of the encoding, and only the low bits can tell them apart.
+    /// A tie on the 11-bit key is decided by the exact rule, both ways.
+    /// The entry of client 5 is forced to the top 11 bits of its own draw
+    /// in the first round where those bits fit a byte, and the exact rule
+    /// is handed `p` at the draw's value `X·2⁻⁵³` (clear: the draw is not
+    /// below it) and one float above it (interrupted). Both `p` give that
+    /// same key, so each is a true tie of the encoding, and only the low
+    /// bits can tell them apart. A row without the client leaves its bit
+    /// clear and its tie unresolved.
     #[test]
     fn a_forced_tie_is_decided_by_the_exact_rule() {
-        let (seed, client, round) = (31, 5, 3);
+        let (seed, client) = (31, 5);
         let models: Vec<AvailabilityModel> = (0..64)
             .map(|c| AvailabilityModel::for_client(seed, c))
             .collect();
         let mut table = table_of(seed, &models);
-        let s = models[client].seed;
-        let x = first_u64(split_seed(s, 0xB00 + round as u64));
-        let top = (x >> 32) as u32;
+        let round = (0..)
+            .find(|&r| draw(&models[client], r) >> 53 < 256)
+            .expect("a draw under 2⁶¹");
+        let (s, x) = (models[client].seed, draw(&models[client], round));
+        let key = (x >> 53) as u8;
         let at = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        // The draw's low 21 bits are not all ones, so `X + 1` keeps its
+        // The draw's low 42 bits are not all ones, so `X + 1` keeps its
         // top bits and `p` one float above the draw is a tie too.
-        assert_ne!((x >> 11) & ((1 << 21) - 1), (1 << 21) - 1);
-        table.hi[client] = top;
+        assert_ne!((x >> 11) & ((1 << 42) - 1), (1 << 42) - 1);
+        table.hi[client] = key;
+        let others: u32 = (0..64)
+            .filter(|&k| k != client)
+            .map(|k| u32::from(draw(&models[k], round) >> 53 == u64::from(table.hi[k])))
+            .sum();
         for (p, want) in [(at, true), (at.next_up(), false)] {
             let cut = Interruption { seed: s, p };
-            assert_eq!(cut.threshold(), top, "p {p} is not a tie");
+            assert_eq!(cut.threshold(), key, "p {p} is not a tie");
             assert_eq!(cut.clear(round), want, "p {p}");
             let exact = |c: usize| {
-                assert_eq!(c, client, "only the forced entry ties");
-                cut
+                if c == client {
+                    cut
+                } else {
+                    models[c].interruption()
+                }
             };
             assert_eq!(table.clear_with(client, round, exact), want, "p {p}");
-            let mask = table.clear_word_with(0, round, exact);
+            let (mask, ties) = table.clear_word_with(0, round, u64::MAX, exact);
             assert_eq!((mask >> client) & 1 == 1, want, "p {p}");
+            assert_eq!(ties, others + 1, "p {p}");
             // The other 63 lanes keep their own answers.
             for (k, m) in models.iter().enumerate().filter(|&(k, _)| k != client) {
                 let bit = (mask >> k) & 1 == 1;
                 assert_eq!(bit, m.interruption().clear(round), "lane {k}");
             }
+            let not_asked = |c: usize| {
+                assert_ne!(c, client, "a tie outside the row was resolved");
+                models[c].interruption()
+            };
+            let row = !(1u64 << client);
+            let (outside, ties) = table.clear_word_with(0, round, row, not_asked);
+            assert_eq!(outside, mask & row, "p {p}");
+            assert_eq!(ties, others, "p {p}");
         }
     }
 
     /// Client `client`'s `(phase, len, threshold)` through the full
     /// generator, the constructor every client's model is defined by.
-    fn generated(seed: u64, client: usize) -> (u8, u8, u32) {
+    fn generated(seed: u64, client: usize) -> (u8, u8, u8) {
         let m = AvailabilityModel::new(split_seed(split_seed(seed, 0x1000 + client as u64), 2));
         let (phase, len) = m.diurnal_window();
         (phase, len, m.interruption().threshold())
     }
 
     /// [`population_tables`] from client `base`, `n` entries.
-    fn tables(seed: u64, base: usize, n: usize) -> Vec<(u8, u8, u32)> {
+    fn tables(seed: u64, base: usize, n: usize) -> Vec<(u8, u8, u8)> {
         let (mut phase, mut len, mut hi) = (vec![0; n], vec![0; n], vec![0; n]);
         population_tables(seed, base, &mut phase, &mut len, &mut hi);
         (0..n).map(|k| (phase[k], len[k], hi[k])).collect()
@@ -574,7 +660,7 @@ mod tests {
     fn batch_equals_the_generator_over_whole_populations() {
         for seed in [0, 1, 17, 20_240_422, u64::MAX] {
             for n in [0, 1, 63, 64, 65, 1000, 100_000] {
-                let want: Vec<(u8, u8, u32)> = (0..n).map(|c| generated(seed, c)).collect();
+                let want: Vec<(u8, u8, u8)> = (0..n).map(|c| generated(seed, c)).collect();
                 for (c, (g, w)) in tables(seed, 0, n).iter().zip(&want).enumerate() {
                     assert_eq!(g, w, "seed {seed} n {n} client {c}");
                 }

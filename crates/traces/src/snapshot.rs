@@ -5,7 +5,7 @@
 //! pure function of `(seed, client)`, so little is kept per client: the
 //! [`AvailabilityIndex`] holds each client's diurnal window in two bytes
 //! and recomputes one membership bit per client when the day position
-//! moves, the full sweep adds a 4-byte interruption threshold per client,
+//! moves, the full sweep adds a 1-byte interruption threshold per client,
 //! batteries are tracked sparsely (only clients that ever drained), and
 //! full trace bundles are rederived on demand through a small bounded
 //! cache. All of this is bit-identical to the eager implementation it
@@ -83,9 +83,13 @@ pub struct AvailabilityStats {
     pub trace_cache_resident: usize,
     /// Trace-cache capacity.
     pub trace_cache_capacity: usize,
-    /// Bytes held by the full-sweep interruption table, 4 per client (0
+    /// Bytes held by the full-sweep interruption table, 1 per client (0
     /// when the sampler has only served pooled queries).
     pub sweep_models_bytes: usize,
+    /// Full-sweep interruption draws of diurnally available clients that
+    /// tied their one-byte key and took the exact rule since construction
+    /// (each such draw ties with probability 2⁻¹¹).
+    pub sweep_exact_fallbacks: u64,
     /// Candidates drawn into pools since construction.
     pub pool_draws: u64,
     /// Pool candidates rejected by interruption or battery filters.
@@ -172,6 +176,7 @@ pub struct ResourceSampler {
     pool_cands: Vec<usize>,
     pool_draws: u64,
     pool_rejected: u64,
+    sweep_exact_fallbacks: u64,
     /// Scratch: sorted ids of batteries currently refusing training,
     /// rebuilt per sweep.
     blocked_scratch: Vec<usize>,
@@ -262,6 +267,7 @@ impl ResourceSampler {
             pool_cands: Vec::new(),
             pool_draws: 0,
             pool_rejected: 0,
+            sweep_exact_fallbacks: 0,
             blocked_scratch: Vec::new(),
         }
     }
@@ -284,6 +290,7 @@ impl ResourceSampler {
             sweep_models_bytes: self.sweep_models.as_ref().map_or(0, |t| t.heap_bytes()),
             pool_draws: self.pool_draws,
             pool_rejected: self.pool_rejected,
+            sweep_exact_fallbacks: self.sweep_exact_fallbacks,
         }
     }
 
@@ -360,7 +367,7 @@ impl ResourceSampler {
     }
 
     /// Materialize the per-client interruption table for the full-sweep
-    /// path. Pooled samplers never pay this (4 B × population) cost.
+    /// path. Pooled samplers never pay this (1 B × population) cost.
     fn ensure_sweep_models(&mut self) {
         if self.sweep_models.is_none() {
             self.sweep_models = Some(Arc::new(Self::build_sweep_models(
@@ -474,12 +481,14 @@ impl ResourceSampler {
         out.reserve(self.index.count());
         // One interruption mask per row word: the 64 draws run branch-free
         // (and vectorized), then only the surviving bits are visited.
+        let mut ties = 0;
         for (w, &word) in self.index.row_words().iter().enumerate() {
             if word == 0 {
                 continue;
             }
             let base = w * 64;
-            let mut bits = word & models.clear_word(base, round);
+            let (mut bits, word_ties) = models.clear_word(base, round, word);
+            ties += u64::from(word_ties);
             while bits != 0 {
                 let c = base + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -488,6 +497,7 @@ impl ResourceSampler {
                 }
             }
         }
+        self.sweep_exact_fallbacks += ties;
         self.blocked_scratch = blocked;
     }
 
@@ -840,6 +850,6 @@ mod tests {
         assert_eq!(st.sweep_models_bytes, 0, "pool path must not build sweep");
         assert!(st.trace_cache_resident <= st.trace_cache_capacity);
         s.available_clients_into(3, &mut pool);
-        assert_eq!(s.availability_stats().sweep_models_bytes, 4 * 100);
+        assert_eq!(s.availability_stats().sweep_models_bytes, 100);
     }
 }

@@ -143,12 +143,12 @@ fn check(leg: Leg) -> Run {
         }
     }
     let table_bytes = match leg.candidate_pool {
-        0 => 4 * num_clients,
+        0 => num_clients,
         _ => 0,
     };
     assert_eq!(
         one.avail.sweep_models_bytes, table_bytes,
-        "{label}: the full sweep keeps 4 B per client, a pooled run none"
+        "{label}: the full sweep keeps 1 B per client, a pooled run none"
     );
     if num_clients == Scale::Pop10k.num_clients() {
         // Two bytes of diurnal window per client, plus the membership row

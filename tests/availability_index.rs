@@ -220,7 +220,7 @@ fn one_pass_build_equals_the_two_builds() {
             sweep_alone == want_sweep,
             "n {n}: table-only thresholds differ"
         );
-        assert_eq!(sweep.heap_bytes(), 4 * n, "n {n}");
+        assert_eq!(sweep.heap_bytes(), n, "n {n}");
         assert_eq!(index.heap_bytes(), alone.heap_bytes(), "n {n}");
         assert_eq!(index.num_clients(), n, "n {n}");
         for p in 0..ROUNDS_PER_DAY {
@@ -234,6 +234,34 @@ fn one_pass_build_equals_the_two_builds() {
             assert_eq!(index.count(), alone.count(), "n {n} position {p}");
         }
     }
+}
+
+/// The full sweep resolves a draw by the exact rule only when its top 11
+/// bits tie the client's one-byte key, and only for diurnally available
+/// clients: each of those draws ties with probability 2⁻¹¹, independently
+/// of its key, so over 1M clients and four rounds the counter is
+/// Binomial(available draws, 2⁻¹¹). It must lie within 6σ of the mean (a
+/// false alarm once in ~5·10⁸ seeds; the seed is fixed). The ~2.4M
+/// draws give a mean near 1182 and σ near 34: a count over every client's
+/// draw (~1953) lies ~22σ out, and none ~34σ.
+#[test]
+fn sweep_exact_fallbacks_are_binomial_in_the_available_draws() {
+    let (n, seed) = (1_000_000, 41);
+    let mut sampler = ResourceSampler::new(n, InterferenceModel::None, seed);
+    let mut index = ResourceSampler::build_index(n, seed);
+    let (mut draws, mut out) = (0usize, Vec::new());
+    for round in [0, 1, 2, 50] {
+        index.advance_to(round);
+        draws += index.count();
+        sampler.available_clients_into(round, &mut out);
+    }
+    let q = 1.0 / 2048.0;
+    let (mean, sd) = (draws as f64 * q, (draws as f64 * q * (1.0 - q)).sqrt());
+    let got = sampler.availability_stats().sweep_exact_fallbacks as f64;
+    assert!(
+        (got - mean).abs() <= 6.0 * sd,
+        "{got} exact fallbacks over {draws} available draws: mean {mean:.1}, sd {sd:.1}"
+    );
 }
 
 /// Populations on either side of one row word, of one 4096-client

@@ -292,7 +292,8 @@ fn sweep_halving_saves_rounds_and_frontier_is_nonempty() {
     assert!(fig.frontier.iter().any(|r| r.on_frontier));
 }
 
-/// The pooled planner never builds the full-sweep table, and training
+/// The pooled planner never builds the full-sweep table (so no sweep
+/// draw falls back to the exact rule), and training
 /// data stays bounded by a shard cache far smaller than the population.
 #[test]
 fn population_rows_keep_memory_bounded() {
@@ -303,6 +304,7 @@ fn population_rows_keep_memory_bounded() {
         .find(|r| r.candidate_pool > 0)
         .expect("pooled stand-in row");
     assert_eq!(pooled.sweep_models_mb, 0.0);
+    assert_eq!(pooled.sweep_exact_fallbacks, 0);
     for row in &fig.rows {
         assert!(
             row.cache_peak_resident <= row.cache_capacity && row.cache_capacity < row.clients,

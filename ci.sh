@@ -51,16 +51,16 @@ if [[ "${1:-}" != "quick" ]]; then
       --workload "$w" --seed 7 --seconds 1 --trace 0 | tee "target/floatbench_$w.json"
   done
 
-  # pop1m_oort's peak is the 1M-client population (4 B/client sweep
+  # pop1m_oort's peak is the 1M-client population (1 B/client sweep
   # table, 2 B/client of diurnal windows in the availability index), one
   # array of the round's eligible ids as u32 (~2.1 MiB), which the
   # selector draws from in place, and the report text, which streams; the
   # report's per-client counts are sparse, and the sampled evaluation set
   # costs its 256 draws, not a population-sized buffer. Ten 30 s runs at
-  # --seed 9176432 read 15.7-16.0 MiB; the bound is the largest (16.01)
-  # plus 25 %, rounded up. Sixteen more runs (two seeds) read 15.7-16.2,
-  # and two of them 17.2-17.5, a second mode. While the evaluation draw
-  # shuffled a 4 MB id buffer the runs read 17.4-17.9. Oort's former
+  # --seed 9176432 read 12.9-13.4 MiB and one 14.6, a second mode; the
+  # bound is the largest (14.55) plus 25 %, rounded up. With the 4 B
+  # sweep table the runs read 15.6-16.1 (bound 21); while the evaluation
+  # draw shuffled a 4 MB id buffer, 17.4-17.9. Oort's former
   # private copy of the ids read 20.5-24.6: round 1's pool is 250
   # ids larger than round 0's, so `reserve` doubled the copy to 4.3 MiB,
   # and the realloc left the first block's pages resident on the brk heap
@@ -68,11 +68,11 @@ if [[ "${1:-}" != "quick" ]]; then
   # reserve read 18.2-18.3. Dense 8 B/client counts read ~50 next to the
   # 2 B index: their calloc lands on heap pages the freed sweep table
   # left, and zeroing makes them resident.
-  step "pop1m_oort peak_rss_mib <= 21"
+  step "pop1m_oort peak_rss_mib <= 19"
   peak=$(tail -n 1 target/floatbench_pop1m_oort.json \
     | grep -o '"peak_rss_mib":{"value":[0-9.]*' | cut -d: -f3)
   echo "peak_rss_mib = $peak"
-  awk -v p="$peak" 'BEGIN { exit !(p != "" && p <= 21) }'
+  awk -v p="$peak" 'BEGIN { exit !(p != "" && p <= 19) }'
 
   # One traced pass per workload (~5 s each). Only the traced pass checks
   # that the halving winner's outcomes equal its full-grid outcomes bit for
@@ -215,7 +215,7 @@ if [[ "${1:-}" != "quick" ]]; then
   # residency <= capacity << population). A 200-client leg (sync and
   # FedBuff) checks the other side of the auto capacity: a population
   # under SHARD_RESIDENT_CAP is held whole, never evicted, each shard
-  # derived at most once. Every full-sweep leg keeps 4 B per client for
+  # derived at most once. Every full-sweep leg keeps 1 B per client for
   # the sweep table, a pooled 10k leg none, and every 10k leg at most
   # 2.2 B per client for the availability index. Test shards have one bounded
   # owner, the population's store, read by the agent's reward and by

@@ -12,8 +12,8 @@
 //!   `EVAL_RESIDENT_CAP` resident, each resident shard derived once on the
 //!   small legs, and the same counters at 1 and 4 threads;
 //! - sampled evaluation returns exactly `eval_sample` accuracies;
-//! - the full availability sweep keeps 4 bytes per client (one
-//!   interruption threshold each), and the availability index at most 2.2 on
+//! - the full availability sweep keeps 1 byte per client (one
+//!   interruption threshold key each), and the availability index at most 2.2 on
 //!   the 10k legs (two bytes of diurnal window, the row and its
 //!   popcounts).
 //!
